@@ -102,6 +102,11 @@ class ArityError(InputError):
 #           factor := ('+'|'-') factor | atom ('^' INT)?
 #           atom   := VAR | INT | '(' expr ')'
 # Variables are x0..xN; whitespace is free; everything else is an error.
+# Powers and products are expanded as they are parsed, so their degree is
+# checked against MAX_DEGREE first: an exponent like 200000 is an input
+# error, not an expansion that never ends.
+
+MAX_DEGREE = 64
 
 
 def _tokenize(src):
@@ -176,8 +181,13 @@ class _ExprParser:
     def term(self):
         poly = self.factor()
         while self.peek()[0] == "*":
-            self.take()
-            poly = poly.mul(self.factor())
+            _, _, line, col = self.take()
+            rhs = self.factor()
+            degree = poly.degree() + rhs.degree()
+            if degree > MAX_DEGREE:
+                raise ParseError(f"product of degree {degree} exceeds the "
+                                 f"degree limit {MAX_DEGREE}", line, col)
+            poly = poly.mul(rhs)
         return poly
 
     def factor(self):
@@ -191,7 +201,11 @@ class _ExprParser:
             self.take()
             if self.peek()[0] != "int":
                 self.fail("expected an integer exponent after '^'")
-            power = self.take()[1]
+            _, power, line, col = self.take()
+            # constants count as degree 1, so the exponent is bounded too
+            if max(poly.degree(), 1) * power > MAX_DEGREE:
+                raise ParseError(f"power ^{power} exceeds the degree limit "
+                                 f"{MAX_DEGREE}", line, col)
             out = SparsePoly(self.nvars, {(0,) * self.nvars: 1})
             for _ in range(power):
                 out = out.mul(poly)
@@ -555,7 +569,8 @@ def _rank_trial(plan, cfg, fp, prime, trial, dim_x, c):
     pt = spec.sampler(rng, fp)
     frame = tangent_space(spec, pt.coords, fp, dim_x)
     fib = gauss_fiber(spec, frame, fp, rng)
-    if fib.k == 0:
+    if fib.k == 0 or fib.r == 0:
+        # point fibres, or a constant Gauss map (r = 0): no focal divisor
         rep = FocalReport(r=fib.r, c=c)
         rep.bounds = check_bounds(rep)
         containment = "Skipped"

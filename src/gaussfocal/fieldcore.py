@@ -7,7 +7,8 @@ in [0, p); dual elements are tuples of integers.  The ring objects below
 only hold the modulus and expose the operations, so vectors and matrices
 stay ordinary lists and the hot loops avoid per-element object overhead.
 
-Matrix routines use reduced row echelon form with unit pivots.  Over a
+Matrix routines use reduced row echelon form with unit pivots; the
+characteristic polynomial goes through Hessenberg form instead.  Over a
 field every nonzero entry is a unit; over a dual ring a pivot must have a
 nonzero unit part, and inputs whose rank drops on the unit parts raise
 ``DegeneratePivot`` so callers can resample.
@@ -500,7 +501,12 @@ def solve_affine(mat, b, ring):
 
 
 def _rref_cols(aug, ring, ncols):
-    """RREF restricted to the first ``ncols`` columns of an augmented matrix."""
+    """RREF restricted to the first ``ncols`` columns of an augmented matrix.
+
+    Every column after ``ncols`` is a right-hand side carried along, so
+    one elimination solves for all of them; ``Infeasible`` is raised when
+    any of them lies outside the column span.
+    """
     rows = [list(r) for r in aug]
     nrows = len(rows)
     is_unit, is_zero = ring.is_unit, ring.is_zero
@@ -531,9 +537,64 @@ def _rref_cols(aug, ring, ncols):
         if r == nrows:
             break
     for i in range(r, nrows):
-        if not is_zero(rows[i][ncols]):
+        if any(not is_zero(v) for v in rows[i][ncols:]):
             raise Infeasible("right-hand side outside column span")
     return rows, pivots
+
+
+def charpoly(mat, fp):
+    """Characteristic polynomial det(x·I − A) over F_p, ascending, monic.
+
+    A similarity transform takes A to upper Hessenberg form H, and the
+    leading principal minors of x·I − H then satisfy a short recurrence
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    2.2.9): O(n^3) field operations and no division by a polynomial.
+    """
+    p = fp.p
+    n = len(mat)
+    h = [[v % p for v in row] for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue  # column m-1 is already zero below the subdiagonal
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], -1, p)
+        hm = h[m]
+        # H ← L⁻¹·H·L with L = I + Σ u_i·e_i·e_mᵀ: all row updates use the
+        # untouched row m, then column m takes every update at once.
+        mults = []
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                hi = h[i]
+                h[i] = hi[:m - 1] + [(a - u * b) % p
+                                     for a, b in zip(hi[m - 1:], hm[m - 1:])]
+                mults.append((i, u))
+        if mults:
+            for row in h:
+                row[m] = (row[m] + sum(u * row[i] for i, u in mults)) % p
+    polys = [[1]]
+    for m in range(n):
+        # (x − h[m][m])·P_m, then the subdiagonal-product corrections
+        prev = polys[m]
+        cur = [0] + prev
+        hmm = h[m][m]
+        for j, c in enumerate(prev):
+            cur[j] -= hmm * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            w = t * h[i][m] % p
+            if w:
+                for j, c in enumerate(polys[i]):
+                    cur[j] -= w * c
+        polys.append([c % p for c in cur])
+    return polys[n]
 
 
 def lagrange_interpolate(points, degree_bound, fp):

@@ -11,7 +11,11 @@ in the singular locus are what the rest of the package reports on.
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
 lines, and the reduced form from either a linear system in its
-coefficients or dense interpolation of normalized root data.
+coefficients (few coefficients) or dense interpolation of normalized
+root data (many).  The interpolation reads each line t* + s·v through a
+fixed point t* as a matrix pencil: det M(t* + s·v) is det M(t*) times
+det(I + s·M(t*)⁻¹M(v)), so one characteristic polynomial gives the
+whole line polynomial, with M(t*)⁻¹M(b_i) computed once per basis.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from math import comb
 from .fieldcore import (
     DegeneratePivot,
     Infeasible,
+    _rref_cols,
+    charpoly,
     dot,
     dual_over,
     dual_parts,
@@ -220,18 +226,24 @@ def characteristic_matrix(chart: FamilyChart, frame, fp) -> CharMatrix:
 
 
 def _char_matrix_framed(chart, fp):
+    """Decompose every B row over [Λ; w] in one elimination: the rows of
+    all B_j ride along as right-hand sides of the stacked system."""
     k1, r = chart.k + 1, chart.r
-    stacked_t = _transpose(list(chart.basis) + list(chart.dirs))
-    entries = [[[0] * k1 for _ in range(r)] for _ in range(r)]
-    for j, bmat in enumerate(chart.bmats):
-        for i, row in enumerate(bmat):
-            try:
-                coeffs, _ = solve_affine(stacked_t, row, fp)
-            except Infeasible as exc:
-                raise NonVanishingTransversalComponent(
-                    "a deformation row left the tangent space") from exc
-            for l in range(r):
-                entries[j][l][i] = coeffs[k1 + l]
+    ncols = k1 + r
+    rhs = [row for bmat in chart.bmats for row in bmat]
+    aug = [list(srow) + [row[c] for row in rhs]
+           for c, srow in enumerate(_transpose(list(chart.basis)
+                                               + list(chart.dirs)))]
+    try:
+        rows, pivots = _rref_cols(aug, fp, ncols)
+    except Infeasible as exc:
+        raise NonVanishingTransversalComponent(
+            "a deformation row left the tangent space") from exc
+    # particular solutions: free unknowns are zero, pivot unknowns read off
+    solved = {pc: row[ncols:] for pc, row in zip(pivots, rows)}
+    zero = [0] * len(rhs)
+    entries = [[[solved.get(k1 + l, zero)[j * k1 + i] for i in range(k1)]
+                for l in range(r)] for j in range(r)]
     return CharMatrix(entries, chart.k)
 
 
@@ -324,12 +336,13 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
 
 
 def _mat_inverse(mat, fp):
+    """The inverse of a square matrix, from one elimination of [M | I];
+    ``Infeasible`` when M is singular."""
     n = len(mat)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(solve_affine(mat, e, fp)[0])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
+           for i, row in enumerate(mat)]
+    rows, _ = _rref_cols(aug, fp, n)
+    return [row[n:] for row in rows]
 
 
 class ReducedForm:
@@ -446,29 +459,58 @@ def _falling_coeffs(m, fp):
     return poly
 
 
+def _pencil_slices(charm, basis, fp):
+    """det M(t*) and the matrices M(t*)⁻¹·M(b) for b in basis[1:], from
+    one elimination of [M(t*) | M(b_1) | … | M(b_k)]; None when M(t*)
+    is singular."""
+    r = charm.r
+    mstar = charm.value(basis[0], fp)
+    det0 = det_ring(mstar, fp)
+    if det0 == 0:
+        return None
+    blocks = [charm.value(b, fp) for b in basis[1:]]
+    aug = [mstar[a] + [v for blk in blocks for v in blk[a]]
+           for a in range(r)]
+    rows, _ = _rref_cols(aug, fp, r)
+    slices = [[row[r + i * r:r + (i + 1) * r] for row in rows]
+              for i in range(len(blocks))]
+    return det0, slices
+
+
 def _normalized_root_values(charm, basis, d, fp):
     """Values q(node)/q(t*) on the simplex grid through t* = basis[0].
 
     Each value is read off the squarefree part of the focal form on the
     line from t* to the node; returns None when any line degenerates.
+    The line t* + s·v with v = Σ c_i·b_i is a pencil,
+
+        det M(t* + s·v) = det M(t*) · det(I + s·K),  K = Σ c_i·M(t*)⁻¹M(b_i),
+
+    so with χ(x) = det(x·I − K) its coefficients are
+    det M(t*)·(−1)^m·χ_{r−m}: the K slices are built once per basis, and
+    each node costs at most d matrix axpys and one characteristic
+    polynomial instead of r+2 determinants and an interpolation.
     """
     p, r = fp.p, charm.r
-    tstar = basis[0]
+    pencil = _pencil_slices(charm, basis, fp)
+    if pencil is None:
+        return None
+    det0, slices = pencil
     vals = {}
     for node in _simplex_nodes(len(basis) - 1, d):
         if not any(node):
             vals[node] = 1
             continue
-        t = list(tstar)
-        for i, c in enumerate(node):
-            if c:
-                t = [(a + c * b) % p for a, b in zip(t, basis[i + 1])]
-        dirv = [(a - b) % p for a, b in zip(t, tstar)]
-        pts = []
-        for s in range(r + 2):
-            x = [(a + s * b) % p for a, b in zip(tstar, dirv)]
-            pts.append((s, charm.det_at(x, fp)))
-        f = up_trim(lagrange_interpolate(pts, r, fp))
+        kmat = None
+        for c, sl in zip(node, slices):
+            if not c:
+                continue
+            kmat = ([[c * v for v in row] for row in sl] if kmat is None
+                    else [[u + c * v for u, v in zip(krow, row)]
+                          for krow, row in zip(kmat, sl)])
+        chi = charpoly(kmat, fp)
+        f = up_trim([det0 * (-chi[r - m] if m % 2 else chi[r - m]) % p
+                     for m in range(r + 1)])
         if up_deg(f) != r:
             return None
         sf = up_divmod(f, up_gcd(f, up_deriv(f, fp), fp), fp)[0]
@@ -561,7 +603,9 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
 
     Small coefficient counts go through the exact linear system in the
     coefficients of q; large ones through dense interpolation of
-    normalized squarefree root data in a random coordinate basis.
+    normalized squarefree root data in a random coordinate basis, where
+    each line polynomial comes from one characteristic polynomial of the
+    pencil M(t*)⁻¹M(v) (see ``_normalized_root_values``).
     """
     if not charm.square:
         raise ExtractionFailed("extraction needs a square matrix")

@@ -7,6 +7,7 @@ import pytest
 from gaussfocal.cli import (
     ArityError,
     ExperimentConfig,
+    MAX_DEGREE,
     InputError,
     ParseError,
     derive_primes,
@@ -72,6 +73,17 @@ def test_parse_error_unbalanced():
 def test_parse_error_bad_exponent():
     with pytest.raises(ParseError):
         parse_expression("x0^x1", 4)
+
+
+def test_parse_unbounded_power_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_expression("(x0+x1)^200000", 2)
+    assert (err.value.line, err.value.col) == (1, 9)
+    with pytest.raises(ParseError):
+        parse_expression("2^200000", 2)
+    with pytest.raises(ParseError):
+        parse_expression("x0" + "*x0" * MAX_DEGREE, 2)
+    assert parse_expression(f"x0^{MAX_DEGREE}", 2).degree() == MAX_DEGREE
 
 
 def test_parse_arity_error():
@@ -264,6 +276,9 @@ def test_input_errors_exit_4(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"ambient_dim": 3, "generators": ["x0 + * x1"]}')
     assert main(["custom", "--spec", str(bad)]) == 4
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"ambient_dim": 4, "generators": ["(x0+x1)^200000"]}')
+    assert main(["custom", "--spec", str(huge)]) == 4
     capsys.readouterr()
 
 
@@ -312,3 +327,20 @@ def test_custom_cone_with_singular_descriptor(tmp_path, capsys):
     assert rec["c"] is None
     assert rec["sing_containment"] == "Pass"
     assert set(rec["bounds"].values()) == {"Skipped"}
+
+
+@pytest.mark.parametrize("generator", ["x0*x1", "x0"])
+def test_custom_constant_gauss_map_has_no_focal_divisor(generator, tmp_path,
+                                                        capsys):
+    # hyperplanes (and a union of two): the Gauss map is constant, r = 0
+    path = _write(tmp_path, "flat.json",
+                  {"ambient_dim": 4, "generators": [generator]})
+    rc = main(["custom", "--spec", path, "--trials", "1", "--prime", str(P),
+               "--seed", "23", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "Traceback" not in captured.err
+    rec = json.loads(captured.out)[0]
+    assert (rec["r"], rec["k"]) == (0, 3)
+    assert rec["focal_degree"] is None
+    assert rec["sing_containment"] == "Skipped"

@@ -12,6 +12,7 @@ from gaussfocal.fieldcore import (
     Infeasible,
     Rng,
     ZeroInverse,
+    charpoly,
     derive_seed,
     dual_rank_kernel,
     is_probable_prime,
@@ -22,6 +23,8 @@ from gaussfocal.fieldcore import (
     rank_and_kernel,
     solve_affine,
 )
+
+from gaussfocal.mpoly import det_ring
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -225,6 +228,49 @@ def test_lagrange_roundtrip_randomized():
         back = lagrange_interpolate(pts, d, fp)
         back += [0] * (d + 1 - len(back))
         assert back == coeffs
+
+
+# --- characteristic polynomials ---------------------------------------------
+
+
+def _charpoly_by_interpolation(mat, fp):
+    """det(x·I − A) interpolated from determinants at n+2 points."""
+    n = len(mat)
+    pts = []
+    for x in range(n + 2):
+        shifted = [[((x if i == j else 0) - v) % fp.p
+                    for j, v in enumerate(row)] for i, row in enumerate(mat)]
+        pts.append((x, det_ring(shifted, fp)))
+    return lagrange_interpolate(pts, n, fp)
+
+
+@pytest.mark.parametrize("p", [(1 << 61) - 1, 101])
+def test_charpoly_matches_interpolated_determinants(p):
+    fp = Fp(p)
+    rng = Rng(0xC4A2)
+    for n in range(17):
+        # dense, then sparser and sparser: the sparse ones leave zero
+        # subdiagonal columns and pivots that need a row/column swap
+        for density in (1, 3, 6):
+            mat = [[rng.field(p) if rng.below(density) == 0 else 0
+                    for _ in range(n)] for _ in range(n)]
+            got = charpoly(mat, fp)
+            assert len(got) == n + 1 and got[-1] == 1
+            assert got == _charpoly_by_interpolation(mat, fp)
+
+
+def test_charpoly_structured_cases():
+    fp = F101
+    # upper triangular: zero subdiagonal everywhere, roots on the diagonal
+    tri = [[2, 5, 7], [0, 3, 1], [0, 0, 4]]
+    assert charpoly(tri, fp) == _charpoly_by_interpolation(tri, fp)
+    # the only nonzero below the subdiagonal sits at the bottom: the
+    # reduction must swap it up before eliminating
+    swap = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [9, 0, 0, 0]]
+    assert charpoly(swap, fp) == _charpoly_by_interpolation(swap, fp)
+    low = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [3, 5, 0, 0]]
+    assert charpoly(low, fp) == _charpoly_by_interpolation(low, fp)
+    assert charpoly([], fp) == [1]
 
 
 # --- rng / primes -----------------------------------------------------------

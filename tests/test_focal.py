@@ -3,12 +3,23 @@ multiplicity profiles, reduced-form extraction and the bound battery."""
 
 import pytest
 
-from gaussfocal.fieldcore import Fp, Rng, dot, mat_rank, vecmat
+from gaussfocal.fieldcore import (
+    Fp,
+    Rng,
+    dot,
+    lagrange_interpolate,
+    mat_rank,
+    vecmat,
+)
 from gaussfocal.focal import (
     ContainmentFailed,
+    FamilyChart,
     FocalReport,
+    NonVanishingTransversalComponent,
     NotDegenerate,
     ReducedForm,
+    _normalized_root_values,
+    _simplex_nodes,
     char_kernel_at_point,
     characteristic_matrix,
     chart_independence,
@@ -23,7 +34,16 @@ from gaussfocal.focal import (
     sing_containment,
 )
 from gaussfocal.gaussmap import fiber_codim_data, gauss_fiber, tangent_space
-from gaussfocal.mpoly import ProgramBuilder, SparsePoly
+from gaussfocal.mpoly import (
+    ProgramBuilder,
+    SparsePoly,
+    up_deg,
+    up_deriv,
+    up_divmod,
+    up_eval,
+    up_gcd,
+    up_trim,
+)
 from gaussfocal.varieties import (
     MatrixShape,
     VarietySpec,
@@ -199,6 +219,67 @@ def test_interpolation_path_matches_linear_system():
             base = (v1, v2)
             continue
         assert v1 * base[1] % P == v2 * base[0] % P
+
+
+def _root_values_by_determinants(charm, basis, d, fp):
+    """The simplex root data from r+2 determinants and an interpolation
+    per line: the oracle for the pencil + charpoly evaluation."""
+    p, r = fp.p, charm.r
+    tstar = basis[0]
+    vals = {}
+    for node in _simplex_nodes(len(basis) - 1, d):
+        if not any(node):
+            vals[node] = 1
+            continue
+        dirv = [0] * len(tstar)
+        for i, c in enumerate(node):
+            dirv = [(a + c * b) % p for a, b in zip(dirv, basis[i + 1])]
+        pts = []
+        for s in range(r + 2):
+            x = [(a + s * b) % p for a, b in zip(tstar, dirv)]
+            pts.append((s, charm.det_at(x, fp)))
+        f = up_trim(lagrange_interpolate(pts, r, fp))
+        if up_deg(f) != r:
+            return None
+        sf = up_divmod(f, up_gcd(f, up_deriv(f, fp), fp), fp)[0]
+        if up_deg(sf) != d:
+            return None
+        s0 = up_eval(sf, 0, fp)
+        if s0 == 0:
+            return None
+        vals[node] = up_eval(sf, 1, fp) * fp.inv(s0) % p
+    return vals
+
+
+def test_pencil_root_values_match_determinants():
+    spec = rank_locus_spec(MatrixShape.skew(6), 4)
+    pt, frame, fib, rng = pipeline(spec, 13, 119)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), frame, FP)
+    nv, d = charm.k + 1, 2  # severi-8: det M = c·q^4 with q a quadric
+    while True:
+        basis = [[rng.field(P) for _ in range(nv)] for _ in range(nv)]
+        if mat_rank(basis, FP) == nv and charm.det_at(basis[0], FP):
+            break
+    vals = _normalized_root_values(charm, basis, d, FP)
+    assert vals is not None and len(vals) == 21
+    assert vals == _root_values_by_determinants(charm, basis, d, FP)
+
+
+def test_deformation_row_off_the_tangent_space_is_rejected():
+    spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
+    pt, frame, fib, rng = pipeline(spec, 4, 121)
+    chart = fiber_family_chart(fib, FP, rng)
+    characteristic_matrix(chart, frame, FP)  # the genuine chart decomposes
+    stacked = fib.basis + chart.dirs
+    while True:
+        off = [rng.field(P) for _ in range(len(fib.basis[0]))]
+        if mat_rank(stacked + [off], FP) == len(stacked) + 1:
+            break
+    bmats = [[list(row) for row in bmat] for bmat in chart.bmats]
+    bmats[1][2] = [(a + b) % P for a, b in zip(bmats[1][2], off)]
+    moved = FamilyChart(chart.basis, bmats, chart.dirs)
+    with pytest.raises(NonVanishingTransversalComponent):
+        characteristic_matrix(moved, frame, FP)
 
 
 def test_perturbed_form_fails_containment():
