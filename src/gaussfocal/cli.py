@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from importlib import resources
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -27,6 +28,7 @@ from .fieldcore import (
     Rng,
     derive_seed,
     is_probable_prime,
+    mat_rank,
     random_prime,
     vecmat,
 )
@@ -34,22 +36,20 @@ from .focal import (
     ChartFailed,
     CharTooSmall,
     ContainmentFailed,
+    DeformationSpanMismatch,
     DegenerateLines,
-    ExtractionFailed,
     FocalReport,
     NonVanishingTransversalComponent,
     NotDegenerate,
     ProfileDisagreement,
-    char_kernel_at_point,
     characteristic_matrix,
     chart_independence,
     check_bounds,
-    extract_reduced_power,
     fiber_family_chart,
     focal_profile,
     focal_report,
-    form_zero_point,
     hyperband_chart,
+    sing_containment,
 )
 from .gaussmap import (
     FiberVerificationFailed,
@@ -102,11 +102,19 @@ class ArityError(InputError):
 #           factor := ('+'|'-') factor | atom ('^' INT)?
 #           atom   := VAR | INT | '(' expr ')'
 # Variables are x0..xN; whitespace is free; everything else is an error.
-# Powers and products are expanded as they are parsed, so their degree is
-# checked against MAX_DEGREE first: an exponent like 200000 is an input
-# error, not an expansion that never ends.
+# Powers and products are expanded as they are parsed, so each is checked
+# first: its degree against MAX_DEGREE, and each multiplication's count of
+# term products against MAX_TERMS.  An exponent like 200000 or a 16-term
+# sum to the 12th power is an input error, not an expansion that never
+# ends.  Spec files are bounded too: ambient dimension MAX_AMBIENT_DIM,
+# and MAX_GENERATORS minors, sub-Pfaffians or singular generators.  Every
+# preset fits: the largest, scorza-sy-skew m=5, has 924 sub-Pfaffians in
+# 66 coordinates.
 
 MAX_DEGREE = 64
+MAX_TERMS = 10_000
+MAX_AMBIENT_DIM = 128
+MAX_GENERATORS = 2_000
 
 
 def _tokenize(src):
@@ -151,6 +159,14 @@ def _tokenize(src):
     return tokens
 
 
+def _bounded_mul(a, b, line, col):
+    products = len(a.terms) * len(b.terms)
+    if products > MAX_TERMS:
+        raise ParseError(f"expansion needs {products} term products, over "
+                         f"the limit {MAX_TERMS}", line, col)
+    return a.mul(b)
+
+
 class _ExprParser:
     def __init__(self, tokens, nvars):
         self.tokens = tokens
@@ -187,7 +203,7 @@ class _ExprParser:
             if degree > MAX_DEGREE:
                 raise ParseError(f"product of degree {degree} exceeds the "
                                  f"degree limit {MAX_DEGREE}", line, col)
-            poly = poly.mul(rhs)
+            poly = _bounded_mul(poly, rhs, line, col)
         return poly
 
     def factor(self):
@@ -208,7 +224,7 @@ class _ExprParser:
                                  f"{MAX_DEGREE}", line, col)
             out = SparsePoly(self.nvars, {(0,) * self.nvars: 1})
             for _ in range(power):
-                out = out.mul(poly)
+                out = _bounded_mul(out, poly, line, col)
             return out
         return poly
 
@@ -258,6 +274,22 @@ _SHAPES = {
     "generic": MatrixShape.generic,
     "skew": lambda rows, cols: MatrixShape.skew(rows),
 }
+
+
+def generator_count(shape, rank_bound):
+    """How many minors (or sub-Pfaffians, skew) ``rank_locus_generators``
+    builds for this shape and rank bound, counted without building any."""
+    if shape.kind == "skew":
+        return comb(shape.nrows, rank_bound + 2 + rank_bound % 2)
+    rows = comb(shape.nrows, rank_bound + 1)
+    if shape.kind == "symmetric":
+        return rows * (rows + 1) // 2  # minor(I, J) = minor(J, I)
+    return rows * comb(shape.ncols, rank_bound + 1)
+
+
+def _bound(what, value, limit):
+    if value > limit:
+        raise InputError(f"{what} {value} exceeds the limit {limit}")
 
 
 def _parsed_generator(src, nvars, what):
@@ -328,14 +360,19 @@ def parse_spec_file(path) -> VarietySpec:
         if kind == "skew" and rb % 2:
             raise InputError("skew matrices have even rank; "
                              "use an even rank_bound")
+        shape = _SHAPES[kind](rows, cols)
+        # the coordinate bound first keeps the binomials small
+        _bound("ambient dimension", shape.ambient_dim, MAX_AMBIENT_DIM)
+        _bound("generator count", generator_count(shape, rb), MAX_GENERATORS)
         try:
-            return rank_locus_spec(_SHAPES[kind](rows, cols), rb, name=p.stem)
+            return rank_locus_spec(shape, rb, name=p.stem)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
 
     ambient = data["ambient_dim"]
     if not isinstance(ambient, int) or ambient < 2:
         raise InputError("ambient_dim must be an integer >= 2")
+    _bound("ambient dimension", ambient, MAX_AMBIENT_DIM)
     nvars = ambient + 1
     gens = data.get("generators")
     if not isinstance(gens, list) or not gens:
@@ -352,6 +389,7 @@ def parse_spec_file(path) -> VarietySpec:
         sg = data["singular_generators"]
         if not isinstance(sg, list) or not sg:
             raise InputError("'singular_generators' must be a non-empty list")
+        _bound("singular generator count", len(sg), MAX_GENERATORS)
         sprogs = [_parsed_generator(g, nvars, "singular generator").compile()
                   for g in sg]
         singular = VarietySpec(p.stem + "-singular", ambient, sprogs,
@@ -527,29 +565,17 @@ def _verify_record(record, expect):
     return fails
 
 
-def _proportional(u, v, fp):
-    if not any(u) or not any(v):
-        return False
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (u[i] * v[j] - u[j] * v[i]) % fp.p:
-                return False
-    return True
-
-
-def _record(plan, prime, seed_t, trial, n, dim_x, c, r, k, rep,
-            containment, wall):
+def _record(plan, prime, seed_t, trial, fam, rep, containment, wall):
     return {
         "experiment": plan.label,
         "prime": prime,
         "seed": seed_t,
         "trial": trial,
-        "n": n,
-        "dim_x": dim_x,
-        "c": c,
-        "r": r,
-        "k": k,
+        "n": fam.n,
+        "dim_x": fam.dim_x,
+        "c": fam.c,
+        "r": fam.r,
+        "k": fam.k,
         "focal_degree": rep.degree,
         "mu": rep.mu,
         "reduced_degree": rep.reduced_degree,
@@ -560,93 +586,111 @@ def _record(plan, prime, seed_t, trial, n, dim_x, c, r, k, rep,
     }
 
 
-def _rank_trial(plan, cfg, fp, prime, trial, dim_x, c):
+# A family source draws one trial's first-order family and knows how to
+# judge it: it supplies the record's n/dim_x/c/r/k, the chart (None when
+# there is no focal divisor), the containment oracle, the --verify full
+# cross-check and the expectations beyond the record (``extras``).
+
+
+class _FibreFamily:
+    """The Gauss fibres of a variety, at a sampled point."""
+
+    def __init__(self, spec, dim_x, c, fp, rng):
+        self.spec, self.fp, self.rng = spec, fp, rng
+        self.pt = spec.sampler(rng, fp)
+        frame = tangent_space(spec, self.pt.coords, fp, dim_x)
+        self.fib = gauss_fiber(spec, frame, fp, rng)
+        self.n, self.dim_x, self.c = spec.ambient_dim, dim_x, c
+        self.r, self.k = self.fib.r, self.fib.k
+        # point fibres, or a constant Gauss map (r = 0): no focal divisor
+        self.chart = (fiber_family_chart(self.fib, fp, rng)
+                      if self.k and self.r else None)
+
+    def contain(self, form):
+        return sing_containment(self.spec, self.fib, form, self.fp, self.rng,
+                                self.pt.witnesses)
+
+    def judge(self, rep):
+        """The record's containment status and any failure messages."""
+        return (rep.containment.status if rep.containment else "Skipped"), []
+
+    def cross_check(self, rep, lines):
+        if chart_independence(self.fib, self.fp, self.rng):
+            return []
+        return ["two independent charts gave non-proportional focal forms"]
+
+    def extras(self, rep):
+        return {}
+
+
+class _HyperbandFamily:
+    """A random 4-parameter line family in P^6 with a marked focus."""
+
+    def __init__(self, fp, rng):
+        self.fp, self.rng = fp, rng
+        self.fam = hyperband_family(rng, fp)
+        self.dim_x, self.dim_f = hyperband_dims(self.fam, fp, rng)
+        self.chart = hyperband_chart(self.fam, fp)
+        self.n, self.c = 6, self.dim_x - self.dim_f
+        self.r, self.k = self.chart.r, self.chart.k
+
+    def contain(self, form):
+        return None  # the focus is checked against the marked point
+
+    def judge(self, rep):
+        if rep.focus is None:
+            return "Skipped", []
+        focus = vecmat(rep.focus, self.chart.basis, self.fp)
+        marked = self.fam.predictor()
+        if any(focus) and any(marked) and \
+                mat_rank([focus, marked], self.fp) == 1:  # proportional
+            return "Pass", []
+        return "Fail", ["computed focus differs from the marked surface point"]
+
+    def cross_check(self, rep, lines):
+        fp, rng = self.fp, self.rng
+        fam2 = hyperband_family(rng, fp)
+        charm2 = characteristic_matrix(hyperband_chart(fam2, fp), fp)
+        profile2, _ = focal_profile(charm2, fp, rng, lines=lines)
+        if profile2 == rep.profile:
+            return []
+        return [f"a second random family gave profile {profile2} "
+                f"instead of {rep.profile}"]
+
+    def extras(self, rep):
+        return {"profile": [list(pair) for pair in rep.profile],
+                "kernel_at_focus": rep.kernel_at_focus, "dim_f": self.dim_f}
+
+
+def _trial(plan, cfg, fp, prime, trial, dim_x, c):
     seed_t = derive_seed(cfg.seed, prime, trial)
     rng = Rng(seed_t)
     start = perf_counter()
-    spec = plan.spec
+    if plan.kind == "hyperband":
+        fam = _HyperbandFamily(fp, rng)
+    else:
+        fam = _FibreFamily(plan.spec, dim_x, c, fp, rng)
     failures = []
-    pt = spec.sampler(rng, fp)
-    frame = tangent_space(spec, pt.coords, fp, dim_x)
-    fib = gauss_fiber(spec, frame, fp, rng)
-    if fib.k == 0 or fib.r == 0:
-        # point fibres, or a constant Gauss map (r = 0): no focal divisor
-        rep = FocalReport(r=fib.r, c=c)
+    if fam.chart is None:
+        rep = FocalReport(r=fam.r, c=fam.c)
         rep.bounds = check_bounds(rep)
         containment = "Skipped"
     else:
-        chart = fiber_family_chart(fib, fp, rng)
-        charm = characteristic_matrix(chart, frame, fp)
-        rep = focal_report(spec, fib, charm, fp, rng, c=c,
-                           witnesses=pt.witnesses, lines=cfg.lines)
-        containment = rep.containment.status if rep.containment else "Skipped"
+        charm = characteristic_matrix(fam.chart, fp)
+        rep = focal_report(charm, fp, rng, fam.contain, c=fam.c,
+                           lines=cfg.lines)
         if rep.extraction_error:
-            failures.append(f"{plan.label}: extraction failed: "
-                            f"{rep.extraction_error}")
-        if cfg.verify == "full" and not chart_independence(fib, frame, fp, rng):
-            failures.append(f"{plan.label}: two independent charts gave "
-                            "non-proportional focal forms")
-    record = _record(plan, prime, seed_t, trial, spec.ambient_dim, dim_x, c,
-                     fib.r, fib.k, rep, containment, perf_counter() - start)
-    return record, failures
-
-
-def _hyperband_trial(plan, cfg, fp, prime, trial):
-    seed_t = derive_seed(cfg.seed, prime, trial)
-    rng = Rng(seed_t)
-    start = perf_counter()
-    failures = []
-    fam = hyperband_family(rng, fp)
-    dim_x, dim_f = hyperband_dims(fam, fp, rng)
-    c = dim_x - dim_f
-    chart = hyperband_chart(fam, fp)
-    charm = characteristic_matrix(chart, None, fp)
-    profile, degree = focal_profile(charm, fp, rng, lines=cfg.lines)
-    rep = FocalReport(r=charm.r, degree=degree, profile=profile, c=c)
-    containment = "Skipped"
-    kernel = None
-    if len(profile) == 1:
-        rep.mu, rep.reduced_degree = profile[0]
-        try:
-            form = extract_reduced_power(charm, rep.mu, rep.reduced_degree,
-                                         fp, rng)
-            rep.reduced_form = form
-            t0 = form_zero_point(form, fp, rng)
-            if t0 is not None:
-                kernel = char_kernel_at_point(charm, t0, fp)
-                rep.kernel_at_focus = kernel
-                focus = vecmat(t0, chart.basis, fp)
-                if _proportional(focus, fam.predictor(), fp):
-                    containment = "Pass"
-                else:
-                    containment = "Fail"
-                    failures.append(f"{plan.label}: computed focus differs "
-                                    "from the marked surface point")
-        except ExtractionFailed as exc:
-            rep.extraction_error = str(exc)
-            failures.append(f"{plan.label}: extraction failed: {exc}")
-    rep.bounds = check_bounds(rep)
-    expect = plan.expect
-    if expect:
-        if [list(pair) for pair in profile] != expect["profile"]:
-            failures.append(f"{plan.label}: profile {list(profile)} != "
-                            f"expected {expect['profile']}")
-        if kernel != expect["kernel_at_focus"]:
-            failures.append(f"{plan.label}: kernel at the focus is {kernel}, "
-                            f"expected {expect['kernel_at_focus']}")
-        if dim_f != expect["dim_f"]:
-            failures.append(f"{plan.label}: dim F = {dim_f}, "
-                            f"expected {expect['dim_f']}")
-    if cfg.verify == "full":
-        fam2 = hyperband_family(rng, fp)
-        charm2 = characteristic_matrix(hyperband_chart(fam2, fp), None, fp)
-        profile2, _ = focal_profile(charm2, fp, rng, lines=cfg.lines)
-        if profile2 != profile:
-            failures.append(f"{plan.label}: a second random family gave "
-                            f"profile {profile2} instead of {profile}")
-    record = _record(plan, prime, seed_t, trial, 6, dim_x, c, charm.r,
-                     chart.k, rep, containment, perf_counter() - start)
-    return record, failures
+            failures.append(f"extraction failed: {rep.extraction_error}")
+        containment, fails = fam.judge(rep)
+        failures += fails
+        for key, got in fam.extras(rep).items():
+            if plan.expect and got != plan.expect[key]:
+                failures.append(f"{key} = {got}, expected {plan.expect[key]}")
+        if cfg.verify == "full":
+            failures += fam.cross_check(rep, cfg.lines)
+    record = _record(plan, prime, seed_t, trial, fam, rep, containment,
+                     perf_counter() - start)
+    return record, [f"{plan.label}: {msg}" for msg in failures]
 
 
 def _witness_battery(plan, fp, rng, samples=25):
@@ -669,22 +713,17 @@ def run_experiment(cfg: ExperimentConfig):
     records, failures = [], []
     for prime in sorted(primes):
         fp = Fp(prime)
+        dim_x = c = None
         if plan.kind == "rank":
             rng_dim = Rng(derive_seed(cfg.seed, prime, 1 << 20))
             dim_x = variety_dim(plan.spec, fp, rng_dim)
             c = fiber_codim_data(plan.spec, dim_x, fp, rng_dim)
             if cfg.verify == "full":
                 failures += _witness_battery(plan, fp, rng_dim)
-            for trial in range(cfg.trials):
-                record, fails = _rank_trial(plan, cfg, fp, prime, trial,
-                                            dim_x, c)
-                records.append(record)
-                failures += fails + _verify_record(record, plan.expect)
-        else:
-            for trial in range(cfg.trials):
-                record, fails = _hyperband_trial(plan, cfg, fp, prime, trial)
-                records.append(record)
-                failures += fails + _verify_record(record, plan.expect)
+        for trial in range(cfg.trials):
+            record, fails = _trial(plan, cfg, fp, prime, trial, dim_x, c)
+            records.append(record)
+            failures += fails + _verify_record(record, plan.expect)
     records.sort(key=lambda rec: (rec["experiment"], rec["prime"],
                                   rec["trial"]))
     return records, failures
@@ -842,7 +881,8 @@ def main(argv=None) -> int:
         print(f"degeneracy: {err}", file=sys.stderr)
         return 3
     except (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
-            NonVanishingTransversalComponent, NotDegenerate) as err:
+            NonVanishingTransversalComponent, DeformationSpanMismatch,
+            NotDegenerate) as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 2
     try:

@@ -71,9 +71,6 @@ class Rng:
     def nonzero(self, p: int) -> int:
         return 1 + self.below(p - 1)
 
-    def fork(self) -> "Rng":
-        return Rng(self.u64() ^ 0x6A09E667F3BCC909)
-
 
 def derive_seed(base: int, *indices: int) -> int:
     """Stable seed derivation; order-sensitive in the indices."""
@@ -158,9 +155,6 @@ class Fp:
     def is_unit(self, a) -> bool:
         return a != 0
 
-    def unit_part(self, a) -> int:
-        return a
-
 
 class DualFp:
     """F_p[eps]/(eps^2) on integer pairs (unit, slope)."""
@@ -172,9 +166,6 @@ class DualFp:
 
     def __init__(self, p: int):
         self.p = p
-
-    def one_plus_eps(self):
-        return (1, 1)
 
     def lift(self, a: int):
         return (a % self.p, 0)
@@ -211,9 +202,6 @@ class DualFp:
     def is_unit(self, a) -> bool:
         return a[0] != 0
 
-    def unit_part(self, a) -> int:
-        return a[0]
-
 
 class Dual2Fp:
     """Second-order ring F_p[d, e]/(d^2, e^2) on flat 4-tuples.
@@ -233,14 +221,6 @@ class Dual2Fp:
 
     def lift(self, a: int):
         return (a % self.p, 0, 0, 0)
-
-    def from_dual(self, a):
-        """Embed (unit, slope) from DualFp along the d-direction."""
-        return (a[0], a[1], 0, 0)
-
-    def to_dual_parts(self, a):
-        """Split into unit and e-slope, both DualFp elements."""
-        return (a[0], a[1]), (a[2], a[3])
 
     def add(self, a, b):
         p = self.p
@@ -281,83 +261,28 @@ class Dual2Fp:
     def is_unit(self, a) -> bool:
         return a[0] != 0
 
-    def unit_part(self, a) -> int:
-        return a[0]
-
-
-class DualRing:
-    """Generic dual extension R[eps]/(eps^2) over an arbitrary base ring.
-
-    Slower than the flattened rings above; kept as the reference
-    implementation and for nesting depths the fast paths do not cover.
-    """
-
-    __slots__ = ("base", "zero", "one", "eps", "p")
-
-    def __init__(self, base):
-        self.base = base
-        self.zero = (base.zero, base.zero)
-        self.one = (base.one, base.zero)
-        self.eps = (base.zero, base.one)
-        self.p = base.p
-
-    def lift(self, a: int):
-        return (self.base.lift(a), self.base.zero)
-
-    def add(self, a, b):
-        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
-
-    def sub(self, a, b):
-        return (self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1]))
-
-    def mul(self, a, b):
-        bb = self.base
-        return (bb.mul(a[0], b[0]),
-                bb.add(bb.mul(a[0], b[1]), bb.mul(a[1], b[0])))
-
-    def neg(self, a):
-        return (self.base.neg(a[0]), self.base.neg(a[1]))
-
-    def inv(self, a):
-        bb = self.base
-        i = bb.inv(a[0])
-        return (i, bb.neg(bb.mul(bb.mul(i, i), a[1])))
-
-    def is_zero(self, a) -> bool:
-        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
-
-    def is_unit(self, a) -> bool:
-        return self.base.is_unit(a[0])
-
-    def unit_part(self, a):
-        return self.base.unit_part(a[0])
-
 
 def dual_over(ring):
-    """The dual extension of ``ring``, flattened where a fast path exists."""
+    """The dual extension of F_p (F_p[eps]) or of F_p[eps] (F_p[d, e])."""
     if isinstance(ring, Fp):
         return DualFp(ring.p)
     if isinstance(ring, DualFp):
         return Dual2Fp(ring.p)
-    return DualRing(ring)
+    raise TypeError(f"no dual extension of {type(ring).__name__}")
 
 
-def dual_embed(ring, dual_ring, a):
-    """Lift an element of ``ring`` into ``dual_ring`` with zero slope."""
+def dual_embed(ring, a):
+    """Lift an element of ``ring`` into dual_over(ring) with zero slope."""
     if isinstance(ring, Fp):
         return (a, 0)
-    if isinstance(ring, DualFp):
-        return (a[0], a[1], 0, 0)
-    return (a, ring.zero)
+    return (a[0], a[1], 0, 0)
 
 
 def dual_parts(ring, a):
     """Split an element of dual_over(ring) into (unit, slope) over ring."""
     if isinstance(ring, Fp):
         return a[0], a[1]
-    if isinstance(ring, DualFp):
-        return (a[0], a[1]), (a[2], a[3])
-    return a[0], a[1]
+    return (a[0], a[1]), (a[2], a[3])
 
 
 # --- vectors and matrices ---------------------------------------------------
@@ -368,10 +293,6 @@ def dot(u, v, ring):
     for a, b in zip(u, v):
         acc = ring.add(acc, ring.mul(a, b))
     return acc
-
-
-def matvec(mat, v, ring):
-    return [dot(row, v, ring) for row in mat]
 
 
 def vecmat(v, mat, ring):
@@ -470,76 +391,29 @@ def mat_rank(mat, ring) -> int:
     return len(pivots)
 
 
-def dual_rank_kernel(mat, dual_ring):
-    """Right kernel over a dual ring; DegeneratePivot if unit rank drops."""
-    _, kernel = rank_and_kernel(mat, dual_ring)
-    return kernel
-
-
 def solve_affine(mat, b, ring):
     """Particular solution plus kernel basis of ``mat @ x = b``.
 
-    Raises ``Infeasible`` when b lies outside the column span.
+    Raises ``Infeasible`` when b lies outside the column span, which is
+    when the augmented column [mat | b] takes a pivot of its own.
     """
     ncols = len(mat[0]) if mat else 0
-    aug = [list(row) + [bv] for row, bv in zip(mat, b)]
-    rows, pivots = _rref_cols(aug, ring, ncols)
+    rows, pivots = rref([list(row) + [bv] for row, bv in zip(mat, b)], ring)
+    if pivots and pivots[-1] == ncols:
+        raise Infeasible("right-hand side outside column span")
     part = [ring.zero] * ncols
-    for i, pc in enumerate(pivots):
-        part[pc] = rows[i][ncols]
-    kernel = []
-    pivset = set(pivots)
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [ring.zero] * ncols
-        v[f] = ring.one
-        for i, pc in enumerate(pivots):
-            v[pc] = ring.neg(rows[i][f])
-        kernel.append(v)
-    return part, kernel
+    for row, pc in zip(rows, pivots):
+        part[pc] = row[ncols]
+    return part, kernel_basis(rows, pivots, ncols, ring)
 
 
-def _rref_cols(aug, ring, ncols):
-    """RREF restricted to the first ``ncols`` columns of an augmented matrix.
-
-    Every column after ``ncols`` is a right-hand side carried along, so
-    one elimination solves for all of them; ``Infeasible`` is raised when
-    any of them lies outside the column span.
-    """
-    rows = [list(r) for r in aug]
-    nrows = len(rows)
-    is_unit, is_zero = ring.is_unit, ring.is_zero
-    mul, sub, inv = ring.mul, ring.sub, ring.inv
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if is_unit(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = inv(rows[r][c])
-        rows[r] = [mul(piv, v) for v in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if not is_zero(f):
-                ri = rows[i]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(ri, lead)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if any(not is_zero(v) for v in rows[i][ncols:]):
-            raise Infeasible("right-hand side outside column span")
-    return rows, pivots
+def random_combination(rows, fp, rng):
+    """A random F_p-linear combination of ``rows``, one draw per row."""
+    y = [0] * len(rows[0])
+    for row in rows:
+        c = rng.field(fp.p)
+        y = [fp.add(a, fp.mul(c, b)) for a, b in zip(y, row)]
+    return y
 
 
 def charpoly(mat, fp):

@@ -1,12 +1,14 @@
 """Focal divisors of first-order families of linear spaces.
 
 A family chart holds a center space Λ (rows of A) together with matrices
-B_j describing how Λ moves to first order along r directions; the
-characteristic matrix collects, entry by entry, the linear forms in the
-Λ-coordinates t that measure this motion transversally to Λ.  Its
-determinant is the focal form: a degree-r hypersurface in Λ whose
-multiplicity structure, reduced equation, quadric rank and containment
-in the singular locus are what the rest of the package reports on.
+B_j describing how Λ moves to first order along r directions.  The
+characteristic matrix M(t) has one construction: reduce every B row
+modulo Λ, and row j of M(t) is t·B_j in the r normal directions that
+the reduced rows span.  A family whose deformations span any other
+number of normal directions is rejected.  det M is the focal form: a
+degree-r hypersurface in Λ whose multiplicity structure, reduced
+equation, quadric rank and containment in the singular locus are what
+the rest of the package reports on.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
@@ -20,13 +22,12 @@ whole line polynomial, with M(t*)⁻¹M(b_i) computed once per basis.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .fieldcore import (
     DegeneratePivot,
     Infeasible,
-    _rref_cols,
     charpoly,
     dot,
     dual_over,
@@ -34,6 +35,7 @@ from .fieldcore import (
     kernel_basis,
     lagrange_interpolate,
     mat_rank,
+    random_combination,
     rank_and_kernel,
     rref,
     solve_affine,
@@ -69,6 +71,10 @@ class NonVanishingTransversalComponent(RuntimeError):
     """A deformation row left the tangent space: bad chart or bad center."""
 
 
+class DeformationSpanMismatch(RuntimeError):
+    """The deformations do not span exactly r normal directions."""
+
+
 class DegenerateLines(RuntimeError):
     """Line sampling kept hitting degree drops in the focal form."""
 
@@ -99,14 +105,6 @@ class FamilyChart:
         self.dirs = dirs
         self.k = len(basis) - 1
         self.r = len(bmats)
-
-
-def _tangent_combination(tangent, fp, rng):
-    v = [0] * len(tangent[0])
-    for row in tangent:
-        c = rng.field(fp.p)
-        v = [fp.add(a, fp.mul(c, b)) for a, b in zip(v, row)]
-    return v
 
 
 def _first_order_fiber(fiber, w, dring, fp):
@@ -143,7 +141,7 @@ def fiber_family_chart(fiber, fp, rng) -> FamilyChart:
     frame = fiber.frame
     dring = dual_over(fp)
     for _ in range(16):
-        dirs = [_tangent_combination(frame.tangent, fp, rng)
+        dirs = [random_combination(frame.tangent, fp, rng)
                 for _ in range(fiber.r)]
         if mat_rank(fiber.basis + dirs, fp) != fiber.k + 1 + fiber.r:
             continue
@@ -177,24 +175,18 @@ def hyperband_chart(fam, fp) -> FamilyChart:
 
 
 class CharMatrix:
-    """Matrix of homogeneous linear forms on Λ.
+    """Square matrix of homogeneous linear forms on Λ.
 
     ``entries[j][l]`` is the coefficient vector (length k+1) of the form
     in row j, column l; ``value`` instantiates the matrix at a point t.
     """
 
-    __slots__ = ("entries", "r", "k", "s", "square")
+    __slots__ = ("entries", "r", "k")
 
     def __init__(self, entries, k):
         self.entries = entries
         self.r = len(entries)
-        self.s = len(entries[0])
         self.k = k
-        self.square = self.r == self.s
-
-    @property
-    def shape(self):
-        return (self.r, self.s)
 
     def value(self, t, fp):
         return [[dot(e, t, fp) for e in row] for row in self.entries]
@@ -207,67 +199,42 @@ class CharMatrix:
         return [[e[i] for e in row] for row in self.entries]
 
 
-def _transpose(mat):
-    return [list(col) for col in zip(*mat)]
+def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
+    """The r×r matrix of linear forms t ↦ (t·B_j mod Λ).
 
-
-def characteristic_matrix(chart: FamilyChart, frame, fp) -> CharMatrix:
-    """The matrix of linear forms t ↦ (t·B_j mod Λ).
-
-    With a tangent ``frame`` the motion is expressed in the transversal
-    directions w_1..w_r themselves, giving an r×r matrix; rows that fail
-    to decompose over [Λ; w] raise NonVanishingTransversalComponent.
-    Without a frame the full quotient modulo Λ is used and the matrix is
-    cut down to square when the common image span has dimension r.
+    Every B row is reduced modulo Λ = rowspan(A).  The reduced rows of
+    all B_j must span exactly r normal directions (else
+    ``DeformationSpanMismatch``), and M keeps the r pivot columns of that
+    span, so det M is the focal form up to a nonzero constant.  A chart
+    with transversal directions w_1..w_r must also keep its deformations
+    in the tangent space: the reduced rows [w̄; B̄] have rank r, or a
+    deformation row left it (``NonVanishingTransversalComponent``).
     """
-    if frame is not None:
-        return _char_matrix_framed(chart, fp)
-    return _char_matrix_general(chart, fp)
-
-
-def _char_matrix_framed(chart, fp):
-    """Decompose every B row over [Λ; w] in one elimination: the rows of
-    all B_j ride along as right-hand sides of the stacked system."""
-    k1, r = chart.k + 1, chart.r
-    ncols = k1 + r
-    rhs = [row for bmat in chart.bmats for row in bmat]
-    aug = [list(srow) + [row[c] for row in rhs]
-           for c, srow in enumerate(_transpose(list(chart.basis)
-                                               + list(chart.dirs)))]
-    try:
-        rows, pivots = _rref_cols(aug, fp, ncols)
-    except Infeasible as exc:
-        raise NonVanishingTransversalComponent(
-            "a deformation row left the tangent space") from exc
-    # particular solutions: free unknowns are zero, pivot unknowns read off
-    solved = {pc: row[ncols:] for pc, row in zip(pivots, rows)}
-    zero = [0] * len(rhs)
-    entries = [[[solved.get(k1 + l, zero)[j * k1 + i] for i in range(k1)]
-                for l in range(r)] for j in range(r)]
-    return CharMatrix(entries, chart.k)
-
-
-def _char_matrix_general(chart, fp):
-    k1, r = chart.k + 1, chart.r
+    p, k1, r = fp.p, chart.k + 1, chart.r
     arr, apiv = rref(chart.basis, fp)
     if len(apiv) != k1:
         raise ValueError("family basis rows are dependent")
-    ncols = len(chart.basis[0])
-    free = [c for c in range(ncols) if c not in set(apiv)]
-    raw = []
-    for bmat in chart.bmats:
-        rows = []
-        for row in bmat:
-            red = list(row)
-            for t, pc in enumerate(apiv):
-                c = red[pc]
-                if c:
-                    red = [fp.sub(a, fp.mul(c, b)) for a, b in zip(red, arr[t])]
-            rows.append([red[c] for c in free])
-        raw.append(rows)  # (k+1) × (N−k) coefficient block for this j
+    free = [c for c in range(len(chart.basis[0])) if c not in set(apiv)]
+
+    def reduced(row):
+        red = list(row)
+        for lead, pc in zip(arr, apiv):
+            c = red[pc]
+            if c:
+                red = [(a - c * b) % p for a, b in zip(red, lead)]
+        return [red[c] for c in free]
+
+    raw = [[reduced(row) for row in bmat] for bmat in chart.bmats]
     span = [row for block in raw for row in block]
-    _, vpiv = rref(span, fp)
-    cols = list(vpiv) if len(vpiv) == r else list(range(len(free)))
+    if chart.dirs is not None and \
+            mat_rank([reduced(w) for w in chart.dirs] + span, fp) != r:
+        raise NonVanishingTransversalComponent(
+            "a deformation row left the tangent space")
+    _, cols = rref(span, fp)
+    if len(cols) != r:
+        raise DeformationSpanMismatch(
+            f"the deformations span {len(cols)} normal directions, "
+            f"not r = {r}")
     entries = [[[block[i][l] for i in range(k1)] for l in cols]
                for block in raw]
     return CharMatrix(entries, chart.k)
@@ -276,30 +243,14 @@ def _char_matrix_general(chart, fp):
 # --- focal profiles -----------------------------------------------------------
 
 
-def _line_poly(charm, a, d, fp):
-    """The focal form restricted to the line a + s·d, as coefficients."""
-    r = charm.r
-    if charm.square:
-        pts = []
-        for s in range(r + 2):
-            t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
-            pts.append((s, charm.det_at(t, fp)))
-        return up_trim(lagrange_interpolate(pts, r, fp))
-    g = None
-    for cols in combinations(range(charm.s), r):
-        pts = []
-        for s in range(r + 2):
-            t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
-            m = charm.value(t, fp)
-            pts.append((s, det_ring([[m[i][c] for c in cols]
-                                     for i in range(r)], fp)))
-        minor = up_trim(lagrange_interpolate(pts, r, fp))
-        if not minor:
-            continue
-        g = minor if g is None else up_gcd(g, minor, fp)
-        if up_deg(g) == 0:
-            break
-    return g if g is not None else []
+def _on_line(func, deg, a, d, fp):
+    """The polynomial s ↦ func(a + s·d) of degree ≤ deg, interpolated
+    from deg+2 values; the surplus value must lie on it too."""
+    pts = []
+    for s in range(deg + 2):
+        t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
+        pts.append((s, func(t, fp)))
+    return up_trim(lagrange_interpolate(pts, deg, fp))
 
 
 def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
@@ -315,9 +266,8 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
         for _attempt in range(16):
             a = [rng.field(fp.p) for _ in range(charm.k + 1)]
             d = [rng.field(fp.p) for _ in range(charm.k + 1)]
-            poly = _line_poly(charm, a, d, fp)
-            deg = up_deg(poly)
-            if (charm.square and deg != charm.r) or deg < 1:
+            poly = _on_line(charm.det_at, charm.r, a, d, fp)
+            if up_deg(poly) != charm.r:
                 continue
             prof = tuple(squarefree_profile(poly, fp))
             break
@@ -335,13 +285,13 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
 # --- reduced-form extraction ---------------------------------------------------
 
 
-def _mat_inverse(mat, fp):
-    """The inverse of a square matrix, from one elimination of [M | I];
+def _solve_square(mat, rhs, fp):
+    """M⁻¹·R for a square M, from one elimination of [M | R];
     ``Infeasible`` when M is singular."""
     n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    rows, _ = _rref_cols(aug, fp, n)
+    rows, pivots = rref([list(m) + list(b) for m, b in zip(mat, rhs)], fp)
+    if pivots[:n] != list(range(n)):
+        raise Infeasible("singular matrix")
     return [row[n:] for row in rows]
 
 
@@ -357,7 +307,11 @@ class ReducedForm:
     def __init__(self, poly: SparsePoly, basis=None, fp=None):
         self.poly = poly
         self.basis = basis
-        self._binv = _mat_inverse(basis, fp) if basis is not None else None
+        self._binv = None
+        if basis is not None:
+            n = len(basis)
+            self._binv = _solve_square(
+                basis, [[int(i == j) for j in range(n)] for i in range(n)], fp)
 
     def degree(self) -> int:
         return self.poly.degree()
@@ -469,10 +423,9 @@ def _pencil_slices(charm, basis, fp):
     if det0 == 0:
         return None
     blocks = [charm.value(b, fp) for b in basis[1:]]
-    aug = [mstar[a] + [v for blk in blocks for v in blk[a]]
-           for a in range(r)]
-    rows, _ = _rref_cols(aug, fp, r)
-    slices = [[row[r + i * r:r + (i + 1) * r] for row in rows]
+    sol = _solve_square(mstar, [[v for blk in blocks for v in blk[a]]
+                                for a in range(r)], fp)
+    slices = [[row[i * r:(i + 1) * r] for row in sol]
               for i in range(len(blocks))]
     return det0, slices
 
@@ -481,7 +434,8 @@ def _normalized_root_values(charm, basis, d, fp):
     """Values q(node)/q(t*) on the simplex grid through t* = basis[0].
 
     Each value is read off the squarefree part of the focal form on the
-    line from t* to the node; returns None when any line degenerates.
+    line from t* to the node; returns None when M(t*) is singular or any
+    line degenerates.
     The line t* + s·v with v = Σ c_i·b_i is a pencil,
 
         det M(t* + s·v) = det M(t*) · det(I + s·K),  K = Σ c_i·M(t*)⁻¹M(b_i),
@@ -568,8 +522,6 @@ def _extract_interpolation(charm, mu, d, fp, rng):
         basis = [[rng.field(fp.p) for _ in range(nv)] for _ in range(nv)]
         if mat_rank(basis, fp) != nv:
             continue
-        if charm.det_at(basis[0], fp) == 0:
-            continue
         vals = _normalized_root_values(charm, basis, d, fp)
         if vals is None:
             continue
@@ -607,8 +559,6 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
     each line polynomial comes from one characteristic polynomial of the
     pencil M(t*)⁻¹M(v) (see ``_normalized_root_values``).
     """
-    if not charm.square:
-        raise ExtractionFailed("extraction needs a square matrix")
     if mu * reduced_degree != charm.r:
         raise ExtractionFailed("multiplicity times reduced degree "
                                "must equal the focal degree")
@@ -642,30 +592,27 @@ def quadric_rank(q: SparsePoly, fp) -> int:
     return mat_rank(gram, fp)
 
 
-def _form_on_line(form, a, d, fp):
-    deg = form.degree()
-    pts = []
-    for s in range(deg + 2):
-        t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
-        pts.append((s, form.value(t, fp)))
-    return up_trim(lagrange_interpolate(pts, deg, fp))
-
-
-def form_zero_point(form: ReducedForm, fp, rng, attempts: int = 32):
-    """A point of {form = 0} in fibre coordinates, via random lines."""
+def _zero_lines(form: ReducedForm, fp, rng, attempts: int):
+    """Zeros of the form on random lines a + s·d in Λ: one list of points
+    (sorted by s) per line that has roots, from at most ``attempts``
+    lines."""
     nv = form.poly.nvars
     for _ in range(attempts):
         a = [rng.field(fp.p) for _ in range(nv)]
         d = [rng.field(fp.p) for _ in range(nv)]
-        poly = _form_on_line(form, a, d, fp)
+        poly = _on_line(form.value, form.degree(), a, d, fp)
         if up_deg(poly) < 1:
             continue
         roots = up_roots(poly, fp, rng)
-        if not roots:
-            continue
-        s = sorted(roots)[0]
-        return [(av + s * dv) % fp.p for av, dv in zip(a, d)]
-    return None
+        if roots:
+            yield [[(av + s * dv) % fp.p for av, dv in zip(a, d)]
+                   for s in sorted(roots)]
+
+
+def form_zero_point(form: ReducedForm, fp, rng, attempts: int = 32):
+    """A point of {form = 0} in fibre coordinates, via random lines."""
+    return next((pts[0] for pts in _zero_lines(form, fp, rng, attempts)),
+                None)
 
 
 class Containment:
@@ -688,29 +635,19 @@ def sing_containment(spec, fiber, form: ReducedForm, fp, rng,
     """
     zeros = 0
     if spec.singular is not None:
-        lines, attempts = 0, 0
-        while lines < 5 and attempts < 32:
-            attempts += 1
-            a = [rng.field(fp.p) for _ in range(form.poly.nvars)]
-            d = [rng.field(fp.p) for _ in range(form.poly.nvars)]
-            poly = _form_on_line(form, a, d, fp)
-            if up_deg(poly) < 1:
-                continue
-            roots = up_roots(poly, fp, rng)
-            if not roots:
-                continue
-            lines += 1
-            for root in sorted(roots):
-                t = [(av + root * dv) % fp.p for av, dv in zip(a, d)]
+        for lines, pts in enumerate(_zero_lines(form, fp, rng, 32), 1):
+            for t in pts:
                 z = vecmat(t, fiber.basis, fp)
                 for g in spec.singular.generators:
                     if not fp.is_zero(g.eval(z, fp)):
                         raise ContainmentFailed(
                             f"focal zero escapes the singular locus: {z}")
                 zeros += 1
+            if lines == 5:
+                break
     checked = 0
     if witnesses:
-        at = _transpose(fiber.basis)
+        at = [list(col) for col in zip(*fiber.basis)]
         for w in witnesses:
             try:
                 tco, _ = solve_affine(at, w, fp)
@@ -749,25 +686,24 @@ class FocalReport:
     """Everything measured about one focal divisor."""
 
     __slots__ = ("r", "degree", "profile", "mu", "reduced_degree",
-                 "reduced_form", "q_rank", "containment", "kernel_at_focus",
-                 "c", "bounds", "extraction_error")
+                 "reduced_form", "q_rank", "containment", "focus",
+                 "kernel_at_focus", "c", "bounds", "extraction_error")
 
     def __init__(self, r=None, degree=None, profile=None, mu=None,
-                 reduced_degree=None, reduced_form=None, q_rank=None,
-                 containment=None, kernel_at_focus=None, c=None,
-                 bounds=None, extraction_error=None):
+                 reduced_degree=None, c=None):
         self.r = r
         self.degree = degree
         self.profile = profile
         self.mu = mu
         self.reduced_degree = reduced_degree
-        self.reduced_form = reduced_form
-        self.q_rank = q_rank
-        self.containment = containment
-        self.kernel_at_focus = kernel_at_focus
+        self.reduced_form = None
+        self.q_rank = None
+        self.containment = None
+        self.focus = None
+        self.kernel_at_focus = None
         self.c = c
-        self.bounds = bounds
-        self.extraction_error = extraction_error
+        self.bounds = None
+        self.extraction_error = None
 
 
 def check_bounds(report: FocalReport):
@@ -804,10 +740,15 @@ def check_bounds(report: FocalReport):
     return out
 
 
-def focal_report(spec, fiber, charm: CharMatrix, fp, rng, c=None,
-                 witnesses=None, lines: int = 8) -> FocalReport:
+def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
+                 lines: int = 8) -> FocalReport:
     """Profile, extraction, containment, focus diagnostics and bounds for
-    one characteristic matrix, rolled into a report."""
+    one characteristic matrix, rolled into a report.
+
+    ``contain(form)`` is the family's containment oracle for the reduced
+    form: a ``Containment``, or None when the family checks its focal
+    point ``rep.focus`` (fibre coordinates, drawn right after) instead.
+    """
     profile, degree = focal_profile(charm, fp, rng, lines=lines)
     rep = FocalReport(r=charm.r, degree=degree, profile=profile, c=c)
     if len(profile) == 1:
@@ -821,19 +762,18 @@ def focal_report(spec, fiber, charm: CharMatrix, fp, rng, c=None,
     if form is not None:
         if rep.reduced_degree == 2:
             rep.q_rank = quadric_rank(form.poly, fp)
-        rep.containment = sing_containment(spec, fiber, form, fp, rng,
-                                           witnesses)
-        t0 = form_zero_point(form, fp, rng)
-        if t0 is not None:
-            rep.kernel_at_focus = char_kernel_at_point(charm, t0, fp)
+        rep.containment = contain(form)
+        rep.focus = form_zero_point(form, fp, rng)
+        if rep.focus is not None:
+            rep.kernel_at_focus = char_kernel_at_point(charm, rep.focus, fp)
     rep.bounds = check_bounds(rep)
     return rep
 
 
-def chart_independence(fiber, frame, fp, rng, points: int = 5) -> bool:
+def chart_independence(fiber, fp, rng, points: int = 5) -> bool:
     """Two independently drawn charts must give proportional focal forms."""
-    m1 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), frame, fp)
-    m2 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), frame, fp)
+    m1 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
+    m2 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
     base = None
     trials = 0
     while points > 0 and trials < 64:

@@ -10,7 +10,14 @@ its correctness is then re-checked against the full generator list.
 
 from __future__ import annotations
 
-from .fieldcore import dot, kernel_basis, mat_rank, rref, vecmat
+from .fieldcore import (
+    dot,
+    kernel_basis,
+    mat_rank,
+    random_combination,
+    rref,
+    vecmat,
+)
 from .varieties import variety_dim
 
 
@@ -44,15 +51,6 @@ class TangentFrame:
         self.codim = codim
 
 
-def _reduce_row(row, echelon, ring):
-    row = list(row)
-    for piv, base in echelon:
-        c = row[piv]
-        if not ring.is_zero(c):
-            row = [ring.sub(a, ring.mul(c, b)) for a, b in zip(row, base)]
-    return row
-
-
 def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     """Tangent frame at ``coords``, or ``SingularSamplePoint`` when the
     Jacobian rank of the generators is not ``ambient_dim - expected_dim``."""
@@ -62,42 +60,31 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     for g in spec.generators:
         if not fp.is_zero(g.eval(coords, fp)):
             raise ValueError(f"{spec.name}: point is not on the variety")
-    picked, jac = [], []
-    echelon = []  # (pivot column, unit-pivot reduced row)
-    for g in spec.generators:
-        grad = g.grad(coords, fp)
-        red = _reduce_row(grad, echelon, fp)
-        piv = next((j for j, c in enumerate(red) if not fp.is_zero(c)), None)
-        if piv is None:
-            continue
-        if len(picked) == codim:
-            raise SingularSamplePoint(
-                f"{spec.name}: Jacobian rank exceeds codimension {codim}")
-        inv = fp.inv(red[piv])
-        echelon.append((piv, [fp.mul(inv, c) for c in red]))
-        picked.append(g)
-        jac.append(grad)
-    if len(picked) < codim:
-        raise SingularSamplePoint(
-            f"{spec.name}: Jacobian rank {len(picked)} below codimension {codim}")
+    grads = [g.grad(coords, fp) for g in spec.generators]
+    # pivot columns of the transpose: the first gradients, in generator
+    # order, that are independent of the ones before them
+    _, picked = rref([list(col) for col in zip(*grads)], fp)
+    if len(picked) != codim:
+        raise SingularSamplePoint(f"{spec.name}: Jacobian rank {len(picked)} "
+                                  f"differs from codimension {codim}")
+    jac = [grads[i] for i in picked]
     rows, pivots = rref(jac, fp)
     tangent = kernel_basis(rows, pivots, spec.ambient_dim + 1, fp)
-    return TangentFrame(list(coords), picked, jac, pivots, tangent,
-                        expected_dim, codim)
+    return TangentFrame(list(coords), [spec.generators[i] for i in picked],
+                        jac, pivots, tangent, expected_dim, codim)
 
 
 class GaussFiber:
     """Linear fibre through ``frame.x``: basis rows span it, ``k`` is its
     projective dimension and ``r = n - k`` the tangent-map rank."""
 
-    __slots__ = ("frame", "basis", "k", "r", "coeff_kernel", "sys_pivots")
+    __slots__ = ("frame", "basis", "k", "r", "sys_pivots")
 
-    def __init__(self, frame, basis, k, r, coeff_kernel, sys_pivots):
+    def __init__(self, frame, basis, k, r, sys_pivots):
         self.frame = frame
         self.basis = basis
         self.k = k
         self.r = r
-        self.coeff_kernel = coeff_kernel
         self.sys_pivots = sys_pivots
 
 
@@ -132,17 +119,9 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     if not basis:
         raise FiberVerificationFailed("fibre lost the base point itself")
     k = len(basis) - 1
-    fiber = GaussFiber(frame, basis, k, frame.n - k, coeff_kernel, sys_pivots)
+    fiber = GaussFiber(frame, basis, k, frame.n - k, sys_pivots)
     _verify_fiber(fiber, fp, rng, spec.generators)
     return fiber
-
-
-def _random_combination(basis, fp, rng):
-    y = [0] * len(basis[0])
-    for row in basis:
-        c = rng.field(fp.p)
-        y = [fp.add(a, fp.mul(c, b)) for a, b in zip(y, row)]
-    return y
 
 
 def _verify_fiber(fiber, fp, rng, generators):
@@ -150,13 +129,13 @@ def _verify_fiber(fiber, fp, rng, generators):
     if mat_rank(fiber.basis + [frame.x], fp) != len(fiber.basis):
         raise FiberVerificationFailed("base point is outside the fibre span")
     for _ in range(10):
-        y = _random_combination(fiber.basis, fp, rng)
+        y = random_combination(fiber.basis, fp, rng)
         for g in generators:
             if not fp.is_zero(g.eval(y, fp)):
                 raise FiberVerificationFailed(
                     "a fibre point misses the variety")
     for _ in range(5):
-        y = _random_combination(fiber.basis, fp, rng)
+        y = random_combination(fiber.basis, fp, rng)
         jac_y = [g.grad(y, fp) for g in frame.gens]
         if mat_rank(jac_y, fp) != frame.codim:
             raise FiberVerificationFailed(

@@ -287,8 +287,8 @@ class PolyProgram:
         """Hessian-vector product H(x) v, exact over F_p or a dual ring."""
         dring = dual_over(ring)
         eps = dring.eps
-        pt = [dring.add(dual_embed(ring, dring, xi),
-                        dring.mul(eps, dual_embed(ring, dring, vi)))
+        pt = [dring.add(dual_embed(ring, xi),
+                        dring.mul(eps, dual_embed(ring, vi)))
               for xi, vi in zip(x, v)]
         g = self.grad(pt, dring)
         return [dual_parts(ring, gi)[1] for gi in g]
@@ -312,7 +312,7 @@ def _grad_forward(prog, x, ring):
     """Per-coordinate forward-mode gradient; reference oracle for grad()."""
     dring = dual_over(ring)
     eps = dring.eps
-    base = [dual_embed(ring, dring, xi) for xi in x]
+    base = [dual_embed(ring, xi) for xi in x]
     out = []
     for i in range(prog.arity):
         pt = list(base)
@@ -495,9 +495,6 @@ class SparsePoly:
         self.nvars = nvars
         self.terms = {e: c for e, c in terms.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
@@ -536,9 +533,6 @@ class SparsePoly:
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly(self.nvars, out)
 
-    def reduce(self, p: int) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: c % p for e, c in self.terms.items()})
-
     def compile(self) -> PolyProgram:
         b = ProgramBuilder(self.nvars)
         parts = []
@@ -564,13 +558,6 @@ def up_trim(f):
 
 def up_deg(f) -> int:
     return len(f) - 1
-
-
-def up_add(f, g, fp):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-           for i in range(n)]
-    return up_trim([v % fp.p for v in out])
 
 
 def up_sub(f, g, fp):
@@ -710,36 +697,6 @@ def up_roots(f, fp, rng):
                 stack.append(up_divmod(h, s, fp)[0])
                 break
     return roots
-
-
-def sqrt_mod_p(a, fp):
-    """A square root of a in F_p, or None when a is a non-residue."""
-    p = fp.p
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def restrict_to_line(prog, a, b, fp):

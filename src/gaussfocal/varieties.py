@@ -85,19 +85,6 @@ class MatrixShape:
                 return -b.x(self.var_index(i, j))
         return b.x(self.var_index(i, j))
 
-    def to_matrix(self, coords, p: int):
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                if self.kind == "skew":
-                    if i == j:
-                        continue
-                    v = coords[self.var_index(i, j)]
-                    out[i][j] = v if i < j else -v % p
-                else:
-                    out[i][j] = coords[self.var_index(i, j)]
-        return out
-
     def from_matrix(self, mat, p: int):
         coords = [0] * self.num_vars
         for i in range(self.nrows):

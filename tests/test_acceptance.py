@@ -185,7 +185,7 @@ def test_false_witness_is_rejected():
     frame = tangent_space(spec, pt.coords, fp, dim_x)
     fib = gauss_fiber(spec, frame, fp, rng)
     chart = fiber_family_chart(fib, fp, rng)
-    charm = characteristic_matrix(chart, frame, fp)
+    charm = characteristic_matrix(chart, fp)
     form = extract_reduced_power(charm, 1, 2, fp, rng)
     outsider = [rng.field(fp.p) for _ in range(spec.ambient_dim + 1)]
     with pytest.raises(ContainmentFailed):

@@ -5,14 +5,20 @@ import json
 import pytest
 
 from gaussfocal.cli import (
+    _SCORZA_M,
+    _SCORZA_SHAPES,
+    _SEVERI_SHAPES,
     ArityError,
     ExperimentConfig,
+    MAX_AMBIENT_DIM,
     MAX_DEGREE,
+    MAX_GENERATORS,
     InputError,
     ParseError,
     derive_primes,
     expectation_for,
     expectations,
+    generator_count,
     homogeneous_degree,
     main,
     parse_expression,
@@ -21,6 +27,8 @@ from gaussfocal.cli import (
     sweep_labels,
 )
 from gaussfocal.fieldcore import Fp, Rng, is_probable_prime
+from gaussfocal.focal import FamilyChart, hyperband_chart
+from gaussfocal.varieties import HyperbandFamily, rank_locus_generators
 
 P = (1 << 61) - 1
 FP = Fp(P)
@@ -279,7 +287,57 @@ def test_input_errors_exit_4(tmp_path, capsys):
     huge = tmp_path / "huge.json"
     huge.write_text('{"ambient_dim": 4, "generators": ["(x0+x1)^200000"]}')
     assert main(["custom", "--spec", str(huge)]) == 4
+    rejected = [
+        {"ambient_dim": 15,
+         "generators": ["(" + "+".join(f"x{i}" for i in range(16)) + ")^12"]},
+        {"ambient_dim": 200000, "generators": ["x0*x1"]},
+        {"matrix": {"shape": "generic", "rows": 40, "cols": 40},
+         "rank_bound": 3},
+        # too many minors to count: the coordinate bound must come first
+        {"matrix": {"shape": "generic", "rows": 10**9, "cols": 10**9},
+         "rank_bound": 10**6},
+        {"ambient_dim": 3, "generators": ["x0*x1 - x2*x3"],
+         "singular_generators": ["x0"] * (MAX_GENERATORS + 1)},
+        {"ambient_dim": 3, "generators": ["x0*x1 - x2*x3"],
+         "singular_generators": 5},
+    ]
+    for i, spec in enumerate(rejected):
+        path = _write(tmp_path, f"rejected{i}.json", spec)
+        assert main(["custom", "--spec", path]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
     capsys.readouterr()
+
+
+def test_input_bounds_admit_every_preset():
+    shapes = list(_SEVERI_SHAPES.values())
+    shapes += [make(m) for make in _SCORZA_SHAPES.values() for m in _SCORZA_M]
+    for shape, rb in shapes:
+        assert shape.ambient_dim <= MAX_AMBIENT_DIM
+        count = generator_count(shape, rb)
+        assert 1 <= count <= MAX_GENERATORS
+        if shape.num_vars <= 36:  # cheap enough to build and count
+            assert count == len(rank_locus_generators(shape, rb))
+
+
+def test_deformation_span_mismatch_exits_2(monkeypatch, capsys):
+    def padded_chart(fam, fp):  # a fifth, motionless deformation: span 4
+        chart = hyperband_chart(fam, fp)
+        still = [[0] * len(row) for row in chart.bmats[0]]
+        return FamilyChart(chart.basis, chart.bmats + [still])
+
+    monkeypatch.setattr("gaussfocal.cli.hyperband_chart", padded_chart)
+    assert main(["run", "hyperband", "--trials", "1", "--prime", str(P)]) == 2
+    assert "normal directions" in capsys.readouterr().err
+
+
+def test_hyperband_wrong_predictor_fails_containment(monkeypatch):
+    monkeypatch.setattr(HyperbandFamily, "predictor",
+                        lambda self: [1, 0, 0, 0, 0, 0, 0])
+    records, failures = run_experiment(ExperimentConfig(
+        "hyperband", prime=P, trials=1, seed=5))
+    assert records[0]["sing_containment"] == "Fail"
+    assert ("hyperband: computed focus differs from the marked surface "
+            "point") in failures
 
 
 def test_expectation_mismatch_exits_2(monkeypatch, capsys):

@@ -6,7 +6,6 @@ from gaussfocal.fieldcore import (
     DegeneratePivot,
     DualFp,
     Dual2Fp,
-    DualRing,
     DuplicateAbscissa,
     Fp,
     Infeasible,
@@ -14,11 +13,10 @@ from gaussfocal.fieldcore import (
     ZeroInverse,
     charpoly,
     derive_seed,
-    dual_rank_kernel,
+    dot,
     is_probable_prime,
     lagrange_interpolate,
     mat_rank,
-    matvec,
     random_prime,
     rank_and_kernel,
     solve_affine,
@@ -28,6 +26,10 @@ from gaussfocal.mpoly import det_ring
 
 F7 = Fp(7)
 F101 = Fp(101)
+
+
+def matvec(mat, v, ring):
+    return [dot(row, v, ring) for row in mat]
 
 
 def test_inverse_small_cases():
@@ -160,23 +162,23 @@ def test_dual_inverse():
 
 def test_dual_kernel_full_rank():
     ring = DualFp(101)
-    mat = [[ring.one_plus_eps(), ring.zero], [ring.zero, ring.one]]
-    ker = dual_rank_kernel(mat, ring)
-    assert ker == []
+    mat = [[(1, 1), ring.zero], [ring.zero, ring.one]]  # (1, 1) = 1 + eps
+    rank, ker = rank_and_kernel(mat, ring)
+    assert rank == 2 and ker == []
 
 
 def test_dual_kernel_degenerate_pivot():
     ring = DualFp(101)
     with pytest.raises(DegeneratePivot):
-        dual_rank_kernel([[ring.eps, ring.zero]], ring)
+        rank_and_kernel([[ring.eps, ring.zero]], ring)
 
 
 def test_dual_kernel_unit_lift():
     # row (1, 1+eps): kernel spanned by (-1-eps, 1); checked by direct product
     ring = DualFp(101)
     mat = [[ring.one, (1, 1)]]
-    ker = dual_rank_kernel(mat, ring)
-    assert len(ker) == 1
+    rank, ker = rank_and_kernel(mat, ring)
+    assert rank == 1 and len(ker) == 1
     v = ker[0]
     s = ring.add(ring.mul(mat[0][0], v[0]), ring.mul(mat[0][1], v[1]))
     assert s == ring.zero
@@ -186,14 +188,20 @@ def test_dual_kernel_unit_lift():
 def test_dual2_matches_nested_dual():
     p = 10007
     flat = Dual2Fp(p)
-    nested = DualRing(DualFp(p))
+    inner = DualFp(p)
+
+    def nested_mul(a, b):
+        # (a0 + a1·e)(b0 + b1·e) with coefficients in F_p[d]
+        return (inner.mul(a[0], b[0]),
+                inner.add(inner.mul(a[0], b[1]), inner.mul(a[1], b[0])))
+
     rng = Rng(4242)
     unflat = lambda x: ((x[0], x[1]), (x[2], x[3]))
     for _ in range(300):
         a = tuple(rng.field(p) for _ in range(4))
         b = tuple(rng.field(p) for _ in range(4))
         got = flat.mul(a, b)
-        want = nested.mul(unflat(a), unflat(b))
+        want = nested_mul(unflat(a), unflat(b))
         assert unflat(got) == want
     a = (3, 5, 7, 9)
     assert flat.mul(a, flat.inv(a)) == flat.one

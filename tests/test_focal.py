@@ -9,10 +9,13 @@ from gaussfocal.fieldcore import (
     dot,
     lagrange_interpolate,
     mat_rank,
+    solve_affine,
     vecmat,
 )
 from gaussfocal.focal import (
+    CharMatrix,
     ContainmentFailed,
+    DeformationSpanMismatch,
     FamilyChart,
     FocalReport,
     NonVanishingTransversalComponent,
@@ -42,6 +45,7 @@ from gaussfocal.mpoly import (
     up_divmod,
     up_eval,
     up_gcd,
+    up_roots,
     up_trim,
 )
 from gaussfocal.varieties import (
@@ -62,6 +66,12 @@ def pipeline(spec, dim, seed):
     frame = tangent_space(spec, pt.coords, FP, expected_dim=dim)
     fib = gauss_fiber(spec, frame, FP, rng)
     return pt, frame, fib, rng
+
+
+def contain(spec, fib, pt, rng):
+    """The containment oracle of a rank-locus trial."""
+    return lambda form: sing_containment(spec, fib, form, FP, rng,
+                                         witnesses=pt.witnesses)
 
 
 def quadric_spec():
@@ -113,8 +123,8 @@ def test_char_matrix_is_linear_in_fibre_coords():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 103)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
-    assert charm.shape == (2, 2) and charm.square
+    charm = characteristic_matrix(chart, FP)
+    assert charm.r == 2 and all(len(row) == 2 for row in charm.entries)
     t1 = [rng.field(P) for _ in range(3)]
     t2 = [rng.field(P) for _ in range(3)]
     c = rng.field(P)
@@ -131,10 +141,10 @@ def test_severi2_full_report():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 105)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
+    charm = characteristic_matrix(chart, FP)
     c = fiber_codim_data(spec, 4, FP, rng)
     assert c == 2
-    rep = focal_report(spec, fib, charm, FP, rng, c=c, witnesses=pt.witnesses)
+    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=c)
     assert rep.r == 2 and rep.degree == 2
     assert rep.profile == ((1, 2),)
     assert (rep.mu, rep.reduced_degree) == (1, 2)
@@ -154,10 +164,10 @@ def test_scorza_sym_m3_report():
     spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
     pt, frame, fib, rng = pipeline(spec, 6, 107)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
+    charm = characteristic_matrix(chart, FP)
     c = fiber_codim_data(spec, 6, FP, rng)
     assert c == 3
-    rep = focal_report(spec, fib, charm, FP, rng, c=c, witnesses=pt.witnesses)
+    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=c)
     assert rep.degree == 4
     assert rep.profile == ((2, 2),)
     assert (rep.mu, rep.reduced_degree) == (2, 2)
@@ -171,10 +181,10 @@ def test_severi8_skew_report():
     pt, frame, fib, rng = pipeline(spec, 13, 109)
     assert (fib.k, fib.r) == (5, 8)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
+    charm = characteristic_matrix(chart, FP)
     c = fiber_codim_data(spec, 13, FP, rng)
     assert c == 5
-    rep = focal_report(spec, fib, charm, FP, rng, c=c, witnesses=pt.witnesses)
+    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=c)
     assert rep.degree == 8
     assert rep.profile == ((4, 2),)
     assert (rep.mu, rep.reduced_degree) == (4, 2)
@@ -189,7 +199,7 @@ def test_cone_focus_is_the_vertex():
     pt, frame, fib, rng = pipeline(spec, 2, 11)
     assert (fib.k, fib.r) == (1, 1)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
+    charm = characteristic_matrix(chart, FP)
     profile, degree = focal_profile(charm, FP, rng)
     assert profile == ((1, 1),) and degree == 1
     rf = extract_reduced_power(charm, 1, 1, FP, rng)
@@ -197,7 +207,7 @@ def test_cone_focus_is_the_vertex():
     focus = vecmat(t0, chart.basis, FP)
     assert mat_rank([focus, [0, 0, 0, 1]], FP) == 1
     assert char_kernel_at_point(charm, t0, FP) == 1
-    rep = focal_report(spec, fib, charm, FP, rng, c=2)
+    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=2)
     assert (rep.mu, rep.reduced_degree) == (1, 1)
     assert rep.containment.status == "Skipped"
     assert [b.status for b in rep.bounds] == ["Pass", "Pass", "Skipped", "Skipped"]
@@ -207,7 +217,7 @@ def test_interpolation_path_matches_linear_system():
     spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
     pt, frame, fib, rng = pipeline(spec, 6, 113)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
+    charm = characteristic_matrix(chart, FP)
     rf1 = extract_reduced_power(charm, 2, 2, FP, rng)
     rf2 = extract_reduced_power(charm, 2, 2, FP, rng, max_pde_coeffs=1)
     base = None
@@ -254,7 +264,7 @@ def _root_values_by_determinants(charm, basis, d, fp):
 def test_pencil_root_values_match_determinants():
     spec = rank_locus_spec(MatrixShape.skew(6), 4)
     pt, frame, fib, rng = pipeline(spec, 13, 119)
-    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), frame, FP)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     nv, d = charm.k + 1, 2  # severi-8: det M = c·q^4 with q a quadric
     while True:
         basis = [[rng.field(P) for _ in range(nv)] for _ in range(nv)]
@@ -269,7 +279,7 @@ def test_deformation_row_off_the_tangent_space_is_rejected():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 121)
     chart = fiber_family_chart(fib, FP, rng)
-    characteristic_matrix(chart, frame, FP)  # the genuine chart decomposes
+    characteristic_matrix(chart, FP)  # the genuine chart decomposes
     stacked = fib.basis + chart.dirs
     while True:
         off = [rng.field(P) for _ in range(len(fib.basis[0]))]
@@ -279,14 +289,67 @@ def test_deformation_row_off_the_tangent_space_is_rejected():
     bmats[1][2] = [(a + b) % P for a, b in zip(bmats[1][2], off)]
     moved = FamilyChart(chart.basis, bmats, chart.dirs)
     with pytest.raises(NonVanishingTransversalComponent):
-        characteristic_matrix(moved, frame, FP)
+        characteristic_matrix(moved, FP)
+
+
+def _char_matrix_framed(chart, fp):
+    """The framed construction: each B row decomposed over [Λ; w], with
+    the w_l coefficients as the entries.  Oracle for the quotient one."""
+    k1, r = chart.k + 1, chart.r
+    stacked_t = [list(col) for col in zip(*(chart.basis + chart.dirs))]
+    entries = [[[0] * k1 for _ in range(r)] for _ in range(r)]
+    for j, bmat in enumerate(chart.bmats):
+        for i, row in enumerate(bmat):
+            coeffs, _ = solve_affine(stacked_t, row, fp)
+            for l in range(r):
+                entries[j][l][i] = coeffs[k1 + l]
+    return CharMatrix(entries, chart.k)
+
+
+@pytest.mark.parametrize("shape,rb,dim,seed", [
+    (MatrixShape.skew(6), 4, 13, 123),        # severi-8
+    (MatrixShape.generic(4, 4), 3, 14, 125),  # scorza-max-gen m=3
+])
+def test_quotient_matrix_matches_framed_oracle(shape, rb, dim, seed):
+    spec = rank_locus_spec(shape, rb)
+    pt, frame, fib, rng = pipeline(spec, dim, seed)
+    chart = fiber_family_chart(fib, FP, rng)
+    quot = characteristic_matrix(chart, FP)
+    framed = _char_matrix_framed(chart, FP)
+    ratios = set()
+    for _ in range(5):
+        t = [rng.field(P) for _ in range(chart.k + 1)]
+        dq = quot.det_at(t, FP)
+        assert dq
+        ratios.add(framed.det_at(t, FP) * FP.inv(dq) % P)
+    assert len(ratios) == 1 and ratios != {0}
+    # a focal point: a root of det M on a random line
+    r, roots = quot.r, []
+    while not roots:
+        a = [rng.field(P) for _ in range(chart.k + 1)]
+        d = [rng.field(P) for _ in range(chart.k + 1)]
+        pts = [(s, quot.det_at([(x + s * y) % P for x, y in zip(a, d)], FP))
+               for s in range(r + 1)]
+        roots = up_roots(lagrange_interpolate(pts, r, FP), FP, rng)
+    focus = [(x + roots[0] * y) % P for x, y in zip(a, d)]
+    kernel = char_kernel_at_point(quot, focus, FP)
+    assert kernel >= 1
+    assert char_kernel_at_point(framed, focus, FP) == kernel
+
+
+def test_deformation_span_other_than_r_is_rejected():
+    chart = hyperband_chart(hyperband_family(Rng(33), FP), FP)
+    still = [[0] * len(row) for row in chart.bmats[0]]
+    padded = FamilyChart(chart.basis, chart.bmats + [still])  # r = 5, span 4
+    with pytest.raises(DeformationSpanMismatch):
+        characteristic_matrix(padded, FP)
 
 
 def test_perturbed_form_fails_containment():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 115)
     chart = fiber_family_chart(fib, FP, rng)
-    charm = characteristic_matrix(chart, frame, FP)
+    charm = characteristic_matrix(chart, FP)
     rf = extract_reduced_power(charm, 1, 2, FP, rng)
     bad = dict(rf.poly.terms)
     bad[(2, 0, 0)] = (bad.get((2, 0, 0), 0) + 1) % P
@@ -298,7 +361,7 @@ def test_perturbed_form_fails_containment():
 def test_chart_independence():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 117)
-    assert chart_independence(fib, frame, FP, rng)
+    assert chart_independence(fib, FP, rng)
 
 
 def test_quadric_rank_small_cases():
@@ -323,8 +386,9 @@ def test_hyperband_general_chart():
     fam = hyperband_family(rng, FP)
     chart = hyperband_chart(fam, FP)
     assert (chart.k, chart.r) == (1, 4)
-    charm = characteristic_matrix(chart, None, FP)
-    assert charm.shape == (4, 4)  # the image span collapsed from 5 columns
+    charm = characteristic_matrix(chart, FP)
+    # the image span collapsed from 5 columns to r = 4
+    assert charm.r == 4 and all(len(row) == 4 for row in charm.entries)
     profile, degree = focal_profile(charm, FP, rng)
     assert profile == ((4, 1),) and degree == 4
     rf = extract_reduced_power(charm, 4, 1, FP, rng)

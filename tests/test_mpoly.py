@@ -8,7 +8,6 @@ from gaussfocal.mpoly import (
     ProgramBuilder,
     SparsePoly,
     restrict_to_line,
-    sqrt_mod_p,
     squarefree_profile,
     up_deg,
     up_gcd,
@@ -276,19 +275,6 @@ def test_squarefree_reconstruction_randomized():
         prof = squarefree_profile(f, fp)
         assert prof == sorted(want.items())
         assert sum(m * d for m, d in prof) == up_deg(f)
-
-
-def test_sqrt_mod_p():
-    assert sqrt_mod_p(2, F7) in (3, 4)
-    assert sqrt_mod_p(3, F7) is None
-    assert sqrt_mod_p(0, F7) == 0
-    fp = Fp((1 << 61) - 1)
-    rng = Rng(79)
-    for _ in range(100):
-        a = rng.field(fp.p)
-        sq = fp.mul(a, a)
-        r = sqrt_mod_p(sq, fp)
-        assert r is not None and fp.mul(r, r) == sq
 
 
 def test_up_roots():

@@ -23,6 +23,21 @@ P = (1 << 61) - 1  # convenient large prime
 FP = Fp(P)
 
 
+def to_matrix(shape, coords, p):
+    """The full matrix of a coordinate vector (inverse of from_matrix)."""
+    out = [[0] * shape.ncols for _ in range(shape.nrows)]
+    for i in range(shape.nrows):
+        for j in range(shape.ncols):
+            if shape.kind == "skew":
+                if i == j:
+                    continue
+                v = coords[shape.var_index(i, j)]
+                out[i][j] = v if i < j else -v % p
+            else:
+                out[i][j] = coords[shape.var_index(i, j)]
+    return out
+
+
 # --- shapes -------------------------------------------------------------------
 
 
@@ -39,7 +54,7 @@ def test_shape_matrix_roundtrip():
     for shape in (MatrixShape.symmetric(4), MatrixShape.generic(3, 5),
                   MatrixShape.skew(6)):
         coords = [rng.field(P) for _ in range(shape.num_vars)]
-        mat = shape.to_matrix(coords, P)
+        mat = to_matrix(shape, coords, P)
         assert len(mat) == shape.nrows and len(mat[0]) == shape.ncols
         assert shape.from_matrix(mat, P) == coords
         if shape.kind == "symmetric":
@@ -82,7 +97,7 @@ def test_sample_and_vanish(shape, rb):
     for _ in range(10):
         pt = sample_rank_point(shape, rb, rng, FP)
         assert any(v for v in pt.coords)
-        mat = shape.to_matrix(pt.coords, P)
+        mat = to_matrix(shape, pt.coords, P)
         assert mat_rank(mat, FP) == rb
         for g in gens:
             assert g.eval(pt.coords, FP) == 0
