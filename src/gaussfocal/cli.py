@@ -595,14 +595,17 @@ def _record(plan, prime, seed_t, trial, fam, rep, containment, wall):
 class _FibreFamily:
     """The Gauss fibres of a variety, at a sampled point."""
 
-    def __init__(self, spec, dim_x, c, fp, rng):
+    def __init__(self, spec, dim_x, c, fp, rng, where):
         self.spec, self.fp, self.rng = spec, fp, rng
+        where.stage = "sample"
         self.pt = spec.sampler(rng, fp)
+        where.stage = "fibre"
         frame = tangent_space(spec, self.pt.coords, fp, dim_x)
         self.fib = gauss_fiber(spec, frame, fp, rng)
         self.n, self.dim_x, self.c = spec.ambient_dim, dim_x, c
         self.r, self.k = self.fib.r, self.fib.k
         # point fibres, or a constant Gauss map (r = 0): no focal divisor
+        where.stage = "chart"
         self.chart = (fiber_family_chart(self.fib, fp, rng)
                       if self.k and self.r else None)
 
@@ -626,10 +629,12 @@ class _FibreFamily:
 class _HyperbandFamily:
     """A random 4-parameter line family in P^6 with a marked focus."""
 
-    def __init__(self, fp, rng):
+    def __init__(self, fp, rng, where):
         self.fp, self.rng = fp, rng
+        where.stage = "sample"
         self.fam = hyperband_family(rng, fp)
         self.dim_x, self.dim_f = hyperband_dims(self.fam, fp, rng)
+        where.stage = "chart"
         self.chart = hyperband_chart(self.fam, fp)
         self.n, self.c = 6, self.dim_x - self.dim_f
         self.r, self.k = self.chart.r, self.chart.k
@@ -662,22 +667,29 @@ class _HyperbandFamily:
                 "kernel_at_focus": rep.kernel_at_focus, "dim_f": self.dim_f}
 
 
-def _trial(plan, cfg, fp, prime, trial, dim_x, c):
+def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
     seed_t = derive_seed(cfg.seed, prime, trial)
     rng = Rng(seed_t)
     start = perf_counter()
     if plan.kind == "hyperband":
-        fam = _HyperbandFamily(fp, rng)
+        fam = _HyperbandFamily(fp, rng, where)
     else:
-        fam = _FibreFamily(plan.spec, dim_x, c, fp, rng)
+        fam = _FibreFamily(plan.spec, dim_x, c, fp, rng, where)
     failures = []
     if fam.chart is None:
         rep = FocalReport(r=fam.r, c=fam.c)
         rep.bounds = check_bounds(rep)
         containment = "Skipped"
     else:
+        where.stage = "characteristic matrix"
         charm = characteristic_matrix(fam.chart, fp)
-        rep = focal_report(charm, fp, rng, fam.contain, c=fam.c,
+
+        def contain(form):
+            where.stage = "containment and focus"
+            return fam.contain(form)
+
+        where.stage = "profile and extraction"
+        rep = focal_report(charm, fp, rng, contain, c=fam.c,
                            lines=cfg.lines)
         if rep.extraction_error:
             failures.append(f"extraction failed: {rep.extraction_error}")
@@ -687,6 +699,7 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c):
             if plan.expect and got != plan.expect[key]:
                 failures.append(f"{key} = {got}, expected {plan.expect[key]}")
         if cfg.verify == "full":
+            where.stage = "cross-check"
             failures += fam.cross_check(rep, cfg.lines)
     record = _record(plan, prime, seed_t, trial, fam, rep, containment,
                      perf_counter() - start)
@@ -703,6 +716,33 @@ def _witness_battery(plan, fp, rng, samples=25):
     return []
 
 
+# Errors that end a run: exit 3 for a degenerate draw that retries could
+# not get past, exit 2 for a violated invariant.
+_DEGENERACY = (RankDeficientSample, SingularSamplePoint, ChartFailed,
+               DegenerateLines, DegenerateSurface, InconsistentDim,
+               CharTooSmall)
+_VIOLATION = (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
+              NonVanishingTransversalComponent, DeformationSpanMismatch,
+              NotDegenerate)
+
+
+class _Where:
+    """Where a run stands: experiment, prime, trial and stage.  An error
+    that ends the run leaves ``run_experiment`` carrying it as
+    ``err.where``, so the exit message can name it."""
+
+    __slots__ = ("label", "prime", "trial", "stage")
+
+    def __init__(self, label, prime):
+        self.label, self.prime = label, prime
+        self.trial, self.stage = None, "dimension"
+
+    def __str__(self):
+        trial = "" if self.trial is None else f", trial {self.trial}"
+        return (f"experiment {self.label}, prime {self.prime}{trial}, "
+                f"stage {self.stage}")
+
+
 def run_experiment(cfg: ExperimentConfig):
     """All trials of one experiment; returns (records, failure messages)."""
     plan = build_plan(cfg)
@@ -712,18 +752,25 @@ def run_experiment(cfg: ExperimentConfig):
         primes = derive_primes(cfg.seed, cfg.prime_count)
     records, failures = [], []
     for prime in sorted(primes):
-        fp = Fp(prime)
-        dim_x = c = None
-        if plan.kind == "rank":
-            rng_dim = Rng(derive_seed(cfg.seed, prime, 1 << 20))
-            dim_x = variety_dim(plan.spec, fp, rng_dim)
-            c = fiber_codim_data(plan.spec, dim_x, fp, rng_dim)
-            if cfg.verify == "full":
-                failures += _witness_battery(plan, fp, rng_dim)
-        for trial in range(cfg.trials):
-            record, fails = _trial(plan, cfg, fp, prime, trial, dim_x, c)
-            records.append(record)
-            failures += fails + _verify_record(record, plan.expect)
+        where = _Where(plan.label, prime)
+        try:
+            fp = Fp(prime)
+            dim_x = c = None
+            if plan.kind == "rank":
+                rng_dim = Rng(derive_seed(cfg.seed, prime, 1 << 20))
+                dim_x = variety_dim(plan.spec, fp, rng_dim)
+                c = fiber_codim_data(plan.spec, dim_x, fp, rng_dim)
+                if cfg.verify == "full":
+                    failures += _witness_battery(plan, fp, rng_dim)
+            for trial in range(cfg.trials):
+                where.trial = trial
+                record, fails = _trial(plan, cfg, fp, prime, trial, dim_x, c,
+                                       where)
+                records.append(record)
+                failures += fails + _verify_record(record, plan.expect)
+        except _DEGENERACY + _VIOLATION as err:
+            err.where = where
+            raise
     records.sort(key=lambda rec: (rec["experiment"], rec["prime"],
                                   rec["trial"]))
     return records, failures
@@ -790,6 +837,11 @@ def emit_report(records, failures, json_mode=False, jsonl_out=None,
 
 
 # --- entry point ----------------------------------------------------------------
+
+
+def _in_context(err):
+    where = getattr(err, "where", None)
+    return str(err) if where is None else f"{err} ({where})"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -875,15 +927,11 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except (RankDeficientSample, SingularSamplePoint, ChartFailed,
-            DegenerateLines, DegenerateSurface, InconsistentDim,
-            CharTooSmall) as err:
-        print(f"degeneracy: {err}", file=sys.stderr)
+    except _DEGENERACY as err:
+        print(f"degeneracy: {_in_context(err)}", file=sys.stderr)
         return 3
-    except (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
-            NonVanishingTransversalComponent, DeformationSpanMismatch,
-            NotDegenerate) as err:
-        print(f"invariant violation: {err}", file=sys.stderr)
+    except _VIOLATION as err:
+        print(f"invariant violation: {_in_context(err)}", file=sys.stderr)
         return 2
     try:
         emit_report(records, failures, json_mode=ns.json,

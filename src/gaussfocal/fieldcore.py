@@ -7,6 +7,12 @@ in [0, p); dual elements are tuples of integers.  The ring objects below
 only hold the modulus and expose the operations, so vectors and matrices
 stay ordinary lists and the hot loops avoid per-element object overhead.
 
+Each ring also carries its own vector kernels, ``dot(u, v)`` and
+``axpy(a, x, y)`` (a·x + y), which accumulate unreduced Python integers
+and reduce once per output component (the delayed reduction of
+FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS 2008).  Dot products,
+vector-matrix products and the row updates of ``rref`` go through them.
+
 Matrix routines use reduced row echelon form with unit pivots; the
 characteristic polynomial goes through Hessenberg form instead.  Over a
 field every nonzero entry is a unit; over a dual ring a pivot must have a
@@ -15,6 +21,8 @@ nonzero unit part, and inputs whose rank drops on the unit parts raise
 """
 
 from __future__ import annotations
+
+from operator import mul as _mul
 
 
 class ZeroInverse(ZeroDivisionError):
@@ -155,6 +163,13 @@ class Fp:
     def is_unit(self, a) -> bool:
         return a != 0
 
+    def dot(self, u, v):
+        return sum(map(_mul, u, v)) % self.p
+
+    def axpy(self, a, x, y):
+        p = self.p
+        return [(a * s + t) % p for s, t in zip(x, y)]
+
 
 class DualFp:
     """F_p[eps]/(eps^2) on integer pairs (unit, slope)."""
@@ -177,10 +192,6 @@ class DualFp:
         p = self.p
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
 
-    def sub(self, a, b):
-        p = self.p
-        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-
     def mul(self, a, b):
         p = self.p
         return (a[0] * b[0] % p, (a[0] * b[1] + a[1] * b[0]) % p)
@@ -201,6 +212,20 @@ class DualFp:
 
     def is_unit(self, a) -> bool:
         return a[0] != 0
+
+    def dot(self, u, v):
+        s0 = s1 = 0
+        for (a0, a1), (b0, b1) in zip(u, v):
+            s0 += a0 * b0
+            s1 += a0 * b1 + a1 * b0
+        p = self.p
+        return (s0 % p, s1 % p)
+
+    def axpy(self, a, x, y):
+        p = self.p
+        a0, a1 = a
+        return [((a0 * s0 + t0) % p, (a0 * s1 + a1 * s0 + t1) % p)
+                for (s0, s1), (t0, t1) in zip(x, y)]
 
 
 class Dual2Fp:
@@ -226,11 +251,6 @@ class Dual2Fp:
         p = self.p
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p,
                 (a[2] + b[2]) % p, (a[3] + b[3]) % p)
-
-    def sub(self, a, b):
-        p = self.p
-        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p,
-                (a[2] - b[2]) % p, (a[3] - b[3]) % p)
 
     def mul(self, a, b):
         p = self.p
@@ -261,6 +281,25 @@ class Dual2Fp:
     def is_unit(self, a) -> bool:
         return a[0] != 0
 
+    def dot(self, u, v):
+        s0 = s1 = s2 = s3 = 0
+        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(u, v):
+            s0 += a0 * b0
+            s1 += a0 * b1 + a1 * b0
+            s2 += a0 * b2 + a2 * b0
+            s3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+        p = self.p
+        return (s0 % p, s1 % p, s2 % p, s3 % p)
+
+    def axpy(self, a, x, y):
+        p = self.p
+        a0, a1, a2, a3 = a
+        return [((a0 * s0 + t0) % p,
+                 (a0 * s1 + a1 * s0 + t1) % p,
+                 (a0 * s2 + a2 * s0 + t2) % p,
+                 (a0 * s3 + a1 * s2 + a2 * s1 + a3 * s0 + t3) % p)
+                for (s0, s1, s2, s3), (t0, t1, t2, t3) in zip(x, y)]
+
 
 def dual_over(ring):
     """The dual extension of F_p (F_p[eps]) or of F_p[eps] (F_p[d, e])."""
@@ -271,43 +310,20 @@ def dual_over(ring):
     raise TypeError(f"no dual extension of {type(ring).__name__}")
 
 
-def dual_embed(ring, a):
-    """Lift an element of ``ring`` into dual_over(ring) with zero slope."""
-    if isinstance(ring, Fp):
-        return (a, 0)
-    return (a[0], a[1], 0, 0)
-
-
-def dual_parts(ring, a):
-    """Split an element of dual_over(ring) into (unit, slope) over ring."""
-    if isinstance(ring, Fp):
-        return a[0], a[1]
-    return (a[0], a[1]), (a[2], a[3])
-
-
 # --- vectors and matrices ---------------------------------------------------
 
 
 def dot(u, v, ring):
-    acc = ring.zero
-    for a, b in zip(u, v):
-        acc = ring.add(acc, ring.mul(a, b))
-    return acc
+    return ring.dot(u, v)
 
 
 def vecmat(v, mat, ring):
-    ncols = len(mat[0])
-    out = [ring.zero] * ncols
-    for a, row in zip(v, mat):
-        if ring.is_zero(a):
-            continue
-        for j in range(ncols):
-            out[j] = ring.add(out[j], ring.mul(a, row[j]))
-    return out
+    return [ring.dot(v, col) for col in zip(*mat)]
 
 
 def matmul(a, b, ring):
-    return [vecmat(row, b, ring) for row in a]
+    cols = list(zip(*b))
+    return [[ring.dot(row, col) for col in cols] for row in a]
 
 
 def rref(mat, ring, pivot_cols=None):
@@ -323,7 +339,7 @@ def rref(mat, ring, pivot_cols=None):
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     is_unit, is_zero = ring.is_unit, ring.is_zero
-    mul, sub, inv = ring.mul, ring.sub, ring.inv
+    mul, neg, inv, axpy = ring.mul, ring.neg, ring.inv, ring.axpy
     pivots = []
     r = 0
     columns = pivot_cols if pivot_cols is not None else range(ncols)
@@ -350,8 +366,7 @@ def rref(mat, ring, pivot_cols=None):
                 continue
             f = rows[i][c]
             if not is_zero(f):
-                ri = rows[i]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(ri, lead)]
+                rows[i] = axpy(neg(f), lead, rows[i])
         pivots.append(c)
         r += 1
     for i in range(r, nrows):
@@ -411,8 +426,7 @@ def random_combination(rows, fp, rng):
     """A random F_p-linear combination of ``rows``, one draw per row."""
     y = [0] * len(rows[0])
     for row in rows:
-        c = rng.field(fp.p)
-        y = [fp.add(a, fp.mul(c, b)) for a, b in zip(y, row)]
+        y = fp.axpy(rng.field(fp.p), row, y)
     return y
 
 

@@ -31,7 +31,6 @@ from .fieldcore import (
     charpoly,
     dot,
     dual_over,
-    dual_parts,
     kernel_basis,
     lagrange_interpolate,
     mat_rank,
@@ -126,10 +125,9 @@ def _first_order_fiber(fiber, w, dring, fp):
     bmat = []
     for coeffs, center_row in zip(ckernel, fiber.basis):
         dual_row = vecmat(coeffs, tangent_eps, dring)
-        parts = [dual_parts(fp, v) for v in dual_row]
-        if [u for u, _ in parts] != center_row:
+        if [u for u, _ in dual_row] != center_row:
             raise DegeneratePivot("first-order fibre drifted off its center")
-        bmat.append([s for _, s in parts])
+        bmat.append([s for _, s in dual_row])
     return bmat
 
 
@@ -164,10 +162,9 @@ def hyperband_chart(fam, fp) -> FamilyChart:
         params = [dring.make(v, 1 if i == j else 0)
                   for i, v in enumerate(center)]
         dual_rows = fam.chart_matrix(params, dring)
-        parts = [[dual_parts(fp, v) for v in row] for row in dual_rows]
-        if [[u for u, _ in row] for row in parts] != basis:
+        if [[u for u, _ in row] for row in dual_rows] != basis:
             raise ChartFailed("family chart drifted at its own center")
-        bmats.append([[s for _, s in row] for row in parts])
+        bmats.append([[s for _, s in row] for row in dual_rows])
     return FamilyChart(basis, bmats)
 
 

@@ -97,10 +97,15 @@ def fiber_system(frame, fp, ring=None, point=None, tangent=None):
     x = frame.x if point is None else point
     tan = frame.tangent if tangent is None else tangent
     rows = []
+    m = len(tan)
     for g in frame.gens:
         images = [g.hess_vec(x, t, ring) for t in tan]
-        for t in tan:
-            rows.append([dot(t, img, ring) for img in images])
+        # t_a·H t_b = t_b·H t_a (H is a Hessian): each pair is one dot
+        block = [[None] * m for _ in range(m)]
+        for a, t in enumerate(tan):
+            for b in range(a, m):
+                block[a][b] = block[b][a] = dot(t, images[b], ring)
+        rows += block
     return rows
 
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from .fieldcore import (
     Fp,
-    dual_embed,
     dual_over,
-    dual_parts,
     lagrange_interpolate,
     matmul,
 )
@@ -197,7 +195,10 @@ class PolyProgram:
         self.degree = degree
 
     def _forward(self, x, ring):
+        """Node values at x, and each Pfaffian node's sub-Pfaffian solver
+        (by node id) for the reverse sweep to reuse."""
         vals = [None] * len(self.nodes)
+        pfs = {}
         lift, add, mul = ring.lift, ring.add, ring.mul
         for nid, node in enumerate(self.nodes):
             k = node[0]
@@ -223,16 +224,18 @@ class PolyProgram:
                        for i in range(n)]
                 vals[nid] = det_ring(mat, ring)
             else:  # "pf"
-                n, ids = node[1], node[2]
-                vals[nid] = _pf_from_flat(ids, vals, n, ring)
-        return vals
+                n = node[1]
+                pf = _pf_solver(node[2], vals, n, ring)
+                vals[nid] = pf((1 << n) - 1)
+                pfs[nid] = pf
+        return vals, pfs
 
     def eval(self, x, ring):
-        return self._forward(x, ring)[self.root]
+        return self._forward(x, ring)[0][self.root]
 
     def grad(self, x, ring):
         """Gradient at x via one reverse sweep."""
-        vals = self._forward(x, ring)
+        vals, pfs = self._forward(x, ring)
         nn = len(self.nodes)
         adj = [ring.zero] * nn
         adj[self.root] = ring.one
@@ -277,21 +280,25 @@ class PolyProgram:
                             t = ids[i * n + j]
                             adj[t] = add(adj[t], mul(a, cof))
             else:  # "pf"
-                n, ids = node[1], node[2]
-                for pos, cof in _pf_cofactors(ids, vals, n, ring):
+                ids = node[2]
+                for pos, cof in _pf_cofactors(pfs[nid], node[1], ring):
                     t = ids[pos]
                     adj[t] = add(adj[t], mul(a, cof))
         return out
 
     def hess_vec(self, x, v, ring):
-        """Hessian-vector product H(x) v, exact over F_p or a dual ring."""
+        """Hessian-vector product H(x) v, exact over F_p or a dual ring.
+
+        The gradient is taken at x + e·v over the dual extension, whose
+        elements are (unit, slope) pairs over ``ring`` written flat: the
+        point is (x_i, v_i) over F_p and the 4-tuple x_i + v_i over
+        F_p[d], and the slope is the tail of each gradient entry.
+        """
         dring = dual_over(ring)
-        eps = dring.eps
-        pt = [dring.add(dual_embed(ring, xi),
-                        dring.mul(eps, dual_embed(ring, vi)))
-              for xi, vi in zip(x, v)]
-        g = self.grad(pt, dring)
-        return [dual_parts(ring, gi)[1] for gi in g]
+        if isinstance(ring, Fp):
+            return [gi[1] for gi in self.grad(list(zip(x, v)), dring)]
+        pt = [xi + vi for xi, vi in zip(x, v)]
+        return [gi[2:] for gi in self.grad(pt, dring)]
 
 
 def _ring_pow(v, e, ring):
@@ -306,19 +313,6 @@ def _ring_pow(v, e, ring):
         if e:
             base = ring.mul(base, base)
     return acc
-
-
-def _grad_forward(prog, x, ring):
-    """Per-coordinate forward-mode gradient; reference oracle for grad()."""
-    dring = dual_over(ring)
-    eps = dring.eps
-    base = [dual_embed(ring, xi) for xi in x]
-    out = []
-    for i in range(prog.arity):
-        pt = list(base)
-        pt[i] = dring.add(pt[i], eps)
-        out.append(dual_parts(ring, prog.eval(pt, dring))[1])
-    return out
 
 
 # --- determinant / Pfaffian value kernels -------------------------------------
@@ -344,8 +338,9 @@ def det_ring(mat, ring):
     for j in range(n):
         nxt = {}
         for mask, val in states.items():
+            # row i for column j: one inversion per used row index > i
             parity = 0
-            for i in range(n):
+            for i in range(n - 1, -1, -1):
                 bit = 1 << i
                 if mask & bit:
                     parity ^= 1
@@ -425,61 +420,72 @@ def adjugate_ring(mat, ring):
     return m_prev
 
 
-def _upper_pos(i, j, n):
-    # flat index of entry (i, j), i < j, in row-major upper triangle
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+def _pf_solver(ids, vals, n, ring):
+    """Pfaffians of the principal submatrices of a Pfaffian node's matrix.
 
-
-def _pf_rec(idx, entry, ring, memo):
-    """Pfaffian over the sorted index tuple ``idx`` (division-free)."""
-    if not idx:
-        return ring.one
-    got = memo.get(idx)
-    if got is not None:
-        return got
-    i0 = idx[0]
-    rest = idx[1:]
-    acc = ring.zero
-    sign = False
-    for t, j in enumerate(rest):
-        a = entry(i0, j)
-        if not ring.is_zero(a):
-            sub = _pf_rec(rest[:t] + rest[t + 1:], entry, ring, memo)
-            term = ring.mul(a, sub)
-            acc = ring.add(acc, ring.neg(term) if sign else term)
-        sign = not sign
-    memo[idx] = acc
-    return acc
-
-
-def _pf_from_flat(ids, vals, n, ring):
-    def entry(i, j):
-        return vals[ids[_upper_pos(i, j, n)]]
-
-    return _pf_rec(tuple(range(n)), entry, ring, {})
-
-
-def _pf_cofactors(ids, vals, n, ring):
-    """Partials of the Pfaffian w.r.t. each upper entry.
-
-    d Pf / d a_ij = (-1)^(i+j+1) Pf(matrix with rows/cols i, j removed);
-    sub-Pfaffians share one memo table.
+    The returned function takes an index set as a bitmask.  The upper
+    triangle and its negation are gathered once, and the Pfaffian of
+    each pair {i, j} is its entry; a larger set expands along its lowest
+    index as one ``ring.dot`` of signed entries against sub-Pfaffians,
+    memoized on the mask (division-free).
     """
+    zero, neg, dot = ring.zero, ring.neg, ring.dot
+    memo = {0: ring.one}
+    upper, negated = [], []
+    pos = 0
+    for i in range(n):
+        row = [vals[t] for t in ids[pos:pos + n - 1 - i]]
+        pos += n - 1 - i
+        for j, v in enumerate(row, i + 1):
+            memo[1 << i | 1 << j] = v
+        upper.append([None] * (i + 1) + row)
+        negated.append([None] * (i + 1) + [neg(v) for v in row])
 
-    def entry(i, j):
-        return vals[ids[_upper_pos(i, j, n)]]
+    def pf(mask):
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        low = mask & -mask
+        i = low.bit_length() - 1
+        entries, signed = upper[i], (upper[i], negated[i])
+        rest = mask ^ low
+        coefs, subs = [], []
+        sign = 0
+        left = rest
+        while left:
+            bit = left & -left
+            j = bit.bit_length() - 1
+            if entries[j] != zero:
+                other = rest ^ bit
+                sub = memo.get(other)
+                coefs.append(signed[sign][j])
+                subs.append(pf(other) if sub is None else sub)
+            sign ^= 1
+            left ^= bit
+        got = memo[mask] = dot(coefs, subs)
+        return got
 
-    memo = {}
-    full = tuple(range(n))
+    return pf
+
+
+def _pf_cofactors(pf, n, ring):
+    """Partials of an n×n Pfaffian w.r.t. each upper entry, as (flat
+    position in the node's ``ids``, value) pairs with the zeros left out.
+
+    d Pf / d a_ij = (-1)^(i+j+1) Pf(matrix with rows/cols i, j removed),
+    read off the node's solver ``pf``, which shares one memo table.
+    """
+    full = (1 << n) - 1
     out = []
+    pos = 0
     for i in range(n):
         for j in range(i + 1, n):
-            sub_idx = tuple(t for t in full if t != i and t != j)
-            cof = _pf_rec(sub_idx, entry, ring, memo)
+            cof = pf(full ^ (1 << i) ^ (1 << j))
             if (i + j) % 2 == 0:  # sign (-1)^(i+j+1)
                 cof = ring.neg(cof)
             if not ring.is_zero(cof):
-                out.append((_upper_pos(i, j, n), cof))
+                out.append((pos, cof))
+            pos += 1
     return out
 
 

@@ -340,6 +340,27 @@ def test_hyperband_wrong_predictor_fails_containment(monkeypatch):
             "point") in failures
 
 
+def test_invariant_violation_names_experiment_prime_trial_and_stage(
+        tmp_path, capsys):
+    # x4 is no singular locus of the cone x0*x2 = x1^2: its focal zero
+    # escapes it, and the message says where that happened
+    path = _write(tmp_path, "wrong.json",
+                  {"ambient_dim": 4, "generators": ["x0*x2 - x1^2"],
+                   "singular_generators": ["x4"]})
+    for extra in ([], ["--json"]):
+        rc = main(["custom", "--spec", path, "--trials", "1", "--prime",
+                   str(P), "--seed", "1729"] + extra)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("invariant violation: focal zero escapes")
+        assert "experiment custom-wrong" in err
+        assert f"prime {P}" in err
+        assert "trial 0" in err
+        assert "stage containment" in err
+
+
 def test_expectation_mismatch_exits_2(monkeypatch, capsys):
     monkeypatch.setitem(expectations()["severi-2"], "r", 99)
     rc = main(["run", "severi-2", "--trials", "1", "--prime", str(P),

@@ -1,6 +1,8 @@
 """Arithmetic and exact linear algebra over F_p and its dual extension."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfocal.fieldcore import (
     DegeneratePivot,
@@ -205,6 +207,42 @@ def test_dual2_matches_nested_dual():
         assert unflat(got) == want
     a = (3, 5, 7, 9)
     assert flat.mul(a, flat.inv(a)) == flat.one
+
+
+# --- ring vector kernels -----------------------------------------------------
+
+KERNEL_RINGS = [cls(p) for cls in (Fp, DualFp, Dual2Fp)
+                for p in ((1 << 61) - 1, 101)]
+
+
+def _ring_elements(ring):
+    """Elements of ``ring``, with components drawn often from 0 and p − 1."""
+    p = ring.p
+    residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    if isinstance(ring, Fp):
+        return residue
+    return st.tuples(*[residue] * len(ring.zero))
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS,
+                         ids=lambda r: f"{type(r).__name__}-{r.p}")
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ring_kernels_match_elementwise_fold(ring, data):
+    n = data.draw(st.integers(0, 8), label="n")
+    vec = st.lists(_ring_elements(ring), min_size=n, max_size=n)
+    u, v, w = data.draw(vec, "u"), data.draw(vec, "v"), data.draw(vec, "w")
+    a = data.draw(_ring_elements(ring), "a")
+    top = ring.lift(-1) if isinstance(ring, Fp) else (ring.p - 1,) * len(a)
+    for x, y in ((u, v), ([top] * n, [top] * n)):
+        acc = ring.zero
+        for s, t in zip(x, y):
+            acc = ring.add(acc, ring.mul(s, t))
+        assert ring.dot(x, y) == acc
+    assert ring.axpy(a, u, w) == [ring.add(ring.mul(a, s), t)
+                                  for s, t in zip(u, w)]
+    assert ring.axpy(top, [top] * n, [top] * n) == \
+        [ring.add(ring.mul(top, top), top)] * n
 
 
 # --- interpolation ----------------------------------------------------------

@@ -2,22 +2,53 @@
 
 import pytest
 
-from gaussfocal.fieldcore import DualFp, Fp, Rng
+from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng, dual_over
 from gaussfocal.mpoly import (
     CharTooSmall,
     ProgramBuilder,
     SparsePoly,
+    _pf_cofactors,
+    _pf_solver,
+    adjugate_ring,
+    det_ring,
     restrict_to_line,
     squarefree_profile,
     up_deg,
     up_gcd,
     up_mul,
     up_roots,
-    _grad_forward,
 )
+from gaussfocal.varieties import MatrixShape, rank_locus_spec
 
 F7 = Fp(7)
 F101 = Fp(101)
+
+
+def _dual_embed(ring, a):
+    """Lift an element of ``ring`` into dual_over(ring) with zero slope."""
+    if isinstance(ring, Fp):
+        return (a, 0)
+    return (a[0], a[1], 0, 0)
+
+
+def _dual_slope(ring, a):
+    """The slope, over ``ring``, of an element of dual_over(ring)."""
+    if isinstance(ring, Fp):
+        return a[1]
+    return (a[2], a[3])
+
+
+def _grad_forward(prog, x, ring):
+    """Per-coordinate forward-mode gradient; reference oracle for grad()."""
+    dring = dual_over(ring)
+    eps = dring.eps
+    base = [_dual_embed(ring, xi) for xi in x]
+    out = []
+    for i in range(prog.arity):
+        pt = list(base)
+        pt[i] = dring.add(pt[i], eps)
+        out.append(_dual_slope(ring, prog.eval(pt, dring)))
+    return out
 
 
 def sym2x2_det():
@@ -95,6 +126,99 @@ def test_pfaffian_squared_is_determinant():
             v = [rng.field(fp.p) for _ in range(m)]
             pf = pf_prog.eval(v, fp)
             assert fp.mul(pf, pf) == det_prog.eval(v, fp)
+
+
+def _random_element(ring, rng):
+    if isinstance(ring, Fp):
+        return rng.field(ring.p)
+    return tuple(rng.field(ring.p) for _ in ring.zero)
+
+
+def _matchings(idx):
+    """Perfect matchings of the sorted index list, as lists of pairs."""
+    if not idx:
+        yield []
+        return
+    i, rest = idx[0], idx[1:]
+    for t, j in enumerate(rest):
+        for tail in _matchings(rest[:t] + rest[t + 1:]):
+            yield [(i, j)] + tail
+
+
+def _parity(perm):
+    inversions = sum(1 for a in range(len(perm))
+                     for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+    return inversions % 2
+
+
+def _pf_partials_oracle(entry, n, ring):
+    """d Pf / d a_ij for every i < j, from the permutation expansion
+    Pf = Σ_M sgn(i1 j1 i2 j2 …) Π a_{i_k j_k} over perfect matchings M."""
+    out = {}
+    for match in _matchings(list(range(n))):
+        sign = _parity([v for pair in match for v in pair])
+        for pair in match:
+            term = ring.one
+            for other in match:
+                if other != pair:
+                    term = ring.mul(term, entry[other])
+            if sign:
+                term = ring.neg(term)
+            out[pair] = ring.add(out.get(pair, ring.zero), term)
+    return out
+
+
+@pytest.mark.parametrize("ring", [Fp(101), Fp((1 << 61) - 1),
+                                  DualFp((1 << 61) - 1),
+                                  Dual2Fp((1 << 61) - 1)],
+                         ids=lambda r: f"{type(r).__name__}-{r.p}")
+def test_bitmask_pfaffian_against_det_and_permutation_expansion(ring):
+    rng = Rng(73)
+    for n in (4, 6, 8):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(3):
+            # about a quarter of the entries are zero, so the expansion
+            # skips terms; values stand in a shuffled order behind ``ids``
+            vals = [ring.zero if rng.below(4) == 0
+                    else _random_element(ring, rng) for _ in pairs]
+            order = list(range(len(pairs)))
+            for t in range(len(order) - 1, 0, -1):
+                u = rng.below(t + 1)
+                order[t], order[u] = order[u], order[t]
+            store = [None] * len(pairs)
+            for pos, slot in enumerate(order):
+                store[slot] = vals[pos]
+            ids = tuple(order)
+            entry = dict(zip(pairs, vals))
+            mat = [[ring.zero] * n for _ in range(n)]
+            for (i, j), v in entry.items():
+                mat[i][j], mat[j][i] = v, ring.neg(v)
+            solver = _pf_solver(ids, store, n, ring)
+            pf = solver((1 << n) - 1)
+            assert ring.mul(pf, pf) == det_ring(mat, ring)
+            oracle = _pf_partials_oracle(entry, n, ring)
+            want = [(pos, oracle[pair]) for pos, pair in enumerate(pairs)
+                    if oracle[pair] != ring.zero]
+            assert _pf_cofactors(solver, n, ring) == want
+            fresh = _pf_solver(ids, store, n, ring)  # no full-Pf memo yet
+            assert _pf_cofactors(fresh, n, ring) == want
+
+
+def test_det_ring_over_dual_rings_lifts_the_field_determinant():
+    # det(A + εB) = det A + ε·tr(adj(A)·B), for every size and sign pattern
+    fp = Fp(10007)
+    ring = DualFp(fp.p)
+    rng = Rng(83)
+    for n in range(1, 8):
+        a = [[rng.field(fp.p) for _ in range(n)] for _ in range(n)]
+        b = [[rng.field(fp.p) for _ in range(n)] for _ in range(n)]
+        adj = adjugate_ring(a, fp)
+        slope = sum(adj[j][i] * b[i][j] for i in range(n)
+                    for j in range(n)) % fp.p
+        mat = [[(u, s) for u, s in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert det_ring(mat, ring) == (det_ring(a, fp), slope)
+        flat = [[(u, s, 0, 0) for u, s in row] for row in mat]
+        assert det_ring(flat, Dual2Fp(fp.p)) == (det_ring(a, fp), slope, 0, 0)
 
 
 def test_det_matches_cofactor_expansion():
@@ -206,6 +330,31 @@ def test_hess_vec():
     # Hessian of x0*x2 - x1^2 is constant [[0,0,1],[0,-2,0],[1,0,0]]
     hv = prog.hess_vec([3, 1, 4], [1, 1, 1], F7)
     assert hv == [1, (-2) % 7, 1]
+
+
+@pytest.mark.parametrize("rank_bound", [4, 6])
+def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
+    # hess_vec over F_p[d]: the gradient over F_p[d, e] at x + e·v, built
+    # here the long way (lift, scale by e, add) and sliced to its e-slope.
+    # A 6×6 sub-Pfaffian is cubic, where H(x)·v = H(v)·x; the 8×8 one is
+    # quartic and tells x and v apart.
+    gen = rank_locus_spec(MatrixShape.skew(8), rank_bound).generators[0]
+    p = (1 << 61) - 1
+    ring, dring = DualFp(p), Dual2Fp(p)
+    rng = Rng(79)
+    for _ in range(3):
+        x = [_random_element(ring, rng) for _ in range(gen.arity)]
+        v = [_random_element(ring, rng) for _ in range(gen.arity)]
+        pt = [dring.add(_dual_embed(ring, xi),
+                        dring.mul(dring.eps, _dual_embed(ring, vi)))
+              for xi, vi in zip(x, v)]
+        want = [_dual_slope(ring, gi) for gi in gen.grad(pt, dring)]
+        got = gen.hess_vec(x, v, ring)
+        assert got == want
+        # unit parts: the Hessian at the unit point, over F_p
+        fp = Fp(p)
+        assert [u for u, _ in got] == gen.hess_vec(
+            [u for u, _ in x], [u for u, _ in v], fp)
 
 
 def test_hess_vec_linear_is_zero():
