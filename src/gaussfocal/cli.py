@@ -58,7 +58,7 @@ from .gaussmap import (
     gauss_fiber,
     tangent_space,
 )
-from .mpoly import SparsePoly, restrict_to_line, up_roots
+from .mpoly import SparsePoly, line_zeros, restrict_to_line
 from .varieties import (
     DegenerateSurface,
     InconsistentDim,
@@ -99,9 +99,11 @@ class ArityError(InputError):
 #
 # Grammar:  expr   := term (('+'|'-') term)*
 #           term   := factor ('*' factor)*
-#           factor := ('+'|'-') factor | atom ('^' INT)?
+#           factor := ('+'|'-')* atom ('^' INT)?
 #           atom   := VAR | INT | '(' expr ')'
 # Variables are x0..xN; whitespace is free; everything else is an error.
+# A run of signs is read in a loop, and parentheses nest at most
+# MAX_PAREN_DEPTH deep, so no input runs the recursive descent out of stack.
 # Powers and products are expanded as they are parsed, so each is checked
 # first: its degree against MAX_DEGREE, and each multiplication's count of
 # term products against MAX_TERMS.  An exponent like 200000 or a 16-term
@@ -112,6 +114,7 @@ class ArityError(InputError):
 # 66 coordinates.
 
 MAX_DEGREE = 64
+MAX_PAREN_DEPTH = 64
 MAX_TERMS = 10_000
 MAX_AMBIENT_DIM = 128
 MAX_GENERATORS = 2_000
@@ -171,6 +174,7 @@ class _ExprParser:
     def __init__(self, tokens, nvars):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.nvars = nvars
 
     def peek(self):
@@ -207,11 +211,9 @@ class _ExprParser:
         return poly
 
     def factor(self):
-        kind = self.peek()[0]
-        if kind in "+-":
-            op = self.take()[0]
-            inner = self.factor()
-            return inner if op == "+" else inner.scale(-1)
+        negate = False
+        while self.peek()[0] in "+-":
+            negate ^= self.take()[0] == "-"
         poly = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -222,11 +224,10 @@ class _ExprParser:
             if max(poly.degree(), 1) * power > MAX_DEGREE:
                 raise ParseError(f"power ^{power} exceeds the degree limit "
                                  f"{MAX_DEGREE}", line, col)
-            out = SparsePoly(self.nvars, {(0,) * self.nvars: 1})
+            base, poly = poly, SparsePoly(self.nvars, {(0,) * self.nvars: 1})
             for _ in range(power):
-                out = _bounded_mul(out, poly, line, col)
-            return out
-        return poly
+                poly = _bounded_mul(poly, base, line, col)
+        return poly.scale(-1) if negate else poly
 
     def atom(self):
         kind, value, line, col = self.peek()
@@ -242,11 +243,16 @@ class _ExprParser:
             self.take()
             return SparsePoly(self.nvars, {(0,) * self.nvars: value})
         if kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nest deeper than the limit "
+                                 f"{MAX_PAREN_DEPTH}", line, col)
             self.take()
+            self.depth += 1
             poly = self.expr()
             if self.peek()[0] != ")":
                 self.fail("expected ')'")
             self.take()
+            self.depth -= 1
             return poly
         self.fail("expected a variable, number or '('")
 
@@ -307,15 +313,9 @@ def _pencil_sampler(prog):
     """Sample a smooth point of a hypersurface via roots along pencils."""
 
     def sampler(rng, fp):
-        nv = prog.arity
-        for _ in range(32):
-            a = [rng.field(fp.p) for _ in range(nv)]
-            d = [rng.field(fp.p) for _ in range(nv)]
-            roots = up_roots(restrict_to_line(prog, a, d, fp), fp, rng)
-            if not roots:
-                continue
-            t = sorted(roots)[0]
-            x = [(av + t * dv) % fp.p for av, dv in zip(a, d)]
+        for x, *_ in line_zeros(
+                lambda a, d: restrict_to_line(prog, a, d, fp),
+                prog.arity, fp, rng, 32):
             if any(x) and any(prog.grad(x, fp)):
                 return WitnessPoint(x)
         raise RankDeficientSample("no smooth pencil point on the hypersurface")
@@ -706,9 +706,9 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
     return record, [f"{plan.label}: {msg}" for msg in failures]
 
 
-def _witness_battery(plan, fp, rng, samples=25):
+def _witness_battery(plan, fp, rng):
     spec = plan.spec
-    for _ in range(samples):
+    for _ in range(25):
         pt = spec.sampler(rng, fp)
         for g in spec.generators:
             if g.eval(pt.coords, fp) != 0:

@@ -119,7 +119,9 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def random_prime(rng: Rng, lo: int = 1 << 60, hi: int = 1 << 62) -> int:
+def random_prime(rng: Rng) -> int:
+    """A random prime in [2^60, 2^62)."""
+    lo, hi = 1 << 60, 1 << 62
     while True:
         n = lo + rng.below(hi - lo)
         n |= 1

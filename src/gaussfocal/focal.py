@@ -32,7 +32,6 @@ from .fieldcore import (
     dot,
     dual_over,
     kernel_basis,
-    lagrange_interpolate,
     mat_rank,
     random_combination,
     rank_and_kernel,
@@ -46,6 +45,8 @@ from .mpoly import (
     SparsePoly,
     adjugate_ring,
     det_ring,
+    line_zeros,
+    on_line,
     squarefree_profile,
     up_deg,
     up_deriv,
@@ -53,7 +54,6 @@ from .mpoly import (
     up_eval,
     up_gcd,
     up_mul,
-    up_roots,
     up_trim,
 )
 
@@ -240,16 +240,6 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
 # --- focal profiles -----------------------------------------------------------
 
 
-def _on_line(func, deg, a, d, fp):
-    """The polynomial s ↦ func(a + s·d) of degree ≤ deg, interpolated
-    from deg+2 values; the surplus value must lie on it too."""
-    pts = []
-    for s in range(deg + 2):
-        t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
-        pts.append((s, func(t, fp)))
-    return up_trim(lagrange_interpolate(pts, deg, fp))
-
-
 def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
     """Consensus multiplicity profile over random lines in Λ.
 
@@ -263,7 +253,7 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
         for _attempt in range(16):
             a = [rng.field(fp.p) for _ in range(charm.k + 1)]
             d = [rng.field(fp.p) for _ in range(charm.k + 1)]
-            poly = _on_line(charm.det_at, charm.r, a, d, fp)
+            poly = on_line(charm.det_at, charm.r, a, d, fp)
             if up_deg(poly) != charm.r:
                 continue
             prof = tuple(squarefree_profile(poly, fp))
@@ -319,11 +309,7 @@ class ReducedForm:
 
 
 def _degree_monomials(nvars, d):
-    out = set()
-    for combo in product(range(d + 1), repeat=nvars):
-        if sum(combo) == d:
-            out.add(combo)
-    return sorted(out)
+    return sorted((d - sum(e),) + e for e in _simplex_nodes(nvars - 1, d))
 
 
 def _char_gradient(charm, t, fp):
@@ -528,30 +514,45 @@ def _extract_interpolation(charm, mu, d, fp, rng):
     raise ExtractionFailed("no interpolation basis survived the line checks")
 
 
-def _verify_power(charm, form, mu, fp, rng):
-    base, done = None, 0
+def _proportional(f, g, nv, fp, rng, points):
+    """Whether f = c·g for one constant c ≠ 0, tested at random points of
+    F_p^nv: ``points`` of them where neither side vanishes, from at most
+    64 draws.  A point where exactly one side vanishes is a failure."""
+    base = None
     for _ in range(64):
-        if done == 10:
-            return
-        t = [rng.field(fp.p) for _ in range(charm.k + 1)]
-        fv = charm.det_at(t, fp)
-        qv = form.value(t, fp)
+        if points == 0:
+            break
+        t = [rng.field(fp.p) for _ in range(nv)]
+        fv, gv = f(t, fp), g(t, fp)
         if base is None:
-            if fv == 0 or qv == 0:
+            if fv == 0 or gv == 0:
+                if (fv == 0) != (gv == 0):
+                    return False
                 continue
-            base = (fv, pow(qv, mu, fp.p))
-        elif fv * base[1] % fp.p != base[0] * pow(qv, mu, fp.p) % fp.p:
-            raise ExtractionFailed("power identity failed at a fresh point")
-        done += 1
-    raise ExtractionFailed("could not verify the power identity")
+            base = (fv, gv)
+        elif fv * base[1] % fp.p != gv * base[0] % fp.p:
+            return False
+        points -= 1
+    return points == 0
+
+
+def _verify_power(charm, form, mu, fp, rng):
+    def q_mu(t, fp):
+        return pow(form.value(t, fp), mu, fp.p)
+
+    if not _proportional(charm.det_at, q_mu, charm.k + 1, fp, rng, 10):
+        raise ExtractionFailed("power identity failed at a fresh point")
+
+
+MAX_PDE_COEFFS = 220
 
 
 def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
-                          fp, rng, max_pde_coeffs: int = 220) -> ReducedForm:
+                          fp, rng) -> ReducedForm:
     """The form q with det M = c·q^μ, verified at 10 fresh points.
 
-    Small coefficient counts go through the exact linear system in the
-    coefficients of q; large ones through dense interpolation of
+    Up to ``MAX_PDE_COEFFS`` coefficients go through the exact linear
+    system in the coefficients of q; more through dense interpolation of
     normalized squarefree root data in a random coordinate basis, where
     each line polynomial comes from one characteristic polynomial of the
     pencil M(t*)⁻¹M(v) (see ``_normalized_root_values``).
@@ -562,7 +563,7 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
     if fp.p <= charm.r:
         raise CharTooSmall("field too small for the focal degree")
     ncoef = comb(charm.k + reduced_degree, reduced_degree)
-    if ncoef <= max_pde_coeffs:
+    if ncoef <= MAX_PDE_COEFFS:
         form = _extract_linear_system(charm, mu, reduced_degree, fp, rng)
     else:
         form = _extract_interpolation(charm, mu, reduced_degree, fp, rng)
@@ -589,27 +590,16 @@ def quadric_rank(q: SparsePoly, fp) -> int:
     return mat_rank(gram, fp)
 
 
-def _zero_lines(form: ReducedForm, fp, rng, attempts: int):
-    """Zeros of the form on random lines a + s·d in Λ: one list of points
-    (sorted by s) per line that has roots, from at most ``attempts``
-    lines."""
-    nv = form.poly.nvars
-    for _ in range(attempts):
-        a = [rng.field(fp.p) for _ in range(nv)]
-        d = [rng.field(fp.p) for _ in range(nv)]
-        poly = _on_line(form.value, form.degree(), a, d, fp)
-        if up_deg(poly) < 1:
-            continue
-        roots = up_roots(poly, fp, rng)
-        if roots:
-            yield [[(av + s * dv) % fp.p for av, dv in zip(a, d)]
-                   for s in sorted(roots)]
+def _zero_lines(form: ReducedForm, fp, rng):
+    """``line_zeros`` of the form on up to 32 random lines in Λ."""
+    return line_zeros(
+        lambda a, d: on_line(form.value, form.degree(), a, d, fp),
+        form.poly.nvars, fp, rng, 32)
 
 
-def form_zero_point(form: ReducedForm, fp, rng, attempts: int = 32):
+def form_zero_point(form: ReducedForm, fp, rng):
     """A point of {form = 0} in fibre coordinates, via random lines."""
-    return next((pts[0] for pts in _zero_lines(form, fp, rng, attempts)),
-                None)
+    return next((pts[0] for pts in _zero_lines(form, fp, rng)), None)
 
 
 class Containment:
@@ -632,7 +622,7 @@ def sing_containment(spec, fiber, form: ReducedForm, fp, rng,
     """
     zeros = 0
     if spec.singular is not None:
-        for lines, pts in enumerate(_zero_lines(form, fp, rng, 32), 1):
+        for lines, pts in enumerate(_zero_lines(form, fp, rng), 1):
             for t in pts:
                 z = vecmat(t, fiber.basis, fp)
                 for g in spec.singular.generators:
@@ -767,23 +757,9 @@ def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
     return rep
 
 
-def chart_independence(fiber, fp, rng, points: int = 5) -> bool:
-    """Two independently drawn charts must give proportional focal forms."""
+def chart_independence(fiber, fp, rng) -> bool:
+    """Two independently drawn charts must give proportional focal forms
+    (checked at 5 random points)."""
     m1 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
     m2 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
-    base = None
-    trials = 0
-    while points > 0 and trials < 64:
-        trials += 1
-        t = [rng.field(fp.p) for _ in range(fiber.k + 1)]
-        f1, f2 = m1.det_at(t, fp), m2.det_at(t, fp)
-        if base is None:
-            if f1 == 0 or f2 == 0:
-                if (f1 == 0) != (f2 == 0):
-                    return False
-                continue
-            base = (f1, f2)
-        elif f1 * base[1] % fp.p != f2 * base[0] % fp.p:
-            return False
-        points -= 1
-    return points == 0
+    return _proportional(m1.det_at, m2.det_at, fiber.k + 1, fp, rng, 5)

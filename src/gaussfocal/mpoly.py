@@ -14,6 +14,9 @@ coefficients themselves are the object of interest (recovered divisors,
 small quadrics).
 
 Univariate polynomials over F_p are plain ascending coefficient lists.
+They come from forms restricted to lines: ``on_line`` is the one line
+restriction, and ``line_zeros`` the one loop that finds zeros of a form
+as roots on random lines.
 """
 
 from __future__ import annotations
@@ -705,15 +708,35 @@ def up_roots(f, fp, rng):
     return roots
 
 
-def restrict_to_line(prog, a, b, fp):
-    """Coefficients of t -> prog(a + t b), ascending; [] for the zero poly."""
-    d = prog.degree
-    if fp.p <= d:
-        raise CharTooSmall("not enough field points for the degree")
+# --- the random-line toolkit ---------------------------------------------------
+
+
+def on_line(func, deg, a, d, fp):
+    """The polynomial s ↦ func(a + s·d, fp) of degree ≤ deg, ascending
+    ([] for the zero polynomial), interpolated from deg+2 values; the
+    surplus value must lie on it too."""
+    if fp.p <= deg + 1:
+        raise CharTooSmall(f"characteristic {fp.p} <= degree {deg} + 1")
     pts = []
-    for t in range(d + 1):
-        x = [(av + t * bv) % fp.p for av, bv in zip(a, b)]
-        pts.append((t, prog.eval(x, fp)))
-    if all(y == 0 for _, y in pts):
-        return []
-    return up_trim(lagrange_interpolate(pts, d, fp))
+    for s in range(deg + 2):
+        t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
+        pts.append((s, func(t, fp)))
+    return up_trim(lagrange_interpolate(pts, deg, fp))
+
+
+def restrict_to_line(prog, a, d, fp):
+    """``on_line`` for a polynomial program."""
+    return on_line(prog.eval, prog.degree, a, d, fp)
+
+
+def line_zeros(restrict, nv, fp, rng, attempts):
+    """Zeros on random lines a + s·d in F_p^nv, where ``restrict(a, d)``
+    is the form on the line: one list of points, sorted by s, per line
+    that has roots, from at most ``attempts`` lines."""
+    for _ in range(attempts):
+        a = [rng.field(fp.p) for _ in range(nv)]
+        d = [rng.field(fp.p) for _ in range(nv)]
+        roots = up_roots(restrict(a, d), fp, rng)
+        if roots:
+            yield [[(av + s * dv) % fp.p for av, dv in zip(a, d)]
+                   for s in sorted(roots)]

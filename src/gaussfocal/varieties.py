@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .fieldcore import DualFp, mat_rank
-from .mpoly import ProgramBuilder, SparsePoly, restrict_to_line, up_roots
+from .mpoly import ProgramBuilder, SparsePoly, line_zeros, restrict_to_line
 
 
 class RankDeficientSample(RuntimeError):
@@ -203,11 +203,11 @@ def rank_locus_spec(shape: MatrixShape, rank_bound: int, name=None) -> VarietySp
     return VarietySpec(name, shape.ambient_dim, gens, singular, sampler)
 
 
-def variety_dim(spec: VarietySpec, fp, rng, trials: int = 5) -> int:
-    """Projective dimension via Jacobian rank at sampled points; all
-    trials must agree."""
+def variety_dim(spec: VarietySpec, fp, rng) -> int:
+    """Projective dimension via Jacobian rank at 5 sampled points; all
+    must agree."""
     dims = set()
-    for _ in range(trials):
+    for _ in range(5):
         pt = spec.sampler(rng, fp)
         jac = [g.grad(pt.coords, fp) for g in spec.generators]
         dims.add(spec.ambient_dim - mat_rank(jac, fp))
@@ -294,9 +294,9 @@ def _map_jacobian_rank(func, arity, fp, rng):
     return mat_rank(rows, fp)
 
 
-def hyperband_dims(fam: HyperbandFamily, fp, rng, trials: int = 3):
+def hyperband_dims(fam: HyperbandFamily, fp, rng):
     """(dim of the swept 4-fold's ambient closure, dim of the base surface),
-    measured as parametrization Jacobian ranks."""
+    measured as parametrization Jacobian ranks at 3 random points."""
 
     def sweep(args, ring):
         l0, l1, a, b, v1, v2 = args
@@ -309,7 +309,7 @@ def hyperband_dims(fam: HyperbandFamily, fp, rng, trials: int = 3):
         return [ring.mul(lam, c) for c in fam.surface_point(a, b, ring)]
 
     dims_x, dims_f = set(), set()
-    for _ in range(trials):
+    for _ in range(3):
         dims_x.add(_map_jacobian_rank(sweep, 6, fp, rng) - 1)
         dims_f.add(_map_jacobian_rank(cone, 3, fp, rng) - 1)
     if len(dims_x) != 1 or len(dims_f) != 1:
@@ -399,14 +399,9 @@ def albert_cubic(name: str = "hermitian-octonion-cubic") -> VarietySpec:
     def sample_singular(rng, fp):
         # a pencil meets the cubic in a root over F_p about 2/3 of the
         # time; the adjoint of the hit is a point of the singular locus
-        for _ in range(32):
-            a = [rng.field(fp.p) for _ in range(27)]
-            d = [rng.field(fp.p) for _ in range(27)]
-            roots = up_roots(restrict_to_line(norm, a, d, fp), fp, rng)
-            if not roots:
-                continue
-            t = roots[0]
-            x0 = [(av + t * dv) % fp.p for av, dv in zip(a, d)]
+        for x0, *_ in line_zeros(
+                lambda a, d: restrict_to_line(norm, a, d, fp),
+                27, fp, rng, 32):
             e = adjoint_coords(x0, fp)
             if any(e):
                 return e

@@ -13,6 +13,7 @@ from gaussfocal.cli import (
     MAX_AMBIENT_DIM,
     MAX_DEGREE,
     MAX_GENERATORS,
+    MAX_PAREN_DEPTH,
     InputError,
     ParseError,
     derive_primes,
@@ -64,6 +65,20 @@ def test_parse_whitespace_insensitive():
 def test_parse_unary_minus():
     poly = parse_expression("-x0*x1 + x1^2", 2)
     assert poly.terms == {(1, 1): -1, (0, 2): 1}
+    assert parse_expression("-x0^2", 2).terms == {(2, 0): -1}
+    assert parse_expression("x0 - -+x1", 2).terms == {(1, 0): 1, (0, 1): 1}
+    # a long run of signs is a loop, not one recursion per sign
+    assert parse_expression("-" * 5001 + "x1", 2).terms == {(0, 1): -1}
+
+
+def test_parse_paren_depth_bounded():
+    deep = "(" * MAX_PAREN_DEPTH + "x0" + ")" * MAX_PAREN_DEPTH
+    assert parse_expression(deep, 2).terms == {(1, 0): 1}
+    with pytest.raises(ParseError) as err:
+        parse_expression("(" + deep + ")", 2)
+    assert (err.value.line, err.value.col) == (1, MAX_PAREN_DEPTH + 1)
+    with pytest.raises(ParseError):
+        parse_expression("(" * 2000 + "x0" + ")" * 2000, 2)
 
 
 def test_parse_error_position():
@@ -305,7 +320,15 @@ def test_input_errors_exit_4(tmp_path, capsys):
         path = _write(tmp_path, f"rejected{i}.json", spec)
         assert main(["custom", "--spec", path]) == 4
         assert capsys.readouterr().err.startswith("error: ")
-    capsys.readouterr()
+    # parentheses past MAX_PAREN_DEPTH, and a run of signs with no operand,
+    # must end in a parse error, not run the recursive descent out of stack
+    for i, gen in enumerate(["(" * 2000 + "x0*x1" + ")" * 2000, "-" * 5000]):
+        path = _write(tmp_path, f"deep{i}.json",
+                      {"ambient_dim": 3, "generators": [gen]})
+        assert main(["custom", "--spec", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(line 1, column " in err
+        assert "Traceback" not in err
 
 
 def test_input_bounds_admit_every_preset():

@@ -335,6 +335,6 @@ def test_prime_generation():
     assert not is_probable_prime(2**61)
     rng = Rng(7)
     for _ in range(3):
-        q = random_prime(rng, 1 << 60, 1 << 62)
+        q = random_prime(rng)
         assert (1 << 60) <= q < (1 << 62)
         assert is_probable_prime(q)

@@ -1,6 +1,8 @@
 """Characteristic matrices of first-order fibre families, focal divisors,
 multiplicity profiles, reduced-form extraction and the bound battery."""
 
+from itertools import product
+
 import pytest
 
 from gaussfocal.fieldcore import (
@@ -21,8 +23,12 @@ from gaussfocal.focal import (
     NonVanishingTransversalComponent,
     NotDegenerate,
     ReducedForm,
+    _degree_monomials,
+    _extract_interpolation,
     _normalized_root_values,
+    _proportional,
     _simplex_nodes,
+    _verify_power,
     char_kernel_at_point,
     characteristic_matrix,
     chart_independence,
@@ -219,7 +225,8 @@ def test_interpolation_path_matches_linear_system():
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
     rf1 = extract_reduced_power(charm, 2, 2, FP, rng)
-    rf2 = extract_reduced_power(charm, 2, 2, FP, rng, max_pde_coeffs=1)
+    rf2 = _extract_interpolation(charm, 2, 2, FP, rng)
+    _verify_power(charm, rf2, 2, FP, rng)
     base = None
     for _ in range(5):
         t = [rng.field(P) for _ in range(3)]
@@ -362,6 +369,37 @@ def test_chart_independence():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 117)
     assert chart_independence(fib, FP, rng)
+
+
+def test_proportional():
+    def quad(t, fp):
+        return (t[0] * t[1] - t[2] ** 2) % fp.p
+
+    def scaled(t, fp):
+        return 7 * quad(t, fp) % fp.p
+
+    assert _proportional(scaled, quad, 3, FP, Rng(1), 5)
+    assert not _proportional(quad, lambda t, fp: t[0], 3, FP, Rng(2), 5)
+    # no point where both sides are nonzero: nothing verified
+    assert not _proportional(lambda t, fp: 0, lambda t, fp: 0, 3, FP,
+                             Rng(3), 5)
+    # one side vanishes at the first point only: proportional elsewhere,
+    # but a point where exactly one side is zero is a failure
+    seen = []
+
+    def late(t, fp):
+        seen.append(t)
+        return 0 if len(seen) == 1 else quad(t, fp)
+
+    assert not _proportional(quad, late, 3, FP, Rng(4), 5)
+    assert len(seen) == 1
+
+
+def test_degree_monomials_are_the_degree_d_exponents():
+    for nv, d in [(1, 3), (2, 0), (3, 2), (4, 3)]:
+        want = sorted(e for e in product(range(d + 1), repeat=nv)
+                      if sum(e) == d)
+        assert _degree_monomials(nv, d) == want
 
 
 def test_quadric_rank_small_cases():

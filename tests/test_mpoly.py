@@ -11,9 +11,12 @@ from gaussfocal.mpoly import (
     _pf_solver,
     adjugate_ring,
     det_ring,
+    line_zeros,
+    on_line,
     restrict_to_line,
     squarefree_profile,
     up_deg,
+    up_eval,
     up_gcd,
     up_mul,
     up_roots,
@@ -378,6 +381,52 @@ def test_restrict_to_line():
     b = ProgramBuilder(3)
     sq = b.build(b.x(1) ** 2)
     assert restrict_to_line(sq, [1, 0, 0], [0, 0, 1], F101) == []
+
+
+def test_on_line_interpolates_and_checks_the_surplus_value():
+    f = quadric_prog()
+    a, d = [1, 2, 3], [4, 5, 6]
+    poly = on_line(f.eval, 2, a, d, F101)
+    for s in range(20):
+        x = [(u + s * v) % 101 for u, v in zip(a, d)]
+        assert up_eval(poly, s, F101) == f.eval(x, F101)
+    assert on_line(lambda t, fp: 0, 3, a, d, F101) == []
+    # (1 + s)^3 read as a quadric: the fourth value is off the parabola
+    b = ProgramBuilder(3)
+    cube = b.build(b.x(0) ** 3)
+    with pytest.raises(ValueError, match="surplus"):
+        on_line(cube.eval, 2, [1, 0, 0], [1, 0, 0], F101)
+    # deg + 2 distinct abscissae need p > deg + 1
+    with pytest.raises(CharTooSmall):
+        on_line(f.eval, 2, a, d, Fp(3))
+    assert on_line(f.eval, 2, a, d, Fp(5)) == \
+        restrict_to_line(f, a, d, Fp(5))
+
+
+def test_line_zeros_yields_sorted_zeros_from_at_most_attempts_lines():
+    f = quadric_prog()
+    lines = []
+
+    def restrict(a, d):
+        lines.append((a, d))
+        return restrict_to_line(f, a, d, F101)
+
+    found = 0
+    for pts in line_zeros(restrict, 3, F101, Rng(5), 12):
+        a, d = lines[-1]
+        i = next(i for i, v in enumerate(d) if v)
+        ss = [(x[i] - a[i]) * F101.inv(d[i]) % 101 for x in pts]
+        assert ss == sorted(ss)
+        assert pts == [[(u + s * v) % 101 for u, v in zip(a, d)] for s in ss]
+        assert all(f.eval(x, F101) == 0 for x in pts)
+        poly = restrict_to_line(f, a, d, F101)
+        assert len(ss) == sum(up_eval(poly, s, F101) == 0 for s in range(101))
+        found += 1
+    assert len(lines) == 12 and found >= 1
+    drawn = []  # t^2 + 1 has no root in F_7: every line is drawn
+    assert list(line_zeros(lambda a, d: drawn.append(a) or [1, 0, 1],
+                           3, F7, Rng(6), 7)) == []
+    assert len(drawn) == 7
 
 
 # --- univariate helpers ------------------------------------------------------
