@@ -87,6 +87,7 @@ class ParseError(InputError):
 
     def __init__(self, message, line, col):
         super().__init__(f"{message} (line {line}, column {col})")
+        self.reason = message
         self.line = line
         self.col = col
 
@@ -301,7 +302,13 @@ def _bound(what, value, limit):
 def _parsed_generator(src, nvars, what):
     if not isinstance(src, str):
         raise InputError(f"{what} must be a string expression")
-    poly = parse_expression(src, nvars)
+    try:
+        poly = parse_expression(src, nvars)
+    except ParseError as exc:
+        # keep the error and its position, and say whose position it is
+        exc.args = (f"{what}: {exc.reason} (line {exc.line}, column "
+                    f"{exc.col} of that generator)",)
+        raise
     if not poly.terms:
         raise InputError(f"{what} is identically zero: {src!r}")
     if homogeneous_degree(poly) is None:
@@ -328,14 +335,16 @@ def parse_spec_file(path) -> VarietySpec:
     homogeneous hypersurface with optional singular-locus generators."""
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}",
                          exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise InputError(f"JSON in {path} nests too deeply") from exc
     if not isinstance(data, dict):
         raise InputError("spec file must hold a JSON object")
     if ("matrix" in data) == ("ambient_dim" in data):
@@ -382,7 +391,8 @@ def parse_spec_file(path) -> VarietySpec:
             "explicit specs support exactly one generator (a hypersurface); "
             "multi-generator varieties have no general point sampler — "
             "use the matrix form for rank loci")
-    polys = [_parsed_generator(g, nvars, "generator") for g in gens]
+    polys = [_parsed_generator(g, nvars, f"generator {i}")
+             for i, g in enumerate(gens)]
     progs = [q.compile() for q in polys]
     singular = None
     if "singular_generators" in data:
@@ -390,8 +400,8 @@ def parse_spec_file(path) -> VarietySpec:
         if not isinstance(sg, list) or not sg:
             raise InputError("'singular_generators' must be a non-empty list")
         _bound("singular generator count", len(sg), MAX_GENERATORS)
-        sprogs = [_parsed_generator(g, nvars, "singular generator").compile()
-                  for g in sg]
+        sprogs = [_parsed_generator(g, nvars, f"singular generator {i}")
+                  .compile() for i, g in enumerate(sg)]
         singular = VarietySpec(p.stem + "-singular", ambient, sprogs,
                                None, None)
     return VarietySpec(p.stem, ambient, progs, singular,

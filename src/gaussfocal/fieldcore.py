@@ -323,11 +323,6 @@ def vecmat(v, mat, ring):
     return [ring.dot(v, col) for col in zip(*mat)]
 
 
-def matmul(a, b, ring):
-    cols = list(zip(*b))
-    return [[ring.dot(row, col) for col in cols] for row in a]
-
-
 def rref(mat, ring, pivot_cols=None):
     """Reduced row echelon form with unit pivots.
 

@@ -14,10 +14,12 @@ Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
 lines, and the reduced form from either a linear system in its
 coefficients (few coefficients) or dense interpolation of normalized
-root data (many).  The interpolation reads each line t* + s·v through a
-fixed point t* as a matrix pencil: det M(t* + s·v) is det M(t*) times
-det(I + s·M(t*)⁻¹M(v)), so one characteristic polynomial gives the
-whole line polynomial, with M(t*)⁻¹M(b_i) computed once per basis.
+root data (many).  det M on a line is always read as a matrix pencil:
+det(M(t) + s·M(v)) is det M(t) times det(I + s·M(t)⁻¹M(v)), so one
+characteristic polynomial gives the whole line polynomial, and its s
+coefficient, det M(t)·tr(M(t)⁻¹M(v)), the derivative along v.  The
+profile lines, the gradient rows of the linear system and the
+interpolation lines all come from that one pencil.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .gaussmap import fiber_system
 from .mpoly import (
     CharTooSmall,
     SparsePoly,
-    adjugate_ring,
     det_ring,
     line_zeros,
     on_line,
@@ -118,8 +119,7 @@ def _first_order_fiber(fiber, w, dring, fp):
     jac = [g.grad(x_eps, dring) for g in frame.gens]
     rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
     tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
-    sys_rows = fiber_system(frame, fp, ring=dring, point=x_eps,
-                            tangent=tangent_eps)
+    sys_rows = fiber_system(frame.gens, x_eps, tangent_eps, dring)
     srows, spiv = rref(sys_rows, dring, pivot_cols=fiber.sys_pivots)
     ckernel = kernel_basis(srows, spiv, len(tangent_eps), dring)
     bmat = []
@@ -191,10 +191,6 @@ class CharMatrix:
     def det_at(self, t, fp):
         return det_ring(self.value(t, fp), fp)
 
-    def coeff_slice(self, i):
-        """Constant matrix of the t_i coefficients (the i-th partial)."""
-        return [[e[i] for e in row] for row in self.entries]
-
 
 def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     """The r×r matrix of linear forms t ↦ (t·B_j mod Λ).
@@ -245,7 +241,10 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
 
     Returns (profile, total degree) where the profile is a tuple of
     (multiplicity, class degree) pairs.  Degree-dropped lines are thrown
-    away and redrawn; surviving lines must agree exactly.
+    away and redrawn; surviving lines must agree exactly.  Each line
+    a + s·d is read off the pencil through d: det M(a + s·d) is the
+    reversal of det(M(d) + s·M(a)), and it keeps degree r exactly when
+    det M(d) ≠ 0, so a singular M(d) is the degree drop.
     """
     consensus, total = None, None
     for _ in range(lines):
@@ -253,10 +252,12 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
         for _attempt in range(16):
             a = [rng.field(fp.p) for _ in range(charm.k + 1)]
             d = [rng.field(fp.p) for _ in range(charm.k + 1)]
-            poly = on_line(charm.det_at, charm.r, a, d, fp)
-            if up_deg(poly) != charm.r:
+            pencil = _pencil_slices(charm, d, [a], fp)
+            if pencil is None:
                 continue
-            prof = tuple(squarefree_profile(poly, fp))
+            det_d, (kmat,) = pencil
+            prof = tuple(squarefree_profile(
+                _pencil_line(det_d, kmat, fp)[::-1], fp))
             break
         if prof is None:
             raise DegenerateLines("the focal form kept dropping degree")
@@ -312,25 +313,17 @@ def _degree_monomials(nvars, d):
     return sorted((d - sum(e),) + e for e in _simplex_nodes(nvars - 1, d))
 
 
-def _char_gradient(charm, t, fp):
-    """(f(t), [∂_i f(t)]) of the focal determinant via the adjugate."""
-    m = charm.value(t, fp)
-    f = det_ring(m, fp)
-    adj = adjugate_ring(m, fp)
-    grads = []
-    for i in range(charm.k + 1):
-        ci = charm.coeff_slice(i)
-        acc = 0
-        for a in range(charm.r):
-            row = ci[a]
-            acc += sum(adj[b][a] * row[b] for b in range(charm.r))
-        grads.append(acc % fp.p)
-    return f, grads
-
-
 def _add_pde_rows(charm, mu, exps, t, fp, rows):
+    """The nv PDE rows at t, none when M(t) is singular: ∂_i det M(t) is
+    det M(t)·tr(M(t)⁻¹·M(e_i)), the s coefficient of its pencil."""
     nv = charm.k + 1
-    f, grads = _char_gradient(charm, t, fp)
+    units = [[int(i == j) for j in range(nv)] for i in range(nv)]
+    pencil = _pencil_slices(charm, t, units, fp)
+    if pencil is None:
+        return
+    f, slices = pencil
+    grads = [f * sum(kmat[a][a] for a in range(charm.r)) % fp.p
+             for kmat in slices]
     mono = {e: SparsePoly(nv, {e: 1}).eval(t, fp) for e in exps}
     low = {}
     for e in exps:
@@ -353,25 +346,30 @@ def _add_pde_rows(charm, mu, exps, t, fp, rows):
 def _extract_linear_system(charm, mu, d, fp, rng):
     """Coefficients of q from  q·∂_i f − μ·f·∂_i q = 0  at random points.
 
-    Each sample point yields nv rows but never nv independent ones (the
-    Euler relation ties them together, and structured determinants give
-    fewer still), so keep sampling until the solution space settles at a
-    single line rather than trusting a fixed point count.
+    Each sample point with a nonsingular M(t) yields nv rows but never nv
+    independent ones (the Euler relation ties them together, and
+    structured determinants give fewer still), so keep sampling until the
+    solution space settles at a single line rather than trusting a fixed
+    point count.  The loop counts draws, not rows, so it ends even when
+    det M vanishes everywhere.
     """
     nv = charm.k + 1
     exps = _degree_monomials(nv, d)
     ncoef = len(exps)
     npts = -(-ncoef // max(nv - 1, 1)) + 2
     rows = []
-    kern = []
+    drawn = 0
     for _ in range(5):
-        while len(rows) < npts * nv:
+        while drawn < npts:
+            drawn += 1
             t = [rng.field(fp.p) for _ in range(nv)]
             _add_pde_rows(charm, mu, exps, t, fp, rows)
-        _, kern = rank_and_kernel(rows, fp)
-        if len(kern) <= 1:
+        kern = rank_and_kernel(rows, fp)[1] if rows else None
+        if kern is not None and len(kern) <= 1:
             break
         npts += -(-npts // 2)
+    if kern is None:
+        raise ExtractionFailed("M(t) was singular at every sample point")
     if len(kern) != 1:
         raise ExtractionFailed(
             f"coefficient solution space has dimension {len(kern)}")
@@ -396,21 +394,32 @@ def _falling_coeffs(m, fp):
     return poly
 
 
-def _pencil_slices(charm, basis, fp):
-    """det M(t*) and the matrices M(t*)⁻¹·M(b) for b in basis[1:], from
-    one elimination of [M(t*) | M(b_1) | … | M(b_k)]; None when M(t*)
-    is singular."""
+def _pencil_slices(charm, base, dirs, fp):
+    """det M(base) and the matrices M(base)⁻¹·M(v) for v in dirs, from
+    one elimination of [M(base) | M(v_1) | … | M(v_k)]; None when
+    M(base) is singular."""
     r = charm.r
-    mstar = charm.value(basis[0], fp)
-    det0 = det_ring(mstar, fp)
+    mbase = charm.value(base, fp)
+    det0 = det_ring(mbase, fp)
     if det0 == 0:
         return None
-    blocks = [charm.value(b, fp) for b in basis[1:]]
-    sol = _solve_square(mstar, [[v for blk in blocks for v in blk[a]]
+    blocks = [charm.value(v, fp) for v in dirs]
+    sol = _solve_square(mbase, [[v for blk in blocks for v in blk[a]]
                                 for a in range(r)], fp)
     slices = [[row[i * r:(i + 1) * r] for row in sol]
               for i in range(len(blocks))]
     return det0, slices
+
+
+def _pencil_line(det0, kmat, fp):
+    """All r+1 coefficients, ascending, of det(M(base) + s·M(v)) =
+    det0·det(I + s·K), from det0 = det M(base) and K = M(base)⁻¹·M(v):
+    with χ(x) = det(x·I − K) the s^m coefficient is det0·(−1)^m·χ_{r−m},
+    one characteristic polynomial instead of r+2 determinants."""
+    r = len(kmat)
+    chi = charpoly(kmat, fp)
+    return [det0 * (-chi[r - m] if m % 2 else chi[r - m]) % fp.p
+            for m in range(r + 1)]
 
 
 def _normalized_root_values(charm, basis, d, fp):
@@ -419,17 +428,13 @@ def _normalized_root_values(charm, basis, d, fp):
     Each value is read off the squarefree part of the focal form on the
     line from t* to the node; returns None when M(t*) is singular or any
     line degenerates.
-    The line t* + s·v with v = Σ c_i·b_i is a pencil,
-
-        det M(t* + s·v) = det M(t*) · det(I + s·K),  K = Σ c_i·M(t*)⁻¹M(b_i),
-
-    so with χ(x) = det(x·I − K) its coefficients are
-    det M(t*)·(−1)^m·χ_{r−m}: the K slices are built once per basis, and
-    each node costs at most d matrix axpys and one characteristic
-    polynomial instead of r+2 determinants and an interpolation.
+    The line t* + s·v with v = Σ c_i·b_i is the pencil of
+    K = Σ c_i·M(t*)⁻¹M(b_i) (``_pencil_line``): the slices are built once
+    per basis, and each node costs at most d matrix axpys and one
+    characteristic polynomial.
     """
-    p, r = fp.p, charm.r
-    pencil = _pencil_slices(charm, basis, fp)
+    p = fp.p
+    pencil = _pencil_slices(charm, basis[0], basis[1:], fp)
     if pencil is None:
         return None
     det0, slices = pencil
@@ -445,10 +450,8 @@ def _normalized_root_values(charm, basis, d, fp):
             kmat = ([[c * v for v in row] for row in sl] if kmat is None
                     else [[u + c * v for u, v in zip(krow, row)]
                           for krow, row in zip(kmat, sl)])
-        chi = charpoly(kmat, fp)
-        f = up_trim([det0 * (-chi[r - m] if m % 2 else chi[r - m]) % p
-                     for m in range(r + 1)])
-        if up_deg(f) != r:
+        f = up_trim(_pencil_line(det0, kmat, fp))
+        if up_deg(f) != charm.r:
             return None
         sf = up_divmod(f, up_gcd(f, up_deriv(f, fp), fp), fp)[0]
         if up_deg(sf) != d:

@@ -88,21 +88,17 @@ class GaussFiber:
         self.sys_pivots = sys_pivots
 
 
-def fiber_system(frame, fp, ring=None, point=None, tangent=None):
+def fiber_system(gens, x, tangent, ring):
     """Rows of the bilinear system cutting the fibre out of the tangent
-    space: one row per (generator, tangent direction) pair, in the
-    coordinates of the tangent basis.  ``ring``/``point``/``tangent``
-    default to the frame's own, but may be dual-ring replacements."""
-    ring = fp if ring is None else ring
-    x = frame.x if point is None else point
-    tan = frame.tangent if tangent is None else tangent
+    space at x: one row per (generator, tangent direction) pair, in the
+    coordinates of the tangent basis, over F_p or a dual ring."""
     rows = []
-    m = len(tan)
-    for g in frame.gens:
-        images = [g.hess_vec(x, t, ring) for t in tan]
+    m = len(tangent)
+    for g in gens:
+        images = [g.hess_vec(x, t, ring) for t in tangent]
         # t_a·H t_b = t_b·H t_a (H is a Hessian): each pair is one dot
         block = [[None] * m for _ in range(m)]
-        for a, t in enumerate(tan):
+        for a, t in enumerate(tangent):
             for b in range(a, m):
                 block[a][b] = block[b][a] = dot(t, images[b], ring)
         rows += block
@@ -118,7 +114,7 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     """
     tan = frame.tangent
     m = len(tan)
-    rows, sys_pivots = rref(fiber_system(frame, fp), fp)
+    rows, sys_pivots = rref(fiber_system(frame.gens, frame.x, tan, fp), fp)
     coeff_kernel = kernel_basis(rows, sys_pivots, m, fp)
     basis = [vecmat(c, tan, fp) for c in coeff_kernel]
     if not basis:

@@ -7,7 +7,9 @@ nodes, plus determinant and Pfaffian nodes) that can be *evaluated* over
 any coefficient ring from ``fieldcore`` -- the prime field, or a dual
 extension when derivatives are needed.  Gradients run as a single
 reverse sweep over the DAG; Hessian-times-vector products evaluate the
-gradient over the dual extension and read off the slope.
+gradient over the dual extension and read off the slope.  Determinant
+and Pfaffian nodes expand division-free over bitmask-memoized minors
+and sub-Pfaffians, which also give the cofactors the sweep needs.
 
 ``SparsePoly`` is the explicit dict-of-monomials form, used only where
 coefficients themselves are the object of interest (recovered divisors,
@@ -21,12 +23,7 @@ as roots on random lines.
 
 from __future__ import annotations
 
-from .fieldcore import (
-    Fp,
-    dual_over,
-    lagrange_interpolate,
-    matmul,
-)
+from .fieldcore import Fp, dual_over, lagrange_interpolate
 
 
 class CharTooSmall(ArithmeticError):
@@ -273,12 +270,15 @@ class PolyProgram:
                 adj[c] = add(adj[c], mul(a, d))
             elif k == "det":
                 n, ids = node[1], node[2]
-                mat = [[vals[ids[i * n + j]] for j in range(n)]
-                       for i in range(n)]
-                adt = adjugate_ring(mat, ring)
+                minor = _minor_solver([[vals[ids[i * n + j]]
+                                        for j in range(n)]
+                                       for i in range(n)], ring)
+                full = (1 << n) - 1
                 for i in range(n):
                     for j in range(n):
-                        cof = adt[j][i]
+                        cof = minor(full ^ 1 << i, full ^ 1 << j)
+                        if (i + j) % 2:
+                            cof = ring.neg(cof)
                         if not is_zero(cof):
                             t = ids[i * n + j]
                             adj[t] = add(adj[t], mul(a, cof))
@@ -322,45 +322,12 @@ def _ring_pow(v, e, ring):
 
 
 def det_ring(mat, ring):
-    """Determinant over an arbitrary commutative ring.
-
-    Over F_p plain elimination is used; otherwise a division-free
-    column-by-column subset DP (O(n^2 2^n), fine for the small sizes
-    that occur inside programs).
-    """
-    n = len(mat)
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return mat[0][0]
+    """Determinant over an arbitrary commutative ring: plain elimination
+    over F_p, the bitmask minor expansion of ``_minor_solver`` otherwise."""
     if isinstance(ring, Fp):
         return _det_field(mat, ring)
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    neg = ring.neg
-    states = {0: ring.one}
-    for j in range(n):
-        nxt = {}
-        for mask, val in states.items():
-            # row i for column j: one inversion per used row index > i
-            parity = 0
-            for i in range(n - 1, -1, -1):
-                bit = 1 << i
-                if mask & bit:
-                    parity ^= 1
-                    continue
-                a = mat[i][j]
-                if is_zero(a):
-                    continue
-                term = mul(val, a)
-                if parity:
-                    term = neg(term)
-                key = mask | bit
-                cur = nxt.get(key)
-                nxt[key] = term if cur is None else add(cur, term)
-        states = nxt
-        if not states:
-            return ring.zero
-    return states.get((1 << n) - 1, ring.zero)
+    full = (1 << len(mat)) - 1
+    return _minor_solver(mat, ring)(full, full)
 
 
 def _det_field(mat, fp):
@@ -391,36 +358,44 @@ def _det_field(mat, fp):
     return det % p
 
 
-def trace_ring(mat, ring):
-    acc = ring.zero
-    for i in range(len(mat)):
-        acc = ring.add(acc, mat[i][i])
-    return acc
+def _minor_solver(mat, ring):
+    """Minors of a square matrix over any commutative ring.
 
-
-def adjugate_ring(mat, ring):
-    """Adjugate matrix (transpose of cofactors) via the Faddeev-LeVerrier
-    recurrence; divisions touch only the integers 2..n-1."""
+    The returned function takes a row set and a column set of equal size
+    as bitmasks.  A minor expands along its lowest row as one
+    ``ring.dot`` of signed entries against smaller minors, memoized on
+    the mask pair (division-free); the full determinant touches each
+    column subset once, O(n·2ⁿ).
+    """
+    zero, neg, dot = ring.zero, ring.neg, ring.dot
     n = len(mat)
-    if n == 1:
-        return [[ring.one]]
-    m_prev = [[ring.one if i == j else ring.zero for j in range(n)]
-              for i in range(n)]
-    c_prev = ring.neg(trace_ring(mat, ring))
-    for k in range(2, n + 1):
-        mk = matmul(mat, m_prev, ring)
-        for i in range(n):
-            mk[i][i] = ring.add(mk[i][i], c_prev)
-        if k == n:
-            m_prev = mk
-            break
-        amk = matmul(mat, mk, ring)
-        kinv = ring.lift(pow(k, -1, ring.p))
-        c_prev = ring.neg(ring.mul(kinv, trace_ring(amk, ring)))
-        m_prev = mk
-    if n % 2 == 0:
-        return [[ring.neg(v) for v in row] for row in m_prev]
-    return m_prev
+    memo = {0: ring.one}
+    negated = [[neg(v) for v in row] for row in mat]
+
+    def minor(rows, cols):
+        key = rows << n | cols
+        got = memo.get(key)
+        if got is not None:
+            return got
+        low = rows & -rows
+        i = low.bit_length() - 1
+        entries, signed = mat[i], (mat[i], negated[i])
+        rest = rows ^ low
+        coefs, subs = [], []
+        sign = 0
+        left = cols
+        while left:
+            bit = left & -left
+            j = bit.bit_length() - 1
+            if entries[j] != zero:
+                coefs.append(signed[sign][j])
+                subs.append(minor(rest, cols ^ bit))
+            sign ^= 1
+            left ^= bit
+        got = memo[key] = dot(coefs, subs)
+        return got
+
+    return minor
 
 
 def _pf_solver(ids, vals, n, ring):

@@ -329,6 +329,30 @@ def test_input_errors_exit_4(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(line 1, column " in err
         assert "Traceback" not in err
+    # JSON nested past the parser's recursion limit, and a file that is
+    # not UTF-8, are input errors too
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"ambient_dim": ' + "[" * 100000 + "]" * 100000 + "}")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"ambient_dim": 3}'.encode("utf-16-le"))
+    for path in (nested, utf16):
+        assert main(["custom", "--spec", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_parse_errors_name_the_generator(tmp_path):
+    deep = "(" * 70 + "x2" + ")" * 70
+    path = _write(tmp_path, "deep.json",
+                  {"ambient_dim": 3, "generators": ["x0*x1 - x2*x3"],
+                   "singular_generators": ["x0", "x1", deep]})
+    with pytest.raises(ParseError) as err:
+        parse_spec_file(path)
+    assert (err.value.line, err.value.col) == (1, MAX_PAREN_DEPTH + 1)
+    assert str(err.value) == (
+        "singular generator 2: parentheses nest deeper than the limit "
+        f"{MAX_PAREN_DEPTH} (line 1, column {MAX_PAREN_DEPTH + 1} of that "
+        "generator)")
 
 
 def test_input_bounds_admit_every_preset():

@@ -17,12 +17,15 @@ from gaussfocal.fieldcore import (
 from gaussfocal.focal import (
     CharMatrix,
     ContainmentFailed,
+    DegenerateLines,
     DeformationSpanMismatch,
+    ExtractionFailed,
     FamilyChart,
     FocalReport,
     NonVanishingTransversalComponent,
     NotDegenerate,
     ReducedForm,
+    _add_pde_rows,
     _degree_monomials,
     _extract_interpolation,
     _normalized_root_values,
@@ -46,6 +49,8 @@ from gaussfocal.gaussmap import fiber_codim_data, gauss_fiber, tangent_space
 from gaussfocal.mpoly import (
     ProgramBuilder,
     SparsePoly,
+    on_line,
+    squarefree_profile,
     up_deg,
     up_deriv,
     up_divmod,
@@ -280,6 +285,107 @@ def test_pencil_root_values_match_determinants():
     vals = _normalized_root_values(charm, basis, d, FP)
     assert vals is not None and len(vals) == 21
     assert vals == _root_values_by_determinants(charm, basis, d, FP)
+
+
+class _ScriptedRng:
+    """Hands out fixed field elements in order, for scripted draws."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def field(self, p):
+        return next(self.values)
+
+
+def _diagonal_charm():
+    """M(t) = diag(t0, t1, t0 + t1): det M = t0·t1·(t0 + t1)."""
+    zero = [0, 0]
+    forms = [[1, 0], [0, 1], [1, 1]]
+    return CharMatrix([[forms[j] if l == j else zero for l in range(3)]
+                       for j in range(3)], 1)
+
+
+def _recording_profile(monkeypatch):
+    seen = []
+
+    def recording(poly, fp):
+        seen.append(up_trim(list(poly)))
+        return squarefree_profile(poly, fp)
+
+    monkeypatch.setattr("gaussfocal.focal.squarefree_profile", recording)
+    return seen
+
+
+def test_profile_lines_come_off_the_pencil(monkeypatch):
+    spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
+    pt, frame, fib, rng = pipeline(spec, 6, 127)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    seen = _recording_profile(monkeypatch)
+    focal_profile(charm, FP, Rng(131), lines=6)
+    draws = Rng(131)  # the same stream: a, then d, for every line
+    assert len(seen) == 6
+    for poly in seen:
+        a = [draws.field(P) for _ in range(charm.k + 1)]
+        d = [draws.field(P) for _ in range(charm.k + 1)]
+        assert up_deg(poly) == charm.r
+        assert poly == on_line(charm.det_at, charm.r, a, d, FP)
+
+
+def test_profile_skips_a_direction_with_singular_matrix(monkeypatch):
+    charm = _diagonal_charm()
+    seen = _recording_profile(monkeypatch)
+    # M(1, 0) = diag(1, 0, 1) is singular: that line drops to degree 2
+    rng = _ScriptedRng([2, 3, 1, 0, 2, 3, 5, 7])
+    assert focal_profile(charm, FP, rng, lines=1) == (((1, 3),), 3)
+    assert seen == [on_line(charm.det_at, 3, [2, 3], [5, 7], FP)]
+    with pytest.raises(DegenerateLines):
+        focal_profile(charm, FP, _ScriptedRng([2, 3, 0, 1] * 16), lines=1)
+
+
+def test_pde_rows_take_the_gradient_off_the_pencil():
+    spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
+    pt, frame, fib, rng = pipeline(spec, 6, 137)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    nv, mu = charm.k + 1, 2
+    exps = _degree_monomials(nv, 2)
+
+    def mono(e, t):
+        out = 1
+        for ti, ei in zip(t, e):
+            out = out * pow(ti, ei, P) % P
+        return out
+
+    for _ in range(3):
+        t = [rng.field(P) for _ in range(nv)]
+        rows = []
+        _add_pde_rows(charm, mu, exps, t, FP, rows)
+        f = charm.det_at(t, FP)
+        want = []
+        for i in range(nv):
+            unit = [int(i == j) for j in range(nv)]
+            # ∂_i det M(t) is the s coefficient of det M(t + s·e_i)
+            line = on_line(charm.det_at, charm.r, t, unit, FP) + [0, 0]
+            assert line[0] == f
+            row = []
+            for e in exps:  # q·∂_i f − μ·f·∂_i q for q the monomial e
+                v = mono(e, t) * line[1]
+                if e[i]:
+                    low = list(e)
+                    low[i] -= 1
+                    v -= mu * f * e[i] * mono(low, t)
+                row.append(v % P)
+            want.append(row)
+        assert rows == want
+    rows = []
+    _add_pde_rows(charm, mu, exps, [0] * nv, FP, rows)  # M(0) is singular
+    assert rows == []
+
+
+def test_vanishing_focal_form_fails_extraction():
+    # det M ≡ 0: every draw has a singular M(t), so no PDE row exists
+    charm = CharMatrix([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], 1)
+    with pytest.raises(ExtractionFailed):
+        extract_reduced_power(charm, 1, 2, FP, Rng(139))
 
 
 def test_deformation_row_off_the_tangent_space_is_rejected():

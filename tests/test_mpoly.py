@@ -9,7 +9,6 @@ from gaussfocal.mpoly import (
     SparsePoly,
     _pf_cofactors,
     _pf_solver,
-    adjugate_ring,
     det_ring,
     line_zeros,
     on_line,
@@ -207,17 +206,58 @@ def test_bitmask_pfaffian_against_det_and_permutation_expansion(ring):
             assert _pf_cofactors(fresh, n, ring) == want
 
 
+def _minor(mat, i, j):
+    return [row[:j] + row[j + 1:] for k, row in enumerate(mat) if k != i]
+
+
+def _naive_det(mat, ring):
+    """Cofactor expansion along the first row, over any ring."""
+    if not mat:
+        return ring.one
+    acc = ring.zero
+    for j, v in enumerate(mat[0]):
+        term = ring.mul(v, _naive_det(_minor(mat, 0, j), ring))
+        acc = ring.add(acc, ring.neg(term) if j % 2 else term)
+    return acc
+
+
+@pytest.mark.parametrize("ring", [Fp(101), Fp((1 << 61) - 1),
+                                  DualFp((1 << 61) - 1),
+                                  Dual2Fp((1 << 61) - 1)],
+                         ids=lambda r: f"{type(r).__name__}-{r.p}")
+def test_det_ring_and_det_node_grad_match_cofactor_expansion(ring):
+    # det(A) and every ∂det/∂a_ij = (-1)^(i+j)·det(A without row i, col j)
+    rng = Rng(89)
+    for n in range(1, 7):
+        b = ProgramBuilder(n * n)
+        prog = b.build(b.det([[b.x(i * n + j) for j in range(n)]
+                              for i in range(n)]))
+        for _ in range(3):
+            # about a quarter of the entries are zero, so the expansion
+            # skips terms
+            flat = [ring.zero if rng.below(4) == 0
+                    else _random_element(ring, rng) for _ in range(n * n)]
+            mat = [flat[i * n:(i + 1) * n] for i in range(n)]
+            assert det_ring(mat, ring) == _naive_det(mat, ring)
+            want = []
+            for i in range(n):
+                for j in range(n):
+                    cof = _naive_det(_minor(mat, i, j), ring)
+                    want.append(ring.neg(cof) if (i + j) % 2 else cof)
+            assert prog.grad(flat, ring) == want
+
+
 def test_det_ring_over_dual_rings_lifts_the_field_determinant():
-    # det(A + εB) = det A + ε·tr(adj(A)·B), for every size and sign pattern
+    # det(A + εB) = det A + ε·Σ_ij (-1)^(i+j)·det(A_ij)·b_ij, for every
+    # size and sign pattern; the minors A_ij go through field elimination
     fp = Fp(10007)
     ring = DualFp(fp.p)
     rng = Rng(83)
     for n in range(1, 8):
         a = [[rng.field(fp.p) for _ in range(n)] for _ in range(n)]
         b = [[rng.field(fp.p) for _ in range(n)] for _ in range(n)]
-        adj = adjugate_ring(a, fp)
-        slope = sum(adj[j][i] * b[i][j] for i in range(n)
-                    for j in range(n)) % fp.p
+        slope = sum((-1) ** (i + j) * det_ring(_minor(a, i, j), fp) * b[i][j]
+                    for i in range(n) for j in range(n)) % fp.p
         mat = [[(u, s) for u, s in zip(ra, rb)] for ra, rb in zip(a, b)]
         assert det_ring(mat, ring) == (det_ring(a, fp), slope)
         flat = [[(u, s, 0, 0) for u, s in row] for row in mat]
