@@ -24,8 +24,12 @@ from pathlib import Path
 from time import perf_counter
 
 from .fieldcore import (
+    DegeneratePivot,
+    DuplicateAbscissa,
     Fp,
+    Infeasible,
     Rng,
+    ZeroInverse,
     derive_seed,
     is_probable_prime,
     mat_rank,
@@ -53,6 +57,7 @@ from .focal import (
 )
 from .gaussmap import (
     FiberVerificationFailed,
+    PointOffVariety,
     SingularSamplePoint,
     fiber_codim_data,
     gauss_fiber,
@@ -730,10 +735,10 @@ def _witness_battery(plan, fp, rng):
 # not get past, exit 2 for a violated invariant.
 _DEGENERACY = (RankDeficientSample, SingularSamplePoint, ChartFailed,
                DegenerateLines, DegenerateSurface, InconsistentDim,
-               CharTooSmall)
+               CharTooSmall, ZeroInverse, DegeneratePivot, DuplicateAbscissa)
 _VIOLATION = (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
               NonVanishingTransversalComponent, DeformationSpanMismatch,
-              NotDegenerate)
+              NotDegenerate, Infeasible, PointOffVariety)
 
 
 class _Where:

@@ -2,10 +2,12 @@
 
 Everything downstream works over F_p for a word-size prime p (default
 range [2^60, 2^62)), or over the dual extension F_p[eps]/(eps^2) used for
-exact first-order derivatives.  Field elements are plain Python integers
-in [0, p); dual elements are tuples of integers.  The ring objects below
-only hold the modulus and expose the operations, so vectors and matrices
-stay ordinary lists and the hot loops avoid per-element object overhead.
+exact first-order derivatives, or over F_p[d][e_1..e_m], which carries
+m second-order derivatives at once.  Field elements are plain Python
+integers in [0, p); dual elements are tuples of integers.  The ring
+objects below hold only the modulus and their constants and expose the
+operations, so vectors and matrices stay ordinary lists and the hot
+loops avoid per-element object overhead.
 
 Each ring also carries its own vector kernels, ``dot(u, v)`` and
 ``axpy(a, x, y)`` (a·x + y), which accumulate unreduced Python integers
@@ -22,6 +24,7 @@ nonzero unit part, and inputs whose rank drops on the unit parts raise
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import mul as _mul
 
 
@@ -231,76 +234,106 @@ class DualFp:
 
 
 class Dual2Fp:
-    """Second-order ring F_p[d, e]/(d^2, e^2) on flat 4-tuples.
+    """F_p[d][e_1..e_m]/(d^2, e_i·e_j) on flat tuples of length 2 + 2m.
 
-    Element (a, b, c, t) stands for a + b*d + c*e + t*d*e.  This is the
-    dual of the dual ring with both layers flattened; it carries the
-    derivative-of-a-deformed-quantity computations in the chart builder.
+    Element (a, b, c_1, t_1, ..., c_m, t_m) stands for
+    (a + b·d) + Σ_j (c_j + t_j·d)·e_j: a point of F_p[d] together with
+    m slopes over F_p[d].  Since every e_i·e_j vanishes, a product never
+    pairs two slopes, and one computation over this ring carries m
+    first-order deformations of an F_p[d] computation at once; the
+    gradient sweep over it gives m Hessian-vector products.  With the
+    default m = 1 it is F_p[d, e]/(d^2, e^2) on 4-tuples (a, b, c, t) =
+    a + b·d + c·e + t·d·e, the dual of the dual ring.  ``eps`` is e_1.
     """
 
-    __slots__ = ("p",)
-    zero = (0, 0, 0, 0)
-    one = (1, 0, 0, 0)
-    eps = (0, 0, 1, 0)  # the *new* (inner) infinitesimal e
+    __slots__ = ("p", "m", "zero", "one", "eps")
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, m: int = 1):
         self.p = p
+        self.m = m
+        self.zero = (0,) * (2 + 2 * m)
+        self.one = (1,) + self.zero[1:]
+        self.eps = self.zero[:2] + (1,) + self.zero[3:]
 
     def lift(self, a: int):
-        return (a % self.p, 0, 0, 0)
+        return (a % self.p,) + self.zero[1:]
 
     def add(self, a, b):
+        if a == self.zero:  # a gradient sweep's first visit to an entry
+            return b
         p = self.p
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p,
-                (a[2] + b[2]) % p, (a[3] + b[3]) % p)
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def mul(self, a, b):
+        # (A + Σ S_j e_j)(B + Σ T_j e_j) = AB + Σ (A·T_j + S_j·B) e_j over
+        # F_p[d], with A = a0 + a1·d, S_j = x + z·d, B = b0 + b1·d and
+        # T_j = y + w·d
+        if a == self.one:  # the root's adjoint
+            return b
         p = self.p
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (a0 * b0 % p,
-                (a0 * b1 + a1 * b0) % p,
-                (a0 * b2 + a2 * b0) % p,
-                (a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0) % p)
+        a0, a1, b0, b1 = a[0], a[1], b[0], b[1]
+        ia, ib = iter(a[2:]), iter(b[2:])
+        return (a0 * b0 % p, (a0 * b1 + a1 * b0) % p, *chain.from_iterable(
+            ((a0 * y + b0 * x) % p, (a0 * w + a1 * y + b0 * z + b1 * x) % p)
+            for x, z, y, w in zip(ia, ia, ib, ib)))
 
     def neg(self, a):
         p = self.p
-        return (-a[0] % p, -a[1] % p, -a[2] % p, -a[3] % p)
+        return tuple([-x % p for x in a])
 
     def inv(self, a):
-        if a[0] == 0:
+        # 1/(A + S) = 1/A − S/A² with 1/A = i − a1·i²·d and
+        # 1/A² = i² − 2·a1·i³·d, i = 1/a0
+        a0, a1 = a[0], a[1]
+        if a0 == 0:
             raise ZeroInverse("non-unit element")
         p = self.p
-        a0, a1, a2, a3 = a
         i = pow(a0, -1, p)
         i2 = i * i % p
-        return (i, -i2 * a1 % p, -i2 * a2 % p,
-                (2 * a1 * a2 % p * i - a3) % p * i2 % p)
+        j1 = 2 * a1 * i2 % p * i % p
+        it = iter(a[2:])
+        return (i, -i2 * a1 % p, *chain.from_iterable(
+            (-i2 * x % p, (j1 * x - i2 * z) % p) for x, z in zip(it, it)))
 
     def is_zero(self, a) -> bool:
-        return a == (0, 0, 0, 0)
+        return a == self.zero
 
     def is_unit(self, a) -> bool:
         return a[0] != 0
 
     def dot(self, u, v):
-        s0 = s1 = s2 = s3 = 0
-        for (a0, a1, a2, a3), (b0, b1, b2, b3) in zip(u, v):
+        # slope slot k of a·b is a0·b[k] + b0·a[k], plus, in the d-part of
+        # slope j, a1·c_j(b) + b1·c_j(a), which ``cross`` gathers
+        s0 = s1 = 0
+        slope = [0] * (2 * self.m)
+        cross = [0] * self.m
+        for a, b in zip(u, v):
+            a0, a1, b0, b1 = a[0], a[1], b[0], b[1]
             s0 += a0 * b0
             s1 += a0 * b1 + a1 * b0
-            s2 += a0 * b2 + a2 * b0
-            s3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+            slope = [s + a0 * y + b0 * x
+                     for s, x, y in zip(slope, a[2:], b[2:])]
+            cross = [s + a1 * y + b1 * x
+                     for s, x, y in zip(cross, a[2::2], b[2::2])]
         p = self.p
-        return (s0 % p, s1 % p, s2 % p, s3 % p)
+        return (s0 % p, s1 % p, *chain.from_iterable(
+            (c % p, (t + s) % p)
+            for c, t, s in zip(slope[0::2], slope[1::2], cross)))
 
     def axpy(self, a, x, y):
         p = self.p
-        a0, a1, a2, a3 = a
-        return [((a0 * s0 + t0) % p,
-                 (a0 * s1 + a1 * s0 + t1) % p,
-                 (a0 * s2 + a2 * s0 + t2) % p,
-                 (a0 * s3 + a1 * s2 + a2 * s1 + a3 * s0 + t3) % p)
-                for (s0, s1, s2, s3), (t0, t1, t2, t3) in zip(x, y)]
+        a0, a1 = a[0], a[1]
+        out = []
+        for s, t in zip(x, y):
+            s0, s1 = s[0], s[1]
+            ia, i_s, it = iter(a[2:]), iter(s[2:]), iter(t[2:])
+            tail = chain.from_iterable(
+                ((a0 * q + s0 * c + tc) % p,
+                 (a0 * r + a1 * q + s0 * e + s1 * c + tt) % p)
+                for c, e, q, r, tc, tt in zip(ia, ia, i_s, i_s, it, it))
+            out.append(((a0 * s0 + t[0]) % p,
+                        (a0 * s1 + a1 * s0 + t[1]) % p, *tail))
+        return out
 
 
 def dual_over(ring):

@@ -29,6 +29,10 @@ class FiberVerificationFailed(RuntimeError):
     """A computed fibre failed one of its a-posteriori checks."""
 
 
+class PointOffVariety(ValueError):
+    """A generator does not vanish where a tangent frame is asked for."""
+
+
 class TangentFrame:
     """A smooth point together with a transversal generating subset.
 
@@ -59,7 +63,7 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
         raise ValueError("expected dimension must be below the ambient one")
     for g in spec.generators:
         if not fp.is_zero(g.eval(coords, fp)):
-            raise ValueError(f"{spec.name}: point is not on the variety")
+            raise PointOffVariety(f"{spec.name}: point is not on the variety")
     grads = [g.grad(coords, fp) for g in spec.generators]
     # pivot columns of the transpose: the first gradients, in generator
     # order, that are independent of the ones before them
@@ -95,7 +99,7 @@ def fiber_system(gens, x, tangent, ring):
     rows = []
     m = len(tangent)
     for g in gens:
-        images = [g.hess_vec(x, t, ring) for t in tangent]
+        images = g.hess_vec(x, tangent, ring)
         # t_a·H t_b = t_b·H t_a (H is a Hessian): each pair is one dot
         block = [[None] * m for _ in range(m)]
         for a, t in enumerate(tangent):

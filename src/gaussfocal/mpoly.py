@@ -6,10 +6,14 @@ symbolic expansion is avoided everywhere it would blow up; instead a
 nodes, plus determinant and Pfaffian nodes) that can be *evaluated* over
 any coefficient ring from ``fieldcore`` -- the prime field, or a dual
 extension when derivatives are needed.  Gradients run as a single
-reverse sweep over the DAG; Hessian-times-vector products evaluate the
-gradient over the dual extension and read off the slope.  Determinant
-and Pfaffian nodes expand division-free over bitmask-memoized minors
-and sub-Pfaffians, which also give the cofactors the sweep needs.
+reverse sweep over the DAG.  Hessian-vector products evaluate the
+gradient over a dual extension and read off the slopes: over F_p[d],
+one sweep over F_p[d][e_1..e_m] gives the products with m vectors at
+once, each vector seeded along its own e_j (vector forward mode over
+reverse mode); over F_p each vector takes one sweep over F_p[e].
+Determinant and Pfaffian nodes expand division-free over
+bitmask-memoized minors and sub-Pfaffians, which also give the
+cofactors the sweep needs.
 
 ``SparsePoly`` is the explicit dict-of-monomials form, used only where
 coefficients themselves are the object of interest (recovered divisors,
@@ -23,7 +27,9 @@ as roots on random lines.
 
 from __future__ import annotations
 
-from .fieldcore import Fp, dual_over, lagrange_interpolate
+from itertools import chain
+
+from .fieldcore import Dual2Fp, DualFp, Fp, lagrange_interpolate
 
 
 class CharTooSmall(ArithmeticError):
@@ -289,19 +295,24 @@ class PolyProgram:
                     adj[t] = add(adj[t], mul(a, cof))
         return out
 
-    def hess_vec(self, x, v, ring):
-        """Hessian-vector product H(x) v, exact over F_p or a dual ring.
+    def hess_vec(self, x, vs, ring):
+        """Hessian-vector products [H(x)·v for v in vs], exact over F_p
+        or over F_p[d].
 
-        The gradient is taken at x + e·v over the dual extension, whose
-        elements are (unit, slope) pairs over ``ring`` written flat: the
-        point is (x_i, v_i) over F_p and the 4-tuple x_i + v_i over
-        F_p[d], and the slope is the tail of each gradient entry.
+        Over F_p each product is the slope of the gradient over F_p[e]
+        at x + e·v.  Over F_p[d] one gradient sweep over F_p[d][e_1..e_m]
+        at x + Σ_j v_j·e_j gives them all: H(x)·v_j is the e_j slope,
+        slots 2j and 2j + 1, of each gradient entry.
         """
-        dring = dual_over(ring)
         if isinstance(ring, Fp):
-            return [gi[1] for gi in self.grad(list(zip(x, v)), dring)]
-        pt = [xi + vi for xi, vi in zip(x, v)]
-        return [gi[2:] for gi in self.grad(pt, dring)]
+            dring = DualFp(ring.p)
+            return [[gi[1] for gi in self.grad(list(zip(x, v)), dring)]
+                    for v in vs]
+        pt = [xi + tuple(chain.from_iterable(v[i] for v in vs))
+              for i, xi in enumerate(x)]
+        grad = self.grad(pt, Dual2Fp(ring.p, len(vs)))
+        return [[gi[s:s + 2] for gi in grad]
+                for s in range(2, 2 + 2 * len(vs), 2)]
 
 
 def _ring_pow(v, e, ring):

@@ -27,8 +27,17 @@ from gaussfocal.cli import (
     run_experiment,
     sweep_labels,
 )
-from gaussfocal.fieldcore import Fp, Rng, is_probable_prime
+from gaussfocal.fieldcore import (
+    DegeneratePivot,
+    DuplicateAbscissa,
+    Fp,
+    Infeasible,
+    Rng,
+    ZeroInverse,
+    is_probable_prime,
+)
 from gaussfocal.focal import FamilyChart, hyperband_chart
+from gaussfocal.gaussmap import PointOffVariety
 from gaussfocal.varieties import HyperbandFamily, rank_locus_generators
 
 P = (1 << 61) - 1
@@ -406,6 +415,29 @@ def test_invariant_violation_names_experiment_prime_trial_and_stage(
         assert f"prime {P}" in err
         assert "trial 0" in err
         assert "stage containment" in err
+
+
+@pytest.mark.parametrize("target, error, code, stage", [
+    ("tangent_space", PointOffVariety, 2, "fibre"),
+    ("fiber_family_chart", DegeneratePivot, 3, "chart"),
+    ("characteristic_matrix", Infeasible, 2, "characteristic matrix"),
+    ("focal_report", ZeroInverse, 3, "profile and extraction"),
+    ("focal_report", DuplicateAbscissa, 3, "profile and extraction"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_library_errors_exit_with_code_and_place(target, error, code, stage,
+                                                 monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(f"gaussfocal.cli.{target}", fail)
+    rc = main(["run", "severi-2", "--trials", "1", "--prime", str(P)])
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    kind = "degeneracy" if code == 3 else "invariant violation"
+    assert captured.err == (f"{kind}: injected (experiment severi-2, "
+                            f"prime {P}, trial 0, stage {stage})\n")
+    assert "Traceback" not in captured.err
 
 
 def test_expectation_mismatch_exits_2(monkeypatch, capsys):

@@ -212,7 +212,13 @@ def test_dual2_matches_nested_dual():
 # --- ring vector kernels -----------------------------------------------------
 
 KERNEL_RINGS = [cls(p) for cls in (Fp, DualFp, Dual2Fp)
-                for p in ((1 << 61) - 1, 101)]
+                for p in ((1 << 61) - 1, 101)] + \
+    [Dual2Fp(p, 3) for p in ((1 << 61) - 1, 101)]
+
+
+def _ring_id(ring):
+    m = getattr(ring, "m", 1)
+    return f"{type(ring).__name__}-{ring.p}" + (f"-m{m}" if m != 1 else "")
 
 
 def _ring_elements(ring):
@@ -224,8 +230,7 @@ def _ring_elements(ring):
     return st.tuples(*[residue] * len(ring.zero))
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS,
-                         ids=lambda r: f"{type(r).__name__}-{r.p}")
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=_ring_id)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ring_kernels_match_elementwise_fold(ring, data):
@@ -243,6 +248,48 @@ def test_ring_kernels_match_elementwise_fold(ring, data):
                                   for s, t in zip(u, w)]
     assert ring.axpy(top, [top] * n, [top] * n) == \
         [ring.add(ring.mul(top, top), top)] * n
+
+
+def _slope(x, j):
+    """The image of x under F_p[d][e_1..e_m] -> F_p[d][e] that sends e_j
+    to e and every other e_i to 0: the unit part and slope j."""
+    return x[:2] + x[2 + 2 * j:4 + 2 * j]
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("p", [(1 << 61) - 1, 101])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual2_slopes_project_onto_dual2(p, m, data):
+    ring, one_slope = Dual2Fp(p, m), Dual2Fp(p)
+    assert len(ring.zero) == 2 + 2 * m
+    assert ring.eps == _slope(ring.eps, 0) + (0,) * (2 * m - 2)
+    elem = _ring_elements(ring)
+    n = data.draw(st.integers(0, 5), label="n")
+    vec = st.lists(elem, min_size=n, max_size=n)
+    a, b = data.draw(elem, "a"), data.draw(elem, "b")
+    u, v = data.draw(vec, "u"), data.draw(vec, "v")
+    top = (p - 1,) * (2 + 2 * m)
+    for j in range(m):
+        pr = lambda x: _slope(x, j)
+        prs = lambda xs: [pr(x) for x in xs]
+        assert pr(ring.mul(a, b)) == one_slope.mul(pr(a), pr(b))
+        assert pr(ring.add(a, b)) == one_slope.add(pr(a), pr(b))
+        assert pr(ring.neg(a)) == one_slope.neg(pr(a))
+        assert pr(ring.lift(b[0])) == one_slope.lift(b[0])
+        for x, y in ((u, v), ([top] * n, [top] * n)):
+            assert pr(ring.dot(x, y)) == one_slope.dot(prs(x), prs(y))
+            assert prs(ring.axpy(a, x, y)) == one_slope.axpy(pr(a), prs(x),
+                                                             prs(y))
+    # e_i·e_j = 0: a product of two pure slopes vanishes
+    pure = ring.zero[:2] + a[2:]
+    assert ring.mul(pure, ring.zero[:2] + b[2:]) == ring.zero
+    if ring.is_unit(a):
+        assert ring.mul(a, ring.inv(a)) == ring.one
+        assert ring.mul(ring.inv(a), a) == ring.one
+    else:
+        with pytest.raises(ZeroInverse):
+            ring.inv(a)
 
 
 # --- interpolation ----------------------------------------------------------

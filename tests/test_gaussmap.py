@@ -3,10 +3,11 @@ constant."""
 
 import pytest
 
-from gaussfocal.fieldcore import Fp, Rng, mat_rank
+from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng, mat_rank
 from gaussfocal.gaussmap import (
     SingularSamplePoint,
     fiber_codim_data,
+    fiber_system,
     gauss_fiber,
     tangent_space,
 )
@@ -152,3 +153,24 @@ def test_fiber_reproducible_across_points_and_primes():
             fib = gauss_fiber(spec, frame, fp, rng)
             seen.add((fib.k, fib.r))
     assert seen == {(3, 4)}
+
+
+def test_fiber_system_over_dual_ring_matches_per_vector_images():
+    # each image H(x)·t on its own: the gradient over F_p[d, e] at the
+    # 4-tuples x_i + t_i = x_i + t_i·e, sliced to its e-slope; then every
+    # entry t_a·H·t_b, both triangles, as a plain dot
+    ring, flat = DualFp(P), Dual2Fp(P)
+    rng = Rng(97)
+    gens = (rank_locus_spec(MatrixShape.skew(8), 6).generators[:2]
+            + rank_locus_spec(MatrixShape.skew(8), 4).generators[:1])
+    arity = gens[0].arity
+    elem = lambda: (rng.field(P), rng.field(P))
+    x = [elem() for _ in range(arity)]
+    tangent = [[elem() for _ in range(arity)] for _ in range(5)]
+    want = []
+    for g in gens:
+        images = [[gi[2:] for gi in g.grad([xi + ti for xi, ti in zip(x, t)],
+                                           flat)]
+                  for t in tangent]
+        want += [[ring.dot(ta, img) for img in images] for ta in tangent]
+    assert fiber_system(gens, x, tangent, ring) == want

@@ -371,7 +371,7 @@ def test_grad_works_over_dual_ring():
 def test_hess_vec():
     prog = sym2x2_det()
     # Hessian of x0*x2 - x1^2 is constant [[0,0,1],[0,-2,0],[1,0,0]]
-    hv = prog.hess_vec([3, 1, 4], [1, 1, 1], F7)
+    hv = prog.hess_vec([3, 1, 4], [[1, 1, 1]], F7)[0]
     assert hv == [1, (-2) % 7, 1]
 
 
@@ -392,18 +392,56 @@ def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
                         dring.mul(dring.eps, _dual_embed(ring, vi)))
               for xi, vi in zip(x, v)]
         want = [_dual_slope(ring, gi) for gi in gen.grad(pt, dring)]
-        got = gen.hess_vec(x, v, ring)
+        got = gen.hess_vec(x, [v], ring)[0]
         assert got == want
         # unit parts: the Hessian at the unit point, over F_p
         fp = Fp(p)
         assert [u for u, _ in got] == gen.hess_vec(
-            [u for u, _ in x], [u for u, _ in v], fp)
+            [u for u, _ in x], [[u for u, _ in v]], fp)[0]
 
 
 def test_hess_vec_linear_is_zero():
     b = ProgramBuilder(2)
     prog = b.build(b.x(0) + b.c(3) * b.x(1))
-    assert prog.hess_vec([1, 2], [3, 4], F7) == [0, 0]
+    assert prog.hess_vec([1, 2], [[3, 4]], F7)[0] == [0, 0]
+
+
+def _hess_vec_oracle(prog, x, v, ring):
+    """H(x)·v over F_p[d], one vector at a time: the gradient over
+    F_p[d, e] at x + e·v, built the long way (lift, scale by e, add) and
+    sliced to its e-slope."""
+    dring = Dual2Fp(ring.p)
+    pt = [dring.add(_dual_embed(ring, xi),
+                    dring.mul(dring.eps, _dual_embed(ring, vi)))
+          for xi, vi in zip(x, v)]
+    return [_dual_slope(ring, gi) for gi in prog.grad(pt, dring)]
+
+
+def _pow_mul_program():
+    """A compiled sparse quartic whose terms need pow and mul nodes."""
+    poly = SparsePoly(3, {(3, 1, 0): 2, (0, 2, 2): 5, (1, 1, 2): 7,
+                          (0, 0, 4): 1, (2, 0, 2): 3})
+    prog = poly.compile()
+    kinds = {node[0] for node in prog.nodes}
+    assert {"pow", "mul"} <= kinds
+    return prog
+
+
+@pytest.mark.parametrize("prog", [
+    rank_locus_spec(MatrixShape.skew(8), 6).generators[0],
+    rank_locus_spec(MatrixShape.generic(3, 4), 2).generators[0],
+    _pow_mul_program(),
+], ids=["pfaffian-skew8", "det-generic3x4", "sparse-pow-mul"])
+def test_batched_hess_vec_matches_per_vector_oracle(prog):
+    p = (1 << 61) - 1
+    ring = DualFp(p)
+    rng = Rng(83)
+    for count in (1, prog.arity):
+        x = [_random_element(ring, rng) for _ in range(prog.arity)]
+        vs = [[_random_element(ring, rng) for _ in range(prog.arity)]
+              for _ in range(count)]
+        got = prog.hess_vec(x, vs, ring)
+        assert got == [_hess_vec_oracle(prog, x, v, ring) for v in vs]
 
 
 # --- line restriction --------------------------------------------------------
