@@ -42,6 +42,7 @@ from .focal import (
     ContainmentFailed,
     DeformationSpanMismatch,
     DegenerateLines,
+    DependentFamilyBasis,
     FocalReport,
     NonVanishingTransversalComponent,
     NotDegenerate,
@@ -57,6 +58,7 @@ from .focal import (
 )
 from .gaussmap import (
     FiberVerificationFailed,
+    NoCodimension,
     PointOffVariety,
     SingularSamplePoint,
     fiber_codim_data,
@@ -738,7 +740,8 @@ _DEGENERACY = (RankDeficientSample, SingularSamplePoint, ChartFailed,
                CharTooSmall, ZeroInverse, DegeneratePivot, DuplicateAbscissa)
 _VIOLATION = (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
               NonVanishingTransversalComponent, DeformationSpanMismatch,
-              NotDegenerate, Infeasible, PointOffVariety)
+              NotDegenerate, Infeasible, PointOffVariety, NoCodimension,
+              DependentFamilyBasis)
 
 
 class _Where:

@@ -360,8 +360,9 @@ def rref(mat, ring, pivot_cols=None):
     """Reduced row echelon form with unit pivots.
 
     Returns ``(rows, pivots)``.  With ``pivot_cols`` the reduction is
-    forced to use exactly those columns in order (used to align a dual
-    matrix with the echelon form of its unit part).  Raises
+    forced to use exactly those columns in order; the tangent step of a
+    first-order fibre uses it to align the Jacobian over F_p[ε] with the
+    echelon form of its unit part, the center Jacobian.  Raises
     ``DegeneratePivot`` when a non-field ring leaves a nonzero row that
     no unit pivot can clear.
     """

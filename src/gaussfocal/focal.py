@@ -75,6 +75,10 @@ class DeformationSpanMismatch(RuntimeError):
     """The deformations do not span exactly r normal directions."""
 
 
+class DependentFamilyBasis(ValueError):
+    """The rows meant to span the center space Λ are linearly dependent."""
+
+
 class DegenerateLines(RuntimeError):
     """Line sampling kept hitting degree drops in the focal form."""
 
@@ -110,24 +114,44 @@ class FamilyChart:
 def _first_order_fiber(fiber, w, dring, fp):
     """B matrix of the fibre at x + εw, aligned with the center fibre.
 
-    Re-runs the tangent and second-fundamental-form eliminations over the
-    dual ring with the center's pivot columns imposed, so the unit parts
-    reproduce the center basis exactly and the slopes are the deformation.
+    The tangent basis at x + εw comes from the Jacobian's elimination
+    over the dual ring with the center's pivot columns imposed, so its
+    unit part T₀ is the center tangent basis and its slope T₁ the
+    deformation.  The fibre system over the dual ring is S₀ + ε·S₁ with
+    S₀ the center system (else ``DegeneratePivot``).  Each center kernel
+    vector k₀ lifts to k₀ + ε·c₁ with c₁ supported on the center pivots
+    P: S₀·c₁ = −S₁·k₀, solved on the rows Q with the kept S₀[Q, P]⁻¹.
+    That is the canonical kernel vector of the dual system.  It must
+    solve every row, or the first-order system is not flat and there is
+    no lift (``DegeneratePivot``).  The B row is the ε part of
+    (k₀ + ε·c₁)·(T₀ + ε·T₁) = k₀·T₁ + c₁·T₀.
     """
     frame = fiber.frame
+    p, m = fp.p, len(frame.tangent)
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
     rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
     tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
     sys_rows = fiber_system(frame.gens, x_eps, tangent_eps, dring)
-    srows, spiv = rref(sys_rows, dring, pivot_cols=fiber.sys_pivots)
-    ckernel = kernel_basis(srows, spiv, len(tangent_eps), dring)
+    if [[u for u, _ in row] for row in sys_rows] != fiber.system:
+        raise DegeneratePivot("first-order fibre system drifted off its "
+                              "center")
+    s1 = [[s for _, s in row] for row in sys_rows]
+    # against c₁ ++ k₀, [S₀ | S₁] gives S₀·c₁ + S₁·k₀ one dot per row,
+    # and [T₀; T₁] gives c₁·T₀ + k₀·T₁
+    joint = [s0 + row for s0, row in zip(fiber.system, s1)]
+    stacked = frame.tangent + [[s for _, s in row] for row in tangent_eps]
     bmat = []
-    for coeffs, center_row in zip(ckernel, fiber.basis):
-        dual_row = vecmat(coeffs, tangent_eps, dring)
-        if [u for u, _ in dual_row] != center_row:
-            raise DegeneratePivot("first-order fibre drifted off its center")
-        bmat.append([s for _, s in dual_row])
+    for k0 in fiber.coeff_kernel:
+        y = [fp.dot(s1[i], k0) for i in fiber.sys_rows]
+        c1 = [0] * m
+        for c, inv_row in zip(fiber.sys_pivots, fiber.sys_inverse):
+            c1[c] = -fp.dot(inv_row, y) % p
+        lifted = c1 + k0
+        if any(fp.dot(row, lifted) for row in joint):
+            raise DegeneratePivot("first-order fibre system is not flat: "
+                                  "no lift of a center kernel vector")
+        bmat.append(vecmat(lifted, stacked, fp))
     return bmat
 
 
@@ -206,7 +230,7 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     p, k1, r = fp.p, chart.k + 1, chart.r
     arr, apiv = rref(chart.basis, fp)
     if len(apiv) != k1:
-        raise ValueError("family basis rows are dependent")
+        raise DependentFamilyBasis("family basis rows are dependent")
     free = [c for c in range(len(chart.basis[0])) if c not in set(apiv)]
 
     def reduced(row):

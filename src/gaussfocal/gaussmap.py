@@ -33,6 +33,10 @@ class PointOffVariety(ValueError):
     """A generator does not vanish where a tangent frame is asked for."""
 
 
+class NoCodimension(ValueError):
+    """The expected dimension is not below the ambient one."""
+
+
 class TangentFrame:
     """A smooth point together with a transversal generating subset.
 
@@ -60,7 +64,8 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     Jacobian rank of the generators is not ``ambient_dim - expected_dim``."""
     codim = spec.ambient_dim - expected_dim
     if codim <= 0:
-        raise ValueError("expected dimension must be below the ambient one")
+        raise NoCodimension("expected dimension must be below the ambient "
+                            "one")
     for g in spec.generators:
         if not fp.is_zero(g.eval(coords, fp)):
             raise PointOffVariety(f"{spec.name}: point is not on the variety")
@@ -80,31 +85,56 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
 
 class GaussFiber:
     """Linear fibre through ``frame.x``: basis rows span it, ``k`` is its
-    projective dimension and ``r = n - k`` the tangent-map rank."""
+    projective dimension and ``r = n - k`` the tangent-map rank.
 
-    __slots__ = ("frame", "basis", "k", "r", "sys_pivots")
+    It also keeps what the first-order fibres of a chart reuse: the
+    center fibre system ``system`` (S₀, over F_p), the pivot columns P
+    of its RREF (``sys_pivots``), its canonical coefficient kernel
+    ``coeff_kernel`` (K₀, with ``basis = K₀·tangent``), and the rows Q
+    of S₀ that are independent on P (``sys_rows``) together with the
+    inverse of S₀[Q, P] (``sys_inverse``), so that S₀·c = y with c
+    supported on P solves as c[P] = S₀[Q, P]⁻¹·y[Q].
+    """
 
-    def __init__(self, frame, basis, k, r, sys_pivots):
+    __slots__ = ("frame", "basis", "k", "r", "system", "sys_pivots",
+                 "coeff_kernel", "sys_rows", "sys_inverse")
+
+    def __init__(self, frame, basis, k, r, system, sys_pivots, coeff_kernel,
+                 sys_rows, sys_inverse):
         self.frame = frame
         self.basis = basis
         self.k = k
         self.r = r
+        self.system = system
         self.sys_pivots = sys_pivots
+        self.coeff_kernel = coeff_kernel
+        self.sys_rows = sys_rows
+        self.sys_inverse = sys_inverse
 
 
 def fiber_system(gens, x, tangent, ring):
     """Rows of the bilinear system cutting the fibre out of the tangent
     space at x: one row per (generator, tangent direction) pair, in the
-    coordinates of the tangent basis, over F_p or a dual ring."""
+    coordinates of the tangent basis, over F_p or a dual ring.
+
+    Each entry t_a·(H·t_b) is a dot over the support of t_a only, gathered
+    once per tangent vector: a canonical kernel-basis vector is nonzero
+    only at its free column and the codim pivot columns.
+    """
     rows = []
     m = len(tangent)
+    is_zero, rdot = ring.is_zero, ring.dot
+    supports = [[i for i, v in enumerate(t) if not is_zero(v)]
+                for t in tangent]
+    values = [[t[i] for i in s] for t, s in zip(tangent, supports)]
     for g in gens:
         images = g.hess_vec(x, tangent, ring)
         # t_a·H t_b = t_b·H t_a (H is a Hessian): each pair is one dot
         block = [[None] * m for _ in range(m)]
-        for a, t in enumerate(tangent):
+        for a, (s, v) in enumerate(zip(supports, values)):
             for b in range(a, m):
-                block[a][b] = block[b][a] = dot(t, images[b], ring)
+                img = images[b]
+                block[a][b] = block[b][a] = rdot(v, [img[i] for i in s])
         rows += block
     return rows
 
@@ -118,13 +148,22 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     """
     tan = frame.tangent
     m = len(tan)
-    rows, sys_pivots = rref(fiber_system(frame.gens, frame.x, tan, fp), fp)
+    system = fiber_system(frame.gens, frame.x, tan, fp)
+    rows, sys_pivots = rref(system, fp)
     coeff_kernel = kernel_basis(rows, sys_pivots, m, fp)
     basis = [vecmat(c, tan, fp) for c in coeff_kernel]
     if not basis:
         raise FiberVerificationFailed("fibre lost the base point itself")
+    # one elimination of [S₀[:, P]ᵀ | I]: its pivots are the first rows Q
+    # of S₀ independent on P, and its right block E is S₀[Q, P]⁻ᵀ
+    rho, nrows = len(sys_pivots), len(system)
+    ext, sys_rows = rref([[row[c] for row in system]
+                          + [int(i == j) for j in range(rho)]
+                          for i, c in enumerate(sys_pivots)], fp)
+    sys_inverse = [list(col) for col in zip(*(row[nrows:] for row in ext))]
     k = len(basis) - 1
-    fiber = GaussFiber(frame, basis, k, frame.n - k, sys_pivots)
+    fiber = GaussFiber(frame, basis, k, frame.n - k, system, sys_pivots,
+                       coeff_kernel, sys_rows, sys_inverse)
     _verify_fiber(fiber, fp, rng, spec.generators)
     return fiber
 

@@ -36,8 +36,8 @@ from gaussfocal.fieldcore import (
     ZeroInverse,
     is_probable_prime,
 )
-from gaussfocal.focal import FamilyChart, hyperband_chart
-from gaussfocal.gaussmap import PointOffVariety
+from gaussfocal.focal import DependentFamilyBasis, FamilyChart, hyperband_chart
+from gaussfocal.gaussmap import NoCodimension, PointOffVariety
 from gaussfocal.varieties import HyperbandFamily, rank_locus_generators
 
 P = (1 << 61) - 1
@@ -419,6 +419,9 @@ def test_invariant_violation_names_experiment_prime_trial_and_stage(
 
 @pytest.mark.parametrize("target, error, code, stage", [
     ("tangent_space", PointOffVariety, 2, "fibre"),
+    ("tangent_space", NoCodimension, 2, "fibre"),
+    ("characteristic_matrix", DependentFamilyBasis, 2,
+     "characteristic matrix"),
     ("fiber_family_chart", DegeneratePivot, 3, "chart"),
     ("characteristic_matrix", Infeasible, 2, "characteristic matrix"),
     ("focal_report", ZeroInverse, 3, "profile and extraction"),

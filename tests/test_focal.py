@@ -6,11 +6,17 @@ from itertools import product
 import pytest
 
 from gaussfocal.fieldcore import (
+    DegeneratePivot,
+    DualFp,
     Fp,
     Rng,
     dot,
+    kernel_basis,
     lagrange_interpolate,
     mat_rank,
+    random_combination,
+    rank_and_kernel,
+    rref,
     solve_affine,
     vecmat,
 )
@@ -19,6 +25,7 @@ from gaussfocal.focal import (
     ContainmentFailed,
     DegenerateLines,
     DeformationSpanMismatch,
+    DependentFamilyBasis,
     ExtractionFailed,
     FamilyChart,
     FocalReport,
@@ -28,6 +35,7 @@ from gaussfocal.focal import (
     _add_pde_rows,
     _degree_monomials,
     _extract_interpolation,
+    _first_order_fiber,
     _normalized_root_values,
     _proportional,
     _simplex_nodes,
@@ -45,7 +53,14 @@ from gaussfocal.focal import (
     quadric_rank,
     sing_containment,
 )
-from gaussfocal.gaussmap import fiber_codim_data, gauss_fiber, tangent_space
+from gaussfocal.gaussmap import (
+    FiberVerificationFailed,
+    SingularSamplePoint,
+    fiber_codim_data,
+    fiber_system,
+    gauss_fiber,
+    tangent_space,
+)
 from gaussfocal.mpoly import (
     ProgramBuilder,
     SparsePoly,
@@ -61,6 +76,7 @@ from gaussfocal.mpoly import (
 )
 from gaussfocal.varieties import (
     MatrixShape,
+    RankDeficientSample,
     VarietySpec,
     WitnessPoint,
     hyperband_family,
@@ -128,6 +144,165 @@ def test_chart_rejects_point_fibers():
     assert fib.k == 0
     with pytest.raises(NotDegenerate):
         fiber_family_chart(fib, FP, rng)
+
+
+def _dual_tangent(fiber, w, dring):
+    """x + εw and the tangent basis there, the center's pivots imposed."""
+    frame = fiber.frame
+    x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
+    jac = [g.grad(x_eps, dring) for g in frame.gens]
+    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
+    return x_eps, kernel_basis(rows, piv, len(frame.x), dring)
+
+
+def _dense_system(gens, x, tangent, ring):
+    """Every t_a·(H·t_b), both triangles, as dots over all coordinates."""
+    rows = []
+    for g in gens:
+        images = g.hess_vec(x, tangent, ring)
+        rows += [[ring.dot(ta, img) for img in images] for ta in tangent]
+    return rows
+
+
+def _first_order_by_dual_rref(fiber, tangent_eps, sys_rows, dring):
+    """Oracle: the whole fibre system reduced over the dual ring with the
+    center's pivot columns imposed, its canonical kernel, and the slopes
+    of the kernel vectors in the dual tangent basis."""
+    srows, spiv = rref(sys_rows, dring, pivot_cols=fiber.sys_pivots)
+    ckernel = kernel_basis(srows, spiv, len(tangent_eps), dring)
+    bmat = []
+    for coeffs, center_row in zip(ckernel, fiber.basis):
+        dual_row = vecmat(coeffs, tangent_eps, dring)
+        assert [u for u, _ in dual_row] == center_row
+        bmat.append([s for _, s in dual_row])
+    return bmat
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneratePivot:
+        return DegeneratePivot
+
+
+@pytest.mark.parametrize("p", [P, 101])
+@pytest.mark.parametrize("shape,rb,dim", [
+    (MatrixShape.symmetric(3), 2, 4),
+    (MatrixShape.skew(8), 6, 26),     # Pfaffian nodes
+    (MatrixShape.generic(3, 4), 2, 9),  # det nodes
+])
+def test_first_order_fiber_matches_dual_rref_oracle(shape, rb, dim, p):
+    fp, dring = Fp(p), DualFp(p)
+    spec = rank_locus_spec(shape, rb)
+    compared = 0
+    for seed in range(6):
+        rng = Rng(seed)
+        try:
+            pt = spec.sampler(rng, fp)
+            frame = tangent_space(spec, pt.coords, fp, expected_dim=dim)
+            fib = gauss_fiber(spec, frame, fp, rng)
+        except (RankDeficientSample, SingularSamplePoint,
+                FiberVerificationFailed):
+            continue
+        for _ in range(3):
+            w = random_combination(frame.tangent, fp, rng)
+            x_eps, tangent_eps = _dual_tangent(fib, w, dring)
+            sys_rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
+            want = _outcome(_first_order_by_dual_rref, fib, tangent_eps,
+                            sys_rows, dring)
+            assert _outcome(_first_order_fiber, fib, w, dring, fp) == want
+            compared += want is not DegeneratePivot
+    assert compared >= 9
+
+
+def _scripted_system(monkeypatch, fib, w, dring, edit):
+    """Make the fibre system at x + εw, changed by ``edit``, the next one
+    that ``_first_order_fiber`` gets; returns it and the dual tangent."""
+    x_eps, tangent_eps = _dual_tangent(fib, w, dring)
+    rows = [list(row) for row in
+            _dense_system(fib.frame.gens, x_eps, tangent_eps, dring)]
+    edit(rows)
+    monkeypatch.setattr("gaussfocal.focal.fiber_system",
+                        lambda gens, x, tangent, ring: rows)
+    return rows, tangent_eps
+
+
+def _sym3_fiber(seed):
+    spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
+    return pipeline(spec, 4, seed)
+
+
+def test_first_order_unit_part_off_the_center_system_is_rejected(monkeypatch):
+    pt, frame, fib, rng = _sym3_fiber(141)
+    dring = DualFp(P)
+    w = random_combination(frame.tangent, FP, rng)
+
+    def bump_unit(rows):
+        u, s = rows[0][0]
+        rows[0][0] = ((u + 1) % P, s)
+
+    _scripted_system(monkeypatch, fib, w, dring, bump_unit)
+    with pytest.raises(DegeneratePivot):
+        _first_order_fiber(fib, w, dring, FP)
+
+
+def _non_flat_bump(fib):
+    """A row i and a free column f such that adding ε at (i, f) puts
+    S₁·k₀ outside the column span of S₀ for the kernel vector k₀ that
+    is 1 at f: e_i pairs nonzero with a left-kernel vector of S₀."""
+    _, left = rank_and_kernel([list(col) for col in zip(*fib.system)], FP)
+    i = next(i for i, v in enumerate(left[0]) if v)
+    f = next(c for c in range(len(fib.frame.tangent))
+             if c not in fib.sys_pivots)
+    return i, f
+
+
+def test_non_flat_first_order_system_is_rejected(monkeypatch):
+    pt, frame, fib, rng = _sym3_fiber(143)
+    dring = DualFp(P)
+    w = random_combination(frame.tangent, FP, rng)
+    i, f = _non_flat_bump(fib)
+
+    def bump_slope(rows):
+        u, s = rows[i][f]
+        rows[i][f] = (u, (s + 1) % P)
+
+    rows, tangent_eps = _scripted_system(monkeypatch, fib, w, dring,
+                                         bump_slope)
+    # the dual elimination leaves a nonzero residual row here too
+    with pytest.raises(DegeneratePivot):
+        _first_order_by_dual_rref(fib, tangent_eps, rows, dring)
+    with pytest.raises(DegeneratePivot):
+        _first_order_fiber(fib, w, dring, FP)
+
+
+@pytest.mark.parametrize("defect", ["unit", "slope"])
+def test_chart_redraws_after_a_degenerate_first_order_fibre(monkeypatch,
+                                                            defect):
+    pt, frame, fib, rng = _sym3_fiber(145)
+    i, f = _non_flat_bump(fib)
+    real = fiber_system
+    calls = []
+
+    def first_call_broken(gens, x, tangent, ring):
+        rows = real(gens, x, tangent, ring)
+        calls.append(len(calls))
+        if len(calls) == 1:
+            u, s = rows[i][f]
+            rows[i][f] = ((u + 1) % P, s) if defect == "unit" else \
+                (u, (s + 1) % P)
+        return rows
+
+    monkeypatch.setattr("gaussfocal.focal.fiber_system", first_call_broken)
+    chart = fiber_family_chart(fib, FP, rng)
+    # the first draw failed at its first direction; the second kept all r
+    assert len(calls) == 1 + fib.r
+    dring = DualFp(P)
+    for w, bmat in zip(chart.dirs, chart.bmats):
+        x_eps, tangent_eps = _dual_tangent(fib, w, dring)
+        rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
+        assert bmat == _first_order_by_dual_rref(fib, tangent_eps, rows,
+                                                 dring)
 
 
 def test_char_matrix_is_linear_in_fibre_coords():
@@ -456,6 +631,13 @@ def test_deformation_span_other_than_r_is_rejected():
     padded = FamilyChart(chart.basis, chart.bmats + [still])  # r = 5, span 4
     with pytest.raises(DeformationSpanMismatch):
         characteristic_matrix(padded, FP)
+
+
+def test_dependent_family_basis_is_rejected():
+    chart = hyperband_chart(hyperband_family(Rng(35), FP), FP)
+    twice = FamilyChart(chart.basis[:1] * 2, chart.bmats)
+    with pytest.raises(DependentFamilyBasis):
+        characteristic_matrix(twice, FP)
 
 
 def test_perturbed_form_fails_containment():

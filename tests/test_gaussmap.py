@@ -3,8 +3,18 @@ constant."""
 
 import pytest
 
-from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng, mat_rank
+from gaussfocal.fieldcore import (
+    Dual2Fp,
+    DualFp,
+    Fp,
+    Rng,
+    kernel_basis,
+    mat_rank,
+    random_combination,
+    rref,
+)
 from gaussfocal.gaussmap import (
+    NoCodimension,
     SingularSamplePoint,
     fiber_codim_data,
     fiber_system,
@@ -69,6 +79,11 @@ def test_tangent_rejects_off_variety_point():
     spec = quadric_spec()
     with pytest.raises(ValueError):
         tangent_space(spec, [1, 1, 1, 2], FP, expected_dim=2)
+
+
+def test_tangent_needs_a_positive_codimension():
+    with pytest.raises(NoCodimension):
+        tangent_space(quadric_spec(), [1, 0, 0, 0], FP, expected_dim=3)
 
 
 def test_fiber_smooth_quadric_is_point():
@@ -174,3 +189,43 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
                   for t in tangent]
         want += [[ring.dot(ta, img) for img in images] for ta in tangent]
     assert fiber_system(gens, x, tangent, ring) == want
+
+
+def _dense_block_dots(gens, x, tangent, ring):
+    rows = []
+    for g in gens:
+        images = g.hess_vec(x, tangent, ring)
+        rows += [[ring.dot(ta, img) for img in images] for ta in tangent]
+    return rows
+
+
+@pytest.mark.parametrize("shape,rb,dim", [
+    (MatrixShape.symmetric(3), 2, 4),
+    (MatrixShape.skew(8), 6, 26),
+    (MatrixShape.generic(3, 4), 2, 9),
+])
+def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
+                                                                  dim):
+    # canonical kernel-basis tangents are supported on their free column
+    # and the pivot columns; the support-only dots must equal full dots,
+    # also when a pivot entry is zero (over F_p[d]: when its unit part or
+    # all of it is zero)
+    spec = rank_locus_spec(shape, rb)
+    rng = Rng(29)
+    pt = spec.sampler(rng, FP)
+    frame = tangent_space(spec, pt.coords, FP, expected_dim=dim)
+    pc = frame.tan_pivots[0]
+    tangent = [list(t) for t in frame.tangent]
+    tangent[0][pc] = 0
+    assert fiber_system(frame.gens, frame.x, tangent, FP) == \
+        _dense_block_dots(frame.gens, frame.x, tangent, FP)
+    dring = DualFp(P)
+    w = random_combination(frame.tangent, FP, rng)
+    x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
+    jac = [g.grad(x_eps, dring) for g in frame.gens]
+    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
+    tangent = kernel_basis(rows, piv, len(frame.x), dring)
+    tangent[0][pc] = dring.zero
+    tangent[1][pc] = (0, tangent[1][pc][1] or 1)
+    assert fiber_system(frame.gens, x_eps, tangent, dring) == \
+        _dense_block_dots(frame.gens, x_eps, tangent, dring)
