@@ -360,6 +360,8 @@ def parse_spec_file(path) -> VarietySpec:
 
     if "matrix" in data:
         desc = data["matrix"]
+        if not isinstance(desc, dict):
+            raise InputError("'matrix' must be a JSON object")
         kind = desc.get("shape")
         if kind not in _SHAPES:
             raise InputError(f"unknown matrix shape {kind!r} "

@@ -15,7 +15,9 @@ and reduce once per output component (the delayed reduction of
 FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS 2008).  Dot products,
 vector-matrix products and the row updates of ``rref`` go through them.
 
-Matrix routines use reduced row echelon form with unit pivots; the
+Matrix routines eliminate with unit pivots: a forward sweep that updates
+only the trailing columns of each row, then back-substitution up to the
+reduced row echelon form, which rank and kernel skip.  The
 characteristic polynomial goes through Hessenberg form instead.  Over a
 field every nonzero entry is a unit; over a dual ring a pivot must have a
 nonzero unit part, and inputs whose rank drops on the unit parts raise
@@ -356,21 +358,35 @@ def vecmat(v, mat, ring):
     return [ring.dot(v, col) for col in zip(*mat)]
 
 
-def rref(mat, ring, pivot_cols=None):
+def rref(mat, ring, pivot_cols=None, reduced=True):
     """Reduced row echelon form with unit pivots.
 
-    Returns ``(rows, pivots)``.  With ``pivot_cols`` the reduction is
-    forced to use exactly those columns in order; the tangent step of a
-    first-order fibre uses it to align the Jacobian over F_p[ε] with the
-    echelon form of its unit part, the center Jacobian.  Raises
-    ``DegeneratePivot`` when a non-field ring leaves a nonzero row that
-    no unit pivot can clear.
+    Returns ``(rows, pivots)``.  A forward sweep clears each pivot column
+    below its pivot, then back-substitution clears it above, last pivot
+    first; a row update covers only the lead row's columns from its first
+    nonzero entry on (over F_p, from the pivot column).  ``reduced=False``
+    stops after the forward sweep, with rows in echelon form: enough for
+    the rank, the pivots and ``kernel_basis``.  With ``pivot_cols`` the
+    reduction is forced to use exactly those columns in order; the tangent
+    step of a first-order fibre uses it to align the Jacobian over F_p[ε]
+    with the echelon form of its unit part, the center Jacobian.  Raises
+    ``DegeneratePivot`` when a non-field ring leaves a nonzero row that no
+    unit pivot can clear.
     """
     rows = [list(r) for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     is_unit, is_zero = ring.is_unit, ring.is_zero
     mul, neg, inv, axpy = ring.mul, ring.neg, ring.inv, ring.axpy
+
+    def clear(c, lead, below):
+        lo = next(j for j, v in enumerate(lead) if not is_zero(v))
+        tail = lead[lo:]
+        for row in below:
+            f = row[c]
+            if not is_zero(f):
+                row[lo:] = axpy(neg(f), tail, row[lo:])
+
     pivots = []
     r = 0
     columns = pivot_cols if pivot_cols is not None else range(ncols)
@@ -391,49 +407,45 @@ def rref(mat, ring, pivot_cols=None):
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = inv(rows[r][c])
         rows[r] = [mul(piv, v) for v in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if not is_zero(f):
-                rows[i] = axpy(neg(f), lead, rows[i])
+        clear(c, rows[r], rows[r + 1:])
         pivots.append(c)
         r += 1
     for i in range(r, nrows):
         if any(not is_zero(v) for v in rows[i]):
             raise DegeneratePivot("nonzero residual row without unit pivot")
+    if reduced:
+        for i in range(r - 1, 0, -1):
+            clear(pivots[i], rows[i], rows[:i])
     return rows[:r], pivots
 
 
 def kernel_basis(rows, pivots, ncols, ring):
-    """Canonical right-kernel basis from an RREF; one vector per free column."""
-    pivset = set(pivots)
+    """Canonical right-kernel basis, one vector per free column f, from
+    the rows of ``rref``, reduced or not.  Each vector is back-substituted
+    on its own: v[f] = 1, then, last pivot first, v[pc] = −row·v over f
+    and the later pivot columns (the rest of the row meets zeros of v)."""
     kernel = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [ring.zero] * ncols
-        v[f] = ring.one
-        for i, pc in enumerate(pivots):
-            v[pc] = ring.neg(rows[i][f])
-        kernel.append(v)
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = {f: ring.one}
+        for row, pc in zip(rows[::-1], pivots[::-1]):
+            v[pc] = ring.neg(ring.dot([row[c] for c in v], list(v.values())))
+        kernel.append([v.get(c, ring.zero) for c in range(ncols)])
     return kernel
 
 
 def rank_and_kernel(mat, ring):
-    """Rank and a right-kernel basis; rank + len(kernel) == #columns."""
+    """Rank and a right-kernel basis; rank + len(kernel) == #columns.
+    Only the forward sweep of ``rref`` runs."""
     if not mat:
         return 0, []
-    ncols = len(mat[0])
-    rows, pivots = rref(mat, ring)
-    return len(pivots), kernel_basis(rows, pivots, ncols, ring)
+    rows, pivots = rref(mat, ring, reduced=False)
+    return len(pivots), kernel_basis(rows, pivots, len(mat[0]), ring)
 
 
 def mat_rank(mat, ring) -> int:
     if not mat:
         return 0
-    _, pivots = rref(mat, ring)
+    _, pivots = rref(mat, ring, reduced=False)
     return len(pivots)
 
 

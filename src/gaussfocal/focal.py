@@ -130,7 +130,7 @@ def _first_order_fiber(fiber, w, dring, fp):
     p, m = fp.p, len(frame.tangent)
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
+    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots, reduced=False)
     tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
     sys_rows = fiber_system(frame.gens, x_eps, tangent_eps, dring)
     if [[u for u, _ in row] for row in sys_rows] != fiber.system:
@@ -247,7 +247,7 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
             mat_rank([reduced(w) for w in chart.dirs] + span, fp) != r:
         raise NonVanishingTransversalComponent(
             "a deformation row left the tangent space")
-    _, cols = rref(span, fp)
+    _, cols = rref(span, fp, reduced=False)
     if len(cols) != r:
         raise DeformationSpanMismatch(
             f"the deformations span {len(cols)} normal directions, "
@@ -307,6 +307,12 @@ def _solve_square(mat, rhs, fp):
     return [row[n:] for row in rows]
 
 
+def _inverse(mat, fp):
+    n = len(mat)
+    return _solve_square(mat, [[int(i == j) for j in range(n)]
+                               for i in range(n)], fp)
+
+
 class ReducedForm:
     """A form on Λ, possibly written in a private basis of Λ-coordinates.
 
@@ -321,9 +327,7 @@ class ReducedForm:
         self.basis = basis
         self._binv = None
         if basis is not None:
-            n = len(basis)
-            self._binv = _solve_square(
-                basis, [[int(i == j) for j in range(n)] for i in range(n)], fp)
+            self._binv = _inverse(basis, fp)
 
     def degree(self) -> int:
         return self.poly.degree()
@@ -338,16 +342,21 @@ def _degree_monomials(nvars, d):
 
 
 def _add_pde_rows(charm, mu, exps, t, fp, rows):
-    """The nv PDE rows at t, none when M(t) is singular: ∂_i det M(t) is
-    det M(t)·tr(M(t)⁻¹·M(e_i)), the s coefficient of its pencil."""
-    nv = charm.k + 1
-    units = [[int(i == j) for j in range(nv)] for i in range(nv)]
-    pencil = _pencil_slices(charm, t, units, fp)
-    if pencil is None:
+    """The PDE rows at t, none when M(t) is singular.  Jacobi's formula
+    gives ∂_i det M(t) = det M(t)·Σ_{a,b} M(t)⁻¹[a][b]·∂_i M[b][a] from
+    one inverse.  As μ·d = r, Euler's relation makes Σ_i t_i·row_i = 0,
+    so the row of the last i with t_i ≠ 0 is left out: nv − 1 rows with
+    the same span."""
+    nv, r = charm.k + 1, charm.r
+    mt = charm.value(t, fp)
+    f = det_ring(mt, fp)
+    if f == 0:
         return
-    f, slices = pencil
-    grads = [f * sum(kmat[a][a] for a in range(charm.r)) % fp.p
-             for kmat in slices]
+    minv = _inverse(mt, fp)
+    grads = [f * g % fp.p for g in vecmat(
+        [v for row in minv for v in row],
+        [charm.entries[b][a] for a in range(r) for b in range(r)], fp)]
+    skip = max(i for i in range(nv) if t[i])
     mono = {e: SparsePoly(nv, {e: 1}).eval(t, fp) for e in exps}
     low = {}
     for e in exps:
@@ -357,6 +366,8 @@ def _add_pde_rows(charm, mu, exps, t, fp, rows):
                 if el not in low:
                     low[el] = SparsePoly(nv, {el: 1}).eval(t, fp)
     for i in range(nv):
+        if i == skip:
+            continue
         row = []
         for e in exps:
             v = mono[e] * grads[i]

@@ -72,12 +72,12 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     grads = [g.grad(coords, fp) for g in spec.generators]
     # pivot columns of the transpose: the first gradients, in generator
     # order, that are independent of the ones before them
-    _, picked = rref([list(col) for col in zip(*grads)], fp)
+    _, picked = rref([list(col) for col in zip(*grads)], fp, reduced=False)
     if len(picked) != codim:
         raise SingularSamplePoint(f"{spec.name}: Jacobian rank {len(picked)} "
                                   f"differs from codimension {codim}")
     jac = [grads[i] for i in picked]
-    rows, pivots = rref(jac, fp)
+    rows, pivots = rref(jac, fp, reduced=False)
     tangent = kernel_basis(rows, pivots, spec.ambient_dim + 1, fp)
     return TangentFrame(list(coords), [spec.generators[i] for i in picked],
                         jac, pivots, tangent, expected_dim, codim)
@@ -149,7 +149,7 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     tan = frame.tangent
     m = len(tan)
     system = fiber_system(frame.gens, frame.x, tan, fp)
-    rows, sys_pivots = rref(system, fp)
+    rows, sys_pivots = rref(system, fp, reduced=False)
     coeff_kernel = kernel_basis(rows, sys_pivots, m, fp)
     basis = [vecmat(c, tan, fp) for c in coeff_kernel]
     if not basis:

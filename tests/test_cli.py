@@ -1,8 +1,14 @@
 """Command-line layer: expression parsing, spec files, runs, reports."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gaussfocal.cli import (
     _SCORZA_M,
@@ -324,6 +330,7 @@ def test_input_errors_exit_4(tmp_path, capsys):
          "singular_generators": ["x0"] * (MAX_GENERATORS + 1)},
         {"ambient_dim": 3, "generators": ["x0*x1 - x2*x3"],
          "singular_generators": 5},
+        {"matrix": None},  # found by the random-spec test below
     ]
     for i, spec in enumerate(rejected):
         path = _write(tmp_path, f"rejected{i}.json", spec)
@@ -505,3 +512,66 @@ def test_custom_constant_gauss_map_has_no_focal_divisor(generator, tmp_path,
     assert (rec["r"], rec["k"]) == (0, 3)
     assert rec["focal_degree"] is None
     assert rec["sing_containment"] == "Skipped"
+
+
+# --- exit-code contract under random input --------------------------------------
+
+_TOKENS = ["x0", "x1", "x2", "x3", "x7", "2", "0", "+", "-", "*", "^", "(",
+           ")", " ", "x", "1.5", "y0"]
+
+
+@st.composite
+def _hypersurfaces(draw):
+    """A small random hypersurface spec: a homogeneous form of degree ≤ 3
+    in P^2..P^4 with a few small coefficients, sometimes a singular-locus
+    descriptor."""
+    ambient = draw(st.integers(2, 4), "ambient")
+    deg = draw(st.integers(1, 3), "degree")
+    var = st.integers(0, ambient)
+    terms = []
+    for _ in range(draw(st.integers(1, 4), "terms")):
+        coef = draw(st.integers(-3, 3), "coefficient")
+        mono = "*".join(f"x{draw(var, 'variable')}" for _ in range(deg))
+        terms.append(f"({coef})*{mono}")
+    spec = {"ambient_dim": ambient, "generators": [" + ".join(terms)]}
+    if draw(st.booleans(), "singular"):
+        spec["singular_generators"] = [f"x{draw(var, 'variable')}"
+                                       for _ in range(draw(st.integers(1, 3)))]
+    return json.dumps(spec)
+
+
+_TOKEN_SOUP = st.lists(st.sampled_from(_TOKENS), min_size=1,
+                       max_size=12).map("".join)
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 20),
+                    st.text(max_size=6),
+                    st.lists(_TOKEN_SOUP, max_size=3))
+_SPEC_TEXTS = st.one_of(
+    st.text(max_size=30),
+    st.dictionaries(st.sampled_from(["ambient_dim", "generators", "matrix",
+                                     "rank_bound", "singular_generators"]),
+                    _VALUES, max_size=4).map(json.dumps),
+    st.builds(lambda shape, rows, cols, rb: json.dumps(
+        {"matrix": {"shape": shape, "rows": rows, "cols": cols},
+         "rank_bound": rb}),
+        st.sampled_from(["symmetric", "generic", "skew", "hankel"]),
+        st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 4)),
+    _TOKEN_SOUP.map(lambda gen: json.dumps({"ambient_dim": 3,
+                                            "generators": [gen]})),
+    _hypersurfaces(),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_SPEC_TEXTS, seed=st.integers(0, 2**16))
+def test_random_specs_keep_the_exit_code_contract(text, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["custom", "--spec", path, "--trials", "1",
+                       "--primes", "1", "--lines", "2", "--seed", str(seed)])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

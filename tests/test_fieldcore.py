@@ -1,5 +1,7 @@
 """Arithmetic and exact linear algebra over F_p and its dual extension."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,12 @@ from gaussfocal.fieldcore import (
     derive_seed,
     dot,
     is_probable_prime,
+    kernel_basis,
     lagrange_interpolate,
     mat_rank,
     random_prime,
     rank_and_kernel,
+    rref,
     solve_affine,
 )
 
@@ -134,6 +138,153 @@ def test_solve_affine_random_consistency():
         assert matvec(mat, part, fp) == b
         for v in ker:
             assert matvec(mat, v, fp) == [0] * n
+
+
+# --- elimination against the Gauss–Jordan oracle ------------------------------
+
+
+def _gauss_jordan(mat, ring, pivot_cols=None):
+    """Textbook Gauss–Jordan with unit pivots: every pivot clears its
+    column in every other row, along the full row.  The oracle of
+    ``rref``, which sweeps forward on trailing columns first."""
+    rows = [list(r) for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    columns = pivot_cols if pivot_cols is not None else range(ncols)
+    for c in columns:
+        if r == nrows:
+            if pivot_cols is not None:
+                raise DegeneratePivot("prescribed pivot beyond row count")
+            break
+        pr = next((i for i in range(r, nrows) if ring.is_unit(rows[i][c])),
+                  None)
+        if pr is None:
+            if pivot_cols is not None:
+                raise DegeneratePivot(f"no unit pivot in column {c}")
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = ring.inv(rows[r][c])
+        rows[r] = [ring.mul(piv, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and not ring.is_zero(rows[i][c]):
+                rows[i] = ring.axpy(ring.neg(rows[i][c]), rows[r], rows[i])
+        pivots.append(c)
+        r += 1
+    for i in range(r, nrows):
+        if any(not ring.is_zero(v) for v in rows[i]):
+            raise DegeneratePivot("nonzero residual row without unit pivot")
+    return rows[:r], pivots
+
+
+def _kernel_from_rref(rows, pivots, ncols, ring):
+    """The canonical kernel read off a reduced echelon form: v[f] = 1 and
+    v[pc] = −row[f].  The oracle of ``kernel_basis``."""
+    kernel = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [ring.zero] * ncols
+            v[f] = ring.one
+            for row, pc in zip(rows, pivots):
+                v[pc] = ring.neg(row[f])
+            kernel.append(v)
+    return kernel
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (DegeneratePivot, Infeasible) as err:
+        return type(err)
+
+
+@st.composite
+def _matrices(draw, p):
+    """Tall, wide or square matrices over F_p, often of low rank, with
+    zero columns and repeated rows mixed in."""
+    n, m = draw(st.integers(1, 7), "rows"), draw(st.integers(1, 7), "cols")
+    residue = st.one_of(st.sampled_from([0, 0, 1, p - 1]),
+                        st.integers(0, p - 1))
+    rank = draw(st.integers(0, min(n, m)), "rank")
+    left = draw(st.lists(st.lists(residue, min_size=rank, max_size=rank),
+                         min_size=n, max_size=n), "left")
+    right = draw(st.lists(st.lists(residue, min_size=m, max_size=m),
+                          min_size=rank, max_size=rank), "right")
+    mat = [[sum(a * b for a, b in zip(row, col)) % p for col in
+            zip(*right)] if rank else [0] * m for row in left]
+    for c in draw(st.sets(st.integers(0, m - 1), max_size=2), "zero cols"):
+        for row in mat:
+            row[c] = 0
+    if draw(st.booleans(), "repeat a row"):
+        mat.insert(draw(st.integers(0, n), "at"),
+                   list(mat[draw(st.integers(0, n - 1), "row")]))
+    return mat
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_gauss_jordan(p, data):
+    fp = Fp(p)
+    mat = data.draw(_matrices(p), "mat")
+    ncols = len(mat[0])
+    rows, pivots = _gauss_jordan(mat, fp)
+    assert rref(mat, fp) == (rows, pivots)
+    assert mat_rank(mat, fp) == len(pivots)
+    kernel = _kernel_from_rref(rows, pivots, ncols, fp)
+    assert kernel_basis(rows, pivots, ncols, fp) == kernel
+    assert rank_and_kernel(mat, fp) == (len(pivots), kernel)
+    b = data.draw(st.lists(st.integers(0, p - 1), min_size=len(mat),
+                           max_size=len(mat)), "b")
+    want = _outcome(solve_affine, mat, b, fp)
+    with patch("gaussfocal.fieldcore.rref", _gauss_jordan):
+        assert _outcome(solve_affine, mat, b, fp) == want
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_dual_elimination_matches_gauss_jordan(p, data):
+    """Over F_p[ε], with the unit part's pivots imposed or not, the same
+    rows and kernels come out, or ``DegeneratePivot`` on both sides."""
+    fp, ring = Fp(p), DualFp(p)
+    units = data.draw(_matrices(p), "units")
+    nrows, ncols = len(units), len(units[0])
+    square = lambda n: st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                         max_size=n), min_size=n, max_size=n)
+    if data.draw(st.booleans(), "equivalent"):
+        # (I + εS)·U·(I + εT) has the rank of U over F_p[ε]
+        s, t = data.draw(square(nrows), "S"), data.draw(square(ncols), "T")
+        slopes = [[(sum(a * b for a, b in zip(srow, col)) +
+                    sum(a * b for a, b in zip(urow, tcol))) % p
+                   for col, tcol in zip(zip(*units), zip(*t))]
+                  for srow, urow in zip(s, units)]
+    else:
+        slopes = data.draw(st.lists(st.lists(
+            st.one_of(st.just(0), st.integers(0, p - 1)), min_size=ncols,
+            max_size=ncols), min_size=nrows, max_size=nrows), "slopes")
+    mat = [list(zip(*pair)) for pair in zip(units, slopes)]
+    cols = _gauss_jordan(units, fp)[1]
+    if data.draw(st.booleans(), "other pivot columns"):
+        cols = sorted(data.draw(st.sets(st.integers(0, ncols - 1)), "cols"))
+    want = _outcome(_gauss_jordan, mat, ring, pivot_cols=cols)
+    assert _outcome(rref, mat, ring, pivot_cols=cols) == want
+    echelon = _outcome(rref, mat, ring, pivot_cols=cols, reduced=False)
+    if want is DegeneratePivot:
+        assert echelon is DegeneratePivot
+    else:
+        assert kernel_basis(*echelon, ncols, ring) == \
+            _kernel_from_rref(*want, ncols, ring)
+    want = _outcome(_gauss_jordan, mat, ring)
+    assert _outcome(rref, mat, ring) == want
+    if want is not DegeneratePivot:
+        rows, pivots = want
+        kernel = _kernel_from_rref(rows, pivots, ncols, ring)
+        assert kernel_basis(rows, pivots, ncols, ring) == kernel
+        assert _outcome(rank_and_kernel, mat, ring) == (len(pivots), kernel)
+    else:
+        assert _outcome(rank_and_kernel, mat, ring) is DegeneratePivot
 
 
 # --- dual numbers ----------------------------------------------------------

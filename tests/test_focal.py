@@ -35,6 +35,7 @@ from gaussfocal.focal import (
     _add_pde_rows,
     _degree_monomials,
     _extract_interpolation,
+    _extract_linear_system,
     _first_order_fiber,
     _normalized_root_values,
     _proportional,
@@ -517,43 +518,94 @@ def test_profile_skips_a_direction_with_singular_matrix(monkeypatch):
         focal_profile(charm, FP, _ScriptedRng([2, 3, 0, 1] * 16), lines=1)
 
 
+def _mono(e, t):
+    out = 1
+    for ti, ei in zip(t, e):
+        out = out * pow(ti, ei, P) % P
+    return out
+
+
+def _all_pde_rows(charm, mu, exps, t):
+    """All nv rows q·∂_i f − μ·f·∂_i q at t, with ∂_i det M(t) read as the
+    s coefficient of det M(t + s·e_i): the oracle of ``_add_pde_rows``."""
+    nv = charm.k + 1
+    f = charm.det_at(t, FP)
+    want = []
+    for i in range(nv):
+        unit = [int(i == j) for j in range(nv)]
+        line = on_line(charm.det_at, charm.r, t, unit, FP) + [0, 0]
+        assert line[0] == f
+        row = []
+        for e in exps:  # q·∂_i f − μ·f·∂_i q for q the monomial e
+            v = _mono(e, t) * line[1]
+            if e[i]:
+                low = list(e)
+                low[i] -= 1
+                v -= mu * f * e[i] * _mono(low, t)
+            row.append(v % P)
+        want.append(row)
+    return want
+
+
 def test_pde_rows_take_the_gradient_off_the_pencil():
     spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
     pt, frame, fib, rng = pipeline(spec, 6, 137)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     nv, mu = charm.k + 1, 2
     exps = _degree_monomials(nv, 2)
-
-    def mono(e, t):
-        out = 1
-        for ti, ei in zip(t, e):
-            out = out * pow(ti, ei, P) % P
-        return out
-
-    for _ in range(3):
-        t = [rng.field(P) for _ in range(nv)]
+    points = [[rng.field(P) for _ in range(nv)] for _ in range(3)]
+    points.append([rng.field(P) for _ in range(nv - 1)] + [0])
+    for t in points:
         rows = []
         _add_pde_rows(charm, mu, exps, t, FP, rows)
-        f = charm.det_at(t, FP)
-        want = []
-        for i in range(nv):
-            unit = [int(i == j) for j in range(nv)]
-            # ∂_i det M(t) is the s coefficient of det M(t + s·e_i)
-            line = on_line(charm.det_at, charm.r, t, unit, FP) + [0, 0]
-            assert line[0] == f
-            row = []
-            for e in exps:  # q·∂_i f − μ·f·∂_i q for q the monomial e
-                v = mono(e, t) * line[1]
-                if e[i]:
-                    low = list(e)
-                    low[i] -= 1
-                    v -= mu * f * e[i] * mono(low, t)
-                row.append(v % P)
-            want.append(row)
-        assert rows == want
+        assert charm.det_at(t, FP)
+        want = _all_pde_rows(charm, mu, exps, t)
+        # Euler's relation (μ·d = r) ties the nv rows together, so the
+        # row of the last nonzero coordinate is the one left out
+        assert all(sum(ti * w[j] for ti, w in zip(t, want)) % P == 0
+                   for j in range(len(exps)))
+        skip = max(i for i in range(nv) if t[i])
+        assert skip == (nv - 1 if t[-1] else nv - 2)
+        assert rows == want[:skip] + want[skip + 1:]
     rows = []
     _add_pde_rows(charm, mu, exps, [0] * nv, FP, rows)  # M(0) is singular
     assert rows == []
+
+
+def _extract_with_all_rows(charm, mu, d, rng):
+    """The sampling loop of ``_extract_linear_system`` on all nv oracle
+    rows per point; returns the terms of q."""
+    nv = charm.k + 1
+    exps = _degree_monomials(nv, d)
+    npts = -(-len(exps) // (nv - 1)) + 2
+    rows, drawn = [], 0
+    for _ in range(5):
+        while drawn < npts:
+            drawn += 1
+            t = [rng.field(P) for _ in range(nv)]
+            if charm.det_at(t, FP):
+                rows += _all_pde_rows(charm, mu, exps, t)
+        kern = rank_and_kernel(rows, FP)[1]
+        if len(kern) <= 1:
+            break
+        npts += -(-npts // 2)
+    assert len(kern) == 1
+    return {e: c for e, c in zip(exps, kern[0]) if c}
+
+
+@pytest.mark.parametrize("shape, rb, dim, mu, d", [
+    (MatrixShape.symmetric(4), 2, 6, 2, 2),
+    (MatrixShape.generic(4, 4), 3, 14, 2, 3),  # the det4 hypersurface
+])
+def test_linear_system_matches_all_rows_oracle(shape, rb, dim, mu, d):
+    spec = rank_locus_spec(shape, rb)
+    pt, frame, fib, rng = pipeline(spec, dim, 139)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    assert mu * d == charm.r
+    got_rng, want_rng = Rng(141), Rng(141)
+    q = _extract_linear_system(charm, mu, d, FP, got_rng).poly
+    assert q.terms == _extract_with_all_rows(charm, mu, d, want_rng)
+    assert got_rng.u64() == want_rng.u64()  # the same number of draws
 
 
 def test_vanishing_focal_form_fails_extraction():
