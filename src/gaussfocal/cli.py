@@ -636,8 +636,8 @@ class _FibreFamily:
         """The record's containment status and any failure messages."""
         return (rep.containment.status if rep.containment else "Skipped"), []
 
-    def cross_check(self, rep, lines):
-        if chart_independence(self.fib, self.fp, self.rng):
+    def cross_check(self, charm, rep, lines):
+        if chart_independence(charm, self.fib, self.fp, self.rng):
             return []
         return ["two independent charts gave non-proportional focal forms"]
 
@@ -671,7 +671,7 @@ class _HyperbandFamily:
             return "Pass", []
         return "Fail", ["computed focus differs from the marked surface point"]
 
-    def cross_check(self, rep, lines):
+    def cross_check(self, charm, rep, lines):
         fp, rng = self.fp, self.rng
         fam2 = hyperband_family(rng, fp)
         charm2 = characteristic_matrix(hyperband_chart(fam2, fp), fp)
@@ -719,7 +719,7 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
                 failures.append(f"{key} = {got}, expected {plan.expect[key]}")
         if cfg.verify == "full":
             where.stage = "cross-check"
-            failures += fam.cross_check(rep, cfg.lines)
+            failures += fam.cross_check(charm, rep, cfg.lines)
     record = _record(plan, prime, seed_t, trial, fam, rep, containment,
                      perf_counter() - start)
     return record, [f"{plan.label}: {msg}" for msg in failures]

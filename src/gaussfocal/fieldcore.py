@@ -2,18 +2,21 @@
 
 Everything downstream works over F_p for a word-size prime p (default
 range [2^60, 2^62)), or over the dual extension F_p[eps]/(eps^2) used for
-exact first-order derivatives, or over F_p[d][e_1..e_m], which carries
-m second-order derivatives at once.  Field elements are plain Python
-integers in [0, p); dual elements are tuples of integers.  The ring
-objects below hold only the modulus and their constants and expose the
-operations, so vectors and matrices stay ordinary lists and the hot
-loops avoid per-element object overhead.
+exact first-order derivatives.  F_p[d][e_1..e_m], which carries m
+second-order derivatives at once, exists only for the gradient sweeps
+of Hessian-vector products: it has no inverse, and nothing eliminates
+over it.  Field elements are plain Python integers in [0, p); dual
+elements are tuples of integers.  The ring objects below hold only the
+modulus and their constants and expose the operations, so vectors and
+matrices stay ordinary lists and the hot loops avoid per-element object
+overhead.
 
-Each ring also carries its own vector kernels, ``dot(u, v)`` and
-``axpy(a, x, y)`` (a·x + y), which accumulate unreduced Python integers
-and reduce once per output component (the delayed reduction of
-FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS 2008).  Dot products,
-vector-matrix products and the row updates of ``rref`` go through them.
+Each ring also carries its own vector kernels, ``dot(u, v)`` and, on
+the two rings that eliminate, ``axpy(a, x, y)`` (a·x + y); they
+accumulate unreduced Python integers and reduce once per output
+component (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and
+Pernet, ACM TOMS 2008).  Dot products, vector-matrix products and the
+row updates of ``rref`` go through them.
 
 Matrix routines eliminate with unit pivots: a forward sweep that updates
 only the trailing columns of each row, then back-substitution up to the
@@ -243,7 +246,8 @@ class Dual2Fp:
     m slopes over F_p[d].  Since every e_i·e_j vanishes, a product never
     pairs two slopes, and one computation over this ring carries m
     first-order deformations of an F_p[d] computation at once; the
-    gradient sweep over it gives m Hessian-vector products.  With the
+    gradient sweep over it gives m Hessian-vector products, which is
+    all it is for: it has no inverse and no ``axpy``.  With the
     default m = 1 it is F_p[d, e]/(d^2, e^2) on 4-tuples (a, b, c, t) =
     a + b·d + c·e + t·d·e, the dual of the dual ring.  ``eps`` is e_1.
     """
@@ -283,25 +287,8 @@ class Dual2Fp:
         p = self.p
         return tuple([-x % p for x in a])
 
-    def inv(self, a):
-        # 1/(A + S) = 1/A − S/A² with 1/A = i − a1·i²·d and
-        # 1/A² = i² − 2·a1·i³·d, i = 1/a0
-        a0, a1 = a[0], a[1]
-        if a0 == 0:
-            raise ZeroInverse("non-unit element")
-        p = self.p
-        i = pow(a0, -1, p)
-        i2 = i * i % p
-        j1 = 2 * a1 * i2 % p * i % p
-        it = iter(a[2:])
-        return (i, -i2 * a1 % p, *chain.from_iterable(
-            (-i2 * x % p, (j1 * x - i2 * z) % p) for x, z in zip(it, it)))
-
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def is_unit(self, a) -> bool:
-        return a[0] != 0
 
     def dot(self, u, v):
         # slope slot k of a·b is a0·b[k] + b0·a[k], plus, in the d-part of
@@ -322,36 +309,8 @@ class Dual2Fp:
             (c % p, (t + s) % p)
             for c, t, s in zip(slope[0::2], slope[1::2], cross)))
 
-    def axpy(self, a, x, y):
-        p = self.p
-        a0, a1 = a[0], a[1]
-        out = []
-        for s, t in zip(x, y):
-            s0, s1 = s[0], s[1]
-            ia, i_s, it = iter(a[2:]), iter(s[2:]), iter(t[2:])
-            tail = chain.from_iterable(
-                ((a0 * q + s0 * c + tc) % p,
-                 (a0 * r + a1 * q + s0 * e + s1 * c + tt) % p)
-                for c, e, q, r, tc, tt in zip(ia, ia, i_s, i_s, it, it))
-            out.append(((a0 * s0 + t[0]) % p,
-                        (a0 * s1 + a1 * s0 + t[1]) % p, *tail))
-        return out
-
-
-def dual_over(ring):
-    """The dual extension of F_p (F_p[eps]) or of F_p[eps] (F_p[d, e])."""
-    if isinstance(ring, Fp):
-        return DualFp(ring.p)
-    if isinstance(ring, DualFp):
-        return Dual2Fp(ring.p)
-    raise TypeError(f"no dual extension of {type(ring).__name__}")
-
 
 # --- vectors and matrices ---------------------------------------------------
-
-
-def dot(u, v, ring):
-    return ring.dot(u, v)
 
 
 def vecmat(v, mat, ring):

@@ -29,10 +29,9 @@ from math import comb
 
 from .fieldcore import (
     DegeneratePivot,
+    DualFp,
     Infeasible,
     charpoly,
-    dot,
-    dual_over,
     kernel_basis,
     mat_rank,
     random_combination,
@@ -121,13 +120,14 @@ def _first_order_fiber(fiber, w, dring, fp):
     S₀ the center system (else ``DegeneratePivot``).  Each center kernel
     vector k₀ lifts to k₀ + ε·c₁ with c₁ supported on the center pivots
     P: S₀·c₁ = −S₁·k₀, solved on the rows Q with the kept S₀[Q, P]⁻¹.
-    That is the canonical kernel vector of the dual system.  It must
-    solve every row, or the first-order system is not flat and there is
-    no lift (``DegeneratePivot``).  The B row is the ε part of
+    That is the canonical kernel vector of the dual system.  It solves
+    the rows Q by construction and must solve every other row, or the
+    first-order system is not flat and there is no lift
+    (``DegeneratePivot``).  The B row is the ε part of
     (k₀ + ε·c₁)·(T₀ + ε·T₁) = k₀·T₁ + c₁·T₀.
     """
     frame = fiber.frame
-    p, m = fp.p, len(frame.tangent)
+    p = fp.p
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
     rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots, reduced=False)
@@ -137,17 +137,19 @@ def _first_order_fiber(fiber, w, dring, fp):
         raise DegeneratePivot("first-order fibre system drifted off its "
                               "center")
     s1 = [[s for _, s in row] for row in sys_rows]
-    # against c₁ ++ k₀, [S₀ | S₁] gives S₀·c₁ + S₁·k₀ one dot per row,
-    # and [T₀; T₁] gives c₁·T₀ + k₀·T₁
-    joint = [s0 + row for s0, row in zip(fiber.system, s1)]
-    stacked = frame.tangent + [[s for _, s in row] for row in tangent_eps]
+    # against c₁[P] ++ k₀, [S₀[:, P] | S₁] gives S₀·c₁ + S₁·k₀ one dot per
+    # row outside Q, and [T₀[P]; T₁] gives c₁·T₀ + k₀·T₁
+    pcols, in_q = fiber.sys_pivots, set(fiber.sys_rows)
+    joint = [[s0[c] for c in pcols] + row
+             for i, (s0, row) in enumerate(zip(fiber.system, s1))
+             if i not in in_q]
+    stacked = [frame.tangent[c] for c in pcols] + \
+        [[s for _, s in row] for row in tangent_eps]
     bmat = []
     for k0 in fiber.coeff_kernel:
         y = [fp.dot(s1[i], k0) for i in fiber.sys_rows]
-        c1 = [0] * m
-        for c, inv_row in zip(fiber.sys_pivots, fiber.sys_inverse):
-            c1[c] = -fp.dot(inv_row, y) % p
-        lifted = c1 + k0
+        lifted = [-fp.dot(inv_row, y) % p
+                  for inv_row in fiber.sys_inverse] + k0
         if any(fp.dot(row, lifted) for row in joint):
             raise DegeneratePivot("first-order fibre system is not flat: "
                                   "no lift of a center kernel vector")
@@ -161,7 +163,7 @@ def fiber_family_chart(fiber, fp, rng) -> FamilyChart:
     if fiber.k == 0:
         raise NotDegenerate("point fibres admit no focal geometry")
     frame = fiber.frame
-    dring = dual_over(fp)
+    dring = DualFp(fp.p)
     for _ in range(16):
         dirs = [random_combination(frame.tangent, fp, rng)
                 for _ in range(fiber.r)]
@@ -178,7 +180,7 @@ def fiber_family_chart(fiber, fp, rng) -> FamilyChart:
 def hyperband_chart(fam, fp) -> FamilyChart:
     """Chart of an explicitly parametrized line family: differentiate the
     2×(N+1) chart matrix in each parameter with dual numbers."""
-    dring = dual_over(fp)
+    dring = DualFp(fp.p)
     center = list(fam.center)
     basis = fam.chart_matrix(center, fp)
     bmats = []
@@ -210,7 +212,7 @@ class CharMatrix:
         self.k = k
 
     def value(self, t, fp):
-        return [[dot(e, t, fp) for e in row] for row in self.entries]
+        return [[fp.dot(e, t) for e in row] for row in self.entries]
 
     def det_at(self, t, fp):
         return det_ring(self.value(t, fp), fp)
@@ -795,9 +797,9 @@ def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
     return rep
 
 
-def chart_independence(fiber, fp, rng) -> bool:
-    """Two independently drawn charts must give proportional focal forms
+def chart_independence(charm, fiber, fp, rng) -> bool:
+    """The characteristic matrix ``charm`` of a chart of ``fiber`` and
+    that of one freshly drawn chart must give proportional focal forms
     (checked at 5 random points)."""
-    m1 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
-    m2 = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
-    return _proportional(m1.det_at, m2.det_at, fiber.k + 1, fp, rng, 5)
+    fresh = characteristic_matrix(fiber_family_chart(fiber, fp, rng), fp)
+    return _proportional(charm.det_at, fresh.det_at, fiber.k + 1, fp, rng, 5)

@@ -11,7 +11,6 @@ its correctness is then re-checked against the full generator list.
 from __future__ import annotations
 
 from .fieldcore import (
-    dot,
     kernel_basis,
     mat_rank,
     random_combination,
@@ -47,12 +46,11 @@ class TangentFrame:
     dual rings later.
     """
 
-    __slots__ = ("x", "gens", "jac", "tan_pivots", "tangent", "n", "codim")
+    __slots__ = ("x", "gens", "tan_pivots", "tangent", "n", "codim")
 
-    def __init__(self, x, gens, jac, tan_pivots, tangent, n, codim):
+    def __init__(self, x, gens, tan_pivots, tangent, n, codim):
         self.x = x
         self.gens = gens
-        self.jac = jac
         self.tan_pivots = tan_pivots
         self.tangent = tangent
         self.n = n
@@ -76,11 +74,10 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     if len(picked) != codim:
         raise SingularSamplePoint(f"{spec.name}: Jacobian rank {len(picked)} "
                                   f"differs from codimension {codim}")
-    jac = [grads[i] for i in picked]
-    rows, pivots = rref(jac, fp, reduced=False)
+    rows, pivots = rref([grads[i] for i in picked], fp, reduced=False)
     tangent = kernel_basis(rows, pivots, spec.ambient_dim + 1, fp)
     return TangentFrame(list(coords), [spec.generators[i] for i in picked],
-                        jac, pivots, tangent, expected_dim, codim)
+                        pivots, tangent, expected_dim, codim)
 
 
 class GaussFiber:
@@ -186,7 +183,7 @@ def _verify_fiber(fiber, fp, rng, generators):
                 "tangent space degenerates along the fibre")
         for row in jac_y:
             for t in frame.tangent:
-                if not fp.is_zero(dot(row, t, fp)):
+                if fp.dot(row, t):
                     raise FiberVerificationFailed(
                         "tangent space moves along the fibre")
 

@@ -7,10 +7,10 @@ nodes, plus determinant and Pfaffian nodes) that can be *evaluated* over
 any coefficient ring from ``fieldcore`` -- the prime field, or a dual
 extension when derivatives are needed.  Gradients run as a single
 reverse sweep over the DAG.  Hessian-vector products evaluate the
-gradient over a dual extension and read off the slopes: over F_p[d],
-one sweep over F_p[d][e_1..e_m] gives the products with m vectors at
-once, each vector seeded along its own e_j (vector forward mode over
-reverse mode); over F_p each vector takes one sweep over F_p[e].
+gradient over a dual extension and read off the slopes: over F_p and
+over F_p[d] alike, one sweep over F_p[d][e_1..e_m] gives the products
+with m vectors at once, each vector seeded along its own e_j (vector
+forward mode over reverse mode).
 Determinant and Pfaffian nodes expand division-free over
 bitmask-memoized minors and sub-Pfaffians, which also give the
 cofactors the sweep needs.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .fieldcore import Dual2Fp, DualFp, Fp, lagrange_interpolate
+from .fieldcore import Dual2Fp, Fp, lagrange_interpolate
 
 
 class CharTooSmall(ArithmeticError):
@@ -299,19 +299,17 @@ class PolyProgram:
         """Hessian-vector products [H(x)·v for v in vs], exact over F_p
         or over F_p[d].
 
-        Over F_p each product is the slope of the gradient over F_p[e]
-        at x + e·v.  Over F_p[d] one gradient sweep over F_p[d][e_1..e_m]
-        at x + Σ_j v_j·e_j gives them all: H(x)·v_j is the e_j slope,
-        slots 2j and 2j + 1, of each gradient entry.
+        One gradient sweep over F_p[d][e_1..e_m] at x + Σ_j v_j·e_j gives
+        them all: H(x)·v_j is the e_j slope, slots 2j and 2j + 1, of each
+        gradient entry.  Over F_p the point and the vectors enter with
+        zero d-parts, and each product is the unit part of its slope.
         """
-        if isinstance(ring, Fp):
-            dring = DualFp(ring.p)
-            return [[gi[1] for gi in self.grad(list(zip(x, v)), dring)]
-                    for v in vs]
-        pt = [xi + tuple(chain.from_iterable(v[i] for v in vs))
+        over_fp = isinstance(ring, Fp)
+        part = (lambda a: (a, 0)) if over_fp else tuple
+        pt = [part(xi) + tuple(chain.from_iterable(part(v[i]) for v in vs))
               for i, xi in enumerate(x)]
         grad = self.grad(pt, Dual2Fp(ring.p, len(vs)))
-        return [[gi[s:s + 2] for gi in grad]
+        return [[gi[s] if over_fp else gi[s:s + 2] for gi in grad]
                 for s in range(2, 2 + 2 * len(vs), 2)]
 
 

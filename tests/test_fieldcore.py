@@ -17,7 +17,6 @@ from gaussfocal.fieldcore import (
     ZeroInverse,
     charpoly,
     derive_seed,
-    dot,
     is_probable_prime,
     kernel_basis,
     lagrange_interpolate,
@@ -35,7 +34,7 @@ F101 = Fp(101)
 
 
 def matvec(mat, v, ring):
-    return [dot(row, v, ring) for row in mat]
+    return [ring.dot(row, v) for row in mat]
 
 
 def test_inverse_small_cases():
@@ -356,8 +355,6 @@ def test_dual2_matches_nested_dual():
         got = flat.mul(a, b)
         want = nested_mul(unflat(a), unflat(b))
         assert unflat(got) == want
-    a = (3, 5, 7, 9)
-    assert flat.mul(a, flat.inv(a)) == flat.one
 
 
 # --- ring vector kernels -----------------------------------------------------
@@ -395,6 +392,8 @@ def test_ring_kernels_match_elementwise_fold(ring, data):
         for s, t in zip(x, y):
             acc = ring.add(acc, ring.mul(s, t))
         assert ring.dot(x, y) == acc
+    if isinstance(ring, Dual2Fp):
+        return  # no elimination runs over it, so it has no axpy
     assert ring.axpy(a, u, w) == [ring.add(ring.mul(a, s), t)
                                   for s, t in zip(u, w)]
     assert ring.axpy(top, [top] * n, [top] * n) == \
@@ -430,17 +429,9 @@ def test_dual2_slopes_project_onto_dual2(p, m, data):
         assert pr(ring.lift(b[0])) == one_slope.lift(b[0])
         for x, y in ((u, v), ([top] * n, [top] * n)):
             assert pr(ring.dot(x, y)) == one_slope.dot(prs(x), prs(y))
-            assert prs(ring.axpy(a, x, y)) == one_slope.axpy(pr(a), prs(x),
-                                                             prs(y))
     # e_i·e_j = 0: a product of two pure slopes vanishes
     pure = ring.zero[:2] + a[2:]
     assert ring.mul(pure, ring.zero[:2] + b[2:]) == ring.zero
-    if ring.is_unit(a):
-        assert ring.mul(a, ring.inv(a)) == ring.one
-        assert ring.mul(ring.inv(a), a) == ring.one
-    else:
-        with pytest.raises(ZeroInverse):
-            ring.inv(a)
 
 
 # --- interpolation ----------------------------------------------------------

@@ -10,7 +10,6 @@ from gaussfocal.fieldcore import (
     DualFp,
     Fp,
     Rng,
-    dot,
     kernel_basis,
     lagrange_interpolate,
     mat_rank,
@@ -124,6 +123,19 @@ def cone_spec():
     return VarietySpec("conic-cone", 3, [prog], None, sampler)
 
 
+def tilted_cone_spec():
+    """The cone x1² = x0·(x2 − x3), with vertex (0, 0, 1, 1)."""
+    b = ProgramBuilder(4)
+    prog = b.build(b.x(1) ** 2 - b.x(0) * (b.x(2) - b.x(3)))
+
+    def sampler(rng, fp):
+        s, t, u = (rng.field(fp.p) for _ in range(3))
+        return WitnessPoint([s * s % fp.p, s * t % fp.p,
+                             (t * t + u) % fp.p, u])
+
+    return VarietySpec("tilted-cone", 3, [prog], None, sampler)
+
+
 def test_chart_first_order_data():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 101)
@@ -132,9 +144,10 @@ def test_chart_first_order_data():
     assert len(chart.bmats) == 2
     assert all(len(B) == 3 and len(B[0]) == 6 for B in chart.bmats)
     # deformation rows stay inside the frozen tangent space
+    jac = [g.grad(frame.x, FP) for g in frame.gens]
     for B in chart.bmats:
         for row in B:
-            assert all(dot(row, g, FP) == 0 for g in frame.jac)
+            assert all(FP.dot(row, g) == 0 for g in jac)
     # the chosen directions really are transversal to the fibre
     assert mat_rank(fib.basis + chart.dirs, FP) == 5
 
@@ -247,41 +260,49 @@ def test_first_order_unit_part_off_the_center_system_is_rejected(monkeypatch):
         _first_order_fiber(fib, w, dring, FP)
 
 
-def _non_flat_bump(fib):
-    """A row i and a free column f such that adding ε at (i, f) puts
-    S₁·k₀ outside the column span of S₀ for the kernel vector k₀ that
-    is 1 at f: e_i pairs nonzero with a left-kernel vector of S₀."""
+def _non_flat_bump(fib, inside_q):
+    """A row i, among the rows Q of S₀ or outside them, and a free
+    column f such that adding ε at (i, f) puts S₁·k₀ outside the column
+    span of S₀ for the kernel vector k₀ that is 1 at f: e_i pairs
+    nonzero with a left-kernel vector of S₀."""
     _, left = rank_and_kernel([list(col) for col in zip(*fib.system)], FP)
-    i = next(i for i, v in enumerate(left[0]) if v)
+    i = next(i for vec in left for i, v in enumerate(vec)
+             if v and (i in fib.sys_rows) == inside_q)
     f = next(c for c in range(len(fib.frame.tangent))
              if c not in fib.sys_pivots)
     return i, f
 
 
 def test_non_flat_first_order_system_is_rejected(monkeypatch):
+    # the flatness check reads only the rows outside Q, which c₁ does not
+    # solve by construction; a bump inside Q moves c₁ and must show there
     pt, frame, fib, rng = _sym3_fiber(143)
     dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
-    i, f = _non_flat_bump(fib)
+    for inside_q in (True, False):
+        i, f = _non_flat_bump(fib, inside_q)
 
-    def bump_slope(rows):
-        u, s = rows[i][f]
-        rows[i][f] = (u, (s + 1) % P)
+        def bump_slope(rows):
+            u, s = rows[i][f]
+            rows[i][f] = (u, (s + 1) % P)
 
-    rows, tangent_eps = _scripted_system(monkeypatch, fib, w, dring,
-                                         bump_slope)
-    # the dual elimination leaves a nonzero residual row here too
-    with pytest.raises(DegeneratePivot):
-        _first_order_by_dual_rref(fib, tangent_eps, rows, dring)
-    with pytest.raises(DegeneratePivot):
-        _first_order_fiber(fib, w, dring, FP)
+        rows, tangent_eps = _scripted_system(monkeypatch, fib, w, dring,
+                                             bump_slope)
+        # the dual elimination leaves a nonzero residual row here too
+        with pytest.raises(DegeneratePivot):
+            _first_order_by_dual_rref(fib, tangent_eps, rows, dring)
+        with pytest.raises(DegeneratePivot):
+            _first_order_fiber(fib, w, dring, FP)
+    # unbumped, the same direction lifts
+    monkeypatch.undo()
+    assert len(_first_order_fiber(fib, w, dring, FP)) == fib.k + 1
 
 
 @pytest.mark.parametrize("defect", ["unit", "slope"])
 def test_chart_redraws_after_a_degenerate_first_order_fibre(monkeypatch,
                                                             defect):
     pt, frame, fib, rng = _sym3_fiber(145)
-    i, f = _non_flat_bump(fib)
+    i, f = _non_flat_bump(fib, True)
     real = fiber_system
     calls = []
 
@@ -708,7 +729,19 @@ def test_perturbed_form_fails_containment():
 def test_chart_independence():
     spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 117)
-    assert chart_independence(fib, FP, rng)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    assert chart_independence(charm, fib, FP, rng)
+    # a chart of another fibre is rejected: both cones have line fibres
+    # through their vertex, the focus, which sits at different points of
+    # the canonical fibre coordinates
+    pt, frame, fib, rng = pipeline(cone_spec(), 2, 117)
+    _, _, other, other_rng = pipeline(tilted_cone_spec(), 2, 119)
+    own = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    foreign = characteristic_matrix(
+        fiber_family_chart(other, FP, other_rng), FP)
+    assert (foreign.r, foreign.k) == (own.r, own.k) == (1, 1)
+    assert chart_independence(own, fib, FP, rng)
+    assert not chart_independence(foreign, fib, FP, rng)
 
 
 def test_proportional():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng, dual_over
+from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng
 from gaussfocal.mpoly import (
     CharTooSmall,
     ProgramBuilder,
@@ -26,15 +26,20 @@ F7 = Fp(7)
 F101 = Fp(101)
 
 
+def _dual_over(ring):
+    """The dual extension of F_p (F_p[e]) or of F_p[d] (F_p[d, e])."""
+    return DualFp(ring.p) if isinstance(ring, Fp) else Dual2Fp(ring.p)
+
+
 def _dual_embed(ring, a):
-    """Lift an element of ``ring`` into dual_over(ring) with zero slope."""
+    """Lift an element of ``ring`` into _dual_over(ring) with zero slope."""
     if isinstance(ring, Fp):
         return (a, 0)
     return (a[0], a[1], 0, 0)
 
 
 def _dual_slope(ring, a):
-    """The slope, over ``ring``, of an element of dual_over(ring)."""
+    """The slope, over ``ring``, of an element of _dual_over(ring)."""
     if isinstance(ring, Fp):
         return a[1]
     return (a[2], a[3])
@@ -42,7 +47,7 @@ def _dual_slope(ring, a):
 
 def _grad_forward(prog, x, ring):
     """Per-coordinate forward-mode gradient; reference oracle for grad()."""
-    dring = dual_over(ring)
+    dring = _dual_over(ring)
     eps = dring.eps
     base = [_dual_embed(ring, xi) for xi in x]
     out = []
@@ -407,9 +412,12 @@ def test_hess_vec_linear_is_zero():
 
 
 def _hess_vec_oracle(prog, x, v, ring):
-    """H(x)·v over F_p[d], one vector at a time: the gradient over
-    F_p[d, e] at x + e·v, built the long way (lift, scale by e, add) and
-    sliced to its e-slope."""
+    """H(x)·v, one vector at a time: the e-slope of the gradient at
+    x + e·v.  Over F_p that is one sweep over F_p[e]; over F_p[d] one
+    over F_p[d, e], with the point built the long way (lift, scale by e,
+    add)."""
+    if isinstance(ring, Fp):
+        return [gi[1] for gi in prog.grad(list(zip(x, v)), DualFp(ring.p))]
     dring = Dual2Fp(ring.p)
     pt = [dring.add(_dual_embed(ring, xi),
                     dring.mul(dring.eps, _dual_embed(ring, vi)))
@@ -427,14 +435,19 @@ def _pow_mul_program():
     return prog
 
 
-@pytest.mark.parametrize("prog", [
-    rank_locus_spec(MatrixShape.skew(8), 6).generators[0],
-    rank_locus_spec(MatrixShape.generic(3, 4), 2).generators[0],
-    _pow_mul_program(),
-], ids=["pfaffian-skew8", "det-generic3x4", "sparse-pow-mul"])
-def test_batched_hess_vec_matches_per_vector_oracle(prog):
-    p = (1 << 61) - 1
-    ring = DualFp(p)
+_HESS_PROGRAMS = [
+    ("pfaffian-skew8", rank_locus_spec(MatrixShape.skew(8), 6).generators[0]),
+    ("det-generic3x4",
+     rank_locus_spec(MatrixShape.generic(3, 4), 2).generators[0]),
+    ("sparse-pow-mul", _pow_mul_program()),
+]
+
+
+@pytest.mark.parametrize("prog,ring", [
+    pytest.param(prog, cls((1 << 61) - 1), id=name + suffix)
+    for name, prog in _HESS_PROGRAMS
+    for cls, suffix in ((DualFp, ""), (Fp, "-Fp"))])
+def test_batched_hess_vec_matches_per_vector_oracle(prog, ring):
     rng = Rng(83)
     for count in (1, prog.arity):
         x = [_random_element(ring, rng) for _ in range(prog.arity)]
