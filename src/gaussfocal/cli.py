@@ -25,7 +25,6 @@ from time import perf_counter
 
 from .fieldcore import (
     DegeneratePivot,
-    DuplicateAbscissa,
     Fp,
     Infeasible,
     Rng,
@@ -739,7 +738,7 @@ def _witness_battery(plan, fp, rng):
 # not get past, exit 2 for a violated invariant.
 _DEGENERACY = (RankDeficientSample, SingularSamplePoint, ChartFailed,
                DegenerateLines, DegenerateSurface, InconsistentDim,
-               CharTooSmall, ZeroInverse, DegeneratePivot, DuplicateAbscissa)
+               CharTooSmall, ZeroInverse, DegeneratePivot)
 _VIOLATION = (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
               NonVanishingTransversalComponent, DeformationSpanMismatch,
               NotDegenerate, Infeasible, PointOffVariety, NoCodimension,

@@ -25,6 +25,12 @@ characteristic polynomial goes through Hessenberg form instead.  Over a
 field every nonzero entry is a unit; over a dual ring a pivot must have a
 nonzero unit part, and inputs whose rank drops on the unit parts raise
 ``DegeneratePivot`` so callers can resample.
+
+Interpolation runs only on the integer nodes 0, 1, 2, …, as two
+triangular maps on a line: values to Newton coefficients
+(``newton_divided``) and Newton to power coefficients
+(``newton_to_power``).  ``lagrange_interpolate`` composes them on one
+line; the focal extraction runs them axis by axis on a simplex grid.
 """
 
 from __future__ import annotations
@@ -43,10 +49,6 @@ class DegeneratePivot(ArithmeticError):
 
 class Infeasible(ValueError):
     """Right-hand side outside the column span of the system matrix."""
-
-
-class DuplicateAbscissa(ValueError):
-    """Interpolation nodes must be pairwise distinct."""
 
 
 _M64 = (1 << 64) - 1
@@ -152,9 +154,6 @@ class Fp:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -317,7 +316,7 @@ def vecmat(v, mat, ring):
     return [ring.dot(v, col) for col in zip(*mat)]
 
 
-def rref(mat, ring, pivot_cols=None, reduced=True):
+def rref(mat, ring, reduced=True):
     """Reduced row echelon form with unit pivots.
 
     Returns ``(rows, pivots)``.  A forward sweep clears each pivot column
@@ -325,12 +324,10 @@ def rref(mat, ring, pivot_cols=None, reduced=True):
     first; a row update covers only the lead row's columns from its first
     nonzero entry on (over F_p, from the pivot column).  ``reduced=False``
     stops after the forward sweep, with rows in echelon form: enough for
-    the rank, the pivots and ``kernel_basis``.  With ``pivot_cols`` the
-    reduction is forced to use exactly those columns in order; the tangent
-    step of a first-order fibre uses it to align the Jacobian over F_p[ε]
-    with the echelon form of its unit part, the center Jacobian.  Raises
-    ``DegeneratePivot`` when a non-field ring leaves a nonzero row that no
-    unit pivot can clear.
+    the rank, the pivots and ``kernel_basis``.  Over F_p[ε] the unit parts
+    are eliminated exactly as the unit-part matrix is over F_p, so the
+    pivots are the unit part's.  Raises ``DegeneratePivot`` when a
+    non-field ring leaves a nonzero row that no unit pivot can clear.
     """
     rows = [list(r) for r in mat]
     nrows = len(rows)
@@ -348,11 +345,8 @@ def rref(mat, ring, pivot_cols=None, reduced=True):
 
     pivots = []
     r = 0
-    columns = pivot_cols if pivot_cols is not None else range(ncols)
-    for c in columns:
+    for c in range(ncols):
         if r == nrows:
-            if pivot_cols is not None:
-                raise DegeneratePivot("prescribed pivot beyond row count")
             break
         pr = None
         for i in range(r, nrows):
@@ -360,8 +354,6 @@ def rref(mat, ring, pivot_cols=None, reduced=True):
                 pr = i
                 break
         if pr is None:
-            if pivot_cols is not None:
-                raise DegeneratePivot(f"no unit pivot in column {c}")
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = inv(rows[r][c])
@@ -487,43 +479,44 @@ def charpoly(mat, fp):
     return polys[n]
 
 
-def lagrange_interpolate(points, degree_bound, fp):
-    """Coefficients (ascending) of the unique poly of degree <= bound.
+def newton_divided(values, fp):
+    """Newton coefficients of the values at s = 0, 1, 2, …: divided
+    differences, where nodes j apart differ by j, so level j takes one
+    inverse.  Coefficient j reads only the values at 0..j."""
+    p = fp.p
+    coef = list(values)
+    for j in range(1, len(coef)):
+        inv = fp.inv(j)
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv % p
+    return coef
 
-    Uses Newton divided differences on the first ``degree_bound + 1``
-    nodes and checks the remaining points exactly.
+
+def newton_to_power(coef, fp):
+    """Power coefficients, ascending, of Σ_j c_j·s(s − 1)…(s − j + 1), by
+    nested multiplication with (s − j).  Power coefficient i reads only
+    the Newton coefficients from i on."""
+    p = fp.p
+    poly = []
+    for j in range(len(coef) - 1, -1, -1):
+        poly = [(a - j * b) % p for a, b in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + coef[j]) % p
+    return poly
+
+
+def lagrange_interpolate(values, degree_bound, fp):
+    """Coefficients (ascending, trimmed) of the unique poly of degree <=
+    bound through the values at s = 0, 1, 2, ….
+
+    Newton interpolation through every value: the Newton coefficients
+    past the bound must vanish, which checks the surplus values exactly.
     """
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("repeated interpolation node")
-    if len(points) < degree_bound + 1:
-        raise ValueError("need at least degree_bound + 1 points")
-    head = points[: degree_bound + 1]
-    hx = [fp.lift(x) for x, _ in head]
-    coef = [fp.lift(y) for _, y in head]
-    n = len(head)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            num = fp.sub(coef[i], coef[i - 1])
-            den = fp.sub(hx[i], hx[i - j])
-            coef[i] = fp.mul(num, fp.inv(den))
-    # expand the Newton form into monomial coefficients
-    poly = [0] * n
-    basis = [1]
-    for i in range(n):
-        for k, bv in enumerate(basis):
-            poly[k] = fp.add(poly[k], fp.mul(coef[i], bv))
-        if i + 1 < n:
-            shifted = [0] + basis
-            scaled = [fp.mul(fp.neg(hx[i]), bv) for bv in basis] + [0]
-            basis = [fp.add(a, b) for a, b in zip(shifted, scaled)]
+    if len(values) < degree_bound + 1:
+        raise ValueError("need at least degree_bound + 1 values")
+    coef = newton_divided(values, fp)
+    if any(coef[degree_bound + 1:]):
+        raise ValueError("surplus value off the interpolated polynomial")
+    poly = newton_to_power(coef[:degree_bound + 1], fp)
     while poly and poly[-1] == 0:
         poly.pop()
-    # verify any surplus points
-    for x, y in points[degree_bound + 1:]:
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % fp.p
-        if acc != fp.lift(y):
-            raise ValueError("surplus point off the interpolated polynomial")
     return poly

@@ -24,7 +24,6 @@ interpolation lines all come from that one pencil.
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
 
 from .fieldcore import (
@@ -34,6 +33,8 @@ from .fieldcore import (
     charpoly,
     kernel_basis,
     mat_rank,
+    newton_divided,
+    newton_to_power,
     random_combination,
     rank_and_kernel,
     rref,
@@ -53,7 +54,6 @@ from .mpoly import (
     up_divmod,
     up_eval,
     up_gcd,
-    up_mul,
     up_trim,
 )
 
@@ -114,7 +114,8 @@ def _first_order_fiber(fiber, w, dring, fp):
     """B matrix of the fibre at x + εw, aligned with the center fibre.
 
     The tangent basis at x + εw comes from the Jacobian's elimination
-    over the dual ring with the center's pivot columns imposed, so its
+    over the dual ring, whose unit parts run the center's elimination:
+    its pivots must be the center's (else ``DegeneratePivot``), so its
     unit part T₀ is the center tangent basis and its slope T₁ the
     deformation.  The fibre system over the dual ring is S₀ + ε·S₁ with
     S₀ the center system (else ``DegeneratePivot``).  Each center kernel
@@ -130,7 +131,9 @@ def _first_order_fiber(fiber, w, dring, fp):
     p = fp.p
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots, reduced=False)
+    rows, piv = rref(jac, dring, reduced=False)
+    if piv != frame.tan_pivots:
+        raise DegeneratePivot("tangent pivots moved off the center's")
     tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
     sys_rows = fiber_system(frame.gens, x_eps, tangent_eps, dring)
     if [[u for u, _ in row] for row in sys_rows] != fiber.system:
@@ -424,13 +427,6 @@ def _simplex_nodes(k, d):
     return out
 
 
-def _falling_coeffs(m, fp):
-    poly = [1]
-    for j in range(m):
-        poly = up_mul(poly, [-j % fp.p, 1], fp)
-    return poly
-
-
 def _pencil_slices(charm, base, dirs, fp):
     """det M(base) and the matrices M(base)⁻¹·M(v) for v in dirs, from
     one elimination of [M(base) | M(v_1) | … | M(v_k)]; None when
@@ -502,41 +498,22 @@ def _normalized_root_values(charm, basis, d, fp):
 
 def _newton_simplex(vals, k, d, fp):
     """Monomial coefficients of the degree-≤d interpolant of ``vals`` on
-    the integer simplex grid, by forward differences."""
-    p = fp.p
-    inv_fact = [1] * (d + 1)
-    for m in range(2, d + 1):
-        inv_fact[m] = inv_fact[m - 1] * fp.inv(m) % p
-    ffs = [_falling_coeffs(m, fp) for m in range(d + 1)]
-    terms = {}
-    for e in _simplex_nodes(k, d):
-        acc = 0
-        for a in product(*(range(ei + 1) for ei in e)):
-            w = 1
-            for ei, ai in zip(e, a):
-                w *= comb(ei, ai)
-            if (sum(e) - sum(a)) % 2:
-                w = -w
-            acc += w * vals[a]
-        cf = acc % p
-        for ei in e:
-            cf = cf * inv_fact[ei] % p
-        if cf == 0:
-            continue
-        expansion = {(0,) * k: cf}
-        for i, ei in enumerate(e):
-            if not ei:
-                continue
-            nxt = {}
-            for ex, c in expansion.items():
-                for deg_i, fc in enumerate(ffs[ei]):
-                    if fc:
-                        ne = ex[:i] + (ex[i] + deg_i,) + ex[i + 1:]
-                        nxt[ne] = (nxt.get(ne, 0) + c * fc) % p
-            expansion = nxt
-        for ex, c in expansion.items():
-            terms[ex] = (terms.get(ex, 0) + c) % p
-    return {e: c for e, c in terms.items() if c}
+    the integer simplex grid: ``newton_divided`` along every axis line,
+    then ``newton_to_power`` along every axis line.  Both maps are
+    triangular on a line, so the lines inside the simplex suffice as
+    long as every axis is differenced before any goes back to powers;
+    both fix a line of one node."""
+    grid = dict(vals)
+    starts = [node for node in _simplex_nodes(k, d) if sum(node) < d]
+    for step in (newton_divided, newton_to_power):
+        for i in range(k):
+            for node in starts:
+                if node[i]:
+                    continue
+                line = [node[:i] + (j,) + node[i + 1:]
+                        for j in range(d - sum(node) + 1)]
+                grid.update(zip(line, step([grid[e] for e in line], fp)))
+    return {e: c for e, c in grid.items() if c}
 
 
 def _extract_interpolation(charm, mu, d, fp, rng):

@@ -42,8 +42,8 @@ class TangentFrame:
     ``gens`` are the generators whose gradients at ``x`` already span the
     full conormal space, ``tangent`` is the canonical kernel basis of
     their Jacobian, and ``tan_pivots`` records which coordinate columns
-    carried the pivots so the same echelon shape can be re-imposed over
-    dual rings later.
+    carried the pivots, so that an elimination over a dual ring can be
+    checked to keep the same echelon shape.
     """
 
     __slots__ = ("x", "gens", "tan_pivots", "tangent", "n", "codim")

@@ -697,15 +697,14 @@ def up_roots(f, fp, rng):
 
 def on_line(func, deg, a, d, fp):
     """The polynomial s ↦ func(a + s·d, fp) of degree ≤ deg, ascending
-    ([] for the zero polynomial), interpolated from deg+2 values; the
-    surplus value must lie on it too."""
+    ([] for the zero polynomial), interpolated from its values at
+    s = 0, …, deg + 1; the surplus value must lie on it too."""
     if fp.p <= deg + 1:
         raise CharTooSmall(f"characteristic {fp.p} <= degree {deg} + 1")
-    pts = []
-    for s in range(deg + 2):
-        t = [(av + s * dv) % fp.p for av, dv in zip(a, d)]
-        pts.append((s, func(t, fp)))
-    return up_trim(lagrange_interpolate(pts, deg, fp))
+    p = fp.p
+    values = [func([(av + s * dv) % p for av, dv in zip(a, d)], fp)
+              for s in range(deg + 2)]
+    return lagrange_interpolate(values, deg, fp)
 
 
 def restrict_to_line(prog, a, d, fp):

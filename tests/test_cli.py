@@ -35,7 +35,6 @@ from gaussfocal.cli import (
 )
 from gaussfocal.fieldcore import (
     DegeneratePivot,
-    DuplicateAbscissa,
     Fp,
     Infeasible,
     Rng,
@@ -432,7 +431,6 @@ def test_invariant_violation_names_experiment_prime_trial_and_stage(
     ("fiber_family_chart", DegeneratePivot, 3, "chart"),
     ("characteristic_matrix", Infeasible, 2, "characteristic matrix"),
     ("focal_report", ZeroInverse, 3, "profile and extraction"),
-    ("focal_report", DuplicateAbscissa, 3, "profile and extraction"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_library_errors_exit_with_code_and_place(target, error, code, stage,
                                                  monkeypatch, capsys):
@@ -575,3 +573,38 @@ def test_random_specs_keep_the_exit_code_contract(text, seed):
                        "--primes", "1", "--lines", "2", "--seed", str(seed)])
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+# Every rank locus below full rank with at most 28 coordinates: symmetric
+# n ≤ 6, generic r ≤ c ≤ 6, skew n ≤ 8 with an even rank bound.  Symmetric
+# 6×6 rank 5 and generic 5×5 rank 4 take seconds each; CI runs them as
+# scorza-max-sym m = 5 and scorza-max-gen m = 4.
+_RANK_LOCI = [
+    locus for locus in
+    [("symmetric", n, n, rb) for n in range(2, 7) for rb in range(1, n)]
+    + [("generic", r, c, rb) for r in range(2, 7) for c in range(r, 7)
+       if r * c <= 28 for rb in range(1, r)]
+    + [("skew", n, n, rb) for n in range(4, 9) for rb in range(2, n - 1, 2)]
+    if locus not in (("symmetric", 6, 6, 5), ("generic", 5, 5, 4))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(locus=st.sampled_from(_RANK_LOCI), seed=st.integers(0, 2**16))
+def test_random_rank_loci_keep_the_focal_invariants(locus, seed):
+    shape, rows, cols, rb = locus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "locus.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"matrix": {"shape": shape, "rows": rows,
+                                  "cols": cols}, "rank_bound": rb}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["custom", "--spec", path, "--trials", "1",
+                       "--primes", "1", "--seed", str(seed), "--json"])
+    assert (rc, err.getvalue()) == (0, "")
+    (rec,) = json.loads(out.getvalue())
+    assert rec["k"] == rec["dim_x"] - rec["r"]
+    assert "Fail" not in rec["bounds"].values()
+    if rec["k"] > 0:
+        assert rec["focal_degree"] == rec["r"]
+        assert rec["mu"] * rec["reduced_degree"] == rec["r"]

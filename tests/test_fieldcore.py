@@ -10,7 +10,6 @@ from gaussfocal.fieldcore import (
     DegeneratePivot,
     DualFp,
     Dual2Fp,
-    DuplicateAbscissa,
     Fp,
     Infeasible,
     Rng,
@@ -21,6 +20,8 @@ from gaussfocal.fieldcore import (
     kernel_basis,
     lagrange_interpolate,
     mat_rank,
+    newton_divided,
+    newton_to_power,
     random_prime,
     rank_and_kernel,
     rref,
@@ -58,7 +59,6 @@ def test_inverse_law_randomized():
 
 def test_field_ops_mod_p():
     assert F7.add(5, 4) == 2
-    assert F7.sub(2, 5) == 4
     assert F7.mul(3, 5) == 1
     assert F7.neg(3) == 4
     assert F7.lift(-1) == 6
@@ -142,7 +142,7 @@ def test_solve_affine_random_consistency():
 # --- elimination against the Gauss–Jordan oracle ------------------------------
 
 
-def _gauss_jordan(mat, ring, pivot_cols=None):
+def _gauss_jordan(mat, ring):
     """Textbook Gauss–Jordan with unit pivots: every pivot clears its
     column in every other row, along the full row.  The oracle of
     ``rref``, which sweeps forward on trailing columns first."""
@@ -151,17 +151,12 @@ def _gauss_jordan(mat, ring, pivot_cols=None):
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
-    columns = pivot_cols if pivot_cols is not None else range(ncols)
-    for c in columns:
+    for c in range(ncols):
         if r == nrows:
-            if pivot_cols is not None:
-                raise DegeneratePivot("prescribed pivot beyond row count")
             break
         pr = next((i for i in range(r, nrows) if ring.is_unit(rows[i][c])),
                   None)
         if pr is None:
-            if pivot_cols is not None:
-                raise DegeneratePivot(f"no unit pivot in column {c}")
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = ring.inv(rows[r][c])
@@ -245,8 +240,8 @@ def test_elimination_matches_gauss_jordan(p, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_dual_elimination_matches_gauss_jordan(p, data):
-    """Over F_p[ε], with the unit part's pivots imposed or not, the same
-    rows and kernels come out, or ``DegeneratePivot`` on both sides."""
+    """Over F_p[ε] the same rows and kernels come out, or
+    ``DegeneratePivot`` on both sides; the pivots are the unit part's."""
     fp, ring = Fp(p), DualFp(p)
     units = data.draw(_matrices(p), "units")
     nrows, ncols = len(units), len(units[0])
@@ -264,25 +259,18 @@ def test_dual_elimination_matches_gauss_jordan(p, data):
             st.one_of(st.just(0), st.integers(0, p - 1)), min_size=ncols,
             max_size=ncols), min_size=nrows, max_size=nrows), "slopes")
     mat = [list(zip(*pair)) for pair in zip(units, slopes)]
-    cols = _gauss_jordan(units, fp)[1]
-    if data.draw(st.booleans(), "other pivot columns"):
-        cols = sorted(data.draw(st.sets(st.integers(0, ncols - 1)), "cols"))
-    want = _outcome(_gauss_jordan, mat, ring, pivot_cols=cols)
-    assert _outcome(rref, mat, ring, pivot_cols=cols) == want
-    echelon = _outcome(rref, mat, ring, pivot_cols=cols, reduced=False)
-    if want is DegeneratePivot:
-        assert echelon is DegeneratePivot
-    else:
-        assert kernel_basis(*echelon, ncols, ring) == \
-            _kernel_from_rref(*want, ncols, ring)
     want = _outcome(_gauss_jordan, mat, ring)
     assert _outcome(rref, mat, ring) == want
+    echelon = _outcome(rref, mat, ring, reduced=False)
     if want is not DegeneratePivot:
         rows, pivots = want
+        assert pivots == _gauss_jordan(units, fp)[1] == echelon[1]
         kernel = _kernel_from_rref(rows, pivots, ncols, ring)
+        assert kernel_basis(*echelon, ncols, ring) == kernel
         assert kernel_basis(rows, pivots, ncols, ring) == kernel
         assert _outcome(rank_and_kernel, mat, ring) == (len(pivots), kernel)
     else:
+        assert echelon is DegeneratePivot
         assert _outcome(rank_and_kernel, mat, ring) is DegeneratePivot
 
 
@@ -437,15 +425,17 @@ def test_dual2_slopes_project_onto_dual2(p, m, data):
 # --- interpolation ----------------------------------------------------------
 
 
+def _horner(coeffs, s, p):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * s + c) % p
+    return acc
+
+
 def test_lagrange_small_parabola():
-    # points (0,1), (1,2), (2,5) over F_101 -> t^2 + 1
-    coeffs = lagrange_interpolate([(0, 1), (1, 2), (2, 5)], 2, F101)
+    # values 1, 2, 5 at s = 0, 1, 2 over F_101 -> t^2 + 1
+    coeffs = lagrange_interpolate([1, 2, 5], 2, F101)
     assert coeffs == [1, 0, 1]
-
-
-def test_lagrange_duplicate_abscissa():
-    with pytest.raises(DuplicateAbscissa):
-        lagrange_interpolate([(1, 1), (1, 2)], 1, F101)
 
 
 def test_lagrange_roundtrip_randomized():
@@ -454,15 +444,33 @@ def test_lagrange_roundtrip_randomized():
     for _ in range(100):
         d = rng.below(21)
         coeffs = [rng.field(fp.p) for _ in range(d + 1)]
-        pts = []
-        for t in range(d + 1):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * t + c) % fp.p
-            pts.append((t, acc))
-        back = lagrange_interpolate(pts, d, fp)
+        values = [_horner(coeffs, s, fp.p) for s in range(d + 1)]
+        back = lagrange_interpolate(values, d, fp)
         back += [0] * (d + 1 - len(back))
         assert back == coeffs
+
+
+@pytest.mark.parametrize("p", [(1 << 61) - 1, 101])
+def test_newton_maps_round_trip(p):
+    """Values at 0..n−1 → Newton coefficients is checked against the
+    Newton form evaluated directly, and Newton → power by the round trip
+    from power coefficients through their values."""
+    fp = Fp(p)
+    rng = Rng(0x4E57)
+    for n in range(1, 22):
+        for _ in range(3):
+            newton = [rng.field(p) for _ in range(n)]
+            values = []
+            for s in range(n):
+                acc, falling = 0, 1
+                for j, c in enumerate(newton):
+                    acc += c * falling
+                    falling = falling * (s - j) % p
+                values.append(acc % p)
+            assert newton_divided(values, fp) == newton
+            coeffs = [rng.field(p) for _ in range(n)]
+            values = [_horner(coeffs, s, p) for s in range(n)]
+            assert newton_to_power(newton_divided(values, fp), fp) == coeffs
 
 
 # --- characteristic polynomials ---------------------------------------------
@@ -471,12 +479,12 @@ def test_lagrange_roundtrip_randomized():
 def _charpoly_by_interpolation(mat, fp):
     """det(x·I − A) interpolated from determinants at n+2 points."""
     n = len(mat)
-    pts = []
+    values = []
     for x in range(n + 2):
         shifted = [[((x if i == j else 0) - v) % fp.p
                     for j, v in enumerate(row)] for i, row in enumerate(mat)]
-        pts.append((x, det_ring(shifted, fp)))
-    return lagrange_interpolate(pts, n, fp)
+        values.append(det_ring(shifted, fp))
+    return lagrange_interpolate(values, n, fp)
 
 
 @pytest.mark.parametrize("p", [(1 << 61) - 1, 101])

@@ -2,6 +2,7 @@
 multiplicity profiles, reduced-form extraction and the bound battery."""
 
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -36,6 +37,7 @@ from gaussfocal.focal import (
     _extract_interpolation,
     _extract_linear_system,
     _first_order_fiber,
+    _newton_simplex,
     _normalized_root_values,
     _proportional,
     _simplex_nodes,
@@ -71,6 +73,7 @@ from gaussfocal.mpoly import (
     up_divmod,
     up_eval,
     up_gcd,
+    up_mul,
     up_roots,
     up_trim,
 )
@@ -161,11 +164,12 @@ def test_chart_rejects_point_fibers():
 
 
 def _dual_tangent(fiber, w, dring):
-    """x + εw and the tangent basis there, the center's pivots imposed."""
+    """x + εw and the tangent basis there, on the center's pivots."""
     frame = fiber.frame
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
+    rows, piv = rref(jac, dring)
+    assert piv == frame.tan_pivots
     return x_eps, kernel_basis(rows, piv, len(frame.x), dring)
 
 
@@ -179,10 +183,11 @@ def _dense_system(gens, x, tangent, ring):
 
 
 def _first_order_by_dual_rref(fiber, tangent_eps, sys_rows, dring):
-    """Oracle: the whole fibre system reduced over the dual ring with the
-    center's pivot columns imposed, its canonical kernel, and the slopes
-    of the kernel vectors in the dual tangent basis."""
-    srows, spiv = rref(sys_rows, dring, pivot_cols=fiber.sys_pivots)
+    """Oracle: the whole fibre system reduced over the dual ring, on the
+    center's pivot columns, its canonical kernel, and the slopes of the
+    kernel vectors in the dual tangent basis."""
+    srows, spiv = rref(sys_rows, dring)
+    assert spiv == fiber.sys_pivots
     ckernel = kernel_basis(srows, spiv, len(tangent_eps), dring)
     bmat = []
     for coeffs, center_row in zip(ckernel, fiber.basis):
@@ -227,6 +232,18 @@ def test_first_order_fiber_matches_dual_rref_oracle(shape, rb, dim, p):
             assert _outcome(_first_order_fiber, fib, w, dring, fp) == want
             compared += want is not DegeneratePivot
     assert compared >= 9
+
+
+def test_first_order_tangent_off_the_center_pivots_is_rejected():
+    # the dual Jacobian's unit part is the center Jacobian, so its pivots
+    # are the center's; a frame that records others is refused
+    pt, frame, fib, rng = _sym3_fiber(141)
+    dring = DualFp(P)
+    w = random_combination(frame.tangent, FP, rng)
+    assert len(_first_order_fiber(fib, w, dring, FP)) == fib.k + 1
+    frame.tan_pivots = frame.tan_pivots[:-1] + [frame.tan_pivots[-1] + 1]
+    with pytest.raises(DegeneratePivot, match="tangent pivots"):
+        _first_order_fiber(fib, w, dring, FP)
 
 
 def _scripted_system(monkeypatch, fib, w, dring, edit):
@@ -453,11 +470,9 @@ def _root_values_by_determinants(charm, basis, d, fp):
         dirv = [0] * len(tstar)
         for i, c in enumerate(node):
             dirv = [(a + c * b) % p for a, b in zip(dirv, basis[i + 1])]
-        pts = []
-        for s in range(r + 2):
-            x = [(a + s * b) % p for a, b in zip(tstar, dirv)]
-            pts.append((s, charm.det_at(x, fp)))
-        f = up_trim(lagrange_interpolate(pts, r, fp))
+        values = [charm.det_at([(a + s * b) % p for a, b in
+                                zip(tstar, dirv)], fp) for s in range(r + 2)]
+        f = lagrange_interpolate(values, r, fp)
         if up_deg(f) != r:
             return None
         sf = up_divmod(f, up_gcd(f, up_deriv(f, fp), fp), fp)[0]
@@ -482,6 +497,84 @@ def test_pencil_root_values_match_determinants():
     vals = _normalized_root_values(charm, basis, d, FP)
     assert vals is not None and len(vals) == 21
     assert vals == _root_values_by_determinants(charm, basis, d, FP)
+
+
+def _falling_coeffs(m, fp):
+    poly = [1]
+    for j in range(m):
+        poly = up_mul(poly, [-j % fp.p, 1], fp)
+    return poly
+
+
+def _newton_simplex_by_box_sums(vals, k, d, fp):
+    """Oracle of ``_newton_simplex``: each Newton coefficient is a forward
+    difference summed over the box below its exponent, and each falling
+    factorial is expanded term by term."""
+    p = fp.p
+    inv_fact = [1] * (d + 1)
+    for m in range(2, d + 1):
+        inv_fact[m] = inv_fact[m - 1] * fp.inv(m) % p
+    ffs = [_falling_coeffs(m, fp) for m in range(d + 1)]
+    terms = {}
+    for e in _simplex_nodes(k, d):
+        acc = 0
+        for a in product(*(range(ei + 1) for ei in e)):
+            w = 1
+            for ei, ai in zip(e, a):
+                w *= comb(ei, ai)
+            if (sum(e) - sum(a)) % 2:
+                w = -w
+            acc += w * vals[a]
+        cf = acc % p
+        for ei in e:
+            cf = cf * inv_fact[ei] % p
+        if cf == 0:
+            continue
+        expansion = {(0,) * k: cf}
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            nxt = {}
+            for ex, c in expansion.items():
+                for deg_i, fc in enumerate(ffs[ei]):
+                    if fc:
+                        ne = ex[:i] + (ex[i] + deg_i,) + ex[i + 1:]
+                        nxt[ne] = (nxt.get(ne, 0) + c * fc) % p
+            expansion = nxt
+        for ex, c in expansion.items():
+            terms[ex] = (terms.get(ex, 0) + c) % p
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_newton_simplex_matches_box_sum_oracle():
+    rng = Rng(0x51A9)
+    for k in range(7):
+        for d in range(6):
+            for zeros in (1, 3):
+                # dense values, then two in three of them zero
+                vals = {e: rng.field(P) if rng.below(zeros) == 0 else 0
+                        for e in _simplex_nodes(k, d)}
+                assert _newton_simplex(vals, k, d, FP) == \
+                    _newton_simplex_by_box_sums(vals, k, d, FP)
+            zero = dict.fromkeys(_simplex_nodes(k, d), 0)
+            assert _newton_simplex(zero, k, d, FP) == {}
+
+
+def test_newton_simplex_recovers_a_form_from_its_values():
+    rng = Rng(0x51AA)
+    for k, d in [(1, 5), (2, 4), (3, 3), (4, 5), (6, 2)]:
+        nodes = _simplex_nodes(k, d)
+        form = {e: rng.field(P) for e in nodes if rng.below(3)}
+        vals = {}
+        for node in nodes:
+            acc = 0
+            for e, c in form.items():
+                term = c
+                for x, ei in zip(node, e):
+                    term = term * x ** ei
+                acc += term
+            vals[node] = acc % P
+        assert _newton_simplex(vals, k, d, FP) == form
 
 
 class _ScriptedRng:
@@ -689,9 +782,9 @@ def test_quotient_matrix_matches_framed_oracle(shape, rb, dim, seed):
     while not roots:
         a = [rng.field(P) for _ in range(chart.k + 1)]
         d = [rng.field(P) for _ in range(chart.k + 1)]
-        pts = [(s, quot.det_at([(x + s * y) % P for x, y in zip(a, d)], FP))
-               for s in range(r + 1)]
-        roots = up_roots(lagrange_interpolate(pts, r, FP), FP, rng)
+        values = [quot.det_at([(x + s * y) % P for x, y in zip(a, d)], FP)
+                  for s in range(r + 1)]
+        roots = up_roots(lagrange_interpolate(values, r, FP), FP, rng)
     focus = [(x + roots[0] * y) % P for x, y in zip(a, d)]
     kernel = char_kernel_at_point(quot, focus, FP)
     assert kernel >= 1

@@ -223,7 +223,8 @@ def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
     w = random_combination(frame.tangent, FP, rng)
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring, pivot_cols=frame.tan_pivots)
+    rows, piv = rref(jac, dring)
+    assert piv == frame.tan_pivots
     tangent = kernel_basis(rows, piv, len(frame.x), dring)
     tangent[0][pc] = dring.zero
     tangent[1][pc] = (0, tangent[1][pc][1] or 1)
