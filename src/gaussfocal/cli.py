@@ -366,13 +366,14 @@ def parse_spec_file(path) -> VarietySpec:
             raise InputError(f"unknown matrix shape {kind!r} "
                              "(use symmetric, generic or skew)")
         rows, cols = desc.get("rows"), desc.get("cols", desc.get("rows"))
-        if not (isinstance(rows, int) and isinstance(cols, int)
+        # JSON true/false load as bool, an int subclass: test ``type``
+        if not (type(rows) is int and type(cols) is int
                 and rows >= 2 and cols >= 2):
             raise InputError("matrix rows/cols must be integers >= 2")
         if kind in ("symmetric", "skew") and rows != cols:
             raise InputError(f"{kind} matrices must be square")
         rb = data.get("rank_bound")
-        if not isinstance(rb, int) or rb < 1:
+        if type(rb) is not int or rb < 1:
             raise InputError("rank_bound must be a positive integer")
         if kind == "skew" and rb % 2:
             raise InputError("skew matrices have even rank; "
@@ -387,7 +388,7 @@ def parse_spec_file(path) -> VarietySpec:
             raise InputError(str(exc)) from exc
 
     ambient = data["ambient_dim"]
-    if not isinstance(ambient, int) or ambient < 2:
+    if type(ambient) is not int or ambient < 2:
         raise InputError("ambient_dim must be an integer >= 2")
     _bound("ambient dimension", ambient, MAX_AMBIENT_DIM)
     nvars = ambient + 1
@@ -494,11 +495,13 @@ def _validate_config(cfg):
     if not isinstance(cfg.lines, int) or cfg.lines < 1:
         raise InputError("lines must be a positive integer")
     if cfg.prime is not None:
-        if not isinstance(cfg.prime, int) or not is_probable_prime(cfg.prime):
+        # below 2^32 random sampling is not generic; Rng draws one 64-bit
+        # word per field element
+        if not (isinstance(cfg.prime, int)
+                and _MIN_PRIME <= cfg.prime < 1 << 64):
+            raise InputError("the prime must satisfy 2^32 <= p < 2^64")
+        if not is_probable_prime(cfg.prime):
             raise InputError(f"{cfg.prime} is not prime")
-        if cfg.prime < _MIN_PRIME:
-            raise InputError("the prime must be at least 2^32 so random "
-                             "sampling stays generic")
     elif not 1 <= cfg.prime_count <= 8:
         raise InputError("prime count must be between 1 and 8")
 

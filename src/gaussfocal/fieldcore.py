@@ -75,8 +75,8 @@ class Rng:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        if not 1 <= n <= _M64 + 1:  # one 64-bit word per draw
+            raise ValueError("below() needs 1 <= n <= 2^64")
         lim = _M64 + 1 - (_M64 + 1) % n
         while True:
             v = self.u64()

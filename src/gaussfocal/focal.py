@@ -455,8 +455,9 @@ def _pencil_line(det0, kmat, fp):
             for m in range(r + 1)]
 
 
-def _normalized_root_values(charm, basis, d, fp):
-    """Values q(node)/q(t*) on the simplex grid through t* = basis[0].
+def _normalized_root_values(charm, basis, nodes, d, fp):
+    """Values q(node)/q(t*) on the simplex grid ``nodes`` through
+    t* = basis[0].
 
     Each value is read off the squarefree part of the focal form on the
     line from t* to the node; returns None when M(t*) is singular or any
@@ -472,7 +473,7 @@ def _normalized_root_values(charm, basis, d, fp):
         return None
     det0, slices = pencil
     vals = {}
-    for node in _simplex_nodes(len(basis) - 1, d):
+    for node in nodes:
         if not any(node):
             vals[node] = 1
             continue
@@ -496,17 +497,17 @@ def _normalized_root_values(charm, basis, d, fp):
     return vals
 
 
-def _newton_simplex(vals, k, d, fp):
+def _newton_simplex(vals, nodes, d, fp):
     """Monomial coefficients of the degree-≤d interpolant of ``vals`` on
-    the integer simplex grid: ``newton_divided`` along every axis line,
-    then ``newton_to_power`` along every axis line.  Both maps are
-    triangular on a line, so the lines inside the simplex suffice as
-    long as every axis is differenced before any goes back to powers;
-    both fix a line of one node."""
+    the integer simplex grid ``nodes``: ``newton_divided`` along every
+    axis line, then ``newton_to_power`` along every axis line.  Both
+    maps are triangular on a line, so the lines inside the simplex
+    suffice as long as every axis is differenced before any goes back to
+    powers; both fix a line of one node."""
     grid = dict(vals)
-    starts = [node for node in _simplex_nodes(k, d) if sum(node) < d]
+    starts = [node for node in nodes if sum(node) < d]
     for step in (newton_divided, newton_to_power):
-        for i in range(k):
+        for i in range(len(nodes[0])):
             for node in starts:
                 if node[i]:
                     continue
@@ -518,14 +519,15 @@ def _newton_simplex(vals, k, d, fp):
 
 def _extract_interpolation(charm, mu, d, fp, rng):
     nv = charm.k + 1
+    nodes = _simplex_nodes(nv - 1, d)
     for _ in range(8):
         basis = [[rng.field(fp.p) for _ in range(nv)] for _ in range(nv)]
         if mat_rank(basis, fp) != nv:
             continue
-        vals = _normalized_root_values(charm, basis, d, fp)
+        vals = _normalized_root_values(charm, basis, nodes, d, fp)
         if vals is None:
             continue
-        affine = _newton_simplex(vals, nv - 1, d, fp)
+        affine = _newton_simplex(vals, nodes, d, fp)
         terms = {(d - sum(e),) + e: c for e, c in affine.items()}
         return ReducedForm(SparsePoly(nv, terms), basis, fp)
     raise ExtractionFailed("no interpolation basis survived the line checks")

@@ -11,9 +11,10 @@ gradient over a dual extension and read off the slopes: over F_p and
 over F_p[d] alike, one sweep over F_p[d][e_1..e_m] gives the products
 with m vectors at once, each vector seeded along its own e_j (vector
 forward mode over reverse mode).
-Determinant and Pfaffian nodes expand division-free over
-bitmask-memoized minors and sub-Pfaffians, which also give the
-cofactors the sweep needs.
+Pfaffian nodes, and determinants over rings other than F_p, go through
+one division-free expansion over bitmask-memoized sub-Pfaffians (a
+determinant is the Pfaffian of [[0, M], [-Mᵀ, 0]] up to sign), which
+also gives the cofactors of both node kinds for the sweep.
 
 ``SparsePoly`` is the explicit dict-of-monomials form, used only where
 coefficients themselves are the object of interest (recovered divisors,
@@ -201,8 +202,8 @@ class PolyProgram:
         self.degree = degree
 
     def _forward(self, x, ring):
-        """Node values at x, and each Pfaffian node's sub-Pfaffian solver
-        (by node id) for the reverse sweep to reuse."""
+        """Node values at x, and each Pfaffian node's ``_pf_solver`` (by
+        node id) for the reverse sweep to reuse."""
         vals = [None] * len(self.nodes)
         pfs = {}
         lift, add, mul = ring.lift, ring.add, ring.mul
@@ -230,10 +231,11 @@ class PolyProgram:
                        for i in range(n)]
                 vals[nid] = det_ring(mat, ring)
             else:  # "pf"
-                n = node[1]
-                pf = _pf_solver(node[2], vals, n, ring)
+                n, ids = node[1], iter(node[2])
+                pf = pfs[nid] = _pf_solver(
+                    [[vals[next(ids)] for _ in range(n - 1 - i)]
+                     for i in range(n)], ring)
                 vals[nid] = pf((1 << n) - 1)
-                pfs[nid] = pf
         return vals, pfs
 
     def eval(self, x, ring):
@@ -274,25 +276,24 @@ class PolyProgram:
                 c, e = node[1], node[2]
                 d = mul(ring.lift(e), _ring_pow(vals[c], e - 1, ring))
                 adj[c] = add(adj[c], mul(a, d))
-            elif k == "det":
+            else:  # "det" or "pf": cofactors are signed sub-Pfaffians
                 n, ids = node[1], node[2]
-                minor = _minor_solver([[vals[ids[i * n + j]]
-                                        for j in range(n)]
-                                       for i in range(n)], ring)
-                full = (1 << n) - 1
-                for i in range(n):
-                    for j in range(n):
-                        cof = minor(full ^ 1 << i, full ^ 1 << j)
-                        if (i + j) % 2:
-                            cof = ring.neg(cof)
-                        if not is_zero(cof):
-                            t = ids[i * n + j]
-                            adj[t] = add(adj[t], mul(a, cof))
-            else:  # "pf"
-                ids = node[2]
-                for pos, cof in _pf_cofactors(pfs[nid], node[1], ring):
-                    t = ids[pos]
-                    adj[t] = add(adj[t], mul(a, cof))
+                if k == "det":
+                    pf = _pf_solver(_det_block(
+                        [[vals[t] for t in ids[i * n:(i + 1) * n]]
+                         for i in range(n)], ring), ring)
+                    pairs = [(i, n + j) for i in range(n) for j in range(n)]
+                    flip, full = n * (n - 1) // 2, (1 << 2 * n) - 1
+                else:
+                    pf, flip, full = pfs[nid], 0, (1 << n) - 1
+                    pairs = [(i, j) for i in range(n)
+                             for j in range(i + 1, n)]
+                for t, (i, j) in zip(ids, pairs):
+                    cof = pf(full ^ 1 << i ^ 1 << j)
+                    if (i + j + flip) % 2 == 0:  # sign (-1)^(i+j+1+flip)
+                        cof = ring.neg(cof)
+                    if not is_zero(cof):
+                        adj[t] = add(adj[t], mul(a, cof))
         return out
 
     def hess_vec(self, x, vs, ring):
@@ -332,11 +333,14 @@ def _ring_pow(v, e, ring):
 
 def det_ring(mat, ring):
     """Determinant over an arbitrary commutative ring: plain elimination
-    over F_p, the bitmask minor expansion of ``_minor_solver`` otherwise."""
+    over F_p; otherwise det M = (-1)^(n(n-1)/2)·Pf(B) with
+    B = [[0, M], [-Mᵀ, 0]], one bitmask Pfaffian expansion
+    (``_pf_solver`` on ``_det_block``)."""
     if isinstance(ring, Fp):
         return _det_field(mat, ring)
-    full = (1 << len(mat)) - 1
-    return _minor_solver(mat, ring)(full, full)
+    n = len(mat)
+    got = _pf_solver(_det_block(mat, ring), ring)((1 << 2 * n) - 1)
+    return ring.neg(got) if n * (n - 1) // 2 % 2 else got
 
 
 def _det_field(mat, fp):
@@ -367,66 +371,38 @@ def _det_field(mat, fp):
     return det % p
 
 
-def _minor_solver(mat, ring):
-    """Minors of a square matrix over any commutative ring.
-
-    The returned function takes a row set and a column set of equal size
-    as bitmasks.  A minor expands along its lowest row as one
-    ``ring.dot`` of signed entries against smaller minors, memoized on
-    the mask pair (division-free); the full determinant touches each
-    column subset once, O(n·2ⁿ).
-    """
-    zero, neg, dot = ring.zero, ring.neg, ring.dot
+def _det_block(mat, ring):
+    """Rows 0..n-1 of the upper triangle of B = [[0, M], [-Mᵀ, 0]]: row i
+    is n - 1 - i zeros, then M's row i.  Every index set the expansion
+    reaches holds as many of B's first n indices as of its last n, so
+    the all-zero rows n..2n-1 are never read and are left out.  Lowest
+    index i then pairs only with the n + j, and the sub-Pfaffians are
+    the minors on (row suffix, column subset), up to sign."""
     n = len(mat)
-    memo = {0: ring.one}
-    negated = [[neg(v) for v in row] for row in mat]
-
-    def minor(rows, cols):
-        key = rows << n | cols
-        got = memo.get(key)
-        if got is not None:
-            return got
-        low = rows & -rows
-        i = low.bit_length() - 1
-        entries, signed = mat[i], (mat[i], negated[i])
-        rest = rows ^ low
-        coefs, subs = [], []
-        sign = 0
-        left = cols
-        while left:
-            bit = left & -left
-            j = bit.bit_length() - 1
-            if entries[j] != zero:
-                coefs.append(signed[sign][j])
-                subs.append(minor(rest, cols ^ bit))
-            sign ^= 1
-            left ^= bit
-        got = memo[key] = dot(coefs, subs)
-        return got
-
-    return minor
+    return [[ring.zero] * (n - 1 - i) + list(row) for i, row in enumerate(mat)]
 
 
-def _pf_solver(ids, vals, n, ring):
-    """Pfaffians of the principal submatrices of a Pfaffian node's matrix.
+def _pf_solver(upper, ring):
+    """Pfaffians of the principal submatrices of a skew matrix.
 
-    The returned function takes an index set as a bitmask.  The upper
-    triangle and its negation are gathered once, and the Pfaffian of
-    each pair {i, j} is its entry; a larger set expands along its lowest
-    index as one ``ring.dot`` of signed entries against sub-Pfaffians,
-    memoized on the mask (division-free).
+    ``upper[i]`` holds the entries (i, i+1), (i, i+2), … of the upper
+    triangle.  The returned function takes an index set as a bitmask.
+    The Pfaffian of each pair {i, j} is its entry; a larger set expands
+    along its lowest index as one ``ring.dot`` of signed entries against
+    sub-Pfaffians, memoized on the mask (division-free).  The full
+    Pfaffian touches each reachable mask once, and the cofactor of the
+    entry (i, j) is (-1)^(i+j+1)·Pf(mask without i and j), read off the
+    same memo table.
     """
     zero, neg, dot = ring.zero, ring.neg, ring.dot
     memo = {0: ring.one}
-    upper, negated = [], []
-    pos = 0
-    for i in range(n):
-        row = [vals[t] for t in ids[pos:pos + n - 1 - i]]
-        pos += n - 1 - i
+    rows, negated = [], []
+    for i, row in enumerate(upper):
         for j, v in enumerate(row, i + 1):
             memo[1 << i | 1 << j] = v
-        upper.append([None] * (i + 1) + row)
-        negated.append([None] * (i + 1) + [neg(v) for v in row])
+        pad = [None] * (i + 1)
+        rows.append(pad + row)
+        negated.append(pad + [neg(v) for v in row])
 
     def pf(mask):
         got = memo.get(mask)
@@ -434,7 +410,7 @@ def _pf_solver(ids, vals, n, ring):
             return got
         low = mask & -mask
         i = low.bit_length() - 1
-        entries, signed = upper[i], (upper[i], negated[i])
+        entries, signed = rows[i], (rows[i], negated[i])
         rest = mask ^ low
         coefs, subs = [], []
         sign = 0
@@ -453,27 +429,6 @@ def _pf_solver(ids, vals, n, ring):
         return got
 
     return pf
-
-
-def _pf_cofactors(pf, n, ring):
-    """Partials of an n×n Pfaffian w.r.t. each upper entry, as (flat
-    position in the node's ``ids``, value) pairs with the zeros left out.
-
-    d Pf / d a_ij = (-1)^(i+j+1) Pf(matrix with rows/cols i, j removed),
-    read off the node's solver ``pf``, which shares one memo table.
-    """
-    full = (1 << n) - 1
-    out = []
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            cof = pf(full ^ (1 << i) ^ (1 << j))
-            if (i + j) % 2 == 0:  # sign (-1)^(i+j+1)
-                cof = ring.neg(cof)
-            if not ring.is_zero(cof):
-                out.append((pos, cof))
-            pos += 1
-    return out
 
 
 # --- sparse multivariate polynomials ------------------------------------------

@@ -193,6 +193,17 @@ def test_spec_file_rejections(tmp_path):
         parse_spec_file(_write(tmp_path, "shape.json",
                                {"matrix": {"shape": "hankel", "rows": 3, "cols": 3},
                                 "rank_bound": 1}))
+    # JSON booleans load as Python bools, which are ints
+    for name, spec in [
+            ("rb.json", {"matrix": {"shape": "generic", "rows": 3, "cols": 3},
+                         "rank_bound": True}),
+            ("rows.json", {"matrix": {"shape": "generic", "rows": True,
+                                      "cols": 3}, "rank_bound": 1}),
+            ("cols.json", {"matrix": {"shape": "generic", "rows": 3,
+                                      "cols": True}, "rank_bound": 1}),
+            ("dim.json", {"ambient_dim": True, "generators": ["x0*x1"]})]:
+        with pytest.raises(InputError):
+            parse_spec_file(_write(tmp_path, name, spec))
 
 
 # --- configuration plumbing -----------------------------------------------------
@@ -309,6 +320,9 @@ def test_input_errors_exit_4(tmp_path, capsys):
     assert main(["run", "scorza-sy-sym", "--m", "9"]) == 4
     assert main(["run", "severi-2", "--m", "3"]) == 4
     assert main(["run", "severi-2", "--prime", "91"]) == 4
+    # 2^89 - 1 is prime, but past one 64-bit word per draw
+    assert main(["run", "severi-2", "--prime", str((1 << 89) - 1)]) == 4
+    assert main(["run", "severi-2", "--prime", str(1 << 64)]) == 4
     assert main(["custom", "--spec", str(tmp_path / "missing.json")]) == 4
     bad = tmp_path / "bad.json"
     bad.write_text('{"ambient_dim": 3, "generators": ["x0 + * x1"]}')

@@ -527,6 +527,15 @@ def test_rng_determinism():
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
 
 
+def test_rng_below_bounds():
+    rng = Rng(9)
+    assert rng.below(1) == 0
+    assert 0 <= rng.below(1 << 64) < 1 << 64
+    for n in (0, -3, (1 << 64) + 1, (1 << 89) - 1):
+        with pytest.raises(ValueError):
+            rng.below(n)
+
+
 def test_prime_generation():
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(2**61)

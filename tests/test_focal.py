@@ -494,7 +494,8 @@ def test_pencil_root_values_match_determinants():
         basis = [[rng.field(P) for _ in range(nv)] for _ in range(nv)]
         if mat_rank(basis, FP) == nv and charm.det_at(basis[0], FP):
             break
-    vals = _normalized_root_values(charm, basis, d, FP)
+    vals = _normalized_root_values(charm, basis,
+                                   _simplex_nodes(nv - 1, d), d, FP)
     assert vals is not None and len(vals) == 21
     assert vals == _root_values_by_determinants(charm, basis, d, FP)
 
@@ -550,14 +551,15 @@ def test_newton_simplex_matches_box_sum_oracle():
     rng = Rng(0x51A9)
     for k in range(7):
         for d in range(6):
+            nodes = _simplex_nodes(k, d)
             for zeros in (1, 3):
                 # dense values, then two in three of them zero
                 vals = {e: rng.field(P) if rng.below(zeros) == 0 else 0
-                        for e in _simplex_nodes(k, d)}
-                assert _newton_simplex(vals, k, d, FP) == \
+                        for e in nodes}
+                assert _newton_simplex(vals, nodes, d, FP) == \
                     _newton_simplex_by_box_sums(vals, k, d, FP)
-            zero = dict.fromkeys(_simplex_nodes(k, d), 0)
-            assert _newton_simplex(zero, k, d, FP) == {}
+            zero = dict.fromkeys(nodes, 0)
+            assert _newton_simplex(zero, nodes, d, FP) == {}
 
 
 def test_newton_simplex_recovers_a_form_from_its_values():
@@ -574,7 +576,7 @@ def test_newton_simplex_recovers_a_form_from_its_values():
                     term = term * x ** ei
                 acc += term
             vals[node] = acc % P
-        assert _newton_simplex(vals, k, d, FP) == form
+        assert _newton_simplex(vals, nodes, d, FP) == form
 
 
 class _ScriptedRng:

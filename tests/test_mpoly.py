@@ -7,7 +7,6 @@ from gaussfocal.mpoly import (
     CharTooSmall,
     ProgramBuilder,
     SparsePoly,
-    _pf_cofactors,
     _pf_solver,
     det_ring,
     line_zeros,
@@ -175,40 +174,78 @@ def _pf_partials_oracle(entry, n, ring):
     return out
 
 
-@pytest.mark.parametrize("ring", [Fp(101), Fp((1 << 61) - 1),
-                                  DualFp((1 << 61) - 1),
-                                  Dual2Fp((1 << 61) - 1)],
-                         ids=lambda r: f"{type(r).__name__}-{r.p}")
+_RINGS = pytest.mark.parametrize(
+    "ring", [Fp(101), Fp((1 << 61) - 1), DualFp((1 << 61) - 1),
+             Dual2Fp((1 << 61) - 1)],
+    ids=lambda r: f"{type(r).__name__}-{r.p}")
+
+
+def _sparse_entries(keys, ring, rng):
+    """Random entries by key, about a quarter of them zero, so the
+    expansion skips terms."""
+    return {key: ring.zero if rng.below(4) == 0 else _random_element(ring, rng)
+            for key in keys}
+
+
+def _skew(entry, n, ring):
+    mat = [[ring.zero] * n for _ in range(n)]
+    for (i, j), v in entry.items():
+        mat[i][j], mat[j][i] = v, ring.neg(v)
+    return mat
+
+
+@_RINGS
 def test_bitmask_pfaffian_against_det_and_permutation_expansion(ring):
     rng = Rng(73)
     for n in (4, 6, 8):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        full = (1 << n) - 1
         for _ in range(3):
-            # about a quarter of the entries are zero, so the expansion
-            # skips terms; values stand in a shuffled order behind ``ids``
-            vals = [ring.zero if rng.below(4) == 0
-                    else _random_element(ring, rng) for _ in pairs]
-            order = list(range(len(pairs)))
-            for t in range(len(order) - 1, 0, -1):
-                u = rng.below(t + 1)
-                order[t], order[u] = order[u], order[t]
-            store = [None] * len(pairs)
-            for pos, slot in enumerate(order):
-                store[slot] = vals[pos]
-            ids = tuple(order)
-            entry = dict(zip(pairs, vals))
-            mat = [[ring.zero] * n for _ in range(n)]
-            for (i, j), v in entry.items():
-                mat[i][j], mat[j][i] = v, ring.neg(v)
-            solver = _pf_solver(ids, store, n, ring)
-            pf = solver((1 << n) - 1)
-            assert ring.mul(pf, pf) == det_ring(mat, ring)
+            entry = _sparse_entries(pairs, ring, rng)
+            upper = [[entry[i, j] for j in range(i + 1, n)] for i in range(n)]
             oracle = _pf_partials_oracle(entry, n, ring)
-            want = [(pos, oracle[pair]) for pos, pair in enumerate(pairs)
-                    if oracle[pair] != ring.zero]
-            assert _pf_cofactors(solver, n, ring) == want
-            fresh = _pf_solver(ids, store, n, ring)  # no full-Pf memo yet
-            assert _pf_cofactors(fresh, n, ring) == want
+            # every perfect matching pairs index 0 exactly once
+            want = ring.zero
+            for j in range(1, n):
+                want = ring.add(want, ring.mul(entry[0, j], oracle[0, j]))
+            # the cofactors with and without the full Pfaffian in the memo
+            for warm in (True, False):
+                pf = _pf_solver(upper, ring)
+                if warm:
+                    assert pf(full) == want
+                    assert ring.mul(want, want) == _naive_det(
+                        _skew(entry, n, ring), ring)
+                for i, j in pairs:
+                    cof = pf(full ^ 1 << i ^ 1 << j)
+                    if (i + j) % 2 == 0:
+                        cof = ring.neg(cof)
+                    assert cof == oracle[i, j]
+
+
+@_RINGS
+def test_pf_node_grad_matches_permutation_expansion(ring):
+    # the upper entries are variables in shuffled order, so the sweep's
+    # bookkeeping of entry positions against node ids is exercised too
+    rng = Rng(97)
+    for n in (4, 6, 8, 10):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        order = list(range(len(pairs)))
+        for t in range(len(order) - 1, 0, -1):
+            u = rng.below(t + 1)
+            order[t], order[u] = order[u], order[t]
+        var = dict(zip(pairs, order))
+        b = ProgramBuilder(len(pairs))
+        prog = b.build(b.pf([[b.x(var[i, j]) for j in range(i + 1, n)]
+                             for i in range(n)]))
+        for _ in range(2):
+            entry = _sparse_entries(pairs, ring, rng)
+            x = [None] * len(pairs)
+            for pair, v in var.items():
+                x[v] = entry[pair]
+            oracle = _pf_partials_oracle(entry, n, ring)
+            grad = prog.grad(x, ring)
+            assert [grad[var[pair]] for pair in pairs] == \
+                [oracle[pair] for pair in pairs]
 
 
 def _minor(mat, i, j):
@@ -226,22 +263,17 @@ def _naive_det(mat, ring):
     return acc
 
 
-@pytest.mark.parametrize("ring", [Fp(101), Fp((1 << 61) - 1),
-                                  DualFp((1 << 61) - 1),
-                                  Dual2Fp((1 << 61) - 1)],
-                         ids=lambda r: f"{type(r).__name__}-{r.p}")
+@_RINGS
 def test_det_ring_and_det_node_grad_match_cofactor_expansion(ring):
-    # det(A) and every ∂det/∂a_ij = (-1)^(i+j)·det(A without row i, col j)
+    # det(A) and every ∂det/∂a_ij = (-1)^(i+j)·det(A without row i, col j);
+    # n = 7 is a 14-index Pfaffian block over the dual rings
     rng = Rng(89)
-    for n in range(1, 7):
+    for n in range(1, 8):
         b = ProgramBuilder(n * n)
         prog = b.build(b.det([[b.x(i * n + j) for j in range(n)]
                               for i in range(n)]))
         for _ in range(3):
-            # about a quarter of the entries are zero, so the expansion
-            # skips terms
-            flat = [ring.zero if rng.below(4) == 0
-                    else _random_element(ring, rng) for _ in range(n * n)]
+            flat = list(_sparse_entries(range(n * n), ring, rng).values())
             mat = [flat[i * n:(i + 1) * n] for i in range(n)]
             assert det_ring(mat, ring) == _naive_det(mat, ring)
             want = []
