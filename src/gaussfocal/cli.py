@@ -118,13 +118,16 @@ class ArityError(InputError):
 # ends.  Spec files are bounded too: ambient dimension MAX_AMBIENT_DIM,
 # and MAX_GENERATORS minors, sub-Pfaffians or singular generators.  Every
 # preset fits: the largest, scorza-sy-skew m=5, has 924 sub-Pfaffians in
-# 66 coordinates.
+# 66 coordinates.  A run is bounded by MAX_TRIALS trials per prime and
+# MAX_LINES profile lines.
 
 MAX_DEGREE = 64
 MAX_PAREN_DEPTH = 64
 MAX_TERMS = 10_000
 MAX_AMBIENT_DIM = 128
 MAX_GENERATORS = 2_000
+MAX_TRIALS = 1_000
+MAX_LINES = 1_000
 
 
 def _tokenize(src):
@@ -174,7 +177,7 @@ def _bounded_mul(a, b, line, col):
     if products > MAX_TERMS:
         raise ParseError(f"expansion needs {products} term products, over "
                          f"the limit {MAX_TERMS}", line, col)
-    return a.mul(b)
+    return a * b
 
 
 class _ExprParser:
@@ -202,7 +205,7 @@ class _ExprParser:
         while self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.term()
-            poly = poly.add(rhs if op == "+" else rhs.scale(-1))
+            poly = poly + rhs if op == "+" else poly - rhs
         return poly
 
     def term(self):
@@ -234,7 +237,7 @@ class _ExprParser:
             base, poly = poly, SparsePoly(self.nvars, {(0,) * self.nvars: 1})
             for _ in range(power):
                 poly = _bounded_mul(poly, base, line, col)
-        return poly.scale(-1) if negate else poly
+        return -poly if negate else poly
 
     def atom(self):
         kind, value, line, col = self.peek()
@@ -244,8 +247,7 @@ class _ExprParser:
                 raise ArityError(
                     f"x{value} exceeds the ambient dimension "
                     f"(variables run x0..x{self.nvars - 1})")
-            e = tuple(1 if t == value else 0 for t in range(self.nvars))
-            return SparsePoly(self.nvars, {e: 1})
+            return SparsePoly.var(self.nvars, value)
         if kind == "int":
             self.take()
             return SparsePoly(self.nvars, {(0,) * self.nvars: value})
@@ -269,7 +271,7 @@ def parse_expression(src: str, nvars: int) -> SparsePoly:
     poly = parser.expr()
     if parser.peek()[0] != "end":
         parser.fail("unexpected trailing input")
-    return SparsePoly(nvars, {e: c for e, c in poly.terms.items() if c})
+    return poly
 
 
 def homogeneous_degree(poly: SparsePoly):
@@ -492,8 +494,10 @@ def _validate_config(cfg):
         raise InputError("verify level must be 'basic' or 'full'")
     if not isinstance(cfg.trials, int) or cfg.trials < 1:
         raise InputError("trials must be a positive integer")
+    _bound("trials", cfg.trials, MAX_TRIALS)
     if not isinstance(cfg.lines, int) or cfg.lines < 1:
         raise InputError("lines must be a positive integer")
+    _bound("lines", cfg.lines, MAX_LINES)
     if cfg.prime is not None:
         # below 2^32 random sampling is not generic; Rng draws one 64-bit
         # word per field element

@@ -1,24 +1,22 @@
 """Polynomial programs and univariate polynomial utilities.
 
-Multivariate polynomials are handled in two representations.  Dense
-symbolic expansion is avoided everywhere it would blow up; instead a
-``PolyProgram`` is a straight-line program (a small DAG of arithmetic
-nodes, plus determinant and Pfaffian nodes) that can be *evaluated* over
-any coefficient ring from ``fieldcore`` -- the prime field, or a dual
-extension when derivatives are needed.  Gradients run as a single
-reverse sweep over the DAG.  Hessian-vector products evaluate the
-gradient over a dual extension and read off the slopes: over F_p and
-over F_p[d] alike, one sweep over F_p[d][e_1..e_m] gives the products
-with m vectors at once, each vector seeded along its own e_j (vector
-forward mode over reverse mode).
+An explicit multivariate form is written one way: as a ``SparsePoly``
+(exponent tuple -> integer coefficient, with + - and *), which
+``compile`` turns into a ``PolyProgram``.  A ``PolyProgram`` is a
+straight-line program (a small DAG of arithmetic nodes, plus
+determinant and Pfaffian nodes) that can be *evaluated* over any
+coefficient ring from ``fieldcore`` -- the prime field, or a dual
+extension when derivatives are needed.  Determinants and Pfaffians are
+never expanded: ``ProgramBuilder`` adds det/Pf nodes over variables.
+Gradients run as a single reverse sweep over the DAG.  Hessian-vector
+products evaluate the gradient over a dual extension and read off the
+slopes: over F_p and over F_p[d] alike, one sweep over
+F_p[d][e_1..e_m] gives the products with m vectors at once, each vector
+seeded along its own e_j (vector forward mode over reverse mode).
 Pfaffian nodes, and determinants over rings other than F_p, go through
 one division-free expansion over bitmask-memoized sub-Pfaffians (a
 determinant is the Pfaffian of [[0, M], [-Mᵀ, 0]] up to sign), which
 also gives the cofactors of both node kinds for the sweep.
-
-``SparsePoly`` is the explicit dict-of-monomials form, used only where
-coefficients themselves are the object of interest (recovered divisors,
-small quadrics).
 
 Univariate polynomials over F_p are plain ascending coefficient lists.
 They come from forms restricted to lines: ``on_line`` is the one line
@@ -40,67 +38,13 @@ class CharTooSmall(ArithmeticError):
 # --- straight-line programs ---------------------------------------------------
 
 
-class Expr:
-    """Handle to a node inside a ProgramBuilder; supports + - * ** and -x."""
-
-    __slots__ = ("b", "i")
-
-    def __init__(self, builder: "ProgramBuilder", node_id: int):
-        self.b = builder
-        self.i = node_id
-
-    def _coerce(self, other):
-        if isinstance(other, Expr):
-            if other.b is not self.b:
-                raise ValueError("mixing expressions from different builders")
-            return other
-        if isinstance(other, int):
-            return self.b.c(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.b._add((self.i, o.i))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.b._mul((self.b.c(-1).i, self.i))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.b._add((self.i, (-o).i))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.b._mul((self.i, o.i))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        if e == 0:
-            return self.b.c(1)
-        if e == 1:
-            return self
-        return self.b._node(("pow", self.i, e), self.b.degs[self.i] * e)
-
-
 class ProgramBuilder:
-    """Hash-consing builder for PolyProgram DAGs on a fixed variable count."""
+    """Hash-consing builder for PolyProgram DAGs on a fixed variable count.
+
+    Nodes are named by integer ids.  The builder itself adds only
+    variables, constants and det/Pf nodes over them; ``SparsePoly.compile``
+    emits the arithmetic nodes of an explicit form.
+    """
 
     def __init__(self, arity: int):
         self.arity = arity
@@ -108,61 +52,39 @@ class ProgramBuilder:
         self.degs = []
         self._memo = {}
 
-    def _node(self, node, deg) -> Expr:
+    def _node(self, node, deg) -> int:
         nid = self._memo.get(node)
         if nid is None:
             nid = len(self.nodes)
             self.nodes.append(node)
             self.degs.append(deg)
             self._memo[node] = nid
-        return Expr(self, nid)
+        return nid
 
-    def x(self, i: int) -> Expr:
+    def x(self, i: int) -> int:
         if not 0 <= i < self.arity:
             raise IndexError(f"variable index {i} out of range")
         return self._node(("var", i), 1)
 
-    def c(self, v: int) -> Expr:
+    def c(self, v: int) -> int:
         return self._node(("const", v), 0)
 
-    def _add(self, ids) -> Expr:
-        return self._node(("add", ids), max(self.degs[i] for i in ids))
-
-    def _mul(self, ids) -> Expr:
-        return self._node(("mul", ids), sum(self.degs[i] for i in ids))
-
-    def add_many(self, exprs) -> Expr:
-        exprs = list(exprs)
-        if not exprs:
-            return self.c(0)
-        if len(exprs) == 1:
-            return exprs[0]
-        return self._add(tuple(e.i for e in exprs))
-
-    def mul_many(self, exprs) -> Expr:
-        exprs = list(exprs)
-        if not exprs:
-            return self.c(1)
-        if len(exprs) == 1:
-            return exprs[0]
-        return self._mul(tuple(e.i for e in exprs))
-
-    def det(self, grid) -> Expr:
-        """Determinant node over an n x n grid of expressions."""
+    def det(self, grid) -> int:
+        """Determinant node over an n x n grid of node ids."""
         n = len(grid)
         ids = []
         for row in grid:
             if len(row) != n:
                 raise ValueError("determinant grid must be square")
-            ids.extend(e.i for e in row)
-        deg = sum(max(self.degs[e.i] for e in row) for row in grid)
+            ids.extend(row)
+        deg = sum(max(self.degs[i] for i in row) for row in grid)
         return self._node(("det", n, tuple(ids)), deg)
 
-    def pf(self, upper) -> Expr:
+    def pf(self, upper) -> int:
         """Pfaffian node from the upper triangle of a skew matrix.
 
-        ``upper[i]`` holds the entries (i, i+1), ..., (i, n-1); the full
-        matrix never materializes.
+        ``upper[i]`` holds the node ids of entries (i, i+1), ..., (i, n-1);
+        the full matrix never materializes.
         """
         upper = list(upper)
         while upper and not upper[-1]:
@@ -174,15 +96,13 @@ class ProgramBuilder:
         for i, row in enumerate(upper):
             if len(row) != n - 1 - i:
                 raise ValueError("ragged upper triangle")
-            ids.extend(e.i for e in row)
+            ids.extend(row)
         deg = (n // 2) * max((self.degs[i] for i in ids), default=0)
         return self._node(("pf", n, tuple(ids)), deg)
 
-    def build(self, root: Expr) -> "PolyProgram":
-        if root.b is not self:
-            raise ValueError("root from a different builder")
-        return PolyProgram(self.arity, tuple(self.nodes), root.i,
-                           self.degs[root.i])
+    def build(self, root: int) -> "PolyProgram":
+        return PolyProgram(self.arity, tuple(self.nodes), root,
+                           self.degs[root])
 
 
 class PolyProgram:
@@ -443,6 +363,10 @@ class SparsePoly:
         self.nvars = nvars
         self.terms = {e: c for e, c in terms.items() if c}
 
+    @classmethod
+    def var(cls, nvars: int, i: int) -> "SparsePoly":
+        return cls(nvars, {tuple(int(t == i) for t in range(nvars)): 1})
+
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
 
@@ -464,16 +388,19 @@ class SparsePoly:
                 out[ne] = out.get(ne, 0) + c * e[i]
         return SparsePoly(self.nvars, out)
 
-    def scale(self, k: int) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: c * k for e, c in self.terms.items()})
-
-    def add(self, other: "SparsePoly") -> "SparsePoly":
+    def __add__(self, other: "SparsePoly") -> "SparsePoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return SparsePoly(self.nvars, out)
 
-    def mul(self, other: "SparsePoly") -> "SparsePoly":
+    def __neg__(self) -> "SparsePoly":
+        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
+        return self + -other
+
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -482,17 +409,27 @@ class SparsePoly:
         return SparsePoly(self.nvars, out)
 
     def compile(self) -> PolyProgram:
+        """One program for this form: per term (in sorted order) a mul
+        node over its coefficient (unless 1) and its variables and
+        powers, and an add node over the terms; a lone factor or term
+        stands for itself."""
         b = ProgramBuilder(self.nvars)
         parts = []
         for e, c in sorted(self.terms.items()):
             factors = [b.c(c)] if c != 1 else []
             for i, ei in enumerate(e):
                 if ei:
-                    factors.append(b.x(i) ** ei if ei > 1 else b.x(i))
+                    v = b.x(i)
+                    factors.append(v if ei == 1 else
+                                   b._node(("pow", v, ei), ei))
             if not factors:
                 factors = [b.c(c)]
-            parts.append(b.mul_many(factors))
-        return b.build(b.add_many(parts))
+            parts.append(factors[0] if len(factors) == 1 else
+                         b._node(("mul", tuple(factors)), sum(e)))
+        parts = parts or [b.c(0)]
+        root = parts[0] if len(parts) == 1 else b._node(
+            ("add", tuple(parts)), self.degree())
+        return b.build(root)
 
 
 # --- univariate polynomials over F_p (ascending coefficient lists) -----------

@@ -77,14 +77,6 @@ class MatrixShape:
             i, j = j, i
         return i * n - i * (i + 1) // 2 + (j - i - 1)
 
-    def entry_expr(self, b: ProgramBuilder, i: int, j: int):
-        if self.kind == "skew":
-            if i == j:
-                return b.c(0)
-            if i > j:
-                return -b.x(self.var_index(i, j))
-        return b.x(self.var_index(i, j))
-
     def from_matrix(self, mat, p: int):
         coords = [0] * self.num_vars
         for i in range(self.nrows):
@@ -107,7 +99,7 @@ def rank_locus_generators(shape: MatrixShape, rank_bound: int):
             return []
         for sub in combinations(range(shape.nrows), size):
             b = ProgramBuilder(shape.num_vars)
-            upper = [[shape.entry_expr(b, sub[i], sub[j])
+            upper = [[b.x(shape.var_index(sub[i], sub[j]))
                       for j in range(i + 1, size)] for i in range(size - 1)]
             progs.append(b.build(b.pf(upper)))
         return progs
@@ -121,7 +113,7 @@ def rank_locus_generators(shape: MatrixShape, rank_bound: int):
             if shape.kind == "symmetric" and ri > ci:
                 continue  # minor(I,J) = minor(J,I)
             b = ProgramBuilder(shape.num_vars)
-            grid = [[shape.entry_expr(b, i, j) for j in ci] for i in ri]
+            grid = [[b.x(shape.var_index(i, j)) for j in ci] for i in ri]
             progs.append(b.build(b.det(grid)))
     return progs
 
@@ -319,7 +311,7 @@ def hyperband_dims(fam: HyperbandFamily, fp, rng):
 
 # --- split octonions and the 27-coordinate cubic --------------------------------
 #
-# Octonions are held as 8 expressions (alpha, u1, u2, u3, beta, v1, v2, v3)
+# Octonions are held as 8 SparsePolys (alpha, u1, u2, u3, beta, v1, v2, v3)
 # in vector-matrix form; the product is the classical one with two cross
 # products, giving a division-free integer formula.
 
@@ -354,39 +346,30 @@ def _oct_trace(z):
     return z[0] + z[4]
 
 
-def _hermitian_slots(b: ProgramBuilder):
-    a, bb, c = b.x(0), b.x(1), b.x(2)
-    x1 = [b.x(3 + i) for i in range(8)]
-    x2 = [b.x(11 + i) for i in range(8)]
-    x3 = [b.x(19 + i) for i in range(8)]
-    return a, bb, c, x1, x2, x3
+def _hermitian_slots():
+    x = [SparsePoly.var(27, i) for i in range(27)]
+    return x[0], x[1], x[2], x[3:11], x[11:19], x[19:27]
 
 
 def _albert_norm_program():
-    b = ProgramBuilder(27)
-    a, bb, c, x1, x2, x3 = _hermitian_slots(b)
+    a, bb, c, x1, x2, x3 = _hermitian_slots()
     t123 = _oct_trace(_oct_mul(_oct_mul(x1, x2), x3))
     n = (a * bb * c - a * _oct_norm(x1) - bb * _oct_norm(x2)
          - c * _oct_norm(x3) + t123)
-    return b.build(n)
+    return n.compile()
 
 
 def _albert_adjoint_programs():
-    """27 quadratic programs: the adjoint of a Hermitian 3x3 matrix, whose
-    vanishing defines the 16-dimensional singular locus."""
-    exprs = []
-    b = ProgramBuilder(27)
-    a, bb, c, x1, x2, x3 = _hermitian_slots(b)
-    exprs.append(bb * c - _oct_norm(x1))
-    exprs.append(c * a - _oct_norm(x2))
-    exprs.append(a * bb - _oct_norm(x3))
-    y1 = [t - a * s for t, s in zip(_oct_mul(_oct_conj(x3), _oct_conj(x2)), x1)]
-    y2 = [t - bb * s for t, s in zip(_oct_mul(_oct_conj(x1), _oct_conj(x3)), x2)]
-    y3 = [t - c * s for t, s in zip(_oct_mul(_oct_conj(x2), _oct_conj(x1)), x3)]
-    exprs.extend(y1)
-    exprs.extend(y2)
-    exprs.extend(y3)
-    return [b.build(e) for e in exprs]
+    """27 quadratic programs, one compiled SparsePoly each: the adjoint
+    of a Hermitian 3x3 matrix, whose vanishing defines the
+    16-dimensional singular locus."""
+    a, bb, c, x1, x2, x3 = _hermitian_slots()
+    forms = [bb * c - _oct_norm(x1), c * a - _oct_norm(x2),
+             a * bb - _oct_norm(x3)]
+    forms += [t - a * s for t, s in zip(_oct_mul(_oct_conj(x3), _oct_conj(x2)), x1)]
+    forms += [t - bb * s for t, s in zip(_oct_mul(_oct_conj(x1), _oct_conj(x3)), x2)]
+    forms += [t - c * s for t, s in zip(_oct_mul(_oct_conj(x2), _oct_conj(x1)), x3)]
+    return [f.compile() for f in forms]
 
 
 def albert_cubic(name: str = "hermitian-octonion-cubic") -> VarietySpec:

@@ -19,7 +19,9 @@ from gaussfocal.cli import (
     MAX_AMBIENT_DIM,
     MAX_DEGREE,
     MAX_GENERATORS,
+    MAX_LINES,
     MAX_PAREN_DEPTH,
+    MAX_TRIALS,
     InputError,
     ParseError,
     derive_primes,
@@ -31,6 +33,7 @@ from gaussfocal.cli import (
     parse_expression,
     parse_spec_file,
     run_experiment,
+    build_plan,
     sweep_labels,
 )
 from gaussfocal.fieldcore import (
@@ -323,6 +326,14 @@ def test_input_errors_exit_4(tmp_path, capsys):
     # 2^89 - 1 is prime, but past one 64-bit word per draw
     assert main(["run", "severi-2", "--prime", str((1 << 89) - 1)]) == 4
     assert main(["run", "severi-2", "--prime", str(1 << 64)]) == 4
+    # a run's size is bounded too; these would otherwise run for hours
+    capsys.readouterr()
+    for flag, limit in (("--trials", MAX_TRIALS), ("--lines", MAX_LINES)):
+        for value in (limit + 1, 100000000):
+            assert main(["run", "severi-2", "--trials", "1", "--primes", "1",
+                         flag, str(value)]) == 4
+            assert capsys.readouterr().err == (
+                f"error: {flag[2:]} {value} exceeds the limit {limit}\n")
     assert main(["custom", "--spec", str(tmp_path / "missing.json")]) == 4
     bad = tmp_path / "bad.json"
     bad.write_text('{"ambient_dim": 3, "generators": ["x0 + * x1"]}')
@@ -393,6 +404,40 @@ def test_input_bounds_admit_every_preset():
         assert 1 <= count <= MAX_GENERATORS
         if shape.num_vars <= 36:  # cheap enough to build and count
             assert count == len(rank_locus_generators(shape, rb))
+
+
+def _generator_programs(spec):
+    while spec is not None:
+        yield from spec.generators
+        spec = spec.singular
+
+
+def test_every_generator_node_is_reachable_from_its_root(tmp_path):
+    # each generator is built or compiled on its own, so its program holds
+    # only the nodes its root reads, and evaluation pays for nothing else
+    specs = [build_plan(ExperimentConfig(name, m=m, features=("albert",))).spec
+             for name, m in sweep_labels(("albert",)) if name != "hyperband"]
+    path = _write(tmp_path, "cubic.json",
+                  {"ambient_dim": 3, "generators": ["x0*x2^2 - 3*x1^3"],
+                   "singular_generators": ["x0", "5*x1^2"]})
+    specs.append(parse_spec_file(path))
+    progs = [g for spec in specs for g in _generator_programs(spec)]
+    assert len(progs) > 28  # the Albert norm and 27 adjoint quadrics among them
+    for prog in progs:
+        seen, todo = set(), [prog.root]
+        while todo:
+            nid = todo.pop()
+            if nid in seen:
+                continue
+            seen.add(nid)
+            node = prog.nodes[nid]
+            if node[0] in ("add", "mul"):
+                todo.extend(node[1])
+            elif node[0] == "pow":
+                todo.append(node[1])
+            elif node[0] in ("det", "pf"):
+                todo.extend(node[2])
+        assert seen == set(range(len(prog.nodes)))
 
 
 def test_deformation_span_mismatch_exits_2(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from gaussfocal.cli import parse_expression
 from gaussfocal.fieldcore import (
     DegeneratePivot,
     DualFp,
@@ -64,7 +65,6 @@ from gaussfocal.gaussmap import (
     tangent_space,
 )
 from gaussfocal.mpoly import (
-    ProgramBuilder,
     SparsePoly,
     on_line,
     squarefree_profile,
@@ -105,8 +105,7 @@ def contain(spec, fib, pt, rng):
 
 
 def quadric_spec():
-    b = ProgramBuilder(4)
-    prog = b.build(b.x(0) * b.x(3) - b.x(1) * b.x(2))
+    prog = parse_expression("x0*x3 - x1*x2", 4).compile()
 
     def sampler(rng, fp):
         a, c = rng.field(fp.p), rng.field(fp.p)
@@ -116,8 +115,7 @@ def quadric_spec():
 
 
 def cone_spec():
-    b = ProgramBuilder(4)
-    prog = b.build(b.x(1) ** 2 - b.x(0) * b.x(2))
+    prog = parse_expression("x1^2 - x0*x2", 4).compile()
 
     def sampler(rng, fp):
         s, t, u = (rng.field(fp.p) for _ in range(3))
@@ -128,8 +126,7 @@ def cone_spec():
 
 def tilted_cone_spec():
     """The cone x1² = x0·(x2 − x3), with vertex (0, 0, 1, 1)."""
-    b = ProgramBuilder(4)
-    prog = b.build(b.x(1) ** 2 - b.x(0) * (b.x(2) - b.x(3)))
+    prog = parse_expression("x1^2 - x0*(x2 - x3)", 4).compile()
 
     def sampler(rng, fp):
         s, t, u = (rng.field(fp.p) for _ in range(3))

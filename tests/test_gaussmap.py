@@ -21,7 +21,7 @@ from gaussfocal.gaussmap import (
     gauss_fiber,
     tangent_space,
 )
-from gaussfocal.mpoly import ProgramBuilder
+from gaussfocal.cli import parse_expression
 from gaussfocal.varieties import (
     MatrixShape,
     VarietySpec,
@@ -36,8 +36,7 @@ FP = Fp(P)
 
 
 def quadric_spec():
-    b = ProgramBuilder(4)
-    prog = b.build(b.x(0) * b.x(3) - b.x(1) * b.x(2))
+    prog = parse_expression("x0*x3 - x1*x2", 4).compile()
 
     def sampler(rng, fp):
         a, c = rng.field(fp.p), rng.field(fp.p)
@@ -48,8 +47,7 @@ def quadric_spec():
 
 def cone_spec():
     # cone in P^3 over a plane conic, vertex (0:0:0:1)
-    b = ProgramBuilder(4)
-    prog = b.build(b.x(1) ** 2 - b.x(0) * b.x(2))
+    prog = parse_expression("x1^2 - x0*x2", 4).compile()
 
     def sampler(rng, fp):
         s, t, u = (rng.field(fp.p) for _ in range(3))

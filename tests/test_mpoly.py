@@ -106,32 +106,19 @@ def test_pfaffian_squared_is_determinant():
     fp = Fp(1000003)
     rng = Rng(23)
     for n in (2, 4, 6, 8):
-        m = n * (n - 1) // 2
-        b = ProgramBuilder(m)
-        upper = []
-        k = 0
-        for i in range(n):
-            row = []
-            for _ in range(i + 1, n):
-                row.append(b.x(k))
-                k += 1
-            upper.append(row[: n - 1 - i])
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        b = ProgramBuilder(len(pairs))
+        upper = [[b.x(pairs.index((i, j))) for j in range(i + 1, n)]
+                 for i in range(n)]
         pf_prog = b.build(b.pf(upper))
-        # full skew matrix for the determinant
-        b2 = ProgramBuilder(m)
-        grid = [[None] * n for _ in range(n)]
-        k = 0
-        for i in range(n):
-            grid[i][i] = b2.c(0)
-            for j in range(i + 1, n):
-                grid[i][j] = b2.x(k)
-                grid[j][i] = -b2.x(k)
-                k += 1
-        det_prog = b2.build(b2.det(grid))
         for _ in range(10):
-            v = [rng.field(fp.p) for _ in range(m)]
+            v = [rng.field(fp.p) for _ in pairs]
+            # the numeric skew matrix with upper triangle v
+            mat = [[0] * n for _ in range(n)]
+            for (i, j), vij in zip(pairs, v):
+                mat[i][j], mat[j][i] = vij, fp.neg(vij)
             pf = pf_prog.eval(v, fp)
-            assert fp.mul(pf, pf) == det_prog.eval(v, fp)
+            assert fp.mul(pf, pf) == det_ring(mat, fp)
 
 
 def _random_element(ring, rng):
@@ -337,8 +324,7 @@ def test_grad_det_small():
 
 
 def test_grad_power():
-    b = ProgramBuilder(1)
-    prog = b.build(b.x(0) ** 3)
+    prog = SparsePoly(1, {(3,): 1}).compile()
     assert prog.grad([2], F7) == [(3 * 4) % 7]
 
 
@@ -438,8 +424,7 @@ def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
 
 
 def test_hess_vec_linear_is_zero():
-    b = ProgramBuilder(2)
-    prog = b.build(b.x(0) + b.c(3) * b.x(1))
+    prog = SparsePoly(2, {(1, 0): 1, (0, 1): 3}).compile()
     assert prog.hess_vec([1, 2], [[3, 4]], F7)[0] == [0, 0]
 
 
@@ -493,16 +478,15 @@ def test_batched_hess_vec_matches_per_vector_oracle(prog, ring):
 
 
 def quadric_prog():
-    b = ProgramBuilder(3)
-    return b.build(b.x(0) * b.x(2) - b.x(1) ** 2)
+    """x0·x2 − x1² on 3 variables."""
+    return SparsePoly(3, {(1, 0, 1): 1, (0, 2, 0): -1}).compile()
 
 
 def test_restrict_to_line():
     f = quadric_prog()
     assert restrict_to_line(f, [1, 0, 0], [0, 0, 1], F101) == [0, 1]
     assert restrict_to_line(f, [0, 1, 0], [1, 0, 1], F101) == [100, 0, 1]
-    b = ProgramBuilder(3)
-    sq = b.build(b.x(1) ** 2)
+    sq = SparsePoly(3, {(0, 2, 0): 1}).compile()
     assert restrict_to_line(sq, [1, 0, 0], [0, 0, 1], F101) == []
 
 
@@ -515,8 +499,7 @@ def test_on_line_interpolates_and_checks_the_surplus_value():
         assert up_eval(poly, s, F101) == f.eval(x, F101)
     assert on_line(lambda t, fp: 0, 3, a, d, F101) == []
     # (1 + s)^3 read as a quadric: the fourth value is off the parabola
-    b = ProgramBuilder(3)
-    cube = b.build(b.x(0) ** 3)
+    cube = SparsePoly(3, {(3, 0, 0): 1}).compile()
     with pytest.raises(ValueError, match="surplus"):
         on_line(cube.eval, 2, [1, 0, 0], [1, 0, 0], F101)
     # deg + 2 distinct abscissae need p > deg + 1
