@@ -10,7 +10,9 @@ integers that come out are compared against a frozen expectation table
 shipped as package data.
 
 Exit codes: 0 all checks pass, 2 expectation/invariant failure,
-3 degeneracy retries exhausted, 4 bad input.
+3 degeneracy retries exhausted, 4 bad input.  An error's base class
+decides its code: ``InputError``, or ``fieldcore``'s ``Violation`` and
+``Degeneracy``.  Run settings default on ``ExperimentConfig`` only.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ from pathlib import Path
 from time import perf_counter
 
 from .fieldcore import (
-    DegeneratePivot,
+    Degeneracy,
     Fp,
-    Infeasible,
     Rng,
-    ZeroInverse,
+    Violation,
     derive_seed,
     is_probable_prime,
     mat_rank,
@@ -36,16 +37,7 @@ from .fieldcore import (
     vecmat,
 )
 from .focal import (
-    ChartFailed,
-    CharTooSmall,
-    ContainmentFailed,
-    DeformationSpanMismatch,
-    DegenerateLines,
-    DependentFamilyBasis,
     FocalReport,
-    NonVanishingTransversalComponent,
-    NotDegenerate,
-    ProfileDisagreement,
     characteristic_matrix,
     chart_independence,
     check_bounds,
@@ -55,19 +47,9 @@ from .focal import (
     hyperband_chart,
     sing_containment,
 )
-from .gaussmap import (
-    FiberVerificationFailed,
-    NoCodimension,
-    PointOffVariety,
-    SingularSamplePoint,
-    fiber_codim_data,
-    gauss_fiber,
-    tangent_space,
-)
+from .gaussmap import fiber_codim_data, gauss_fiber, tangent_space
 from .mpoly import SparsePoly, line_zeros, restrict_to_line
 from .varieties import (
-    DegenerateSurface,
-    InconsistentDim,
     MatrixShape,
     RankDeficientSample,
     VarietySpec,
@@ -79,7 +61,6 @@ from .varieties import (
     variety_dim,
 )
 
-DEFAULT_SEED = 1729
 _SCORZA_M = (2, 3, 4, 5)
 _MIN_PRIME = 1 << 32
 
@@ -427,7 +408,7 @@ class ExperimentConfig:
                  "seed", "features", "verify", "spec_path")
 
     def __init__(self, experiment, m=None, prime=None, prime_count=2,
-                 trials=3, lines=8, seed=DEFAULT_SEED, features=(),
+                 trials=3, lines=8, seed=1729, features=(),
                  verify="basic", spec_path=None):
         self.experiment = experiment
         self.m = m
@@ -606,7 +587,7 @@ def _record(plan, prime, seed_t, trial, fam, rep, containment, wall):
         "reduced_degree": rep.reduced_degree,
         "quadric_rank": rep.q_rank,
         "sing_containment": containment,
-        "bounds": {b.name: b.status for b in rep.bounds},
+        "bounds": rep.bounds,
         "wall_time": round(wall, 6),
     }
 
@@ -741,17 +722,6 @@ def _witness_battery(plan, fp, rng):
     return []
 
 
-# Errors that end a run: exit 3 for a degenerate draw that retries could
-# not get past, exit 2 for a violated invariant.
-_DEGENERACY = (RankDeficientSample, SingularSamplePoint, ChartFailed,
-               DegenerateLines, DegenerateSurface, InconsistentDim,
-               CharTooSmall, ZeroInverse, DegeneratePivot)
-_VIOLATION = (FiberVerificationFailed, ProfileDisagreement, ContainmentFailed,
-              NonVanishingTransversalComponent, DeformationSpanMismatch,
-              NotDegenerate, Infeasible, PointOffVariety, NoCodimension,
-              DependentFamilyBasis)
-
-
 class _Where:
     """Where a run stands: experiment, prime, trial and stage.  An error
     that ends the run leaves ``run_experiment`` carrying it as
@@ -794,7 +764,7 @@ def run_experiment(cfg: ExperimentConfig):
                                        where)
                 records.append(record)
                 failures += fails + _verify_record(record, plan.expect)
-        except _DEGENERACY + _VIOLATION as err:
+        except (Degeneracy, Violation) as err:
             err.where = where
             raise
     records.sort(key=lambda rec: (rec["experiment"], rec["prime"],
@@ -830,34 +800,30 @@ def _strip_time(record):
     return {k: v for k, v in record.items() if k != "wall_time"}
 
 
-def emit_report(records, failures, json_mode=False, jsonl_out=None,
-                stream=None):
-    stream = sys.stdout if stream is None else stream
+def emit_report(records, failures, json_mode=False, jsonl_out=None):
     if jsonl_out is not None:
         with open(jsonl_out, "a") as handle:
             for record in records:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
     if json_mode:
-        stream.write(json.dumps([_strip_time(r) for r in records],
-                                indent=2, sort_keys=True) + "\n")
+        print(json.dumps([_strip_time(r) for r in records], indent=2,
+                         sort_keys=True))
     else:
         rows = [[_cell(r, key) for _, key in _TABLE_COLUMNS] for r in records]
         headers = [title for title, _ in _TABLE_COLUMNS]
         widths = [max(len(h), *(len(row[i]) for row in rows)) if rows
                   else len(h) for i, h in enumerate(headers)]
-        stream.write("  ".join(h.ljust(w) for h, w in zip(headers, widths))
-                     .rstrip() + "\n")
-        for row in rows:
-            stream.write("  ".join(cell.ljust(w) for cell, w
-                                   in zip(row, widths)).rstrip() + "\n")
+        for row in [headers, *rows]:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                  .rstrip())
         if failures:
-            stream.write(f"verdict: FAIL ({len(failures)} problems)\n")
+            print(f"verdict: FAIL ({len(failures)} problems)")
         elif records and all(r["k"] == 0 for r in records):
-            stream.write("verdict: PASS — non-degenerate Gauss map "
-                         "(point fibres, no focal divisor)\n")
+            print("verdict: PASS — non-degenerate Gauss map "
+                  "(point fibres, no focal divisor)")
         else:
             noun = "record" if len(records) == 1 else "records"
-            stream.write(f"verdict: PASS ({len(records)} {noun})\n")
+            print(f"verdict: PASS ({len(records)} {noun})")
     for message in failures:
         print(f"problem: {message}", file=sys.stderr)
 
@@ -875,24 +841,27 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# The options that fill ExperimentConfig slots.  They have no argparse
+# default: an option left out is None, and the config's default holds.
+_CONFIG_OPTIONS = ("prime", "prime_count", "trials", "lines", "seed",
+                   "features", "verify")
+
+
 def _add_common(sub):
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--prime", type=int, default=None,
-                       help="run over this one prime")
-    group.add_argument("--primes", type=int, default=2, dest="prime_count",
+    group.add_argument("--prime", type=int, help="run over this one prime")
+    group.add_argument("--primes", type=int, dest="prime_count",
                        metavar="K", help="number of derived primes")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--trials", type=int, default=3,
-                     help="sampled points per prime")
-    sub.add_argument("--lines", type=int, default=8,
-                     help="profile consensus lines")
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--trials", type=int, help="sampled points per prime")
+    sub.add_argument("--lines", type=int, help="profile consensus lines")
     out = sub.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true",
                      help="emit a JSON array instead of the table")
     out.add_argument("--jsonl-out", metavar="FILE", default=None,
                      help="append one JSON record per trial to FILE")
-    sub.add_argument("--verify", choices=("basic", "full"), default="basic")
-    sub.add_argument("--features", nargs="*", default=(), metavar="NAME",
+    sub.add_argument("--verify", choices=("basic", "full"))
+    sub.add_argument("--features", nargs="*", metavar="NAME",
                      help="optional features (albert)")
 
 
@@ -903,7 +872,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command")
     run = subs.add_parser("run", help="run one preset experiment")
     run.add_argument("experiment")
-    run.add_argument("--m", type=int, default=None,
+    run.add_argument("--m", type=int,
                      help="size parameter for the scorza presets")
     _add_common(run)
     custom = subs.add_parser("custom", help="run a user-supplied variety")
@@ -915,18 +884,11 @@ def _build_parser():
 
 
 def _config_from_args(ns, experiment=None, m=None, spec_path=None):
-    return ExperimentConfig(
-        experiment,
-        m=m,
-        prime=ns.prime,
-        prime_count=ns.prime_count,
-        trials=ns.trials,
-        lines=ns.lines,
-        seed=ns.seed,
-        features=tuple(ns.features),
-        verify=ns.verify,
-        spec_path=spec_path,
-    )
+    given = {}
+    for name in _CONFIG_OPTIONS:
+        if getattr(ns, name) is not None:
+            given[name] = getattr(ns, name)
+    return ExperimentConfig(experiment, m=m, spec_path=spec_path, **given)
 
 
 def main(argv=None) -> int:
@@ -937,7 +899,7 @@ def main(argv=None) -> int:
             raise InputError("pick a command: run, custom or sweep")
         if ns.command == "sweep":
             records, failures = [], []
-            for name, m in sweep_labels(tuple(ns.features)):
+            for name, m in sweep_labels(_config_from_args(ns).features):
                 cfg = _config_from_args(ns, experiment=name, m=m)
                 recs, fails = run_experiment(cfg)
                 records += recs
@@ -953,10 +915,10 @@ def main(argv=None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except _DEGENERACY as err:
+    except Degeneracy as err:
         print(f"degeneracy: {_in_context(err)}", file=sys.stderr)
         return 3
-    except _VIOLATION as err:
+    except Violation as err:
         print(f"invariant violation: {_in_context(err)}", file=sys.stderr)
         return 2
     try:

@@ -31,6 +31,10 @@ triangular maps on a line: values to Newton coefficients
 (``newton_divided``) and Newton to power coefficients
 (``newton_to_power``).  ``lagrange_interpolate`` composes them on one
 line; the focal extraction runs them axis by axis on a simplex grid.
+
+Every library error derives from one of two bases, which decide the
+command line's exit code: ``Degeneracy`` (3), a random draw that no
+retry got past, or ``Violation`` (2), a failed invariant.
 """
 
 from __future__ import annotations
@@ -39,15 +43,23 @@ from itertools import chain
 from operator import mul as _mul
 
 
-class ZeroInverse(ZeroDivisionError):
+class Degeneracy(Exception):
+    """A random draw that resampling could not get past (exit code 3)."""
+
+
+class Violation(Exception):
+    """A mathematical invariant failed (exit code 2)."""
+
+
+class ZeroInverse(Degeneracy):
     """Inversion of zero (or of a non-unit dual number)."""
 
 
-class DegeneratePivot(ArithmeticError):
+class DegeneratePivot(Degeneracy):
     """Row reduction over a non-field ring hit a column with no unit pivot."""
 
 
-class Infeasible(ValueError):
+class Infeasible(Violation):
     """Right-hand side outside the column span of the system matrix."""
 
 
@@ -85,9 +97,6 @@ class Rng:
 
     def field(self, p: int) -> int:
         return self.below(p)
-
-    def nonzero(self, p: int) -> int:
-        return 1 + self.below(p - 1)
 
 
 def derive_seed(base: int, *indices: int) -> int:
@@ -186,7 +195,6 @@ class DualFp:
     __slots__ = ("p",)
     zero = (0, 0)
     one = (1, 0)
-    eps = (0, 1)
 
     def __init__(self, p: int):
         self.p = p
@@ -246,19 +254,18 @@ class Dual2Fp:
     pairs two slopes, and one computation over this ring carries m
     first-order deformations of an F_p[d] computation at once; the
     gradient sweep over it gives m Hessian-vector products, which is
-    all it is for: it has no inverse and no ``axpy``.  With the
-    default m = 1 it is F_p[d, e]/(d^2, e^2) on 4-tuples (a, b, c, t) =
-    a + b·d + c·e + t·d·e, the dual of the dual ring.  ``eps`` is e_1.
+    all it is for: it has no inverse and no ``axpy``.  With m = 1 it is
+    F_p[d, e]/(d^2, e^2) on 4-tuples (a, b, c, t) = a + b·d + c·e + t·d·e,
+    the dual of the dual ring.
     """
 
-    __slots__ = ("p", "m", "zero", "one", "eps")
+    __slots__ = ("p", "m", "zero", "one")
 
-    def __init__(self, p: int, m: int = 1):
+    def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
         self.zero = (0,) * (2 + 2 * m)
         self.one = (1,) + self.zero[1:]
-        self.eps = self.zero[:2] + (1,) + self.zero[3:]
 
     def lift(self, a: int):
         return (a % self.p,) + self.zero[1:]

@@ -27,9 +27,11 @@ from __future__ import annotations
 from math import comb
 
 from .fieldcore import (
+    Degeneracy,
     DegeneratePivot,
     DualFp,
     Infeasible,
+    Violation,
     charpoly,
     kernel_basis,
     mat_rank,
@@ -58,39 +60,39 @@ from .mpoly import (
 )
 
 
-class NotDegenerate(RuntimeError):
+class NotDegenerate(Violation):
     """The fibres are points; there is no family to take a chart of."""
 
 
-class ChartFailed(RuntimeError):
+class ChartFailed(Degeneracy):
     """All retries at drawing transversal deformation directions failed."""
 
 
-class NonVanishingTransversalComponent(RuntimeError):
+class NonVanishingTransversalComponent(Violation):
     """A deformation row left the tangent space: bad chart or bad center."""
 
 
-class DeformationSpanMismatch(RuntimeError):
+class DeformationSpanMismatch(Violation):
     """The deformations do not span exactly r normal directions."""
 
 
-class DependentFamilyBasis(ValueError):
+class DependentFamilyBasis(Violation):
     """The rows meant to span the center space Λ are linearly dependent."""
 
 
-class DegenerateLines(RuntimeError):
+class DegenerateLines(Degeneracy):
     """Line sampling kept hitting degree drops in the focal form."""
 
 
-class ProfileDisagreement(RuntimeError):
+class ProfileDisagreement(Violation):
     """Non-degenerate lines produced different multiplicity patterns."""
 
 
-class ExtractionFailed(RuntimeError):
+class ExtractionFailed(Violation):
     """The focal form is not a perfect power of a single reduced form."""
 
 
-class ContainmentFailed(RuntimeError):
+class ContainmentFailed(Violation):
     """A focal point escaped the singular locus (or a witness missed it)."""
 
 
@@ -676,18 +678,6 @@ def char_kernel_at_point(charm: CharMatrix, t, fp) -> int:
 # --- reports and bound checks ---------------------------------------------------
 
 
-class BoundCheck:
-    __slots__ = ("name", "status", "detail")
-
-    def __init__(self, name, status, detail):
-        self.name = name
-        self.status = status
-        self.detail = detail
-
-    def __repr__(self):
-        return f"BoundCheck({self.name}: {self.status}, {self.detail})"
-
-
 class FocalReport:
     """Everything measured about one focal divisor."""
 
@@ -712,38 +702,35 @@ class FocalReport:
         self.extraction_error = None
 
 
-def check_bounds(report: FocalReport):
-    """The inequality battery; each item is Pass, Fail or Skipped."""
+def _verdict(holds):
+    return "Pass" if holds else "Fail"
+
+
+def check_bounds(report: FocalReport) -> dict:
+    """The inequality battery, in a fixed order: each bound's name maps to
+    Pass, Fail or Skipped (an input it needs is missing, or, for the
+    extremal pattern, c is not r/2 + 1)."""
     c, mu, r = report.c, report.mu, report.r
     red = report.reduced_degree
-    out = []
-
-    def put(name, ok, detail):
-        out.append(BoundCheck(name, "Pass" if ok else "Fail", detail))
-
-    def skip(name, why):
-        out.append(BoundCheck(name, "Skipped", why))
-
+    bounds = {}
     if c is None or mu is None:
-        skip("mu_ge_c_minus_1", "needs both mu and c")
+        bounds["mu_ge_c_minus_1"] = "Skipped"
     else:
-        put("mu_ge_c_minus_1", mu >= c - 1, f"mu={mu} c={c}")
+        bounds["mu_ge_c_minus_1"] = _verdict(mu >= c - 1)
     if c is None or r is None:
-        skip("c_le_r_plus_1", "needs c and the focal degree")
+        bounds["c_le_r_plus_1"] = "Skipped"
     else:
-        put("c_le_r_plus_1", c <= r + 1, f"c={c} r={r}")
+        bounds["c_le_r_plus_1"] = _verdict(c <= r + 1)
     if c is None or r is None or red is None or red < 2:
-        skip("nonlinear_c_bound", "needs c and a nonlinear reduced form")
+        bounds["nonlinear_c_bound"] = "Skipped"
     else:
-        put("nonlinear_c_bound", 2 * c <= r + 2, f"c={c} r={r}")
-    if c is None or r is None or 2 * c != r + 2:
-        skip("extremal_pattern", "only applies when c = r/2 + 1")
-    elif mu is None or red is None:
-        skip("extremal_pattern", "needs mu and the reduced degree")
+        bounds["nonlinear_c_bound"] = _verdict(2 * c <= r + 2)
+    if c is None or r is None or mu is None or red is None or 2 * c != r + 2:
+        bounds["extremal_pattern"] = "Skipped"
     else:
-        ok = (mu >= c and red == 1) or (mu == r // 2 and red == 2)
-        put("extremal_pattern", ok, f"mu={mu} reduced_degree={red} c={c}")
-    return out
+        bounds["extremal_pattern"] = _verdict(
+            (mu >= c and red == 1) or (mu == r // 2 and red == 2))
+    return bounds
 
 
 def focal_report(charm: CharMatrix, fp, rng, contain, c=None,

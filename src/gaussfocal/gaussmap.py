@@ -11,6 +11,8 @@ its correctness is then re-checked against the full generator list.
 from __future__ import annotations
 
 from .fieldcore import (
+    Degeneracy,
+    Violation,
     kernel_basis,
     mat_rank,
     random_combination,
@@ -20,19 +22,19 @@ from .fieldcore import (
 from .varieties import variety_dim
 
 
-class SingularSamplePoint(RuntimeError):
+class SingularSamplePoint(Degeneracy):
     """Jacobian rank at the sampled point differs from the codimension."""
 
 
-class FiberVerificationFailed(RuntimeError):
+class FiberVerificationFailed(Violation):
     """A computed fibre failed one of its a-posteriori checks."""
 
 
-class PointOffVariety(ValueError):
+class PointOffVariety(Violation):
     """A generator does not vanish where a tangent frame is asked for."""
 
 
-class NoCodimension(ValueError):
+class NoCodimension(Violation):
     """The expected dimension is not below the ambient one."""
 
 

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .fieldcore import Dual2Fp, Fp, lagrange_interpolate
+from .fieldcore import Degeneracy, Dual2Fp, Fp, lagrange_interpolate
 
 
-class CharTooSmall(ArithmeticError):
+class CharTooSmall(Degeneracy):
     """Field characteristic too small for a degree-sensitive routine."""
 
 

@@ -12,19 +12,19 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .fieldcore import DualFp, mat_rank
+from .fieldcore import Degeneracy, DualFp, mat_rank
 from .mpoly import ProgramBuilder, SparsePoly, line_zeros, restrict_to_line
 
 
-class RankDeficientSample(RuntimeError):
+class RankDeficientSample(Degeneracy):
     """Sampler exhausted its retries without hitting the target stratum."""
 
 
-class InconsistentDim(RuntimeError):
+class InconsistentDim(Degeneracy):
     """Jacobian-rank dimension probes disagreed across samples."""
 
 
-class DegenerateSurface(RuntimeError):
+class DegenerateSurface(Degeneracy):
     """Random surfaces for the line family failed the genericity check."""
 
 

@@ -1,8 +1,10 @@
 """Command-line layer: expression parsing, spec files, runs, reports."""
 
+import importlib
 import io
 import json
 import os
+import pkgutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,10 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import gaussfocal
 from gaussfocal.cli import (
     _SCORZA_M,
     _SCORZA_SHAPES,
     _SEVERI_SHAPES,
+    _build_parser,
+    _config_from_args,
     ArityError,
     ExperimentConfig,
     MAX_AMBIENT_DIM,
@@ -37,15 +42,27 @@ from gaussfocal.cli import (
     sweep_labels,
 )
 from gaussfocal.fieldcore import (
+    Degeneracy,
     DegeneratePivot,
     Fp,
     Infeasible,
     Rng,
+    Violation,
     ZeroInverse,
     is_probable_prime,
 )
-from gaussfocal.focal import DependentFamilyBasis, FamilyChart, hyperband_chart
-from gaussfocal.gaussmap import NoCodimension, PointOffVariety
+from gaussfocal.focal import (
+    CharTooSmall,
+    ContainmentFailed,
+    DependentFamilyBasis,
+    FamilyChart,
+    hyperband_chart,
+)
+from gaussfocal.gaussmap import (
+    FiberVerificationFailed,
+    NoCodimension,
+    PointOffVariety,
+)
 from gaussfocal.varieties import HyperbandFamily, rank_locus_generators
 
 P = (1 << 61) - 1
@@ -490,6 +507,9 @@ def test_invariant_violation_names_experiment_prime_trial_and_stage(
     ("fiber_family_chart", DegeneratePivot, 3, "chart"),
     ("characteristic_matrix", Infeasible, 2, "characteristic matrix"),
     ("focal_report", ZeroInverse, 3, "profile and extraction"),
+    ("gauss_fiber", FiberVerificationFailed, 2, "fibre"),
+    ("focal_report", CharTooSmall, 3, "profile and extraction"),
+    ("sing_containment", ContainmentFailed, 2, "containment and focus"),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_library_errors_exit_with_code_and_place(target, error, code, stage,
                                                  monkeypatch, capsys):
@@ -505,6 +525,44 @@ def test_library_errors_exit_with_code_and_place(target, error, code, stage,
     assert captured.err == (f"{kind}: injected (experiment severi-2, "
                             f"prime {P}, trial 0, stage {stage})\n")
     assert "Traceback" not in captured.err
+
+
+def test_every_library_error_has_exactly_one_exit_class():
+    # the base class is what main reads the exit code from: InputError 4,
+    # Violation 2, Degeneracy 3
+    bases = (InputError, Violation, Degeneracy)
+    seen = []
+    for info in pkgutil.iter_modules(gaussfocal.__path__):
+        module = importlib.import_module(f"gaussfocal.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__
+                    and obj not in bases):
+                seen.append(obj.__name__)
+                assert sum(issubclass(obj, b) for b in bases) == 1, obj
+    # not a vacuous walk: the 20 library errors, ParseError and ArityError
+    assert len(seen) >= 22
+
+
+def _slots(cfg):
+    return [getattr(cfg, name) for name in ExperimentConfig.__slots__]
+
+
+def test_cli_defaults_are_the_config_defaults():
+    # each command builds its configs as main does, with no options given
+    parse = _build_parser().parse_args
+    ns = parse(["run", "severi-2"])
+    assert _slots(_config_from_args(ns, experiment=ns.experiment, m=ns.m)) \
+        == _slots(ExperimentConfig("severi-2"))
+    ns = parse(["custom", "--spec", "F"])
+    assert _slots(_config_from_args(ns, spec_path=ns.spec)) == \
+        _slots(ExperimentConfig(None, spec_path="F"))
+    ns = parse(["sweep"])
+    labels = sweep_labels(_config_from_args(ns).features)
+    assert labels == sweep_labels(())
+    for name, m in labels:
+        assert _slots(_config_from_args(ns, experiment=name, m=m)) == \
+            _slots(ExperimentConfig(name, m=m))
 
 
 def test_expectation_mismatch_exits_2(monkeypatch, capsys):

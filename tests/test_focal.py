@@ -374,7 +374,7 @@ def test_severi2_full_report():
     assert rep.containment.status == "Pass"
     assert rep.containment.witnesses == 2 and rep.containment.zeros > 0
     assert rep.kernel_at_focus == 1
-    assert [b.status for b in rep.bounds] == ["Pass"] * 4
+    assert list(rep.bounds.values()) == ["Pass"] * 4
     while True:
         t = [rng.field(P) for _ in range(3)]
         if charm.det_at(t, FP):
@@ -395,7 +395,7 @@ def test_scorza_sym_m3_report():
     assert (rep.mu, rep.reduced_degree) == (2, 2)
     assert rep.q_rank == 3
     assert rep.containment.status == "Pass"
-    assert [b.status for b in rep.bounds] == ["Pass"] * 4
+    assert list(rep.bounds.values()) == ["Pass"] * 4
 
 
 def test_severi8_skew_report():
@@ -413,7 +413,7 @@ def test_severi8_skew_report():
     assert rep.q_rank == 6
     assert rep.containment.status == "Pass"
     assert rep.containment.witnesses == 2
-    assert [b.status for b in rep.bounds] == ["Pass"] * 4
+    assert list(rep.bounds.values()) == ["Pass"] * 4
 
 
 def test_cone_focus_is_the_vertex():
@@ -432,7 +432,7 @@ def test_cone_focus_is_the_vertex():
     rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=2)
     assert (rep.mu, rep.reduced_degree) == (1, 1)
     assert rep.containment.status == "Skipped"
-    assert [b.status for b in rep.bounds] == ["Pass", "Pass", "Skipped", "Skipped"]
+    assert list(rep.bounds.values()) == ["Pass", "Pass", "Skipped", "Skipped"]
 
 
 def test_interpolation_path_matches_linear_system():
@@ -876,12 +876,16 @@ def test_quadric_rank_small_cases():
 
 def test_check_bounds_fail_and_skip():
     rep = FocalReport(r=2, c=4, mu=1, reduced_degree=1)
-    assert [b.status for b in check_bounds(rep)] == \
-        ["Fail", "Fail", "Skipped", "Skipped"]
+    assert check_bounds(rep) == {
+        "mu_ge_c_minus_1": "Fail", "c_le_r_plus_1": "Fail",
+        "nonlinear_c_bound": "Skipped", "extremal_pattern": "Skipped"}
+    # the table's bounds cell prints the statuses in this order
+    assert list(check_bounds(rep)) == ["mu_ge_c_minus_1", "c_le_r_plus_1",
+                                       "nonlinear_c_bound", "extremal_pattern"]
     rep = FocalReport(r=8, c=5, mu=4, reduced_degree=2)
-    assert [b.status for b in check_bounds(rep)] == ["Pass"] * 4
+    assert list(check_bounds(rep).values()) == ["Pass"] * 4
     rep = FocalReport(r=4, c=None, mu=4, reduced_degree=1)
-    assert [b.status for b in check_bounds(rep)] == ["Skipped"] * 4
+    assert list(check_bounds(rep).values()) == ["Skipped"] * 4
 
 
 def test_hyperband_general_chart():

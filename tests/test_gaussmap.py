@@ -15,6 +15,7 @@ from gaussfocal.fieldcore import (
 )
 from gaussfocal.gaussmap import (
     NoCodimension,
+    PointOffVariety,
     SingularSamplePoint,
     fiber_codim_data,
     fiber_system,
@@ -75,7 +76,7 @@ def test_tangent_rejects_singular_point():
 
 def test_tangent_rejects_off_variety_point():
     spec = quadric_spec()
-    with pytest.raises(ValueError):
+    with pytest.raises(PointOffVariety):
         tangent_space(spec, [1, 1, 1, 2], FP, expected_dim=2)
 
 
@@ -172,7 +173,7 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
     # each image H(x)·t on its own: the gradient over F_p[d, e] at the
     # 4-tuples x_i + t_i = x_i + t_i·e, sliced to its e-slope; then every
     # entry t_a·H·t_b, both triangles, as a plain dot
-    ring, flat = DualFp(P), Dual2Fp(P)
+    ring, flat = DualFp(P), Dual2Fp(P, 1)
     rng = Rng(97)
     gens = (rank_locus_spec(MatrixShape.skew(8), 6).generators[:2]
             + rank_locus_spec(MatrixShape.skew(8), 4).generators[:1])

@@ -27,7 +27,12 @@ F101 = Fp(101)
 
 def _dual_over(ring):
     """The dual extension of F_p (F_p[e]) or of F_p[d] (F_p[d, e])."""
-    return DualFp(ring.p) if isinstance(ring, Fp) else Dual2Fp(ring.p)
+    return DualFp(ring.p) if isinstance(ring, Fp) else Dual2Fp(ring.p, 1)
+
+
+def _dual_eps(ring):
+    """The slope unit e of _dual_over(ring)."""
+    return (0, 1) if isinstance(ring, Fp) else (0, 0, 1, 0)
 
 
 def _dual_embed(ring, a):
@@ -47,7 +52,7 @@ def _dual_slope(ring, a):
 def _grad_forward(prog, x, ring):
     """Per-coordinate forward-mode gradient; reference oracle for grad()."""
     dring = _dual_over(ring)
-    eps = dring.eps
+    eps = _dual_eps(ring)
     base = [_dual_embed(ring, xi) for xi in x]
     out = []
     for i in range(prog.arity):
@@ -76,7 +81,7 @@ def test_eval_homogeneity():
     rng = Rng(5)
     for _ in range(20):
         x = [rng.field(fp.p) for _ in range(3)]
-        lam = rng.nonzero(fp.p)
+        lam = 1 + rng.below(fp.p - 1)
         lx = [fp.mul(lam, v) for v in x]
         assert prog.eval(lx, fp) == fp.mul(pow(lam, prog.degree, fp.p), prog.eval(x, fp))
 
@@ -163,7 +168,7 @@ def _pf_partials_oracle(entry, n, ring):
 
 _RINGS = pytest.mark.parametrize(
     "ring", [Fp(101), Fp((1 << 61) - 1), DualFp((1 << 61) - 1),
-             Dual2Fp((1 << 61) - 1)],
+             Dual2Fp((1 << 61) - 1, 1)],
     ids=lambda r: f"{type(r).__name__}-{r.p}")
 
 
@@ -285,7 +290,8 @@ def test_det_ring_over_dual_rings_lifts_the_field_determinant():
         mat = [[(u, s) for u, s in zip(ra, rb)] for ra, rb in zip(a, b)]
         assert det_ring(mat, ring) == (det_ring(a, fp), slope)
         flat = [[(u, s, 0, 0) for u, s in row] for row in mat]
-        assert det_ring(flat, Dual2Fp(fp.p)) == (det_ring(a, fp), slope, 0, 0)
+        assert det_ring(flat, Dual2Fp(fp.p, 1)) == \
+            (det_ring(a, fp), slope, 0, 0)
 
 
 def test_det_matches_cofactor_expansion():
@@ -349,7 +355,7 @@ def test_grad_matches_forward_dual_on_random_programs():
         terms = {}
         for _ in range(1 + rng.below(5)):
             e = tuple(rng.below(3) for _ in range(nv))
-            terms[e] = rng.nonzero(fp.p)
+            terms[e] = 1 + rng.below(fp.p - 1)
         poly = SparsePoly(nv, terms)
         prog = poly.compile()
         x = [rng.field(fp.p) for _ in range(nv)]
@@ -406,13 +412,13 @@ def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
     # quartic and tells x and v apart.
     gen = rank_locus_spec(MatrixShape.skew(8), rank_bound).generators[0]
     p = (1 << 61) - 1
-    ring, dring = DualFp(p), Dual2Fp(p)
+    ring, dring = DualFp(p), Dual2Fp(p, 1)
     rng = Rng(79)
     for _ in range(3):
         x = [_random_element(ring, rng) for _ in range(gen.arity)]
         v = [_random_element(ring, rng) for _ in range(gen.arity)]
         pt = [dring.add(_dual_embed(ring, xi),
-                        dring.mul(dring.eps, _dual_embed(ring, vi)))
+                        dring.mul(_dual_eps(ring), _dual_embed(ring, vi)))
               for xi, vi in zip(x, v)]
         want = [_dual_slope(ring, gi) for gi in gen.grad(pt, dring)]
         got = gen.hess_vec(x, [v], ring)[0]
@@ -435,9 +441,9 @@ def _hess_vec_oracle(prog, x, v, ring):
     add)."""
     if isinstance(ring, Fp):
         return [gi[1] for gi in prog.grad(list(zip(x, v)), DualFp(ring.p))]
-    dring = Dual2Fp(ring.p)
+    dring = Dual2Fp(ring.p, 1)
     pt = [dring.add(_dual_embed(ring, xi),
-                    dring.mul(dring.eps, _dual_embed(ring, vi)))
+                    dring.mul(_dual_eps(ring), _dual_embed(ring, vi)))
           for xi, vi in zip(x, v)]
     return [_dual_slope(ring, gi) for gi in prog.grad(pt, dring)]
 
