@@ -12,14 +12,17 @@ the rest of the package reports on.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
-lines, and the reduced form from either a linear system in its
-coefficients (few coefficients) or dense interpolation of normalized
-root data (many).  det M on a line is always read as a matrix pencil:
+lines.  det M on a line is always read as a matrix pencil:
 det(M(t) + s·M(v)) is det M(t) times det(I + s·M(t)⁻¹M(v)), so one
 characteristic polynomial gives the whole line polynomial, and its s
-coefficient, det M(t)·tr(M(t)⁻¹M(v)), the derivative along v.  The
-profile lines, the gradient rows of the linear system and the
-interpolation lines all come from that one pencil.
+coefficient, det M(t)·tr(M(t)⁻¹·M(v)), the derivative along v.  The
+reduced form q of det M = c·q^μ comes from a linear system in its
+coefficients when it has few of them.  Otherwise it stays implicit: on
+the line t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so
+its μ-th root as a power series (Miller's recurrence) gives q on any
+line, and a root that does not stop at degree d rejects the form.  The
+profile lines, the gradient rows of the linear system and the implicit
+form all come from that one pencil.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .fieldcore import (
     charpoly,
     kernel_basis,
     mat_rank,
-    newton_divided,
-    newton_to_power,
     random_combination,
     rank_and_kernel,
     rref,
@@ -51,12 +52,6 @@ from .mpoly import (
     line_zeros,
     on_line,
     squarefree_profile,
-    up_deg,
-    up_deriv,
-    up_divmod,
-    up_eval,
-    up_gcd,
-    up_trim,
 )
 
 
@@ -321,27 +316,80 @@ def _inverse(mat, fp):
 
 
 class ReducedForm:
-    """A form on Λ, possibly written in a private basis of Λ-coordinates.
+    """An explicit form on Λ: ``poly`` in native fibre coordinates.
 
-    ``value(t, fp)`` always takes native fibre coordinates; the basis
-    change (if any) is internal, so consumers stay basis-agnostic.
+    Every reduced form offers ``nvars``, ``degree()`` and ``value(t, fp)``
+    on native fibre coordinates, and ``basis``: None here, the private
+    basis of Λ-coordinates of an implicit ``PencilForm``.
     """
 
-    __slots__ = ("poly", "basis", "_binv")
+    __slots__ = ("poly", "basis", "nvars")
 
-    def __init__(self, poly: SparsePoly, basis=None, fp=None):
+    def __init__(self, poly: SparsePoly):
         self.poly = poly
-        self.basis = basis
-        self._binv = None
-        if basis is not None:
-            self._binv = _inverse(basis, fp)
+        self.basis = None
+        self.nvars = poly.nvars
 
     def degree(self) -> int:
         return self.poly.degree()
 
     def value(self, t, fp):
-        y = vecmat(t, self._binv, fp) if self._binv is not None else t
-        return self.poly.eval(y, fp)
+        return self.poly.eval(t, fp)
+
+
+def _series_root(f, mu, inv, fp):
+    """g = f^(1/μ) as a power series modulo s^len(f), for f_0 = 1 and
+    g_0 = 1, by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    §4.7):  n·g_n = Σ_{j=1..n} (j/μ − (n − j))·f_j·g_{n−j}.  ``inv[n]``
+    is n⁻¹ for 1 ≤ n < len(f), and μ < len(f)."""
+    p = fp.p
+    imu = inv[mu]
+    g = [1] + [0] * (len(f) - 1)
+    for n in range(1, len(f)):
+        acc = sum((j * imu - n + j) * f[j] * g[n - j]
+                  for j in range(1, n + 1))
+        g[n] = acc % p * inv[n] % p
+    return g
+
+
+class PencilForm(ReducedForm):
+    """The reduced form q held implicitly by the pencil at t* = basis[0].
+
+    With S_i = M(t*)⁻¹M(b_i) for the other basis vectors b_i, a point
+    t = y_0·t* + Σ y_i·b_i gives K = Σ y_i·S_i, and det(I + s·K) =
+    (q(t* + s·v)/q(t*))^μ on the line through v = Σ y_i·b_i.  Its μ-th
+    root g (``_series_root``) must stop at degree d, or det M is not a
+    μ-th power on that line (``ExtractionFailed``); then
+    q(t)/q(t*) = y_0^d·g(1/y_0) = Σ_n g_n·y_0^(d−n).
+    """
+
+    __slots__ = ("mu", "d", "_binv", "_slice_cols", "_inv")
+
+    def __init__(self, basis, slices, mu, d, fp):
+        self.poly = None
+        self.basis = basis
+        self.nvars = len(basis)
+        self.mu, self.d = mu, d
+        self._binv = _inverse(basis, fp)
+        # column c of the flattened slices: K's entry c is one dot with y
+        self._slice_cols = list(zip(*([v for row in sl for v in row]
+                                      for sl in slices)))
+        self._inv = [0] + [pow(n, -1, fp.p) for n in range(1, mu * d + 1)]
+
+    def degree(self) -> int:
+        return self.d
+
+    def value(self, t, fp):
+        p, d, r = fp.p, self.d, self.mu * self.d
+        y = vecmat(t, self._binv, fp)
+        flat = [fp.dot(y[1:], col) for col in self._slice_cols]
+        kmat = [flat[a * r:(a + 1) * r] for a in range(r)]
+        g = _series_root(_pencil_line(1, kmat, fp), self.mu, self._inv, fp)
+        if any(g[d + 1:]):
+            raise ExtractionFailed(f"det M is not a {self.mu}-th power "
+                                   f"on a line")
+        return sum(gn * pow(y[0], d - n, p)
+                   for n, gn in enumerate(g[:d + 1])) % p
 
 
 def _degree_monomials(nvars, d):
@@ -353,35 +401,38 @@ def _add_pde_rows(charm, mu, exps, t, fp, rows):
     gives ∂_i det M(t) = det M(t)·Σ_{a,b} M(t)⁻¹[a][b]·∂_i M[b][a] from
     one inverse.  As μ·d = r, Euler's relation makes Σ_i t_i·row_i = 0,
     so the row of the last i with t_i ≠ 0 is left out: nv − 1 rows with
-    the same span."""
-    nv, r = charm.k + 1, charm.r
+    the same span.  Monomials are products from one table of t_i^j."""
+    nv, r, p = charm.k + 1, charm.r, fp.p
     mt = charm.value(t, fp)
     f = det_ring(mt, fp)
     if f == 0:
         return
     minv = _inverse(mt, fp)
-    grads = [f * g % fp.p for g in vecmat(
+    grads = [f * g % p for g in vecmat(
         [v for row in minv for v in row],
         [charm.entries[b][a] for a in range(r) for b in range(r)], fp)]
     skip = max(i for i in range(nv) if t[i])
-    mono = {e: SparsePoly(nv, {e: 1}).eval(t, fp) for e in exps}
-    low = {}
-    for e in exps:
-        for i in range(nv):
-            if e[i]:
-                el = e[:i] + (e[i] - 1,) + e[i + 1:]
-                if el not in low:
-                    low[el] = SparsePoly(nv, {el: 1}).eval(t, fp)
+    powers = [[pow(ti, j, p) for j in range(sum(exps[0]) + 1)] for ti in t]
+
+    def mono(e):
+        out = 1
+        for row, ei in zip(powers, e):
+            out = out * row[ei] % p
+        return out
+
+    at = {e: mono(e) for e in exps}  # lowered monomials join on first use
     for i in range(nv):
         if i == skip:
             continue
         row = []
         for e in exps:
-            v = mono[e] * grads[i]
+            v = at[e] * grads[i]
             if e[i]:
                 el = e[:i] + (e[i] - 1,) + e[i + 1:]
-                v -= mu * f * e[i] * low[el]
-            row.append(v % fp.p)
+                if el not in at:
+                    at[el] = mono(el)
+                v -= mu * f * e[i] * at[el]
+            row.append(v % p)
         rows.append(row)
 
 
@@ -457,82 +508,19 @@ def _pencil_line(det0, kmat, fp):
             for m in range(r + 1)]
 
 
-def _normalized_root_values(charm, basis, nodes, d, fp):
-    """Values q(node)/q(t*) on the simplex grid ``nodes`` through
-    t* = basis[0].
-
-    Each value is read off the squarefree part of the focal form on the
-    line from t* to the node; returns None when M(t*) is singular or any
-    line degenerates.
-    The line t* + s·v with v = Σ c_i·b_i is the pencil of
-    K = Σ c_i·M(t*)⁻¹M(b_i) (``_pencil_line``): the slices are built once
-    per basis, and each node costs at most d matrix axpys and one
-    characteristic polynomial.
-    """
-    p = fp.p
-    pencil = _pencil_slices(charm, basis[0], basis[1:], fp)
-    if pencil is None:
-        return None
-    det0, slices = pencil
-    vals = {}
-    for node in nodes:
-        if not any(node):
-            vals[node] = 1
-            continue
-        kmat = None
-        for c, sl in zip(node, slices):
-            if not c:
-                continue
-            kmat = ([[c * v for v in row] for row in sl] if kmat is None
-                    else [[u + c * v for u, v in zip(krow, row)]
-                          for krow, row in zip(kmat, sl)])
-        f = up_trim(_pencil_line(det0, kmat, fp))
-        if up_deg(f) != charm.r:
-            return None
-        sf = up_divmod(f, up_gcd(f, up_deriv(f, fp), fp), fp)[0]
-        if up_deg(sf) != d:
-            return None
-        s0 = up_eval(sf, 0, fp)
-        if s0 == 0:
-            return None
-        vals[node] = up_eval(sf, 1, fp) * fp.inv(s0) % p
-    return vals
-
-
-def _newton_simplex(vals, nodes, d, fp):
-    """Monomial coefficients of the degree-≤d interpolant of ``vals`` on
-    the integer simplex grid ``nodes``: ``newton_divided`` along every
-    axis line, then ``newton_to_power`` along every axis line.  Both
-    maps are triangular on a line, so the lines inside the simplex
-    suffice as long as every axis is differenced before any goes back to
-    powers; both fix a line of one node."""
-    grid = dict(vals)
-    starts = [node for node in nodes if sum(node) < d]
-    for step in (newton_divided, newton_to_power):
-        for i in range(len(nodes[0])):
-            for node in starts:
-                if node[i]:
-                    continue
-                line = [node[:i] + (j,) + node[i + 1:]
-                        for j in range(d - sum(node) + 1)]
-                grid.update(zip(line, step([grid[e] for e in line], fp)))
-    return {e: c for e, c in grid.items() if c}
-
-
 def _extract_interpolation(charm, mu, d, fp, rng):
+    """The implicit form of q in a random basis [t*, b_1..b_k] of Λ with
+    M(t*) nonsingular: the pencil slices M(t*)⁻¹M(b_i) (``PencilForm``)."""
     nv = charm.k + 1
-    nodes = _simplex_nodes(nv - 1, d)
     for _ in range(8):
         basis = [[rng.field(fp.p) for _ in range(nv)] for _ in range(nv)]
         if mat_rank(basis, fp) != nv:
             continue
-        vals = _normalized_root_values(charm, basis, nodes, d, fp)
-        if vals is None:
+        pencil = _pencil_slices(charm, basis[0], basis[1:], fp)
+        if pencil is None:
             continue
-        affine = _newton_simplex(vals, nodes, d, fp)
-        terms = {(d - sum(e),) + e: c for e, c in affine.items()}
-        return ReducedForm(SparsePoly(nv, terms), basis, fp)
-    raise ExtractionFailed("no interpolation basis survived the line checks")
+        return PencilForm(basis, pencil[1], mu, d, fp)
+    raise ExtractionFailed("no basis with a nonsingular M(t*) in 8 draws")
 
 
 def _proportional(f, g, nv, fp, rng, points):
@@ -572,11 +560,12 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
                           fp, rng) -> ReducedForm:
     """The form q with det M = c·q^μ, verified at 10 fresh points.
 
-    Up to ``MAX_PDE_COEFFS`` coefficients go through the exact linear
-    system in the coefficients of q; more through dense interpolation of
-    normalized squarefree root data in a random coordinate basis, where
-    each line polynomial comes from one characteristic polynomial of the
-    pencil M(t*)⁻¹M(v) (see ``_normalized_root_values``).
+    Up to ``MAX_PDE_COEFFS`` coefficients, q's coefficients come from the
+    exact linear system (an explicit ``ReducedForm``).  With more, q is
+    never expanded: a ``PencilForm`` keeps the pencil slices at a random
+    basis of Λ and evaluates q(t)/q(t*) as the μ-th root of one
+    characteristic polynomial, checking at every point that the root
+    stops at degree d.
     """
     if mu * reduced_degree != charm.r:
         raise ExtractionFailed("multiplicity times reduced degree "
@@ -595,19 +584,21 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
 # --- reduced-form consumers ----------------------------------------------------
 
 
-def quadric_rank(q: SparsePoly, fp) -> int:
-    """Rank of the symmetric matrix of a homogeneous quadric (char ≠ 2)."""
-    n = q.nvars
+def quadric_rank(form: ReducedForm, fp) -> int:
+    """Rank of a quadric form (char ≠ 2): the rank of its Gram matrix in
+    the form's basis (the unit vectors when it has none), read by
+    polarization, G_ij = q(b_i + b_j) − q(b_i) − q(b_j) and G_ii =
+    2·q(b_i).  The rank depends neither on the basis nor on the scale."""
+    n, p = form.nvars, fp.p
+    basis = form.basis or [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = [form.value(b, fp) for b in basis]
     gram = [[0] * n for _ in range(n)]
-    for e, c in q.terms.items():
-        idx = [i for i, ei in enumerate(e) for _ in range(ei)]
-        if len(idx) != 2:
-            raise ValueError("quadric rank of a non-quadratic form")
-        i, j = idx
-        if i == j:
-            gram[i][i] = 2 * c % fp.p
-        else:
-            gram[i][j] = gram[j][i] = c % fp.p
+    for i in range(n):
+        gram[i][i] = 2 * diag[i] % p
+        for j in range(i):
+            both = [(u + v) % p for u, v in zip(basis[i], basis[j])]
+            gram[i][j] = gram[j][i] = \
+                (form.value(both, fp) - diag[i] - diag[j]) % p
     return mat_rank(gram, fp)
 
 
@@ -615,7 +606,7 @@ def _zero_lines(form: ReducedForm, fp, rng):
     """``line_zeros`` of the form on up to 32 random lines in Λ."""
     return line_zeros(
         lambda a, d: on_line(form.value, form.degree(), a, d, fp),
-        form.poly.nvars, fp, rng, 32)
+        form.nvars, fp, rng, 32)
 
 
 def form_zero_point(form: ReducedForm, fp, rng):
@@ -754,7 +745,7 @@ def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
     form = rep.reduced_form
     if form is not None:
         if rep.reduced_degree == 2:
-            rep.q_rank = quadric_rank(form.poly, fp)
+            rep.q_rank = quadric_rank(form, fp)
         rep.containment = contain(form)
         rep.focus = form_zero_point(form, fp, rng)
         if rep.focus is not None:

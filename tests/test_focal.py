@@ -2,7 +2,6 @@
 multiplicity profiles, reduced-form extraction and the bound battery."""
 
 from itertools import product
-from math import comb
 
 import pytest
 
@@ -38,9 +37,8 @@ from gaussfocal.focal import (
     _extract_interpolation,
     _extract_linear_system,
     _first_order_fiber,
-    _newton_simplex,
-    _normalized_root_values,
     _proportional,
+    _series_root,
     _simplex_nodes,
     _verify_power,
     char_kernel_at_point,
@@ -482,98 +480,63 @@ def _root_values_by_determinants(charm, basis, d, fp):
     return vals
 
 
-def test_pencil_root_values_match_determinants():
+def test_implicit_form_matches_root_values_by_determinants():
     spec = rank_locus_spec(MatrixShape.skew(6), 4)
     pt, frame, fib, rng = pipeline(spec, 13, 119)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     nv, d = charm.k + 1, 2  # severi-8: det M = c·q^4 with q a quadric
-    while True:
-        basis = [[rng.field(P) for _ in range(nv)] for _ in range(nv)]
-        if mat_rank(basis, FP) == nv and charm.det_at(basis[0], FP):
-            break
-    vals = _normalized_root_values(charm, basis,
-                                   _simplex_nodes(nv - 1, d), d, FP)
-    assert vals is not None and len(vals) == 21
-    assert vals == _root_values_by_determinants(charm, basis, d, FP)
+    form = _extract_interpolation(charm, 4, d, FP, rng)
+    basis = form.basis
+    want = _root_values_by_determinants(charm, basis, d, FP)
+    assert want is not None and len(want) == 21
+    for node, value in want.items():
+        t = basis[0]
+        for c, b in zip(node, basis[1:]):
+            t = [(u + c * v) % P for u, v in zip(t, b)]
+        assert form.value(t, FP) == value
 
 
-def _falling_coeffs(m, fp):
-    poly = [1]
-    for j in range(m):
-        poly = up_mul(poly, [-j % fp.p, 1], fp)
-    return poly
+def _power_series(g, mu, length):
+    out = [1]
+    for _ in range(mu):
+        out = up_mul(out, g, FP)
+    return (out + [0] * length)[:length]
 
 
-def _newton_simplex_by_box_sums(vals, k, d, fp):
-    """Oracle of ``_newton_simplex``: each Newton coefficient is a forward
-    difference summed over the box below its exponent, and each falling
-    factorial is expanded term by term."""
-    p = fp.p
-    inv_fact = [1] * (d + 1)
-    for m in range(2, d + 1):
-        inv_fact[m] = inv_fact[m - 1] * fp.inv(m) % p
-    ffs = [_falling_coeffs(m, fp) for m in range(d + 1)]
-    terms = {}
-    for e in _simplex_nodes(k, d):
-        acc = 0
-        for a in product(*(range(ei + 1) for ei in e)):
-            w = 1
-            for ei, ai in zip(e, a):
-                w *= comb(ei, ai)
-            if (sum(e) - sum(a)) % 2:
-                w = -w
-            acc += w * vals[a]
-        cf = acc % p
-        for ei in e:
-            cf = cf * inv_fact[ei] % p
-        if cf == 0:
-            continue
-        expansion = {(0,) * k: cf}
-        for i, ei in enumerate(e):
-            if not ei:
-                continue
-            nxt = {}
-            for ex, c in expansion.items():
-                for deg_i, fc in enumerate(ffs[ei]):
-                    if fc:
-                        ne = ex[:i] + (ex[i] + deg_i,) + ex[i + 1:]
-                        nxt[ne] = (nxt.get(ne, 0) + c * fc) % p
-            expansion = nxt
-        for ex, c in expansion.items():
-            terms[ex] = (terms.get(ex, 0) + c) % p
-    return {e: c for e, c in terms.items() if c}
+def test_series_root_inverts_a_power():
+    rng = Rng(0x5E21)
+    for mu, d in [(1, 3), (2, 2), (4, 3), (8, 2), (5, 1)]:
+        r = mu * d
+        inv = [0] + [FP.inv(n) for n in range(1, r + 1)]
+        g = [1] + [rng.field(P) for _ in range(d)]
+        root = _series_root(_power_series(g, mu, r + 1), mu, inv, FP)
+        assert root == g + [0] * (r - d)  # the tail past d is zero
 
 
-def test_newton_simplex_matches_box_sum_oracle():
-    rng = Rng(0x51A9)
-    for k in range(7):
-        for d in range(6):
-            nodes = _simplex_nodes(k, d)
-            for zeros in (1, 3):
-                # dense values, then two in three of them zero
-                vals = {e: rng.field(P) if rng.below(zeros) == 0 else 0
-                        for e in nodes}
-                assert _newton_simplex(vals, nodes, d, FP) == \
-                    _newton_simplex_by_box_sums(vals, k, d, FP)
-            zero = dict.fromkeys(nodes, 0)
-            assert _newton_simplex(zero, nodes, d, FP) == {}
+def test_non_power_leaves_a_tail_and_fails_extraction():
+    mu, d = 3, 1
+    inv = [0] + [FP.inv(n) for n in range(1, mu * d + 1)]
+    # (1 + s)(1 + 2s)(1 + 3s) is no cube: its cube root does not stop
+    f = [1]
+    for a in (1, 2, 3):
+        f = up_mul(f, [1, a], FP)
+    assert any(_series_root(f, mu, inv, FP)[d + 1:])
+    # det M = t0·t1·(t0 + t1) read as a cube of a linear form
+    form = _extract_interpolation(_diagonal_charm(), mu, d, FP, Rng(143))
+    with pytest.raises(ExtractionFailed):
+        form.value([2, 5], FP)
+    with pytest.raises(ExtractionFailed):
+        _verify_power(_diagonal_charm(), form, mu, FP, Rng(145))
 
 
-def test_newton_simplex_recovers_a_form_from_its_values():
-    rng = Rng(0x51AA)
-    for k, d in [(1, 5), (2, 4), (3, 3), (4, 5), (6, 2)]:
-        nodes = _simplex_nodes(k, d)
-        form = {e: rng.field(P) for e in nodes if rng.below(3)}
-        vals = {}
-        for node in nodes:
-            acc = 0
-            for e, c in form.items():
-                term = c
-                for x, ei in zip(node, e):
-                    term = term * x ** ei
-                acc += term
-            vals[node] = acc % P
-        assert _newton_simplex(vals, nodes, d, FP) == form
+def test_quadric_rank_of_an_implicit_form():
+    spec = rank_locus_spec(MatrixShape.skew(6), 4)  # severi-8
+    pt, frame, fib, rng = pipeline(spec, 13, 147)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    explicit = extract_reduced_power(charm, 4, 2, FP, rng)
+    implicit = _extract_interpolation(charm, 4, 2, FP, rng)
+    assert explicit.basis is None and implicit.basis is not None
+    assert quadric_rank(implicit, FP) == quadric_rank(explicit, FP) == 6
 
 
 class _ScriptedRng:
@@ -869,9 +832,9 @@ def test_degree_monomials_are_the_degree_d_exponents():
 
 def test_quadric_rank_small_cases():
     conic = SparsePoly(3, {(1, 0, 1): 1, (0, 2, 0): -1})
-    assert quadric_rank(conic, FP) == 3
-    assert quadric_rank(SparsePoly(3, {(2, 0, 0): 1}), FP) == 1
-    assert quadric_rank(SparsePoly(3, {(1, 1, 0): 1}), FP) == 2
+    assert quadric_rank(ReducedForm(conic), FP) == 3
+    assert quadric_rank(ReducedForm(SparsePoly(3, {(2, 0, 0): 1})), FP) == 1
+    assert quadric_rank(ReducedForm(SparsePoly(3, {(1, 1, 0): 1})), FP) == 2
 
 
 def test_check_bounds_fail_and_skip():
