@@ -8,7 +8,9 @@ the reduced rows span.  A family whose deformations span any other
 number of normal directions is rejected.  det M is the focal form: a
 degree-r hypersurface in Λ whose multiplicity structure, reduced
 equation, quadric rank and containment in the singular locus are what
-the rest of the package reports on.
+the rest of the package reports on.  A Gauss-fibre chart reads its
+first-order fibre system only as S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) for the
+k+1 center kernel vectors k₀: Hessian sweeps of width k+1, not n+1.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
@@ -44,7 +46,7 @@ from .fieldcore import (
     solve_affine,
     vecmat,
 )
-from .gaussmap import fiber_system
+from .gaussmap import hessian_rows
 from .mpoly import (
     CharTooSmall,
     SparsePoly,
@@ -107,22 +109,30 @@ class FamilyChart:
         self.r = len(bmats)
 
 
+def _fiber_columns(frame, x_eps, tangent_eps, betas, dring):
+    """S(ε)·k₀ for each β = k₀·T(ε) in ``betas``, from Hessian sweeps
+    that carry the k+1 vectors β, not the n+1 tangent vectors."""
+    return [list(col) for col in zip(*hessian_rows(
+        frame.gens, x_eps, tangent_eps, frame.tan_pivots, betas, dring))]
+
+
 def _first_order_fiber(fiber, w, dring, fp):
     """B matrix of the fibre at x + εw, aligned with the center fibre.
 
-    The tangent basis at x + εw comes from the Jacobian's elimination
-    over the dual ring, whose unit parts run the center's elimination:
-    its pivots must be the center's (else ``DegeneratePivot``), so its
-    unit part T₀ is the center tangent basis and its slope T₁ the
-    deformation.  The fibre system over the dual ring is S₀ + ε·S₁ with
-    S₀ the center system (else ``DegeneratePivot``).  Each center kernel
-    vector k₀ lifts to k₀ + ε·c₁ with c₁ supported on the center pivots
-    P: S₀·c₁ = −S₁·k₀, solved on the rows Q with the kept S₀[Q, P]⁻¹.
-    That is the canonical kernel vector of the dual system.  It solves
-    the rows Q by construction and must solve every other row, or the
-    first-order system is not flat and there is no lift
-    (``DegeneratePivot``).  The B row is the ε part of
-    (k₀ + ε·c₁)·(T₀ + ε·T₁) = k₀·T₁ + c₁·T₀.
+    The Jacobian's elimination over the dual ring runs the center's on
+    its unit parts, so its pivots must be the center's (else
+    ``DegeneratePivot``), and the tangent basis T(ε) = T₀ + ε·T₁ is the
+    center's plus its deformation.  Of the dual fibre system S₀ + ε·S₁
+    only S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) is read, for the k+1 center
+    kernel vectors k₀, and k₀·T(ε) is the fibre basis row f = k₀·T₀:
+    J(ε)·f = ε·(w·H·f) = 0, as w is tangent and f in the fibre, so f's
+    canonical coordinates in T(ε) are its free entries k₀ (k₀·T₁ = 0).
+    The unit part S₀·k₀ must vanish (else ``DegeneratePivot``).  k₀
+    lifts to k₀ + ε·c₁, c₁ on the center pivots P, with S₀·c₁ = −S₁·k₀
+    solved on the rows Q by the kept S₀[Q, P]⁻¹; every other row must
+    hold too, or the first-order system is not flat and there is no
+    lift (``DegeneratePivot``).  The B row is the ε part of
+    (k₀ + ε·c₁)·(T₀ + ε·T₁), which is c₁·T₀.
     """
     frame = fiber.frame
     p = fp.p
@@ -132,28 +142,22 @@ def _first_order_fiber(fiber, w, dring, fp):
     if piv != frame.tan_pivots:
         raise DegeneratePivot("tangent pivots moved off the center's")
     tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
-    sys_rows = fiber_system(frame.gens, x_eps, tangent_eps, dring)
-    if [[u for u, _ in row] for row in sys_rows] != fiber.system:
-        raise DegeneratePivot("first-order fibre system drifted off its "
-                              "center")
-    s1 = [[s for _, s in row] for row in sys_rows]
-    # against c₁[P] ++ k₀, [S₀[:, P] | S₁] gives S₀·c₁ + S₁·k₀ one dot per
-    # row outside Q, and [T₀[P]; T₁] gives c₁·T₀ + k₀·T₁
+    betas = [[dring.lift(u) for u in row] for row in fiber.basis]
+    cols = _fiber_columns(frame, x_eps, tangent_eps, betas, dring)
     pcols, in_q = fiber.sys_pivots, set(fiber.sys_rows)
-    joint = [[s0[c] for c in pcols] + row
-             for i, (s0, row) in enumerate(zip(fiber.system, s1))
-             if i not in in_q]
-    stacked = [frame.tangent[c] for c in pcols] + \
-        [[s for _, s in row] for row in tangent_eps]
+    outside = [(i, [s0[c] for c in pcols])
+               for i, s0 in enumerate(fiber.system) if i not in in_q]
     bmat = []
-    for k0 in fiber.coeff_kernel:
-        y = [fp.dot(s1[i], k0) for i in fiber.sys_rows]
-        lifted = [-fp.dot(inv_row, y) % p
-                  for inv_row in fiber.sys_inverse] + k0
-        if any(fp.dot(row, lifted) for row in joint):
+    for col in cols:
+        if any(u for u, _ in col):
+            raise DegeneratePivot("first-order fibre system drifted off its "
+                                  "center")
+        y = [col[i][1] for i in fiber.sys_rows]
+        c1 = [-fp.dot(inv_row, y) % p for inv_row in fiber.sys_inverse]
+        if any((fp.dot(s0p, c1) + col[i][1]) % p for i, s0p in outside):
             raise DegeneratePivot("first-order fibre system is not flat: "
                                   "no lift of a center kernel vector")
-        bmat.append(vecmat(lifted, stacked, fp))
+        bmat.append(vecmat(c1, [frame.tangent[c] for c in pcols], fp))
     return bmat
 
 

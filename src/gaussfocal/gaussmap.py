@@ -89,10 +89,10 @@ class GaussFiber:
     It also keeps what the first-order fibres of a chart reuse: the
     center fibre system ``system`` (S₀, over F_p), the pivot columns P
     of its RREF (``sys_pivots``), its canonical coefficient kernel
-    ``coeff_kernel`` (K₀, with ``basis = K₀·tangent``), and the rows Q
-    of S₀ that are independent on P (``sys_rows``) together with the
-    inverse of S₀[Q, P] (``sys_inverse``), so that S₀·c = y with c
-    supported on P solves as c[P] = S₀[Q, P]⁻¹·y[Q].
+    ``coeff_kernel`` (the k+1 vectors k₀, with ``basis = K₀·tangent``),
+    the rows Q of S₀ independent on P (``sys_rows``) and the inverse of
+    S₀[Q, P] (``sys_inverse``): a chart solves S₀·c = −S₁·k₀ with c on P
+    as c[P] = −S₀[Q, P]⁻¹·(S₁·k₀)[Q].
     """
 
     __slots__ = ("frame", "basis", "k", "r", "system", "sys_pivots",
@@ -111,31 +111,28 @@ class GaussFiber:
         self.sys_inverse = sys_inverse
 
 
-def fiber_system(gens, x, tangent, ring):
-    """Rows of the bilinear system cutting the fibre out of the tangent
-    space at x: one row per (generator, tangent direction) pair, in the
-    coordinates of the tangent basis, over F_p or a dual ring.
-
-    Each entry t_a·(H·t_b) is a dot over the support of t_a only, gathered
-    once per tangent vector: a canonical kernel-basis vector is nonzero
-    only at its free column and the codim pivot columns.
-    """
+def hessian_rows(gens, x, tangent, pivots, vecs, ring):
+    """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), one column
+    per v in ``vecs``, over F_p or a dual ring: one Hessian sweep per g.  A
+    canonical kernel vector t_a is 1 at its free column f and otherwise on
+    the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P], one gather of u at P."""
+    free = sorted(set(range(len(x))) - set(pivots))
+    on_pivots = [[t[c] for c in pivots] for t in tangent]
     rows = []
-    m = len(tangent)
-    is_zero, rdot = ring.is_zero, ring.dot
-    supports = [[i for i, v in enumerate(t) if not is_zero(v)]
-                for t in tangent]
-    values = [[t[i] for i in s] for t, s in zip(tangent, supports)]
     for g in gens:
-        images = g.hess_vec(x, tangent, ring)
-        # t_a·H t_b = t_b·H t_a (H is a Hessian): each pair is one dot
-        block = [[None] * m for _ in range(m)]
-        for a, (s, v) in enumerate(zip(supports, values)):
-            for b in range(a, m):
-                img = images[b]
-                block[a][b] = block[b][a] = rdot(v, [img[i] for i in s])
-        rows += block
+        images = g.hess_vec(x, vecs, ring)
+        gathered = [[u[c] for c in pivots] for u in images]
+        rows += [[ring.add(u[f], ring.dot(tp, up))
+                  for u, up in zip(images, gathered)]
+                 for f, tp in zip(free, on_pivots)]
     return rows
+
+
+def fiber_system(gens, x, tangent, pivots, fp):
+    """The bilinear system cutting the fibre out of the tangent space at
+    x, over F_p: row (g, a), column b is t_a·(H_g·t_b), in the
+    coordinates of the tangent basis."""
+    return hessian_rows(gens, x, tangent, pivots, tangent, fp)
 
 
 def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
@@ -146,10 +143,9 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     against the full ``spec.generators`` list at random points.
     """
     tan = frame.tangent
-    m = len(tan)
-    system = fiber_system(frame.gens, frame.x, tan, fp)
+    system = fiber_system(frame.gens, frame.x, tan, frame.tan_pivots, fp)
     rows, sys_pivots = rref(system, fp, reduced=False)
-    coeff_kernel = kernel_basis(rows, sys_pivots, m, fp)
+    coeff_kernel = kernel_basis(rows, sys_pivots, len(tan), fp)
     basis = [vecmat(c, tan, fp) for c in coeff_kernel]
     if not basis:
         raise FiberVerificationFailed("fibre lost the base point itself")

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from gaussfocal import focal
 from gaussfocal.cli import parse_expression
 from gaussfocal.fieldcore import (
     DegeneratePivot,
@@ -58,11 +59,11 @@ from gaussfocal.gaussmap import (
     FiberVerificationFailed,
     SingularSamplePoint,
     fiber_codim_data,
-    fiber_system,
     gauss_fiber,
     tangent_space,
 )
 from gaussfocal.mpoly import (
+    PolyProgram,
     SparsePoly,
     on_line,
     squarefree_profile,
@@ -241,16 +242,93 @@ def test_first_order_tangent_off_the_center_pivots_is_rejected():
         _first_order_fiber(fib, w, dring, FP)
 
 
-def _scripted_system(monkeypatch, fib, w, dring, edit):
-    """Make the fibre system at x + εw, changed by ``edit``, the next one
-    that ``_first_order_fiber`` gets; returns it and the dual tangent."""
-    x_eps, tangent_eps = _dual_tangent(fib, w, dring)
-    rows = [list(row) for row in
-            _dense_system(fib.frame.gens, x_eps, tangent_eps, dring)]
-    edit(rows)
-    monkeypatch.setattr("gaussfocal.focal.fiber_system",
-                        lambda gens, x, tangent, ring: rows)
-    return rows, tangent_eps
+def _times_kernel(rows, fiber, dring):
+    """The columns S(ε)·k₀ of a dense dual system, one per k₀."""
+    return [[dring.dot(row, [dring.lift(c) for c in k0]) for row in rows]
+            for k0 in fiber.coeff_kernel]
+
+
+@pytest.mark.parametrize("p", [P, 101])
+@pytest.mark.parametrize("shape,rb,dim", [
+    (MatrixShape.symmetric(3), 2, 4),
+    (MatrixShape.skew(8), 6, 26),     # Pfaffian nodes
+    (MatrixShape.generic(3, 4), 2, 9),  # det nodes
+])
+def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
+                                                       rb, dim, p):
+    # the columns _first_order_fiber reads are the dense dual system times
+    # each center kernel vector, and each generator's Hessian sweep
+    # carries the k+1 vectors β, not the n+1 tangent vectors
+    fp, dring = Fp(p), DualFp(p)
+    spec = rank_locus_spec(shape, rb)
+    real_cols, real_hess = focal._fiber_columns, PolyProgram.hess_vec
+    seen, widths = [], []
+
+    def recorded_cols(*args):
+        seen.append(real_cols(*args))
+        return seen[-1]
+
+    def recorded_hess(self, x, vs, ring):
+        widths.append(len(vs))
+        return real_hess(self, x, vs, ring)
+
+    compared = 0
+    for seed in range(4):
+        rng = Rng(seed)
+        try:
+            pt = spec.sampler(rng, fp)
+            frame = tangent_space(spec, pt.coords, fp, expected_dim=dim)
+            fib = gauss_fiber(spec, frame, fp, rng)
+        except (RankDeficientSample, SingularSamplePoint,
+                FiberVerificationFailed):
+            continue
+        for _ in range(2):
+            w = random_combination(frame.tangent, fp, rng)
+            seen.clear()
+            widths.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr("gaussfocal.focal._fiber_columns", recorded_cols)
+                mp.setattr(PolyProgram, "hess_vec", recorded_hess)
+                _outcome(_first_order_fiber, fib, w, dring, fp)
+            assert widths == [fib.k + 1] * len(frame.gens)
+            x_eps, tangent_eps = _dual_tangent(fib, w, dring)
+            # k₀·T(ε) is the fibre basis row itself: k₀·T₁ = 0
+            for k0, row in zip(fib.coeff_kernel, fib.basis):
+                assert vecmat([dring.lift(c) for c in k0], tangent_eps,
+                              dring) == [dring.lift(u) for u in row]
+            rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
+            assert seen == [_times_kernel(rows, fib, dring)]
+            assert all(u == 0 for col in seen[0] for u, _ in col)
+            compared += 1
+    assert compared >= 4
+
+
+def _kernel_column(fib, f):
+    """Index of the center kernel vector that is 1 at the free column f:
+    a bump at (i, f) of S(ε) moves row i of that S(ε)·k₀ column only."""
+    return next(j for j, k0 in enumerate(fib.coeff_kernel) if k0[f] == 1)
+
+
+def _bump(col, i, part):
+    u, s = col[i]
+    col[i] = ((u + 1) % P, s) if part == "unit" else (u, (s + 1) % P)
+
+
+def _scripted_columns(monkeypatch, edit):
+    """Pass every S(ε)·k₀ column set that ``_first_order_fiber`` computes
+    through ``edit(cols, call)``, call counting from 1; returns the list
+    of calls."""
+    real = focal._fiber_columns
+    calls = []
+
+    def scripted(*args):
+        cols = [list(col) for col in real(*args)]
+        calls.append(len(calls) + 1)
+        edit(cols, calls[-1])
+        return cols
+
+    monkeypatch.setattr("gaussfocal.focal._fiber_columns", scripted)
+    return calls
 
 
 def _sym3_fiber(seed):
@@ -259,16 +337,14 @@ def _sym3_fiber(seed):
 
 
 def test_first_order_unit_part_off_the_center_system_is_rejected(monkeypatch):
+    # S₀·k₀ = 0 for every center kernel vector: a unit part off zero means
+    # the first-order system drifted off its center
     pt, frame, fib, rng = _sym3_fiber(141)
     dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
-
-    def bump_unit(rows):
-        u, s = rows[0][0]
-        rows[0][0] = ((u + 1) % P, s)
-
-    _scripted_system(monkeypatch, fib, w, dring, bump_unit)
-    with pytest.raises(DegeneratePivot):
+    _scripted_columns(monkeypatch, lambda cols, call: _bump(cols[-1], -1,
+                                                            "unit"))
+    with pytest.raises(DegeneratePivot, match="drifted"):
         _first_order_fiber(fib, w, dring, FP)
 
 
@@ -291,22 +367,29 @@ def test_non_flat_first_order_system_is_rejected(monkeypatch):
     pt, frame, fib, rng = _sym3_fiber(143)
     dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
+    x_eps, tangent_eps = _dual_tangent(fib, w, dring)
     for inside_q in (True, False):
         i, f = _non_flat_bump(fib, inside_q)
-
-        def bump_slope(rows):
-            u, s = rows[i][f]
-            rows[i][f] = (u, (s + 1) % P)
-
-        rows, tangent_eps = _scripted_system(monkeypatch, fib, w, dring,
-                                             bump_slope)
+        j = _kernel_column(fib, f)
+        rows = [list(row) for row in
+                _dense_system(frame.gens, x_eps, tangent_eps, dring)]
+        _bump(rows[i], f, "slope")
         # the dual elimination leaves a nonzero residual row here too
         with pytest.raises(DegeneratePivot):
             _first_order_by_dual_rref(fib, tangent_eps, rows, dring)
-        with pytest.raises(DegeneratePivot):
-            _first_order_fiber(fib, w, dring, FP)
+        seen = []
+
+        def bump_slope(cols, call):
+            _bump(cols[j], i, "slope")
+            seen.append(cols)
+
+        with monkeypatch.context() as mp:
+            _scripted_columns(mp, bump_slope)
+            with pytest.raises(DegeneratePivot, match="not flat"):
+                _first_order_fiber(fib, w, dring, FP)
+        # the column bump is the dense bump at (i, f) times the kernel
+        assert seen == [_times_kernel(rows, fib, dring)]
     # unbumped, the same direction lifts
-    monkeypatch.undo()
     assert len(_first_order_fiber(fib, w, dring, FP)) == fib.k + 1
 
 
@@ -315,19 +398,13 @@ def test_chart_redraws_after_a_degenerate_first_order_fibre(monkeypatch,
                                                             defect):
     pt, frame, fib, rng = _sym3_fiber(145)
     i, f = _non_flat_bump(fib, True)
-    real = fiber_system
-    calls = []
+    j = _kernel_column(fib, f)
 
-    def first_call_broken(gens, x, tangent, ring):
-        rows = real(gens, x, tangent, ring)
-        calls.append(len(calls))
-        if len(calls) == 1:
-            u, s = rows[i][f]
-            rows[i][f] = ((u + 1) % P, s) if defect == "unit" else \
-                (u, (s + 1) % P)
-        return rows
+    def first_call_broken(cols, call):
+        if call == 1:
+            _bump(cols[j], i, defect)
 
-    monkeypatch.setattr("gaussfocal.focal.fiber_system", first_call_broken)
+    calls = _scripted_columns(monkeypatch, first_call_broken)
     chart = fiber_family_chart(fib, FP, rng)
     # the first draw failed at its first direction; the second kept all r
     assert len(calls) == 1 + fib.r

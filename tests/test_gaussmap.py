@@ -17,12 +17,14 @@ from gaussfocal.gaussmap import (
     NoCodimension,
     PointOffVariety,
     SingularSamplePoint,
+    TangentFrame,
     fiber_codim_data,
     fiber_system,
     gauss_fiber,
     tangent_space,
 )
 from gaussfocal.cli import parse_expression
+from gaussfocal.focal import _fiber_columns
 from gaussfocal.varieties import (
     MatrixShape,
     VarietySpec,
@@ -169,10 +171,16 @@ def test_fiber_reproducible_across_points_and_primes():
     assert seen == {(3, 4)}
 
 
+def _columns_of(rows):
+    return [list(col) for col in zip(*rows)]
+
+
 def test_fiber_system_over_dual_ring_matches_per_vector_images():
-    # each image H(x)·t on its own: the gradient over F_p[d, e] at the
-    # 4-tuples x_i + t_i = x_i + t_i·e, sliced to its e-slope; then every
-    # entry t_a·H·t_b, both triangles, as a plain dot
+    # the dual-ring fibre system is only ever read through the chart's
+    # S(ε)·k₀ columns: each image H(x)·β on its own, the gradient over
+    # F_p[d, e] at the 4-tuples x_i + β_i·e, sliced to its e-slope; then
+    # every entry t_a·H·β as a plain dot over a canonical dual tangent
+    # basis.  Its unit parts over F_p are the center fibre system.
     ring, flat = DualFp(P), Dual2Fp(P, 1)
     rng = Rng(97)
     gens = (rank_locus_spec(MatrixShape.skew(8), 6).generators[:2]
@@ -180,20 +188,33 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
     arity = gens[0].arity
     elem = lambda: (rng.field(P), rng.field(P))
     x = [elem() for _ in range(arity)]
-    tangent = [[elem() for _ in range(arity)] for _ in range(5)]
-    want = []
-    for g in gens:
-        images = [[gi[2:] for gi in g.grad([xi + ti for xi, ti in zip(x, t)],
-                                           flat)]
-                  for t in tangent]
-        want += [[ring.dot(ta, img) for img in images] for ta in tangent]
-    assert fiber_system(gens, x, tangent, ring) == want
+    rows, piv = rref([[elem() for _ in range(arity)] for _ in range(3)], ring)
+    tangent = kernel_basis(rows, piv, arity, ring)
+    frame = TangentFrame(x, gens, piv, tangent, arity - 4, 3)
+
+    def per_vector(x, tangent, vecs, ring):
+        over_fp = ring is FP
+        lift = (lambda a: (a, 0)) if over_fp else tuple
+        out = []
+        for g in gens:
+            images = [[gi[2] if over_fp else gi[2:] for gi in g.grad(
+                [lift(xi) + lift(vi) for xi, vi in zip(x, v)], flat)]
+                for v in vecs]
+            out += [[ring.dot(ta, img) for img in images] for ta in tangent]
+        return out
+
+    betas = [[elem() for _ in range(arity)] for _ in range(3)]
+    assert _fiber_columns(frame, x, tangent, betas, ring) == \
+        _columns_of(per_vector(x, tangent, betas, ring))
+    x0, t0 = [u for u, _ in x], [[u for u, _ in t] for t in tangent]
+    assert fiber_system(gens, x0, t0, piv, FP) == \
+        per_vector(x0, t0, t0, FP)
 
 
-def _dense_block_dots(gens, x, tangent, ring):
+def _dense_block_dots(gens, x, tangent, vecs, ring):
     rows = []
     for g in gens:
-        images = g.hess_vec(x, tangent, ring)
+        images = g.hess_vec(x, vecs, ring)
         rows += [[ring.dot(ta, img) for img in images] for ta in tangent]
     return rows
 
@@ -205,10 +226,10 @@ def _dense_block_dots(gens, x, tangent, ring):
 ])
 def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
                                                                   dim):
-    # canonical kernel-basis tangents are supported on their free column
-    # and the pivot columns; the support-only dots must equal full dots,
-    # also when a pivot entry is zero (over F_p[d]: when its unit part or
-    # all of it is zero)
+    # canonical kernel-basis tangents are 1 at their free column and
+    # otherwise supported on the pivot columns; the pivot-gather dots must
+    # equal full dots, also when a pivot entry is zero (over F_p[d], in
+    # the chart's S(ε)·k₀ columns: when its unit part or all of it is zero)
     spec = rank_locus_spec(shape, rb)
     rng = Rng(29)
     pt = spec.sampler(rng, FP)
@@ -216,8 +237,9 @@ def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
     pc = frame.tan_pivots[0]
     tangent = [list(t) for t in frame.tangent]
     tangent[0][pc] = 0
-    assert fiber_system(frame.gens, frame.x, tangent, FP) == \
-        _dense_block_dots(frame.gens, frame.x, tangent, FP)
+    assert fiber_system(frame.gens, frame.x, tangent, frame.tan_pivots,
+                        FP) == \
+        _dense_block_dots(frame.gens, frame.x, tangent, tangent, FP)
     dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
@@ -227,5 +249,8 @@ def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
     tangent = kernel_basis(rows, piv, len(frame.x), dring)
     tangent[0][pc] = dring.zero
     tangent[1][pc] = (0, tangent[1][pc][1] or 1)
-    assert fiber_system(frame.gens, x_eps, tangent, dring) == \
-        _dense_block_dots(frame.gens, x_eps, tangent, dring)
+    betas = [[dring.make(rng.field(P), rng.field(P)) for _ in frame.x]
+             for _ in range(3)]
+    assert _fiber_columns(frame, x_eps, tangent, betas, dring) == \
+        _columns_of(_dense_block_dots(frame.gens, x_eps, tangent, betas,
+                                      dring))
