@@ -20,17 +20,18 @@ row updates of ``rref`` go through them.
 
 Matrix routines eliminate with unit pivots: a forward sweep that updates
 only the trailing columns of each row, then back-substitution up to the
-reduced row echelon form, which rank and kernel skip.  The
-characteristic polynomial goes through Hessenberg form instead.  Over a
-field every nonzero entry is a unit; over a dual ring a pivot must have a
-nonzero unit part, and inputs whose rank drops on the unit parts raise
-``DegeneratePivot`` so callers can resample.
+reduced row echelon form, which ``mat_rank`` and ``kernel_basis`` do
+without.  The characteristic polynomial goes through Hessenberg form
+instead.  Over a field every nonzero entry is a unit; over a dual ring a
+pivot must have a nonzero unit part, and inputs whose rank drops on the
+unit parts raise ``DegeneratePivot`` so callers can resample.
 
 Interpolation runs only on the integer nodes 0, 1, 2, …, as two
 triangular maps on a line: values to Newton coefficients
 (``newton_divided``) and Newton to power coefficients
 (``newton_to_power``).  ``lagrange_interpolate`` composes them on one
-line; the focal extraction runs them axis by axis on a simplex grid.
+line; the focal extraction expands a small reduced form by running them
+axis by axis on a simplex grid.
 
 Every library error derives from one of two bases, which decide the
 command line's exit code: ``Degeneracy`` (3), a random draw that no
@@ -389,15 +390,6 @@ def kernel_basis(rows, pivots, ncols, ring):
             v[pc] = ring.neg(ring.dot([row[c] for c in v], list(v.values())))
         kernel.append([v.get(c, ring.zero) for c in range(ncols)])
     return kernel
-
-
-def rank_and_kernel(mat, ring):
-    """Rank and a right-kernel basis; rank + len(kernel) == #columns.
-    Only the forward sweep of ``rref`` runs."""
-    if not mat:
-        return 0, []
-    rows, pivots = rref(mat, ring, reduced=False)
-    return len(pivots), kernel_basis(rows, pivots, len(mat[0]), ring)
 
 
 def mat_rank(mat, ring) -> int:

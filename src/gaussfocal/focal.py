@@ -18,13 +18,12 @@ lines.  det M on a line is always read as a matrix pencil:
 det(M(t) + s·M(v)) is det M(t) times det(I + s·M(t)⁻¹M(v)), so one
 characteristic polynomial gives the whole line polynomial, and its s
 coefficient, det M(t)·tr(M(t)⁻¹·M(v)), the derivative along v.  The
-reduced form q of det M = c·q^μ comes from a linear system in its
-coefficients when it has few of them.  Otherwise it stays implicit: on
-the line t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so
-its μ-th root as a power series (Miller's recurrence) gives q on any
-line, and a root that does not stop at degree d rejects the form.  The
-profile lines, the gradient rows of the linear system and the implicit
-form all come from that one pencil.
+reduced form q of det M = c·q^μ comes from that pencil too: on the line
+t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so its μ-th
+root as a power series (Miller's recurrence) gives q on any line, and a
+root that does not stop at degree d rejects the form.  A q with few
+coefficients is then expanded from its values on a simplex grid; a q
+with many stays implicit.
 """
 
 from __future__ import annotations
@@ -40,8 +39,9 @@ from .fieldcore import (
     charpoly,
     kernel_basis,
     mat_rank,
+    newton_divided,
+    newton_to_power,
     random_combination,
-    rank_and_kernel,
     rref,
     solve_affine,
     vecmat,
@@ -396,94 +396,6 @@ class PencilForm(ReducedForm):
                    for n, gn in enumerate(g[:d + 1])) % p
 
 
-def _degree_monomials(nvars, d):
-    return sorted((d - sum(e),) + e for e in _simplex_nodes(nvars - 1, d))
-
-
-def _add_pde_rows(charm, mu, exps, t, fp, rows):
-    """The PDE rows at t, none when M(t) is singular.  Jacobi's formula
-    gives ∂_i det M(t) = det M(t)·Σ_{a,b} M(t)⁻¹[a][b]·∂_i M[b][a] from
-    one inverse.  As μ·d = r, Euler's relation makes Σ_i t_i·row_i = 0,
-    so the row of the last i with t_i ≠ 0 is left out: nv − 1 rows with
-    the same span.  Monomials are products from one table of t_i^j."""
-    nv, r, p = charm.k + 1, charm.r, fp.p
-    mt = charm.value(t, fp)
-    f = det_ring(mt, fp)
-    if f == 0:
-        return
-    minv = _inverse(mt, fp)
-    grads = [f * g % p for g in vecmat(
-        [v for row in minv for v in row],
-        [charm.entries[b][a] for a in range(r) for b in range(r)], fp)]
-    skip = max(i for i in range(nv) if t[i])
-    powers = [[pow(ti, j, p) for j in range(sum(exps[0]) + 1)] for ti in t]
-
-    def mono(e):
-        out = 1
-        for row, ei in zip(powers, e):
-            out = out * row[ei] % p
-        return out
-
-    at = {e: mono(e) for e in exps}  # lowered monomials join on first use
-    for i in range(nv):
-        if i == skip:
-            continue
-        row = []
-        for e in exps:
-            v = at[e] * grads[i]
-            if e[i]:
-                el = e[:i] + (e[i] - 1,) + e[i + 1:]
-                if el not in at:
-                    at[el] = mono(el)
-                v -= mu * f * e[i] * at[el]
-            row.append(v % p)
-        rows.append(row)
-
-
-def _extract_linear_system(charm, mu, d, fp, rng):
-    """Coefficients of q from  q·∂_i f − μ·f·∂_i q = 0  at random points.
-
-    Each sample point with a nonsingular M(t) yields nv rows but never nv
-    independent ones (the Euler relation ties them together, and
-    structured determinants give fewer still), so keep sampling until the
-    solution space settles at a single line rather than trusting a fixed
-    point count.  The loop counts draws, not rows, so it ends even when
-    det M vanishes everywhere.
-    """
-    nv = charm.k + 1
-    exps = _degree_monomials(nv, d)
-    ncoef = len(exps)
-    npts = -(-ncoef // max(nv - 1, 1)) + 2
-    rows = []
-    drawn = 0
-    for _ in range(5):
-        while drawn < npts:
-            drawn += 1
-            t = [rng.field(fp.p) for _ in range(nv)]
-            _add_pde_rows(charm, mu, exps, t, fp, rows)
-        kern = rank_and_kernel(rows, fp)[1] if rows else None
-        if kern is not None and len(kern) <= 1:
-            break
-        npts += -(-npts // 2)
-    if kern is None:
-        raise ExtractionFailed("M(t) was singular at every sample point")
-    if len(kern) != 1:
-        raise ExtractionFailed(
-            f"coefficient solution space has dimension {len(kern)}")
-    q = SparsePoly(nv, {e: c for e, c in zip(exps, kern[0]) if c})
-    return ReducedForm(q)
-
-
-def _simplex_nodes(k, d):
-    if k == 0:
-        return [()]
-    out = []
-    for head in range(d + 1):
-        for rest in _simplex_nodes(k - 1, d - head):
-            out.append((head,) + rest)
-    return out
-
-
 def _pencil_slices(charm, base, dirs, fp):
     """det M(base) and the matrices M(base)⁻¹·M(v) for v in dirs, from
     one elimination of [M(base) | M(v_1) | … | M(v_k)]; None when
@@ -512,7 +424,7 @@ def _pencil_line(det0, kmat, fp):
             for m in range(r + 1)]
 
 
-def _extract_interpolation(charm, mu, d, fp, rng):
+def _pencil_form(charm, mu, d, fp, rng):
     """The implicit form of q in a random basis [t*, b_1..b_k] of Λ with
     M(t*) nonsingular: the pencil slices M(t*)⁻¹M(b_i) (``PencilForm``)."""
     nv = charm.k + 1
@@ -525,6 +437,40 @@ def _extract_interpolation(charm, mu, d, fp, rng):
             continue
         return PencilForm(basis, pencil[1], mu, d, fp)
     raise ExtractionFailed("no basis with a nonsingular M(t*) in 8 draws")
+
+
+def _simplex_nodes(k, d):
+    if k == 0:
+        return [()]
+    out = []
+    for head in range(d + 1):
+        for rest in _simplex_nodes(k - 1, d - head):
+            out.append((head,) + rest)
+    return out
+
+
+def _expand(form, fp):
+    """The explicit ``ReducedForm`` of an implicit one, from its values
+    at the native simplex nodes t = (1, e), |e| ≤ d: ``newton_divided``
+    along every axis line of the grid, then ``newton_to_power`` along
+    every axis line.  Both maps are triangular on a line, so the lines
+    inside the simplex suffice as long as every axis is differenced
+    before any goes back to powers; both fix a line of one node.  The
+    result at e is the coefficient of t₀^(d−|e|)·tᵉ."""
+    d, nv = form.d, form.nvars
+    nodes = _simplex_nodes(nv - 1, d)
+    grid = {e: form.value([1, *e], fp) for e in nodes}
+    starts = [e for e in nodes if sum(e) < d]
+    for step in (newton_divided, newton_to_power):
+        for i in range(nv - 1):
+            for node in starts:
+                if node[i]:
+                    continue
+                line = [node[:i] + (j,) + node[i + 1:]
+                        for j in range(d - sum(node) + 1)]
+                grid.update(zip(line, step([grid[e] for e in line], fp)))
+    return ReducedForm(SparsePoly(nv, {(d - sum(e),) + e: c
+                                       for e, c in grid.items() if c}))
 
 
 def _proportional(f, g, nv, fp, rng, points):
@@ -557,30 +503,28 @@ def _verify_power(charm, form, mu, fp, rng):
         raise ExtractionFailed("power identity failed at a fresh point")
 
 
-MAX_PDE_COEFFS = 220
+MAX_EXPLICIT_COEFFS = 220
 
 
 def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
                           fp, rng) -> ReducedForm:
     """The form q with det M = c·q^μ, verified at 10 fresh points.
 
-    Up to ``MAX_PDE_COEFFS`` coefficients, q's coefficients come from the
-    exact linear system (an explicit ``ReducedForm``).  With more, q is
-    never expanded: a ``PencilForm`` keeps the pencil slices at a random
-    basis of Λ and evaluates q(t)/q(t*) as the μ-th root of one
+    q comes from the pencil: a ``PencilForm`` keeps the slices at a
+    random basis of Λ and evaluates q(t)/q(t*) as the μ-th root of one
     characteristic polynomial, checking at every point that the root
-    stops at degree d.
+    stops at degree d.  Up to ``MAX_EXPLICIT_COEFFS`` coefficients that
+    form is expanded into an explicit ``ReducedForm`` from its values on
+    the simplex grid (``_expand``); with more, q stays implicit.
     """
     if mu * reduced_degree != charm.r:
         raise ExtractionFailed("multiplicity times reduced degree "
                                "must equal the focal degree")
     if fp.p <= charm.r:
         raise CharTooSmall("field too small for the focal degree")
-    ncoef = comb(charm.k + reduced_degree, reduced_degree)
-    if ncoef <= MAX_PDE_COEFFS:
-        form = _extract_linear_system(charm, mu, reduced_degree, fp, rng)
-    else:
-        form = _extract_interpolation(charm, mu, reduced_degree, fp, rng)
+    form = _pencil_form(charm, mu, reduced_degree, fp, rng)
+    if comb(charm.k + reduced_degree, reduced_degree) <= MAX_EXPLICIT_COEFFS:
+        form = _expand(form, fp)
     _verify_power(charm, form, mu, fp, rng)
     return form
 

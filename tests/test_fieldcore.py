@@ -23,7 +23,6 @@ from gaussfocal.fieldcore import (
     newton_divided,
     newton_to_power,
     random_prime,
-    rank_and_kernel,
     rref,
     solve_affine,
 )
@@ -67,8 +66,15 @@ def test_field_ops_mod_p():
 # --- matrices over F_p ----------------------------------------------------
 
 
+def _rank_and_kernel(mat, ring):
+    """Rank and a right-kernel basis from the forward sweep of ``rref``
+    alone; rank + len(kernel) == #columns."""
+    rows, pivots = rref(mat, ring, reduced=False)
+    return len(pivots), kernel_basis(rows, pivots, len(mat[0]), ring)
+
+
 def test_rank_and_kernel_rank_one():
-    rank, ker = rank_and_kernel([[1, 1], [2, 2]], F7)
+    rank, ker = _rank_and_kernel([[1, 1], [2, 2]], F7)
     assert rank == 1
     assert len(ker) == 1
     # kernel must be the line spanned by (1, 6); basis vector may be scaled
@@ -78,12 +84,12 @@ def test_rank_and_kernel_rank_one():
 
 
 def test_rank_and_kernel_identity():
-    rank, ker = rank_and_kernel([[1, 0], [0, 1]], F7)
+    rank, ker = _rank_and_kernel([[1, 0], [0, 1]], F7)
     assert rank == 2 and ker == []
 
 
 def test_rank_zero_matrix():
-    rank, ker = rank_and_kernel([[0, 0], [0, 0]], F7)
+    rank, ker = _rank_and_kernel([[0, 0], [0, 0]], F7)
     assert rank == 0
     assert len(ker) == 2
 
@@ -94,7 +100,7 @@ def test_kernel_vectors_always_annihilate():
     for _ in range(50):
         n, m = 2 + rng.below(5), 2 + rng.below(5)
         mat = [[rng.field(fp.p) for _ in range(m)] for _ in range(n)]
-        rank, ker = rank_and_kernel(mat, fp)
+        rank, ker = _rank_and_kernel(mat, fp)
         assert rank + len(ker) == m
         for v in ker:
             assert matvec(mat, v, fp) == [0] * n
@@ -228,7 +234,7 @@ def test_elimination_matches_gauss_jordan(p, data):
     assert mat_rank(mat, fp) == len(pivots)
     kernel = _kernel_from_rref(rows, pivots, ncols, fp)
     assert kernel_basis(rows, pivots, ncols, fp) == kernel
-    assert rank_and_kernel(mat, fp) == (len(pivots), kernel)
+    assert _rank_and_kernel(mat, fp) == (len(pivots), kernel)
     b = data.draw(st.lists(st.integers(0, p - 1), min_size=len(mat),
                            max_size=len(mat)), "b")
     want = _outcome(solve_affine, mat, b, fp)
@@ -268,10 +274,10 @@ def test_dual_elimination_matches_gauss_jordan(p, data):
         kernel = _kernel_from_rref(rows, pivots, ncols, ring)
         assert kernel_basis(*echelon, ncols, ring) == kernel
         assert kernel_basis(rows, pivots, ncols, ring) == kernel
-        assert _outcome(rank_and_kernel, mat, ring) == (len(pivots), kernel)
+        assert _outcome(_rank_and_kernel, mat, ring) == (len(pivots), kernel)
     else:
         assert echelon is DegeneratePivot
-        assert _outcome(rank_and_kernel, mat, ring) is DegeneratePivot
+        assert _outcome(_rank_and_kernel, mat, ring) is DegeneratePivot
 
 
 # --- dual numbers ----------------------------------------------------------
@@ -303,21 +309,21 @@ def test_dual_inverse():
 def test_dual_kernel_full_rank():
     ring = DualFp(101)
     mat = [[(1, 1), ring.zero], [ring.zero, ring.one]]  # (1, 1) = 1 + eps
-    rank, ker = rank_and_kernel(mat, ring)
+    rank, ker = _rank_and_kernel(mat, ring)
     assert rank == 2 and ker == []
 
 
 def test_dual_kernel_degenerate_pivot():
     ring = DualFp(101)
     with pytest.raises(DegeneratePivot):
-        rank_and_kernel([[(0, 1), ring.zero]], ring)
+        _rank_and_kernel([[(0, 1), ring.zero]], ring)
 
 
 def test_dual_kernel_unit_lift():
     # row (1, 1+eps): kernel spanned by (-1-eps, 1); checked by direct product
     ring = DualFp(101)
     mat = [[ring.one, (1, 1)]]
-    rank, ker = rank_and_kernel(mat, ring)
+    rank, ker = _rank_and_kernel(mat, ring)
     assert rank == 1 and len(ker) == 1
     v = ker[0]
     s = ring.add(ring.mul(mat[0][0], v[0]), ring.mul(mat[0][1], v[1]))

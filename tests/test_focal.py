@@ -2,6 +2,7 @@
 multiplicity profiles, reduced-form extraction and the bound battery."""
 
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -16,7 +17,6 @@ from gaussfocal.fieldcore import (
     lagrange_interpolate,
     mat_rank,
     random_combination,
-    rank_and_kernel,
     rref,
     solve_affine,
     vecmat,
@@ -30,14 +30,12 @@ from gaussfocal.focal import (
     ExtractionFailed,
     FamilyChart,
     FocalReport,
+    MAX_EXPLICIT_COEFFS,
     NonVanishingTransversalComponent,
     NotDegenerate,
     ReducedForm,
-    _add_pde_rows,
-    _degree_monomials,
-    _extract_interpolation,
-    _extract_linear_system,
     _first_order_fiber,
+    _pencil_form,
     _proportional,
     _series_root,
     _simplex_nodes,
@@ -353,7 +351,8 @@ def _non_flat_bump(fib, inside_q):
     column f such that adding ε at (i, f) puts S₁·k₀ outside the column
     span of S₀ for the kernel vector k₀ that is 1 at f: e_i pairs
     nonzero with a left-kernel vector of S₀."""
-    _, left = rank_and_kernel([list(col) for col in zip(*fib.system)], FP)
+    cols = [list(col) for col in zip(*fib.system)]
+    left = kernel_basis(*rref(cols, FP, reduced=False), len(cols[0]), FP)
     i = next(i for vec in left for i, v in enumerate(vec)
              if v and (i in fib.sys_rows) == inside_q)
     f = next(c for c in range(len(fib.frame.tangent))
@@ -510,13 +509,14 @@ def test_cone_focus_is_the_vertex():
     assert list(rep.bounds.values()) == ["Pass", "Pass", "Skipped", "Skipped"]
 
 
-def test_interpolation_path_matches_linear_system():
+def test_expanded_form_matches_implicit_form():
     spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
     pt, frame, fib, rng = pipeline(spec, 6, 113)
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
     rf1 = extract_reduced_power(charm, 2, 2, FP, rng)
-    rf2 = _extract_interpolation(charm, 2, 2, FP, rng)
+    rf2 = _pencil_form(charm, 2, 2, FP, rng)
+    assert rf1.basis is None and rf2.basis is not None
     _verify_power(charm, rf2, 2, FP, rng)
     base = None
     for _ in range(5):
@@ -562,7 +562,7 @@ def test_implicit_form_matches_root_values_by_determinants():
     pt, frame, fib, rng = pipeline(spec, 13, 119)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     nv, d = charm.k + 1, 2  # severi-8: det M = c·q^4 with q a quadric
-    form = _extract_interpolation(charm, 4, d, FP, rng)
+    form = _pencil_form(charm, 4, d, FP, rng)
     basis = form.basis
     want = _root_values_by_determinants(charm, basis, d, FP)
     assert want is not None and len(want) == 21
@@ -599,11 +599,15 @@ def test_non_power_leaves_a_tail_and_fails_extraction():
         f = up_mul(f, [1, a], FP)
     assert any(_series_root(f, mu, inv, FP)[d + 1:])
     # det M = t0·t1·(t0 + t1) read as a cube of a linear form
-    form = _extract_interpolation(_diagonal_charm(), mu, d, FP, Rng(143))
+    form = _pencil_form(_diagonal_charm(), mu, d, FP, Rng(143))
     with pytest.raises(ExtractionFailed):
         form.value([2, 5], FP)
     with pytest.raises(ExtractionFailed):
         _verify_power(_diagonal_charm(), form, mu, FP, Rng(145))
+    # with 2 coefficients it takes the explicit path, whose node values
+    # reject it before any expansion
+    with pytest.raises(ExtractionFailed, match="power on a line"):
+        extract_reduced_power(_diagonal_charm(), mu, d, FP, Rng(149))
 
 
 def test_quadric_rank_of_an_implicit_form():
@@ -611,7 +615,7 @@ def test_quadric_rank_of_an_implicit_form():
     pt, frame, fib, rng = pipeline(spec, 13, 147)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     explicit = extract_reduced_power(charm, 4, 2, FP, rng)
-    implicit = _extract_interpolation(charm, 4, 2, FP, rng)
+    implicit = _pencil_form(charm, 4, 2, FP, rng)
     assert explicit.basis is None and implicit.basis is not None
     assert quadric_rank(implicit, FP) == quadric_rank(explicit, FP) == 6
 
@@ -680,7 +684,8 @@ def _mono(e, t):
 
 def _all_pde_rows(charm, mu, exps, t):
     """All nv rows q·∂_i f − μ·f·∂_i q at t, with ∂_i det M(t) read as the
-    s coefficient of det M(t + s·e_i): the oracle of ``_add_pde_rows``."""
+    s coefficient of det M(t + s·e_i): each row is linear in the
+    coefficients of q, which the rows at enough points pin down."""
     nv = charm.k + 1
     f = charm.det_at(t, FP)
     want = []
@@ -700,34 +705,14 @@ def _all_pde_rows(charm, mu, exps, t):
     return want
 
 
-def test_pde_rows_take_the_gradient_off_the_pencil():
-    spec = rank_locus_spec(MatrixShape.symmetric(4), 2)
-    pt, frame, fib, rng = pipeline(spec, 6, 137)
-    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
-    nv, mu = charm.k + 1, 2
-    exps = _degree_monomials(nv, 2)
-    points = [[rng.field(P) for _ in range(nv)] for _ in range(3)]
-    points.append([rng.field(P) for _ in range(nv - 1)] + [0])
-    for t in points:
-        rows = []
-        _add_pde_rows(charm, mu, exps, t, FP, rows)
-        assert charm.det_at(t, FP)
-        want = _all_pde_rows(charm, mu, exps, t)
-        # Euler's relation (μ·d = r) ties the nv rows together, so the
-        # row of the last nonzero coordinate is the one left out
-        assert all(sum(ti * w[j] for ti, w in zip(t, want)) % P == 0
-                   for j in range(len(exps)))
-        skip = max(i for i in range(nv) if t[i])
-        assert skip == (nv - 1 if t[-1] else nv - 2)
-        assert rows == want[:skip] + want[skip + 1:]
-    rows = []
-    _add_pde_rows(charm, mu, exps, [0] * nv, FP, rows)  # M(0) is singular
-    assert rows == []
+def _degree_monomials(nv, d):
+    return sorted(e for e in product(range(d + 1), repeat=nv) if sum(e) == d)
 
 
 def _extract_with_all_rows(charm, mu, d, rng):
-    """The sampling loop of ``_extract_linear_system`` on all nv oracle
-    rows per point; returns the terms of q."""
+    """q's coefficients from the first-order PDE system on all nv rows
+    per point, sampled until its solution space is one line; returns the
+    terms of q.  An oracle independent of the pencil."""
     nv = charm.k + 1
     exps = _degree_monomials(nv, d)
     npts = -(-len(exps) // (nv - 1)) + 2
@@ -738,7 +723,7 @@ def _extract_with_all_rows(charm, mu, d, rng):
             t = [rng.field(P) for _ in range(nv)]
             if charm.det_at(t, FP):
                 rows += _all_pde_rows(charm, mu, exps, t)
-        kern = rank_and_kernel(rows, FP)[1]
+        kern = kernel_basis(*rref(rows, FP, reduced=False), len(exps), FP)
         if len(kern) <= 1:
             break
         npts += -(-npts // 2)
@@ -751,21 +736,54 @@ def _extract_with_all_rows(charm, mu, d, rng):
     (MatrixShape.generic(4, 4), 3, 14, 2, 3),  # the det4 hypersurface
 ])
 def test_linear_system_matches_all_rows_oracle(shape, rb, dim, mu, d):
+    # the expanded form and the PDE system's kernel agree up to one scalar
     spec = rank_locus_spec(shape, rb)
     pt, frame, fib, rng = pipeline(spec, dim, 139)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     assert mu * d == charm.r
-    got_rng, want_rng = Rng(141), Rng(141)
-    q = _extract_linear_system(charm, mu, d, FP, got_rng).poly
-    assert q.terms == _extract_with_all_rows(charm, mu, d, want_rng)
-    assert got_rng.u64() == want_rng.u64()  # the same number of draws
+    form = extract_reduced_power(charm, mu, d, FP, Rng(141))
+    assert form.basis is None
+    got = form.poly.terms
+    want = _extract_with_all_rows(charm, mu, d, Rng(141))
+    assert got.keys() == want.keys()
+    e0 = next(iter(want))
+    scale = got[e0] * FP.inv(want[e0]) % P
+    assert scale and all(got[e] == scale * c % P for e, c in want.items())
 
 
 def test_vanishing_focal_form_fails_extraction():
-    # det M ≡ 0: every draw has a singular M(t), so no PDE row exists
+    # det M ≡ 0: no basis has a nonsingular M(t*)
     charm = CharMatrix([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], 1)
-    with pytest.raises(ExtractionFailed):
+    with pytest.raises(ExtractionFailed, match="nonsingular M"):
         extract_reduced_power(charm, 1, 2, FP, Rng(139))
+
+
+def _product_charm(forms):
+    """M(t) = diag(L_1(t), …, L_r(t)): det M = L_1·…·L_r."""
+    zero = [0] * len(forms[0])
+    return CharMatrix([[forms[j] if l == j else zero
+                        for l in range(len(forms))]
+                       for j in range(len(forms))], len(forms[0]) - 1)
+
+
+@pytest.mark.parametrize("k, explicit", [(9, True), (10, False)])
+def test_explicit_form_up_to_the_coefficient_bound(k, explicit):
+    # a cubic on k + 1 coordinates has comb(k + 3, 3) coefficients:
+    # 220 at k = 9, the last size that is expanded, and 286 at k = 10
+    assert (comb(k + 3, 3) <= MAX_EXPLICIT_COEFFS) == explicit
+    rng = Rng(0xB0 + k)
+    forms = [[rng.field(P) for _ in range(k + 1)] for _ in range(3)]
+    form = extract_reduced_power(_product_charm(forms), 1, 3, FP, rng)
+    assert (form.basis is None) == explicit
+    assert form.degree() == 3
+
+    def product_of_forms(t, fp):
+        out = 1
+        for f in forms:
+            out = out * fp.dot(f, t) % fp.p
+        return out
+
+    assert _proportional(form.value, product_of_forms, k + 1, FP, rng, 5)
 
 
 def test_deformation_row_off_the_tangent_space_is_rejected():
@@ -898,13 +916,6 @@ def test_proportional():
 
     assert not _proportional(quad, late, 3, FP, Rng(4), 5)
     assert len(seen) == 1
-
-
-def test_degree_monomials_are_the_degree_d_exponents():
-    for nv, d in [(1, 3), (2, 0), (3, 2), (4, 3)]:
-        want = sorted(e for e in product(range(d + 1), repeat=nv)
-                      if sum(e) == d)
-        assert _degree_monomials(nv, d) == want
 
 
 def test_quadric_rank_small_cases():
