@@ -38,6 +38,7 @@ from .fieldcore import (
 )
 from .focal import (
     FocalReport,
+    char_kernel_at_point,
     characteristic_matrix,
     chart_independence,
     check_bounds,
@@ -628,7 +629,7 @@ class _FibreFamily:
             return []
         return ["two independent charts gave non-proportional focal forms"]
 
-    def extras(self, rep):
+    def extras(self, charm, rep):
         return {}
 
 
@@ -668,9 +669,11 @@ class _HyperbandFamily:
         return [f"a second random family gave profile {profile2} "
                 f"instead of {rep.profile}"]
 
-    def extras(self, rep):
+    def extras(self, charm, rep):
+        kernel = None if rep.focus is None else \
+            char_kernel_at_point(charm, rep.focus, self.fp)
         return {"profile": [list(pair) for pair in rep.profile],
-                "kernel_at_focus": rep.kernel_at_focus, "dim_f": self.dim_f}
+                "kernel_at_focus": kernel, "dim_f": self.dim_f}
 
 
 def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
@@ -701,7 +704,7 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
             failures.append(f"extraction failed: {rep.extraction_error}")
         containment, fails = fam.judge(rep)
         failures += fails
-        for key, got in fam.extras(rep).items():
+        for key, got in fam.extras(charm, rep).items():
             if plan.expect and got != plan.expect[key]:
                 failures.append(f"{key} = {got}, expected {plan.expect[key]}")
         if cfg.verify == "full":

@@ -16,9 +16,9 @@ Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
 lines.  det M on a line is always read as a matrix pencil:
 det(M(t) + s·M(v)) is det M(t) times det(I + s·M(t)⁻¹M(v)), so one
-characteristic polynomial gives the whole line polynomial, and its s
-coefficient, det M(t)·tr(M(t)⁻¹·M(v)), the derivative along v.  The
-reduced form q of det M = c·q^μ comes from that pencil too: on the line
+elimination and one characteristic polynomial give the line polynomial
+up to the constant det M(t), which is never needed.  The reduced form q
+of det M = c·q^μ comes from that pencil too: on the line
 t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so its μ-th
 root as a power series (Miller's recurrence) gives q on any line, and a
 root that does not stop at degree d rejects the form.  A q with few
@@ -225,16 +225,17 @@ class CharMatrix:
 def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     """The r×r matrix of linear forms t ↦ (t·B_j mod Λ).
 
-    Every B row is reduced modulo Λ = rowspan(A).  The reduced rows of
-    all B_j must span exactly r normal directions (else
-    ``DeformationSpanMismatch``), and M keeps the r pivot columns of that
-    span, so det M is the focal form up to a nonzero constant.  A chart
-    with transversal directions w_1..w_r must also keep its deformations
-    in the tangent space: the reduced rows [w̄; B̄] have rank r, or a
-    deformation row left it (``NonVanishingTransversalComponent``).
+    Every B row is reduced modulo Λ = rowspan(A) by A's echelon rows in
+    pivot order, to the one representative zero on every pivot column.
+    The reduced rows of all B_j must span exactly r normal directions
+    (else ``DeformationSpanMismatch``), and M keeps the r pivot columns
+    of that span, so det M is the focal form up to a nonzero constant.
+    A chart with transversal directions w_1..w_r must also keep its
+    deformations in the tangent space: the reduced [w̄; B̄] has rank r,
+    or a deformation row left it (``NonVanishingTransversalComponent``).
     """
     p, k1, r = fp.p, chart.k + 1, chart.r
-    arr, apiv = rref(chart.basis, fp)
+    arr, apiv = rref(chart.basis, fp, reduced=False)
     if len(apiv) != k1:
         raise DependentFamilyBasis("family basis rows are dependent")
     free = [c for c in range(len(chart.basis[0])) if c not in set(apiv)]
@@ -272,9 +273,9 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
     Returns (profile, total degree) where the profile is a tuple of
     (multiplicity, class degree) pairs.  Degree-dropped lines are thrown
     away and redrawn; surviving lines must agree exactly.  Each line
-    a + s·d is read off the pencil through d: det M(a + s·d) is the
-    reversal of det(M(d) + s·M(a)), and it keeps degree r exactly when
-    det M(d) ≠ 0, so a singular M(d) is the degree drop.
+    a + s·d is read off the pencil through d: det M(a + s·d) is det M(d)
+    times the reversal of det(I + s·M(d)⁻¹M(a)), which is monic of
+    degree r, so a singular M(d) is the degree drop.
     """
     consensus, total = None, None
     for _ in range(lines):
@@ -282,12 +283,11 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
         for _attempt in range(16):
             a = [rng.field(fp.p) for _ in range(charm.k + 1)]
             d = [rng.field(fp.p) for _ in range(charm.k + 1)]
-            pencil = _pencil_slices(charm, d, [a], fp)
-            if pencil is None:
+            slices = _pencil_slices(charm, d, [a], fp)
+            if slices is None:
                 continue
-            det_d, (kmat,) = pencil
             prof = tuple(squarefree_profile(
-                _pencil_line(det_d, kmat, fp)[::-1], fp))
+                _pencil_line(slices[0], fp)[::-1], fp))
             break
         if prof is None:
             raise DegenerateLines("the focal form kept dropping degree")
@@ -304,19 +304,13 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
 
 
 def _solve_square(mat, rhs, fp):
-    """M⁻¹·R for a square M, from one elimination of [M | R];
-    ``Infeasible`` when M is singular."""
+    """M⁻¹·R for a square M, from one elimination of [M | R]; None when
+    M is singular."""
     n = len(mat)
     rows, pivots = rref([list(m) + list(b) for m, b in zip(mat, rhs)], fp)
     if pivots[:n] != list(range(n)):
-        raise Infeasible("singular matrix")
+        return None
     return [row[n:] for row in rows]
-
-
-def _inverse(mat, fp):
-    n = len(mat)
-    return _solve_square(mat, [[int(i == j) for j in range(n)]
-                               for i in range(n)], fp)
 
 
 class ReducedForm:
@@ -369,12 +363,12 @@ class PencilForm(ReducedForm):
 
     __slots__ = ("mu", "d", "_binv", "_slice_cols", "_inv")
 
-    def __init__(self, basis, slices, mu, d, fp):
+    def __init__(self, basis, binv, slices, mu, d, fp):
         self.poly = None
         self.basis = basis
         self.nvars = len(basis)
         self.mu, self.d = mu, d
-        self._binv = _inverse(basis, fp)
+        self._binv = binv
         # column c of the flattened slices: K's entry c is one dot with y
         self._slice_cols = list(zip(*([v for row in sl for v in row]
                                       for sl in slices)))
@@ -388,7 +382,7 @@ class PencilForm(ReducedForm):
         y = vecmat(t, self._binv, fp)
         flat = [fp.dot(y[1:], col) for col in self._slice_cols]
         kmat = [flat[a * r:(a + 1) * r] for a in range(r)]
-        g = _series_root(_pencil_line(1, kmat, fp), self.mu, self._inv, fp)
+        g = _series_root(_pencil_line(kmat, fp), self.mu, self._inv, fp)
         if any(g[d + 1:]):
             raise ExtractionFailed(f"det M is not a {self.mu}-th power "
                                    f"on a line")
@@ -397,30 +391,27 @@ class PencilForm(ReducedForm):
 
 
 def _pencil_slices(charm, base, dirs, fp):
-    """det M(base) and the matrices M(base)⁻¹·M(v) for v in dirs, from
-    one elimination of [M(base) | M(v_1) | … | M(v_k)]; None when
-    M(base) is singular."""
+    """The matrices M(base)⁻¹·M(v) for v in dirs, from one elimination of
+    [M(base) | M(v_1) | … | M(v_k)]; None when M(base) is singular."""
     r = charm.r
     mbase = charm.value(base, fp)
-    det0 = det_ring(mbase, fp)
-    if det0 == 0:
-        return None
     blocks = [charm.value(v, fp) for v in dirs]
     sol = _solve_square(mbase, [[v for blk in blocks for v in blk[a]]
                                 for a in range(r)], fp)
-    slices = [[row[i * r:(i + 1) * r] for row in sol]
-              for i in range(len(blocks))]
-    return det0, slices
+    if sol is None:
+        return None
+    return [[row[i * r:(i + 1) * r] for row in sol]
+            for i in range(len(blocks))]
 
 
-def _pencil_line(det0, kmat, fp):
-    """All r+1 coefficients, ascending, of det(M(base) + s·M(v)) =
-    det0·det(I + s·K), from det0 = det M(base) and K = M(base)⁻¹·M(v):
-    with χ(x) = det(x·I − K) the s^m coefficient is det0·(−1)^m·χ_{r−m},
-    one characteristic polynomial instead of r+2 determinants."""
+def _pencil_line(kmat, fp):
+    """All r+1 coefficients, ascending, of det(I + s·K), which is
+    det(M(base) + s·M(v)) / det M(base) for K = M(base)⁻¹·M(v): with
+    χ(x) = det(x·I − K) the s^m coefficient is (−1)^m·χ_{r−m}, one
+    characteristic polynomial instead of r+1 determinants."""
     r = len(kmat)
     chi = charpoly(kmat, fp)
-    return [det0 * (-chi[r - m] if m % 2 else chi[r - m]) % fp.p
+    return [(-chi[r - m] if m % 2 else chi[r - m]) % fp.p
             for m in range(r + 1)]
 
 
@@ -428,14 +419,16 @@ def _pencil_form(charm, mu, d, fp, rng):
     """The implicit form of q in a random basis [t*, b_1..b_k] of Λ with
     M(t*) nonsingular: the pencil slices M(t*)⁻¹M(b_i) (``PencilForm``)."""
     nv = charm.k + 1
+    ident = [[int(i == j) for j in range(nv)] for i in range(nv)]
     for _ in range(8):
         basis = [[rng.field(fp.p) for _ in range(nv)] for _ in range(nv)]
-        if mat_rank(basis, fp) != nv:
+        binv = _solve_square(basis, ident, fp)
+        if binv is None:
             continue
-        pencil = _pencil_slices(charm, basis[0], basis[1:], fp)
-        if pencil is None:
+        slices = _pencil_slices(charm, basis[0], basis[1:], fp)
+        if slices is None:
             continue
-        return PencilForm(basis, pencil[1], mu, d, fp)
+        return PencilForm(basis, binv, slices, mu, d, fp)
     raise ExtractionFailed("no basis with a nonsingular M(t*) in 8 draws")
 
 
@@ -621,8 +614,8 @@ class FocalReport:
     """Everything measured about one focal divisor."""
 
     __slots__ = ("r", "degree", "profile", "mu", "reduced_degree",
-                 "reduced_form", "q_rank", "containment", "focus",
-                 "kernel_at_focus", "c", "bounds", "extraction_error")
+                 "reduced_form", "q_rank", "containment", "focus", "c",
+                 "bounds", "extraction_error")
 
     def __init__(self, r=None, degree=None, profile=None, mu=None,
                  reduced_degree=None, c=None):
@@ -635,7 +628,6 @@ class FocalReport:
         self.q_rank = None
         self.containment = None
         self.focus = None
-        self.kernel_at_focus = None
         self.c = c
         self.bounds = None
         self.extraction_error = None
@@ -674,7 +666,7 @@ def check_bounds(report: FocalReport) -> dict:
 
 def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
                  lines: int = 8) -> FocalReport:
-    """Profile, extraction, containment, focus diagnostics and bounds for
+    """Profile, extraction, containment, a focal point and bounds for
     one characteristic matrix, rolled into a report.
 
     ``contain(form)`` is the family's containment oracle for the reduced
@@ -696,8 +688,6 @@ def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
             rep.q_rank = quadric_rank(form, fp)
         rep.containment = contain(form)
         rep.focus = form_zero_point(form, fp, rng)
-        if rep.focus is not None:
-            rep.kernel_at_focus = char_kernel_at_point(charm, rep.focus, fp)
     rep.bounds = check_bounds(rep)
     return rep
 

@@ -36,6 +36,7 @@ from gaussfocal.focal import (
     ReducedForm,
     _first_order_fiber,
     _pencil_form,
+    _pencil_slices,
     _proportional,
     _series_root,
     _simplex_nodes,
@@ -447,7 +448,7 @@ def test_severi2_full_report():
     assert rep.q_rank == 3
     assert rep.containment.status == "Pass"
     assert rep.containment.witnesses == 2 and rep.containment.zeros > 0
-    assert rep.kernel_at_focus == 1
+    assert char_kernel_at_point(charm, rep.focus, FP) == 1
     assert list(rep.bounds.values()) == ["Pass"] * 4
     while True:
         t = [rng.field(P) for _ in range(3)]
@@ -661,7 +662,9 @@ def test_profile_lines_come_off_the_pencil(monkeypatch):
         a = [draws.field(P) for _ in range(charm.k + 1)]
         d = [draws.field(P) for _ in range(charm.k + 1)]
         assert up_deg(poly) == charm.r
-        assert poly == on_line(charm.det_at, charm.r, a, d, FP)
+        scale = charm.det_at(d, FP)  # the line polynomial over det M(d)
+        assert [c * scale % P for c in poly] == \
+            on_line(charm.det_at, charm.r, a, d, FP)
 
 
 def test_profile_skips_a_direction_with_singular_matrix(monkeypatch):
@@ -670,9 +673,74 @@ def test_profile_skips_a_direction_with_singular_matrix(monkeypatch):
     # M(1, 0) = diag(1, 0, 1) is singular: that line drops to degree 2
     rng = _ScriptedRng([2, 3, 1, 0, 2, 3, 5, 7])
     assert focal_profile(charm, FP, rng, lines=1) == (((1, 3),), 3)
-    assert seen == [on_line(charm.det_at, 3, [2, 3], [5, 7], FP)]
+    scale = charm.det_at([5, 7], FP)
+    assert [[c * scale % P for c in poly] for poly in seen] == \
+        [on_line(charm.det_at, 3, [2, 3], [5, 7], FP)]
     with pytest.raises(DegenerateLines):
         focal_profile(charm, FP, _ScriptedRng([2, 3, 0, 1] * 16), lines=1)
+
+
+def test_pencil_slices_are_none_exactly_at_a_singular_base():
+    dirs = [[2, 3], [5, 7], [0, 1]]
+    diagonal = _diagonal_charm()
+    for base in ([1, 0], [0, 4], [3, P - 3]):  # a zero on the diagonal
+        assert _pencil_slices(diagonal, base, dirs, FP) is None
+    rng = Rng(151)
+    generic = CharMatrix([[[rng.field(P) for _ in range(2)] for _ in range(4)]
+                          for _ in range(4)], 1)
+    for charm, base in [(diagonal, [2, 5]), (generic, [3, 11])]:
+        mbase = charm.value(base, FP)
+        assert charm.det_at(base, FP)
+        slices = _pencil_slices(charm, base, dirs, FP)
+        assert len(slices) == len(dirs)
+        for v, sl in zip(dirs, slices):
+            assert [vecmat(row, sl, FP) for row in mbase] == \
+                charm.value(v, FP)
+        assert _pencil_slices(charm, base, [], FP) == []  # k = 0: no slices
+
+
+def test_pencil_form_redraws_past_a_singular_basis():
+    spec = rank_locus_spec(MatrixShape.symmetric(3), 2)  # severi-2
+    pt, frame, fib, rng = pipeline(spec, 4, 105)
+    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    nv = charm.k + 1
+    row = [rng.field(P) for _ in range(nv)]
+    singular = [row, list(row)] + [[rng.field(P) for _ in range(nv)]
+                                   for _ in range(nv - 2)]
+    second = [[rng.field(P) for _ in range(nv)] for _ in range(nv)]
+    scripted = _ScriptedRng([v for b in singular + second for v in b])
+    form = _pencil_form(charm, 1, 2, FP, scripted)
+    assert form.basis == second
+    drawn = _pencil_form(charm, 1, 2, FP, Rng(153))
+    assert _proportional(form.value, drawn.value, nv, FP, Rng(155), 5)
+
+
+def _reduced_by_rref(chart, fp):
+    """Oracle for ``characteristic_matrix``'s entries: each B row minus
+    its pivot-column entries times the rows of A's reduced RREF."""
+    rows, piv = rref(chart.basis, fp)
+    free = [c for c in range(len(chart.basis[0])) if c not in piv]
+
+    def reduce(row):
+        out = list(row)
+        for lead, pc in zip(rows, piv):
+            out = [(a - row[pc] * b) % P for a, b in zip(out, lead)]
+        return [out[c] for c in free]
+
+    blocks = [[reduce(row) for row in bmat] for bmat in chart.bmats]
+    _, cols = rref([row for block in blocks for row in block], fp)
+    return [[[row[l] for row in block] for l in cols] for block in blocks]
+
+
+@pytest.mark.parametrize("shape,rb,dim,seed", [
+    (MatrixShape.symmetric(4), 2, 6, 113),  # scorza-sy-sym m=3
+    (MatrixShape.skew(6), 4, 13, 109),      # severi-8
+])
+def test_char_matrix_entries_match_reduced_rref_oracle(shape, rb, dim, seed):
+    pt, frame, fib, rng = pipeline(rank_locus_spec(shape, rb), dim, seed)
+    chart = fiber_family_chart(fib, FP, rng)
+    assert characteristic_matrix(chart, FP).entries == \
+        _reduced_by_rref(chart, FP)
 
 
 def _mono(e, t):
