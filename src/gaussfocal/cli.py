@@ -312,7 +312,7 @@ def _pencil_sampler(prog):
     def sampler(rng, fp):
         for x, *_ in line_zeros(
                 lambda a, d: restrict_to_line(prog, a, d, fp),
-                prog.arity, fp, rng, 32):
+                prog.arity, fp, rng):
             if any(x) and any(prog.grad(x, fp)):
                 return WitnessPoint(x)
         raise RankDeficientSample("no smooth pencil point on the hypersurface")
@@ -588,15 +588,16 @@ def _record(plan, prime, seed_t, trial, fam, rep, containment, wall):
         "reduced_degree": rep.reduced_degree,
         "quadric_rank": rep.q_rank,
         "sing_containment": containment,
-        "bounds": rep.bounds,
+        "bounds": check_bounds(rep, fam.c),
         "wall_time": round(wall, 6),
     }
 
 
 # A family source draws one trial's first-order family and knows how to
 # judge it: it supplies the record's n/dim_x/c/r/k, the chart (None when
-# there is no focal divisor), the containment oracle, the --verify full
-# cross-check and the expectations beyond the record (``extras``).
+# there is no focal divisor), the containment verdict (``judge``), the
+# --verify full cross-check and the expectations beyond the record
+# (``extras``).
 
 
 class _FibreFamily:
@@ -616,13 +617,13 @@ class _FibreFamily:
         self.chart = (fiber_family_chart(self.fib, fp, rng)
                       if self.k and self.r else None)
 
-    def contain(self, form):
-        return sing_containment(self.spec, self.fib, form, self.fp, self.rng,
-                                self.pt.witnesses)
-
     def judge(self, rep):
         """The record's containment status and any failure messages."""
-        return (rep.containment.status if rep.containment else "Skipped"), []
+        form = rep.reduced_form
+        if form is None:
+            return "Skipped", []
+        return sing_containment(self.spec, self.fib, form, self.fp, self.rng,
+                                self.pt.witnesses).status, []
 
     def cross_check(self, charm, rep, lines):
         if chart_independence(charm, self.fib, self.fp, self.rng):
@@ -646,9 +647,6 @@ class _HyperbandFamily:
         self.n, self.c = 6, self.dim_x - self.dim_f
         self.r, self.k = self.chart.r, self.chart.k
 
-    def contain(self, form):
-        return None  # the focus is checked against the marked point
-
     def judge(self, rep):
         if rep.focus is None:
             return "Skipped", []
@@ -663,7 +661,7 @@ class _HyperbandFamily:
         fp, rng = self.fp, self.rng
         fam2 = hyperband_family(rng, fp)
         charm2 = characteristic_matrix(hyperband_chart(fam2, fp), fp)
-        profile2, _ = focal_profile(charm2, fp, rng, lines=lines)
+        profile2, _ = focal_profile(charm2, fp, rng, lines)
         if profile2 == rep.profile:
             return []
         return [f"a second random family gave profile {profile2} "
@@ -686,22 +684,16 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
         fam = _FibreFamily(plan.spec, dim_x, c, fp, rng, where)
     failures = []
     if fam.chart is None:
-        rep = FocalReport(r=fam.r, c=fam.c)
-        rep.bounds = check_bounds(rep)
+        rep = FocalReport(r=fam.r)
         containment = "Skipped"
     else:
         where.stage = "characteristic matrix"
         charm = characteristic_matrix(fam.chart, fp)
-
-        def contain(form):
-            where.stage = "containment and focus"
-            return fam.contain(form)
-
         where.stage = "profile and extraction"
-        rep = focal_report(charm, fp, rng, contain, c=fam.c,
-                           lines=cfg.lines)
+        rep = focal_report(charm, fp, rng, cfg.lines)
         if rep.extraction_error:
             failures.append(f"extraction failed: {rep.extraction_error}")
+        where.stage = "containment and focus"
         containment, fails = fam.judge(rep)
         failures += fails
         for key, got in fam.extras(charm, rep).items():
@@ -770,8 +762,6 @@ def run_experiment(cfg: ExperimentConfig):
         except (Degeneracy, Violation) as err:
             err.where = where
             raise
-    records.sort(key=lambda rec: (rec["experiment"], rec["prime"],
-                                  rec["trial"]))
     return records, failures
 
 

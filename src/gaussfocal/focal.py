@@ -23,7 +23,9 @@ t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so its μ-th
 root as a power series (Miller's recurrence) gives q on any line, and a
 root that does not stop at degree d rejects the form.  A q with few
 coefficients is then expanded from its values on a simplex grid; a q
-with many stays implicit.
+with many stays implicit.  A focal report holds only what the divisor
+gives (profile, q, its quadric rank, a focal point); containment and
+the bounds are judged by the trial that reads them.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
 # --- focal profiles -----------------------------------------------------------
 
 
-def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
+def focal_profile(charm: CharMatrix, fp, rng, lines: int):
     """Consensus multiplicity profile over random lines in Λ.
 
     Returns (profile, total degree) where the profile is a tuple of
@@ -301,16 +303,6 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int = 8):
 
 
 # --- reduced-form extraction ---------------------------------------------------
-
-
-def _solve_square(mat, rhs, fp):
-    """M⁻¹·R for a square M, from one elimination of [M | R]; None when
-    M is singular."""
-    n = len(mat)
-    rows, pivots = rref([list(m) + list(b) for m, b in zip(mat, rhs)], fp)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rows]
 
 
 class ReducedForm:
@@ -351,24 +343,26 @@ def _series_root(f, mu, inv, fp):
 
 
 class PencilForm(ReducedForm):
-    """The reduced form q held implicitly by the pencil at t* = basis[0].
+    """The reduced form q held implicitly by the pencil at t*, in the
+    basis [t*, e_1..e_k] of Λ (t*_0 ≠ 0).
 
-    With S_i = M(t*)⁻¹M(b_i) for the other basis vectors b_i, a point
-    t = y_0·t* + Σ y_i·b_i gives K = Σ y_i·S_i, and det(I + s·K) =
-    (q(t* + s·v)/q(t*))^μ on the line through v = Σ y_i·b_i.  Its μ-th
-    root g (``_series_root``) must stop at degree d, or det M is not a
-    μ-th power on that line (``ExtractionFailed``); then
-    q(t)/q(t*) = y_0^d·g(1/y_0) = Σ_n g_n·y_0^(d−n).
+    With S_i = M(t*)⁻¹M(e_i), a point t = y_0·t* + Σ y_i·e_i, that is
+    y_0 = t_0/t*_0 and y_i = t_i − y_0·t*_i, gives K = Σ y_i·S_i, and
+    det(I + s·K) = (q(t* + s·v)/q(t*))^μ on the line through
+    v = Σ y_i·e_i.  Its μ-th root g (``_series_root``) must stop at
+    degree d, or det M is not a μ-th power on that line
+    (``ExtractionFailed``); then q(t)/q(t*) = y_0^d·g(1/y_0) =
+    Σ_n g_n·y_0^(d−n).
     """
 
-    __slots__ = ("mu", "d", "_binv", "_slice_cols", "_inv")
+    __slots__ = ("mu", "d", "_t0inv", "_slice_cols", "_inv")
 
-    def __init__(self, basis, binv, slices, mu, d, fp):
+    def __init__(self, basis, slices, mu, d, fp):
         self.poly = None
         self.basis = basis
         self.nvars = len(basis)
         self.mu, self.d = mu, d
-        self._binv = binv
+        self._t0inv = pow(basis[0][0], -1, fp.p)
         # column c of the flattened slices: K's entry c is one dot with y
         self._slice_cols = list(zip(*([v for row in sl for v in row]
                                       for sl in slices)))
@@ -379,14 +373,15 @@ class PencilForm(ReducedForm):
 
     def value(self, t, fp):
         p, d, r = fp.p, self.d, self.mu * self.d
-        y = vecmat(t, self._binv, fp)
-        flat = [fp.dot(y[1:], col) for col in self._slice_cols]
+        y0 = t[0] * self._t0inv % p
+        y = [(ti - y0 * si) % p for ti, si in zip(t[1:], self.basis[0][1:])]
+        flat = [fp.dot(y, col) for col in self._slice_cols]
         kmat = [flat[a * r:(a + 1) * r] for a in range(r)]
         g = _series_root(_pencil_line(kmat, fp), self.mu, self._inv, fp)
         if any(g[d + 1:]):
             raise ExtractionFailed(f"det M is not a {self.mu}-th power "
                                    f"on a line")
-        return sum(gn * pow(y[0], d - n, p)
+        return sum(gn * pow(y0, d - n, p)
                    for n, gn in enumerate(g[:d + 1])) % p
 
 
@@ -394,13 +389,12 @@ def _pencil_slices(charm, base, dirs, fp):
     """The matrices M(base)⁻¹·M(v) for v in dirs, from one elimination of
     [M(base) | M(v_1) | … | M(v_k)]; None when M(base) is singular."""
     r = charm.r
-    mbase = charm.value(base, fp)
     blocks = [charm.value(v, fp) for v in dirs]
-    sol = _solve_square(mbase, [[v for blk in blocks for v in blk[a]]
-                                for a in range(r)], fp)
-    if sol is None:
+    rows, pivots = rref([m + [v for blk in blocks for v in blk[a]]
+                         for a, m in enumerate(charm.value(base, fp))], fp)
+    if pivots[:r] != list(range(r)):
         return None
-    return [[row[i * r:(i + 1) * r] for row in sol]
+    return [[row[(i + 1) * r:(i + 2) * r] for row in rows]
             for i in range(len(blocks))]
 
 
@@ -416,20 +410,19 @@ def _pencil_line(kmat, fp):
 
 
 def _pencil_form(charm, mu, d, fp, rng):
-    """The implicit form of q in a random basis [t*, b_1..b_k] of Λ with
-    M(t*) nonsingular: the pencil slices M(t*)⁻¹M(b_i) (``PencilForm``)."""
+    """The implicit form of q at a random t* with t*_0 ≠ 0 and M(t*)
+    nonsingular: the pencil slices M(t*)⁻¹M(e_i) (``PencilForm``)."""
     nv = charm.k + 1
-    ident = [[int(i == j) for j in range(nv)] for i in range(nv)]
+    units = [[int(i == j) for j in range(nv)] for i in range(1, nv)]
     for _ in range(8):
-        basis = [[rng.field(fp.p) for _ in range(nv)] for _ in range(nv)]
-        binv = _solve_square(basis, ident, fp)
-        if binv is None:
+        tstar = [rng.field(fp.p) for _ in range(nv)]
+        if tstar[0] == 0:
             continue
-        slices = _pencil_slices(charm, basis[0], basis[1:], fp)
+        slices = _pencil_slices(charm, tstar, units, fp)
         if slices is None:
             continue
-        return PencilForm(basis, binv, slices, mu, d, fp)
-    raise ExtractionFailed("no basis with a nonsingular M(t*) in 8 draws")
+        return PencilForm([tstar] + units, slices, mu, d, fp)
+    raise ExtractionFailed("no t* with a nonsingular M(t*) in 8 draws")
 
 
 def _simplex_nodes(k, d):
@@ -544,10 +537,10 @@ def quadric_rank(form: ReducedForm, fp) -> int:
 
 
 def _zero_lines(form: ReducedForm, fp, rng):
-    """``line_zeros`` of the form on up to 32 random lines in Λ."""
+    """``line_zeros`` of the form on random lines in Λ."""
     return line_zeros(
         lambda a, d: on_line(form.value, form.degree(), a, d, fp),
-        form.nvars, fp, rng, 32)
+        form.nvars, fp, rng)
 
 
 def form_zero_point(form: ReducedForm, fp, rng):
@@ -611,14 +604,15 @@ def char_kernel_at_point(charm: CharMatrix, t, fp) -> int:
 
 
 class FocalReport:
-    """Everything measured about one focal divisor."""
+    """What one focal divisor gives: its profile, μ and d, the reduced
+    form (or why it could not be extracted), its quadric rank and a
+    focal point."""
 
     __slots__ = ("r", "degree", "profile", "mu", "reduced_degree",
-                 "reduced_form", "q_rank", "containment", "focus", "c",
-                 "bounds", "extraction_error")
+                 "reduced_form", "q_rank", "focus", "extraction_error")
 
     def __init__(self, r=None, degree=None, profile=None, mu=None,
-                 reduced_degree=None, c=None):
+                 reduced_degree=None):
         self.r = r
         self.degree = degree
         self.profile = profile
@@ -626,10 +620,7 @@ class FocalReport:
         self.reduced_degree = reduced_degree
         self.reduced_form = None
         self.q_rank = None
-        self.containment = None
         self.focus = None
-        self.c = c
-        self.bounds = None
         self.extraction_error = None
 
 
@@ -637,11 +628,12 @@ def _verdict(holds):
     return "Pass" if holds else "Fail"
 
 
-def check_bounds(report: FocalReport) -> dict:
-    """The inequality battery, in a fixed order: each bound's name maps to
-    Pass, Fail or Skipped (an input it needs is missing, or, for the
-    extremal pattern, c is not r/2 + 1)."""
-    c, mu, r = report.c, report.mu, report.r
+def check_bounds(report: FocalReport, c) -> dict:
+    """The inequality battery on a report and the fibre codimension c, in
+    a fixed order: each bound's name maps to Pass, Fail or Skipped (an
+    input it needs is missing, or, for the extremal pattern, c is not
+    r/2 + 1)."""
+    mu, r = report.mu, report.r
     red = report.reduced_degree
     bounds = {}
     if c is None or mu is None:
@@ -664,17 +656,12 @@ def check_bounds(report: FocalReport) -> dict:
     return bounds
 
 
-def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
-                 lines: int = 8) -> FocalReport:
-    """Profile, extraction, containment, a focal point and bounds for
-    one characteristic matrix, rolled into a report.
-
-    ``contain(form)`` is the family's containment oracle for the reduced
-    form: a ``Containment``, or None when the family checks its focal
-    point ``rep.focus`` (fibre coordinates, drawn right after) instead.
-    """
-    profile, degree = focal_profile(charm, fp, rng, lines=lines)
-    rep = FocalReport(r=charm.r, degree=degree, profile=profile, c=c)
+def focal_report(charm: CharMatrix, fp, rng, lines: int) -> FocalReport:
+    """Profile over ``lines`` random lines, extraction, quadric rank and a
+    focal point (``focus``, in fibre coordinates) for one characteristic
+    matrix, rolled into a report."""
+    profile, degree = focal_profile(charm, fp, rng, lines)
+    rep = FocalReport(r=charm.r, degree=degree, profile=profile)
     if len(profile) == 1:
         rep.mu, rep.reduced_degree = profile[0]
         try:
@@ -686,9 +673,7 @@ def focal_report(charm: CharMatrix, fp, rng, contain, c=None,
     if form is not None:
         if rep.reduced_degree == 2:
             rep.q_rank = quadric_rank(form, fp)
-        rep.containment = contain(form)
         rep.focus = form_zero_point(form, fp, rng)
-    rep.bounds = check_bounds(rep)
     return rep
 
 

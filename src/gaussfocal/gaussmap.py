@@ -88,25 +88,24 @@ class GaussFiber:
 
     It also keeps what the first-order fibres of a chart reuse: the
     center fibre system ``system`` (S₀, over F_p), the pivot columns P
-    of its RREF (``sys_pivots``), its canonical coefficient kernel
-    ``coeff_kernel`` (the k+1 vectors k₀, with ``basis = K₀·tangent``),
-    the rows Q of S₀ independent on P (``sys_rows``) and the inverse of
-    S₀[Q, P] (``sys_inverse``): a chart solves S₀·c = −S₁·k₀ with c on P
-    as c[P] = −S₀[Q, P]⁻¹·(S₁·k₀)[Q].
+    of its RREF (``sys_pivots``; ``basis = K₀·tangent`` for its
+    canonical kernel K₀, the k+1 vectors k₀), the rows Q of S₀
+    independent on P (``sys_rows``) and the inverse of S₀[Q, P]
+    (``sys_inverse``): a chart solves S₀·c = −S₁·k₀ with c on P as
+    c[P] = −S₀[Q, P]⁻¹·(S₁·k₀)[Q].
     """
 
     __slots__ = ("frame", "basis", "k", "r", "system", "sys_pivots",
-                 "coeff_kernel", "sys_rows", "sys_inverse")
+                 "sys_rows", "sys_inverse")
 
-    def __init__(self, frame, basis, k, r, system, sys_pivots, coeff_kernel,
-                 sys_rows, sys_inverse):
+    def __init__(self, frame, basis, k, r, system, sys_pivots, sys_rows,
+                 sys_inverse):
         self.frame = frame
         self.basis = basis
         self.k = k
         self.r = r
         self.system = system
         self.sys_pivots = sys_pivots
-        self.coeff_kernel = coeff_kernel
         self.sys_rows = sys_rows
         self.sys_inverse = sys_inverse
 
@@ -145,8 +144,8 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     tan = frame.tangent
     system = fiber_system(frame.gens, frame.x, tan, frame.tan_pivots, fp)
     rows, sys_pivots = rref(system, fp, reduced=False)
-    coeff_kernel = kernel_basis(rows, sys_pivots, len(tan), fp)
-    basis = [vecmat(c, tan, fp) for c in coeff_kernel]
+    basis = [vecmat(c, tan, fp)
+             for c in kernel_basis(rows, sys_pivots, len(tan), fp)]
     if not basis:
         raise FiberVerificationFailed("fibre lost the base point itself")
     # one elimination of [S₀[:, P]ᵀ | I]: its pivots are the first rows Q
@@ -158,7 +157,7 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     sys_inverse = [list(col) for col in zip(*(row[nrows:] for row in ext))]
     k = len(basis) - 1
     fiber = GaussFiber(frame, basis, k, frame.n - k, system, sys_pivots,
-                       coeff_kernel, sys_rows, sys_inverse)
+                       sys_rows, sys_inverse)
     _verify_fiber(fiber, fp, rng, spec.generators)
     return fiber
 

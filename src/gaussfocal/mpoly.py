@@ -604,11 +604,14 @@ def restrict_to_line(prog, a, d, fp):
     return on_line(prog.eval, prog.degree, a, d, fp)
 
 
-def line_zeros(restrict, nv, fp, rng, attempts):
+LINE_ATTEMPTS = 32
+
+
+def line_zeros(restrict, nv, fp, rng):
     """Zeros on random lines a + s·d in F_p^nv, where ``restrict(a, d)``
     is the form on the line: one list of points, sorted by s, per line
-    that has roots, from at most ``attempts`` lines."""
-    for _ in range(attempts):
+    that has roots, from at most ``LINE_ATTEMPTS`` lines."""
+    for _ in range(LINE_ATTEMPTS):
         a = [rng.field(fp.p) for _ in range(nv)]
         d = [rng.field(fp.p) for _ in range(nv)]
         roots = up_roots(restrict(a, d), fp, rng)

@@ -384,7 +384,7 @@ def albert_cubic(name: str = "hermitian-octonion-cubic") -> VarietySpec:
         # time; the adjoint of the hit is a point of the singular locus
         for x0, *_ in line_zeros(
                 lambda a, d: restrict_to_line(norm, a, d, fp),
-                27, fp, rng, 32):
+                27, fp, rng):
             e = adjoint_coords(x0, fp)
             if any(e):
                 return e

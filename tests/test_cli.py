@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 
 import gaussfocal
 from gaussfocal.cli import (
+    _FibreFamily,
     _SCORZA_M,
     _SCORZA_SHAPES,
     _SEVERI_SHAPES,
+    _Where,
     _build_parser,
     _config_from_args,
     ArityError,
@@ -56,6 +58,8 @@ from gaussfocal.focal import (
     ContainmentFailed,
     DependentFamilyBasis,
     FamilyChart,
+    characteristic_matrix,
+    focal_report,
     hyperband_chart,
 )
 from gaussfocal.gaussmap import (
@@ -63,7 +67,12 @@ from gaussfocal.gaussmap import (
     NoCodimension,
     PointOffVariety,
 )
-from gaussfocal.varieties import HyperbandFamily, rank_locus_generators
+from gaussfocal.varieties import (
+    HyperbandFamily,
+    MatrixShape,
+    rank_locus_generators,
+    rank_locus_spec,
+)
 
 P = (1 << 61) - 1
 FP = Fp(P)
@@ -476,6 +485,21 @@ def test_hyperband_wrong_predictor_fails_containment(monkeypatch):
     assert records[0]["sing_containment"] == "Fail"
     assert ("hyperband: computed focus differs from the marked surface "
             "point") in failures
+
+
+def test_fibre_judge_skips_a_trial_without_a_form_and_draws_nothing():
+    spec = rank_locus_spec(MatrixShape.symmetric(3), 2)  # severi-2
+    rng = Rng(105)
+    fam = _FibreFamily(spec, 4, 2, FP, rng, _Where("severi-2", P))
+    rep = focal_report(characteristic_matrix(fam.chart, FP), FP, rng, 8)
+    form, rep.reduced_form = rep.reduced_form, None
+    state = rng._state
+    assert fam.judge(rep) == ("Skipped", [])
+    assert rng._state == state
+    # with a form, judge draws the random lines that find its zeros
+    rep.reduced_form = form
+    assert fam.judge(rep) == ("Pass", [])
+    assert rng._state != state
 
 
 def test_invariant_violation_names_experiment_prime_trial_and_stage(

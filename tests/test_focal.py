@@ -96,10 +96,18 @@ def pipeline(spec, dim, seed):
     return pt, frame, fib, rng
 
 
-def contain(spec, fib, pt, rng):
-    """The containment oracle of a rank-locus trial."""
-    return lambda form: sing_containment(spec, fib, form, FP, rng,
-                                         witnesses=pt.witnesses)
+def judged(spec, fib, pt, rng, rep):
+    """A rank-locus trial's verdict on a report: the containment of its
+    reduced form, as the trial checks it."""
+    return sing_containment(spec, fib, rep.reduced_form, FP, rng,
+                            witnesses=pt.witnesses)
+
+
+def coeff_kernel(fib, fp):
+    """The k+1 center kernel vectors k₀ of the fibre system, with
+    ``fib.basis = K₀·tangent``."""
+    rows, piv = rref(fib.system, fp, reduced=False)
+    return kernel_basis(rows, piv, len(fib.frame.tangent), fp)
 
 
 def quadric_spec():
@@ -241,10 +249,10 @@ def test_first_order_tangent_off_the_center_pivots_is_rejected():
         _first_order_fiber(fib, w, dring, FP)
 
 
-def _times_kernel(rows, fiber, dring):
+def _times_kernel(rows, fiber, dring, fp):
     """The columns S(ε)·k₀ of a dense dual system, one per k₀."""
     return [[dring.dot(row, [dring.lift(c) for c in k0]) for row in rows]
-            for k0 in fiber.coeff_kernel]
+            for k0 in coeff_kernel(fiber, fp)]
 
 
 @pytest.mark.parametrize("p", [P, 101])
@@ -292,11 +300,14 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
             assert widths == [fib.k + 1] * len(frame.gens)
             x_eps, tangent_eps = _dual_tangent(fib, w, dring)
             # k₀·T(ε) is the fibre basis row itself: k₀·T₁ = 0
-            for k0, row in zip(fib.coeff_kernel, fib.basis):
+            kernel = coeff_kernel(fib, fp)
+            assert [vecmat(k0, frame.tangent, fp) for k0 in kernel] == \
+                fib.basis
+            for k0, row in zip(kernel, fib.basis):
                 assert vecmat([dring.lift(c) for c in k0], tangent_eps,
                               dring) == [dring.lift(u) for u in row]
             rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
-            assert seen == [_times_kernel(rows, fib, dring)]
+            assert seen == [_times_kernel(rows, fib, dring, fp)]
             assert all(u == 0 for col in seen[0] for u, _ in col)
             compared += 1
     assert compared >= 4
@@ -305,7 +316,8 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
 def _kernel_column(fib, f):
     """Index of the center kernel vector that is 1 at the free column f:
     a bump at (i, f) of S(ε) moves row i of that S(ε)·k₀ column only."""
-    return next(j for j, k0 in enumerate(fib.coeff_kernel) if k0[f] == 1)
+    return next(j for j, k0 in enumerate(coeff_kernel(fib, FP))
+                if k0[f] == 1)
 
 
 def _bump(col, i, part):
@@ -388,7 +400,7 @@ def test_non_flat_first_order_system_is_rejected(monkeypatch):
             with pytest.raises(DegeneratePivot, match="not flat"):
                 _first_order_fiber(fib, w, dring, FP)
         # the column bump is the dense bump at (i, f) times the kernel
-        assert seen == [_times_kernel(rows, fib, dring)]
+        assert seen == [_times_kernel(rows, fib, dring, FP)]
     # unbumped, the same direction lifts
     assert len(_first_order_fiber(fib, w, dring, FP)) == fib.k + 1
 
@@ -441,15 +453,16 @@ def test_severi2_full_report():
     charm = characteristic_matrix(chart, FP)
     c = fiber_codim_data(spec, 4, FP, rng)
     assert c == 2
-    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=c)
+    rep = focal_report(charm, FP, rng, 8)
     assert rep.r == 2 and rep.degree == 2
     assert rep.profile == ((1, 2),)
     assert (rep.mu, rep.reduced_degree) == (1, 2)
     assert rep.q_rank == 3
-    assert rep.containment.status == "Pass"
-    assert rep.containment.witnesses == 2 and rep.containment.zeros > 0
+    containment = judged(spec, fib, pt, rng, rep)
+    assert containment.status == "Pass"
+    assert containment.witnesses == 2 and containment.zeros > 0
     assert char_kernel_at_point(charm, rep.focus, FP) == 1
-    assert list(rep.bounds.values()) == ["Pass"] * 4
+    assert list(check_bounds(rep, c).values()) == ["Pass"] * 4
     while True:
         t = [rng.field(P) for _ in range(3)]
         if charm.det_at(t, FP):
@@ -464,13 +477,13 @@ def test_scorza_sym_m3_report():
     charm = characteristic_matrix(chart, FP)
     c = fiber_codim_data(spec, 6, FP, rng)
     assert c == 3
-    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=c)
+    rep = focal_report(charm, FP, rng, 8)
     assert rep.degree == 4
     assert rep.profile == ((2, 2),)
     assert (rep.mu, rep.reduced_degree) == (2, 2)
     assert rep.q_rank == 3
-    assert rep.containment.status == "Pass"
-    assert list(rep.bounds.values()) == ["Pass"] * 4
+    assert judged(spec, fib, pt, rng, rep).status == "Pass"
+    assert list(check_bounds(rep, c).values()) == ["Pass"] * 4
 
 
 def test_severi8_skew_report():
@@ -481,14 +494,15 @@ def test_severi8_skew_report():
     charm = characteristic_matrix(chart, FP)
     c = fiber_codim_data(spec, 13, FP, rng)
     assert c == 5
-    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=c)
+    rep = focal_report(charm, FP, rng, 8)
     assert rep.degree == 8
     assert rep.profile == ((4, 2),)
     assert (rep.mu, rep.reduced_degree) == (4, 2)
     assert rep.q_rank == 6
-    assert rep.containment.status == "Pass"
-    assert rep.containment.witnesses == 2
-    assert list(rep.bounds.values()) == ["Pass"] * 4
+    containment = judged(spec, fib, pt, rng, rep)
+    assert containment.status == "Pass"
+    assert containment.witnesses == 2
+    assert list(check_bounds(rep, c).values()) == ["Pass"] * 4
 
 
 def test_cone_focus_is_the_vertex():
@@ -497,17 +511,18 @@ def test_cone_focus_is_the_vertex():
     assert (fib.k, fib.r) == (1, 1)
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
-    profile, degree = focal_profile(charm, FP, rng)
+    profile, degree = focal_profile(charm, FP, rng, 8)
     assert profile == ((1, 1),) and degree == 1
     rf = extract_reduced_power(charm, 1, 1, FP, rng)
     t0 = form_zero_point(rf, FP, rng)
     focus = vecmat(t0, chart.basis, FP)
     assert mat_rank([focus, [0, 0, 0, 1]], FP) == 1
     assert char_kernel_at_point(charm, t0, FP) == 1
-    rep = focal_report(charm, FP, rng, contain(spec, fib, pt, rng), c=2)
+    rep = focal_report(charm, FP, rng, 8)
     assert (rep.mu, rep.reduced_degree) == (1, 1)
-    assert rep.containment.status == "Skipped"
-    assert list(rep.bounds.values()) == ["Pass", "Pass", "Skipped", "Skipped"]
+    assert judged(spec, fib, pt, rng, rep).status == "Skipped"
+    assert list(check_bounds(rep, 2).values()) == \
+        ["Pass", "Pass", "Skipped", "Skipped"]
 
 
 def test_expanded_form_matches_implicit_form():
@@ -564,7 +579,11 @@ def test_implicit_form_matches_root_values_by_determinants():
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     nv, d = charm.k + 1, 2  # severi-8: det M = c·q^4 with q a quadric
     form = _pencil_form(charm, 4, d, FP, rng)
-    basis = form.basis
+    # nodes along random directions from t*: the unit vectors of the
+    # form's basis can be focal points, where the oracle's lines drop
+    # degree
+    basis = [form.basis[0]] + [[rng.field(P) for _ in range(nv)]
+                               for _ in range(nv - 1)]
     want = _root_values_by_determinants(charm, basis, d, FP)
     assert want is not None and len(want) == 21
     for node, value in want.items():
@@ -699,20 +718,42 @@ def test_pencil_slices_are_none_exactly_at_a_singular_base():
         assert _pencil_slices(charm, base, [], FP) == []  # k = 0: no slices
 
 
-def test_pencil_form_redraws_past_a_singular_basis():
-    spec = rank_locus_spec(MatrixShape.symmetric(3), 2)  # severi-2
+def _severi2_charm():
+    spec = rank_locus_spec(MatrixShape.symmetric(3), 2)
     pt, frame, fib, rng = pipeline(spec, 4, 105)
-    charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
+    return characteristic_matrix(fiber_family_chart(fib, FP, rng), FP), rng
+
+
+def test_pencil_form_redraws_past_a_singular_basis():
+    charm, rng = _severi2_charm()
     nv = charm.k + 1
-    row = [rng.field(P) for _ in range(nv)]
-    singular = [row, list(row)] + [[rng.field(P) for _ in range(nv)]
-                                   for _ in range(nv - 2)]
-    second = [[rng.field(P) for _ in range(nv)] for _ in range(nv)]
-    scripted = _ScriptedRng([v for b in singular + second for v in b])
-    form = _pencil_form(charm, 1, 2, FP, scripted)
-    assert form.basis == second
+    # a focal point: M(t*) is singular there, so that t* is skipped
+    focal_pt = form_zero_point(extract_reduced_power(charm, 1, 2, FP, rng),
+                               FP, rng)
+    assert focal_pt[0] and charm.det_at(focal_pt, FP) == 0
+    second = [rng.field(P) for _ in range(nv)]
+    form = _pencil_form(charm, 1, 2, FP, _ScriptedRng(focal_pt + second))
+    assert form.basis[0] == second
     drawn = _pencil_form(charm, 1, 2, FP, Rng(153))
     assert _proportional(form.value, drawn.value, nv, FP, Rng(155), 5)
+
+
+def test_pencil_form_skips_a_tstar_with_zero_first_coordinate():
+    charm, rng = _severi2_charm()
+    nv = charm.k + 1
+    # M(off) is nonsingular, but y_0 = t_0/t*_0 needs t*_0 ≠ 0
+    off = [0] + [rng.field(P) for _ in range(nv - 1)]
+    assert charm.det_at(off, FP)
+    tstar = [rng.field(P) for _ in range(nv)]
+    form = _pencil_form(charm, 1, 2, FP, _ScriptedRng(off + tstar))
+    units = [[int(i == j) for j in range(nv)] for i in range(1, nv)]
+    assert form.basis == [tstar] + units
+    assert form.value(tstar, FP) == 1
+    # every value is q(t)/q(t*): the expanded form agrees with that scale
+    explicit = extract_reduced_power(charm, 1, 2, FP, rng)
+    at_tstar = explicit.value(tstar, FP)
+    for t in [off] + [[rng.field(P) for _ in range(nv)] for _ in range(5)]:
+        assert form.value(t, FP) * at_tstar % P == explicit.value(t, FP)
 
 
 def _reduced_by_rref(chart, fp):
@@ -994,17 +1035,18 @@ def test_quadric_rank_small_cases():
 
 
 def test_check_bounds_fail_and_skip():
-    rep = FocalReport(r=2, c=4, mu=1, reduced_degree=1)
-    assert check_bounds(rep) == {
+    rep = FocalReport(r=2, mu=1, reduced_degree=1)
+    assert check_bounds(rep, 4) == {
         "mu_ge_c_minus_1": "Fail", "c_le_r_plus_1": "Fail",
         "nonlinear_c_bound": "Skipped", "extremal_pattern": "Skipped"}
     # the table's bounds cell prints the statuses in this order
-    assert list(check_bounds(rep)) == ["mu_ge_c_minus_1", "c_le_r_plus_1",
-                                       "nonlinear_c_bound", "extremal_pattern"]
-    rep = FocalReport(r=8, c=5, mu=4, reduced_degree=2)
-    assert list(check_bounds(rep).values()) == ["Pass"] * 4
-    rep = FocalReport(r=4, c=None, mu=4, reduced_degree=1)
-    assert list(check_bounds(rep).values()) == ["Skipped"] * 4
+    assert list(check_bounds(rep, 4)) == ["mu_ge_c_minus_1", "c_le_r_plus_1",
+                                          "nonlinear_c_bound",
+                                          "extremal_pattern"]
+    rep = FocalReport(r=8, mu=4, reduced_degree=2)
+    assert list(check_bounds(rep, 5).values()) == ["Pass"] * 4
+    rep = FocalReport(r=4, mu=4, reduced_degree=1)
+    assert list(check_bounds(rep, None).values()) == ["Skipped"] * 4
 
 
 def test_hyperband_general_chart():
@@ -1015,7 +1057,7 @@ def test_hyperband_general_chart():
     charm = characteristic_matrix(chart, FP)
     # the image span collapsed from 5 columns to r = 4
     assert charm.r == 4 and all(len(row) == 4 for row in charm.entries)
-    profile, degree = focal_profile(charm, FP, rng)
+    profile, degree = focal_profile(charm, FP, rng, 8)
     assert profile == ((4, 1),) and degree == 4
     rf = extract_reduced_power(charm, 4, 1, FP, rng)
     t0 = form_zero_point(rf, FP, rng)

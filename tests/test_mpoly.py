@@ -5,6 +5,7 @@ import pytest
 from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng
 from gaussfocal.mpoly import (
     CharTooSmall,
+    LINE_ATTEMPTS,
     ProgramBuilder,
     SparsePoly,
     _pf_solver,
@@ -524,7 +525,7 @@ def test_line_zeros_yields_sorted_zeros_from_at_most_attempts_lines():
         return restrict_to_line(f, a, d, F101)
 
     found = 0
-    for pts in line_zeros(restrict, 3, F101, Rng(5), 12):
+    for pts in line_zeros(restrict, 3, F101, Rng(5)):
         a, d = lines[-1]
         i = next(i for i, v in enumerate(d) if v)
         ss = [(x[i] - a[i]) * F101.inv(d[i]) % 101 for x in pts]
@@ -534,11 +535,12 @@ def test_line_zeros_yields_sorted_zeros_from_at_most_attempts_lines():
         poly = restrict_to_line(f, a, d, F101)
         assert len(ss) == sum(up_eval(poly, s, F101) == 0 for s in range(101))
         found += 1
-    assert len(lines) == 12 and found >= 1
+    assert LINE_ATTEMPTS == 32
+    assert len(lines) == LINE_ATTEMPTS and found >= 1
     drawn = []  # t^2 + 1 has no root in F_7: every line is drawn
     assert list(line_zeros(lambda a, d: drawn.append(a) or [1, 0, 1],
-                           3, F7, Rng(6), 7)) == []
-    assert len(drawn) == 7
+                           3, F7, Rng(6))) == []
+    assert len(drawn) == LINE_ATTEMPTS
 
 
 # --- univariate helpers ------------------------------------------------------
