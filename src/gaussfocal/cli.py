@@ -97,10 +97,11 @@ class ArityError(InputError):
 # first: its degree against MAX_DEGREE, and each multiplication's count of
 # term products against MAX_TERMS.  An exponent like 200000 or a 16-term
 # sum to the 12th power is an input error, not an expansion that never
-# ends.  Spec files are bounded too: ambient dimension MAX_AMBIENT_DIM,
-# and MAX_GENERATORS minors, sub-Pfaffians or singular generators.  Every
-# preset fits: the largest, scorza-sy-skew m=5, has 924 sub-Pfaffians in
-# 66 coordinates.  A run is bounded by MAX_TRIALS trials per prime and
+# ends.  A sum collects its terms in place, in linear time, and holds at
+# most MAX_TERMS of them.  Spec files are bounded too: ambient dimension
+# MAX_AMBIENT_DIM, and MAX_GENERATORS minors, sub-Pfaffians or singular
+# generators.  Every preset fits: the largest, scorza-sy-skew m=5, has 924
+# sub-Pfaffians in 66 coordinates.  A run is bounded by MAX_TRIALS trials per prime and
 # MAX_LINES profile lines.
 
 MAX_DEGREE = 64
@@ -131,21 +132,19 @@ def _tokenize(src):
             col += 1
             i += 1
             continue
-        if ch == "x":
-            j = i + 1
+        if ch == "x" or ch.isdigit():
+            start = j = i + (ch == "x")
             while j < len(src) and src[j].isdigit():
                 j += 1
-            if j == i + 1:
+            if j == start:
                 raise ParseError("variable needs an index, like x0", line, col)
-            tokens.append(("var", int(src[i + 1:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(("int", int(src[i:j]), line, col))
+            try:
+                value = int(src[start:j])
+            except ValueError:  # past the int-string digit limit, or like ²
+                raise ParseError(f"cannot read a number of {j - start} "
+                                 "digits as a decimal integer", line,
+                                 col) from None
+            tokens.append(("var" if ch == "x" else "int", value, line, col))
             col += j - i
             i = j
             continue
@@ -183,12 +182,18 @@ class _ExprParser:
         raise ParseError(f"{message}, found {shown}", line, col)
 
     def expr(self):
-        poly = self.term()
+        terms = dict(self.term().terms)
+        count = 1
         while self.peek()[0] in "+-":
-            op = self.take()[0]
-            rhs = self.term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+            op, _, line, col = self.take()
+            count += 1
+            if count > MAX_TERMS:
+                raise ParseError(f"sum has more than {MAX_TERMS} terms",
+                                 line, col)
+            sign = 1 if op == "+" else -1
+            for e, c in self.term().terms.items():
+                terms[e] = terms.get(e, 0) + sign * c
+        return SparsePoly(self.nvars, terms)
 
     def term(self):
         poly = self.factor()
@@ -335,6 +340,9 @@ def parse_spec_file(path) -> VarietySpec:
                          exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise InputError(f"JSON in {path} nests too deeply") from exc
+    except ValueError as exc:  # an integer past the int-string digit limit
+        raise InputError(f"JSON in {path} holds a number too long to "
+                         f"read") from exc
     if not isinstance(data, dict):
         raise InputError("spec file must hold a JSON object")
     if ("matrix" in data) == ("ambient_dim" in data):

@@ -306,25 +306,27 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int):
 
 
 class ReducedForm:
-    """An explicit form on Λ: ``poly`` in native fibre coordinates.
+    """An explicit form on Λ: ``poly`` in native fibre coordinates,
+    evaluated by its compiled program.
 
     Every reduced form offers ``nvars``, ``degree()`` and ``value(t, fp)``
     on native fibre coordinates, and ``basis``: None here, the private
     basis of Λ-coordinates of an implicit ``PencilForm``.
     """
 
-    __slots__ = ("poly", "basis", "nvars")
+    __slots__ = ("poly", "basis", "nvars", "_prog")
 
     def __init__(self, poly: SparsePoly):
         self.poly = poly
         self.basis = None
         self.nvars = poly.nvars
+        self._prog = poly.compile()
 
     def degree(self) -> int:
         return self.poly.degree()
 
     def value(self, t, fp):
-        return self.poly.eval(t, fp)
+        return self._prog.eval(t, fp)
 
 
 def _series_root(f, mu, inv, fp):

@@ -1,8 +1,10 @@
 """Polynomial programs and univariate polynomial utilities.
 
 An explicit multivariate form is written one way: as a ``SparsePoly``
-(exponent tuple -> integer coefficient, with + - and *), which
-``compile`` turns into a ``PolyProgram``.  A ``PolyProgram`` is a
+(exponent tuple -> integer coefficient, with + - and *), which is only
+built: ``compile`` turns it into a ``PolyProgram``, with each power x^e
+as e repeated factors of its term's product node, and every value and
+derivative of the form comes from that program.  A ``PolyProgram`` is a
 straight-line program (a small DAG of arithmetic nodes, plus
 determinant and Pfaffian nodes) that can be *evaluated* over any
 coefficient ring from ``fieldcore`` -- the prime field, or a dual
@@ -143,8 +145,6 @@ class PolyProgram:
                 for c in node[1][1:]:
                     acc = mul(acc, vals[c])
                 vals[nid] = acc
-            elif k == "pow":
-                vals[nid] = _ring_pow(vals[node[1]], node[2], ring)
             elif k == "det":
                 n, ids = node[1], node[2]
                 mat = [[vals[ids[i * n + j]] for j in range(n)]
@@ -192,10 +192,6 @@ class PolyProgram:
                 for i in range(m - 1, -1, -1):
                     adj[ids[i]] = add(adj[ids[i]], mul(a, mul(pre[i], suf)))
                     suf = mul(suf, vals[ids[i]])
-            elif k == "pow":
-                c, e = node[1], node[2]
-                d = mul(ring.lift(e), _ring_pow(vals[c], e - 1, ring))
-                adj[c] = add(adj[c], mul(a, d))
             else:  # "det" or "pf": cofactors are signed sub-Pfaffians
                 n, ids = node[1], node[2]
                 if k == "det":
@@ -232,20 +228,6 @@ class PolyProgram:
         grad = self.grad(pt, Dual2Fp(ring.p, len(vs)))
         return [[gi[s] if over_fp else gi[s:s + 2] for gi in grad]
                 for s in range(2, 2 + 2 * len(vs), 2)]
-
-
-def _ring_pow(v, e, ring):
-    if e == 0:
-        return ring.one
-    acc = None
-    base = v
-    while e:
-        if e & 1:
-            acc = base if acc is None else ring.mul(acc, base)
-        e >>= 1
-        if e:
-            base = ring.mul(base, base)
-    return acc
 
 
 # --- determinant / Pfaffian value kernels -------------------------------------
@@ -355,7 +337,9 @@ def _pf_solver(upper, ring):
 
 
 class SparsePoly:
-    """Explicit multivariate polynomial: exponent tuple -> integer coefficient."""
+    """Explicit multivariate polynomial: exponent tuple -> integer
+    coefficient.  It is only built; ``compile`` gives the program that
+    evaluates and differentiates it."""
 
     __slots__ = ("nvars", "terms")
 
@@ -369,24 +353,6 @@ class SparsePoly:
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=-1)
-
-    def eval(self, x, ring):
-        acc = ring.zero
-        for e, c in self.terms.items():
-            t = ring.lift(c)
-            for xi, ei in zip(x, e):
-                if ei:
-                    t = ring.mul(t, _ring_pow(xi, ei, ring))
-            acc = ring.add(acc, t)
-        return acc
-
-    def partial(self, i: int) -> "SparsePoly":
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[ne] = out.get(ne, 0) + c * e[i]
-        return SparsePoly(self.nvars, out)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         out = dict(self.terms)
@@ -410,20 +376,15 @@ class SparsePoly:
 
     def compile(self) -> PolyProgram:
         """One program for this form: per term (in sorted order) a mul
-        node over its coefficient (unless 1) and its variables and
-        powers, and an add node over the terms; a lone factor or term
-        stands for itself."""
+        node over its coefficient (unless 1 on a nonconstant term) and its
+        variables, x^e as e repeated factors, and an add node over the
+        terms; a lone factor or term stands for itself."""
         b = ProgramBuilder(self.nvars)
         parts = []
         for e, c in sorted(self.terms.items()):
-            factors = [b.c(c)] if c != 1 else []
+            factors = [b.c(c)] if c != 1 or not any(e) else []
             for i, ei in enumerate(e):
-                if ei:
-                    v = b.x(i)
-                    factors.append(v if ei == 1 else
-                                   b._node(("pow", v, ei), ei))
-            if not factors:
-                factors = [b.c(c)]
+                factors += [b.x(i) for _ in range(ei)]
             parts.append(factors[0] if len(factors) == 1 else
                          b._node(("mul", tuple(factors)), sum(e)))
         parts = parts or [b.c(0)]

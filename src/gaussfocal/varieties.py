@@ -216,17 +216,17 @@ class HyperbandFamily:
     3-space spanned by its tangent plane and a second surface point.
 
     Parameters: (a, b) locate the point on the first surface (affine chart
-    of the plane), (v1, v2) pick the direction.  Everything evaluates over
-    dual rings, so the family differentiates exactly.
+    of the plane), (v1, v2) pick the direction.  The 14 quadrics are
+    compiled programs that evaluate over dual rings, so the family
+    differentiates exactly; the tangent plane's two partials are read
+    off one gradient per quadric.
     """
 
-    __slots__ = ("quads_x", "quads_s", "dx1", "dx2", "center", "fp")
+    __slots__ = ("quads_x", "quads_s", "center", "fp")
 
     def __init__(self, quads_x, quads_s, center, fp):
-        self.quads_x = quads_x
-        self.quads_s = quads_s
-        self.dx1 = [q.partial(0) for q in quads_x]
-        self.dx2 = [q.partial(1) for q in quads_x]
+        self.quads_x = [q.compile() for q in quads_x]
+        self.quads_s = [q.compile() for q in quads_s]
         self.center = center
         self.fp = fp
 
@@ -235,13 +235,12 @@ class HyperbandFamily:
         return [q.eval(u, ring) for q in self.quads_x]
 
     def span_frame(self, uparams, ring):
-        a, b = uparams
-        u = (a, b, ring.one)
-        x = [q.eval(u, ring) for q in self.quads_x]
-        d1 = [q.eval(u, ring) for q in self.dx1]
-        d2 = [q.eval(u, ring) for q in self.dx2]
+        u = (*uparams, ring.one)
+        grads = [q.grad(u, ring) for q in self.quads_x]
+        d1 = [g[0] for g in grads]
+        d2 = [g[1] for g in grads]
         s = [q.eval(u, ring) for q in self.quads_s]
-        return [x, d1, d2, s]
+        return [self.surface_point(*uparams, ring), d1, d2, s]
 
     def chart_matrix(self, params, ring):
         a, b, v1, v2 = params

@@ -7,6 +7,7 @@ import os
 import pkgutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +29,7 @@ from gaussfocal.cli import (
     MAX_GENERATORS,
     MAX_LINES,
     MAX_PAREN_DEPTH,
+    MAX_TERMS,
     MAX_TRIALS,
     InputError,
     ParseError,
@@ -155,6 +157,29 @@ def test_parse_unbounded_power_rejected():
 def test_parse_arity_error():
     with pytest.raises(ArityError):
         parse_expression("x5", 4)
+
+
+def test_parse_long_sum_is_bounded():
+    # a sum collects its terms in place; past MAX_TERMS terms it is an
+    # input error at the sign that starts the first term over the limit
+    mons = ["*".join(f"x{i}" for i in e)
+            for e in combinations_with_replacement(range(40), 3)]
+    src = " + ".join(mons[:MAX_TERMS])
+    assert len(parse_expression(src, 40).terms) == MAX_TERMS
+    with pytest.raises(ParseError) as err:
+        parse_expression(src + " - " + mons[MAX_TERMS], 40)
+    assert (err.value.line, err.value.col) == (1, len(src) + 2)
+    assert "more than" in err.value.reason
+
+
+def test_parse_over_long_digit_run_is_a_parse_error():
+    # past Python's int-string digit limit, int() raises a bare ValueError
+    with pytest.raises(ParseError) as err:
+        parse_expression("1" + "0" * 5000 + "*x0", 2)
+    assert (err.value.line, err.value.col) == (1, 1)
+    with pytest.raises(ParseError) as err:
+        parse_expression("x0 +\n  x" + "1" * 5000, 2)
+    assert (err.value.line, err.value.col) == (2, 3)
 
 
 def test_homogeneous_degree():
@@ -395,13 +420,28 @@ def test_input_errors_exit_4(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "(line 1, column " in err
         assert "Traceback" not in err
-    # JSON nested past the parser's recursion limit, and a file that is
-    # not UTF-8, are input errors too
+    # a sum past MAX_TERMS terms, and a literal or variable index past
+    # Python's int-string digit limit, are parse errors, not a traceback
+    # or a quadratic parse
+    for i, gen in enumerate([" + ".join(["x0*x1"] * 20000),
+                             "1" + "0" * 4999 + "*x0*x1 - x2^2",
+                             "x1" + "0" * 4999 + "*x0 - x2^2"]):
+        path = _write(tmp_path, f"long{i}.json",
+                      {"ambient_dim": 3, "generators": [gen]})
+        assert main(["custom", "--spec", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(line 1, column " in err
+    # JSON nested past the parser's recursion limit, a JSON number past the
+    # int-string digit limit, and a file that is not UTF-8, are input
+    # errors too
     nested = tmp_path / "nested.json"
     nested.write_text('{"ambient_dim": ' + "[" * 100000 + "]" * 100000 + "}")
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"matrix": {"shape": "generic", "rows": 3, "cols": 3},'
+                      ' "rank_bound": 1' + "0" * 4999 + "}")
     utf16 = tmp_path / "utf16.json"
     utf16.write_bytes(b"\xff\xfe" + '{"ambient_dim": 3}'.encode("utf-16-le"))
-    for path in (nested, utf16):
+    for path in (nested, digits, utf16):
         assert main(["custom", "--spec", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
@@ -459,8 +499,6 @@ def test_every_generator_node_is_reachable_from_its_root(tmp_path):
             node = prog.nodes[nid]
             if node[0] in ("add", "mul"):
                 todo.extend(node[1])
-            elif node[0] == "pow":
-                todo.append(node[1])
             elif node[0] in ("det", "pf"):
                 todo.extend(node[2])
         assert seen == set(range(len(prog.nodes)))

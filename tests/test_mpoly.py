@@ -450,12 +450,14 @@ def _hess_vec_oracle(prog, x, v, ring):
 
 
 def _pow_mul_program():
-    """A compiled sparse quartic whose terms need pow and mul nodes."""
+    """A compiled sparse quartic whose powers are repeated factors of
+    its terms' mul nodes."""
     poly = SparsePoly(3, {(3, 1, 0): 2, (0, 2, 2): 5, (1, 1, 2): 7,
                           (0, 0, 4): 1, (2, 0, 2): 3})
     prog = poly.compile()
-    kinds = {node[0] for node in prog.nodes}
-    assert {"pow", "mul"} <= kinds
+    assert {node[0] for node in prog.nodes} == {"const", "var", "mul", "add"}
+    assert any(node[0] == "mul" and len(set(node[1])) < len(node[1])
+               for node in prog.nodes)
     return prog
 
 
@@ -608,8 +610,13 @@ def test_up_gcd_monic():
 
 def test_sparse_poly_eval_and_partial():
     q = SparsePoly(2, {(2, 0): 1, (0, 1): 3})  # x0^2 + 3*x1
-    assert q.eval([2, 5], F101) == (4 + 15) % 101
-    dq = q.partial(0)
-    assert dq.eval([2, 5], F101) == 4
-    assert q.partial(1).eval([2, 5], F101) == 3
-    assert q.degree() == 2
+    prog = q.compile()
+    assert prog.eval([2, 5], F101) == (4 + 15) % 101
+    assert prog.grad([2, 5], F101) == [4, 3]
+    assert q.degree() == prog.degree == 2
+    # x0^3·x1^2 over F_p[e]: one mul node with repeated factors
+    cube = SparsePoly(2, {(3, 2): 5}).compile()
+    ring = DualFp(101)
+    val, slope = cube.eval([ring.make(2, 1), ring.make(3, 0)], ring)
+    assert (val, slope) == (5 * 8 * 9 % 101, 5 * 3 * 4 * 9 % 101)
+    assert cube.grad([2, 3], F101) == [5 * 3 * 4 * 9 % 101, 5 * 8 * 2 * 3 % 101]
