@@ -23,7 +23,9 @@ also gives the cofactors of both node kinds for the sweep.
 Univariate polynomials over F_p are plain ascending coefficient lists.
 They come from forms restricted to lines: ``on_line`` is the one line
 restriction, and ``line_zeros`` the one loop that finds zeros of a form
-as roots on random lines.
+as roots on random lines.  ``up_roots`` takes its powers modulo f on
+Kronecker-packed integers: a residue is one Python int with a fixed bit
+width per coefficient, so a product of residues is one integer product.
 """
 
 from __future__ import annotations
@@ -469,19 +471,46 @@ def up_deriv(f, fp):
     return up_trim([i * f[i] % fp.p for i in range(1, len(f))])
 
 
-def up_mulmod(f, g, mod, fp):
-    return up_divmod(up_mul(f, g, fp), mod, fp)[1]
-
-
 def up_pow_mod(base, e, mod, fp):
-    acc = [1]
-    b = up_divmod(base, mod, fp)[1]
+    """base^e modulo the nonzero polynomial ``mod``, by square and multiply
+    on Kronecker-packed residues.  A residue c_0 + … + c_{n-1}·x^{n-1}
+    modulo the monic f = mod/lead (n = deg f) is the integer Σ c_i·2^{w·i},
+    so a product is one integer product.  Its slots n + j fold back through
+    packed rows of x^(n+j) mod f, and every slot stays below
+    (2n - 1)·(p - 1)² < 2^w, so none carries into the next."""
+    p = fp.p
+    f = up_monic(mod, fp)
+    n = len(f) - 1
+    w = 2 * p.bit_length() + n.bit_length() + 1
+    mask = (1 << w) - 1
+    shifts = range(0, n * w, w)
+
+    def pack(cs):
+        return sum(c << s for c, s in zip(cs, shifts))
+
+    xn = [-c % p for c in f[:n]]
+    rows, r = [], xn
+    for _ in range(n - 1):
+        rows.append(pack(r))
+        r = [(a + r[-1] * b) % p for a, b in zip([0] + r, xn)]
+
+    def mulmod(a, b):
+        t = a * b
+        hi = t >> n * w
+        t &= (1 << n * w) - 1
+        for row in rows:
+            t += (hi & mask) % p * row
+            hi >>= w
+        return sum(((t >> s) & mask) % p << s for s in shifts)
+
+    b = pack(up_divmod(base, f, fp)[1])
+    acc = 1
     while e:
         if e & 1:
-            acc = up_mulmod(acc, b, mod, fp)
-        b = up_mulmod(b, b, mod, fp)
+            acc = mulmod(acc, b)
+        b = mulmod(b, b)
         e >>= 1
-    return acc
+    return up_trim([(acc >> s) & mask for s in shifts])
 
 
 def squarefree_profile(f, fp):
@@ -516,7 +545,10 @@ def squarefree_profile(f, fp):
 
 def up_roots(f, fp, rng):
     """All roots of f in F_p (each once), via gcd with x^p - x and
-    randomized equal-degree splitting."""
+    randomized equal-degree splitting; requires an odd p, since over F_2
+    the splitting probe (x + a)^((p-1)/2) is always 1."""
+    if fp.p == 2:
+        raise CharTooSmall("characteristic 2: root splitting needs an odd p")
     f = up_monic(up_trim([v % fp.p for v in f]), fp)
     if up_deg(f) <= 0:
         return []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gaussfocal.cli import derive_primes
 from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng
 from gaussfocal.mpoly import (
     CharTooSmall,
@@ -15,9 +16,11 @@ from gaussfocal.mpoly import (
     restrict_to_line,
     squarefree_profile,
     up_deg,
+    up_divmod,
     up_eval,
     up_gcd,
     up_mul,
+    up_pow_mod,
     up_roots,
 )
 from gaussfocal.varieties import MatrixShape, rank_locus_spec
@@ -597,6 +600,58 @@ def test_up_roots():
     assert up_roots([1, 0, 1], F7, Rng(2)) == []  # irreducible over F_7
     g = up_mul(up_mul([94, 1], [96, 1], F101), [90, 1], F101)
     assert sorted(up_roots(g, F101, Rng(3))) == [5, 7, 11]
+
+
+def test_up_roots_in_characteristic_two_raises():
+    # Over F_2 the probe (x + a)^0 is 1 and never splits t(t + 1).
+    with pytest.raises(CharTooSmall):
+        up_roots([0, 1, 1], Fp(2), Rng(1))
+
+
+WORD_PRIME = (1 << 64) - 59  # the largest prime the CLI accepts
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_up_roots_planted_over_a_word_size_prime(seed):
+    fp, rng = Fp(WORD_PRIME), Rng(seed)
+    p = fp.p
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    quad = [p - c, 0, 1]  # t^2 - c, irreducible: c is a non-residue
+    for deg in range(1, 17):
+        planted = set()
+        while len(planted) < deg:
+            planted.add(rng.field(p))
+        f = [1]
+        for root in planted:
+            f = up_mul(f, [fp.neg(root), 1], fp)
+        assert sorted(up_roots(f, fp, rng)) == sorted(planted)
+        assert sorted(up_roots(up_mul(f, quad, fp), fp, rng)) == sorted(planted)
+
+
+def _pow_mod_reference(base, e, mod, fp):
+    """base^e mod ``mod`` by square and multiply on coefficient lists."""
+    acc = [1]
+    b = up_divmod(base, mod, fp)[1]
+    while e:
+        if e & 1:
+            acc = up_divmod(up_mul(acc, b, fp), mod, fp)[1]
+        b = up_divmod(up_mul(b, b, fp), mod, fp)[1]
+        e >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("p", [7, 101, *derive_primes(1729, 2), WORD_PRIME])
+def test_up_pow_mod_matches_square_and_multiply(p):
+    fp, rng = Fp(p), Rng(p)
+    for n in range(1, 17):
+        monic = [rng.field(p) for _ in range(n)] + [1]
+        lead = 2 + rng.below(p - 2)
+        for mod in (monic, [v * lead % p for v in monic]):
+            for blen in (0, 1 + rng.below(n), n + 1 + rng.below(n + 1)):
+                base = [rng.field(p) for _ in range(blen)]
+                for e in (0, 1, 2, p, (p - 1) // 2, rng.u64()):
+                    assert (up_pow_mod(base, e, mod, fp)
+                            == _pow_mod_reference(base, e, mod, fp))
 
 
 def test_up_gcd_monic():
