@@ -6,10 +6,12 @@ exact first-order derivatives.  F_p[d][e_1..e_m], which carries m
 second-order derivatives at once, exists only for the gradient sweeps
 of Hessian-vector products: it has no inverse, and nothing eliminates
 over it.  Field elements are plain Python integers in [0, p); dual
-elements are tuples of integers.  The ring objects below hold only the
-modulus and their constants and expose the operations, so vectors and
-matrices stay ordinary lists and the hot loops avoid per-element object
-overhead.
+elements are tuples of integers, and an element of F_p[d][e_1..e_m]
+keeps its m slopes packed, unreduced, in the slots of two integers, so
+that its arithmetic works on whole integers.  The ring objects below
+hold only the modulus and their constants and expose the operations, so
+vectors and matrices stay ordinary lists and the hot loops avoid
+per-element object overhead.
 
 Each ring also carries its own vector kernels, ``dot(u, v)`` and, on
 the two rings that eliminate, ``axpy(a, x, y)`` (a·x + y); they
@@ -40,8 +42,7 @@ retry got past, or ``Violation`` (2), a failed invariant.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import mul as _mul
+from operator import add as _add, lshift, mul as _mul
 
 
 class Degeneracy(Exception):
@@ -247,74 +248,133 @@ class DualFp:
 
 
 class Dual2Fp:
-    """F_p[d][e_1..e_m]/(d^2, e_i·e_j) on flat tuples of length 2 + 2m.
+    """F_p[d][e_1..e_m]/(d^2, e_i·e_j) on packed tuples (a0, a1, C, T, b).
 
-    Element (a, b, c_1, t_1, ..., c_m, t_m) stands for
-    (a + b·d) + Σ_j (c_j + t_j·d)·e_j: a point of F_p[d] together with
-    m slopes over F_p[d].  Since every e_i·e_j vanishes, a product never
-    pairs two slopes, and one computation over this ring carries m
-    first-order deformations of an F_p[d] computation at once; the
-    gradient sweep over it gives m Hessian-vector products, which is
-    all it is for: it has no inverse and no ``axpy``.  With m = 1 it is
-    F_p[d, e]/(d^2, e^2) on 4-tuples (a, b, c, t) = a + b·d + c·e + t·d·e,
-    the dual of the dual ring.
+    (a0 + a1·d) + Σ_j (c_j + t_j·d)·e_j is a point of F_p[d], kept
+    reduced, and m slopes over F_p[d], unreduced in signed w-bit slots:
+    C = Σ_j c_j·2^(w·j), T likewise, and b bounds every |c_j| and |t_j|.
+    As e_i·e_j = 0, (A + Σ S_j e_j)(B + Σ U_j e_j) = AB + Σ (A·U_j +
+    S_j·B) e_j is six products of a residue by a packed integer, and
+    ``add``, ``neg`` and ``dot`` work on whole integers too (Kronecker
+    substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
+    §8.4).  With w = 4·bits(p) + 8, an operation reduces its operands'
+    slots mod p only when its bound would leave (−2^(w−1), 2^(w−1)).  An
+    exact zero keeps bound 0, so it stays ``zero``.  A sweep over this
+    ring carries m first-order deformations of an F_p[d] computation at
+    once: its gradient gives m Hessian-vector products, which is all it
+    is for (no inverse, no ``axpy``).  ``encode`` and ``decode`` convert
+    from and to residues; m = 1 is F_p[d, e]/(d^2, e^2).
     """
 
-    __slots__ = ("p", "m", "zero", "one")
+    __slots__ = ("p", "m", "zero", "one", "_limit", "_mask", "_shifts",
+                 "_offset")
 
     def __init__(self, p: int, m: int):
         self.p = p
         self.m = m
-        self.zero = (0,) * (2 + 2 * m)
-        self.one = (1,) + self.zero[1:]
+        w = 4 * p.bit_length() + 8
+        self._limit = 1 << (w - 1)
+        self._mask = (1 << w) - 1
+        self._shifts = range(0, m * w, w)
+        # adding 2^(w−1) to every slot makes each one a w-bit digit
+        self._offset = sum(self._limit << s for s in self._shifts)
+        self.zero = (0, 0, 0, 0, 0)
+        self.one = (1, 0, 0, 0, 0)
+
+    def slots(self, v):
+        """The m slots of the packed integer v, reduced mod p."""
+        v += self._offset
+        p, mask, half = self.p, self._mask, self._limit
+        return [((v >> s & mask) - half) % p for s in self._shifts]
+
+    def encode(self, unit, cs=(), ts=()):
+        """The element with point ``unit`` = (a0, a1) and slopes
+        c_j + t_j·d, from residues in [0, p); missing trailing c_j or t_j
+        are zero."""
+        c = sum(map(lshift, cs, self._shifts))
+        t = sum(map(lshift, ts, self._shifts))
+        return (*unit, c, t, self.p - 1 if c or t else 0)
+
+    def decode(self, a):
+        """(unit, cs, ts) of ``a``, every slot reduced: ``encode``'s
+        inverse."""
+        return (a[0], a[1]), self.slots(a[2]), self.slots(a[3])
+
+    def _reduced(self, a):
+        """``a`` with its slots reduced mod p, so that b < p."""
+        if a[4] < self.p:
+            return a
+        return self.encode(*self.decode(a))
 
     def lift(self, a: int):
-        return (a % self.p,) + self.zero[1:]
+        return (a % self.p, 0, 0, 0, 0)
 
     def add(self, a, b):
-        if a == self.zero:  # a gradient sweep's first visit to an entry
-            return b
+        bound = a[4] + b[4]
+        if bound >= self._limit:
+            return self.add(self._reduced(a), self._reduced(b))
         p = self.p
-        return tuple([(x + y) % p for x, y in zip(a, b)])
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, a[2] + b[2],
+                a[3] + b[3], bound)
 
     def mul(self, a, b):
-        # (A + Σ S_j e_j)(B + Σ T_j e_j) = AB + Σ (A·T_j + S_j·B) e_j over
-        # F_p[d], with A = a0 + a1·d, S_j = x + z·d, B = b0 + b1·d and
-        # T_j = y + w·d
-        if a == self.one:  # the root's adjoint
-            return b
+        a0, a1, c, t, ba = a
+        b0, b1, u, v, bb = b
+        bound = (a0 + a1) * bb + (b0 + b1) * ba
+        if bound >= self._limit:
+            return self.mul(self._reduced(a), self._reduced(b))
         p = self.p
-        a0, a1, b0, b1 = a[0], a[1], b[0], b[1]
-        ia, ib = iter(a[2:]), iter(b[2:])
-        return (a0 * b0 % p, (a0 * b1 + a1 * b0) % p, *chain.from_iterable(
-            ((a0 * y + b0 * x) % p, (a0 * w + a1 * y + b0 * z + b1 * x) % p)
-            for x, z, y, w in zip(ia, ia, ib, ib)))
+        return (a0 * b0 % p, (a0 * b1 + a1 * b0) % p, a0 * u + b0 * c,
+                a0 * v + a1 * u + b0 * t + b1 * c, bound)
 
     def neg(self, a):
         p = self.p
-        return tuple([-x % p for x in a])
+        return (-a[0] % p, -a[1] % p, -a[2], -a[3], a[4])
 
     def is_zero(self, a) -> bool:
-        return a == self.zero
+        return not (a[0] or a[1] or a[2] or a[3])
 
     def dot(self, u, v):
-        # slope slot k of a·b is a0·b[k] + b0·a[k], plus, in the d-part of
-        # slope j, a1·c_j(b) + b1·c_j(a), which ``cross`` gathers
-        s0 = s1 = 0
-        slope = [0] * (2 * self.m)
-        cross = [0] * self.m
-        for a, b in zip(u, v):
-            a0, a1, b0, b1 = a[0], a[1], b[0], b[1]
+        s0 = s1 = c = t = bound = 0
+        for (a0, a1, ac, at, ba), (b0, b1, bc, bt, bb) in zip(u, v):
             s0 += a0 * b0
             s1 += a0 * b1 + a1 * b0
-            slope = [s + a0 * y + b0 * x
-                     for s, x, y in zip(slope, a[2:], b[2:])]
-            cross = [s + a1 * y + b1 * x
-                     for s, x, y in zip(cross, a[2::2], b[2::2])]
+            c += a0 * bc + b0 * ac
+            t += a0 * bt + a1 * bc + b0 * at + b1 * ac
+            bound += (a0 + a1) * bb + (b0 + b1) * ba
+        if bound >= self._limit:  # term by term, each reducing as it must
+            acc = self.zero
+            for a, b in zip(u, v):
+                acc = self.add(acc, self.mul(a, b))
+            return acc
         p = self.p
-        return (s0 % p, s1 % p, *chain.from_iterable(
-            (c % p, (t + s) % p)
-            for c, t, s in zip(slope[0::2], slope[1::2], cross)))
+        return (s0 % p, s1 % p, c, t, bound)
+
+    def combine(self, elems, coefs):
+        """The slopes of Σ_i a_i·elems[i], one element with unit part 0 per
+        pair (t0, t1) of residue rows in ``coefs``: a_i = t0[i] + t1[i]·d,
+        or a_i = t0[i] in F_p when t1 is None.  This is ``dot`` with the
+        coefficients lifted, one sum per packed part; when a pair's bound
+        leaves the slot range, every element is reduced, once for all."""
+        out = []
+        _, _, cs, ts, bs = zip(*elems) if elems else ((),) * 5
+        for t0, t1 in coefs:
+            scale = t0 if t1 is None else list(map(_add, t0, t1))
+            bound = sum(map(_mul, scale, bs))
+            if bound >= self._limit and max(bs) >= self.p:
+                elems = [self._reduced(e) for e in elems]
+                _, _, cs, ts, bs = zip(*elems)
+                bound = sum(map(_mul, scale, bs))
+            if bound >= self._limit:  # term by term, each reducing as it must
+                whole = self.dot([(a, b, 0, 0, 0) for a, b in
+                                  zip(t0, t1 or [0] * len(t0))], elems)
+                out.append((0, 0, *whole[2:]))
+                continue
+            c, t = sum(map(_mul, t0, cs)), sum(map(_mul, t0, ts))
+            if t1 is not None:
+                t += sum(map(_mul, t1, cs))
+            out.append((0, 0, c, t, bound))
+        return out
 
 
 # --- vectors and matrices ---------------------------------------------------

@@ -10,7 +10,9 @@ degree-r hypersurface in Λ whose multiplicity structure, reduced
 equation, quadric rank and containment in the singular locus are what
 the rest of the package reports on.  A Gauss-fibre chart reads its
 first-order fibre system only as S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) for the
-k+1 center kernel vectors k₀: Hessian sweeps of width k+1, not n+1.
+k+1 center kernel vectors k₀: Hessian sweeps of width k+1, not n+1,
+whose rows stay packed over the k+1 vectors, and only the slots that
+its checks and its solve read are decoded.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
@@ -35,6 +37,7 @@ from math import comb
 from .fieldcore import (
     Degeneracy,
     DegeneratePivot,
+    Dual2Fp,
     DualFp,
     Infeasible,
     Violation,
@@ -111,13 +114,6 @@ class FamilyChart:
         self.r = len(bmats)
 
 
-def _fiber_columns(frame, x_eps, tangent_eps, betas, dring):
-    """S(ε)·k₀ for each β = k₀·T(ε) in ``betas``, from Hessian sweeps
-    that carry the k+1 vectors β, not the n+1 tangent vectors."""
-    return [list(col) for col in zip(*hessian_rows(
-        frame.gens, x_eps, tangent_eps, frame.tan_pivots, betas, dring))]
-
-
 def _first_order_fiber(fiber, w, dring, fp):
     """B matrix of the fibre at x + εw, aligned with the center fibre.
 
@@ -129,12 +125,15 @@ def _first_order_fiber(fiber, w, dring, fp):
     kernel vectors k₀, and k₀·T(ε) is the fibre basis row f = k₀·T₀:
     J(ε)·f = ε·(w·H·f) = 0, as w is tangent and f in the fibre, so f's
     canonical coordinates in T(ε) are its free entries k₀ (k₀·T₁ = 0).
-    The unit part S₀·k₀ must vanish (else ``DegeneratePivot``).  k₀
-    lifts to k₀ + ε·c₁, c₁ on the center pivots P, with S₀·c₁ = −S₁·k₀
-    solved on the rows Q by the kept S₀[Q, P]⁻¹; every other row must
-    hold too, or the first-order system is not flat and there is no
-    lift (``DegeneratePivot``).  The B row is the ε part of
-    (k₀ + ε·c₁)·(T₀ + ε·T₁), which is c₁·T₀.
+    ``hessian_rows`` gives each row of S(ε)·k₀ packed over the k+1
+    vectors, unit parts in C and slopes in T, and only what the checks
+    read is decoded.  The unit parts S₀·k₀ must vanish (else
+    ``DegeneratePivot``).  k₀ lifts to k₀ + ε·c₁, c₁ on the center
+    pivots P, with S₀·c₁ = −S₁·k₀ solved on the rows Q by the kept
+    S₀[Q, P]⁻¹; every other row holds too exactly when its slopes are
+    R·(S₁·k₀)[Q], one packed combination per row, or the first-order
+    system is not flat and there is no lift (``DegeneratePivot``).  The
+    B row is the ε part of (k₀ + ε·c₁)·(T₀ + ε·T₁), which is c₁·T₀.
     """
     frame = fiber.frame
     p = fp.p
@@ -145,21 +144,23 @@ def _first_order_fiber(fiber, w, dring, fp):
         raise DegeneratePivot("tangent pivots moved off the center's")
     tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
     betas = [[dring.lift(u) for u in row] for row in fiber.basis]
-    cols = _fiber_columns(frame, x_eps, tangent_eps, betas, dring)
-    pcols, in_q = fiber.sys_pivots, set(fiber.sys_rows)
-    outside = [(i, [s0[c] for c in pcols])
-               for i, s0 in enumerate(fiber.system) if i not in in_q]
-    bmat = []
-    for col in cols:
-        if any(u for u, _ in col):
-            raise DegeneratePivot("first-order fibre system drifted off its "
-                                  "center")
-        y = [col[i][1] for i in fiber.sys_rows]
-        c1 = [-fp.dot(inv_row, y) % p for inv_row in fiber.sys_inverse]
-        if any((fp.dot(s0p, c1) + col[i][1]) % p for i, s0p in outside):
+    packed = hessian_rows(frame.gens, x_eps, tangent_eps, frame.tan_pivots,
+                          betas, dring)
+    ring2 = Dual2Fp(p, len(betas))
+    if any(any(ring2.slots(row[2])) for row in packed):
+        raise DegeneratePivot("first-order fibre system drifted off its "
+                              "center")
+    on_q = [packed[i] for i in fiber.sys_rows]
+    moved = ring2.combine(on_q, [(rel, None) for rel in fiber.sys_relation])
+    for i, want in zip(fiber.sys_outside, moved):
+        if any(ring2.slots(ring2.add(packed[i], ring2.neg(want))[3])):
             raise DegeneratePivot("first-order fibre system is not flat: "
                                   "no lift of a center kernel vector")
-        bmat.append(vecmat(c1, [frame.tangent[c] for c in pcols], fp))
+    on_pivots = [frame.tangent[c] for c in fiber.sys_pivots]
+    bmat = []
+    for y in zip(*(ring2.slots(row[3]) for row in on_q)):
+        c1 = [-fp.dot(inv_row, y) % p for inv_row in fiber.sys_inverse]
+        bmat.append(vecmat(c1, on_pivots, fp))
     return bmat
 
 
@@ -224,6 +225,16 @@ class CharMatrix:
         return det_ring(self.value(t, fp), fp)
 
 
+def _reduce_by(row, leads, pivots, p):
+    """``row`` reduced by echelon rows with unit pivots, in pivot order."""
+    red = list(row)
+    for lead, pc in zip(leads, pivots):
+        c = red[pc]
+        if c:
+            red = [(a - c * b) % p for a, b in zip(red, lead)]
+    return red
+
+
 def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     """The r×r matrix of linear forms t ↦ (t·B_j mod Λ).
 
@@ -235,6 +246,8 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     A chart with transversal directions w_1..w_r must also keep its
     deformations in the tangent space: the reduced [w̄; B̄] has rank r,
     or a deformation row left it (``NonVanishingTransversalComponent``).
+    That rank is the span's plus the rank of each w̄ reduced by the
+    span's echelon rows, so the span is eliminated once.
     """
     p, k1, r = fp.p, chart.k + 1, chart.r
     arr, apiv = rref(chart.basis, fp, reduced=False)
@@ -243,20 +256,17 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     free = [c for c in range(len(chart.basis[0])) if c not in set(apiv)]
 
     def reduced(row):
-        red = list(row)
-        for lead, pc in zip(arr, apiv):
-            c = red[pc]
-            if c:
-                red = [(a - c * b) % p for a, b in zip(red, lead)]
+        red = _reduce_by(row, arr, apiv, p)
         return [red[c] for c in free]
 
     raw = [[reduced(row) for row in bmat] for bmat in chart.bmats]
-    span = [row for block in raw for row in block]
-    if chart.dirs is not None and \
-            mat_rank([reduced(w) for w in chart.dirs] + span, fp) != r:
+    srows, cols = rref([row for block in raw for row in block], fp,
+                       reduced=False)
+    if chart.dirs is not None and len(cols) + mat_rank(
+            [_reduce_by(reduced(w), srows, cols, p) for w in chart.dirs],
+            fp) != r:
         raise NonVanishingTransversalComponent(
             "a deformation row left the tangent space")
-    _, cols = rref(span, fp, reduced=False)
     if len(cols) != r:
         raise DeformationSpanMismatch(
             f"the deformations span {len(cols)} normal directions, "

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from .fieldcore import (
     Degeneracy,
+    Dual2Fp,
+    Fp,
     Violation,
     kernel_basis,
     mat_rank,
@@ -90,16 +92,18 @@ class GaussFiber:
     center fibre system ``system`` (S₀, over F_p), the pivot columns P
     of its RREF (``sys_pivots``; ``basis = K₀·tangent`` for its
     canonical kernel K₀, the k+1 vectors k₀), the rows Q of S₀
-    independent on P (``sys_rows``) and the inverse of S₀[Q, P]
-    (``sys_inverse``): a chart solves S₀·c = −S₁·k₀ with c on P as
-    c[P] = −S₀[Q, P]⁻¹·(S₁·k₀)[Q].
+    independent on P (``sys_rows``), the inverse of S₀[Q, P]
+    (``sys_inverse``), the other rows (``sys_outside``) and
+    R = S₀[out, P]·S₀[Q, P]⁻¹ (``sys_relation``): a chart solves
+    S₀·c = −S₁·k₀ with c on P as c[P] = −S₀[Q, P]⁻¹·(S₁·k₀)[Q], and the
+    other rows hold too exactly when (S₁·k₀)[out] = R·(S₁·k₀)[Q].
     """
 
     __slots__ = ("frame", "basis", "k", "r", "system", "sys_pivots",
-                 "sys_rows", "sys_inverse")
+                 "sys_rows", "sys_inverse", "sys_outside", "sys_relation")
 
     def __init__(self, frame, basis, k, r, system, sys_pivots, sys_rows,
-                 sys_inverse):
+                 sys_inverse, sys_outside, sys_relation):
         self.frame = frame
         self.basis = basis
         self.k = k
@@ -108,22 +112,29 @@ class GaussFiber:
         self.sys_pivots = sys_pivots
         self.sys_rows = sys_rows
         self.sys_inverse = sys_inverse
+        self.sys_outside = sys_outside
+        self.sys_relation = sys_relation
 
 
 def hessian_rows(gens, x, tangent, pivots, vecs, ring):
-    """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), one column
-    per v in ``vecs``, over F_p or a dual ring: one Hessian sweep per g.  A
+    """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), over F_p
+    or F_p[d], each packed over the vectors v in ``vecs`` as one element
+    of ``Dual2Fp(p, len(vecs))``: the entry for v_j is its slope j.  One
+    Hessian sweep per g gives the images u = H_g(x)·v packed alike.  A
     canonical kernel vector t_a is 1 at its free column f and otherwise on
-    the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P], one gather of u at P."""
+    the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]: one packed
+    combination per row, for every vector at once."""
+    ring2 = Dual2Fp(ring.p, len(vecs))
     free = sorted(set(range(len(x))) - set(pivots))
     on_pivots = [[t[c] for c in pivots] for t in tangent]
+    # combine's coefficient pairs: over F_p[d] unit parts and d-parts
+    on_pivots = [(tp, None) if isinstance(ring, Fp) else tuple(zip(*tp))
+                 for tp in on_pivots]
     rows = []
     for g in gens:
         images = g.hess_vec(x, vecs, ring)
-        gathered = [[u[c] for c in pivots] for u in images]
-        rows += [[ring.add(u[f], ring.dot(tp, up))
-                  for u, up in zip(images, gathered)]
-                 for f, tp in zip(free, on_pivots)]
+        rows += map(ring2.add, [images[f] for f in free], ring2.combine(
+            [images[c] for c in pivots], on_pivots))
     return rows
 
 
@@ -131,7 +142,9 @@ def fiber_system(gens, x, tangent, pivots, fp):
     """The bilinear system cutting the fibre out of the tangent space at
     x, over F_p: row (g, a), column b is t_a·(H_g·t_b), in the
     coordinates of the tangent basis."""
-    return hessian_rows(gens, x, tangent, pivots, tangent, fp)
+    ring2 = Dual2Fp(fp.p, len(tangent))
+    return [ring2.slots(row[2])
+            for row in hessian_rows(gens, x, tangent, pivots, tangent, fp)]
 
 
 def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
@@ -155,9 +168,13 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
                           + [int(i == j) for j in range(rho)]
                           for i, c in enumerate(sys_pivots)], fp)
     sys_inverse = [list(col) for col in zip(*(row[nrows:] for row in ext))]
+    in_q = set(sys_rows)
+    outside = [i for i in range(nrows) if i not in in_q]
+    relation = [vecmat([system[i][c] for c in sys_pivots], sys_inverse, fp)
+                for i in outside]
     k = len(basis) - 1
     fiber = GaussFiber(frame, basis, k, frame.n - k, system, sys_pivots,
-                       sys_rows, sys_inverse)
+                       sys_rows, sys_inverse, outside, relation)
     _verify_fiber(fiber, fp, rng, spec.generators)
     return fiber
 

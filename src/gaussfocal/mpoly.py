@@ -30,8 +30,6 @@ width per coefficient, so a product of residues is one integer product.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .fieldcore import Degeneracy, Dual2Fp, Fp, lagrange_interpolate
 
 
@@ -215,21 +213,25 @@ class PolyProgram:
         return out
 
     def hess_vec(self, x, vs, ring):
-        """Hessian-vector products [H(x)·v for v in vs], exact over F_p
-        or over F_p[d].
+        """Hessian-vector products H(x)·v for v in vs, exact over F_p or
+        over F_p[d], packed over the vectors.
 
-        One gradient sweep over F_p[d][e_1..e_m] at x + Σ_j v_j·e_j gives
-        them all: H(x)·v_j is the e_j slope, slots 2j and 2j + 1, of each
-        gradient entry.  Over F_p the point and the vectors enter with
-        zero d-parts, and each product is the unit part of its slope.
+        One gradient sweep over F_p[d][e_1..e_m] (``Dual2Fp(p, len(vs))``)
+        at x + Σ_j v_j·e_j gives them all, and it is returned as it is:
+        entry i of (H(x)·v_j) is slope j of gradient entry i, its unit
+        part in slot j of C and its d-part in slot j of T.  Over F_p the
+        point and the vectors enter with zero d-parts, so T is 0 and each
+        product is the unit part of its slope.
         """
-        over_fp = isinstance(ring, Fp)
-        part = (lambda a: (a, 0)) if over_fp else tuple
-        pt = [part(xi) + tuple(chain.from_iterable(part(v[i]) for v in vs))
-              for i, xi in enumerate(x)]
-        grad = self.grad(pt, Dual2Fp(ring.p, len(vs)))
-        return [[gi[s] if over_fp else gi[s:s + 2] for gi in grad]
-                for s in range(2, 2 + 2 * len(vs), 2)]
+        ring2 = Dual2Fp(ring.p, len(vs))
+        if isinstance(ring, Fp):
+            pt = [ring2.encode((xi, 0), [v[i] for v in vs])
+                  for i, xi in enumerate(x)]
+        else:
+            pt = [ring2.encode(xi, [v[i][0] for v in vs],
+                               [v[i][1] for v in vs])
+                  for i, xi in enumerate(x)]
+        return self.grad(pt, ring2)
 
 
 # --- determinant / Pfaffian value kernels -------------------------------------

@@ -27,7 +27,7 @@ from gaussfocal.fieldcore import (
     solve_affine,
 )
 
-from gaussfocal.mpoly import det_ring
+from gaussfocal.mpoly import _pf_solver, det_ring
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -331,6 +331,17 @@ def test_dual_kernel_unit_lift():
     assert v[0] == (100, 100) and v[1] == ring.one
 
 
+def _encode(ring, flat):
+    """The Dual2Fp element of a flat residue tuple (a0, a1, c_1, t_1, …)."""
+    return ring.encode(flat[:2], flat[2::2], flat[3::2])
+
+
+def _decode(ring, a):
+    """The flat residue tuple of a Dual2Fp element."""
+    unit, cs, ts = ring.decode(a)
+    return unit + tuple(v for pair in zip(cs, ts) for v in pair)
+
+
 def test_dual2_matches_nested_dual():
     p = 10007
     flat = Dual2Fp(p, 1)
@@ -346,7 +357,7 @@ def test_dual2_matches_nested_dual():
     for _ in range(300):
         a = tuple(rng.field(p) for _ in range(4))
         b = tuple(rng.field(p) for _ in range(4))
-        got = flat.mul(a, b)
+        got = _decode(flat, flat.mul(_encode(flat, a), _encode(flat, b)))
         want = nested_mul(unflat(a), unflat(b))
         assert unflat(got) == want
 
@@ -363,12 +374,31 @@ def _ring_id(ring):
 
 
 def _ring_elements(ring):
-    """Elements of ``ring``, with components drawn often from 0 and p − 1."""
+    """Elements of ``ring``, with components drawn often from 0 and p − 1;
+    a Dual2Fp element is drawn as its flat residue tuple and encoded."""
     p = ring.p
     residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     if isinstance(ring, Fp):
         return residue
-    return st.tuples(*[residue] * len(ring.zero))
+    if isinstance(ring, DualFp):
+        return st.tuples(residue, residue)
+    return st.tuples(*[residue] * (2 + 2 * ring.m)).map(
+        lambda flat: _encode(ring, flat))
+
+
+def _value(ring, a):
+    """A ring element in comparable form (``_decode`` for Dual2Fp, whose
+    slopes stay unreduced)."""
+    return _decode(ring, a) if isinstance(ring, Dual2Fp) else a
+
+
+def _top(ring):
+    """The element with every component p − 1."""
+    if isinstance(ring, Fp):
+        return ring.lift(-1)
+    if isinstance(ring, DualFp):
+        return (ring.p - 1,) * 2
+    return _encode(ring, (ring.p - 1,) * (2 + 2 * ring.m))
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=_ring_id)
@@ -379,12 +409,12 @@ def test_ring_kernels_match_elementwise_fold(ring, data):
     vec = st.lists(_ring_elements(ring), min_size=n, max_size=n)
     u, v, w = data.draw(vec, "u"), data.draw(vec, "v"), data.draw(vec, "w")
     a = data.draw(_ring_elements(ring), "a")
-    top = ring.lift(-1) if isinstance(ring, Fp) else (ring.p - 1,) * len(a)
+    top = _top(ring)
     for x, y in ((u, v), ([top] * n, [top] * n)):
         acc = ring.zero
         for s, t in zip(x, y):
             acc = ring.add(acc, ring.mul(s, t))
-        assert ring.dot(x, y) == acc
+        assert _value(ring, ring.dot(x, y)) == _value(ring, acc)
     if isinstance(ring, Dual2Fp):
         return  # no elimination runs over it, so it has no axpy
     assert ring.axpy(a, u, w) == [ring.add(ring.mul(a, s), t)
@@ -394,8 +424,8 @@ def test_ring_kernels_match_elementwise_fold(ring, data):
 
 
 def _slope(x, j):
-    """The image of x under F_p[d][e_1..e_m] -> F_p[d][e] that sends e_j
-    to e and every other e_i to 0: the unit part and slope j."""
+    """The image of the flat x under F_p[d][e_1..e_m] -> F_p[d][e] that
+    sends e_j to e and every other e_i to 0: the unit part and slope j."""
     return x[:2] + x[2 + 2 * j:4 + 2 * j]
 
 
@@ -405,27 +435,175 @@ def _slope(x, j):
 @given(data=st.data())
 def test_dual2_slopes_project_onto_dual2(p, m, data):
     ring, one_slope = Dual2Fp(p, m), Dual2Fp(p, 1)
-    assert len(ring.zero) == 2 + 2 * m
-    e1 = (0, 0, 1) + (0,) * (2 * m - 1)
-    assert _slope(e1, 0) == (0, 0, 1, 0) and ring.mul(e1, e1) == ring.zero
+    assert len(_decode(ring, ring.zero)) == 2 + 2 * m
+    e1 = _encode(ring, (0, 0, 1) + (0,) * (2 * m - 1))
+    assert _slope(_decode(ring, e1), 0) == (0, 0, 1, 0)
+    assert ring.mul(e1, e1) == ring.zero
     elem = _ring_elements(ring)
     n = data.draw(st.integers(0, 5), label="n")
     vec = st.lists(elem, min_size=n, max_size=n)
     a, b = data.draw(elem, "a"), data.draw(elem, "b")
     u, v = data.draw(vec, "u"), data.draw(vec, "v")
-    top = (p - 1,) * (2 + 2 * m)
+    top = _top(ring)
+
+    def pr(x):  # slope j of a packed element, packed over one slope
+        return _encode(one_slope, _slope(_decode(ring, x), j))
+
+    def same(x, y):  # a projected element against a one-slope one
+        return _decode(one_slope, pr(x)) == _decode(one_slope, y)
+
     for j in range(m):
-        pr = lambda x: _slope(x, j)
         prs = lambda xs: [pr(x) for x in xs]
-        assert pr(ring.mul(a, b)) == one_slope.mul(pr(a), pr(b))
-        assert pr(ring.add(a, b)) == one_slope.add(pr(a), pr(b))
-        assert pr(ring.neg(a)) == one_slope.neg(pr(a))
-        assert pr(ring.lift(b[0])) == one_slope.lift(b[0])
+        assert same(ring.mul(a, b), one_slope.mul(pr(a), pr(b)))
+        assert same(ring.add(a, b), one_slope.add(pr(a), pr(b)))
+        assert same(ring.neg(a), one_slope.neg(pr(a)))
+        assert same(ring.lift(b[0]), one_slope.lift(b[0]))
         for x, y in ((u, v), ([top] * n, [top] * n)):
-            assert pr(ring.dot(x, y)) == one_slope.dot(prs(x), prs(y))
-    # e_i·e_j = 0: a product of two pure slopes vanishes
-    pure = ring.zero[:2] + a[2:]
-    assert ring.mul(pure, ring.zero[:2] + b[2:]) == ring.zero
+            assert same(ring.dot(x, y), one_slope.dot(prs(x), prs(y)))
+    # e_i·e_j = 0: a product of two pure slopes vanishes, exactly
+    pure = lambda x: _encode(ring, (0, 0) + _decode(ring, x)[2:])
+    assert ring.mul(pure(a), pure(b)) == ring.zero
+
+
+# --- packed Dual2Fp against nested dual numbers -------------------------------
+
+# Both ends of the --prime range and primes far below it: the slot width
+# comes from the bit length of p.
+PACKED_PRIMES = [7, 101, (1 << 32) + 15, (1 << 61) - 1, (1 << 64) - 59]
+
+
+class _Nested:
+    """F_p[d][e_1..e_m] as (A, [S_1..S_m]), every part a DualFp pair
+    u + s·d, with the ring laws written out: the oracle for Dual2Fp."""
+
+    def __init__(self, p):
+        self.inner = DualFp(p)
+
+    @staticmethod
+    def of(flat):
+        return tuple(flat[:2]), list(zip(flat[2::2], flat[3::2]))
+
+    @staticmethod
+    def flat(a):
+        return a[0] + tuple(v for slope in a[1] for v in slope)
+
+    def add(self, a, b):
+        r = self.inner
+        return r.add(a[0], b[0]), [r.add(s, u) for s, u in zip(a[1], b[1])]
+
+    def mul(self, a, b):
+        r = self.inner
+        return r.mul(a[0], b[0]), [r.add(r.mul(a[0], u), r.mul(s, b[0]))
+                                   for s, u in zip(a[1], b[1])]
+
+    def neg(self, a):
+        r = self.inner
+        return r.neg(a[0]), [r.neg(s) for s in a[1]]
+
+    def dot(self, u, v):
+        acc = ((0, 0), [(0, 0)] * len(u[0][1])) if u else None
+        for a, b in zip(u, v):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+
+class _Reductions:
+    """Counts the slot reductions ``Dual2Fp`` makes while installed."""
+
+    def __init__(self):
+        self.count = 0
+        real = Dual2Fp._reduced
+
+        def counted(ring, a):
+            self.count += a[4] >= ring.p
+            return real(ring, a)
+
+        self.patch = patch.object(Dual2Fp, "_reduced", counted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_packed_dual2_matches_nested_duals_across_slot_reductions(data):
+    p = data.draw(st.sampled_from(PACKED_PRIMES), label="p")
+    m = data.draw(st.integers(0, 16), label="m")
+    ring, oracle = Dual2Fp(p, m), _Nested(p)
+    residue = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    flats = st.tuples(*[residue] * (2 + 2 * m))
+    seeds = data.draw(st.lists(flats, min_size=1, max_size=5), label="pool")
+    ops = data.draw(st.lists(st.tuples(
+        st.sampled_from(["mul", "add", "neg", "dot", "combine"]),
+        st.integers(0, 99), st.integers(0, 99), st.integers(1, 6)),
+        min_size=8, max_size=40), label="ops")
+    # twelve products by the all-(p − 1) element leave the slot range
+    # at every p, so the chains below run through reductions
+    top = (p - 1,) * (2 + 2 * m)
+    packed = [_encode(ring, f) for f in seeds + [top]]
+    nested = [oracle.of(f) for f in seeds + [top]]
+    tally = _Reductions()
+    with tally.patch:
+        for _ in range(12):
+            packed.append(ring.mul(packed[-1], packed[len(seeds)]))
+            nested.append(oracle.mul(nested[-1], nested[len(seeds)]))
+        for kind, i, j, n in ops:
+            i, j, count = i % len(packed), j % len(packed), len(packed)
+            if kind == "mul":
+                got, want = ring.mul(packed[i], packed[j]), \
+                    oracle.mul(nested[i], nested[j])
+            elif kind == "add":
+                got, want = ring.add(packed[i], packed[j]), \
+                    oracle.add(nested[i], nested[j])
+            elif kind == "neg":
+                got, want = ring.neg(packed[i]), oracle.neg(nested[i])
+            else:
+                us = [(i + t) % count for t in range(n)]
+                vs = [(j + t) % count for t in range(n)]
+                if kind == "dot":
+                    got = ring.dot([packed[t] for t in us],
+                                   [packed[t] for t in vs])
+                    want = oracle.dot([nested[t] for t in us],
+                                      [nested[t] for t in vs])
+                else:  # coefficients from unit parts, in F_p[d] and F_p
+                    coefs = [nested[t][0] for t in vs]
+                    t0, t1 = (list(part) for part in zip(*coefs))
+                    elems = [nested[t] for t in us]
+                    got, in_fp = ring.combine([packed[t] for t in us],
+                                              [(t0, t1), (t0, None)])
+                    in_fp_want = oracle.dot(
+                        [((c, 0), [(0, 0)] * m) for c in t0], elems)
+                    assert _decode(ring, in_fp) == \
+                        oracle.flat(((0, 0), in_fp_want[1]))
+                    want = oracle.dot([(c, [(0, 0)] * m) for c in coefs],
+                                      elems)
+                    want = ((0, 0), want[1])
+            assert _decode(ring, got) == oracle.flat(want)
+            assert got[4] < ring._limit  # every slot stays decodable
+            packed.append(got)
+            nested.append(want)
+    assert tally.count > 0 or m == 0
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_dual2_keeps_exact_zeros(p):
+    # the Pfaffian expansion skips an entry that equals ``zero`` and the
+    # gradient sweep an adjoint that ``is_zero``: an exact zero must stay
+    # that tuple through products, sums and dots, also with a factor
+    # whose slots are far from reduced
+    for m in (0, 1, 16):
+        ring = Dual2Fp(p, m)
+        zero = ring.zero
+        assert _encode(ring, (0,) * (2 + 2 * m)) == zero
+        big = _encode(ring, (p - 1,) * (2 + 2 * m))
+        for _ in range(3):
+            big = ring.mul(big, big)
+        assert m == 0 or big[4] >= p
+        assert ring.mul(zero, big) == zero == ring.mul(big, zero)
+        assert ring.add(zero, zero) == zero == ring.neg(zero)
+        assert ring.dot([zero] * 3, [big] * 3) == zero
+        assert ring.combine([zero] * 3, [([1, 2, 3], [4, 5, 6])]) == [zero]
+        assert ring.is_zero(zero) and (m == 0 or not ring.is_zero(big))
+        # a 4×4 Pfaffian whose row 0 is zero expands to no term at all
+        upper = [[zero] * 3, [big, big], [big]]
+        assert _pf_solver(upper, ring)(0b1111) == zero
 
 
 # --- interpolation ----------------------------------------------------------

@@ -10,6 +10,7 @@ from gaussfocal import focal
 from gaussfocal.cli import parse_expression
 from gaussfocal.fieldcore import (
     DegeneratePivot,
+    Dual2Fp,
     DualFp,
     Fp,
     Rng,
@@ -176,11 +177,27 @@ def _dual_tangent(fiber, w, dring):
     return x_eps, kernel_basis(rows, piv, len(frame.x), dring)
 
 
+def _columns(packed, count, p):
+    """The per-vector columns of rows packed over ``count`` vectors (as
+    ``hessian_rows`` and ``hess_vec`` give them): entry i of column j is
+    slope j of row i, a DualFp pair."""
+    ring2 = Dual2Fp(p, count)
+    rows = [ring2.decode(row) for row in packed]
+    return [[(cs[j], ts[j]) for _, cs, ts in rows] for j in range(count)]
+
+
+def _packed(cols, units, p):
+    """``_columns``' inverse, with the rows' unit parts ``units``."""
+    ring2 = Dual2Fp(p, len(cols))
+    return [ring2.encode(unit, [c for c, _ in row], [t for _, t in row])
+            for unit, row in zip(units, zip(*cols))]
+
+
 def _dense_system(gens, x, tangent, ring):
     """Every t_a·(H·t_b), both triangles, as dots over all coordinates."""
     rows = []
     for g in gens:
-        images = g.hess_vec(x, tangent, ring)
+        images = _columns(g.hess_vec(x, tangent, ring), len(tangent), ring.p)
         rows += [[ring.dot(ta, img) for img in images] for ta in tangent]
     return rows
 
@@ -263,17 +280,19 @@ def _times_kernel(rows, fiber, dring, fp):
 ])
 def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
                                                        rb, dim, p):
-    # the columns _first_order_fiber reads are the dense dual system times
-    # each center kernel vector, and each generator's Hessian sweep
-    # carries the k+1 vectors β, not the n+1 tangent vectors
+    # the columns _first_order_fiber reads, packed over the center kernel
+    # vectors, are the dense dual system times each of them, and each
+    # generator's Hessian sweep carries the k+1 vectors β, not the n+1
+    # tangent vectors
     fp, dring = Fp(p), DualFp(p)
     spec = rank_locus_spec(shape, rb)
-    real_cols, real_hess = focal._fiber_columns, PolyProgram.hess_vec
+    real_rows, real_hess = focal.hessian_rows, PolyProgram.hess_vec
     seen, widths = [], []
 
     def recorded_cols(*args):
-        seen.append(real_cols(*args))
-        return seen[-1]
+        packed = real_rows(*args)
+        seen.append(_columns(packed, len(args[4]), p))
+        return packed
 
     def recorded_hess(self, x, vs, ring):
         widths.append(len(vs))
@@ -294,7 +313,7 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
             seen.clear()
             widths.clear()
             with monkeypatch.context() as mp:
-                mp.setattr("gaussfocal.focal._fiber_columns", recorded_cols)
+                mp.setattr("gaussfocal.focal.hessian_rows", recorded_cols)
                 mp.setattr(PolyProgram, "hess_vec", recorded_hess)
                 _outcome(_first_order_fiber, fib, w, dring, fp)
             assert widths == [fib.k + 1] * len(frame.gens)
@@ -327,18 +346,20 @@ def _bump(col, i, part):
 
 def _scripted_columns(monkeypatch, edit):
     """Pass every S(ε)·k₀ column set that ``_first_order_fiber`` computes
-    through ``edit(cols, call)``, call counting from 1; returns the list
-    of calls."""
-    real = focal._fiber_columns
+    through ``edit(cols, call)``, call counting from 1, decoded from the
+    packed rows and encoded back; returns the list of calls."""
+    real = focal.hessian_rows
     calls = []
 
     def scripted(*args):
-        cols = [list(col) for col in real(*args)]
+        packed = real(*args)
+        count, p = len(args[4]), args[5].p
+        cols = _columns(packed, count, p)
         calls.append(len(calls) + 1)
         edit(cols, calls[-1])
-        return cols
+        return _packed(cols, [row[:2] for row in packed], p)
 
-    monkeypatch.setattr("gaussfocal.focal._fiber_columns", scripted)
+    monkeypatch.setattr("gaussfocal.focal.hessian_rows", scripted)
     return calls
 
 

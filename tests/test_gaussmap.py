@@ -21,10 +21,10 @@ from gaussfocal.gaussmap import (
     fiber_codim_data,
     fiber_system,
     gauss_fiber,
+    hessian_rows,
     tangent_space,
 )
 from gaussfocal.cli import parse_expression
-from gaussfocal.focal import _fiber_columns
 from gaussfocal.varieties import (
     MatrixShape,
     VarietySpec,
@@ -171,16 +171,24 @@ def test_fiber_reproducible_across_points_and_primes():
     assert seen == {(3, 4)}
 
 
-def _columns_of(rows):
-    return [list(col) for col in zip(*rows)]
+def _unpacked(packed, count, ring):
+    """Rows packed over ``count`` vectors (``hessian_rows``, and the
+    gradient of ``hess_vec``) as plain rows: entry j of a row is its
+    slope j, over F_p its unit part (the d-parts are then 0)."""
+    ring2 = Dual2Fp(ring.p, count)
+    rows = [ring2.decode(row)[1:] for row in packed]
+    if isinstance(ring, Fp):
+        assert not any(any(ts) for _, ts in rows)
+        return [cs for cs, _ in rows]
+    return [list(zip(cs, ts)) for cs, ts in rows]
 
 
 def test_fiber_system_over_dual_ring_matches_per_vector_images():
     # the dual-ring fibre system is only ever read through the chart's
     # S(ε)·k₀ columns: each image H(x)·β on its own, the gradient over
-    # F_p[d, e] at the 4-tuples x_i + β_i·e, sliced to its e-slope; then
-    # every entry t_a·H·β as a plain dot over a canonical dual tangent
-    # basis.  Its unit parts over F_p are the center fibre system.
+    # F_p[d, e] at x_i + β_i·e, read off its e-slope; then every entry
+    # t_a·H·β as a plain dot over a canonical dual tangent basis.  Its
+    # unit parts over F_p are the center fibre system.
     ring, flat = DualFp(P), Dual2Fp(P, 1)
     rng = Rng(97)
     gens = (rank_locus_spec(MatrixShape.skew(8), 6).generators[:2]
@@ -197,15 +205,20 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
         lift = (lambda a: (a, 0)) if over_fp else tuple
         out = []
         for g in gens:
-            images = [[gi[2] if over_fp else gi[2:] for gi in g.grad(
-                [lift(xi) + lift(vi) for xi, vi in zip(x, v)], flat)]
-                for v in vecs]
+            images = []
+            for v in vecs:
+                grad = g.grad([flat.encode(lift(xi), lift(vi)[:1],
+                                           lift(vi)[1:])
+                               for xi, vi in zip(x, v)], flat)
+                slopes = [flat.decode(gi)[1:] for gi in grad]
+                images.append([cs[0] if over_fp else (cs[0], ts[0])
+                               for cs, ts in slopes])
             out += [[ring.dot(ta, img) for img in images] for ta in tangent]
         return out
 
     betas = [[elem() for _ in range(arity)] for _ in range(3)]
-    assert _fiber_columns(frame, x, tangent, betas, ring) == \
-        _columns_of(per_vector(x, tangent, betas, ring))
+    assert _unpacked(hessian_rows(gens, x, tangent, piv, betas, ring), 3,
+                     ring) == per_vector(x, tangent, betas, ring)
     x0, t0 = [u for u, _ in x], [[u for u, _ in t] for t in tangent]
     assert fiber_system(gens, x0, t0, piv, FP) == \
         per_vector(x0, t0, t0, FP)
@@ -214,7 +227,8 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
 def _dense_block_dots(gens, x, tangent, vecs, ring):
     rows = []
     for g in gens:
-        images = g.hess_vec(x, vecs, ring)
+        images = [list(col) for col in zip(*_unpacked(
+            g.hess_vec(x, vecs, ring), len(vecs), ring))]
         rows += [[ring.dot(ta, img) for img in images] for ta in tangent]
     return rows
 
@@ -251,6 +265,7 @@ def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
     tangent[1][pc] = (0, tangent[1][pc][1] or 1)
     betas = [[dring.make(rng.field(P), rng.field(P)) for _ in frame.x]
              for _ in range(3)]
-    assert _fiber_columns(frame, x_eps, tangent, betas, dring) == \
-        _columns_of(_dense_block_dots(frame.gens, x_eps, tangent, betas,
-                                      dring))
+    assert _unpacked(hessian_rows(frame.gens, x_eps, tangent,
+                                  frame.tan_pivots, betas, dring), 3,
+                     dring) == \
+        _dense_block_dots(frame.gens, x_eps, tangent, betas, dring)

@@ -1,5 +1,7 @@
 """Straight-line polynomial programs, gradients, and univariate helpers."""
 
+from unittest.mock import patch
+
 import pytest
 
 from gaussfocal.cli import derive_primes
@@ -36,21 +38,34 @@ def _dual_over(ring):
 
 def _dual_eps(ring):
     """The slope unit e of _dual_over(ring)."""
-    return (0, 1) if isinstance(ring, Fp) else (0, 0, 1, 0)
+    if isinstance(ring, Fp):
+        return (0, 1)
+    return _dual_over(ring).encode((0, 0), [1], [0])
 
 
 def _dual_embed(ring, a):
     """Lift an element of ``ring`` into _dual_over(ring) with zero slope."""
     if isinstance(ring, Fp):
         return (a, 0)
-    return (a[0], a[1], 0, 0)
+    return _dual_over(ring).encode(a, [0], [0])
 
 
 def _dual_slope(ring, a):
     """The slope, over ``ring``, of an element of _dual_over(ring)."""
     if isinstance(ring, Fp):
         return a[1]
-    return (a[2], a[3])
+    _, (c,), (t,) = _dual_over(ring).decode(a)
+    return (c, t)
+
+
+def _value(ring, a):
+    """A ring element in comparable form: a Dual2Fp element keeps its
+    slopes unreduced, so it compares through ``decode``."""
+    return ring.decode(a) if isinstance(ring, Dual2Fp) else a
+
+
+def _values(ring, xs):
+    return [_value(ring, a) for a in xs]
 
 
 def _grad_forward(prog, x, ring):
@@ -133,7 +148,11 @@ def test_pfaffian_squared_is_determinant():
 def _random_element(ring, rng):
     if isinstance(ring, Fp):
         return rng.field(ring.p)
-    return tuple(rng.field(ring.p) for _ in ring.zero)
+    if isinstance(ring, DualFp):
+        return (rng.field(ring.p), rng.field(ring.p))
+    unit = (rng.field(ring.p), rng.field(ring.p))
+    return ring.encode(unit, [rng.field(ring.p) for _ in range(ring.m)],
+                       [rng.field(ring.p) for _ in range(ring.m)])
 
 
 def _matchings(idx):
@@ -208,14 +227,14 @@ def test_bitmask_pfaffian_against_det_and_permutation_expansion(ring):
             for warm in (True, False):
                 pf = _pf_solver(upper, ring)
                 if warm:
-                    assert pf(full) == want
-                    assert ring.mul(want, want) == _naive_det(
-                        _skew(entry, n, ring), ring)
+                    assert _value(ring, pf(full)) == _value(ring, want)
+                    assert _value(ring, ring.mul(want, want)) == _value(
+                        ring, _naive_det(_skew(entry, n, ring), ring))
                 for i, j in pairs:
                     cof = pf(full ^ 1 << i ^ 1 << j)
                     if (i + j) % 2 == 0:
                         cof = ring.neg(cof)
-                    assert cof == oracle[i, j]
+                    assert _value(ring, cof) == _value(ring, oracle[i, j])
 
 
 @_RINGS
@@ -240,8 +259,8 @@ def test_pf_node_grad_matches_permutation_expansion(ring):
                 x[v] = entry[pair]
             oracle = _pf_partials_oracle(entry, n, ring)
             grad = prog.grad(x, ring)
-            assert [grad[var[pair]] for pair in pairs] == \
-                [oracle[pair] for pair in pairs]
+            assert _values(ring, [grad[var[pair]] for pair in pairs]) == \
+                _values(ring, [oracle[pair] for pair in pairs])
 
 
 def _minor(mat, i, j):
@@ -271,13 +290,15 @@ def test_det_ring_and_det_node_grad_match_cofactor_expansion(ring):
         for _ in range(3):
             flat = list(_sparse_entries(range(n * n), ring, rng).values())
             mat = [flat[i * n:(i + 1) * n] for i in range(n)]
-            assert det_ring(mat, ring) == _naive_det(mat, ring)
+            assert _value(ring, det_ring(mat, ring)) == \
+                _value(ring, _naive_det(mat, ring))
             want = []
             for i in range(n):
                 for j in range(n):
                     cof = _naive_det(_minor(mat, i, j), ring)
                     want.append(ring.neg(cof) if (i + j) % 2 else cof)
-            assert prog.grad(flat, ring) == want
+            assert _values(ring, prog.grad(flat, ring)) == \
+                _values(ring, want)
 
 
 def test_det_ring_over_dual_rings_lifts_the_field_determinant():
@@ -293,9 +314,10 @@ def test_det_ring_over_dual_rings_lifts_the_field_determinant():
                     for i in range(n) for j in range(n)) % fp.p
         mat = [[(u, s) for u, s in zip(ra, rb)] for ra, rb in zip(a, b)]
         assert det_ring(mat, ring) == (det_ring(a, fp), slope)
-        flat = [[(u, s, 0, 0) for u, s in row] for row in mat]
-        assert det_ring(flat, Dual2Fp(fp.p, 1)) == \
-            (det_ring(a, fp), slope, 0, 0)
+        ring2 = Dual2Fp(fp.p, 1)
+        packed = [[ring2.encode(x, [0], [0]) for x in row] for row in mat]
+        assert ring2.decode(det_ring(packed, ring2)) == \
+            ((det_ring(a, fp), slope), [0], [0])
 
 
 def test_det_matches_cofactor_expansion():
@@ -401,10 +423,22 @@ def test_grad_works_over_dual_ring():
         assert [u for u, _ in g] == gu
 
 
+def _products(packed, ring, count):
+    """The per-vector lists [H(x)·v for v in vs] of ``hess_vec``'s packed
+    gradient over Dual2Fp(p, count): over F_p the unit part of each
+    slope, over F_p[d] the slope itself."""
+    ring2 = Dual2Fp(ring.p, count)
+    slopes = [ring2.decode(g)[1:] for g in packed]
+    if isinstance(ring, Fp):
+        assert all(not any(ts) for _, ts in slopes)
+        return [[cs[j] for cs, _ in slopes] for j in range(count)]
+    return [[(cs[j], ts[j]) for cs, ts in slopes] for j in range(count)]
+
+
 def test_hess_vec():
     prog = sym2x2_det()
     # Hessian of x0*x2 - x1^2 is constant [[0,0,1],[0,-2,0],[1,0,0]]
-    hv = prog.hess_vec([3, 1, 4], [[1, 1, 1]], F7)[0]
+    hv = _products(prog.hess_vec([3, 1, 4], [[1, 1, 1]], F7), F7, 1)[0]
     assert hv == [1, (-2) % 7, 1]
 
 
@@ -425,17 +459,18 @@ def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
                         dring.mul(_dual_eps(ring), _dual_embed(ring, vi)))
               for xi, vi in zip(x, v)]
         want = [_dual_slope(ring, gi) for gi in gen.grad(pt, dring)]
-        got = gen.hess_vec(x, [v], ring)[0]
+        got = _products(gen.hess_vec(x, [v], ring), ring, 1)[0]
         assert got == want
         # unit parts: the Hessian at the unit point, over F_p
         fp = Fp(p)
-        assert [u for u, _ in got] == gen.hess_vec(
-            [u for u, _ in x], [[u for u, _ in v]], fp)[0]
+        assert [u for u, _ in got] == _products(gen.hess_vec(
+            [u for u, _ in x], [[u for u, _ in v]], fp), fp, 1)[0]
 
 
 def test_hess_vec_linear_is_zero():
     prog = SparsePoly(2, {(1, 0): 1, (0, 1): 3}).compile()
-    assert prog.hess_vec([1, 2], [[3, 4]], F7)[0] == [0, 0]
+    assert _products(prog.hess_vec([1, 2], [[3, 4]], F7), F7, 1)[0] == \
+        [0, 0]
 
 
 def _hess_vec_oracle(prog, x, v, ring):
@@ -482,8 +517,37 @@ def test_batched_hess_vec_matches_per_vector_oracle(prog, ring):
         x = [_random_element(ring, rng) for _ in range(prog.arity)]
         vs = [[_random_element(ring, rng) for _ in range(prog.arity)]
               for _ in range(count)]
-        got = prog.hess_vec(x, vs, ring)
+        got = _products(prog.hess_vec(x, vs, ring), ring, count)
         assert got == [_hess_vec_oracle(prog, x, v, ring) for v in vs]
+
+
+def test_hess_vec_of_a_degree_nine_product_at_a_word_size_prime():
+    # the reverse sweep's prefix products run through nine factors, so
+    # the packed slopes leave their slot range and are reduced on the
+    # way; every product still matches the one-vector oracle, over F_p
+    # and over F_p[d], with up to 16 vectors in one sweep
+    p = (1 << 64) - 59
+    poly = SparsePoly(3, {(4, 2, 3): 5, (9, 0, 0): 1, (0, 3, 6): p - 7,
+                          (1, 1, 1): 2})
+    prog = poly.compile()
+    assert prog.degree == 9
+    assert any(node[0] == "mul" and len(node[1]) >= 9 for node in prog.nodes)
+    rng = Rng(101)
+    real, reductions = Dual2Fp._reduced, []
+
+    def counted(ring, a):
+        reductions.append(a[4] >= ring.p)
+        return real(ring, a)
+
+    for ring in (Fp(p), DualFp(p)):
+        for count in (1, 5, 16):
+            x = [_random_element(ring, rng) for _ in range(3)]
+            vs = [[_random_element(ring, rng) for _ in range(3)]
+                  for _ in range(count)]
+            with patch.object(Dual2Fp, "_reduced", counted):
+                got = _products(prog.hess_vec(x, vs, ring), ring, count)
+            assert got == [_hess_vec_oracle(prog, x, v, ring) for v in vs]
+    assert any(reductions)
 
 
 # --- line restriction --------------------------------------------------------
