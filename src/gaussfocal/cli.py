@@ -559,24 +559,21 @@ _CHECK_KEYS = ("n", "dim_x", "c", "r", "k", "focal_degree", "mu",
 
 
 def _verify_record(record, expect):
-    where = (f"{record['experiment']} trial {record['trial']} "
-             f"(p={record['prime']})")
     fails = []
     if expect:
         for key in _CHECK_KEYS:
             if key in expect and record[key] != expect[key]:
-                fails.append(f"{where}: {key} = {record[key]}, "
-                             f"expected {expect[key]}")
+                fails.append(f"{key} = {record[key]}, expected {expect[key]}")
     degree = record["focal_degree"]
     if degree is not None and degree != record["r"]:
-        fails.append(f"{where}: focal degree {degree} differs from the "
-                     f"Gauss rank {record['r']}")
+        fails.append(f"focal degree {degree} differs from the Gauss rank "
+                     f"{record['r']}")
     mu, red = record["mu"], record["reduced_degree"]
     if None not in (mu, red, degree) and mu * red != degree:
-        fails.append(f"{where}: mu * reduced degree = {mu * red} != {degree}")
+        fails.append(f"mu * reduced degree = {mu * red} != {degree}")
     for bname, status in record["bounds"].items():
         if status == "Fail":
-            fails.append(f"{where}: bound {bname} failed")
+            fails.append(f"bound {bname} failed")
     return fails
 
 
@@ -700,35 +697,37 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
         where.stage = "profile and extraction"
         rep = focal_report(charm, fp, rng, cfg.lines)
         if rep.extraction_error:
-            failures.append(f"extraction failed: {rep.extraction_error}")
+            failures += where.located(
+                [f"extraction failed: {rep.extraction_error}"])
         where.stage = "containment and focus"
         containment, fails = fam.judge(rep)
-        failures += fails
+        failures += where.located(fails)
         for key, got in fam.extras(charm, rep).items():
             if plan.expect and got != plan.expect[key]:
-                failures.append(f"{key} = {got}, expected {plan.expect[key]}")
+                failures += where.located(
+                    [f"{key} = {got}, expected {plan.expect[key]}"])
         if cfg.verify == "full":
             where.stage = "cross-check"
-            failures += fam.cross_check(charm, rep, cfg.lines)
+            failures += where.located(fam.cross_check(charm, rep, cfg.lines))
     record = _record(plan, prime, seed_t, trial, fam, rep, containment,
                      perf_counter() - start)
-    return record, [f"{plan.label}: {msg}" for msg in failures]
+    return record, failures
 
 
-def _witness_battery(plan, fp, rng):
-    spec = plan.spec
+def _witness_battery(spec, fp, rng):
     for _ in range(25):
         pt = spec.sampler(rng, fp)
         for g in spec.generators:
             if g.eval(pt.coords, fp) != 0:
-                return [f"{plan.label}: a generator misses a sampled point"]
+                return ["a generator misses a sampled point"]
     return []
 
 
 class _Where:
     """Where a run stands: experiment, prime, trial and stage.  An error
     that ends the run leaves ``run_experiment`` carrying it as
-    ``err.where``, so the exit message can name it."""
+    ``err.where``, so the exit message can name it; a problem that does
+    not end it is ``located`` when it is found."""
 
     __slots__ = ("label", "prime", "trial", "stage")
 
@@ -740,6 +739,10 @@ class _Where:
         trial = "" if self.trial is None else f", trial {self.trial}"
         return (f"experiment {self.label}, prime {self.prime}{trial}, "
                 f"stage {self.stage}")
+
+    def located(self, messages):
+        """``messages``, each ending with where the run stands now."""
+        return [f"{message} ({self})" for message in messages]
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -760,13 +763,16 @@ def run_experiment(cfg: ExperimentConfig):
                 dim_x = variety_dim(plan.spec, fp, rng_dim)
                 c = fiber_codim_data(plan.spec, dim_x, fp, rng_dim)
                 if cfg.verify == "full":
-                    failures += _witness_battery(plan, fp, rng_dim)
+                    failures += where.located(
+                        _witness_battery(plan.spec, fp, rng_dim))
             for trial in range(cfg.trials):
                 where.trial = trial
                 record, fails = _trial(plan, cfg, fp, prime, trial, dim_x, c,
                                        where)
                 records.append(record)
-                failures += fails + _verify_record(record, plan.expect)
+                where.stage = "record"
+                failures += fails + where.located(
+                    _verify_record(record, plan.expect))
         except (Degeneracy, Violation) as err:
             err.where = where
             raise

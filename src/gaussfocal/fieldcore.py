@@ -460,7 +460,7 @@ def mat_rank(mat, ring) -> int:
 
 
 def solve_affine(mat, b, ring):
-    """Particular solution plus kernel basis of ``mat @ x = b``.
+    """A solution x of ``mat @ x = b``, zero on every free column.
 
     Raises ``Infeasible`` when b lies outside the column span, which is
     when the augmented column [mat | b] takes a pivot of its own.
@@ -472,7 +472,7 @@ def solve_affine(mat, b, ring):
     part = [ring.zero] * ncols
     for row, pc in zip(rows, pivots):
         part[pc] = row[ncols]
-    return part, kernel_basis(rows, pivots, ncols, ring)
+    return part
 
 
 def random_combination(rows, fp, rng):

@@ -8,11 +8,10 @@ the reduced rows span.  A family whose deformations span any other
 number of normal directions is rejected.  det M is the focal form: a
 degree-r hypersurface in Λ whose multiplicity structure, reduced
 equation, quadric rank and containment in the singular locus are what
-the rest of the package reports on.  A Gauss-fibre chart reads its
-first-order fibre system only as S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) for the
-k+1 center kernel vectors k₀: Hessian sweeps of width k+1, not n+1,
-whose rows stay packed over the k+1 vectors, and only the slots that
-its checks and its solve read are decoded.
+the rest of the package reports on.  A Gauss-fibre chart draws its
+transversal directions here and takes each first-order fibre, as a B
+matrix over F_p, from ``gaussmap.first_order_fiber``: no packed slot
+reaches this module.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
@@ -37,12 +36,10 @@ from math import comb
 from .fieldcore import (
     Degeneracy,
     DegeneratePivot,
-    Dual2Fp,
     DualFp,
     Infeasible,
     Violation,
     charpoly,
-    kernel_basis,
     mat_rank,
     newton_divided,
     newton_to_power,
@@ -51,7 +48,7 @@ from .fieldcore import (
     solve_affine,
     vecmat,
 )
-from .gaussmap import hessian_rows
+from .gaussmap import first_order_fiber
 from .mpoly import (
     CharTooSmall,
     SparsePoly,
@@ -114,70 +111,19 @@ class FamilyChart:
         self.r = len(bmats)
 
 
-def _first_order_fiber(fiber, w, dring, fp):
-    """B matrix of the fibre at x + εw, aligned with the center fibre.
-
-    The Jacobian's elimination over the dual ring runs the center's on
-    its unit parts, so its pivots must be the center's (else
-    ``DegeneratePivot``), and the tangent basis T(ε) = T₀ + ε·T₁ is the
-    center's plus its deformation.  Of the dual fibre system S₀ + ε·S₁
-    only S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) is read, for the k+1 center
-    kernel vectors k₀, and k₀·T(ε) is the fibre basis row f = k₀·T₀:
-    J(ε)·f = ε·(w·H·f) = 0, as w is tangent and f in the fibre, so f's
-    canonical coordinates in T(ε) are its free entries k₀ (k₀·T₁ = 0).
-    ``hessian_rows`` gives each row of S(ε)·k₀ packed over the k+1
-    vectors, unit parts in C and slopes in T, and only what the checks
-    read is decoded.  The unit parts S₀·k₀ must vanish (else
-    ``DegeneratePivot``).  k₀ lifts to k₀ + ε·c₁, c₁ on the center
-    pivots P, with S₀·c₁ = −S₁·k₀ solved on the rows Q by the kept
-    S₀[Q, P]⁻¹; every other row holds too exactly when its slopes are
-    R·(S₁·k₀)[Q], one packed combination per row, or the first-order
-    system is not flat and there is no lift (``DegeneratePivot``).  The
-    B row is the ε part of (k₀ + ε·c₁)·(T₀ + ε·T₁), which is c₁·T₀.
-    """
-    frame = fiber.frame
-    p = fp.p
-    x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
-    jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring, reduced=False)
-    if piv != frame.tan_pivots:
-        raise DegeneratePivot("tangent pivots moved off the center's")
-    tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
-    betas = [[dring.lift(u) for u in row] for row in fiber.basis]
-    packed = hessian_rows(frame.gens, x_eps, tangent_eps, frame.tan_pivots,
-                          betas, dring)
-    ring2 = Dual2Fp(p, len(betas))
-    if any(any(ring2.slots(row[2])) for row in packed):
-        raise DegeneratePivot("first-order fibre system drifted off its "
-                              "center")
-    on_q = [packed[i] for i in fiber.sys_rows]
-    moved = ring2.combine(on_q, [(rel, None) for rel in fiber.sys_relation])
-    for i, want in zip(fiber.sys_outside, moved):
-        if any(ring2.slots(ring2.add(packed[i], ring2.neg(want))[3])):
-            raise DegeneratePivot("first-order fibre system is not flat: "
-                                  "no lift of a center kernel vector")
-    on_pivots = [frame.tangent[c] for c in fiber.sys_pivots]
-    bmat = []
-    for y in zip(*(ring2.slots(row[3]) for row in on_q)):
-        c1 = [-fp.dot(inv_row, y) % p for inv_row in fiber.sys_inverse]
-        bmat.append(vecmat(c1, on_pivots, fp))
-    return bmat
-
-
 def fiber_family_chart(fiber, fp, rng) -> FamilyChart:
     """Chart of the fibre family at ``fiber``: r transversal directions
     w_j and the corresponding first-order deformations of the fibre."""
     if fiber.k == 0:
         raise NotDegenerate("point fibres admit no focal geometry")
     frame = fiber.frame
-    dring = DualFp(fp.p)
     for _ in range(16):
         dirs = [random_combination(frame.tangent, fp, rng)
                 for _ in range(fiber.r)]
         if mat_rank(fiber.basis + dirs, fp) != fiber.k + 1 + fiber.r:
             continue
         try:
-            bmats = [_first_order_fiber(fiber, w, dring, fp) for w in dirs]
+            bmats = [first_order_fiber(fiber, w, fp) for w in dirs]
         except DegeneratePivot:
             continue
         return FamilyChart(fiber.basis, bmats, dirs)
@@ -595,7 +541,7 @@ def sing_containment(spec, fiber, form: ReducedForm, fp, rng,
         at = [list(col) for col in zip(*fiber.basis)]
         for w in witnesses:
             try:
-                tco, _ = solve_affine(at, w, fp)
+                tco = solve_affine(at, w, fp)
             except Infeasible as exc:
                 raise ContainmentFailed(
                     "a witness point lies outside the fibre") from exc

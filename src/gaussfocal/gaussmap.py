@@ -6,13 +6,18 @@ kernel of the Jacobian of a transversal subset of the generators.  The
 fibre through a point collects the tangent directions v with
 t^T H(g) v = 0 for every tangent t and every generator g of the subset;
 its correctness is then re-checked against the full generator list.
+The first-order fibre at x + εw, the B matrix of a focal chart, is
+solved here as well, by one packed combination with the solver matrix
+that the center fibre keeps.
 """
 
 from __future__ import annotations
 
 from .fieldcore import (
     Degeneracy,
+    DegeneratePivot,
     Dual2Fp,
+    DualFp,
     Fp,
     Violation,
     kernel_basis,
@@ -88,42 +93,39 @@ class GaussFiber:
     """Linear fibre through ``frame.x``: basis rows span it, ``k`` is its
     projective dimension and ``r = n - k`` the tangent-map rank.
 
-    It also keeps what the first-order fibres of a chart reuse: the
-    center fibre system ``system`` (S₀, over F_p), the pivot columns P
-    of its RREF (``sys_pivots``; ``basis = K₀·tangent`` for its
-    canonical kernel K₀, the k+1 vectors k₀), the rows Q of S₀
-    independent on P (``sys_rows``), the inverse of S₀[Q, P]
-    (``sys_inverse``), the other rows (``sys_outside``) and
-    R = S₀[out, P]·S₀[Q, P]⁻¹ (``sys_relation``): a chart solves
-    S₀·c = −S₁·k₀ with c on P as c[P] = −S₀[Q, P]⁻¹·(S₁·k₀)[Q], and the
-    other rows hold too exactly when (S₁·k₀)[out] = R·(S₁·k₀)[Q].
+    It also keeps what ``first_order_fiber`` solves with, from the center
+    fibre system S₀ over F_p: the pivot columns P of its RREF
+    (``sys_pivots``; ``basis = K₀·tangent`` for its canonical kernel K₀,
+    the k+1 vectors k₀), the rows Q of S₀ independent on P
+    (``sys_rows``), the other rows (``sys_outside``) and one solver
+    matrix (``sys_solver``): the rows of S₀[Q, P]⁻¹, then those of
+    R = S₀[out, P]·S₀[Q, P]⁻¹.  S₀·c = −y has a solution c on P exactly
+    when y[out] = R·y[Q], and then c[P] = −S₀[Q, P]⁻¹·y[Q].
     """
 
-    __slots__ = ("frame", "basis", "k", "r", "system", "sys_pivots",
-                 "sys_rows", "sys_inverse", "sys_outside", "sys_relation")
+    __slots__ = ("frame", "basis", "k", "r", "sys_pivots", "sys_rows",
+                 "sys_outside", "sys_solver")
 
-    def __init__(self, frame, basis, k, r, system, sys_pivots, sys_rows,
-                 sys_inverse, sys_outside, sys_relation):
+    def __init__(self, frame, basis, k, r, sys_pivots, sys_rows,
+                 sys_outside, sys_solver):
         self.frame = frame
         self.basis = basis
         self.k = k
         self.r = r
-        self.system = system
         self.sys_pivots = sys_pivots
         self.sys_rows = sys_rows
-        self.sys_inverse = sys_inverse
         self.sys_outside = sys_outside
-        self.sys_relation = sys_relation
+        self.sys_solver = sys_solver
 
 
 def hessian_rows(gens, x, tangent, pivots, vecs, ring):
     """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), over F_p
-    or F_p[d], each packed over the vectors v in ``vecs`` as one element
-    of ``Dual2Fp(p, len(vecs))``: the entry for v_j is its slope j.  One
-    Hessian sweep per g gives the images u = H_g(x)·v packed alike.  A
-    canonical kernel vector t_a is 1 at its free column f and otherwise on
-    the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]: one packed
-    combination per row, for every vector at once."""
+    or F_p[d], each packed over the F_p vectors v in ``vecs`` as one
+    element of ``Dual2Fp(p, len(vecs))``: the entry for v_j is its slope
+    j.  One Hessian sweep per g gives the images u = H_g(x)·v packed
+    alike.  A canonical kernel vector t_a is 1 at its free column f and
+    otherwise on the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]: one
+    packed combination per row, for every vector at once."""
     ring2 = Dual2Fp(ring.p, len(vecs))
     free = sorted(set(range(len(x))) - set(pivots))
     on_pivots = [[t[c] for c in pivots] for t in tangent]
@@ -161,20 +163,20 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
              for c in kernel_basis(rows, sys_pivots, len(tan), fp)]
     if not basis:
         raise FiberVerificationFailed("fibre lost the base point itself")
-    # one elimination of [S₀[:, P]ᵀ | I]: its pivots are the first rows Q
-    # of S₀ independent on P, and its right block E is S₀[Q, P]⁻ᵀ
+    # one elimination of [S₀[:, P]ᵀ | I] gives [E·S₀[:, P]ᵀ | E] with
+    # E = S₀[Q, P]⁻ᵀ for the rows Q it pivots on: its right block holds
+    # S₀[Q, P]⁻¹ and its left block Rᵀ at the columns outside Q
     rho, nrows = len(sys_pivots), len(system)
     ext, sys_rows = rref([[row[c] for row in system]
                           + [int(i == j) for j in range(rho)]
                           for i, c in enumerate(sys_pivots)], fp)
-    sys_inverse = [list(col) for col in zip(*(row[nrows:] for row in ext))]
     in_q = set(sys_rows)
     outside = [i for i in range(nrows) if i not in in_q]
-    relation = [vecmat([system[i][c] for c in sys_pivots], sys_inverse, fp)
-                for i in outside]
+    solver = [[row[c] for row in ext]
+              for c in [*range(nrows, nrows + rho), *outside]]
     k = len(basis) - 1
-    fiber = GaussFiber(frame, basis, k, frame.n - k, system, sys_pivots,
-                       sys_rows, sys_inverse, outside, relation)
+    fiber = GaussFiber(frame, basis, k, frame.n - k, sys_pivots, sys_rows,
+                       outside, solver)
     _verify_fiber(fiber, fp, rng, spec.generators)
     return fiber
 
@@ -200,6 +202,54 @@ def _verify_fiber(fiber, fp, rng, generators):
                 if fp.dot(row, t):
                     raise FiberVerificationFailed(
                         "tangent space moves along the fibre")
+
+
+def first_order_fiber(fiber, w, fp):
+    """B matrix of the fibre at x + εw, aligned with the center fibre.
+
+    The Jacobian's elimination over F_p[ε] runs the center's on its unit
+    parts, so its pivots must be the center's (else ``DegeneratePivot``),
+    and the tangent basis T(ε) = T₀ + ε·T₁ is the center's plus its
+    deformation.  Of the dual fibre system S₀ + ε·S₁ only
+    S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) is read, for the k+1 center kernel
+    vectors k₀, and k₀·T(ε) is the fibre basis row f = k₀·T₀:
+    J(ε)·f = ε·(w·H·f) = 0, as w is tangent and f in the fibre, so f's
+    canonical coordinates in T(ε) are its free entries k₀ (k₀·T₁ = 0).
+    ``hessian_rows`` gives each row of S(ε)·k₀ packed over the k+1
+    vectors, unit parts in C and slopes in T.  The unit parts S₀·k₀ must
+    vanish (else ``DegeneratePivot``).  k₀ lifts to k₀ + ε·c₁, c₁ on the
+    center pivots P, with S₀·c₁ = −S₁·k₀: one packed combination of the
+    rows Q by ``sys_solver`` gives −c₁[P] = S₀[Q, P]⁻¹·(S₁·k₀)[Q] and
+    R·(S₁·k₀)[Q], which every other row's slopes must equal, or the
+    first-order system is not flat and there is no lift
+    (``DegeneratePivot``).  The B row is the ε part of
+    (k₀ + ε·c₁)·(T₀ + ε·T₁), which is c₁·T₀.
+    """
+    frame = fiber.frame
+    p = fp.p
+    dring = DualFp(p)
+    x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
+    jac = [g.grad(x_eps, dring) for g in frame.gens]
+    rows, piv = rref(jac, dring, reduced=False)
+    if piv != frame.tan_pivots:
+        raise DegeneratePivot("tangent pivots moved off the center's")
+    tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
+    packed = hessian_rows(frame.gens, x_eps, tangent_eps, frame.tan_pivots,
+                          fiber.basis, dring)
+    ring2 = Dual2Fp(p, len(fiber.basis))
+    if any(any(ring2.slots(row[2])) for row in packed):
+        raise DegeneratePivot("first-order fibre system drifted off its "
+                              "center")
+    rho = len(fiber.sys_pivots)
+    solved = ring2.combine([packed[i] for i in fiber.sys_rows],
+                           [(row, None) for row in fiber.sys_solver])
+    for i, want in zip(fiber.sys_outside, solved[rho:]):
+        if any(ring2.slots(ring2.add(packed[i], ring2.neg(want))[3])):
+            raise DegeneratePivot("first-order fibre system is not flat: "
+                                  "no lift of a center kernel vector")
+    on_pivots = [frame.tangent[c] for c in fiber.sys_pivots]
+    return [vecmat([-v % p for v in y], on_pivots, fp)
+            for y in zip(*(ring2.slots(row[3]) for row in solved[:rho]))]
 
 
 def fiber_codim_data(spec, dim_x: int, fp, rng):

@@ -213,25 +213,22 @@ class PolyProgram:
         return out
 
     def hess_vec(self, x, vs, ring):
-        """Hessian-vector products H(x)·v for v in vs, exact over F_p or
-        over F_p[d], packed over the vectors.
+        """Hessian-vector products H(x)·v for the vectors v in vs over
+        F_p, at a point x over F_p or over F_p[d], packed over the
+        vectors.
 
         One gradient sweep over F_p[d][e_1..e_m] (``Dual2Fp(p, len(vs))``)
         at x + Σ_j v_j·e_j gives them all, and it is returned as it is:
         entry i of (H(x)·v_j) is slope j of gradient entry i, its unit
         part in slot j of C and its d-part in slot j of T.  Over F_p the
-        point and the vectors enter with zero d-parts, so T is 0 and each
-        product is the unit part of its slope.
+        point enters with zero d-part, so T is 0 and each product is the
+        unit part of its slope.
         """
         ring2 = Dual2Fp(ring.p, len(vs))
         if isinstance(ring, Fp):
-            pt = [ring2.encode((xi, 0), [v[i] for v in vs])
-                  for i, xi in enumerate(x)]
-        else:
-            pt = [ring2.encode(xi, [v[i][0] for v in vs],
-                               [v[i][1] for v in vs])
-                  for i, xi in enumerate(x)]
-        return self.grad(pt, ring2)
+            x = [(xi, 0) for xi in x]
+        return self.grad([ring2.encode(xi, [v[i] for v in vs])
+                          for i, xi in enumerate(x)], ring2)
 
 
 # --- determinant / Pfaffian value kernels -------------------------------------

@@ -521,8 +521,26 @@ def test_hyperband_wrong_predictor_fails_containment(monkeypatch):
     records, failures = run_experiment(ExperimentConfig(
         "hyperband", prime=P, trials=1, seed=5))
     assert records[0]["sing_containment"] == "Fail"
-    assert ("hyperband: computed focus differs from the marked surface "
-            "point") in failures
+    assert (f"computed focus differs from the marked surface point "
+            f"(experiment hyperband, prime {P}, trial 0, stage containment "
+            f"and focus)") in failures
+
+
+def test_expectation_mismatch_names_prime_trial_and_stage(monkeypatch,
+                                                          capsys):
+    # record checks run as the trial's last stage, and a problem line ends
+    # like an exit-2/3 message, with where the run stood
+    def wrong_mu(name, m):
+        return dict(expectation_for(name, m), mu=2)
+
+    monkeypatch.setattr("gaussfocal.cli.expectation_for", wrong_mu)
+    argv = ["run", "severi-2", "--trials", "2", "--prime", str(P)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.endswith("verdict: FAIL (2 problems)\n")
+    assert captured.err == "".join(
+        f"problem: mu = 1, expected 2 (experiment severi-2, prime {P}, "
+        f"trial {t}, stage record)\n" for t in range(2))
 
 
 def test_fibre_judge_skips_a_trial_without_a_form_and_draws_nothing():

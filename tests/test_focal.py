@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from gaussfocal import focal
+from gaussfocal import gaussmap
 from gaussfocal.cli import parse_expression
 from gaussfocal.fieldcore import (
     DegeneratePivot,
@@ -35,7 +35,6 @@ from gaussfocal.focal import (
     NonVanishingTransversalComponent,
     NotDegenerate,
     ReducedForm,
-    _first_order_fiber,
     _pencil_form,
     _pencil_slices,
     _proportional,
@@ -59,6 +58,8 @@ from gaussfocal.gaussmap import (
     FiberVerificationFailed,
     SingularSamplePoint,
     fiber_codim_data,
+    fiber_system,
+    first_order_fiber,
     gauss_fiber,
     tangent_space,
 )
@@ -104,10 +105,17 @@ def judged(spec, fib, pt, rng, rep):
                             witnesses=pt.witnesses)
 
 
+def center_system(fib, fp):
+    """The center fibre system S₀ of ``fib``, built again over F_p."""
+    frame = fib.frame
+    return fiber_system(frame.gens, frame.x, frame.tangent,
+                        frame.tan_pivots, fp)
+
+
 def coeff_kernel(fib, fp):
     """The k+1 center kernel vectors k₀ of the fibre system, with
     ``fib.basis = K₀·tangent``."""
-    rows, piv = rref(fib.system, fp, reduced=False)
+    rows, piv = rref(center_system(fib, fp), fp, reduced=False)
     return kernel_basis(rows, piv, len(fib.frame.tangent), fp)
 
 
@@ -193,12 +201,22 @@ def _packed(cols, units, p):
             for unit, row in zip(units, zip(*cols))]
 
 
-def _dense_system(gens, x, tangent, ring):
-    """Every t_a·(H·t_b), both triangles, as dots over all coordinates."""
+def _dense_system(gens, x_eps, tangent_eps, dring):
+    """Every t_a·(H(ε)·t_b), both triangles, as dots over all coordinates.
+    ``hess_vec`` takes vectors over F_p, so each image is built as
+    H(ε)·(t₀ + ε·t₁) = H(ε)·t₀ + ε·H₀·t₁."""
+    p, count = dring.p, len(tangent_eps)
+    x0 = [u for u, _ in x_eps]
+    t0 = [[u for u, _ in t] for t in tangent_eps]
+    t1 = [[s for _, s in t] for t in tangent_eps]
     rows = []
     for g in gens:
-        images = _columns(g.hess_vec(x, tangent, ring), len(tangent), ring.p)
-        rows += [[ring.dot(ta, img) for img in images] for ta in tangent]
+        moving = _columns(g.hess_vec(x_eps, t0, dring), count, p)
+        still = _columns(g.hess_vec(x0, t1, Fp(p)), count, p)
+        images = [[(u, (s + h) % p) for (u, s), (h, _) in zip(*pair)]
+                  for pair in zip(moving, still)]
+        rows += [[dring.dot(ta, img) for img in images]
+                 for ta in tangent_eps]
     return rows
 
 
@@ -249,7 +267,7 @@ def test_first_order_fiber_matches_dual_rref_oracle(shape, rb, dim, p):
             sys_rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
             want = _outcome(_first_order_by_dual_rref, fib, tangent_eps,
                             sys_rows, dring)
-            assert _outcome(_first_order_fiber, fib, w, dring, fp) == want
+            assert _outcome(first_order_fiber, fib, w, fp) == want
             compared += want is not DegeneratePivot
     assert compared >= 9
 
@@ -258,12 +276,11 @@ def test_first_order_tangent_off_the_center_pivots_is_rejected():
     # the dual Jacobian's unit part is the center Jacobian, so its pivots
     # are the center's; a frame that records others is refused
     pt, frame, fib, rng = _sym3_fiber(141)
-    dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
-    assert len(_first_order_fiber(fib, w, dring, FP)) == fib.k + 1
+    assert len(first_order_fiber(fib, w, FP)) == fib.k + 1
     frame.tan_pivots = frame.tan_pivots[:-1] + [frame.tan_pivots[-1] + 1]
     with pytest.raises(DegeneratePivot, match="tangent pivots"):
-        _first_order_fiber(fib, w, dring, FP)
+        first_order_fiber(fib, w, FP)
 
 
 def _times_kernel(rows, fiber, dring, fp):
@@ -280,13 +297,13 @@ def _times_kernel(rows, fiber, dring, fp):
 ])
 def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
                                                        rb, dim, p):
-    # the columns _first_order_fiber reads, packed over the center kernel
+    # the columns first_order_fiber reads, packed over the center kernel
     # vectors, are the dense dual system times each of them, and each
-    # generator's Hessian sweep carries the k+1 vectors β, not the n+1
-    # tangent vectors
+    # generator's Hessian sweep carries the k+1 fibre basis rows, not the
+    # n+1 tangent vectors
     fp, dring = Fp(p), DualFp(p)
     spec = rank_locus_spec(shape, rb)
-    real_rows, real_hess = focal.hessian_rows, PolyProgram.hess_vec
+    real_rows, real_hess = gaussmap.hessian_rows, PolyProgram.hess_vec
     seen, widths = [], []
 
     def recorded_cols(*args):
@@ -313,9 +330,9 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
             seen.clear()
             widths.clear()
             with monkeypatch.context() as mp:
-                mp.setattr("gaussfocal.focal.hessian_rows", recorded_cols)
+                mp.setattr("gaussfocal.gaussmap.hessian_rows", recorded_cols)
                 mp.setattr(PolyProgram, "hess_vec", recorded_hess)
-                _outcome(_first_order_fiber, fib, w, dring, fp)
+                _outcome(first_order_fiber, fib, w, fp)
             assert widths == [fib.k + 1] * len(frame.gens)
             x_eps, tangent_eps = _dual_tangent(fib, w, dring)
             # k₀·T(ε) is the fibre basis row itself: k₀·T₁ = 0
@@ -345,10 +362,10 @@ def _bump(col, i, part):
 
 
 def _scripted_columns(monkeypatch, edit):
-    """Pass every S(ε)·k₀ column set that ``_first_order_fiber`` computes
+    """Pass every S(ε)·k₀ column set that ``first_order_fiber`` computes
     through ``edit(cols, call)``, call counting from 1, decoded from the
     packed rows and encoded back; returns the list of calls."""
-    real = focal.hessian_rows
+    real = gaussmap.hessian_rows
     calls = []
 
     def scripted(*args):
@@ -359,7 +376,7 @@ def _scripted_columns(monkeypatch, edit):
         edit(cols, calls[-1])
         return _packed(cols, [row[:2] for row in packed], p)
 
-    monkeypatch.setattr("gaussfocal.focal.hessian_rows", scripted)
+    monkeypatch.setattr("gaussfocal.gaussmap.hessian_rows", scripted)
     return calls
 
 
@@ -372,12 +389,11 @@ def test_first_order_unit_part_off_the_center_system_is_rejected(monkeypatch):
     # S₀·k₀ = 0 for every center kernel vector: a unit part off zero means
     # the first-order system drifted off its center
     pt, frame, fib, rng = _sym3_fiber(141)
-    dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
     _scripted_columns(monkeypatch, lambda cols, call: _bump(cols[-1], -1,
                                                             "unit"))
     with pytest.raises(DegeneratePivot, match="drifted"):
-        _first_order_fiber(fib, w, dring, FP)
+        first_order_fiber(fib, w, FP)
 
 
 def _non_flat_bump(fib, inside_q):
@@ -385,7 +401,7 @@ def _non_flat_bump(fib, inside_q):
     column f such that adding ε at (i, f) puts S₁·k₀ outside the column
     span of S₀ for the kernel vector k₀ that is 1 at f: e_i pairs
     nonzero with a left-kernel vector of S₀."""
-    cols = [list(col) for col in zip(*fib.system)]
+    cols = [list(col) for col in zip(*center_system(fib, FP))]
     left = kernel_basis(*rref(cols, FP, reduced=False), len(cols[0]), FP)
     i = next(i for vec in left for i, v in enumerate(vec)
              if v and (i in fib.sys_rows) == inside_q)
@@ -419,11 +435,11 @@ def test_non_flat_first_order_system_is_rejected(monkeypatch):
         with monkeypatch.context() as mp:
             _scripted_columns(mp, bump_slope)
             with pytest.raises(DegeneratePivot, match="not flat"):
-                _first_order_fiber(fib, w, dring, FP)
+                first_order_fiber(fib, w, FP)
         # the column bump is the dense bump at (i, f) times the kernel
         assert seen == [_times_kernel(rows, fib, dring, FP)]
     # unbumped, the same direction lifts
-    assert len(_first_order_fiber(fib, w, dring, FP)) == fib.k + 1
+    assert len(first_order_fiber(fib, w, FP)) == fib.k + 1
 
 
 @pytest.mark.parametrize("defect", ["unit", "slope"])
@@ -941,7 +957,7 @@ def _char_matrix_framed(chart, fp):
     entries = [[[0] * k1 for _ in range(r)] for _ in range(r)]
     for j, bmat in enumerate(chart.bmats):
         for i, row in enumerate(bmat):
-            coeffs, _ = solve_affine(stacked_t, row, fp)
+            coeffs = solve_affine(stacked_t, row, fp)
             for l in range(r):
                 entries[j][l][i] = coeffs[k1 + l]
     return CharMatrix(entries, chart.k)

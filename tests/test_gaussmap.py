@@ -12,6 +12,7 @@ from gaussfocal.fieldcore import (
     mat_rank,
     random_combination,
     rref,
+    vecmat,
 )
 from gaussfocal.gaussmap import (
     NoCodimension,
@@ -20,6 +21,7 @@ from gaussfocal.gaussmap import (
     TangentFrame,
     fiber_codim_data,
     fiber_system,
+    first_order_fiber,
     gauss_fiber,
     hessian_rows,
     tangent_space,
@@ -185,10 +187,10 @@ def _unpacked(packed, count, ring):
 
 def test_fiber_system_over_dual_ring_matches_per_vector_images():
     # the dual-ring fibre system is only ever read through the chart's
-    # S(ε)·k₀ columns: each image H(x)·β on its own, the gradient over
-    # F_p[d, e] at x_i + β_i·e, read off its e-slope; then every entry
-    # t_a·H·β as a plain dot over a canonical dual tangent basis.  Its
-    # unit parts over F_p are the center fibre system.
+    # S(ε)·k₀ columns: each image H(x)·β for β over F_p on its own, the
+    # gradient over F_p[d, e] at x_i + β_i·e, read off its e-slope; then
+    # every entry t_a·H·β as a plain dot over a canonical dual tangent
+    # basis.  Its unit parts over F_p are the center fibre system.
     ring, flat = DualFp(P), Dual2Fp(P, 1)
     rng = Rng(97)
     gens = (rank_locus_spec(MatrixShape.skew(8), 6).generators[:2]
@@ -207,8 +209,7 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
         for g in gens:
             images = []
             for v in vecs:
-                grad = g.grad([flat.encode(lift(xi), lift(vi)[:1],
-                                           lift(vi)[1:])
+                grad = g.grad([flat.encode(lift(xi), [vi])
                                for xi, vi in zip(x, v)], flat)
                 slopes = [flat.decode(gi)[1:] for gi in grad]
                 images.append([cs[0] if over_fp else (cs[0], ts[0])
@@ -216,7 +217,7 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
             out += [[ring.dot(ta, img) for img in images] for ta in tangent]
         return out
 
-    betas = [[elem() for _ in range(arity)] for _ in range(3)]
+    betas = [[rng.field(P) for _ in range(arity)] for _ in range(3)]
     assert _unpacked(hessian_rows(gens, x, tangent, piv, betas, ring), 3,
                      ring) == per_vector(x, tangent, betas, ring)
     x0, t0 = [u for u, _ in x], [[u for u, _ in t] for t in tangent]
@@ -263,9 +264,53 @@ def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
     tangent = kernel_basis(rows, piv, len(frame.x), dring)
     tangent[0][pc] = dring.zero
     tangent[1][pc] = (0, tangent[1][pc][1] or 1)
-    betas = [[dring.make(rng.field(P), rng.field(P)) for _ in frame.x]
-             for _ in range(3)]
+    betas = [[rng.field(P) for _ in frame.x] for _ in range(3)]
     assert _unpacked(hessian_rows(frame.gens, x_eps, tangent,
                                   frame.tan_pivots, betas, dring), 3,
                      dring) == \
         _dense_block_dots(frame.gens, x_eps, tangent, betas, dring)
+
+
+@pytest.mark.parametrize("shape,rb,dim", [
+    (MatrixShape.symmetric(3), 2, 4),
+    (MatrixShape.skew(8), 6, 26),     # Pfaffian nodes
+])
+def test_solver_matrix_inverts_the_center_system_and_lifts_the_fibre(
+        shape, rb, dim):
+    # sys_solver's first ρ rows are S₀[Q, P]⁻¹ and its other rows R, with
+    # R·S₀[Q, P] = S₀[out, P], against the fibre system built densely; the
+    # one packed solve by it gives the B matrix of the dual-rref oracle
+    from test_focal import (_dense_system, _dual_tangent,
+                            _first_order_by_dual_rref)
+
+    spec = rank_locus_spec(shape, rb)
+    rng = Rng(31)
+    pt = spec.sampler(rng, FP)
+    frame = tangent_space(spec, pt.coords, FP, expected_dim=dim)
+    fib = gauss_fiber(spec, frame, FP, rng)
+    system = fiber_system(frame.gens, frame.x, frame.tangent,
+                          frame.tan_pivots, FP)
+    rho = len(fib.sys_pivots)
+    assert rho == fib.r
+    assert sorted(fib.sys_rows + fib.sys_outside) == list(range(len(system)))
+    assert len(fib.sys_solver) == len(system)
+
+    def on_p(rows):
+        return [[system[i][c] for c in fib.sys_pivots] for i in rows]
+
+    def times(a, b):
+        return [vecmat(row, b, FP) for row in a]
+
+    square = on_p(fib.sys_rows)
+    inverse, relation = fib.sys_solver[:rho], fib.sys_solver[rho:]
+    identity = [[int(i == j) for j in range(rho)] for i in range(rho)]
+    assert times(inverse, square) == identity
+    assert times(square, inverse) == identity
+    assert times(relation, square) == on_p(fib.sys_outside)
+    dring = DualFp(P)
+    for _ in range(3):
+        w = random_combination(frame.tangent, FP, rng)
+        x_eps, tangent_eps = _dual_tangent(fib, w, dring)
+        rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
+        assert first_order_fiber(fib, w, FP) == \
+            _first_order_by_dual_rref(fib, tangent_eps, rows, dring)

@@ -444,19 +444,20 @@ def test_hess_vec():
 
 @pytest.mark.parametrize("rank_bound", [4, 6])
 def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
-    # hess_vec over F_p[d]: the gradient over F_p[d, e] at x + e·v, built
-    # here the long way (lift, scale by e, add) and sliced to its e-slope.
-    # A 6×6 sub-Pfaffian is cubic, where H(x)·v = H(v)·x; the 8×8 one is
-    # quartic and tells x and v apart.
+    # hess_vec at a point over F_p[d], of a vector over F_p: the gradient
+    # over F_p[d, e] at x + e·v, built here the long way (lift, scale by
+    # e, add) and sliced to its e-slope.  A 6×6 sub-Pfaffian is cubic,
+    # where H(x)·v = H(v)·x; the 8×8 one is quartic and tells x and v
+    # apart.
     gen = rank_locus_spec(MatrixShape.skew(8), rank_bound).generators[0]
     p = (1 << 61) - 1
     ring, dring = DualFp(p), Dual2Fp(p, 1)
     rng = Rng(79)
     for _ in range(3):
         x = [_random_element(ring, rng) for _ in range(gen.arity)]
-        v = [_random_element(ring, rng) for _ in range(gen.arity)]
-        pt = [dring.add(_dual_embed(ring, xi),
-                        dring.mul(_dual_eps(ring), _dual_embed(ring, vi)))
+        v = [rng.field(p) for _ in range(gen.arity)]
+        pt = [dring.add(_dual_embed(ring, xi), dring.mul(
+            _dual_eps(ring), _dual_embed(ring, ring.lift(vi))))
               for xi, vi in zip(x, v)]
         want = [_dual_slope(ring, gi) for gi in gen.grad(pt, dring)]
         got = _products(gen.hess_vec(x, [v], ring), ring, 1)[0]
@@ -464,7 +465,7 @@ def test_hess_vec_over_dual_ring_matches_embedded_gradient(rank_bound):
         # unit parts: the Hessian at the unit point, over F_p
         fp = Fp(p)
         assert [u for u, _ in got] == _products(gen.hess_vec(
-            [u for u, _ in x], [[u for u, _ in v]], fp), fp, 1)[0]
+            [u for u, _ in x], [v], fp), fp, 1)[0]
 
 
 def test_hess_vec_linear_is_zero():
@@ -474,15 +475,15 @@ def test_hess_vec_linear_is_zero():
 
 
 def _hess_vec_oracle(prog, x, v, ring):
-    """H(x)·v, one vector at a time: the e-slope of the gradient at
+    """H(x)·v for one vector v over F_p: the e-slope of the gradient at
     x + e·v.  Over F_p that is one sweep over F_p[e]; over F_p[d] one
     over F_p[d, e], with the point built the long way (lift, scale by e,
     add)."""
     if isinstance(ring, Fp):
         return [gi[1] for gi in prog.grad(list(zip(x, v)), DualFp(ring.p))]
     dring = Dual2Fp(ring.p, 1)
-    pt = [dring.add(_dual_embed(ring, xi),
-                    dring.mul(_dual_eps(ring), _dual_embed(ring, vi)))
+    pt = [dring.add(_dual_embed(ring, xi), dring.mul(
+        _dual_eps(ring), _dual_embed(ring, ring.lift(vi))))
           for xi, vi in zip(x, v)]
     return [_dual_slope(ring, gi) for gi in prog.grad(pt, dring)]
 
@@ -515,7 +516,7 @@ def test_batched_hess_vec_matches_per_vector_oracle(prog, ring):
     rng = Rng(83)
     for count in (1, prog.arity):
         x = [_random_element(ring, rng) for _ in range(prog.arity)]
-        vs = [[_random_element(ring, rng) for _ in range(prog.arity)]
+        vs = [[rng.field(ring.p) for _ in range(prog.arity)]
               for _ in range(count)]
         got = _products(prog.hess_vec(x, vs, ring), ring, count)
         assert got == [_hess_vec_oracle(prog, x, v, ring) for v in vs]
@@ -542,7 +543,7 @@ def test_hess_vec_of_a_degree_nine_product_at_a_word_size_prime():
     for ring in (Fp(p), DualFp(p)):
         for count in (1, 5, 16):
             x = [_random_element(ring, rng) for _ in range(3)]
-            vs = [[_random_element(ring, rng) for _ in range(3)]
+            vs = [[rng.field(p) for _ in range(3)]
                   for _ in range(count)]
             with patch.object(Dual2Fp, "_reduced", counted):
                 got = _products(prog.hess_vec(x, vs, ring), ring, count)
