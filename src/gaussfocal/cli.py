@@ -101,7 +101,8 @@ class ArityError(InputError):
 # most MAX_TERMS of them.  Spec files are bounded too: ambient dimension
 # MAX_AMBIENT_DIM, and MAX_GENERATORS minors, sub-Pfaffians or singular
 # generators.  Every preset fits: the largest, scorza-sy-skew m=5, has 924
-# sub-Pfaffians in 66 coordinates.  A run is bounded by MAX_TRIALS trials per prime and
+# sub-Pfaffians in 66 coordinates.  A spec file is read only up to
+# MAX_SPEC_BYTES bytes.  A run is bounded by MAX_TRIALS trials per prime and
 # MAX_LINES profile lines.
 
 MAX_DEGREE = 64
@@ -111,6 +112,7 @@ MAX_AMBIENT_DIM = 128
 MAX_GENERATORS = 2_000
 MAX_TRIALS = 1_000
 MAX_LINES = 1_000
+MAX_SPEC_BYTES = 1 << 20
 
 
 def _tokenize(src):
@@ -271,13 +273,6 @@ def homogeneous_degree(poly: SparsePoly):
 # --- spec files -----------------------------------------------------------------
 
 
-_SHAPES = {
-    "symmetric": lambda rows, cols: MatrixShape.symmetric(rows),
-    "generic": MatrixShape.generic,
-    "skew": lambda rows, cols: MatrixShape.skew(rows),
-}
-
-
 def generator_count(shape, rank_bound):
     """How many minors (or sub-Pfaffians, skew) ``rank_locus_generators``
     builds for this shape and rank bound, counted without building any."""
@@ -330,7 +325,13 @@ def parse_spec_file(path) -> VarietySpec:
     homogeneous hypersurface with optional singular-locus generators."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        with p.open("rb") as handle:
+            raw = handle.read(MAX_SPEC_BYTES + 1)
+        if len(raw) > MAX_SPEC_BYTES:
+            raise InputError(f"size of spec file {path} exceeds the limit "
+                             f"{MAX_SPEC_BYTES}")
+        # newlines read as in text mode, so JSON error positions hold
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
     try:
@@ -354,7 +355,7 @@ def parse_spec_file(path) -> VarietySpec:
         if not isinstance(desc, dict):
             raise InputError("'matrix' must be a JSON object")
         kind = desc.get("shape")
-        if kind not in _SHAPES:
+        if kind not in ("symmetric", "generic", "skew"):
             raise InputError(f"unknown matrix shape {kind!r} "
                              "(use symmetric, generic or skew)")
         rows, cols = desc.get("rows"), desc.get("cols", desc.get("rows"))
@@ -370,7 +371,7 @@ def parse_spec_file(path) -> VarietySpec:
         if kind == "skew" and rb % 2:
             raise InputError("skew matrices have even rank; "
                              "use an even rank_bound")
-        shape = _SHAPES[kind](rows, cols)
+        shape = MatrixShape(kind, rows, cols)
         # the coordinate bound first keeps the binomials small
         _bound("ambient dimension", shape.ambient_dim, MAX_AMBIENT_DIM)
         _bound("generator count", generator_count(shape, rb), MAX_GENERATORS)
@@ -392,9 +393,7 @@ def parse_spec_file(path) -> VarietySpec:
             "explicit specs support exactly one generator (a hypersurface); "
             "multi-generator varieties have no general point sampler — "
             "use the matrix form for rank loci")
-    polys = [_parsed_generator(g, nvars, f"generator {i}")
-             for i, g in enumerate(gens)]
-    progs = [q.compile() for q in polys]
+    prog = _parsed_generator(gens[0], nvars, "generator 0").compile()
     singular = None
     if "singular_generators" in data:
         sg = data["singular_generators"]
@@ -405,8 +404,8 @@ def parse_spec_file(path) -> VarietySpec:
                   .compile() for i, g in enumerate(sg)]
         singular = VarietySpec(p.stem + "-singular", ambient, sprogs,
                                None, None)
-    return VarietySpec(p.stem, ambient, progs, singular,
-                       _pencil_sampler(progs[0]))
+    return VarietySpec(p.stem, ambient, [prog], singular,
+                       _pencil_sampler(prog))
 
 
 # --- experiment registry --------------------------------------------------------
@@ -905,20 +904,18 @@ def main(argv=None) -> int:
         if ns.command is None:
             raise InputError("pick a command: run, custom or sweep")
         if ns.command == "sweep":
-            records, failures = [], []
-            for name, m in sweep_labels(_config_from_args(ns).features):
-                cfg = _config_from_args(ns, experiment=name, m=m)
-                recs, fails = run_experiment(cfg)
-                records += recs
-                failures += fails
-            records.sort(key=lambda rec: (rec["experiment"], rec["prime"],
-                                          rec["trial"]))
-        elif ns.command == "custom":
-            cfg = _config_from_args(ns, spec_path=ns.spec)
-            records, failures = run_experiment(cfg)
+            runs = [(name, m, None) for name, m
+                    in sweep_labels(_config_from_args(ns).features)]
         else:
-            cfg = _config_from_args(ns, experiment=ns.experiment, m=ns.m)
-            records, failures = run_experiment(cfg)
+            opts = vars(ns)
+            runs = [(opts.get("experiment"), opts.get("m"), opts.get("spec"))]
+        records, failures = [], []
+        for run in runs:
+            recs, fails = run_experiment(_config_from_args(ns, *run))
+            records += recs
+            failures += fails
+        records.sort(key=lambda rec: (rec["experiment"], rec["prime"],
+                                      rec["trial"]))
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

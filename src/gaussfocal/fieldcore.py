@@ -11,7 +11,8 @@ keeps its m slopes packed, unreduced, in the slots of two integers, so
 that its arithmetic works on whole integers.  The ring objects below
 hold only the modulus and their constants and expose the operations, so
 vectors and matrices stay ordinary lists and the hot loops avoid
-per-element object overhead.
+per-element object overhead.  ``dual_partials``, the one dual-number
+Jacobian, runs a function once per coordinate over F_p[eps].
 
 Each ring also carries its own vector kernels, ``dot(u, v)`` and, on
 the two rings that eliminate, ``axpy(a, x, y)`` (a·x + y); they
@@ -257,13 +258,16 @@ class Dual2Fp:
     S_j·B) e_j is six products of a residue by a packed integer, and
     ``add``, ``neg`` and ``dot`` work on whole integers too (Kronecker
     substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
-    §8.4).  With w = 4·bits(p) + 8, an operation reduces its operands'
-    slots mod p only when its bound would leave (−2^(w−1), 2^(w−1)).  An
-    exact zero keeps bound 0, so it stays ``zero``.  A sweep over this
-    ring carries m first-order deformations of an F_p[d] computation at
-    once: its gradient gives m Hessian-vector products, which is all it
-    is for (no inverse, no ``axpy``).  ``encode`` and ``decode`` convert
-    from and to residues; m = 1 is F_p[d, e]/(d^2, e^2).
+    §8.4).  With w = 4·bits(p) + 8 there is one overflow rule: an
+    operation whose bound would leave (−2^(w−1), 2^(w−1)) reduces its
+    operands' slots mod p, once, and runs again.  Reduced operands bound
+    a length-n ``dot`` by 4n·p² and a ``combine`` by 2n·p², both below
+    2^(w−1) for n < 2^(2·bits(p)+5).  An exact zero keeps bound 0, so it
+    stays ``zero``.  A sweep over this ring carries m first-order
+    deformations of an F_p[d] computation at once: its gradient gives m
+    Hessian-vector products, which is all it is for (no inverse, no
+    ``axpy``).  ``encode`` and ``decode`` convert from and to residues;
+    m = 1 is F_p[d, e]/(d^2, e^2).
     """
 
     __slots__ = ("p", "m", "zero", "one", "_limit", "_mask", "_shifts",
@@ -342,11 +346,9 @@ class Dual2Fp:
             c += a0 * bc + b0 * ac
             t += a0 * bt + a1 * bc + b0 * at + b1 * ac
             bound += (a0 + a1) * bb + (b0 + b1) * ba
-        if bound >= self._limit:  # term by term, each reducing as it must
-            acc = self.zero
-            for a, b in zip(u, v):
-                acc = self.add(acc, self.mul(a, b))
-            return acc
+        if bound >= self._limit:  # the overflow rule: reduce, run again
+            return self.dot(list(map(self._reduced, u)),
+                            list(map(self._reduced, v)))
         p = self.p
         return (s0 % p, s1 % p, c, t, bound)
 
@@ -355,26 +357,31 @@ class Dual2Fp:
         pair (t0, t1) of residue rows in ``coefs``: a_i = t0[i] + t1[i]·d,
         or a_i = t0[i] in F_p when t1 is None.  This is ``dot`` with the
         coefficients lifted, one sum per packed part; when a pair's bound
-        leaves the slot range, every element is reduced, once for all."""
+        leaves the slot range, every element is reduced, once for all, as
+        the one overflow rule says."""
         out = []
         _, _, cs, ts, bs = zip(*elems) if elems else ((),) * 5
         for t0, t1 in coefs:
             scale = t0 if t1 is None else list(map(_add, t0, t1))
             bound = sum(map(_mul, scale, bs))
-            if bound >= self._limit and max(bs) >= self.p:
-                elems = [self._reduced(e) for e in elems]
+            if bound >= self._limit:
+                elems = list(map(self._reduced, elems))
                 _, _, cs, ts, bs = zip(*elems)
                 bound = sum(map(_mul, scale, bs))
-            if bound >= self._limit:  # term by term, each reducing as it must
-                whole = self.dot([(a, b, 0, 0, 0) for a, b in
-                                  zip(t0, t1 or [0] * len(t0))], elems)
-                out.append((0, 0, *whole[2:]))
-                continue
             c, t = sum(map(_mul, t0, cs)), sum(map(_mul, t0, ts))
             if t1 is not None:
                 t += sum(map(_mul, t1, cs))
             out.append((0, 0, c, t, bound))
         return out
+
+
+def dual_partials(func, point, p):
+    """``func(point + eps·e_i, F_p[eps])`` for each coordinate i in turn:
+    its unit parts are func at ``point``, its slopes the partials in x_i."""
+    ring = DualFp(p)
+    for i in range(len(point)):
+        yield func([ring.make(v, 1 if t == i else 0)
+                    for t, v in enumerate(point)], ring)
 
 
 # --- vectors and matrices ---------------------------------------------------

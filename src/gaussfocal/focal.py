@@ -36,10 +36,10 @@ from math import comb
 from .fieldcore import (
     Degeneracy,
     DegeneratePivot,
-    DualFp,
     Infeasible,
     Violation,
     charpoly,
+    dual_partials,
     mat_rank,
     newton_divided,
     newton_to_power,
@@ -133,14 +133,9 @@ def fiber_family_chart(fiber, fp, rng) -> FamilyChart:
 def hyperband_chart(fam, fp) -> FamilyChart:
     """Chart of an explicitly parametrized line family: differentiate the
     2×(N+1) chart matrix in each parameter with dual numbers."""
-    dring = DualFp(fp.p)
-    center = list(fam.center)
-    basis = fam.chart_matrix(center, fp)
+    basis = fam.chart_matrix(fam.center, fp)
     bmats = []
-    for j in range(len(center)):
-        params = [dring.make(v, 1 if i == j else 0)
-                  for i, v in enumerate(center)]
-        dual_rows = fam.chart_matrix(params, dring)
+    for dual_rows in dual_partials(fam.chart_matrix, fam.center, fp.p):
         if [[u for u, _ in row] for row in dual_rows] != basis:
             raise ChartFailed("family chart drifted at its own center")
         bmats.append([[s for _, s in row] for row in dual_rows])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .fieldcore import Degeneracy, DualFp, mat_rank
+from .fieldcore import Degeneracy, dual_partials, mat_rank
 from .mpoly import ProgramBuilder, SparsePoly, line_zeros, restrict_to_line
 
 
@@ -276,13 +276,9 @@ def hyperband_family(rng, fp) -> HyperbandFamily:
 
 def _map_jacobian_rank(func, arity, fp, rng):
     """Rank of the Jacobian of  func: F_p^arity -> F_p^out  at a random point."""
-    ring = DualFp(fp.p)
     base = [rng.field(fp.p) for _ in range(arity)]
-    rows = []
-    for i in range(arity):
-        pt = [ring.make(v, 1 if t == i else 0) for t, v in enumerate(base)]
-        rows.append([s for _, s in func(pt, ring)])
-    return mat_rank(rows, fp)
+    return mat_rank([[s for _, s in out]
+                     for out in dual_partials(func, base, fp.p)], fp)
 
 
 def hyperband_dims(fam: HyperbandFamily, fp, rng):

@@ -5,6 +5,9 @@ import io
 import json
 import os
 import pkgutil
+import resource
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
@@ -29,6 +32,7 @@ from gaussfocal.cli import (
     MAX_GENERATORS,
     MAX_LINES,
     MAX_PAREN_DEPTH,
+    MAX_SPEC_BYTES,
     MAX_TERMS,
     MAX_TRIALS,
     InputError,
@@ -447,6 +451,36 @@ def test_input_errors_exit_4(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _cap_address_space():
+    limit = 1 << 30  # 1 GiB: a spec read whole would die, not swap
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_oversize_spec_files_exit_4_without_being_read_whole(tmp_path):
+    # a valid spec padded one byte past the limit, and an endless file;
+    # the command runs in a child process under an address-space cap, so
+    # a reader that grows without bound shows as a traceback here
+    spec = json.dumps({"ambient_dim": 3, "generators": ["x0*x3 - x1*x2"]})
+    big = tmp_path / "big.json"
+    big.write_text(spec + " " * (MAX_SPEC_BYTES + 1 - len(spec)))
+    src = os.path.dirname(os.path.dirname(gaussfocal.__file__))
+    entry = "import sys; from gaussfocal.cli import main; sys.exit(main())"
+    paths = [str(big)] + [p for p in ["/dev/zero"] if os.path.exists(p)]
+    for path in paths:
+        run = subprocess.run(
+            [sys.executable, "-c", entry, "custom", "--spec", path],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=20, preexec_fn=_cap_address_space)
+        assert run.returncode == 4
+        assert run.stdout == "" and "Traceback" not in run.stderr
+        assert run.stderr.splitlines() == [
+            f"error: size of spec file {path} exceeds the limit "
+            f"{MAX_SPEC_BYTES}"]
+    # one byte less, and it is read
+    big.write_text(spec + " " * (MAX_SPEC_BYTES - len(spec)))
+    assert parse_spec_file(big).ambient_dim == 3
+
+
 def test_parse_errors_name_the_generator(tmp_path):
     deep = "(" * 70 + "x2" + ")" * 70
     path = _write(tmp_path, "deep.json",
@@ -643,6 +677,21 @@ def test_cli_defaults_are_the_config_defaults():
     for name, m in labels:
         assert _slots(_config_from_args(ns, experiment=name, m=m)) == \
             _slots(ExperimentConfig(name, m=m))
+
+
+def test_run_prints_the_sweep_records_of_its_preset(monkeypatch, capsys):
+    # the sweep runs its presets in this order, and sorts their records
+    labels = [("severi-4", None), ("severi-2", None)]
+    monkeypatch.setattr("gaussfocal.cli.sweep_labels", lambda _: labels)
+    args = ["--json", "--trials", "2", "--primes", "2", "--seed", "11"]
+    assert main(["sweep", *args]) == 0
+    swept = json.loads(capsys.readouterr().out)
+    assert [r["experiment"] for r in swept] == ["severi-2"] * 4 + \
+        ["severi-4"] * 4
+    for name, _ in labels:
+        assert main(["run", name, *args]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            [r for r in swept if r["experiment"] == name]
 
 
 def test_expectation_mismatch_exits_2(monkeypatch, capsys):

@@ -16,6 +16,7 @@ from gaussfocal.fieldcore import (
     ZeroInverse,
     charpoly,
     derive_seed,
+    dual_partials,
     is_probable_prime,
     kernel_basis,
     lagrange_interpolate,
@@ -578,6 +579,83 @@ def test_packed_dual2_matches_nested_duals_across_slot_reductions(data):
             packed.append(got)
             nested.append(want)
     assert tally.count > 0 or m == 0
+
+
+def _wide(ring, oracle, flats):
+    """For each flat element, the widest-bound product of it by powers of
+    the all-(p − 1) element that stays below the slot limit, packed and
+    nested: operands whose slots are far from reduced."""
+    top = (ring.p - 1,) * (2 + 2 * ring.m)
+    out = []
+    for flat in flats:
+        x, y = _encode(ring, flat), oracle.of(flat)
+        widest = (x, y)
+        for _ in range(40):
+            x = ring.mul(x, _encode(ring, top))
+            y = oracle.mul(y, oracle.of(top))
+            widest = max(widest, (x, y), key=lambda pair: pair[0][4])
+        out.append(widest)
+    return out
+
+
+def _fast_bound(u, v):
+    """The bound a ``dot`` of u and v computes before any reduction."""
+    return sum((a[0] + a[1]) * b[4] + (b[0] + b[1]) * a[4]
+               for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_overflowing_dot_reduces_each_operand_once(p):
+    ring, oracle, rng = Dual2Fp(p, 3), _Nested(p), Rng(p)
+    flats = [tuple(1 + rng.below(p - 1) for _ in range(8)) for _ in range(12)]
+    pairs = _wide(ring, oracle, flats)
+    u, v = [x for x, _ in pairs[:6]], [x for x, _ in pairs[6:]]
+    assert _fast_bound(u, v) >= ring._limit  # the fast path cannot run
+    unreduced = sum(x[4] >= p for x in u + v)
+    tally = _Reductions()
+    with tally.patch:
+        got = ring.dot(u, v)
+    assert tally.count == unreduced > 0  # each wide operand, once
+    want = oracle.dot([y for _, y in pairs[:6]], [y for _, y in pairs[6:]])
+    assert _decode(ring, got) == oracle.flat(want)
+    assert got[4] < ring._limit
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_overflowing_combine_matches_dot_after_one_reduction(p):
+    ring, oracle, rng = Dual2Fp(p, 3), _Nested(p), Rng(p + 1)
+    flats = [tuple(1 + rng.below(p - 1) for _ in range(8)) for _ in range(8)]
+    elems = [x for x, _ in _wide(ring, oracle, flats)]
+    assert min(x[4] for x in elems) >= p
+    coefs = [p - 1] * len(elems)
+    lifted = [(p - 1, p - 1, 0, 0, 0)] * len(elems)
+    assert _fast_bound(lifted, elems) >= ring._limit
+    tally = _Reductions()
+    with tally.patch:
+        got, = ring.combine(elems, [(coefs, coefs)])
+    assert tally.count == len(elems)  # each element reduced once
+    whole = ring.dot(lifted, elems)
+    assert _decode(ring, got) == _decode(ring, (0, 0, *whole[2:]))
+    assert got[4] < ring._limit
+
+
+def test_dual_partials_match_hand_derivatives():
+    # f(x, y, z) = (x²·y + 3z, y·z − x³), differentiated by hand
+    p = 10007
+    fp = Fp(p)
+
+    def f(pt, ring):
+        x, y, z = pt
+        x2 = ring.mul(x, x)
+        return [ring.add(ring.mul(x2, y), ring.mul(ring.lift(3), z)),
+                ring.add(ring.mul(y, z), ring.neg(ring.mul(x2, x)))]
+
+    x, y, z = point = [5, 10006, 1234]
+    hand = [[2 * x * y, -3 * x * x], [x * x, z], [3, y]]  # row i: ∂/∂x_i
+    runs = list(dual_partials(f, point, p))
+    assert [[u for u, _ in out] for out in runs] == [f(point, fp)] * 3
+    assert [[s for _, s in out] for out in runs] == \
+        [[fp.lift(d) for d in row] for row in hand]
 
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
