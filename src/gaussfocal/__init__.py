@@ -2,7 +2,7 @@
 maps, over word-size prime fields.
 
 The layers build bottom-up: ``fieldcore`` (F_p and dual-number linear
-algebra), ``mpoly`` (sparse polynomials and straight-line programs),
+algebra), ``mpoly`` (sparse polynomials and their sum, det and Pf programs),
 ``varieties`` (rank loci and the explicit families), ``gaussmap``
 (tangent frames and Gauss fibres), ``focal`` (first-order charts,
 characteristic matrices, focal profiles and checks), ``cli`` (the

@@ -116,7 +116,8 @@ MAX_SPEC_BYTES = 1 << 20
 
 
 def _tokenize(src):
-    tokens = []
+    """Tokens (kind, value, line, col), read one at a time, ending with
+    an "end" token."""
     line, col, i = 1, 1, 0
     while i < len(src):
         ch = src[i]
@@ -130,7 +131,7 @@ def _tokenize(src):
             i += 1
             continue
         if ch in "+-*^()":
-            tokens.append((ch, None, line, col))
+            yield (ch, None, line, col)
             col += 1
             i += 1
             continue
@@ -146,13 +147,12 @@ def _tokenize(src):
                 raise ParseError(f"cannot read a number of {j - start} "
                                  "digits as a decimal integer", line,
                                  col) from None
-            tokens.append(("var" if ch == "x" else "int", value, line, col))
+            yield ("var" if ch == "x" else "int", value, line, col)
             col += j - i
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", None, line, col))
-    return tokens
+    yield ("end", None, line, col)
 
 
 def _bounded_mul(a, b, line, col):
@@ -164,18 +164,21 @@ def _bounded_mul(a, b, line, col):
 
 
 class _ExprParser:
+    """Recursive descent over a token stream with one token of lookahead,
+    so a bound stops the parse before the rest of the input is read."""
+
     def __init__(self, tokens, nvars):
         self.tokens = tokens
-        self.pos = 0
+        self.ahead = next(tokens)
         self.depth = 0
         self.nvars = nvars
 
     def peek(self):
-        return self.tokens[self.pos]
+        return self.ahead
 
     def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.ahead
+        self.ahead = next(self.tokens, tok)  # "end" is the last token
         return tok
 
     def fail(self, message):

@@ -1,24 +1,23 @@
 """Polynomial programs and univariate polynomial utilities.
 
-An explicit multivariate form is written one way: as a ``SparsePoly``
-(exponent tuple -> integer coefficient, with + - and *), which is only
-built: ``compile`` turns it into a ``PolyProgram``, with each power x^e
-as e repeated factors of its term's product node, and every value and
-derivative of the form comes from that program.  A ``PolyProgram`` is a
-straight-line program (a small DAG of arithmetic nodes, plus
-determinant and Pfaffian nodes) that can be *evaluated* over any
-coefficient ring from ``fieldcore`` -- the prime field, or a dual
-extension when derivatives are needed.  Determinants and Pfaffians are
-never expanded: ``ProgramBuilder`` adds det/Pf nodes over variables.
-Gradients run as a single reverse sweep over the DAG.  Hessian-vector
-products evaluate the gradient over a dual extension and read off the
-slopes: over F_p and over F_p[d] alike, one sweep over
+A ``PolyProgram`` is a polynomial in one of two shapes, evaluated over
+any coefficient ring from ``fieldcore`` -- the prime field, or a dual
+extension when derivatives are needed.  A *sum* is an explicit form: its
+terms (c, (i_1, …, i_d)), a power x^e as e repeated indices.  Such a
+form is written one way, as a ``SparsePoly`` (exponent tuple -> integer
+coefficient, with + - and *), which is only built: ``compile`` gives its
+sum, and every value and derivative of the form comes from that.  A
+*det* or *pf* is one minor or one sub-Pfaffian of a matrix of
+coordinates, held as its grid (or upper triangle) of coordinate indices
+and never expanded.  The gradient of a sum takes prefix and suffix
+products per term.  Pfaffians, and determinants over rings other than
+F_p, go through one division-free expansion over bitmask-memoized
+sub-Pfaffians (a determinant is the Pfaffian of [[0, M], [-Mᵀ, 0]] up to
+sign), which also gives their gradients as signed cofactors.
+Hessian-vector products evaluate the gradient over a dual extension and
+read off the slopes: over F_p and over F_p[d] alike, one gradient over
 F_p[d][e_1..e_m] gives the products with m vectors at once, each vector
-seeded along its own e_j (vector forward mode over reverse mode).
-Pfaffian nodes, and determinants over rings other than F_p, go through
-one division-free expansion over bitmask-memoized sub-Pfaffians (a
-determinant is the Pfaffian of [[0, M], [-Mᵀ, 0]] up to sign), which
-also gives the cofactors of both node kinds for the sweep.
+seeded along its own e_j (vector forward mode over the gradient).
 
 Univariate polynomials over F_p are plain ascending coefficient lists.
 They come from forms restricted to lines: ``on_line`` is the one line
@@ -37,179 +36,103 @@ class CharTooSmall(Degeneracy):
     """Field characteristic too small for a degree-sensitive routine."""
 
 
-# --- straight-line programs ---------------------------------------------------
-
-
-class ProgramBuilder:
-    """Hash-consing builder for PolyProgram DAGs on a fixed variable count.
-
-    Nodes are named by integer ids.  The builder itself adds only
-    variables, constants and det/Pf nodes over them; ``SparsePoly.compile``
-    emits the arithmetic nodes of an explicit form.
-    """
-
-    def __init__(self, arity: int):
-        self.arity = arity
-        self.nodes = []
-        self.degs = []
-        self._memo = {}
-
-    def _node(self, node, deg) -> int:
-        nid = self._memo.get(node)
-        if nid is None:
-            nid = len(self.nodes)
-            self.nodes.append(node)
-            self.degs.append(deg)
-            self._memo[node] = nid
-        return nid
-
-    def x(self, i: int) -> int:
-        if not 0 <= i < self.arity:
-            raise IndexError(f"variable index {i} out of range")
-        return self._node(("var", i), 1)
-
-    def c(self, v: int) -> int:
-        return self._node(("const", v), 0)
-
-    def det(self, grid) -> int:
-        """Determinant node over an n x n grid of node ids."""
-        n = len(grid)
-        ids = []
-        for row in grid:
-            if len(row) != n:
-                raise ValueError("determinant grid must be square")
-            ids.extend(row)
-        deg = sum(max(self.degs[i] for i in row) for row in grid)
-        return self._node(("det", n, tuple(ids)), deg)
-
-    def pf(self, upper) -> int:
-        """Pfaffian node from the upper triangle of a skew matrix.
-
-        ``upper[i]`` holds the node ids of entries (i, i+1), ..., (i, n-1);
-        the full matrix never materializes.
-        """
-        upper = list(upper)
-        while upper and not upper[-1]:
-            upper.pop()
-        n = len(upper) + 1
-        if n % 2:
-            raise ValueError("Pfaffian needs even size")
-        ids = []
-        for i, row in enumerate(upper):
-            if len(row) != n - 1 - i:
-                raise ValueError("ragged upper triangle")
-            ids.extend(row)
-        deg = (n // 2) * max((self.degs[i] for i in ids), default=0)
-        return self._node(("pf", n, tuple(ids)), deg)
-
-    def build(self, root: int) -> "PolyProgram":
-        return PolyProgram(self.arity, tuple(self.nodes), root,
-                           self.degs[root])
+# --- polynomial programs -------------------------------------------------------
 
 
 class PolyProgram:
-    """Immutable straight-line polynomial program.
+    """A polynomial on ``arity`` coordinates in one of two shapes.
 
-    ``degree`` is an upper bound on the total degree; it is exact for
-    the homogeneous constructions used throughout (determinants and
-    Pfaffians of matrices with equal-degree entries, products, powers).
+    ``kind == "sum"``: ``body`` is the terms (c, (i_1, …, i_d)) of an
+    explicit form in the order of their sorted exponents, each
+    c·x_{i_1}⋯x_{i_d}, a power x^e as e repeated indices
+    (``SparsePoly.compile``).  ``kind == "det"``: ``body`` is an
+    n×n grid of coordinate indices, and the value is the determinant of
+    that matrix of coordinates.  ``kind == "pf"``: ``body`` is the rows
+    of the upper triangle of a skew matrix of coordinate indices, row i
+    holding entries (i, i+1), …, (i, n-1) for i < n - 1, and the value
+    is its Pfaffian.  ``degree`` is the total degree (of the top term of
+    a sum); the rank loci are homogeneous.
     """
 
-    __slots__ = ("arity", "nodes", "root", "degree")
+    __slots__ = ("arity", "kind", "body", "degree")
 
-    def __init__(self, arity, nodes, root, degree):
+    def __init__(self, arity, kind, body, degree):
         self.arity = arity
-        self.nodes = nodes
-        self.root = root
+        self.kind = kind
+        self.body = body
         self.degree = degree
 
-    def _forward(self, x, ring):
-        """Node values at x, and each Pfaffian node's ``_pf_solver`` (by
-        node id) for the reverse sweep to reuse."""
-        vals = [None] * len(self.nodes)
-        pfs = {}
-        lift, add, mul = ring.lift, ring.add, ring.mul
-        for nid, node in enumerate(self.nodes):
-            k = node[0]
-            if k == "var":
-                vals[nid] = x[node[1]]
-            elif k == "const":
-                vals[nid] = lift(node[1])
-            elif k == "add":
-                acc = vals[node[1][0]]
-                for c in node[1][1:]:
-                    acc = add(acc, vals[c])
-                vals[nid] = acc
-            elif k == "mul":
-                acc = vals[node[1][0]]
-                for c in node[1][1:]:
-                    acc = mul(acc, vals[c])
-                vals[nid] = acc
-            elif k == "det":
-                n, ids = node[1], node[2]
-                mat = [[vals[ids[i * n + j]] for j in range(n)]
-                       for i in range(n)]
-                vals[nid] = det_ring(mat, ring)
-            else:  # "pf"
-                n, ids = node[1], iter(node[2])
-                pf = pfs[nid] = _pf_solver(
-                    [[vals[next(ids)] for _ in range(n - 1 - i)]
-                     for i in range(n)], ring)
-                vals[nid] = pf((1 << n) - 1)
-        return vals, pfs
+    @classmethod
+    def det(cls, arity, grid) -> "PolyProgram":
+        """The determinant of the n×n grid of coordinate indices."""
+        grid = tuple(tuple(row) for row in grid)
+        return cls(arity, "det", grid, len(grid))
+
+    @classmethod
+    def pf(cls, arity, upper) -> "PolyProgram":
+        """The Pfaffian of the n×n skew matrix, n even, whose upper
+        triangle is these n - 1 rows of coordinate indices."""
+        upper = tuple(tuple(row) for row in upper)
+        return cls(arity, "pf", upper, (len(upper) + 1) // 2)
+
+    def _entries(self, x):
+        """The det or pf matrix (its upper triangle for pf) at x."""
+        return [[x[i] for i in row] for row in self.body]
 
     def eval(self, x, ring):
-        return self._forward(x, ring)[0][self.root]
+        if self.kind == "det":
+            return det_ring(self._entries(x), ring)
+        if self.kind == "pf":
+            full = (1 << len(self.body) + 1) - 1
+            return _pf_solver(self._entries(x), ring)(full)
+        lift, add, mul = ring.lift, ring.add, ring.mul
+        acc = None
+        for c, idx in self.body:
+            if c != 1 or not idx:
+                v, rest = lift(c), idx
+            else:
+                v, rest = x[idx[0]], idx[1:]
+            for i in rest:
+                v = mul(v, x[i])
+            acc = v if acc is None else add(acc, v)
+        return ring.zero if acc is None else acc
 
     def grad(self, x, ring):
-        """Gradient at x via one reverse sweep."""
-        vals, pfs = self._forward(x, ring)
-        nn = len(self.nodes)
-        adj = [ring.zero] * nn
-        adj[self.root] = ring.one
+        """Gradient at x: per term of a sum, prefix and suffix products
+        of its factors; for det and pf, the signed sub-Pfaffian
+        cofactors of one bitmask expansion."""
         out = [ring.zero] * self.arity
-        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        for nid in range(nn - 1, -1, -1):
-            a = adj[nid]
-            if is_zero(a):
-                continue
-            node = self.nodes[nid]
-            k = node[0]
-            if k == "var":
-                out[node[1]] = add(out[node[1]], a)
-            elif k == "const":
-                pass
-            elif k == "add":
-                for c in node[1]:
-                    adj[c] = add(adj[c], a)
-            elif k == "mul":
-                ids = node[1]
-                m = len(ids)
-                pre = [ring.one] * (m + 1)
-                for i in range(m):
-                    pre[i + 1] = mul(pre[i], vals[ids[i]])
-                suf = ring.one
-                for i in range(m - 1, -1, -1):
-                    adj[ids[i]] = add(adj[ids[i]], mul(a, mul(pre[i], suf)))
-                    suf = mul(suf, vals[ids[i]])
-            else:  # "det" or "pf": cofactors are signed sub-Pfaffians
-                n, ids = node[1], node[2]
-                if k == "det":
-                    pf = _pf_solver(_det_block(
-                        [[vals[t] for t in ids[i * n:(i + 1) * n]]
-                         for i in range(n)], ring), ring)
-                    pairs = [(i, n + j) for i in range(n) for j in range(n)]
-                    flip, full = n * (n - 1) // 2, (1 << 2 * n) - 1
-                else:
-                    pf, flip, full = pfs[nid], 0, (1 << n) - 1
-                    pairs = [(i, j) for i in range(n)
-                             for j in range(i + 1, n)]
-                for t, (i, j) in zip(ids, pairs):
-                    cof = pf(full ^ 1 << i ^ 1 << j)
-                    if (i + j + flip) % 2 == 0:  # sign (-1)^(i+j+1+flip)
-                        cof = ring.neg(cof)
-                    if not is_zero(cof):
-                        adj[t] = add(adj[t], mul(a, cof))
+        add, mul = ring.add, ring.mul
+        if self.kind == "sum":
+            for c, idx in self.body:
+                pre = [ring.lift(c)]
+                for i in idx[:-1]:
+                    pre.append(mul(pre[-1], x[i]))
+                suf = None
+                for k in range(len(idx) - 1, -1, -1):
+                    i = idx[k]
+                    out[i] = add(out[i], pre[k] if suf is None
+                                 else mul(pre[k], suf))
+                    suf = x[i] if suf is None else mul(suf, x[i])
+            return out
+        mat = self._entries(x)
+        n = len(mat)
+        if self.kind == "det":
+            det_ring(mat, ring)  # unread value: goes with ROADMAP item 1
+            pf = _pf_solver(_det_block(mat, ring), ring)
+            pairs = [(i, n + j) for i in range(n) for j in range(n)]
+            flip, full = n * (n - 1) // 2, (1 << 2 * n) - 1
+        else:
+            n += 1
+            pf, flip, full = _pf_solver(mat, ring), 0, (1 << n) - 1
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        ids = [t for row in self.body for t in row]
+        for t, (i, j) in zip(ids, pairs):
+            cof = pf(full ^ 1 << i ^ 1 << j)
+            if (i + j + flip) % 2 == 0:  # sign (-1)^(i+j+1+flip)
+                cof = ring.neg(cof)
+            if not ring.is_zero(cof):
+                out[t] = add(out[t], cof)
         return out
 
     def hess_vec(self, x, vs, ring):
@@ -376,22 +299,13 @@ class SparsePoly:
         return SparsePoly(self.nvars, out)
 
     def compile(self) -> PolyProgram:
-        """One program for this form: per term (in sorted order) a mul
-        node over its coefficient (unless 1 on a nonconstant term) and its
-        variables, x^e as e repeated factors, and an add node over the
-        terms; a lone factor or term stands for itself."""
-        b = ProgramBuilder(self.nvars)
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            factors = [b.c(c)] if c != 1 or not any(e) else []
-            for i, ei in enumerate(e):
-                factors += [b.x(i) for _ in range(ei)]
-            parts.append(factors[0] if len(factors) == 1 else
-                         b._node(("mul", tuple(factors)), sum(e)))
-        parts = parts or [b.c(0)]
-        root = parts[0] if len(parts) == 1 else b._node(
-            ("add", tuple(parts)), self.degree())
-        return b.build(root)
+        """The sum-shaped program of this form: its terms in sorted
+        order, x^e as e repeated indices."""
+        body = tuple((c, tuple(i for i, ei in enumerate(e)
+                               for _ in range(ei)))
+                     for e, c in sorted(self.terms.items()))
+        return PolyProgram(self.nvars, "sum", body,
+                           max((len(idx) for _, idx in body), default=0))
 
 
 # --- univariate polynomials over F_p (ascending coefficient lists) -----------
@@ -416,24 +330,6 @@ def up_sub(f, g, fp):
 
 def up_scale(f, k, fp):
     return up_trim([v * k % fp.p for v in f])
-
-
-def up_mul(f, g, fp):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return up_trim([v % fp.p for v in out])
-
-
-def up_eval(f, x, fp):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % fp.p
-    return acc
 
 
 def up_monic(f, fp):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .fieldcore import Degeneracy, dual_partials, mat_rank
-from .mpoly import ProgramBuilder, SparsePoly, line_zeros, restrict_to_line
+from .mpoly import PolyProgram, SparsePoly, line_zeros, restrict_to_line
 
 
 class RankDeficientSample(Degeneracy):
@@ -98,10 +98,9 @@ def rank_locus_generators(shape: MatrixShape, rank_bound: int):
         if size > shape.nrows:
             return []
         for sub in combinations(range(shape.nrows), size):
-            b = ProgramBuilder(shape.num_vars)
-            upper = [[b.x(shape.var_index(sub[i], sub[j]))
+            upper = [[shape.var_index(sub[i], sub[j])
                       for j in range(i + 1, size)] for i in range(size - 1)]
-            progs.append(b.build(b.pf(upper)))
+            progs.append(PolyProgram.pf(shape.num_vars, upper))
         return progs
     size = rank_bound + 1
     if size > min(shape.nrows, shape.ncols):
@@ -112,9 +111,8 @@ def rank_locus_generators(shape: MatrixShape, rank_bound: int):
         for ci in cols_iter:
             if shape.kind == "symmetric" and ri > ci:
                 continue  # minor(I,J) = minor(J,I)
-            b = ProgramBuilder(shape.num_vars)
-            grid = [[b.x(shape.var_index(i, j)) for j in ci] for i in ri]
-            progs.append(b.build(b.det(grid)))
+            grid = [[shape.var_index(i, j) for j in ci] for i in ri]
+            progs.append(PolyProgram.det(shape.num_vars, grid))
     return progs
 
 

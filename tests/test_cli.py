@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement
 
@@ -46,7 +47,6 @@ from gaussfocal.cli import (
     parse_expression,
     parse_spec_file,
     run_experiment,
-    build_plan,
     sweep_labels,
 )
 from gaussfocal.fieldcore import (
@@ -174,6 +174,22 @@ def test_parse_long_sum_is_bounded():
         parse_expression(src + " - " + mons[MAX_TERMS], 40)
     assert (err.value.line, err.value.col) == (1, len(src) + 2)
     assert "more than" in err.value.reason
+
+
+def test_parse_reads_a_long_sum_only_up_to_its_bound():
+    # tokens are read one at a time, so a 1 MiB sum stops at the sign
+    # of term MAX_TERMS + 1 without tokenizing the rest of the input
+    src = "x0*x1 + " * 131072
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_expression(src, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.reason == f"sum has more than {MAX_TERMS} terms"
+    assert (err.value.line, err.value.col) == (1, 8 * MAX_TERMS - 1)
+    assert peak < 5 << 20
 
 
 def test_parse_over_long_digit_run_is_a_parse_error():
@@ -504,38 +520,6 @@ def test_input_bounds_admit_every_preset():
         assert 1 <= count <= MAX_GENERATORS
         if shape.num_vars <= 36:  # cheap enough to build and count
             assert count == len(rank_locus_generators(shape, rb))
-
-
-def _generator_programs(spec):
-    while spec is not None:
-        yield from spec.generators
-        spec = spec.singular
-
-
-def test_every_generator_node_is_reachable_from_its_root(tmp_path):
-    # each generator is built or compiled on its own, so its program holds
-    # only the nodes its root reads, and evaluation pays for nothing else
-    specs = [build_plan(ExperimentConfig(name, m=m, features=("albert",))).spec
-             for name, m in sweep_labels(("albert",)) if name != "hyperband"]
-    path = _write(tmp_path, "cubic.json",
-                  {"ambient_dim": 3, "generators": ["x0*x2^2 - 3*x1^3"],
-                   "singular_generators": ["x0", "5*x1^2"]})
-    specs.append(parse_spec_file(path))
-    progs = [g for spec in specs for g in _generator_programs(spec)]
-    assert len(progs) > 28  # the Albert norm and 27 adjoint quadrics among them
-    for prog in progs:
-        seen, todo = set(), [prog.root]
-        while todo:
-            nid = todo.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            node = prog.nodes[nid]
-            if node[0] in ("add", "mul"):
-                todo.extend(node[1])
-            elif node[0] in ("det", "pf"):
-                todo.extend(node[2])
-        assert seen == set(range(len(prog.nodes)))
 
 
 def test_deformation_span_mismatch_exits_2(monkeypatch, capsys):

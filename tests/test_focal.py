@@ -71,9 +71,7 @@ from gaussfocal.mpoly import (
     up_deg,
     up_deriv,
     up_divmod,
-    up_eval,
     up_gcd,
-    up_mul,
     up_roots,
     up_trim,
 )
@@ -603,10 +601,10 @@ def _root_values_by_determinants(charm, basis, d, fp):
         sf = up_divmod(f, up_gcd(f, up_deriv(f, fp), fp), fp)[0]
         if up_deg(sf) != d:
             return None
-        s0 = up_eval(sf, 0, fp)
+        s0 = sf[0]  # sf at s = 0, and below at s = 1
         if s0 == 0:
             return None
-        vals[node] = up_eval(sf, 1, fp) * fp.inv(s0) % p
+        vals[node] = sum(sf) * fp.inv(s0) % p
     return vals
 
 
@@ -628,6 +626,15 @@ def test_implicit_form_matches_root_values_by_determinants():
         for c, b in zip(node, basis[1:]):
             t = [(u + c * v) % P for u, v in zip(t, b)]
         assert form.value(t, FP) == value
+
+
+def up_mul(f, g, fp):
+    """Schoolbook product of ascending coefficient lists, trimmed."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return up_trim([v % fp.p for v in out])
 
 
 def _power_series(g, mu, length):

@@ -1,5 +1,7 @@
-"""Straight-line polynomial programs, gradients, and univariate helpers."""
+"""Polynomial programs (sums, determinants, Pfaffians), gradients, and
+univariate helpers."""
 
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
@@ -9,7 +11,7 @@ from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng
 from gaussfocal.mpoly import (
     CharTooSmall,
     LINE_ATTEMPTS,
-    ProgramBuilder,
+    PolyProgram,
     SparsePoly,
     _pf_solver,
     det_ring,
@@ -19,11 +21,10 @@ from gaussfocal.mpoly import (
     squarefree_profile,
     up_deg,
     up_divmod,
-    up_eval,
     up_gcd,
-    up_mul,
     up_pow_mod,
     up_roots,
+    up_trim,
 )
 from gaussfocal.varieties import MatrixShape, rank_locus_spec
 
@@ -81,11 +82,26 @@ def _grad_forward(prog, x, ring):
     return out
 
 
+def up_mul(f, g, fp):
+    """Schoolbook product of ascending coefficient lists, trimmed."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return up_trim([v % fp.p for v in out])
+
+
+def up_eval(f, x, fp):
+    """Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % fp.p
+    return acc
+
+
 def sym2x2_det():
     """det [[x0, x1], [x1, x2]] as a program on 3 variables."""
-    b = ProgramBuilder(3)
-    x0, x1, x2 = b.x(0), b.x(1), b.x(2)
-    return b.build(b.det([[x0, x1], [x1, x2]]))
+    return PolyProgram.det(3, [[0, 1], [1, 2]])
 
 
 def test_eval_det_program():
@@ -106,18 +122,14 @@ def test_eval_homogeneity():
 
 
 def test_pfaffian_standard_symplectic():
-    b = ProgramBuilder(1)
-    one, zero = b.c(1), b.c(0)
+    prog = PolyProgram.pf(6, [[0, 1, 2], [3, 4], [5]])
     # upper triangle of [[0,1,0,0],[-1,0,0,0],[0,0,0,1],[0,0,-1,0]]
-    prog = b.build(b.pf([[one, zero, zero], [zero, zero], [one]]))
-    assert prog.eval([0], F7) == 1
+    assert prog.eval([1, 0, 0, 0, 0, 1], F7) == 1
 
 
 def test_pfaffian_4x4_formula():
     # Pf of skew 4x4 with upper entries (a,b,c,d,e,g) is a*g - b*e + c*d
-    b = ProgramBuilder(6)
-    a, bb, c, d, e, g = (b.x(i) for i in range(6))
-    prog = b.build(b.pf([[a, bb, c], [d, e], [g]]))
+    prog = PolyProgram.pf(6, [[0, 1, 2], [3, 4], [5]])
     fp = Fp(10007)
     rng = Rng(17)
     for _ in range(50):
@@ -131,10 +143,7 @@ def test_pfaffian_squared_is_determinant():
     rng = Rng(23)
     for n in (2, 4, 6, 8):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        b = ProgramBuilder(len(pairs))
-        upper = [[b.x(pairs.index((i, j))) for j in range(i + 1, n)]
-                 for i in range(n)]
-        pf_prog = b.build(b.pf(upper))
+        pf_prog = PolyProgram.pf(len(pairs), _skew_upper(n))
         for _ in range(10):
             v = [rng.field(fp.p) for _ in pairs]
             # the numeric skew matrix with upper triangle v
@@ -239,8 +248,8 @@ def test_bitmask_pfaffian_against_det_and_permutation_expansion(ring):
 
 @_RINGS
 def test_pf_node_grad_matches_permutation_expansion(ring):
-    # the upper entries are variables in shuffled order, so the sweep's
-    # bookkeeping of entry positions against node ids is exercised too
+    # the upper entries are variables in shuffled order, so the
+    # bookkeeping of entry positions against coordinates is exercised too
     rng = Rng(97)
     for n in (4, 6, 8, 10):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -249,9 +258,8 @@ def test_pf_node_grad_matches_permutation_expansion(ring):
             u = rng.below(t + 1)
             order[t], order[u] = order[u], order[t]
         var = dict(zip(pairs, order))
-        b = ProgramBuilder(len(pairs))
-        prog = b.build(b.pf([[b.x(var[i, j]) for j in range(i + 1, n)]
-                             for i in range(n)]))
+        prog = PolyProgram.pf(len(pairs), [
+            [var[i, j] for j in range(i + 1, n)] for i in range(n - 1)])
         for _ in range(2):
             entry = _sparse_entries(pairs, ring, rng)
             x = [None] * len(pairs)
@@ -261,6 +269,19 @@ def test_pf_node_grad_matches_permutation_expansion(ring):
             grad = prog.grad(x, ring)
             assert _values(ring, [grad[var[pair]] for pair in pairs]) == \
                 _values(ring, [oracle[pair] for pair in pairs])
+
+
+def _generic_grid(n):
+    """The n×n grid of coordinates x_{i·n+j}."""
+    return [[i * n + j for j in range(n)] for i in range(n)]
+
+
+def _skew_upper(n):
+    """The upper triangle of an n×n skew matrix of coordinates, its
+    entries numbered row by row."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [[pairs.index((i, j)) for j in range(i + 1, n)]
+            for i in range(n - 1)]
 
 
 def _minor(mat, i, j):
@@ -284,9 +305,7 @@ def test_det_ring_and_det_node_grad_match_cofactor_expansion(ring):
     # n = 7 is a 14-index Pfaffian block over the dual rings
     rng = Rng(89)
     for n in range(1, 8):
-        b = ProgramBuilder(n * n)
-        prog = b.build(b.det([[b.x(i * n + j) for j in range(n)]
-                              for i in range(n)]))
+        prog = PolyProgram.det(n * n, _generic_grid(n))
         for _ in range(3):
             flat = list(_sparse_entries(range(n * n), ring, rng).values())
             mat = [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -336,9 +355,7 @@ def test_det_matches_cofactor_expansion():
         return acc % fp.p
 
     for n in (2, 3, 4):
-        b = ProgramBuilder(n * n)
-        grid = [[b.x(i * n + j) for j in range(n)] for i in range(n)]
-        prog = b.build(b.det(grid))
+        prog = PolyProgram.det(n * n, _generic_grid(n))
         for _ in range(10):
             v = [rng.field(fp.p) for _ in range(n * n)]
             mat = [[v[i * n + j] for j in range(n)] for i in range(n)]
@@ -392,19 +409,12 @@ def test_grad_matches_forward_dual_on_det_pf():
     fp = Fp(1000003)
     rng = Rng(61)
     n = 4
-    b = ProgramBuilder(n * n)
-    prog = b.build(b.det([[b.x(i * n + j) for j in range(n)] for i in range(n)]))
+    prog = PolyProgram.det(n * n, _generic_grid(n))
     for _ in range(5):
         x = [rng.field(fp.p) for _ in range(n * n)]
         assert prog.grad(x, fp) == _grad_forward(prog, x, fp)
     m = 15
-    b = ProgramBuilder(m)
-    upper, k = [], 0
-    for i in range(6):
-        row = [b.x(k + t) for t in range(6 - 1 - i)]
-        k += 6 - 1 - i
-        upper.append(row)
-    prog = b.build(b.pf(upper))
+    prog = PolyProgram.pf(m, _skew_upper(6))
     for _ in range(5):
         x = [rng.field(fp.p) for _ in range(m)]
         assert prog.grad(x, fp) == _grad_forward(prog, x, fp)
@@ -489,15 +499,11 @@ def _hess_vec_oracle(prog, x, v, ring):
 
 
 def _pow_mul_program():
-    """A compiled sparse quartic whose powers are repeated factors of
-    its terms' mul nodes."""
+    """A compiled sparse quartic whose powers are repeated indices of
+    its terms."""
     poly = SparsePoly(3, {(3, 1, 0): 2, (0, 2, 2): 5, (1, 1, 2): 7,
                           (0, 0, 4): 1, (2, 0, 2): 3})
-    prog = poly.compile()
-    assert {node[0] for node in prog.nodes} == {"const", "var", "mul", "add"}
-    assert any(node[0] == "mul" and len(set(node[1])) < len(node[1])
-               for node in prog.nodes)
-    return prog
+    return poly.compile()
 
 
 _HESS_PROGRAMS = [
@@ -523,16 +529,15 @@ def test_batched_hess_vec_matches_per_vector_oracle(prog, ring):
 
 
 def test_hess_vec_of_a_degree_nine_product_at_a_word_size_prime():
-    # the reverse sweep's prefix products run through nine factors, so
-    # the packed slopes leave their slot range and are reduced on the
-    # way; every product still matches the one-vector oracle, over F_p
-    # and over F_p[d], with up to 16 vectors in one sweep
+    # the gradient's prefix products run through nine factors, so the
+    # packed slopes leave their slot range and are reduced on the way;
+    # every product still matches the one-vector oracle, over F_p and
+    # over F_p[d], with up to 16 vectors in one sweep
     p = (1 << 64) - 59
     poly = SparsePoly(3, {(4, 2, 3): 5, (9, 0, 0): 1, (0, 3, 6): p - 7,
                           (1, 1, 1): 2})
     prog = poly.compile()
     assert prog.degree == 9
-    assert any(node[0] == "mul" and len(node[1]) >= 9 for node in prog.nodes)
     rng = Rng(101)
     real, reductions = Dual2Fp._reduced, []
 
@@ -549,6 +554,74 @@ def test_hess_vec_of_a_degree_nine_product_at_a_word_size_prime():
                 got = _products(prog.hess_vec(x, vs, ring), ring, count)
             assert got == [_hess_vec_oracle(prog, x, v, ring) for v in vs]
     assert any(reductions)
+
+
+def _expanded_det(nv, grid):
+    """det of the grid of coordinates, expanded over permutations
+    (Leibniz)."""
+    out = SparsePoly(nv, {})
+    for perm in permutations(range(len(grid))):
+        term = SparsePoly(nv, {(0,) * nv: -1 if _parity(perm) else 1})
+        for row, j in zip(grid, perm):
+            term = term * SparsePoly.var(nv, row[j])
+        out = out + term
+    return out
+
+
+def _expanded_pf(nv, upper):
+    """Pf of the skew matrix with this upper triangle of coordinates,
+    expanded over perfect matchings."""
+    out = SparsePoly(nv, {})
+    for match in _matchings(list(range(len(upper) + 1))):
+        sign = _parity([v for pair in match for v in pair])
+        term = SparsePoly(nv, {(0,) * nv: -1 if sign else 1})
+        for i, j in match:
+            term = term * SparsePoly.var(nv, upper[i][j - i - 1])
+        out = out + term
+    return out
+
+
+def _sym_grid(n):
+    shape = MatrixShape.symmetric(n)
+    return [[shape.var_index(i, j) for j in range(n)] for i in range(n)]
+
+
+_SHAPES = {
+    "det-generic3": (9, "det", _generic_grid(3)),
+    "det-generic4": (16, "det", _generic_grid(4)),
+    "det-symmetric3": (6, "det", _sym_grid(3)),
+    "pf-6": (15, "pf", _skew_upper(6)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_det_and_pf_programs_match_their_expanded_sums(name):
+    # the same polynomial as a det or pf program and as the sum that
+    # compile() gives of its expansion: equal values, gradients and
+    # Hessian products over F_p, F_p[e] and F_p[d][e_1, e_2], about a
+    # quarter of the coordinates zero; the symmetric grid repeats
+    # coordinates, so its gradient adds two cofactors per entry
+    nv, kind, body = _SHAPES[name]
+    prog = getattr(PolyProgram, kind)(nv, body)
+    expand = _expanded_det if kind == "det" else _expanded_pf
+    flat = expand(nv, body).compile()
+    assert (prog.kind, flat.kind, prog.degree) == (kind, "sum", flat.degree)
+    p = (1 << 61) - 1
+    rng = Rng(103)
+    for ring in (Fp(p), DualFp(p), Dual2Fp(p, 2)):
+        for _ in range(3):
+            x = list(_sparse_entries(range(nv), ring, rng).values())
+            assert _value(ring, prog.eval(x, ring)) == \
+                _value(ring, flat.eval(x, ring))
+            assert _values(ring, prog.grad(x, ring)) == \
+                _values(ring, flat.grad(x, ring))
+    # Hessian products at points over F_p and over F_p[d]
+    for ring in (Fp(p), DualFp(p)):
+        for count in (1, 3):
+            x = list(_sparse_entries(range(nv), ring, rng).values())
+            vs = [[rng.field(p) for _ in range(nv)] for _ in range(count)]
+            assert _products(prog.hess_vec(x, vs, ring), ring, count) == \
+                _products(flat.hess_vec(x, vs, ring), ring, count)
 
 
 # --- line restriction --------------------------------------------------------
@@ -734,7 +807,7 @@ def test_sparse_poly_eval_and_partial():
     assert prog.eval([2, 5], F101) == (4 + 15) % 101
     assert prog.grad([2, 5], F101) == [4, 3]
     assert q.degree() == prog.degree == 2
-    # x0^3·x1^2 over F_p[e]: one mul node with repeated factors
+    # x0^3·x1^2 over F_p[e]: one term with repeated indices
     cube = SparsePoly(2, {(3, 2): 5}).compile()
     ring = DualFp(101)
     val, slope = cube.eval([ring.make(2, 1), ring.make(3, 0)], ring)
