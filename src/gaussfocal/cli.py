@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 from importlib import resources
-from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -48,17 +47,18 @@ from .focal import (
     hyperband_chart,
     sing_containment,
 )
-from .gaussmap import fiber_codim_data, gauss_fiber, tangent_space
-from .mpoly import SparsePoly, line_zeros, restrict_to_line
+from .gaussmap import gauss_fiber, tangent_space
+from .mpoly import SparsePoly
 from .varieties import (
     MatrixShape,
-    RankDeficientSample,
-    VarietySpec,
-    WitnessPoint,
     albert_cubic,
+    fiber_codim_data,
+    generator_count,
     hyperband_dims,
     hyperband_family,
+    hypersurface_spec,
     rank_locus_spec,
+    singular_rank,
     variety_dim,
 )
 
@@ -99,11 +99,11 @@ class ArityError(InputError):
 # sum to the 12th power is an input error, not an expansion that never
 # ends.  A sum collects its terms in place, in linear time, and holds at
 # most MAX_TERMS of them.  Spec files are bounded too: ambient dimension
-# MAX_AMBIENT_DIM, and MAX_GENERATORS minors, sub-Pfaffians or singular
-# generators.  Every preset fits: the largest, scorza-sy-skew m=5, has 924
-# sub-Pfaffians in 66 coordinates.  A spec file is read only up to
-# MAX_SPEC_BYTES bytes.  A run is bounded by MAX_TRIALS trials per prime and
-# MAX_LINES profile lines.
+# MAX_AMBIENT_DIM, and MAX_GENERATORS singular generators, or minors or
+# sub-Pfaffians in each of a matrix spec's two strata, counted before
+# either is built; every preset fits (scorza-sy-skew m=5, the largest, has
+# 924 in 66 coordinates).  A spec file is read only up to MAX_SPEC_BYTES
+# bytes, and a run has at most MAX_TRIALS trials per prime and MAX_LINES lines.
 
 MAX_DEGREE = 64
 MAX_PAREN_DEPTH = 64
@@ -276,17 +276,6 @@ def homogeneous_degree(poly: SparsePoly):
 # --- spec files -----------------------------------------------------------------
 
 
-def generator_count(shape, rank_bound):
-    """How many minors (or sub-Pfaffians, skew) ``rank_locus_generators``
-    builds for this shape and rank bound, counted without building any."""
-    if shape.kind == "skew":
-        return comb(shape.nrows, rank_bound + 2 + rank_bound % 2)
-    rows = comb(shape.nrows, rank_bound + 1)
-    if shape.kind == "symmetric":
-        return rows * (rows + 1) // 2  # minor(I, J) = minor(J, I)
-    return rows * comb(shape.ncols, rank_bound + 1)
-
-
 def _bound(what, value, limit):
     if value > limit:
         raise InputError(f"{what} {value} exceeds the limit {limit}")
@@ -309,21 +298,7 @@ def _parsed_generator(src, nvars, what):
     return poly
 
 
-def _pencil_sampler(prog):
-    """Sample a smooth point of a hypersurface via roots along pencils."""
-
-    def sampler(rng, fp):
-        for x, *_ in line_zeros(
-                lambda a, d: restrict_to_line(prog, a, d, fp),
-                prog.arity, fp, rng):
-            if any(x) and any(prog.grad(x, fp)):
-                return WitnessPoint(x)
-        raise RankDeficientSample("no smooth pencil point on the hypersurface")
-
-    return sampler
-
-
-def parse_spec_file(path) -> VarietySpec:
+def parse_spec_file(path):
     """Load a custom variety: either a matrix rank locus or an explicit
     homogeneous hypersurface with optional singular-locus generators."""
     p = Path(path)
@@ -378,6 +353,8 @@ def parse_spec_file(path) -> VarietySpec:
         # the coordinate bound first keeps the binomials small
         _bound("ambient dimension", shape.ambient_dim, MAX_AMBIENT_DIM)
         _bound("generator count", generator_count(shape, rb), MAX_GENERATORS)
+        _bound("singular generator count", generator_count(
+            shape, singular_rank(shape, rb)), MAX_GENERATORS)
         try:
             return rank_locus_spec(shape, rb, name=p.stem)
         except ValueError as exc:
@@ -403,12 +380,9 @@ def parse_spec_file(path) -> VarietySpec:
         if not isinstance(sg, list) or not sg:
             raise InputError("'singular_generators' must be a non-empty list")
         _bound("singular generator count", len(sg), MAX_GENERATORS)
-        sprogs = [_parsed_generator(g, nvars, f"singular generator {i}")
-                  .compile() for i, g in enumerate(sg)]
-        singular = VarietySpec(p.stem + "-singular", ambient, sprogs,
-                               None, None)
-    return VarietySpec(p.stem, ambient, [prog], singular,
-                       _pencil_sampler(prog))
+        singular = [_parsed_generator(g, nvars, f"singular generator {i}")
+                    .compile() for i, g in enumerate(sg)]
+    return hypersurface_spec(p.stem, prog, singular)
 
 
 # --- experiment registry --------------------------------------------------------

@@ -26,7 +26,6 @@ from .fieldcore import (
     rref,
     vecmat,
 )
-from .varieties import variety_dim
 
 
 class SingularSamplePoint(Degeneracy):
@@ -251,11 +250,3 @@ def first_order_fiber(fiber, w, fp):
     return [vecmat([-v % p for v in y], on_pivots, fp)
             for y in zip(*(ring2.slots(row[3]) for row in solved[:rho]))]
 
-
-def fiber_codim_data(spec, dim_x: int, fp, rng):
-    """Codimension of the singular locus inside the variety, measured by
-    Jacobian probes on the singular stratum; ``None`` when the variety
-    carries no singular-locus description."""
-    if spec.singular is None or spec.singular.sampler is None:
-        return None
-    return dim_x - variety_dim(spec.singular, fp, rng)

@@ -1,5 +1,5 @@
-"""Example varieties: matrix rank loci, a line family in P^6, and the
-27-coordinate cubic of 3x3 Hermitian matrices over split octonions.
+"""Varieties: rank loci, explicit hypersurfaces, a line family in P^6,
+and the 27-coordinate cubic of 3x3 Hermitian matrices over split octonions.
 
 A variety is presented by black-box generator programs plus a point
 sampler.  Rank loci of symmetric/generic/skew matrices are cut out by
@@ -10,7 +10,9 @@ assumed: the Jacobian of the generators at sampled smooth points.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
+from math import comb
 
 from .fieldcore import Degeneracy, dual_partials, mat_rank
 from .mpoly import PolyProgram, SparsePoly, line_zeros, restrict_to_line
@@ -87,28 +89,45 @@ class MatrixShape:
         return coords
 
 
+def _minor_order(shape: MatrixShape, rank_bound: int) -> int:
+    """Order of the minors cutting out {rank <= rank_bound}: rank_bound+1,
+    or the next even order for the sub-Pfaffians of a skew shape."""
+    return rank_bound + (2 + rank_bound % 2 if shape.kind == "skew" else 1)
+
+
+def singular_rank(shape: MatrixShape, rank_bound: int) -> int:
+    """Rank bound of the singular locus of {rank <= rank_bound}: the
+    next-lower rank stratum, two lower for skew (whose ranks are even);
+    below 1 there is none."""
+    return rank_bound - (2 if shape.kind == "skew" else 1)
+
+
+def generator_count(shape: MatrixShape, rank_bound: int) -> int:
+    """How many minors (or sub-Pfaffians, skew) ``rank_locus_generators``
+    builds for this shape and rank bound, counted without building any;
+    0 below rank 1, where ``rank_locus_spec`` builds no stratum."""
+    size = _minor_order(shape, rank_bound)
+    rows = comb(shape.nrows, size) if rank_bound >= 1 else 0
+    if shape.kind == "symmetric":
+        return rows * (rows + 1) // 2  # minor(I, J) = minor(J, I)
+    return rows * comb(shape.ncols, size) if shape.kind == "generic" else rows
+
+
 def rank_locus_generators(shape: MatrixShape, rank_bound: int):
-    """Programs cutting out {rank <= rank_bound}: minors of order
-    rank_bound+1, or sub-Pfaffians of the next even order for skew."""
+    """Programs cutting out {rank <= rank_bound}: the minors, or the
+    sub-Pfaffians for skew, of order ``_minor_order``."""
     if rank_bound < 1:
         raise ValueError("rank bound must be at least 1")
+    size = _minor_order(shape, rank_bound)
     progs = []
     if shape.kind == "skew":
-        size = rank_bound + 2 + (rank_bound % 2)
-        if size > shape.nrows:
-            return []
         for sub in combinations(range(shape.nrows), size):
             upper = [[shape.var_index(sub[i], sub[j])
                       for j in range(i + 1, size)] for i in range(size - 1)]
             progs.append(PolyProgram.pf(shape.num_vars, upper))
         return progs
-    size = rank_bound + 1
-    if size > min(shape.nrows, shape.ncols):
-        return []
-    rows_iter = list(combinations(range(shape.nrows), size))
-    cols_iter = list(combinations(range(shape.ncols), size))
-    for ri in rows_iter:
-        for ci in cols_iter:
+    for ri in combinations(range(shape.nrows), size):
+        for ci in combinations(range(shape.ncols), size):
             if shape.kind == "symmetric" and ri > ci:
                 continue  # minor(I,J) = minor(J,I)
             grid = [[shape.var_index(i, j) for j in ci] for i in ri]
@@ -129,30 +148,21 @@ def sample_rank_point(shape: MatrixShape, rank_bound: int, rng, fp) -> WitnessPo
     (or rank-two, skew) summands; the summand coordinates are kept."""
     p = fp.p
     n, m = shape.nrows, shape.ncols
-    if shape.kind == "skew" and rank_bound % 2:
+    skew = shape.kind == "skew"
+    if skew and rank_bound % 2:
         raise ValueError("skew matrices have even rank")
     for _ in range(16):
         summands = []
-        if shape.kind == "symmetric":
-            for _ in range(rank_bound):
-                v = [rng.field(p) for _ in range(n)]
-                summands.append([[v[i] * v[j] % p for j in range(n)] for i in range(n)])
-        elif shape.kind == "generic":
-            for _ in range(rank_bound):
-                u = [rng.field(p) for _ in range(n)]
-                v = [rng.field(p) for _ in range(m)]
-                summands.append([[u[i] * v[j] % p for j in range(m)] for i in range(n)])
-        else:
-            for _ in range(rank_bound // 2):
-                u = [rng.field(p) for _ in range(n)]
-                v = [rng.field(p) for _ in range(n)]
-                summands.append([[(u[i] * v[j] - v[i] * u[j]) % p
-                                  for j in range(n)] for i in range(n)])
-        total = [[0] * m for _ in range(n)]
-        for s in summands:
-            for i in range(n):
-                for j in range(m):
-                    total[i][j] = (total[i][j] + s[i][j]) % p
+        for _ in range(rank_bound // 2 if skew else rank_bound):
+            u = [rng.field(p) for _ in range(n)]
+            v = u if shape.kind == "symmetric" else [rng.field(p) for _ in range(m)]
+            if skew:
+                summands.append([[(ui * vj - vi * uj) % p for uj, vj in zip(u, v)]
+                                 for ui, vi in zip(u, v)])
+            else:
+                summands.append([[ui * vj % p for vj in v] for ui in u])
+        total = [[sum(col) % p for col in zip(*rows)]
+                 for rows in zip(*summands)]
         if mat_rank(total, fp) != rank_bound:
             continue
         coords = shape.from_matrix(total, p)
@@ -177,20 +187,43 @@ class VarietySpec:
 
 
 def rank_locus_spec(shape: MatrixShape, rank_bound: int, name=None) -> VarietySpec:
+    """The locus {rank <= rank_bound} with its singular locus, the
+    ``singular_rank`` stratum.  That stratum carries no singular locus of
+    its own: the focal checks read only the one below the variety."""
     gens = rank_locus_generators(shape, rank_bound)
     if not gens:
         raise ValueError("rank bound does not constrain this shape")
-    # the singular locus of a rank locus is the next-lower rank stratum;
-    # skew ranks are even, so "next lower" drops by two there
-    sing_rb = rank_bound - (2 if shape.kind == "skew" else 1)
-    singular = rank_locus_spec(shape, sing_rb) if sing_rb >= 1 else None
     if name is None:
         name = f"{shape.kind}-{shape.nrows}x{shape.ncols}-rank{rank_bound}"
+    sing_rb = singular_rank(shape, rank_bound)
+    singular = None if sing_rb < 1 else VarietySpec(
+        name + "-singular", shape.ambient_dim, rank_locus_generators(shape, sing_rb),
+        None, partial(sample_rank_point, shape, sing_rb))
+    return VarietySpec(name, shape.ambient_dim, gens, singular,
+                       partial(sample_rank_point, shape, rank_bound))
+
+
+def _pencil_roots(prog, fp, rng):
+    """Points of {prog = 0}: the first root on each line of ``line_zeros``."""
+    for x, *_ in line_zeros(lambda a, d: restrict_to_line(prog, a, d, fp),
+                            prog.arity, fp, rng):
+        yield x
+
+
+def hypersurface_spec(name, prog, singular=None) -> VarietySpec:
+    """The hypersurface {prog = 0}, sampled at smooth pencil roots;
+    ``singular`` lists generators of its singular locus, if known."""
 
     def sampler(rng, fp):
-        return sample_rank_point(shape, rank_bound, rng, fp)
+        for x in _pencil_roots(prog, fp, rng):
+            if any(x) and any(prog.grad(x, fp)):
+                return WitnessPoint(x)
+        raise RankDeficientSample("no smooth pencil point on the hypersurface")
 
-    return VarietySpec(name, shape.ambient_dim, gens, singular, sampler)
+    if singular is not None:
+        singular = VarietySpec(name + "-singular", prog.arity - 1, singular,
+                               None, None)
+    return VarietySpec(name, prog.arity - 1, [prog], singular, sampler)
 
 
 def variety_dim(spec: VarietySpec, fp, rng) -> int:
@@ -204,6 +237,15 @@ def variety_dim(spec: VarietySpec, fp, rng) -> int:
     if len(dims) != 1:
         raise InconsistentDim(f"{spec.name}: dimension probes gave {sorted(dims)}")
     return dims.pop()
+
+
+def fiber_codim_data(spec: VarietySpec, dim_x: int, fp, rng):
+    """Codimension of the singular locus inside the variety, measured by
+    Jacobian probes on the singular stratum; ``None`` when the variety
+    carries no singular-locus description."""
+    if spec.singular is None or spec.singular.sampler is None:
+        return None
+    return dim_x - variety_dim(spec.singular, fp, rng)
 
 
 # --- a 4-parameter family of lines in P^6 --------------------------------------
@@ -375,9 +417,7 @@ def albert_cubic(name: str = "hermitian-octonion-cubic") -> VarietySpec:
     def sample_singular(rng, fp):
         # a pencil meets the cubic in a root over F_p about 2/3 of the
         # time; the adjoint of the hit is a point of the singular locus
-        for x0, *_ in line_zeros(
-                lambda a, d: restrict_to_line(norm, a, d, fp),
-                27, fp, rng):
+        for x0 in _pencil_roots(norm, fp, rng):
             e = adjoint_coords(x0, fp)
             if any(e):
                 return e

@@ -38,6 +38,7 @@ from gaussfocal.cli import (
     MAX_TRIALS,
     InputError,
     ParseError,
+    build_plan,
     derive_primes,
     expectation_for,
     expectations,
@@ -520,6 +521,44 @@ def test_input_bounds_admit_every_preset():
         assert 1 <= count <= MAX_GENERATORS
         if shape.num_vars <= 36:  # cheap enough to build and count
             assert count == len(rank_locus_generators(shape, rb))
+
+
+def test_every_preset_builds_one_singular_stratum():
+    runs = [(name, None) for name in [*_SEVERI_SHAPES, "severi-16"]]
+    runs += [(name, m) for name in _SCORZA_SHAPES for m in _SCORZA_M]
+    for name, m in runs:
+        spec = build_plan(ExperimentConfig(name, m=m, features=("albert",))).spec
+        assert spec.singular is not None, name
+        assert spec.singular.singular is None, name
+
+
+def test_matrix_spec_bounds_its_singular_stratum_before_building(tmp_path):
+    # 121 minors of order 10, but 3025 of order 9 below them
+    path = _write(tmp_path, "gen11.json",
+                  {"matrix": {"shape": "generic", "rows": 11, "cols": 11},
+                   "rank_bound": 9})
+    with pytest.raises(InputError) as err:
+        parse_spec_file(path)
+    assert str(err.value) == (
+        f"singular generator count 3025 exceeds the limit {MAX_GENERATORS}")
+
+
+def test_corank_one_spec_builds_two_strata_under_a_memory_cap(tmp_path):
+    # one 15x15 determinant and the 120 minors of order 14 below it; the
+    # strata further down are never built, so a 1 GiB cap is far off
+    path = _write(tmp_path, "sym15.json",
+                  {"matrix": {"shape": "symmetric", "rows": 15},
+                   "rank_bound": 14})
+    src = os.path.dirname(os.path.dirname(gaussfocal.__file__))
+    code = ("import sys; from gaussfocal.cli import parse_spec_file; "
+            "spec = parse_spec_file(sys.argv[1]); "
+            "print(len(spec.generators), len(spec.singular.generators))")
+    run = subprocess.run(
+        [sys.executable, "-c", code, path], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=5,
+        preexec_fn=_cap_address_space)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "120"]
 
 
 def test_deformation_span_mismatch_exits_2(monkeypatch, capsys):

@@ -57,7 +57,6 @@ from gaussfocal.focal import (
 from gaussfocal.gaussmap import (
     FiberVerificationFailed,
     SingularSamplePoint,
-    fiber_codim_data,
     fiber_system,
     first_order_fiber,
     gauss_fiber,
@@ -80,6 +79,7 @@ from gaussfocal.varieties import (
     RankDeficientSample,
     VarietySpec,
     WitnessPoint,
+    fiber_codim_data,
     hyperband_family,
     rank_locus_spec,
 )

@@ -19,7 +19,6 @@ from gaussfocal.gaussmap import (
     PointOffVariety,
     SingularSamplePoint,
     TangentFrame,
-    fiber_codim_data,
     fiber_system,
     first_order_fiber,
     gauss_fiber,
@@ -32,6 +31,7 @@ from gaussfocal.varieties import (
     VarietySpec,
     WitnessPoint,
     albert_cubic,
+    fiber_codim_data,
     rank_locus_spec,
     sample_rank_point,
 )

@@ -10,12 +10,15 @@ from gaussfocal.varieties import (
     InconsistentDim,
     MatrixShape,
     RankDeficientSample,
+    WitnessPoint,
     albert_cubic,
+    generator_count,
     hyperband_dims,
     hyperband_family,
     rank_locus_generators,
     rank_locus_spec,
     sample_rank_point,
+    singular_rank,
     variety_dim,
 )
 
@@ -123,6 +126,93 @@ def test_witnesses_on_base_variety():
     for w in pt.witnesses:
         for g in base:
             assert g.eval(w, FP) == 0
+
+
+def _three_branch_sample(shape, rank_bound, rng, fp):
+    """The rank sampler as it was written before its summands shared one
+    loop: one branch per shape, kept as the oracle for its draws."""
+    p = fp.p
+    n, m = shape.nrows, shape.ncols
+    for _ in range(16):
+        summands = []
+        if shape.kind == "symmetric":
+            for _ in range(rank_bound):
+                v = [rng.field(p) for _ in range(n)]
+                summands.append([[v[i] * v[j] % p for j in range(n)]
+                                 for i in range(n)])
+        elif shape.kind == "generic":
+            for _ in range(rank_bound):
+                u = [rng.field(p) for _ in range(n)]
+                v = [rng.field(p) for _ in range(m)]
+                summands.append([[u[i] * v[j] % p for j in range(m)]
+                                 for i in range(n)])
+        else:
+            for _ in range(rank_bound // 2):
+                u = [rng.field(p) for _ in range(n)]
+                v = [rng.field(p) for _ in range(n)]
+                summands.append([[(u[i] * v[j] - v[i] * u[j]) % p
+                                  for j in range(n)] for i in range(n)])
+        total = [[0] * m for _ in range(n)]
+        for s in summands:
+            for i in range(n):
+                for j in range(m):
+                    total[i][j] = (total[i][j] + s[i][j]) % p
+        if mat_rank(total, fp) != rank_bound:
+            continue
+        coords = shape.from_matrix(total, p)
+        if any(coords):
+            return WitnessPoint(coords,
+                                [shape.from_matrix(s, p) for s in summands])
+    raise RankDeficientSample("oracle found no exact-rank sample")
+
+
+@pytest.mark.parametrize("shape,rbs", [
+    (MatrixShape.symmetric(4), (1, 2, 3)),
+    (MatrixShape.symmetric(6), (5,)),
+    (MatrixShape.generic(3, 5), (1, 2, 3)),
+    (MatrixShape.generic(5, 2), (1, 2)),
+    (MatrixShape.skew(8), (2, 4, 6, 8)),
+    (MatrixShape.skew(7), (2, 4, 6)),
+])
+def test_sampler_draws_match_the_three_branch_oracle(shape, rbs):
+    for rb in rbs:
+        for seed in (0, 1, 7, 1729):
+            got_rng, want_rng = Rng(seed), Rng(seed)
+            got = sample_rank_point(shape, rb, got_rng, FP)
+            want = _three_branch_sample(shape, rb, want_rng, FP)
+            assert got.coords == want.coords
+            assert got.witnesses == want.witnesses
+            assert got_rng.field(P) == want_rng.field(P)  # same draw count
+
+
+def _small_rank_loci():
+    """Every rank locus on at most 28 coordinates, at every rank bound
+    whose minors fit in the matrix."""
+    shapes = [MatrixShape.symmetric(n) for n in range(2, 8)]
+    shapes += [MatrixShape.skew(n) for n in range(4, 9)]
+    shapes += [MatrixShape.generic(r, c) for r in range(2, 15)
+               for c in range(2, 15) if r * c <= 28]
+    for shape in shapes:
+        step = 2 if shape.kind == "skew" else 1
+        for rb in range(step, min(shape.nrows, shape.ncols) - step + 1, step):
+            yield shape, rb
+
+
+def test_rank_loci_build_one_counted_singular_stratum():
+    loci = list(_small_rank_loci())
+    assert len(loci) > 40
+    for shape, rb in loci:
+        assert shape.num_vars <= 28
+        spec = rank_locus_spec(shape, rb)
+        assert generator_count(shape, rb) == len(spec.generators)
+        below = singular_rank(shape, rb)
+        if spec.singular is None:
+            assert below < 1 and generator_count(shape, below) == 0
+            continue
+        assert spec.singular.singular is None
+        assert generator_count(shape, below) == \
+            len(spec.singular.generators) == \
+            len(rank_locus_generators(shape, below))
 
 
 def test_hypersurface_line_degree():
