@@ -692,10 +692,8 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
 
 def _witness_battery(spec, fp, rng):
     for _ in range(25):
-        pt = spec.sampler(rng, fp)
-        for g in spec.generators:
-            if g.eval(pt.coords, fp) != 0:
-                return ["a generator misses a sampled point"]
+        if any(spec.values(spec.sampler(rng, fp).coords, fp)):
+            return ["a generator misses a sampled point"]
     return []
 
 

@@ -524,10 +524,9 @@ def sing_containment(spec, fiber, form: ReducedForm, fp, rng,
         for lines, pts in enumerate(_zero_lines(form, fp, rng), 1):
             for t in pts:
                 z = vecmat(t, fiber.basis, fp)
-                for g in spec.singular.generators:
-                    if not fp.is_zero(g.eval(z, fp)):
-                        raise ContainmentFailed(
-                            f"focal zero escapes the singular locus: {z}")
+                if any(spec.singular.values(z, fp)):
+                    raise ContainmentFailed(
+                        f"focal zero escapes the singular locus: {z}")
                 zeros += 1
             if lines == 5:
                 break

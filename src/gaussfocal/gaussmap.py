@@ -5,7 +5,9 @@ vectors of length N+1 and the tangent space at a smooth point is the
 kernel of the Jacobian of a transversal subset of the generators.  The
 fibre through a point collects the tangent directions v with
 t^T H(g) v = 0 for every tangent t and every generator g of the subset;
-its correctness is then re-checked against the full generator list.
+its correctness is then re-checked against the full generator list, read
+at each point by ``VarietySpec.values`` (one Pfaffian memo for a rank
+locus with more than one generator, the programs one by one otherwise).
 The first-order fibre at x + εw, the B matrix of a focal chart, is
 solved here as well, by one packed combination with the solver matrix
 that the center fibre keeps.
@@ -72,10 +74,9 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     if codim <= 0:
         raise NoCodimension("expected dimension must be below the ambient "
                             "one")
-    for g in spec.generators:
-        if not fp.is_zero(g.eval(coords, fp)):
-            raise PointOffVariety(f"{spec.name}: point is not on the variety")
-    grads = [g.grad(coords, fp) for g in spec.generators]
+    if any(spec.values(coords, fp)):
+        raise PointOffVariety(f"{spec.name}: point is not on the variety")
+    grads = spec.jacobian(coords, fp)
     # pivot columns of the transpose: the first gradients, in generator
     # order, that are independent of the ones before them
     _, picked = rref([list(col) for col in zip(*grads)], fp, reduced=False)
@@ -153,7 +154,7 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
 
     The system only involves the frame's transversal subset; membership
     of the resulting linear space in the variety is then re-checked
-    against the full ``spec.generators`` list at random points.
+    against every generator, by ``spec.values``, at random points.
     """
     tan = frame.tangent
     system = fiber_system(frame.gens, frame.x, tan, frame.tan_pivots, fp)
@@ -176,20 +177,18 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
     k = len(basis) - 1
     fiber = GaussFiber(frame, basis, k, frame.n - k, sys_pivots, sys_rows,
                        outside, solver)
-    _verify_fiber(fiber, fp, rng, spec.generators)
+    _verify_fiber(fiber, fp, rng, spec)
     return fiber
 
 
-def _verify_fiber(fiber, fp, rng, generators):
+def _verify_fiber(fiber, fp, rng, spec):
     frame = fiber.frame
     if mat_rank(fiber.basis + [frame.x], fp) != len(fiber.basis):
         raise FiberVerificationFailed("base point is outside the fibre span")
     for _ in range(10):
         y = random_combination(fiber.basis, fp, rng)
-        for g in generators:
-            if not fp.is_zero(g.eval(y, fp)):
-                raise FiberVerificationFailed(
-                    "a fibre point misses the variety")
+        if any(spec.values(y, fp)):
+            raise FiberVerificationFailed("a fibre point misses the variety")
     for _ in range(5):
         y = random_combination(fiber.basis, fp, rng)
         jac_y = [g.grad(y, fp) for g in frame.gens]

@@ -198,12 +198,13 @@ def _det_field(mat, fp):
 
 
 def _det_block(mat, ring):
-    """Rows 0..n-1 of the upper triangle of B = [[0, M], [-Mᵀ, 0]]: row i
-    is n - 1 - i zeros, then M's row i.  Every index set the expansion
-    reaches holds as many of B's first n indices as of its last n, so
-    the all-zero rows n..2n-1 are never read and are left out.  Lowest
-    index i then pairs only with the n + j, and the sub-Pfaffians are
-    the minors on (row suffix, column subset), up to sign."""
+    """Rows 0..n-1 of the upper triangle of B = [[0, M], [-Mᵀ, 0]] for an
+    n×m matrix M: row i is n - 1 - i zeros, then M's row i.  Every index
+    set the expansion reaches from a set with as many of B's first n
+    indices as of its last m holds that balance, so the all-zero rows
+    n..n+m-1 are never read and are left out.  Lowest index i then pairs
+    only with the n + j, and the sub-Pfaffians are the minors on (row
+    suffix, column subset), up to sign."""
     n = len(mat)
     return [[ring.zero] * (n - 1 - i) + list(row) for i, row in enumerate(mat)]
 

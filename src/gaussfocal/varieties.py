@@ -6,6 +6,12 @@ sampler.  Rank loci of symmetric/generic/skew matrices are cut out by
 minors or sub-Pfaffians and sampled through explicit low-rank sums whose
 summands are retained as witnesses.  Dimensions are always measured, not
 assumed: the Jacobian of the generators at sampled smooth points.
+
+Every generator at one point comes from ``VarietySpec.values`` and
+``.jacobian``: from one Pfaffian memo of the matrix for a rank locus with
+more than one generator, from the programs one by one for explicit specs,
+the Albert cubic and a locus of one full det or Pf, whose elimination
+(O(n³)) beats the memo (O(2ⁿ)).
 """
 
 from __future__ import annotations
@@ -15,7 +21,14 @@ from itertools import combinations
 from math import comb
 
 from .fieldcore import Degeneracy, dual_partials, mat_rank
-from .mpoly import PolyProgram, SparsePoly, line_zeros, restrict_to_line
+from .mpoly import (
+    PolyProgram,
+    SparsePoly,
+    _det_block,
+    _pf_solver,
+    line_zeros,
+    restrict_to_line,
+)
 
 
 class RankDeficientSample(Degeneracy):
@@ -113,26 +126,52 @@ def generator_count(shape: MatrixShape, rank_bound: int) -> int:
     return rows * comb(shape.ncols, size) if shape.kind == "generic" else rows
 
 
+def _locus_sets(shape: MatrixShape, size: int):
+    """The minors of order ``size`` (sub-Pfaffians, skew) as index sets of
+    the locus matrix (``_locus_block``), in the order
+    ``rank_locus_generators`` builds them: each set of ``size`` indices of
+    a skew shape, else rows I and columns J as I + (n + J) (for symmetric,
+    only I <= J)."""
+    if shape.kind == "skew":
+        yield from combinations(range(shape.nrows), size)
+        return
+    n = shape.nrows
+    for ri in combinations(range(n), size):
+        for ci in combinations(range(shape.ncols), size):
+            if shape.kind == "symmetric" and ri > ci:
+                continue  # minor(I,J) = minor(J,I)
+            yield ri + tuple(n + j for j in ci)
+
+
 def rank_locus_generators(shape: MatrixShape, rank_bound: int):
     """Programs cutting out {rank <= rank_bound}: the minors, or the
     sub-Pfaffians for skew, of order ``_minor_order``."""
     if rank_bound < 1:
         raise ValueError("rank bound must be at least 1")
     size = _minor_order(shape, rank_bound)
-    progs = []
+    cell = shape.var_index
     if shape.kind == "skew":
-        for sub in combinations(range(shape.nrows), size):
-            upper = [[shape.var_index(sub[i], sub[j])
-                      for j in range(i + 1, size)] for i in range(size - 1)]
-            progs.append(PolyProgram.pf(shape.num_vars, upper))
-        return progs
-    for ri in combinations(range(shape.nrows), size):
-        for ci in combinations(range(shape.ncols), size):
-            if shape.kind == "symmetric" and ri > ci:
-                continue  # minor(I,J) = minor(J,I)
-            grid = [[shape.var_index(i, j) for j in ci] for i in ri]
-            progs.append(PolyProgram.det(shape.num_vars, grid))
-    return progs
+        return [PolyProgram.pf(shape.num_vars,
+                               [[cell(i, j) for j in sub[a + 1:]]
+                                for a, i in enumerate(sub[:-1])])
+                for sub in _locus_sets(shape, size)]
+    n = shape.nrows
+    return [PolyProgram.det(shape.num_vars,
+                            [[cell(i, j - n) for j in sub[size:]]
+                             for i in sub[:size]])
+            for sub in _locus_sets(shape, size)]
+
+
+def _locus_block(shape: MatrixShape, x, fp):
+    """The upper triangle of the skew matrix whose sub-Pfaffians on the
+    ``_locus_sets`` are the generators at x, up to sign: the skew matrix
+    itself, or B = [[0, M], [-Mᵀ, 0]] (``_det_block``) for the n×m
+    matrix M."""
+    cell, n = shape.var_index, shape.nrows
+    if shape.kind == "skew":
+        return [[x[cell(i, j)] for j in range(i + 1, n)] for i in range(n - 1)]
+    return _det_block([[x[cell(i, j)] for j in range(shape.ncols)]
+                       for i in range(n)], fp)
 
 
 class WitnessPoint:
@@ -174,33 +213,102 @@ def sample_rank_point(shape: MatrixShape, rank_bound: int, rng, fp) -> WitnessPo
 
 class VarietySpec:
     """A variety given by generator programs, with an optional descriptor
-    of its singular locus (itself a VarietySpec) and a smooth-point sampler."""
+    of its singular locus (itself a VarietySpec) and a smooth-point sampler.
 
-    __slots__ = ("name", "ambient_dim", "generators", "singular", "sampler")
+    ``values`` and ``jacobian`` are the one routine for every generator
+    at one point over F_p, in generator order.  A rank locus with more
+    than one generator keeps ``locus`` = (shape, minor order) and serves
+    both from one bitmask Pfaffian memo (``_pf_solver``) of its locus
+    matrix, the skew matrix itself or B = [[0, M], [-Mᵀ, 0]]: a minor on
+    rows I and columns J of order s is (-1)^(s(s-1)/2)·Pf(B on I ∪ (n+J)),
+    and each gradient entry a signed smaller sub-Pfaffian from the same
+    memo.  Explicit specs, the Albert cubic and a locus cut out by its one
+    full det or Pf loop over their programs: one determinant is cheaper by
+    elimination (O(n³)) than by the memo (O(2ⁿ)).  The programs stay for
+    the sweeps over dual rings.
+    """
 
-    def __init__(self, name, ambient_dim, generators, singular, sampler):
+    __slots__ = ("name", "ambient_dim", "generators", "singular", "sampler",
+                 "locus")
+
+    def __init__(self, name, ambient_dim, generators, singular, sampler,
+                 locus=None):
         self.name = name
         self.ambient_dim = ambient_dim
         self.generators = generators
         self.singular = singular
         self.sampler = sampler
+        self.locus = locus
+
+    def values(self, x, fp):
+        """Every generator's value at x."""
+        if self.locus is None:
+            return [g.eval(x, fp) for g in self.generators]
+        shape, size = self.locus
+        pf = _pf_solver(_locus_block(shape, x, fp), fp)
+        vals = [pf(sum(1 << i for i in sub)) for sub in _locus_sets(shape, size)]
+        if shape.kind != "skew" and size * (size - 1) // 2 % 2:
+            return [-v % fp.p for v in vals]
+        return vals
+
+    def jacobian(self, x, fp):
+        """Every generator's gradient at x."""
+        if self.locus is None:
+            return [g.grad(x, fp) for g in self.generators]
+        shape, size = self.locus
+        pf = _pf_solver(_locus_block(shape, x, fp), fp)
+        p, nv, n = fp.p, shape.num_vars, shape.nrows
+        # coord[i][j] is the coordinate at the locus matrix's entry (i, j);
+        # positions a < c of a set pair its indices i, j, and of a minor's
+        # set only a row (a < size) with a column (c >= size) has one
+        if shape.kind == "skew":
+            low = flip = 0
+            coord = [[shape.var_index(i, j) if i != j else None
+                      for j in range(n)] for i in range(n)]
+        else:
+            low, flip = size, size * (size - 1) // 2
+            coord = [[None] * n + [shape.var_index(i, j)
+                                   for j in range(shape.ncols)]
+                     for i in range(n)]
+        rows = []
+        for sub in _locus_sets(shape, size):
+            full = sum(1 << i for i in sub)
+            out = [0] * nv
+            for a in range(size):
+                i = sub[a]
+                at, rest = coord[i], full ^ 1 << i
+                for c in range(max(a + 1, low), len(sub)):
+                    j = sub[c]
+                    cof = pf(rest ^ 1 << j)
+                    t = at[j]
+                    # the cofactor's sign is (-1)^(a+c+1+flip)
+                    out[t] = (out[t] + (cof if (a + c + flip) % 2 else -cof)) % p
+            rows.append(out)
+        return rows
+
+
+def _rank_stratum(name, shape: MatrixShape, rank_bound: int) -> VarietySpec:
+    """{rank <= rank_bound} with no singular locus; its ``locus`` is set
+    when more than one generator cuts it out."""
+    gens = rank_locus_generators(shape, rank_bound)
+    locus = (shape, _minor_order(shape, rank_bound)) if len(gens) > 1 else None
+    return VarietySpec(name, shape.ambient_dim, gens, None,
+                       partial(sample_rank_point, shape, rank_bound), locus)
 
 
 def rank_locus_spec(shape: MatrixShape, rank_bound: int, name=None) -> VarietySpec:
     """The locus {rank <= rank_bound} with its singular locus, the
     ``singular_rank`` stratum.  That stratum carries no singular locus of
     its own: the focal checks read only the one below the variety."""
-    gens = rank_locus_generators(shape, rank_bound)
-    if not gens:
-        raise ValueError("rank bound does not constrain this shape")
     if name is None:
         name = f"{shape.kind}-{shape.nrows}x{shape.ncols}-rank{rank_bound}"
+    spec = _rank_stratum(name, shape, rank_bound)
+    if not spec.generators:
+        raise ValueError("rank bound does not constrain this shape")
     sing_rb = singular_rank(shape, rank_bound)
-    singular = None if sing_rb < 1 else VarietySpec(
-        name + "-singular", shape.ambient_dim, rank_locus_generators(shape, sing_rb),
-        None, partial(sample_rank_point, shape, sing_rb))
-    return VarietySpec(name, shape.ambient_dim, gens, singular,
-                       partial(sample_rank_point, shape, rank_bound))
+    if sing_rb >= 1:
+        spec.singular = _rank_stratum(name + "-singular", shape, sing_rb)
+    return spec
 
 
 def _pencil_roots(prog, fp, rng):
@@ -232,8 +340,7 @@ def variety_dim(spec: VarietySpec, fp, rng) -> int:
     dims = set()
     for _ in range(5):
         pt = spec.sampler(rng, fp)
-        jac = [g.grad(pt.coords, fp) for g in spec.generators]
-        dims.add(spec.ambient_dim - mat_rank(jac, fp))
+        dims.add(spec.ambient_dim - mat_rank(spec.jacobian(pt.coords, fp), fp))
     if len(dims) != 1:
         raise InconsistentDim(f"{spec.name}: dimension probes gave {sorted(dims)}")
     return dims.pop()

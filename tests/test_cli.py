@@ -11,6 +11,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -25,6 +26,7 @@ from gaussfocal.cli import (
     _SEVERI_SHAPES,
     _Where,
     _build_parser,
+    _witness_battery,
     _config_from_args,
     ArityError,
     ExperimentConfig,
@@ -79,6 +81,7 @@ from gaussfocal.varieties import (
     MatrixShape,
     rank_locus_generators,
     rank_locus_spec,
+    sample_rank_point,
 )
 
 P = (1 << 61) - 1
@@ -530,6 +533,16 @@ def test_every_preset_builds_one_singular_stratum():
         spec = build_plan(ExperimentConfig(name, m=m, features=("albert",))).spec
         assert spec.singular is not None, name
         assert spec.singular.singular is None, name
+
+
+def test_witness_battery_flags_a_sampler_off_a_batched_rank_locus():
+    shape = MatrixShape.generic(3, 3)
+    spec = rank_locus_spec(shape, 1)
+    assert spec.locus is not None
+    assert _witness_battery(spec, FP, Rng(5)) == []
+    spec.sampler = partial(sample_rank_point, shape, 2)  # draws rank 2
+    assert _witness_battery(spec, FP, Rng(5)) == [
+        "a generator misses a sampled point"]
 
 
 def test_matrix_spec_bounds_its_singular_stratum_before_building(tmp_path):

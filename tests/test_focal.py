@@ -3,6 +3,7 @@ multiplicity profiles, reduced-form extraction and the bound battery."""
 
 from itertools import product
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -1027,6 +1028,25 @@ def test_perturbed_form_fails_containment():
     with pytest.raises(ContainmentFailed):
         sing_containment(spec, fib, ReducedForm(SparsePoly(3, bad)), FP, rng,
                          witnesses=pt.witnesses)
+
+
+def test_containment_rejects_a_zero_off_a_batched_singular_stratum():
+    # generic 3×3 rank ≤ 2; its singular stratum, rank ≤ 1, is cut out by
+    # the nine 2×2 minors.  On the span of E₀₀ and E₁₁ the zeros of
+    # t₀·t₁ are rank-one axes, and those of t₀ - t₁ are multiples of
+    # E₀₀ + E₁₁, where exactly one minor is not 0.
+    shape = MatrixShape.generic(3, 3)
+    spec = rank_locus_spec(shape, 2)
+    assert spec.singular.locus is not None
+    span = [[0] * 9, [0] * 9]
+    span[0][shape.var_index(0, 0)] = span[1][shape.var_index(1, 1)] = 1
+    fib = SimpleNamespace(basis=span)
+    axes = ReducedForm(SparsePoly(2, {(1, 1): 1}))
+    got = sing_containment(spec, fib, axes, FP, Rng(119))
+    assert (got.status, got.zeros > 0) == ("Pass", True)
+    diagonal = ReducedForm(SparsePoly(2, {(1, 0): 1, (0, 1): -1}))
+    with pytest.raises(ContainmentFailed, match="escapes the singular locus"):
+        sing_containment(spec, fib, diagonal, FP, Rng(119))
 
 
 def test_chart_independence():

@@ -15,10 +15,12 @@ from gaussfocal.fieldcore import (
     vecmat,
 )
 from gaussfocal.gaussmap import (
+    FiberVerificationFailed,
     NoCodimension,
     PointOffVariety,
     SingularSamplePoint,
     TangentFrame,
+    _verify_fiber,
     fiber_system,
     first_order_fiber,
     gauss_fiber,
@@ -82,6 +84,46 @@ def test_tangent_rejects_off_variety_point():
     spec = quadric_spec()
     with pytest.raises(PointOffVariety):
         tangent_space(spec, [1, 1, 1, 2], FP, expected_dim=2)
+
+
+def unit_matrix(shape, *cells):
+    """Coordinates of the sum of the unit matrices E_ij at ``cells``."""
+    x = [0] * shape.num_vars
+    for i, j in cells:
+        x[shape.var_index(i, j)] = 1
+    return x
+
+
+# generic 3×3 rank ≤ 1, cut out by its nine 2×2 minors: E₀₀ lies on it,
+# and at E₀₀ + E₁₁ exactly one minor, on rows and columns {0, 1}, is not 0
+SEGRE = MatrixShape.generic(3, 3)
+
+
+def test_tangent_rejects_a_point_off_a_batched_rank_locus():
+    spec = rank_locus_spec(SEGRE, 1)
+    assert spec.locus is not None
+    assert sum(map(bool, spec.values(unit_matrix(SEGRE, (0, 0), (1, 1)),
+                                     FP))) == 1
+    with pytest.raises(PointOffVariety):
+        tangent_space(spec, unit_matrix(SEGRE, (0, 0), (1, 1)), FP,
+                      expected_dim=4)
+    assert tangent_space(spec, unit_matrix(SEGRE, (0, 0)), FP,
+                         expected_dim=4).codim == 4
+
+
+def test_fibre_check_rejects_a_foreign_vector_on_a_batched_rank_locus():
+    spec = rank_locus_spec(SEGRE, 1)
+    rng = Rng(23)
+    frame = tangent_space(spec, unit_matrix(SEGRE, (0, 0)), FP, expected_dim=4)
+    fib = gauss_fiber(spec, frame, FP, rng)
+    assert fib.k == 0
+    _verify_fiber(fib, FP, rng, spec)
+    # the span of E₀₀ and E₁₁ holds the base point, but its points off the
+    # two axes have one nonzero minor
+    fib.basis = fib.basis + [unit_matrix(SEGRE, (1, 1))]
+    with pytest.raises(FiberVerificationFailed,
+                       match="a fibre point misses the variety"):
+        _verify_fiber(fib, FP, rng, spec)
 
 
 def test_tangent_needs_a_positive_codimension():

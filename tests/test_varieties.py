@@ -2,9 +2,10 @@
 27-coordinate cubic."""
 
 import pytest
+from test_cli import _RANK_LOCI
 
 from gaussfocal.fieldcore import DualFp, Fp, Rng, mat_rank
-from gaussfocal.mpoly import restrict_to_line, up_deg
+from gaussfocal.mpoly import PolyProgram, restrict_to_line, up_deg
 from gaussfocal.varieties import (
     DegenerateSurface,
     InconsistentDim,
@@ -13,6 +14,7 @@ from gaussfocal.varieties import (
     WitnessPoint,
     albert_cubic,
     generator_count,
+    hypersurface_spec,
     hyperband_dims,
     hyperband_family,
     rank_locus_generators,
@@ -213,6 +215,111 @@ def test_rank_loci_build_one_counted_singular_stratum():
         assert generator_count(shape, below) == \
             len(spec.singular.generators) == \
             len(rank_locus_generators(shape, below))
+
+
+# --- every generator at one point ----------------------------------------------
+
+
+def _program_rows(spec, x, fp):
+    return ([g.eval(x, fp) for g in spec.generators],
+            [g.grad(x, fp) for g in spec.generators])
+
+
+def _check_batch_matches_programs(spec, fp, rng):
+    """``values`` and ``jacobian`` equal the programs' values and
+    gradients, in generator order, at two sampled points of the stratum,
+    at a point with a quarter of its coordinates zero and at a random
+    point off it."""
+    nv = spec.ambient_dim + 1
+    points = [spec.sampler(rng, fp).coords for _ in range(2)]
+    points.append([rng.field(fp.p) if rng.below(4) else 0 for _ in range(nv)])
+    points.append([rng.field(fp.p) for _ in range(nv)])
+    for x in points:
+        values, jacobian = _program_rows(spec, x, fp)
+        assert spec.values(x, fp) == values
+        assert spec.jacobian(x, fp) == jacobian
+    assert any(values)  # the random point is off the stratum
+
+
+_BATCHED_LOCI = [(MatrixShape(kind, rows, cols), rb)
+                 for kind, rows, cols, rb in _RANK_LOCI]
+_BATCHED_LOCI.append((MatrixShape.skew(12), 4))  # scorza-sy-skew m = 5
+
+
+@pytest.mark.parametrize("p", [101, P])
+def test_rank_locus_values_and_jacobian_match_the_programs(p):
+    fp, rng = Fp(p), Rng(p % 1000 + 3)
+    batched = 0
+    for shape, rb in _BATCHED_LOCI:
+        spec = rank_locus_spec(shape, rb)
+        for stratum in (spec, spec.singular):
+            if stratum is None:
+                continue
+            # a stratum of one generator, its full det or Pf, keeps the
+            # program path; every other one is batched
+            assert (stratum.locus is None) == (len(stratum.generators) == 1)
+            batched += stratum.locus is not None
+            _check_batch_matches_programs(stratum, fp, rng)
+    assert batched > len(_BATCHED_LOCI)
+
+
+def test_a_fresh_spec_batches_its_own_shape():
+    # specs evaluated and dropped free their ids for reuse; a fresh spec
+    # must still read its own shape, not one kept for a freed spec
+    for n in range(4, 9):
+        for rb in range(1, n - 2):
+            for shape in (MatrixShape.generic(n - 2, n),
+                          MatrixShape.symmetric(n)):
+                spec = rank_locus_spec(shape, rb)
+                spec.values([1] * shape.num_vars, FP)
+                spec.jacobian([1] * shape.num_vars, FP)
+    rng = Rng(71)
+    for shape, rb in ((MatrixShape.skew(7), 4), (MatrixShape.generic(3, 5), 2),
+                      (MatrixShape.symmetric(5), 3)):
+        spec = rank_locus_spec(shape, rb)
+        _check_batch_matches_programs(spec, FP, rng)
+        _check_batch_matches_programs(spec.singular, FP, rng)
+
+
+def _counted_program_calls(monkeypatch):
+    calls = []
+    for name in ("eval", "grad"):
+        real = getattr(PolyProgram, name)
+
+        def counted(self, x, ring, _real=real):
+            calls.append(self)
+            return _real(self, x, ring)
+
+        monkeypatch.setattr(PolyProgram, name, counted)
+    return calls
+
+
+def test_which_specs_take_the_program_path(monkeypatch):
+    quadric = rank_locus_generators(MatrixShape.generic(2, 2), 1)[0]
+    albert = albert_cubic()
+    program_specs = [
+        rank_locus_spec(MatrixShape.symmetric(3), 2),   # one det
+        rank_locus_spec(MatrixShape.generic(4, 4), 3),  # one det
+        rank_locus_spec(MatrixShape.skew(6), 4),        # one Pf
+        hypersurface_spec("quadric", quadric, [quadric]),
+        hypersurface_spec("quadric", quadric, [quadric]).singular,
+        albert, albert.singular,
+    ]
+    batched = rank_locus_spec(MatrixShape.skew(6), 4).singular
+    calls = _counted_program_calls(monkeypatch)
+    rng = Rng(73)
+    for spec in program_specs:
+        assert spec.locus is None
+        x = [rng.field(P) for _ in range(spec.ambient_dim + 1)]
+        del calls[:]
+        spec.values(x, FP)
+        spec.jacobian(x, FP)
+        assert calls == spec.generators * 2
+    assert batched.locus is not None
+    del calls[:]
+    batched.values([1] * 15, FP)
+    batched.jacobian([1] * 15, FP)
+    assert calls == []
 
 
 def test_hypersurface_line_degree():
