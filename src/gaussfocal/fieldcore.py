@@ -15,19 +15,23 @@ per-element object overhead.  ``dual_partials``, the one dual-number
 Jacobian, runs a function once per coordinate over F_p[eps].
 
 Each ring also carries its own vector kernels, ``dot(u, v)`` and, on
-the two rings that eliminate, ``axpy(a, x, y)`` (a·x + y); they
-accumulate unreduced Python integers and reduce once per output
-component (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and
-Pernet, ACM TOMS 2008).  Dot products, vector-matrix products and the
-row updates of ``rref`` go through them.
+F_p and F_p[eps], ``axpy(a, x, y)`` (a·x + y); they accumulate unreduced
+Python integers and reduce once per output component (the delayed
+reduction of FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS 2008).
+Dot products, vector-matrix products and the row updates of ``rref``
+over F_p[eps] go through them.  Over F_p a row is one packed integer
+(``pack_row``), reduced only as a pivot row or when read out: that one
+elimination (``_fp_sweep``) serves ``rref``, ``mat_rank``,
+``solve_affine`` and ``mpoly.det_ring``.
 
 Matrix routines eliminate with unit pivots: a forward sweep that updates
-only the trailing columns of each row, then back-substitution up to the
-reduced row echelon form, which ``mat_rank`` and ``kernel_basis`` do
-without.  The characteristic polynomial goes through Hessenberg form
-instead.  Over a field every nonzero entry is a unit; over a dual ring a
-pivot must have a nonzero unit part, and inputs whose rank drops on the
-unit parts raise ``DegeneratePivot`` so callers can resample.
+only the trailing columns of each row, then, for the reduced row echelon
+form only, clearing above the pivots, which ``mat_rank`` and
+``kernel_basis`` do without.  The characteristic polynomial goes through
+Hessenberg form instead.  Over a field every nonzero entry is a unit;
+over a dual ring a pivot must have a nonzero unit part, and inputs whose
+rank drops on the unit parts raise ``DegeneratePivot`` so callers can
+resample.
 
 Interpolation runs only on the integer nodes 0, 1, 2, …, as two
 triangular maps on a line: values to Newton coefficients
@@ -394,16 +398,20 @@ def vecmat(v, mat, ring):
 def rref(mat, ring, reduced=True):
     """Reduced row echelon form with unit pivots.
 
-    Returns ``(rows, pivots)``.  A forward sweep clears each pivot column
-    below its pivot, then back-substitution clears it above, last pivot
-    first; a row update covers only the lead row's columns from its first
-    nonzero entry on (over F_p, from the pivot column).  ``reduced=False``
-    stops after the forward sweep, with rows in echelon form: enough for
-    the rank, the pivots and ``kernel_basis``.  Over F_p[ε] the unit parts
-    are eliminated exactly as the unit-part matrix is over F_p, so the
-    pivots are the unit part's.  Raises ``DegeneratePivot`` when a
-    non-field ring leaves a nonzero row that no unit pivot can clear.
+    Returns ``(rows, pivots)``.  Over F_p this is ``_fp_sweep``.  Over
+    F_p[ε] a forward sweep clears each pivot column below its pivot, then
+    back-substitution clears it above, last pivot first; a row update
+    covers only the lead row's columns from its first nonzero entry on,
+    and the unit parts are eliminated exactly as the unit-part matrix is
+    over F_p, so the pivots are the unit part's.  ``reduced=False`` stops
+    before clearing above the pivots, with rows in echelon form: enough
+    for the rank, the pivots and ``kernel_basis``.  Raises
+    ``DegeneratePivot`` when a non-field ring leaves a nonzero row that no
+    unit pivot can clear.
     """
+    if isinstance(ring, Fp):
+        rows, pivots, _ = _fp_sweep(mat, ring.p, reduced, True)
+        return [[0] * c + row for row, c in zip(rows, pivots)], pivots
     rows = [list(r) for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -445,6 +453,92 @@ def rref(mat, ring, reduced=True):
     return rows[:r], pivots
 
 
+def pack_row(values, p, w):
+    """Σ_c (values[c] mod p)·2^(w·c): one non-negative w-bit slot per
+    value (Kronecker substitution; von zur Gathen and Gerhard, Modern
+    Computer Algebra, §8.4).  A long row is packed by halves, so the cost
+    grows as n·log n in its length n, not as n²."""
+    n = len(values)
+    if n > 32:
+        h = n // 2
+        return pack_row(values[:h], p, w) | pack_row(values[h:], p, w) << h * w
+    v = 0
+    for x in reversed(values):
+        v = v << w | x % p
+    return v
+
+
+def unpack_row(v, n, p, w, scale=1):
+    """The n slots of ``pack_row``'s v, each times ``scale``, mod p; a long
+    row is split by halves."""
+    if n > 32:
+        h = n // 2
+        return (unpack_row(v & ((1 << h * w) - 1), h, p, w, scale)
+                + unpack_row(v >> h * w, n - h, p, w, scale))
+    mask = (1 << w) - 1
+    return [(v >> s & mask) * scale % p for s in range(0, n * w, w)]
+
+
+def _fp_sweep(mat, p, reduced, keep):
+    """The one F_p elimination, behind ``rref`` and ``mpoly.det_ring``.
+
+    A row is one integer (``pack_row``), with w = 2·bits(p) + bits(2n + 1)
+    for n = min(rows, cols).  A row update, row += (p − f)·lead, adds less
+    than p² to each slot, and a row takes at most n of them before it is a
+    pivot row and n after, so no slot carries.  A row is reduced mod p
+    (and scaled to a unit pivot) when it becomes a pivot row, and when it
+    is read out.  Rows not yet pivot rows drop their leading slots at each
+    pivot; after columns without a pivot the column searched sits a few
+    slots up and is read from those low slots alone, so such columns cost
+    no whole-row shift.  With ``reduced`` each pivot row also clears its
+    column in the pivot rows above it.  Returns ``(rows, pivots, det)``:
+    each row of ``rref`` from its pivot column on, and the pivots' product
+    signed by the row swaps, the determinant of a square matrix of full
+    rank.  Without ``keep`` (the determinant) it stops at the last row's
+    pivot, as nothing reads that row.
+    """
+    ncols = len(mat[0]) if mat else 0
+    w = 2 * p.bit_length() + (2 * min(len(mat), ncols) + 1).bit_length()
+    mask = (1 << w) - 1
+    rows = [pack_row(row, p, w) for row in mat]
+    leads, pivots, out, det, skip = [], [], [], 1, 0
+    for c in range(ncols):
+        if not rows:
+            break
+        s = skip * w  # column c is slot ``skip`` of the rows not yet pivots
+        low = mask << s
+        fs = [((v & low) >> s) % p for v in rows]
+        for j, f in enumerate(fs):
+            if f:
+                break
+        else:
+            skip += 1
+            continue
+        if j:
+            rows[0], rows[j], fs[j] = rows[j], rows[0], fs[0]
+            det = -det
+        det = det * f % p
+        if len(rows) == 1 and not keep:
+            return out, pivots + [c], det
+        vals = unpack_row(rows[0] >> s, ncols - c, p, w, pow(f, -1, p))
+        lead = pack_row(vals, p, w)
+        if reduced:
+            for i, pc in enumerate(pivots):
+                t = (c - pc) * w
+                g = (leads[i] >> t & mask) % p
+                if g:
+                    leads[i] += (p - g) * lead << t
+        tail, s, skip = lead >> w, s + w, 0
+        rows = [(v >> s) + (p - f) * tail if f else v >> s
+                for v, f in zip(rows[1:], fs[1:])]
+        leads.append(lead)
+        pivots.append(c)
+        out.append(vals)
+    if reduced:
+        out = [unpack_row(v, ncols - c, p, w) for v, c in zip(leads, pivots)]
+    return out, pivots, det
+
+
 def kernel_basis(rows, pivots, ncols, ring):
     """Canonical right-kernel basis, one vector per free column f, from
     the rows of ``rref``, reduced or not.  Each vector is back-substituted
@@ -460,8 +554,6 @@ def kernel_basis(rows, pivots, ncols, ring):
 
 
 def mat_rank(mat, ring) -> int:
-    if not mat:
-        return 0
     _, pivots = rref(mat, ring, reduced=False)
     return len(pivots)
 

@@ -10,8 +10,8 @@ degree-r hypersurface in Λ whose multiplicity structure, reduced
 equation, quadric rank and containment in the singular locus are what
 the rest of the package reports on.  A Gauss-fibre chart draws its
 transversal directions here and takes each first-order fibre, as a B
-matrix over F_p, from ``gaussmap.first_order_fiber``: no packed slot
-reaches this module.
+matrix over F_p, from ``gaussmap.first_order_fiber``: no slot of its
+packed dual numbers reaches this module.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
@@ -24,14 +24,18 @@ t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so its μ-th
 root as a power series (Miller's recurrence) gives q on any line, and a
 root that does not stop at degree d rejects the form.  A q with few
 coefficients is then expanded from its values on a simplex grid; a q
-with many stays implicit.  A focal report holds only what the divisor
-gives (profile, q, its quadric rank, a focal point); containment and
-the bounds are judged by the trial that reads them.
+with many stays implicit.  Matrices read many times are packed once
+(``fieldcore.pack_row``): M(t)'s k+1 coefficient layers, the pencil
+slices of K, and Λ's echelon rows that reduce the B rows.  A focal
+report holds only what the divisor gives (profile, q, its quadric rank,
+a focal point); containment and the bounds are judged by the trial that
+reads them.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import mul as _mul
 
 from .fieldcore import (
     Degeneracy,
@@ -43,9 +47,11 @@ from .fieldcore import (
     mat_rank,
     newton_divided,
     newton_to_power,
+    pack_row,
     random_combination,
     rref,
     solve_affine,
+    unpack_row,
     vecmat,
 )
 from .gaussmap import first_order_fiber
@@ -145,35 +151,69 @@ def hyperband_chart(fam, fp) -> FamilyChart:
 # --- characteristic matrices --------------------------------------------------
 
 
+def _pack_layers(layers, p):
+    """Equal-shape matrices as integers, entries mod p in w-bit slots row
+    by row (``pack_row``): w = 2·bits(p) + bits(len(layers)) holds any
+    combination of them all by residues (``_combination``)."""
+    w = 2 * p.bit_length() + len(layers).bit_length()
+    return w, [pack_row([v for row in m for v in row], p, w) for m in layers]
+
+
+def _combination(packed, y, r, p):
+    """Σ_i y_i·layers[i] for ``_pack_layers`` r×r layers, as residue
+    rows."""
+    w, ints = packed
+    vals = unpack_row(sum(map(_mul, map(p.__rmod__, y), ints)), r * r, p, w)
+    return [vals[i:i + r] for i in range(0, r * r, r)]
+
+
 class CharMatrix:
     """Square matrix of homogeneous linear forms on Λ.
 
     ``entries[j][l]`` is the coefficient vector (length k+1) of the form
-    in row j, column l; ``value`` instantiates the matrix at a point t.
+    in row j, column l; ``value`` instantiates the matrix at a point t as
+    Σ_i t_i·M_i, from the k+1 coefficient layers M_i, packed on the first
+    read under each prime.
     """
 
-    __slots__ = ("entries", "r", "k")
+    __slots__ = ("entries", "r", "k", "_layers")
 
     def __init__(self, entries, k):
         self.entries = entries
         self.r = len(entries)
         self.k = k
+        self._layers = None
 
     def value(self, t, fp):
-        return [[fp.dot(e, t) for e in row] for row in self.entries]
+        if self._layers is None or self._layers[0] != fp.p:
+            self._layers = fp.p, _pack_layers(
+                [[[e[i] for e in row] for row in self.entries]
+                 for i in range(self.k + 1)], fp.p)
+        return _combination(self._layers[1], t, self.r, fp.p)
 
     def det_at(self, t, fp):
         return det_ring(self.value(t, fp), fp)
 
 
-def _reduce_by(row, leads, pivots, p):
-    """``row`` reduced by echelon rows with unit pivots, in pivot order."""
-    red = list(row)
-    for lead, pc in zip(leads, pivots):
-        c = red[pc]
-        if c:
-            red = [(a - c * b) % p for a, b in zip(red, lead)]
-    return red
+def _reduce_by(rows, leads, pivots, p, keep):
+    """The columns ``keep`` of ``rows`` reduced by the echelon rows
+    ``leads`` with unit pivots, in pivot order, on rows packed by
+    ``pack_row`` and leads packed once; no slot passes
+    (len(leads) + 1)·p² < 2^w."""
+    w = 2 * p.bit_length() + (len(leads) + 1).bit_length()
+    mask = (1 << w) - 1
+    packed = [(pack_row(lead, p, w), pc * w)
+              for lead, pc in zip(leads, pivots)]
+    out = []
+    for row in rows:
+        v = pack_row(row, p, w)
+        for lead, s in packed:
+            f = (v >> s & mask) % p
+            if f:
+                v += (p - f) * lead
+        vals = unpack_row(v, len(row), p, w)
+        out.append([vals[c] for c in keep])
+    return out
 
 
 def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
@@ -195,25 +235,20 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
     if len(apiv) != k1:
         raise DependentFamilyBasis("family basis rows are dependent")
     free = [c for c in range(len(chart.basis[0])) if c not in set(apiv)]
-
-    def reduced(row):
-        red = _reduce_by(row, arr, apiv, p)
-        return [red[c] for c in free]
-
-    raw = [[reduced(row) for row in bmat] for bmat in chart.bmats]
-    srows, cols = rref([row for block in raw for row in block], fp,
-                       reduced=False)
-    if chart.dirs is not None and len(cols) + mat_rank(
-            [_reduce_by(reduced(w), srows, cols, p) for w in chart.dirs],
-            fp) != r:
+    flat = _reduce_by([row for bmat in chart.bmats for row in bmat], arr,
+                      apiv, p, free)
+    srows, cols = rref(flat, fp, reduced=False)
+    if chart.dirs is not None and len(cols) + mat_rank(_reduce_by(
+            _reduce_by(chart.dirs, arr, apiv, p, free), srows, cols, p,
+            range(len(free))), fp) != r:
         raise NonVanishingTransversalComponent(
             "a deformation row left the tangent space")
     if len(cols) != r:
         raise DeformationSpanMismatch(
             f"the deformations span {len(cols)} normal directions, "
             f"not r = {r}")
-    entries = [[[block[i][l] for i in range(k1)] for l in cols]
-               for block in raw]
+    entries = [[[flat[j * k1 + i][l] for i in range(k1)] for l in cols]
+               for j in range(r)]
     return CharMatrix(entries, chart.k)
 
 
@@ -300,7 +335,8 @@ class PencilForm(ReducedForm):
     basis [t*, e_1..e_k] of Λ (t*_0 ≠ 0).
 
     With S_i = M(t*)⁻¹M(e_i), a point t = y_0·t* + Σ y_i·e_i, that is
-    y_0 = t_0/t*_0 and y_i = t_i − y_0·t*_i, gives K = Σ y_i·S_i, and
+    y_0 = t_0/t*_0 and y_i = t_i − y_0·t*_i, gives K = Σ y_i·S_i (the
+    slices packed once, by ``_pack_layers``), and
     det(I + s·K) = (q(t* + s·v)/q(t*))^μ on the line through
     v = Σ y_i·e_i.  Its μ-th root g (``_series_root``) must stop at
     degree d, or det M is not a μ-th power on that line
@@ -308,7 +344,7 @@ class PencilForm(ReducedForm):
     Σ_n g_n·y_0^(d−n).
     """
 
-    __slots__ = ("mu", "d", "_t0inv", "_slice_cols", "_inv")
+    __slots__ = ("mu", "d", "_t0inv", "_slices", "_inv")
 
     def __init__(self, basis, slices, mu, d, fp):
         self.poly = None
@@ -316,9 +352,7 @@ class PencilForm(ReducedForm):
         self.nvars = len(basis)
         self.mu, self.d = mu, d
         self._t0inv = pow(basis[0][0], -1, fp.p)
-        # column c of the flattened slices: K's entry c is one dot with y
-        self._slice_cols = list(zip(*([v for row in sl for v in row]
-                                      for sl in slices)))
+        self._slices = _pack_layers(slices, fp.p)
         self._inv = [0] + [pow(n, -1, fp.p) for n in range(1, mu * d + 1)]
 
     def degree(self) -> int:
@@ -328,8 +362,7 @@ class PencilForm(ReducedForm):
         p, d, r = fp.p, self.d, self.mu * self.d
         y0 = t[0] * self._t0inv % p
         y = [(ti - y0 * si) % p for ti, si in zip(t[1:], self.basis[0][1:])]
-        flat = [fp.dot(y, col) for col in self._slice_cols]
-        kmat = [flat[a * r:(a + 1) * r] for a in range(r)]
+        kmat = _combination(self._slices, y, r, p)
         g = _series_root(_pencil_line(kmat, fp), self.mu, self._inv, fp)
         if any(g[d + 1:]):
             raise ExtractionFailed(f"det M is not a {self.mu}-th power "

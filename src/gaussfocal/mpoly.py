@@ -29,7 +29,8 @@ width per coefficient, so a product of residues is one integer product.
 
 from __future__ import annotations
 
-from .fieldcore import Degeneracy, Dual2Fp, Fp, lagrange_interpolate
+from .fieldcore import (Degeneracy, Dual2Fp, Fp, _fp_sweep,
+                        lagrange_interpolate, pack_row)
 
 
 class CharTooSmall(Degeneracy):
@@ -158,43 +159,17 @@ class PolyProgram:
 
 
 def det_ring(mat, ring):
-    """Determinant over an arbitrary commutative ring: plain elimination
-    over F_p; otherwise det M = (-1)^(n(n-1)/2)·Pf(B) with
-    B = [[0, M], [-Mᵀ, 0]], one bitmask Pfaffian expansion
+    """Determinant over an arbitrary commutative ring.  Over F_p it is
+    the signed product of the pivots of the one packed-row elimination
+    (``fieldcore._fp_sweep``); otherwise det M = (-1)^(n(n-1)/2)·Pf(B)
+    with B = [[0, M], [-Mᵀ, 0]], one bitmask Pfaffian expansion
     (``_pf_solver`` on ``_det_block``)."""
-    if isinstance(ring, Fp):
-        return _det_field(mat, ring)
     n = len(mat)
+    if isinstance(ring, Fp):
+        _, pivots, det = _fp_sweep(mat, ring.p, False, False)
+        return det if len(pivots) == n else 0
     got = _pf_solver(_det_block(mat, ring), ring)((1 << 2 * n) - 1)
     return ring.neg(got) if n * (n - 1) // 2 % 2 else got
-
-
-def _det_field(mat, fp):
-    p = fp.p
-    a = [row[:] for row in mat]
-    n = len(a)
-    det = 1
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c] % p:
-                pr = i
-                break
-        if pr is None:
-            return 0
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            det = -det
-        piv = a[c][c]
-        det = det * piv % p
-        ipiv = pow(piv, -1, p)
-        for i in range(c + 1, n):
-            f = a[i][c] * ipiv % p
-            if f:
-                ri, rc = a[i], a[c]
-                for j in range(c, n):
-                    ri[j] = (ri[j] - f * rc[j]) % p
-    return det % p
 
 
 def _det_block(mat, ring):
@@ -380,14 +355,10 @@ def up_pow_mod(base, e, mod, fp):
     w = 2 * p.bit_length() + n.bit_length() + 1
     mask = (1 << w) - 1
     shifts = range(0, n * w, w)
-
-    def pack(cs):
-        return sum(c << s for c, s in zip(cs, shifts))
-
     xn = [-c % p for c in f[:n]]
     rows, r = [], xn
     for _ in range(n - 1):
-        rows.append(pack(r))
+        rows.append(pack_row(r, p, w))
         r = [(a + r[-1] * b) % p for a, b in zip([0] + r, xn)]
 
     def mulmod(a, b):
@@ -399,7 +370,7 @@ def up_pow_mod(base, e, mod, fp):
             hi >>= w
         return sum(((t >> s) & mask) % p << s for s in shifts)
 
-    b = pack(up_divmod(base, f, fp)[1])
+    b = pack_row(up_divmod(base, f, fp)[1], p, w)
     acc = 1
     while e:
         if e & 1:

@@ -23,9 +23,11 @@ from gaussfocal.fieldcore import (
     mat_rank,
     newton_divided,
     newton_to_power,
+    pack_row,
     random_prime,
     rref,
     solve_affine,
+    unpack_row,
 )
 
 from gaussfocal.mpoly import _pf_solver, det_ring
@@ -277,6 +279,148 @@ def test_dual_elimination_matches_gauss_jordan(p, data):
     else:
         assert echelon is DegeneratePivot
         assert _outcome(_rank_and_kernel, mat, ring) is DegeneratePivot
+
+
+# --- the packed F_p sweep against the list path ---------------------------
+
+SWEEP_PRIMES = [2, 3, 101, 4294967311, (1 << 61) - 1, (1 << 64) - 59]
+
+
+def _list_rref(mat, fp, reduced=True):
+    """The list-row F_p elimination that the packed sweep replaced: a
+    forward sweep on trailing columns, then back-substitution, last pivot
+    first, each row update an ``axpy`` on residue lists."""
+    rows = [[v % fp.p for v in row] for row in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+
+    def clear(c, lead, below):
+        lo = next(j for j, v in enumerate(lead) if v)
+        for row in below:
+            if row[c]:
+                row[lo:] = fp.axpy(fp.neg(row[c]), lead[lo:], row[lo:])
+
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = fp.inv(rows[r][c])
+        rows[r] = [fp.mul(piv, v) for v in rows[r]]
+        clear(c, rows[r], rows[r + 1:])
+        pivots.append(c)
+        r += 1
+    if reduced:
+        for i in range(r - 1, 0, -1):
+            clear(pivots[i], rows[i], rows[:i])
+    return rows[:r], pivots
+
+
+def _list_det(mat, fp):
+    """The scalar F_p determinant that the packed sweep replaced."""
+    p = fp.p
+    a = [row[:] for row in mat]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] % p), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            det = -det
+        piv = a[c][c]
+        det = det * piv % p
+        ipiv = pow(piv, -1, p)
+        for i in range(c + 1, n):
+            f = a[i][c] * ipiv % p
+            if f:
+                ri, rc = a[i], a[c]
+                for j in range(c, n):
+                    ri[j] = (ri[j] - f * rc[j]) % p
+    return det % p
+
+
+@st.composite
+def _raw_matrices(draw, p):
+    """Matrices up to 12×40, tall, wide or square, often of low rank and
+    with zero rows, whose entries are residues shifted by multiples of p
+    (so negative or ≥ p)."""
+    n, m = draw(st.integers(1, 12), "rows"), draw(st.integers(1, 40), "cols")
+    residue = st.one_of(st.sampled_from([0, 0, 1, p - 1]),
+                        st.integers(0, p - 1))
+    rank = draw(st.integers(0, min(n, m)), "rank")
+    left = draw(st.lists(st.lists(residue, min_size=rank, max_size=rank),
+                         min_size=n, max_size=n), "left")
+    right = draw(st.lists(st.lists(residue, min_size=m, max_size=m),
+                          min_size=rank, max_size=rank), "right")
+    mat = [[sum(a * b for a, b in zip(row, col)) % p for col in
+            zip(*right)] if rank else [0] * m for row in left]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2), "zero rows"):
+        mat[i] = [0] * m
+    shift = draw(st.lists(st.integers(-3, 3), min_size=n * m,
+                          max_size=n * m), "multiples of p")
+    return [[v + shift[i * m + j] * p for j, v in enumerate(row)]
+            for i, row in enumerate(mat)]
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_sweep_matches_the_list_path(p, data):
+    """The rows and pivots of ``rref``, reduced or not, and the F_p
+    determinant, sign included, are those of the list-row elimination."""
+    fp = Fp(p)
+    mat = data.draw(_raw_matrices(p), "mat")
+    for reduced in (True, False):
+        assert rref(mat, fp, reduced) == _list_rref(mat, fp, reduced)
+    n = min(len(mat), len(mat[0]))
+    square = [row[:n] for row in mat[:n]]
+    det = det_ring(square, fp)
+    assert det == _list_det(square, fp)
+    order = data.draw(st.permutations(range(n)), "row order")
+    swaps = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+    assert det_ring([square[i] for i in order], fp) == \
+        (-det if swaps % 2 else det) % p
+
+
+def test_packed_sweep_at_its_widest_carry():
+    """A dense, full-rank 40×40 matrix of p − 1 off the diagonal and
+    p − 2 on it, −(J + I) at p = 2^64 − 59 (determinant (−1)^40·41): the
+    widest slots, and rows that take an update at every pivot above
+    them."""
+    p, n = (1 << 64) - 59, 40
+    fp = Fp(p)
+    mat = [[p - 2 if i == j else p - 1 for j in range(n)] for i in range(n)]
+    assert rref(mat, fp) == _list_rref(mat, fp)
+    assert rref(mat, fp)[0] == [[int(i == j) for j in range(n)]
+                                for i in range(n)]
+    assert rref(mat, fp, reduced=False) == _list_rref(mat, fp, reduced=False)
+    assert det_ring(mat, fp) == _list_det(mat, fp) == n + 1
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_row_codec_round_trips_at_every_length(p):
+    """pack_row and unpack_row are inverse up to reduction mod p, also on
+    rows long enough to be split by halves, and unpack_row scales."""
+    rng = Rng(0xC0DEC + p % 89)
+    w = 2 * p.bit_length() + 3
+    for n in (0, 1, 2, 31, 32, 33, 64, 65, 100, 1096):
+        row = [rng.field(p) + (rng.below(7) - 3) * p for _ in range(n)]
+        v = pack_row(row, p, w)
+        assert v == sum((x % p) << (w * c) for c, x in enumerate(row))
+        assert unpack_row(v, n, p, w) == [x % p for x in row]
+        assert unpack_row(v, n, p, w, 5) == [5 * x % p for x in row]
+
+
+def test_packed_sweep_of_empty_matrices():
+    fp = Fp(101)
+    assert rref([], fp) == ([], []) and det_ring([], fp) == 1
+    assert rref([[], []], fp) == ([], [])
+    assert rref([[0, 0], [0, 0]], fp) == ([], []) and mat_rank([[0]], fp) == 0
 
 
 # --- dual numbers ----------------------------------------------------------

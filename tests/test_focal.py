@@ -1,7 +1,7 @@
 """Characteristic matrices of first-order fibre families, focal divisors,
 multiplicity profiles, reduced-form extraction and the bound battery."""
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from types import SimpleNamespace
 
@@ -35,10 +35,13 @@ from gaussfocal.focal import (
     MAX_EXPLICIT_COEFFS,
     NonVanishingTransversalComponent,
     NotDegenerate,
+    PencilForm,
     ReducedForm,
     _pencil_form,
+    _pencil_line,
     _pencil_slices,
     _proportional,
+    _reduce_by,
     _series_root,
     _simplex_nodes,
     _verify_power,
@@ -955,6 +958,86 @@ def test_deformation_row_off_the_tangent_space_is_rejected():
     moved = FamilyChart(chart.basis, bmats, chart.dirs)
     with pytest.raises(NonVanishingTransversalComponent):
         characteristic_matrix(moved, FP)
+
+
+# --- packed products against their dot-product oracles --------------------
+
+
+def _leibniz_det(mat, p):
+    det = 0
+    for perm in permutations(range(len(mat))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        swaps = sum(perm[i] > perm[j] for i in range(len(perm))
+                    for j in range(i + 1, len(perm)))
+        det += -term if swaps % 2 else term
+    return det % p
+
+
+def test_char_matrix_value_matches_dots_and_follows_the_prime():
+    """value(t) is the matrix of dots e·t and det_at its determinant, at
+    points with coordinates outside [0, p), under whichever prime reads
+    it: entries drawn mod 2^61 − 1 are reduced again under F_101."""
+    rng = Rng(0x9AC)
+    r, k = 5, 3
+    charm = CharMatrix([[[rng.field(P) for _ in range(k + 1)]
+                         for _ in range(r)] for _ in range(r)], k)
+    for fp in (Fp(101), Fp(P), Fp(101)):
+        for _ in range(4):
+            t = [rng.below(4 * fp.p) - 2 * fp.p for _ in range(k + 1)]
+            want = [[fp.dot(e, t) for e in row] for row in charm.entries]
+            assert charm.value(t, fp) == want
+            assert charm.det_at(t, fp) == _leibniz_det(want, fp.p)
+
+
+def test_pencil_form_value_matches_dots():
+    """K = Σ y_i·S_i, packed, gives the value that K taken entry by entry
+    by dots gives, at points with coordinates outside [0, p)."""
+    rng = Rng(0x9AD)
+    k = 3
+    lin = [[rng.field(P) for _ in range(k + 1)] for _ in range(2)]
+    charm = _product_charm([lin[0], lin[0], lin[1], lin[1]])  # (L_0·L_1)^2
+    units = [[int(i == j) for j in range(k + 1)] for i in range(1, k + 1)]
+    tstar = [1 + rng.field(P - 1) for _ in range(k + 1)]
+    slices = _pencil_slices(charm, tstar, units, FP)
+    form = PencilForm([tstar] + units, slices, 2, 2, FP)
+    inv = [0] + [pow(n, -1, P) for n in range(1, 5)]
+    for _ in range(6):
+        t = [rng.below(4 * P) - 2 * P for _ in range(k + 1)]
+        y0 = t[0] * pow(tstar[0], -1, P) % P
+        y = [(ti - y0 * si) % P for ti, si in zip(t[1:], tstar[1:])]
+        kmat = [[FP.dot(y, [sl[a][b] for sl in slices]) for b in range(4)]
+                for a in range(4)]
+        g = _series_root(_pencil_line(kmat, FP), 2, inv, FP)
+        assert not any(g[3:])
+        want = sum(gn * pow(y0, 2 - n, P) for n, gn in enumerate(g[:3])) % P
+        assert form.value(t, FP) == want
+        # and it is q(t)/q(t*) for q = L_0·L_1
+        assert want * FP.dot(lin[0], tstar) * FP.dot(lin[1], tstar) % P \
+            == FP.dot(lin[0], t) * FP.dot(lin[1], t) % P
+
+
+@pytest.mark.parametrize("p", [2, 101, 4294967311, P, (1 << 64) - 59])
+def test_reduce_by_matches_row_by_row_reduction(p):
+    """Rows with entries outside [0, p), reduced by echelon rows in
+    pivot order and read on some columns, as the scalar loop did it."""
+    fp, rng = Fp(p), Rng(0x9AE + p % 97)
+    for nlead, ncols in [(0, 4), (1, 5), (3, 9), (6, 13)]:
+        base = [[rng.field(p) for _ in range(ncols)] for _ in range(nlead)]
+        leads, pivots = rref(base, fp, reduced=False)
+        rows = [[rng.field(p) + (rng.below(7) - 3) * p for _ in range(ncols)]
+                for _ in range(5)]
+        keep = [c for c in range(ncols) if rng.below(3)]
+        want = []
+        for row in rows:
+            red = [v % p for v in row]
+            for lead, pc in zip(leads, pivots):
+                c = red[pc]
+                red = [(a - c * b) % p for a, b in zip(red, lead)]
+            assert all(red[pc] == 0 for pc in pivots)
+            want.append([red[c] for c in keep])
+        assert _reduce_by(rows, leads, pivots, p, keep) == want
 
 
 def _char_matrix_framed(chart, fp):
