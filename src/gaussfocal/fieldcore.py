@@ -47,7 +47,7 @@ retry got past, or ``Violation`` (2), a failed invariant.
 
 from __future__ import annotations
 
-from operator import add as _add, lshift, mul as _mul
+from operator import lshift, mul as _mul
 
 
 class Degeneracy(Exception):
@@ -262,16 +262,16 @@ class Dual2Fp:
     S_j·B) e_j is six products of a residue by a packed integer, and
     ``add``, ``neg`` and ``dot`` work on whole integers too (Kronecker
     substitution; von zur Gathen and Gerhard, Modern Computer Algebra,
-    §8.4).  With w = 4·bits(p) + 8 there is one overflow rule: an
-    operation whose bound would leave (−2^(w−1), 2^(w−1)) reduces its
-    operands' slots mod p, once, and runs again.  Reduced operands bound
-    a length-n ``dot`` by 4n·p² and a ``combine`` by 2n·p², both below
-    2^(w−1) for n < 2^(2·bits(p)+5).  An exact zero keeps bound 0, so it
-    stays ``zero``.  A sweep over this ring carries m first-order
-    deformations of an F_p[d] computation at once: its gradient gives m
-    Hessian-vector products, which is all it is for (no inverse, no
-    ``axpy``).  ``encode`` and ``decode`` convert from and to residues;
-    m = 1 is F_p[d, e]/(d^2, e^2).
+    §8.4).  With w = 4·bits(p) + 8 there is one overflow rule, one bound
+    test per operation: one whose bound would leave (−2^(w−1), 2^(w−1))
+    reduces its operands' slots mod p, once, and runs again; a caller's
+    sum of products with residue coefficients tests the bound of ``fit``.
+    Reduced operands bound a length-n ``dot`` by 4n·p² < 2^(w−1) for
+    n < 2^(2·bits(p)+5).  An exact zero keeps bound 0: it stays ``zero``.
+    A sweep over this ring carries m first-order deformations of an F_p[d]
+    computation at once: its gradient gives m Hessian-vector products,
+    which is all it is for (no inverse, no ``axpy``).  ``encode`` and
+    ``decode`` convert from and to residues; m = 1 is F_p[d, e]/(d^2, e^2).
     """
 
     __slots__ = ("p", "m", "zero", "one", "_limit", "_mask", "_shifts",
@@ -356,27 +356,13 @@ class Dual2Fp:
         p = self.p
         return (s0 % p, s1 % p, c, t, bound)
 
-    def combine(self, elems, coefs):
-        """The slopes of Σ_i a_i·elems[i], one element with unit part 0 per
-        pair (t0, t1) of residue rows in ``coefs``: a_i = t0[i] + t1[i]·d,
-        or a_i = t0[i] in F_p when t1 is None.  This is ``dot`` with the
-        coefficients lifted, one sum per packed part; when a pair's bound
-        leaves the slot range, every element is reduced, once for all, as
-        the one overflow rule says."""
-        out = []
-        _, _, cs, ts, bs = zip(*elems) if elems else ((),) * 5
-        for t0, t1 in coefs:
-            scale = t0 if t1 is None else list(map(_add, t0, t1))
-            bound = sum(map(_mul, scale, bs))
-            if bound >= self._limit:
-                elems = list(map(self._reduced, elems))
-                _, _, cs, ts, bs = zip(*elems)
-                bound = sum(map(_mul, scale, bs))
-            c, t = sum(map(_mul, t0, cs)), sum(map(_mul, t0, ts))
-            if t1 is not None:
-                t += sum(map(_mul, t1, cs))
-            out.append((0, 0, c, t, bound))
-        return out
+    def fit(self, elems, weight):
+        """``elems``, and one bound on the slots of every combination of
+        them whose coefficients' residue parts total at most ``weight``;
+        if that leaves the slot range, each element is reduced mod p once."""
+        if max((a[4] for a in elems), default=0) * weight >= self._limit:
+            elems = list(map(self._reduced, elems))
+        return elems, max((a[4] for a in elems), default=0) * weight
 
 
 def dual_partials(func, point, p):

@@ -9,11 +9,13 @@ its correctness is then re-checked against the full generator list, read
 at each point by ``VarietySpec.values`` (one Pfaffian memo for a rank
 locus with more than one generator, the programs one by one otherwise).
 The first-order fibre at x + εw, the B matrix of a focal chart, is
-solved here as well, by one packed combination with the solver matrix
-that the center fibre keeps.
+solved here as well, on packed slopes, with the solver matrix that the
+center fibre keeps.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .fieldcore import (
     Degeneracy,
@@ -24,8 +26,10 @@ from .fieldcore import (
     Violation,
     kernel_basis,
     mat_rank,
+    pack_row,
     random_combination,
     rref,
+    unpack_row,
     vecmat,
 )
 
@@ -120,23 +124,26 @@ class GaussFiber:
 
 def hessian_rows(gens, x, tangent, pivots, vecs, ring):
     """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), over F_p
-    or F_p[d], each packed over the F_p vectors v in ``vecs`` as one
-    element of ``Dual2Fp(p, len(vecs))``: the entry for v_j is its slope
-    j.  One Hessian sweep per g gives the images u = H_g(x)·v packed
-    alike.  A canonical kernel vector t_a is 1 at its free column f and
-    otherwise on the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]: one
-    packed combination per row, for every vector at once."""
+    or F_p[d], each packed over the F_p vectors v in ``vecs`` as one element
+    of ``Dual2Fp(p, len(vecs))``: the entry for v_j is its slope j.  One
+    Hessian sweep per g gives the images u = H_g(x)·v packed alike.  A
+    canonical kernel vector t_a is 1 at its free column f and otherwise on
+    the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]: packed sums of products
+    under one ``Dual2Fp.fit`` bound per sweep."""
     ring2 = Dual2Fp(ring.p, len(vecs))
     free = sorted(set(range(len(x))) - set(pivots))
-    on_pivots = [[t[c] for c in pivots] for t in tangent]
-    # combine's coefficient pairs: over F_p[d] unit parts and d-parts
-    on_pivots = [(tp, None) if isinstance(ring, Fp) else tuple(zip(*tp))
-                 for tp in on_pivots]
+    # t_a[P]; over F_p[d] its unit parts and its d-parts
+    on_pivots = [(tp, ()) if isinstance(ring, Fp) else tuple(zip(*tp))
+                 for tp in ([t[c] for c in pivots] for t in tangent)]
+    weight = 2 * ring.p * len(pivots) + 1
     rows = []
     for g in gens:
-        images = g.hess_vec(x, vecs, ring)
-        rows += map(ring2.add, [images[f] for f in free], ring2.combine(
-            [images[c] for c in pivots], on_pivots))
+        images, bound = ring2.fit(g.hess_vec(x, vecs, ring), weight)
+        cs, ts = ([images[c][k] for c in pivots] for k in (2, 3))
+        for f, (t0, t1) in zip(free, on_pivots):
+            a0, a1, c, t, _ = images[f]
+            t += sum(map(mul, t0, ts)) + sum(map(mul, t1, cs))
+            rows.append((a0, a1, c + sum(map(mul, t0, cs)), t, bound))
     return rows
 
 
@@ -216,12 +223,12 @@ def first_order_fiber(fiber, w, fp):
     ``hessian_rows`` gives each row of S(ε)·k₀ packed over the k+1
     vectors, unit parts in C and slopes in T.  The unit parts S₀·k₀ must
     vanish (else ``DegeneratePivot``).  k₀ lifts to k₀ + ε·c₁, c₁ on the
-    center pivots P, with S₀·c₁ = −S₁·k₀: one packed combination of the
-    rows Q by ``sys_solver`` gives −c₁[P] = S₀[Q, P]⁻¹·(S₁·k₀)[Q] and
-    R·(S₁·k₀)[Q], which every other row's slopes must equal, or the
-    first-order system is not flat and there is no lift
-    (``DegeneratePivot``).  The B row is the ε part of
-    (k₀ + ε·c₁)·(T₀ + ε·T₁), which is c₁·T₀.
+    center pivots P, with S₀·c₁ = −S₁·k₀: ``sys_solver`` times the packed
+    d-slopes of the rows Q, the only parts read, gives −c₁[P] =
+    S₀[Q, P]⁻¹·(S₁·k₀)[Q] and R·(S₁·k₀)[Q], which every other row's
+    slopes must equal, or the first-order system is not flat and there is
+    no lift (``DegeneratePivot``).  The B row is the ε part of
+    (k₀ + ε·c₁)·(T₀ + ε·T₁), c₁·T₀: ρ = |P| multiply-adds on packed T₀[P].
     """
     frame = fiber.frame
     p = fp.p
@@ -239,13 +246,17 @@ def first_order_fiber(fiber, w, fp):
         raise DegeneratePivot("first-order fibre system drifted off its "
                               "center")
     rho = len(fiber.sys_pivots)
-    solved = ring2.combine([packed[i] for i in fiber.sys_rows],
-                           [(row, None) for row in fiber.sys_solver])
-    for i, want in zip(fiber.sys_outside, solved[rho:]):
-        if any(ring2.slots(ring2.add(packed[i], ring2.neg(want))[3])):
+    # T_i − R_i·T[Q] for i outside Q: each term within half the range
+    on_q, _ = ring2.fit([packed[i] for i in fiber.sys_rows], 2 * rho * p)
+    outside, _ = ring2.fit([packed[i] for i in fiber.sys_outside], 2)
+    on_q = [row[3] for row in on_q]
+    solved = [sum(map(mul, row, on_q)) for row in fiber.sys_solver]
+    for row, want in zip(outside, solved[rho:]):
+        if any(ring2.slots(row[3] - want)):
             raise DegeneratePivot("first-order fibre system is not flat: "
                                   "no lift of a center kernel vector")
-    on_pivots = [frame.tangent[c] for c in fiber.sys_pivots]
-    return [vecmat([-v % p for v in y], on_pivots, fp)
-            for y in zip(*(ring2.slots(row[3]) for row in solved[:rho]))]
-
+    width = 2 * p.bit_length() + (rho + 1).bit_length()  # ρ terms < p² each
+    on_pivots = [pack_row(frame.tangent[c], p, width)
+                 for c in fiber.sys_pivots]
+    return [unpack_row(sum(map(mul, c1, on_pivots)), len(frame.x), p, width)
+            for c1 in zip(*(ring2.slots(-y) for y in solved[:rho]))]

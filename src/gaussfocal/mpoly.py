@@ -146,13 +146,16 @@ class PolyProgram:
         entry i of (H(x)·v_j) is slope j of gradient entry i, its unit
         part in slot j of C and its d-part in slot j of T.  Over F_p the
         point enters with zero d-part, so T is 0 and each product is the
-        unit part of its slope.
+        unit part of its slope.  Coordinates no term or grid entry reads
+        stay ``zero``.
         """
         ring2 = Dual2Fp(ring.p, len(vs))
-        if isinstance(ring, Fp):
-            x = [(xi, 0) for xi in x]
-        return self.grad([ring2.encode(xi, [v[i] for v in vs])
-                          for i, xi in enumerate(x)], ring2)
+        x = [(xi, 0) for xi in x] if isinstance(ring, Fp) else x
+        point = [ring2.zero] * self.arity
+        rows = [t for _, t in self.body] if self.kind == "sum" else self.body
+        for i in {i for row in rows for i in row}:
+            point[i] = ring2.encode(x[i], [v[i] for v in vs])
+        return self.grad(point, ring2)
 
 
 # --- determinant / Pfaffian value kernels -------------------------------------

@@ -1,5 +1,6 @@
 """Arithmetic and exact linear algebra over F_p and its dual extension."""
 
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -674,7 +675,7 @@ def test_packed_dual2_matches_nested_duals_across_slot_reductions(data):
     flats = st.tuples(*[residue] * (2 + 2 * m))
     seeds = data.draw(st.lists(flats, min_size=1, max_size=5), label="pool")
     ops = data.draw(st.lists(st.tuples(
-        st.sampled_from(["mul", "add", "neg", "dot", "combine"]),
+        st.sampled_from(["mul", "add", "neg", "dot", "fit"]),
         st.integers(0, 99), st.integers(0, 99), st.integers(1, 6)),
         min_size=8, max_size=40), label="ops")
     # twelve products by the all-(p − 1) element leave the slot range
@@ -709,17 +710,21 @@ def test_packed_dual2_matches_nested_duals_across_slot_reductions(data):
                     coefs = [nested[t][0] for t in vs]
                     t0, t1 = (list(part) for part in zip(*coefs))
                     elems = [nested[t] for t in us]
-                    got, in_fp = ring.combine([packed[t] for t in us],
-                                              [(t0, t1), (t0, None)])
+                    got = _fit_combination(ring, [packed[t] for t in us],
+                                           t0, t1)
+                    in_fp = _fit_combination(ring, [packed[t] for t in us],
+                                             t0)
                     in_fp_want = oracle.dot(
                         [((c, 0), [(0, 0)] * m) for c in t0], elems)
                     assert _decode(ring, in_fp) == \
                         oracle.flat(((0, 0), in_fp_want[1]))
+                    assert _dominated(ring, in_fp)
                     want = oracle.dot([(c, [(0, 0)] * m) for c in coefs],
                                       elems)
                     want = ((0, 0), want[1])
             assert _decode(ring, got) == oracle.flat(want)
             assert got[4] < ring._limit  # every slot stays decodable
+            assert _dominated(ring, got)
             packed.append(got)
             nested.append(want)
     assert tally.count > 0 or m == 0
@@ -740,6 +745,26 @@ def _wide(ring, oracle, flats):
             widest = max(widest, (x, y), key=lambda pair: pair[0][4])
         out.append(widest)
     return out
+
+
+def _fit_combination(ring, elems, t0, t1=None):
+    """Σ a_i·elems[i] with unit part 0, for a_i = t0[i] + t1[i]·d, or
+    a_i = t0[i] in F_p when t1 is None: the sums of products on the
+    packed parts that ``gaussmap`` runs, under the one bound that
+    ``Dual2Fp.fit`` gives for the coefficients' total."""
+    elems, bound = ring.fit(elems, sum(t0) + sum(t1 or ()))
+    cs, ts = [a[2] for a in elems], [a[3] for a in elems]
+    c, t = sum(map(mul, t0, cs)), sum(map(mul, t0, ts))
+    if t1 is not None:
+        t += sum(map(mul, t1, cs))
+    return (0, 0, c, t, bound)
+
+
+def _dominated(ring, a):
+    """Whether a's bound covers every signed slot of C and T."""
+    w = ring._mask.bit_length()
+    return all(abs((((v + ring._offset) >> s) & ring._mask) - ring._limit)
+               <= a[4] for v in a[2:4] for s in range(0, ring.m * w, w))
 
 
 def _fast_bound(u, v):
@@ -767,20 +792,27 @@ def test_overflowing_dot_reduces_each_operand_once(p):
 
 @pytest.mark.parametrize("p", PACKED_PRIMES)
 def test_overflowing_combine_matches_dot_after_one_reduction(p):
+    # a combination with coefficients in F_p[d], then in F_p, of wide
+    # operands whose largest bound times the coefficients' total leaves
+    # the slot range: ``fit`` reduces each operand once, and the sums on
+    # the packed parts are the nested-dual dot
     ring, oracle, rng = Dual2Fp(p, 3), _Nested(p), Rng(p + 1)
     flats = [tuple(1 + rng.below(p - 1) for _ in range(8)) for _ in range(8)]
-    elems = [x for x, _ in _wide(ring, oracle, flats)]
+    pairs = _wide(ring, oracle, flats)
+    elems = [x for x, _ in pairs]
     assert min(x[4] for x in elems) >= p
     coefs = [p - 1] * len(elems)
-    lifted = [(p - 1, p - 1, 0, 0, 0)] * len(elems)
-    assert _fast_bound(lifted, elems) >= ring._limit
-    tally = _Reductions()
-    with tally.patch:
-        got, = ring.combine(elems, [(coefs, coefs)])
-    assert tally.count == len(elems)  # each element reduced once
-    whole = ring.dot(lifted, elems)
-    assert _decode(ring, got) == _decode(ring, (0, 0, *whole[2:]))
-    assert got[4] < ring._limit
+    for t1 in (coefs, None):
+        assert max(x[4] for x in elems) * sum(coefs) >= ring._limit
+        tally = _Reductions()
+        with tally.patch:
+            got = _fit_combination(ring, elems, coefs, t1)
+        assert tally.count == len(elems)  # each element reduced once
+        lifted = [((c, 0 if t1 is None else c), [(0, 0)] * 3)
+                  for c in coefs]
+        want = oracle.dot(lifted, [y for _, y in pairs])
+        assert _decode(ring, got) == oracle.flat(((0, 0), want[1]))
+        assert got[4] < ring._limit and _dominated(ring, got)
 
 
 def test_dual_partials_match_hand_derivatives():
@@ -819,7 +851,9 @@ def test_packed_dual2_keeps_exact_zeros(p):
         assert ring.mul(zero, big) == zero == ring.mul(big, zero)
         assert ring.add(zero, zero) == zero == ring.neg(zero)
         assert ring.dot([zero] * 3, [big] * 3) == zero
-        assert ring.combine([zero] * 3, [([1, 2, 3], [4, 5, 6])]) == [zero]
+        assert ring.fit([zero] * 3, 21) == ([zero] * 3, 0)
+        assert _fit_combination(ring, [zero] * 3, [1, 2, 3], [4, 5, 6]) == \
+            zero
         assert ring.is_zero(zero) and (m == 0 or not ring.is_zero(big))
         # a 4×4 Pfaffian whose row 0 is zero expands to no term at all
         upper = [[zero] * 3, [big, big], [big]]

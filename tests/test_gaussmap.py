@@ -1,6 +1,9 @@
 """Tangent frames and the linear fibres along which the tangent space is
 constant."""
 
+from operator import add, mul
+from unittest.mock import patch
+
 import pytest
 
 from gaussfocal.fieldcore import (
@@ -28,6 +31,7 @@ from gaussfocal.gaussmap import (
     tangent_space,
 )
 from gaussfocal.cli import parse_expression
+from gaussfocal.mpoly import PolyProgram
 from gaussfocal.varieties import (
     MatrixShape,
     VarietySpec,
@@ -265,6 +269,106 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
     x0, t0 = [u for u, _ in x], [[u for u, _ in t] for t in tangent]
     assert fiber_system(gens, x0, t0, piv, FP) == \
         per_vector(x0, t0, t0, FP)
+
+
+def _combine(ring2, elems, coefs):
+    """Σ_i a_i·elems[i] per coefficient pair (t0, t1), a_i = t0[i] +
+    t1[i]·d, or t0[i] in F_p when t1 is None, unit part 0: one bound sum
+    per pair, and every element reduced once when a pair's bound leaves
+    the slot range."""
+    out = []
+    _, _, cs, ts, bs = zip(*elems)
+    for t0, t1 in coefs:
+        scale = t0 if t1 is None else list(map(add, t0, t1))
+        bound = sum(map(mul, scale, bs))
+        if bound >= ring2._limit:
+            elems = list(map(ring2._reduced, elems))
+            _, _, cs, ts, bs = zip(*elems)
+            bound = sum(map(mul, scale, bs))
+        c, t = sum(map(mul, t0, cs)), sum(map(mul, t0, ts))
+        if t1 is not None:
+            t += sum(map(mul, t1, cs))
+        out.append((0, 0, c, t, bound))
+    return out
+
+
+def _hessian_rows_by_combine(gens, x, tangent, pivots, vecs, ring):
+    """Oracle for ``hessian_rows``: each row u[f] + t_a[P]·u[P] as a ring
+    sum of u[f] and a combination with a bound of its own."""
+    ring2 = Dual2Fp(ring.p, len(vecs))
+    free = sorted(set(range(len(x))) - set(pivots))
+    coefs = [[t[c] for c in pivots] for t in tangent]
+    coefs = [(tp, None) if isinstance(ring, Fp) else tuple(zip(*tp))
+             for tp in coefs]
+    rows = []
+    for g in gens:
+        images = g.hess_vec(x, vecs, ring)
+        rows += map(ring2.add, [images[f] for f in free],
+                    _combine(ring2, [images[c] for c in pivots], coefs))
+    return rows
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["swept", "wide"])
+@pytest.mark.parametrize("over", ["Fp", "Fp[d]"])
+@pytest.mark.parametrize("p", [4294967311, (1 << 64) - 59])
+@pytest.mark.parametrize("shape,rb,dim", [
+    (MatrixShape.skew(8), 4, 21),       # Pfaffian nodes
+    (MatrixShape.generic(3, 4), 2, 9),  # det nodes
+])
+def test_hessian_rows_match_the_per_row_bound_combination(shape, rb, dim,
+                                                          p, over, wide):
+    # one bound per sweep, from Dual2Fp.fit, against a bound per row: the
+    # same slots mod p, over F_p and over F_p[d], also when every image
+    # is padded by a multiple of p past the sweep's threshold, so that
+    # the images are reduced once; the returned bound covers every slot
+    from test_fieldcore import _dominated
+
+    fp = Fp(p)
+    spec = rank_locus_spec(shape, rb)
+    rng = Rng(37)
+    frame = tangent_space(spec, spec.sampler(rng, fp).coords, fp, dim)
+    x, tangent, ring = frame.x, frame.tangent, fp
+    if over == "Fp[d]":
+        ring = DualFp(p)
+        w = random_combination(frame.tangent, fp, rng)
+        x = [ring.make(xi, wi) for xi, wi in zip(frame.x, w)]
+        rows, piv = rref([g.grad(x, ring) for g in frame.gens], ring)
+        assert piv == frame.tan_pivots
+        tangent = kernel_basis(rows, piv, len(x), ring)
+    vecs = [[rng.field(p) for _ in x] for _ in range(3)]
+    ring2 = Dual2Fp(p, len(vecs))
+    weight = 2 * p * len(frame.tan_pivots) + 1
+    # (q·p) in every slot of C, −(q·p) in every slot of T
+    pad = (ring2._limit // weight // p + 1) * p
+    ones = sum(1 << s for s in ring2._shifts)
+    real_hess, real_reduced = PolyProgram.hess_vec, Dual2Fp._reduced
+    padded_images, reduced = set(), []
+
+    def padded(prog, *args):
+        images = real_hess(prog, *args)
+        if not wide:
+            return images
+        assert pad * weight >= ring2._limit > pad + max(u[4] for u in images)
+        images = [(a0, a1, c + pad * ones, t - pad * ones, b + pad)
+                  for a0, a1, c, t, b in images]
+        padded_images.update(images)
+        return images
+
+    def counted(ring2, a):
+        reduced.append(a in padded_images)
+        return real_reduced(ring2, a)
+
+    args = (frame.gens, x, tangent, frame.tan_pivots, vecs, ring)
+    with patch.object(PolyProgram, "hess_vec", padded):
+        want = _hessian_rows_by_combine(*args)
+        with patch.object(Dual2Fp, "_reduced", counted):
+            got = hessian_rows(*args)
+    # padded, each image of each sweep is reduced once
+    assert sum(reduced) == wide * len(frame.gens) * len(x)
+    assert [ring2.decode(row) for row in got] == \
+        [ring2.decode(row) for row in want]
+    assert all(row[4] < ring2._limit and _dominated(ring2, row)
+               for row in got)
 
 
 def _dense_block_dots(gens, x, tangent, vecs, ring):

@@ -556,6 +556,59 @@ def test_hess_vec_of_a_degree_nine_product_at_a_word_size_prime():
     assert any(reductions)
 
 
+def _hess_vec_every_coordinate(prog, x, vs, ring):
+    """``hess_vec`` with every coordinate encoded, read or not."""
+    ring2 = Dual2Fp(ring.p, len(vs))
+    lift = (lambda a: (a, 0)) if isinstance(ring, Fp) else tuple
+    return prog.grad([ring2.encode(lift(xi), [v[i] for v in vs])
+                      for i, xi in enumerate(x)], ring2)
+
+
+_PARTIAL_READERS = [
+    ("det-minor-of-generic3x4",
+     rank_locus_spec(MatrixShape.generic(3, 4), 2).generators[0]),
+    ("pf-sub-of-skew8",
+     rank_locus_spec(MatrixShape.skew(8), 4).generators[0]),
+    # x1, x2 and x4 appear in no term
+    ("sum-skipping-coordinates",
+     SparsePoly(6, {(2, 0, 0, 1, 0, 0): 3, (0, 0, 0, 0, 0, 3): 5,
+                    (1, 0, 0, 0, 0, 1): 7}).compile()),
+    ("sum-with-constant",
+     SparsePoly(5, {(0,) * 5: 11, (0, 2, 0, 0, 1): 2,
+                    (1, 0, 0, 0, 0): 4}).compile()),
+]
+
+
+@pytest.mark.parametrize("prog", [pytest.param(prog, id=name)
+                                  for name, prog in _PARTIAL_READERS])
+def test_hess_vec_encoding_read_coordinates_matches_every_coordinate(prog):
+    # the coordinates no term or grid entry reads stay ``zero``: the
+    # packed gradient is the very one of encoding all of them, and only
+    # the read ones are encoded
+    rows = ([idx for _, idx in prog.body] if prog.kind == "sum"
+            else prog.body)
+    read = {i for row in rows for i in row}
+    assert len(read) < prog.arity
+    p = (1 << 61) - 1
+    rng = Rng(107)
+    real, encoded = Dual2Fp.encode, []
+
+    def counted(ring2, *args):
+        encoded.append(1)
+        return real(ring2, *args)
+
+    for ring in (Fp(p), DualFp(p)):
+        for count in (1, 4):
+            x = [_random_element(ring, rng) for _ in range(prog.arity)]
+            vs = [[rng.field(p) for _ in range(prog.arity)]
+                  for _ in range(count)]
+            encoded.clear()
+            with patch.object(Dual2Fp, "encode", counted):
+                got = prog.hess_vec(x, vs, ring)
+            assert len(encoded) == len(read)
+            assert got == _hess_vec_every_coordinate(prog, x, vs, ring)
+
+
 def _expanded_det(nv, grid):
     """det of the grid of coordinates, expanded over permutations
     (Leibniz)."""
