@@ -22,9 +22,14 @@ seeded along its own e_j (vector forward mode over the gradient).
 Univariate polynomials over F_p are plain ascending coefficient lists.
 They come from forms restricted to lines: ``on_line`` is the one line
 restriction, and ``line_zeros`` the one loop that finds zeros of a form
-as roots on random lines.  ``up_roots`` takes its powers modulo f on
-Kronecker-packed integers: a residue is one Python int with a fixed bit
-width per coefficient, so a product of residues is one integer product.
+as roots on random lines.  ``up_roots`` solves every factor of degree
+≤ 2 in closed form (discriminant, Jacobi symbol, square root mod p) and
+replays that factor's splitting draws on its roots as Legendre symbols,
+so the shared random stream moves as it would under polynomial probes.
+Above degree 2 it takes powers (x + a)^e modulo f on Kronecker-packed
+integers: a residue is one Python int with a fixed bit width per
+coefficient, so a squaring is one integer product, and a multiply by
+x + a a shift by one slot plus a scalar multiple.
 """
 
 from __future__ import annotations
@@ -163,13 +168,24 @@ class PolyProgram:
 
 def det_ring(mat, ring):
     """Determinant over an arbitrary commutative ring.  Over F_p it is
-    the signed product of the pivots of the one packed-row elimination
+    the cofactor expansion up to 3×3, and beyond that the signed product
+    of the pivots of the one packed-row elimination
     (``fieldcore._fp_sweep``); otherwise det M = (-1)^(n(n-1)/2)·Pf(B)
     with B = [[0, M], [-Mᵀ, 0]], one bitmask Pfaffian expansion
     (``_pf_solver`` on ``_det_block``)."""
     n = len(mat)
     if isinstance(ring, Fp):
-        _, pivots, det = _fp_sweep(mat, ring.p, False, False)
+        p = ring.p
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = mat
+            return (a * (e * i - f * h) - b * (d * i - f * g)
+                    + c * (d * h - e * g)) % p
+        if n == 2:
+            (a, b), (c, d) = mat
+            return (a * d - b * c) % p
+        if n == 1:
+            return mat[0][0] % p
+        _, pivots, det = _fp_sweep(mat, p, False, False)
         return det if len(pivots) == n else 0
     got = _pf_solver(_det_block(mat, ring), ring)((1 << 2 * n) - 1)
     return ring.neg(got) if n * (n - 1) // 2 % 2 else got
@@ -345,41 +361,44 @@ def up_deriv(f, fp):
     return up_trim([i * f[i] % fp.p for i in range(1, len(f))])
 
 
-def up_pow_mod(base, e, mod, fp):
-    """base^e modulo the nonzero polynomial ``mod``, by square and multiply
-    on Kronecker-packed residues.  A residue c_0 + … + c_{n-1}·x^{n-1}
-    modulo the monic f = mod/lead (n = deg f) is the integer Σ c_i·2^{w·i},
-    so a product is one integer product.  Its slots n + j fold back through
+def up_pow_mod(a, e, mod, fp):
+    """(x + a)^e modulo the nonzero polynomial ``mod``, left to right on
+    Kronecker-packed residues.  A residue c_0 + … + c_{n-1}·x^{n-1}
+    modulo the monic f = mod/lead (n = deg f) is the integer Σ c_i·2^{w·i}.
+    A squaring is one integer product; its slots n + j fold back through
     packed rows of x^(n+j) mod f, and every slot stays below
-    (2n - 1)·(p - 1)² < 2^w, so none carries into the next."""
+    (2n - 1)·(p - 1)² < 2^w, so none carries into the next.  A multiply
+    by x + a is the residue shifted up one slot plus a times it, the slot
+    shifted past x^(n-1) folded back through the row of x^n mod f.  For
+    a = 0 (the Frobenius x^p) the squaring before it is not reduced
+    first: its slots then stay below 2n·(p - 1)²."""
     p = fp.p
     f = up_monic(mod, fp)
     n = len(f) - 1
+    if n < 1:
+        return []
     w = 2 * p.bit_length() + n.bit_length() + 1
-    mask = (1 << w) - 1
-    shifts = range(0, n * w, w)
+    mask, top, nw = (1 << w) - 1, (n - 1) * w, n * w
+    shifts = range(0, nw, w)
     xn = [-c % p for c in f[:n]]
     rows, r = [], xn
-    for _ in range(n - 1):
+    for _ in range(max(n - 1, 1)):  # x^n mod f even at n = 1: the multiply
         rows.append(pack_row(r, p, w))
-        r = [(a + r[-1] * b) % p for a, b in zip([0] + r, xn)]
-
-    def mulmod(a, b):
-        t = a * b
-        hi = t >> n * w
-        t &= (1 << n * w) - 1
+        r = [(c + r[-1] * b) % p for c, b in zip([0] + r, xn)]
+    acc = 1
+    for bit in bin(e)[2:]:
+        t = acc * acc
+        hi = t >> nw
+        t &= (1 << nw) - 1
         for row in rows:
             t += (hi & mask) % p * row
             hi >>= w
-        return sum(((t >> s) & mask) % p << s for s in shifts)
-
-    b = pack_row(up_divmod(base, f, fp)[1], p, w)
-    acc = 1
-    while e:
-        if e & 1:
-            acc = mulmod(acc, b)
-        b = mulmod(b, b)
-        e >>= 1
+        if bit == "1":
+            if a:
+                t = sum(((t >> s) & mask) % p << s for s in shifts)
+            t = (((t & (1 << top) - 1) << w) + a * t
+                 + (t >> top) % p * rows[0])
+        acc = sum(((t >> s) & mask) % p << s for s in shifts)
     return up_trim([(acc >> s) & mask for s in shifts])
 
 
@@ -413,32 +432,105 @@ def squarefree_profile(f, fp):
     return sorted(out.items())
 
 
-def up_roots(f, fp, rng):
-    """All roots of f in F_p (each once), via gcd with x^p - x and
-    randomized equal-degree splitting; requires an odd p, since over F_2
-    the splitting probe (x + a)^((p-1)/2) is always 1."""
-    if fp.p == 2:
-        raise CharTooSmall("characteristic 2: root splitting needs an odd p")
-    f = up_monic(up_trim([v % fp.p for v in f]), fp)
-    if up_deg(f) <= 0:
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for an odd n > 0, by the binary algorithm
+    (Cohen, Alg. 1.4.10): shifts, remainders and reciprocity, no power.
+    For a prime n it is Euler's criterion a^((n-1)/2) read as -1, 0 or 1."""
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 2:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _sqrt_mod(a, p):
+    """A square root of the nonzero square a modulo the odd prime p: one
+    power when p ≡ 3 (mod 4), otherwise Tonelli–Shanks (Cohen, Alg. 1.5.1)
+    with the smallest quadratic non-residue, found with no random draw."""
+    if p & 3 == 3:
+        return pow(a, (p + 1) >> 2, p)
+    e = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^e·q, q odd
+    q = (p - 1) >> e
+    z = 2
+    while _jacobi(z, p) != -1:
+        z += 1
+    y, r = pow(z, q, p), e
+    x = pow(a, q >> 1, p)
+    b, x = a * x * x % p, a * x % p
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1 and m < r:
+            m, t = m + 1, t * t % p
+        if m == r:
+            raise ValueError(f"{a} is not a nonzero square mod {p}")
+        t = pow(y, 1 << r - m - 1, p)
+        y, r, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
+
+
+def _small_roots(h, p):
+    """The distinct roots in F_p of the monic h of degree ≤ 2, in closed
+    form: the discriminant, its Legendre symbol and one square root."""
+    if len(h) < 3:
+        return [-h[0] % p] if len(h) == 2 else []
+    c, b = h[0], h[1]
+    disc, half = (b * b - 4 * c) % p, (p + 1) >> 1
+    if disc == 0:
+        return [-b * half % p]
+    if _jacobi(disc, p) != 1:
         return []
-    x = [0, 1]
-    xp = up_pow_mod(x, fp.p, f, fp)
-    g = up_gcd(up_sub(xp, x, fp), f, fp)
+    s = _sqrt_mod(disc, p)
+    return [(s - b) * half % p, (-s - b) * half % p]
+
+
+def up_roots(f, fp, rng):
+    """All roots of f in F_p (each once); requires an odd p, since over
+    F_2 the splitting probe (x + a)^((p-1)/2) is always 1.
+
+    For f of degree ≥ 3 they are the roots of g = gcd(x^p - x, f), and a
+    piece h of degree ≥ 3 is split by random draws a into
+    s = gcd((x + a)^((p-1)/2) - 1, h) and h/s, h/s first (Cantor and
+    Zassenhaus, Math. Comp. 36, 1981).  Every piece of degree ≤ 2 (f
+    itself, g, or a piece of a split) is solved in closed form, and its
+    draws are replayed on its two roots: r falls in s exactly when
+    (r + a)^((p-1)/2) = 1, a Legendre symbol.  So the same values of a
+    are drawn and the roots come in the same order as with polynomial
+    probes all the way down, and the shared ``rng`` stream stays in
+    step."""
+    p = fp.p
+    if p == 2:
+        raise CharTooSmall("characteristic 2: root splitting needs an odd p")
+    f = up_monic(up_trim([v % p for v in f]), fp)
+    if up_deg(f) > 2:
+        f = up_gcd(up_sub(up_pow_mod(0, p, f, fp), [0, 1], fp), f, fp)
     roots = []
-    stack = [g]
-    half = (fp.p - 1) // 2
+    stack = [f]
+    half = (p - 1) // 2
     while stack:
         h = stack.pop()
         d = up_deg(h)
-        if d <= 0:
-            continue
-        if d == 1:
-            roots.append(fp.neg(h[0]))
+        if d <= 2:
+            got = _small_roots(h, p)
+            if len(got) == 2:
+                r, t = got
+                while True:
+                    a = rng.field(p)
+                    inside = _jacobi(r + a, p) == 1
+                    if inside != (_jacobi(t + a, p) == 1):
+                        break
+                if inside:
+                    got = [t, r]
+            roots += got
             continue
         while True:
-            a = rng.field(fp.p)
-            probe = up_pow_mod([a, 1], half, h, fp)
+            a = rng.field(p)
+            probe = up_pow_mod(a, half, h, fp)
             s = up_gcd(up_sub(probe, [1], fp), h, fp)
             if 0 < up_deg(s) < d:
                 stack.append(s)

@@ -7,13 +7,16 @@ from unittest.mock import patch
 import pytest
 
 from gaussfocal.cli import derive_primes
-from gaussfocal.fieldcore import Dual2Fp, DualFp, Fp, Rng
+from gaussfocal.fieldcore import (Dual2Fp, DualFp, Fp, Rng, _fp_sweep,
+                                  is_probable_prime)
 from gaussfocal.mpoly import (
     CharTooSmall,
     LINE_ATTEMPTS,
     PolyProgram,
     SparsePoly,
+    _jacobi,
     _pf_solver,
+    _sqrt_mod,
     det_ring,
     line_zeros,
     on_line,
@@ -22,8 +25,10 @@ from gaussfocal.mpoly import (
     up_deg,
     up_divmod,
     up_gcd,
+    up_monic,
     up_pow_mod,
     up_roots,
+    up_sub,
     up_trim,
 )
 from gaussfocal.varieties import MatrixShape, rank_locus_spec
@@ -833,16 +838,145 @@ def _pow_mod_reference(base, e, mod, fp):
 
 @pytest.mark.parametrize("p", [7, 101, *derive_primes(1729, 2), WORD_PRIME])
 def test_up_pow_mod_matches_square_and_multiply(p):
+    # The base is x + a: a = 0 is the Frobenius x^p, a = p - 1 puts the
+    # largest residue in every multiply step.
     fp, rng = Fp(p), Rng(p)
     for n in range(1, 17):
         monic = [rng.field(p) for _ in range(n)] + [1]
         lead = 2 + rng.below(p - 2)
         for mod in (monic, [v * lead % p for v in monic]):
-            for blen in (0, 1 + rng.below(n), n + 1 + rng.below(n + 1)):
-                base = [rng.field(p) for _ in range(blen)]
-                for e in (0, 1, 2, p, (p - 1) // 2, rng.u64()):
-                    assert (up_pow_mod(base, e, mod, fp)
-                            == _pow_mod_reference(base, e, mod, fp))
+            for a in (0, 1, p - 1, rng.field(p)):
+                for e in (0, 1, 2, 3, p, (p - 1) // 2, rng.u64()):
+                    assert (up_pow_mod(a, e, mod, fp)
+                            == _pow_mod_reference([a, 1], e, mod, fp))
+    assert up_pow_mod(3, 5, [2], fp) == []  # everything is 0 mod a unit
+
+
+# The largest primes below 2^64 in each class mod 8: a square root is one
+# power for 3 and 7, and Tonelli–Shanks with 2-adic valuation 2 (class 5)
+# or 5 (class 1, 2^64 - 95).
+WORD_PRIMES_MOD_8 = {1: (1 << 64) - 95, 3: (1 << 64) - 189,
+                     5: (1 << 64) - 59, 7: (1 << 64) - 257}
+
+
+def test_word_primes_are_primes_in_their_classes():
+    for cls, p in WORD_PRIMES_MOD_8.items():
+        assert is_probable_prime(p) and p % 8 == cls
+
+
+def _roots_by_probes(f, fp, rng):
+    """The root finder with polynomial probes all the way down: g =
+    gcd(x^p - x, f), then Cantor–Zassenhaus splits until degree 1.  Its
+    powers come from the schoolbook reference, which gives the same
+    polynomials as the packed power it used."""
+    if fp.p == 2:
+        raise CharTooSmall("characteristic 2: root splitting needs an odd p")
+    f = up_monic(up_trim([v % fp.p for v in f]), fp)
+    if up_deg(f) <= 0:
+        return []
+    x = [0, 1]
+    xp = _pow_mod_reference(x, fp.p, f, fp)
+    g = up_gcd(up_sub(xp, x, fp), f, fp)
+    roots = []
+    stack = [g]
+    half = (fp.p - 1) // 2
+    while stack:
+        h = stack.pop()
+        d = up_deg(h)
+        if d <= 0:
+            continue
+        if d == 1:
+            roots.append(fp.neg(h[0]))
+            continue
+        while True:
+            a = rng.field(fp.p)
+            probe = _pow_mod_reference([a, 1], half, h, fp)
+            s = up_gcd(up_sub(probe, [1], fp), h, fp)
+            if 0 < up_deg(s) < d:
+                stack.append(s)
+                stack.append(up_divmod(h, s, fp)[0])
+                break
+    return roots
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 97, 101, 257,
+                               *WORD_PRIMES_MOD_8.values()])
+def test_up_roots_replays_the_polynomial_probes(p):
+    # Closed forms at degree <= 2 must return the same list and leave the
+    # shared Rng in the same state as probing down to degree 1.
+    fp, src = Fp(p), Rng(p)
+    cases = [[], [0, 0], [src.field(p) or 1]]
+    for deg in range(1, 7):
+        for _ in range(6):
+            cases.append([src.field(p) for _ in range(deg)]
+                         + [src.field(p) or 1])
+            for repeats in (False, True):
+                f = [src.field(p) or 1]
+                while up_deg(f) < deg:
+                    root = src.field(p)
+                    double = repeats and up_deg(f) + 2 <= deg and src.below(2)
+                    for _ in range(1 + double):
+                        f = up_mul(f, [fp.neg(root), 1], fp)
+                cases.append(f)
+    # unreduced and untrimmed coefficients, a double root, an irreducible
+    cases += [[p - 1 + p, -1, 1, 0, 0], [1, -2, 1], [1, 0, 1], [-3, 0, 1]]
+    for f in cases:
+        seed = src.u64()
+        want_rng, got_rng = Rng(seed), Rng(seed)
+        assert up_roots(f, fp, got_rng) == _roots_by_probes(f, fp, want_rng)
+        assert got_rng._state == want_rng._state
+
+
+@pytest.mark.parametrize("p", [17, 97, 193, 257, 7681, 7, 13])
+def test_sqrt_mod_on_every_nonzero_square(p):
+    squares = {x * x % p for x in range(1, p)}
+    for a in squares:
+        r = _sqrt_mod(a, p)
+        assert 0 <= r < p and r * r % p == a
+    # Tonelli–Shanks stops on a non-square or 0 (for p ≡ 3 mod 4 the one
+    # power returns some residue, and the caller has checked its input).
+    for a in set(range(p)) - squares if p % 4 == 1 else ():
+        with pytest.raises(ValueError):
+            _sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("p", WORD_PRIMES_MOD_8.values())
+def test_sqrt_mod_over_word_size_primes(p):
+    rng = Rng(p)
+    for _ in range(200):
+        a = pow(1 + rng.below(p - 1), 2, p)
+        r = _sqrt_mod(a, p)
+        assert 0 <= r < p and r * r % p == a
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 97, 101, 193, 257, 7681,
+                               4294967311, *WORD_PRIMES_MOD_8.values()])
+def test_jacobi_symbol_is_eulers_criterion(p):
+    rng = Rng(p)
+    values = (range(-p, 2 * p) if p < 300
+              else [0, 1, 2, p - 1, p, 2 * p + 3, -5]
+              + [rng.field(p) for _ in range(300)])
+    for a in values:
+        euler = pow(a, (p - 1) // 2, p)
+        assert _jacobi(a, p) == (-1 if euler == p - 1 else euler)
+
+
+@pytest.mark.parametrize("p", [4294967311, (1 << 64) - 59])
+def test_small_det_closed_form_matches_the_sweep(p):
+    fp, rng = Fp(p), Rng(p)
+    for n in (1, 2, 3):
+        for trial in range(60):
+            mat = [[rng.field(p) for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 1:  # a row that is a combination of the others
+                c = [rng.field(p) for _ in range(n)]
+                i = rng.below(n)
+                mat[i] = [sum(c[k] * mat[k][j] for k in range(n) if k != i)
+                          % p for j in range(n)]
+            elif trial % 3 == 2:  # unreduced entries, some negative
+                mat = [[v - p * rng.below(3) for v in row] for row in mat]
+            _, pivots, det = _fp_sweep(mat, p, False, False)
+            assert det_ring(mat, fp) == (det if len(pivots) == n else 0)
+        assert det_ring([[0] * n for _ in range(n)], fp) == 0
 
 
 def test_up_gcd_monic():
