@@ -408,11 +408,12 @@ class ExperimentConfig:
 
 
 class ExperimentPlan:
-    __slots__ = ("label", "kind", "spec", "expect")
+    """One experiment's spec (``None`` for hyperband) and expectations."""
 
-    def __init__(self, label, kind, spec, expect):
+    __slots__ = ("label", "spec", "expect")
+
+    def __init__(self, label, spec, expect):
         self.label = label
-        self.kind = kind
         self.spec = spec
         self.expect = expect
 
@@ -481,29 +482,27 @@ def build_plan(cfg: ExperimentConfig) -> ExperimentPlan:
     name = cfg.experiment
     if cfg.spec_path is not None:
         spec = parse_spec_file(cfg.spec_path)
-        return ExperimentPlan(f"custom-{spec.name}", "rank", spec, None)
+        return ExperimentPlan(f"custom-{spec.name}", spec, None)
     if name in _SCORZA_SHAPES:
         m = 3 if cfg.m is None else cfg.m
         if m not in _SCORZA_M:
             raise InputError(f"{name} supports m in {list(_SCORZA_M)}")
         shape, rb = _SCORZA_SHAPES[name](m)
         spec = rank_locus_spec(shape, rb, name=f"{name}-m{m}")
-        return ExperimentPlan(f"{name}-m{m}", "rank", spec,
-                              expectation_for(name, m))
+        return ExperimentPlan(f"{name}-m{m}", spec, expectation_for(name, m))
     if cfg.m is not None:
         raise InputError("--m applies only to the scorza presets")
     if name in _SEVERI_SHAPES:
         shape, rb = _SEVERI_SHAPES[name]
         spec = rank_locus_spec(shape, rb, name=name)
-        return ExperimentPlan(name, "rank", spec, expectation_for(name, None))
+        return ExperimentPlan(name, spec, expectation_for(name, None))
     if name == "severi-16":
         if "albert" not in cfg.features:
             raise InputError("severi-16 needs '--features albert'")
-        return ExperimentPlan(name, "rank", albert_cubic(name),
+        return ExperimentPlan(name, albert_cubic(name),
                               expectation_for(name, None))
     if name == "hyperband":
-        return ExperimentPlan(name, "hyperband", None,
-                              expectation_for(name, None))
+        return ExperimentPlan(name, None, expectation_for(name, None))
     raise InputError(f"unknown experiment {name!r}")
 
 
@@ -659,7 +658,7 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
     seed_t = derive_seed(cfg.seed, prime, trial)
     rng = Rng(seed_t)
     start = perf_counter()
-    if plan.kind == "hyperband":
+    if plan.spec is None:
         fam = _HyperbandFamily(fp, rng, where)
     else:
         fam = _FibreFamily(plan.spec, dim_x, c, fp, rng, where)
@@ -691,9 +690,12 @@ def _trial(plan, cfg, fp, prime, trial, dim_x, c, where):
 
 
 def _witness_battery(spec, fp, rng):
-    for _ in range(25):
-        if any(spec.values(spec.sampler(rng, fp).coords, fp)):
-            return ["a generator misses a sampled point"]
+    """The first generator program not 0 at one of 25 sampled points."""
+    for k in range(25):
+        x = spec.sampler(rng, fp).coords
+        for i, g in enumerate(spec.generators):
+            if g.eval(x, fp):
+                return [f"generator {i} misses sampled point {k}"]
     return []
 
 
@@ -732,7 +734,7 @@ def run_experiment(cfg: ExperimentConfig):
         try:
             fp = Fp(prime)
             dim_x = c = None
-            if plan.kind == "rank":
+            if plan.spec is not None:
                 rng_dim = Rng(derive_seed(cfg.seed, prime, 1 << 20))
                 dim_x = variety_dim(plan.spec, fp, rng_dim)
                 c = fiber_codim_data(plan.spec, dim_x, fp, rng_dim)

@@ -557,7 +557,7 @@ def sing_containment(spec, fiber, form: ReducedForm, fp, rng,
         for lines, pts in enumerate(_zero_lines(form, fp, rng), 1):
             for t in pts:
                 z = vecmat(t, fiber.basis, fp)
-                if any(spec.singular.values(z, fp)):
+                if not spec.singular.vanishes(z, fp):
                     raise ContainmentFailed(
                         f"focal zero escapes the singular locus: {z}")
                 zeros += 1

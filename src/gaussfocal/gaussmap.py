@@ -6,8 +6,8 @@ kernel of the Jacobian of a transversal subset of the generators.  The
 fibre through a point collects the tangent directions v with
 t^T H(g) v = 0 for every tangent t and every generator g of the subset;
 its correctness is then re-checked against the full generator list, read
-at each point by ``VarietySpec.values`` (one Pfaffian memo for a rank
-locus with more than one generator, the programs one by one otherwise).
+at each point by ``VarietySpec.vanishes`` (one matrix rank on a rank
+locus of more than one generator, the programs one by one otherwise).
 The first-order fibre at x + εw, the B matrix of a focal chart, is
 solved here as well, on packed slopes, with the solver matrix that the
 center fibre keeps.
@@ -78,7 +78,7 @@ def tangent_space(spec, coords, fp, expected_dim: int) -> TangentFrame:
     if codim <= 0:
         raise NoCodimension("expected dimension must be below the ambient "
                             "one")
-    if any(spec.values(coords, fp)):
+    if not spec.vanishes(coords, fp):
         raise PointOffVariety(f"{spec.name}: point is not on the variety")
     grads = spec.jacobian(coords, fp)
     # pivot columns of the transpose: the first gradients, in generator
@@ -161,7 +161,7 @@ def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
 
     The system only involves the frame's transversal subset; membership
     of the resulting linear space in the variety is then re-checked
-    against every generator, by ``spec.values``, at random points.
+    against every generator, by ``spec.vanishes``, at random points.
     """
     tan = frame.tangent
     system = fiber_system(frame.gens, frame.x, tan, frame.tan_pivots, fp)
@@ -194,7 +194,7 @@ def _verify_fiber(fiber, fp, rng, spec):
         raise FiberVerificationFailed("base point is outside the fibre span")
     for _ in range(10):
         y = random_combination(fiber.basis, fp, rng)
-        if any(spec.values(y, fp)):
+        if not spec.vanishes(y, fp):
             raise FiberVerificationFailed("a fibre point misses the variety")
     for _ in range(5):
         y = random_combination(fiber.basis, fp, rng)

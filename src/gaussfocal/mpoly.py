@@ -13,7 +13,8 @@ and never expanded.  The gradient of a sum takes prefix and suffix
 products per term.  Pfaffians, and determinants over rings other than
 F_p, go through one division-free expansion over bitmask-memoized
 sub-Pfaffians (a determinant is the Pfaffian of [[0, M], [-Mᵀ, 0]] up to
-sign), which also gives their gradients as signed cofactors.
+sign), which also gives their gradients as signed cofactors
+(``add_cofactors``, which also serves every gradient of a rank locus).
 Hessian-vector products evaluate the gradient over a dual extension and
 read off the slopes: over F_p and over F_p[d] alike, one gradient over
 F_p[d][e_1..e_m] gives the products with m vectors at once, each vector
@@ -106,7 +107,7 @@ class PolyProgram:
     def grad(self, x, ring):
         """Gradient at x: per term of a sum, prefix and suffix products
         of its factors; for det and pf, the signed sub-Pfaffian
-        cofactors of one bitmask expansion."""
+        cofactors of one bitmask expansion (``add_cofactors``)."""
         out = [ring.zero] * self.arity
         add, mul = ring.add, ring.mul
         if self.kind == "sum":
@@ -122,24 +123,16 @@ class PolyProgram:
                     suf = x[i] if suf is None else mul(suf, x[i])
             return out
         mat = self._entries(x)
-        n = len(mat)
         if self.kind == "det":
             det_ring(mat, ring)  # unread value: goes with ROADMAP item 1
-            pf = _pf_solver(_det_block(mat, ring), ring)
-            pairs = [(i, n + j) for i in range(n) for j in range(n)]
-            flip, full = n * (n - 1) // 2, (1 << 2 * n) - 1
-        else:
-            n += 1
-            pf, flip, full = _pf_solver(mat, ring), 0, (1 << n) - 1
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        ids = [t for row in self.body for t in row]
-        for t, (i, j) in zip(ids, pairs):
-            cof = pf(full ^ 1 << i ^ 1 << j)
-            if (i + j + flip) % 2 == 0:  # sign (-1)^(i+j+1+flip)
-                cof = ring.neg(cof)
-            if not ring.is_zero(cof):
-                out[t] = add(out[t], cof)
-        return out
+            n = len(mat)
+            return add_cofactors(
+                out, _pf_solver(_det_block(mat, ring), ring), range(2 * n),
+                [[None] * n + list(row) for row in self.body], n, ring)
+        return add_cofactors(
+            out, _pf_solver(mat, ring), range(len(mat) + 1),
+            [[None] * (i + 1) + list(row) for i, row in enumerate(self.body)],
+            0, ring)
 
     def hess_vec(self, x, vs, ring):
         """Hessian-vector products H(x)·v for the vectors v in vs over
@@ -250,6 +243,34 @@ def _pf_solver(upper, ring):
         return got
 
     return pf
+
+
+def add_cofactors(out, pf, sub, coord, rows, ring):
+    """Add to ``out`` the signed cofactors of the Pfaffian on the
+    ascending index set ``sub`` of a skew matrix, read off its memo ``pf``
+    (``_pf_solver``): for positions a < c of ``sub``, with i = sub[a] and
+    j = sub[c], (-1)^(a+c+1+flip)·Pf(sub without i and j) goes to
+    ``out[coord[i][j]]``, the coordinate of the entry (i, j).  For a
+    minor of M, read as the Pfaffian of B = [[0, M], [-Mᵀ, 0]]
+    (``_det_block``), the first ``rows`` indices of ``sub`` are its rows
+    and the rest its columns: only a row pairs with a column, and
+    flip = rows·(rows-1)/2 is the sign between det and Pf.  For a
+    sub-Pfaffian ``rows`` is 0.  Zero cofactors are skipped, over F_p by
+    the residue's truth value (no ``is_zero`` call)."""
+    add, neg, is_zero = ring.add, ring.neg, ring.is_zero
+    field = isinstance(ring, Fp)
+    full = sum(1 << i for i in sub)
+    flip, size = rows * (rows - 1) // 2, len(sub)
+    for a in range(rows or size - 1):
+        i = sub[a]
+        at, rest = coord[i], full ^ 1 << i
+        for c in range(max(a + 1, rows), size):
+            j = sub[c]
+            cof = pf(rest ^ 1 << j)
+            if cof if field else not is_zero(cof):
+                t = at[j]
+                out[t] = add(out[t], cof if (a + c + flip) % 2 else neg(cof))
+    return out
 
 
 # --- sparse multivariate polynomials ------------------------------------------

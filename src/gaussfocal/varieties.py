@@ -7,11 +7,11 @@ minors or sub-Pfaffians and sampled through explicit low-rank sums whose
 summands are retained as witnesses.  Dimensions are always measured, not
 assumed: the Jacobian of the generators at sampled smooth points.
 
-Every generator at one point comes from ``VarietySpec.values`` and
-``.jacobian``: from one Pfaffian memo of the matrix for a rank locus with
-more than one generator, from the programs one by one for explicit specs,
-the Albert cubic and a locus of one full det or Pf, whose elimination
-(O(n³)) beats the memo (O(2ⁿ)).
+A point is on a variety when ``VarietySpec.vanishes``, and every gradient
+there comes from ``.jacobian``: for a rank locus with more than one
+generator, one rank of its matrix and one Pfaffian memo of it; otherwise
+the programs one by one (explicit specs, the Albert cubic and a locus of
+one full det or Pf, whose elimination (O(n³)) beats the memo (O(2ⁿ))).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .mpoly import (
     SparsePoly,
     _det_block,
     _pf_solver,
+    add_cofactors,
     line_zeros,
     restrict_to_line,
 )
@@ -92,14 +93,26 @@ class MatrixShape:
             i, j = j, i
         return i * n - i * (i + 1) // 2 + (j - i - 1)
 
+    def matrix(self, x):
+        """The nrows×ncols matrix of the coordinates x, the inverse of
+        ``from_matrix``: row by row, each row's upper half is a run of x,
+        mirrored below the diagonal (negated, zero diagonal, for skew)."""
+        n, m, skew = self.nrows, self.ncols, self.kind == "skew"
+        if self.kind == "generic":
+            return [list(x[i * m:(i + 1) * m]) for i in range(n)]
+        out, k = [], 0
+        for i in range(n):
+            out.append([-row[i] if skew else row[i] for row in out]
+                       + [0] * skew + list(x[k:k + n - i - skew]))
+            k += n - i - skew
+        return out
+
     def from_matrix(self, mat, p: int):
-        coords = [0] * self.num_vars
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                if self.kind == "generic" or (self.kind == "symmetric" and i <= j) \
-                        or (self.kind == "skew" and i < j):
-                    coords[self.var_index(i, j)] = mat[i][j] % p
-        return coords
+        """The coordinates of a matrix: its rows' upper halves, in turn."""
+        skew = self.kind == "skew"
+        if self.kind == "generic":
+            return [v % p for row in mat for v in row]
+        return [v % p for i, row in enumerate(mat) for v in row[i + skew:]]
 
 
 def _minor_order(shape: MatrixShape, rank_bound: int) -> int:
@@ -128,7 +141,7 @@ def generator_count(shape: MatrixShape, rank_bound: int) -> int:
 
 def _locus_sets(shape: MatrixShape, size: int):
     """The minors of order ``size`` (sub-Pfaffians, skew) as index sets of
-    the locus matrix (``_locus_block``), in the order
+    the locus matrix (``VarietySpec.jacobian``), in the order
     ``rank_locus_generators`` builds them: each set of ``size`` indices of
     a skew shape, else rows I and columns J as I + (n + J) (for symmetric,
     only I <= J)."""
@@ -149,29 +162,17 @@ def rank_locus_generators(shape: MatrixShape, rank_bound: int):
     if rank_bound < 1:
         raise ValueError("rank bound must be at least 1")
     size = _minor_order(shape, rank_bound)
-    cell = shape.var_index
+    grid = shape.matrix(range(shape.num_vars))
     if shape.kind == "skew":
         return [PolyProgram.pf(shape.num_vars,
-                               [[cell(i, j) for j in sub[a + 1:]]
+                               [[grid[i][j] for j in sub[a + 1:]]
                                 for a, i in enumerate(sub[:-1])])
                 for sub in _locus_sets(shape, size)]
     n = shape.nrows
     return [PolyProgram.det(shape.num_vars,
-                            [[cell(i, j - n) for j in sub[size:]]
+                            [[grid[i][j - n] for j in sub[size:]]
                              for i in sub[:size]])
             for sub in _locus_sets(shape, size)]
-
-
-def _locus_block(shape: MatrixShape, x, fp):
-    """The upper triangle of the skew matrix whose sub-Pfaffians on the
-    ``_locus_sets`` are the generators at x, up to sign: the skew matrix
-    itself, or B = [[0, M], [-Mᵀ, 0]] (``_det_block``) for the n×m
-    matrix M."""
-    cell, n = shape.var_index, shape.nrows
-    if shape.kind == "skew":
-        return [[x[cell(i, j)] for j in range(i + 1, n)] for i in range(n - 1)]
-    return _det_block([[x[cell(i, j)] for j in range(shape.ncols)]
-                       for i in range(n)], fp)
 
 
 class WitnessPoint:
@@ -215,17 +216,15 @@ class VarietySpec:
     """A variety given by generator programs, with an optional descriptor
     of its singular locus (itself a VarietySpec) and a smooth-point sampler.
 
-    ``values`` and ``jacobian`` are the one routine for every generator
-    at one point over F_p, in generator order.  A rank locus with more
-    than one generator keeps ``locus`` = (shape, minor order) and serves
-    both from one bitmask Pfaffian memo (``_pf_solver``) of its locus
-    matrix, the skew matrix itself or B = [[0, M], [-Mᵀ, 0]]: a minor on
-    rows I and columns J of order s is (-1)^(s(s-1)/2)·Pf(B on I ∪ (n+J)),
-    and each gradient entry a signed smaller sub-Pfaffian from the same
-    memo.  Explicit specs, the Albert cubic and a locus cut out by its one
-    full det or Pf loop over their programs: one determinant is cheaper by
-    elimination (O(n³)) than by the memo (O(2ⁿ)).  The programs stay for
-    the sweeps over dual rings.
+    ``vanishes`` is the one membership test of a point over F_p and
+    ``jacobian`` gives every generator's gradient there, in generator
+    order.  A rank locus with more than one generator keeps ``locus`` =
+    (shape, minor order): it vanishes when rank M(x) < minor order, and
+    its gradients are the signed cofactors (``add_cofactors``) of one
+    bitmask Pfaffian memo (``_pf_solver``) of the skew matrix itself or of
+    B = [[0, M], [-Mᵀ, 0]], where a minor on rows I and columns J of order
+    s is (-1)^(s(s-1)/2)·Pf(B on I ∪ (n+J)).  Other specs loop over their
+    programs, which stay for the dual-ring sweeps and the witness battery.
     """
 
     __slots__ = ("name", "ambient_dim", "generators", "singular", "sampler",
@@ -240,51 +239,28 @@ class VarietySpec:
         self.sampler = sampler
         self.locus = locus
 
-    def values(self, x, fp):
-        """Every generator's value at x."""
+    def vanishes(self, x, fp) -> bool:
+        """Whether every generator vanishes at x: on a locus, whether the
+        rank of M(x) is below the minor order."""
         if self.locus is None:
-            return [g.eval(x, fp) for g in self.generators]
+            return not any(g.eval(x, fp) for g in self.generators)
         shape, size = self.locus
-        pf = _pf_solver(_locus_block(shape, x, fp), fp)
-        vals = [pf(sum(1 << i for i in sub)) for sub in _locus_sets(shape, size)]
-        if shape.kind != "skew" and size * (size - 1) // 2 % 2:
-            return [-v % fp.p for v in vals]
-        return vals
+        return mat_rank(shape.matrix(x), fp) < size
 
     def jacobian(self, x, fp):
         """Every generator's gradient at x."""
         if self.locus is None:
             return [g.grad(x, fp) for g in self.generators]
         shape, size = self.locus
-        pf = _pf_solver(_locus_block(shape, x, fp), fp)
-        p, nv, n = fp.p, shape.num_vars, shape.nrows
-        # coord[i][j] is the coordinate at the locus matrix's entry (i, j);
-        # positions a < c of a set pair its indices i, j, and of a minor's
-        # set only a row (a < size) with a column (c >= size) has one
+        mat, coord = shape.matrix(x), shape.matrix(range(shape.num_vars))
         if shape.kind == "skew":
-            low = flip = 0
-            coord = [[shape.var_index(i, j) if i != j else None
-                      for j in range(n)] for i in range(n)]
-        else:
-            low, flip = size, size * (size - 1) // 2
-            coord = [[None] * n + [shape.var_index(i, j)
-                                   for j in range(shape.ncols)]
-                     for i in range(n)]
-        rows = []
-        for sub in _locus_sets(shape, size):
-            full = sum(1 << i for i in sub)
-            out = [0] * nv
-            for a in range(size):
-                i = sub[a]
-                at, rest = coord[i], full ^ 1 << i
-                for c in range(max(a + 1, low), len(sub)):
-                    j = sub[c]
-                    cof = pf(rest ^ 1 << j)
-                    t = at[j]
-                    # the cofactor's sign is (-1)^(a+c+1+flip)
-                    out[t] = (out[t] + (cof if (a + c + flip) % 2 else -cof)) % p
-            rows.append(out)
-        return rows
+            rows, upper = 0, [row[i + 1:] for i, row in enumerate(mat[:-1])]
+        else:  # B's index n + j is M's column j
+            rows, upper = size, _det_block(mat, fp)
+            coord = [[None] * shape.nrows + row for row in coord]
+        pf = _pf_solver(upper, fp)
+        return [add_cofactors([0] * shape.num_vars, pf, sub, coord, rows, fp)
+                for sub in _locus_sets(shape, size)]
 
 
 def _rank_stratum(name, shape: MatrixShape, rank_bound: int) -> VarietySpec:

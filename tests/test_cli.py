@@ -79,6 +79,7 @@ from gaussfocal.gaussmap import (
 from gaussfocal.varieties import (
     HyperbandFamily,
     MatrixShape,
+    WitnessPoint,
     rank_locus_generators,
     rank_locus_spec,
     sample_rank_point,
@@ -542,7 +543,22 @@ def test_witness_battery_flags_a_sampler_off_a_batched_rank_locus():
     assert _witness_battery(spec, FP, Rng(5)) == []
     spec.sampler = partial(sample_rank_point, shape, 2)  # draws rank 2
     assert _witness_battery(spec, FP, Rng(5)) == [
-        "a generator misses a sampled point"]
+        "generator 0 misses sampled point 0"]
+    # rank-one samples, then E₁₁ + E₂₂ third: of the nine 2×2 minors, only
+    # the last, on rows and columns {1, 2}, is not 0 there
+    draws = []
+
+    def sampler(rng, fp):
+        draws.append(None)
+        if len(draws) < 3:
+            return sample_rank_point(shape, 1, rng, fp)
+        x = [0] * shape.num_vars
+        x[shape.var_index(1, 1)] = x[shape.var_index(2, 2)] = 1
+        return WitnessPoint(x)
+
+    spec.sampler = sampler
+    assert _witness_battery(spec, FP, Rng(5)) == [
+        "generator 8 misses sampled point 2"]
 
 
 def test_matrix_spec_bounds_its_singular_stratum_before_building(tmp_path):

@@ -106,11 +106,11 @@ SEGRE = MatrixShape.generic(3, 3)
 def test_tangent_rejects_a_point_off_a_batched_rank_locus():
     spec = rank_locus_spec(SEGRE, 1)
     assert spec.locus is not None
-    assert sum(map(bool, spec.values(unit_matrix(SEGRE, (0, 0), (1, 1)),
-                                     FP))) == 1
+    off = unit_matrix(SEGRE, (0, 0), (1, 1))
+    assert sum(bool(g.eval(off, FP)) for g in spec.generators) == 1
+    assert not spec.vanishes(off, FP)
     with pytest.raises(PointOffVariety):
-        tangent_space(spec, unit_matrix(SEGRE, (0, 0), (1, 1)), FP,
-                      expected_dim=4)
+        tangent_space(spec, off, FP, expected_dim=4)
     assert tangent_space(spec, unit_matrix(SEGRE, (0, 0)), FP,
                          expected_dim=4).codim == 4
 

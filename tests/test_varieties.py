@@ -55,17 +55,27 @@ def test_shape_coordinate_counts():
 
 
 def test_shape_matrix_roundtrip():
+    # MatrixShape.matrix is the inverse of from_matrix, and agrees mod p
+    # with the var_index walk of to_matrix; a skew matrix is antisymmetric
+    # over the integers, with a zero diagonal
     rng = Rng(3)
-    for shape in (MatrixShape.symmetric(4), MatrixShape.generic(3, 5),
-                  MatrixShape.skew(6)):
+    for shape in (MatrixShape.symmetric(4), MatrixShape.symmetric(5),
+                  MatrixShape.generic(3, 5), MatrixShape.generic(5, 3),
+                  MatrixShape.skew(6), MatrixShape.skew(7), MatrixShape.skew(9)):
         coords = [rng.field(P) for _ in range(shape.num_vars)]
         mat = to_matrix(shape, coords, P)
         assert len(mat) == shape.nrows and len(mat[0]) == shape.ncols
         assert shape.from_matrix(mat, P) == coords
+        got = shape.matrix(coords)
+        assert shape.from_matrix(got, P) == coords
+        assert [[v % P for v in row] for row in got] == mat
+        n = shape.nrows
         if shape.kind == "symmetric":
-            assert all(mat[i][j] == mat[j][i] for i in range(4) for j in range(4))
+            assert all(mat[i][j] == mat[j][i] for i in range(n) for j in range(n))
         if shape.kind == "skew":
-            assert all(mat[i][j] == (-mat[j][i]) % P for i in range(6) for j in range(6))
+            assert all(mat[i][j] == (-mat[j][i]) % P for i in range(n) for j in range(n))
+            assert all(got[i][i] == 0 for i in range(n))
+            assert all(got[i][j] == -got[j][i] for i in range(n) for j in range(n))
 
 
 # --- rank locus generators ------------------------------------------------------
@@ -226,18 +236,20 @@ def _program_rows(spec, x, fp):
 
 
 def _check_batch_matches_programs(spec, fp, rng):
-    """``values`` and ``jacobian`` equal the programs' values and
-    gradients, in generator order, at two sampled points of the stratum,
-    at a point with a quarter of its coordinates zero and at a random
-    point off it."""
+    """``vanishes`` is whether no program's value is nonzero, and
+    ``jacobian`` equals the programs' gradients in generator order, at
+    two sampled points of the stratum, at a point with a quarter of its
+    coordinates zero and at a random point off it."""
     nv = spec.ambient_dim + 1
     points = [spec.sampler(rng, fp).coords for _ in range(2)]
     points.append([rng.field(fp.p) if rng.below(4) else 0 for _ in range(nv)])
     points.append([rng.field(fp.p) for _ in range(nv)])
-    for x in points:
+    for k, x in enumerate(points):
         values, jacobian = _program_rows(spec, x, fp)
-        assert spec.values(x, fp) == values
+        assert spec.vanishes(x, fp) is (not any(values))
         assert spec.jacobian(x, fp) == jacobian
+        if k < 2:
+            assert not any(values)  # a sampled point is on the stratum
     assert any(values)  # the random point is off the stratum
 
 
@@ -271,7 +283,7 @@ def test_a_fresh_spec_batches_its_own_shape():
             for shape in (MatrixShape.generic(n - 2, n),
                           MatrixShape.symmetric(n)):
                 spec = rank_locus_spec(shape, rb)
-                spec.values([1] * shape.num_vars, FP)
+                spec.vanishes([1] * shape.num_vars, FP)
                 spec.jacobian([1] * shape.num_vars, FP)
     rng = Rng(71)
     for shape, rb in ((MatrixShape.skew(7), 4), (MatrixShape.generic(3, 5), 2),
@@ -297,29 +309,57 @@ def _counted_program_calls(monkeypatch):
 def test_which_specs_take_the_program_path(monkeypatch):
     quadric = rank_locus_generators(MatrixShape.generic(2, 2), 1)[0]
     albert = albert_cubic()
+    cone = hypersurface_spec("quadric", quadric, [quadric])
+    # each spec with the spec whose sampler draws points on it: the cone's
+    # singular descriptor has no sampler, and its one generator is the cone's
     program_specs = [
-        rank_locus_spec(MatrixShape.symmetric(3), 2),   # one det
-        rank_locus_spec(MatrixShape.generic(4, 4), 3),  # one det
-        rank_locus_spec(MatrixShape.skew(6), 4),        # one Pf
-        hypersurface_spec("quadric", quadric, [quadric]),
-        hypersurface_spec("quadric", quadric, [quadric]).singular,
-        albert, albert.singular,
+        (rank_locus_spec(MatrixShape.symmetric(3), 2),) * 2,   # one det
+        (rank_locus_spec(MatrixShape.generic(4, 4), 3),) * 2,  # one det
+        (rank_locus_spec(MatrixShape.skew(6), 4),) * 2,        # one Pf
+        (cone, cone), (cone.singular, cone),
+        (albert, albert), (albert.singular, albert.singular),
     ]
     batched = rank_locus_spec(MatrixShape.skew(6), 4).singular
-    calls = _counted_program_calls(monkeypatch)
     rng = Rng(73)
-    for spec in program_specs:
+    points = [source.sampler(rng, FP).coords for _, source in program_specs]
+    calls = _counted_program_calls(monkeypatch)
+    for (spec, _), x in zip(program_specs, points):
         assert spec.locus is None
-        x = [rng.field(P) for _ in range(spec.ambient_dim + 1)]
         del calls[:]
-        spec.values(x, FP)
+        # on the variety, no value stops the loop early: one eval each
+        assert spec.vanishes(x, FP)
         spec.jacobian(x, FP)
         assert calls == spec.generators * 2
     assert batched.locus is not None
     del calls[:]
-    batched.values([1] * 15, FP)
+    batched.vanishes([1] * 15, FP)
     batched.jacobian([1] * 15, FP)
     assert calls == []
+
+
+# the bound itself: every kind of shape, on both strata, at rank exactly the
+# stratum's bound and one step (two for skew) above it
+_BOUND_LOCI = [(MatrixShape.skew(7), 4), (MatrixShape.skew(9), 6),
+               (MatrixShape.generic(3, 5), 2), (MatrixShape.generic(5, 3), 2),
+               (MatrixShape.symmetric(5), 3)]
+
+
+@pytest.mark.parametrize("p", [101, P])
+def test_vanishes_holds_at_the_rank_bound_and_fails_above_it(p):
+    fp, rng = Fp(p), Rng(p % 1000 + 5)
+    for shape, rb in _BOUND_LOCI:
+        spec = rank_locus_spec(shape, rb)
+        below = singular_rank(shape, rb)
+        for stratum, bound in ((spec, rb), (spec.singular, below)):
+            assert stratum.locus is not None  # the rank test, not the programs
+            above = bound + (2 if shape.kind == "skew" else 1)
+            for rank, want in ((bound, True), (above, False)):
+                for _ in range(3):
+                    x = sample_rank_point(shape, rank, rng, fp).coords
+                    got = stratum.vanishes(x, fp)
+                    assert got is want
+                    assert got is not any(g.eval(x, fp)
+                                          for g in stratum.generators)
 
 
 def test_hypersurface_line_degree():
