@@ -255,10 +255,8 @@ def add_cofactors(out, pf, sub, coord, rows, ring):
     (``_det_block``), the first ``rows`` indices of ``sub`` are its rows
     and the rest its columns: only a row pairs with a column, and
     flip = rows·(rows-1)/2 is the sign between det and Pf.  For a
-    sub-Pfaffian ``rows`` is 0.  Zero cofactors are skipped, over F_p by
-    the residue's truth value (no ``is_zero`` call)."""
+    sub-Pfaffian ``rows`` is 0.  Zero cofactors are skipped."""
     add, neg, is_zero = ring.add, ring.neg, ring.is_zero
-    field = isinstance(ring, Fp)
     full = sum(1 << i for i in sub)
     flip, size = rows * (rows - 1) // 2, len(sub)
     for a in range(rows or size - 1):
@@ -267,7 +265,7 @@ def add_cofactors(out, pf, sub, coord, rows, ring):
         for c in range(max(a + 1, rows), size):
             j = sub[c]
             cof = pf(rest ^ 1 << j)
-            if cof if field else not is_zero(cof):
+            if not is_zero(cof):
                 t = at[j]
                 out[t] = add(out[t], cof if (a + c + flip) % 2 else neg(cof))
     return out
