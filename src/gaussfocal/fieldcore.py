@@ -295,12 +295,15 @@ class Dual2Fp:
         p, mask, half = self.p, self._mask, self._limit
         return [((v >> s & mask) - half) % p for s in self._shifts]
 
+    def pack(self, slots):
+        """Σ_j slots[j]·2^(w·j), for residues in [0, p)."""
+        return sum(map(lshift, slots, self._shifts))
+
     def encode(self, unit, cs=(), ts=()):
         """The element with point ``unit`` = (a0, a1) and slopes
         c_j + t_j·d, from residues in [0, p); missing trailing c_j or t_j
         are zero."""
-        c = sum(map(lshift, cs, self._shifts))
-        t = sum(map(lshift, ts, self._shifts))
+        c, t = self.pack(cs), self.pack(ts)
         return (*unit, c, t, self.p - 1 if c or t else 0)
 
     def decode(self, a):
@@ -363,6 +366,12 @@ class Dual2Fp:
         if max((a[4] for a in elems), default=0) * weight >= self._limit:
             elems = list(map(self._reduced, elems))
         return elems, max((a[4] for a in elems), default=0) * weight
+
+    def fit_slopes(self, elems, weight):
+        """``fit`` on the d-slopes T of ``elems`` alone, reduced alone: their
+        packed integers, without the bound."""
+        big = max((a[4] for a in elems), default=0) * weight >= self._limit
+        return [self.pack(self.slots(a[3])) if big else a[3] for a in elems]
 
 
 def dual_partials(func, point, p):

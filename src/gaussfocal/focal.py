@@ -9,9 +9,9 @@ number of normal directions is rejected.  det M is the focal form: a
 degree-r hypersurface in Λ whose multiplicity structure, reduced
 equation, quadric rank and containment in the singular locus are what
 the rest of the package reports on.  A Gauss-fibre chart draws its
-transversal directions here and takes each first-order fibre, as a B
-matrix over F_p, from ``gaussmap.first_order_fiber``: no slot of its
-packed dual numbers reaches this module.
+transversal directions here and takes their first-order fibres, r B
+matrices over F_p, from one ``gaussmap.first_order_fiber`` call: no
+slot of its packed dual numbers reaches this module.
 
 Everything here is exact arithmetic over F_p: derivatives come from dual
 numbers, multiplicities from univariate squarefree decomposition along
@@ -129,10 +129,10 @@ def fiber_family_chart(fiber, fp, rng) -> FamilyChart:
         if mat_rank(fiber.basis + dirs, fp) != fiber.k + 1 + fiber.r:
             continue
         try:
-            bmats = [first_order_fiber(fiber, w, fp) for w in dirs]
+            return FamilyChart(fiber.basis,
+                               first_order_fiber(fiber, dirs, fp), dirs)
         except DegeneratePivot:
             continue
-        return FamilyChart(fiber.basis, bmats, dirs)
     raise ChartFailed("no transversal direction set survived 16 draws")
 
 

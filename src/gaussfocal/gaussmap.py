@@ -8,9 +8,10 @@ t^T H(g) v = 0 for every tangent t and every generator g of the subset;
 its correctness is then re-checked against the full generator list, read
 at each point by ``VarietySpec.vanishes`` (one matrix rank on a rank
 locus of more than one generator, the programs one by one otherwise).
-The first-order fibre at x + εw, the B matrix of a focal chart, is
-solved here as well, on packed slopes, with the solver matrix that the
-center fibre keeps.
+The first-order fibres of a focal chart, its B matrices, are solved here
+in one call per chart with the center fibre's solver matrix: S₀·k₀ = 0
+once per chart, T₁ by one F_p back-substitution, and only each
+direction's Jacobian and its elimination still over F_p[ε].
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .fieldcore import (
     DegeneratePivot,
     Dual2Fp,
     DualFp,
-    Fp,
     Violation,
     kernel_basis,
     mat_rank,
@@ -122,19 +122,17 @@ class GaussFiber:
         self.sys_solver = sys_solver
 
 
-def hessian_rows(gens, x, tangent, pivots, vecs, ring):
+def hessian_rows(gens, x, on_pivots, pivots, vecs, ring, units=True):
     """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), over F_p
-    or F_p[d], each packed over the F_p vectors v in ``vecs`` as one element
-    of ``Dual2Fp(p, len(vecs))``: the entry for v_j is its slope j.  One
-    Hessian sweep per g gives the images u = H_g(x)·v packed alike.  A
-    canonical kernel vector t_a is 1 at its free column f and otherwise on
-    the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]: packed sums of products
-    under one ``Dual2Fp.fit`` bound per sweep."""
+    or F_p[d], packed over the F_p vectors v_j in ``vecs`` as slopes j of
+    ``Dual2Fp(p, len(vecs))``, as one Hessian sweep per g gives the images
+    u = H_g(x)·v.  A canonical kernel vector t_a is 1 at its free column f
+    and otherwise on the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]:
+    packed sums of products under one ``Dual2Fp.fit`` bound per sweep, from
+    ``on_pivots``, each t_a[P] as its unit parts and its d-parts (() over
+    F_p).  Without ``units`` only the d-slopes T are formed; C is then 0."""
     ring2 = Dual2Fp(ring.p, len(vecs))
     free = sorted(set(range(len(x))) - set(pivots))
-    # t_a[P]; over F_p[d] its unit parts and its d-parts
-    on_pivots = [(tp, ()) if isinstance(ring, Fp) else tuple(zip(*tp))
-                 for tp in ([t[c] for c in pivots] for t in tangent)]
     weight = 2 * ring.p * len(pivots) + 1
     rows = []
     for g in gens:
@@ -143,7 +141,8 @@ def hessian_rows(gens, x, tangent, pivots, vecs, ring):
         for f, (t0, t1) in zip(free, on_pivots):
             a0, a1, c, t, _ = images[f]
             t += sum(map(mul, t0, ts)) + sum(map(mul, t1, cs))
-            rows.append((a0, a1, c + sum(map(mul, t0, cs)), t, bound))
+            c = c + sum(map(mul, t0, cs)) if units else 0
+            rows.append((a0, a1, c, t, bound))
     return rows
 
 
@@ -152,8 +151,9 @@ def fiber_system(gens, x, tangent, pivots, fp):
     x, over F_p: row (g, a), column b is t_a·(H_g·t_b), in the
     coordinates of the tangent basis."""
     ring2 = Dual2Fp(fp.p, len(tangent))
+    on_pivots = [([t[c] for c in pivots], ()) for t in tangent]
     return [ring2.slots(row[2])
-            for row in hessian_rows(gens, x, tangent, pivots, tangent, fp)]
+            for row in hessian_rows(gens, x, on_pivots, pivots, tangent, fp)]
 
 
 def gauss_fiber(spec, frame, fp, rng) -> GaussFiber:
@@ -209,54 +209,65 @@ def _verify_fiber(fiber, fp, rng, spec):
                         "tangent space moves along the fibre")
 
 
-def first_order_fiber(fiber, w, fp):
-    """B matrix of the fibre at x + εw, aligned with the center fibre.
+def first_order_fiber(fiber, dirs, fp):
+    """B matrices of the fibre at x + εw, one per w in ``dirs``, aligned
+    with the center fibre; ``DegeneratePivot`` when a w has none.
 
-    The Jacobian's elimination over F_p[ε] runs the center's on its unit
-    parts, so its pivots must be the center's (else ``DegeneratePivot``),
-    and the tangent basis T(ε) = T₀ + ε·T₁ is the center's plus its
-    deformation.  Of the dual fibre system S₀ + ε·S₁ only
-    S(ε)·k₀ = T(ε)ᵀ·H(ε)·(k₀·T(ε)) is read, for the k+1 center kernel
-    vectors k₀, and k₀·T(ε) is the fibre basis row f = k₀·T₀:
-    J(ε)·f = ε·(w·H·f) = 0, as w is tangent and f in the fibre, so f's
-    canonical coordinates in T(ε) are its free entries k₀ (k₀·T₁ = 0).
-    ``hessian_rows`` gives each row of S(ε)·k₀ packed over the k+1
-    vectors, unit parts in C and slopes in T.  The unit parts S₀·k₀ must
-    vanish (else ``DegeneratePivot``).  k₀ lifts to k₀ + ε·c₁, c₁ on the
-    center pivots P, with S₀·c₁ = −S₁·k₀: ``sys_solver`` times the packed
-    d-slopes of the rows Q, the only parts read, gives −c₁[P] =
-    S₀[Q, P]⁻¹·(S₁·k₀)[Q] and R·(S₁·k₀)[Q], which every other row's
-    slopes must equal, or the first-order system is not flat and there is
-    no lift (``DegeneratePivot``).  The B row is the ε part of
-    (k₀ + ε·c₁)·(T₀ + ε·T₁), c₁·T₀: ρ = |P| multiply-adds on packed T₀[P].
+    Only the Jacobian at x + εw and its elimination are over F_p[ε]; the
+    elimination runs the center's on the unit parts, so its pivots P must
+    be the center's, with echelon rows U₀ + ε·U₁.  The tangent basis
+    T₀ + ε·T₁ has T₁ zero off P and, last pivot first, T₁[P_i] =
+    −U₁[i]·T₀ − Σ_{j>i} U₀[i][P_j]·T₁[P_j]: one F_p back-substitution on
+    T₀'s columns, packed once per chart.  The fibre row k₀·T₀ keeps its
+    coordinates k₀ in T(ε), as J(ε)·(k₀·T₀) = ε·(w·H·k₀·T₀) = 0, so of
+    S₀ + ε·S₁ only S(ε)·k₀ is read, packed over the k+1 center kernel
+    vectors k₀ by ``hessian_rows``.  Its unit parts S₀·k₀ are the same at
+    every w and must vanish: they are formed and checked at the first w
+    only.  k₀ lifts to k₀ + ε·c₁ with S₀·c₁ = −S₁·k₀: ``sys_solver``
+    times the d-slopes of the rows Q, the only parts read and reduced,
+    gives −c₁ and what the other rows' slopes must be, or the system is
+    not flat.  The B row, the ε part of (k₀ + ε·c₁)·(T₀ + ε·T₁), is c₁·T₀
+    on rows of T₀ packed once per chart.
     """
     frame = fiber.frame
-    p = fp.p
-    dring = DualFp(p)
-    x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
-    jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring, reduced=False)
-    if piv != frame.tan_pivots:
-        raise DegeneratePivot("tangent pivots moved off the center's")
-    tangent_eps = kernel_basis(rows, piv, len(frame.x), dring)
-    packed = hessian_rows(frame.gens, x_eps, tangent_eps, frame.tan_pivots,
-                          fiber.basis, dring)
-    ring2 = Dual2Fp(p, len(fiber.basis))
-    if any(any(ring2.slots(row[2])) for row in packed):
-        raise DegeneratePivot("first-order fibre system drifted off its "
-                              "center")
+    p, x, tan, pivots = fp.p, frame.x, frame.tangent, frame.tan_pivots
+    dring, ring2 = DualFp(p), Dual2Fp(p, len(fiber.basis))
     rho = len(fiber.sys_pivots)
-    # T_i − R_i·T[Q] for i outside Q: each term within half the range
-    on_q, _ = ring2.fit([packed[i] for i in fiber.sys_rows], 2 * rho * p)
-    outside, _ = ring2.fit([packed[i] for i in fiber.sys_outside], 2)
-    on_q = [row[3] for row in on_q]
-    solved = [sum(map(mul, row, on_q)) for row in fiber.sys_solver]
-    for row, want in zip(outside, solved[rho:]):
-        if any(ring2.slots(row[3] - want)):
-            raise DegeneratePivot("first-order fibre system is not flat: "
-                                  "no lift of a center kernel vector")
-    width = 2 * p.bit_length() + (rho + 1).bit_length()  # ρ terms < p² each
-    on_pivots = [pack_row(frame.tangent[c], p, width)
-                 for c in fiber.sys_pivots]
-    return [unpack_row(sum(map(mul, c1, on_pivots)), len(frame.x), p, width)
-            for c1 in zip(*(ring2.slots(-y) for y in solved[:rho]))]
+    # T₀'s columns and rows; a slot sums under N + 1 + |P| terms < p²
+    width = 2 * p.bit_length() + (len(x) + len(pivots)).bit_length()
+    columns = [pack_row(col, p, width) for col in zip(*tan)]
+    t0 = [[t[c] for c in pivots] for t in tan]
+    tan_rows = [pack_row(tan[c], p, width) for c in fiber.sys_pivots]
+    bmats = []
+    for w in dirs:
+        x_eps = [dring.make(xi, wi) for xi, wi in zip(x, w)]
+        rows, piv = rref([g.grad(x_eps, dring) for g in frame.gens], dring,
+                         reduced=False)
+        if piv != pivots:
+            raise DegeneratePivot("tangent pivots moved off the center's")
+        t1, t1_packed = [None] * len(pivots), [0] * len(pivots)
+        for i in reversed(range(len(pivots))):
+            v = sum(s * col for (_, s), col in zip(rows[i], columns) if s)
+            v += sum(rows[i][pc][0] * t for pc, t in
+                     zip(pivots[i + 1:], t1_packed[i + 1:]))
+            t1[i] = unpack_row(v, len(tan), p, width, p - 1)
+            t1_packed[i] = pack_row(t1[i], p, width)
+        first = not bmats
+        packed = hessian_rows(frame.gens, x_eps, list(zip(t0, zip(*t1))),
+                              pivots, fiber.basis, dring, units=first)
+        if first and any(any(ring2.slots(row[2])) for row in packed):
+            raise DegeneratePivot("first-order fibre system drifted off "
+                                  "its center")
+        # T_i − R_i·T[Q] for i outside Q: each term within half the range
+        on_q = ring2.fit_slopes([packed[i] for i in fiber.sys_rows],
+                                2 * rho * p)
+        outside = ring2.fit_slopes([packed[i] for i in fiber.sys_outside], 2)
+        solved = [sum(map(mul, row, on_q)) for row in fiber.sys_solver]
+        for t, want in zip(outside, solved[rho:]):
+            if any(ring2.slots(t - want)):
+                raise DegeneratePivot("first-order fibre system is not "
+                                      "flat: no lift of a kernel vector")
+        c1 = zip(*(ring2.slots(-y) for y in solved[:rho]))
+        bmats.append([unpack_row(sum(map(mul, c, tan_rows)), len(x), p,
+                                 width) for c in c1])
+    return bmats

@@ -92,24 +92,38 @@ class PolyProgram:
         if self.kind == "pf":
             full = (1 << len(self.body) + 1) - 1
             return _pf_solver(self._entries(x), ring)(full)
-        lift, add, mul = ring.lift, ring.add, ring.mul
-        acc = None
+        if isinstance(ring, Fp):  # plain products, one reduction
+            acc = 0
+            for c, idx in self.body:
+                for i in idx:
+                    c *= x[i]
+                acc += c
+            return acc % ring.p
+        acc = ring.zero
         for c, idx in self.body:
-            if c != 1 or not idx:
-                v, rest = lift(c), idx
-            else:
-                v, rest = x[idx[0]], idx[1:]
-            for i in rest:
-                v = mul(v, x[i])
-            acc = v if acc is None else add(acc, v)
-        return ring.zero if acc is None else acc
+            v = ring.lift(c)
+            for i in idx:
+                v = ring.mul(v, x[i])
+            acc = ring.add(acc, v)
+        return acc
 
     def grad(self, x, ring):
         """Gradient at x: per term of a sum, prefix and suffix products
-        of its factors; for det and pf, the signed sub-Pfaffian
-        cofactors of one bitmask expansion (``add_cofactors``)."""
+        of its factors, over F_p on plain integers reduced once per
+        coordinate; for det and pf, the signed sub-Pfaffian cofactors of
+        one bitmask expansion (``add_cofactors``)."""
         out = [ring.zero] * self.arity
         add, mul = ring.add, ring.mul
+        if self.kind == "sum" and isinstance(ring, Fp):
+            for c, idx in self.body:
+                pre = [c]
+                for i in idx[:-1]:
+                    pre.append(pre[-1] * x[i])
+                suf = 1
+                for k in range(len(idx) - 1, -1, -1):
+                    out[idx[k]] += pre[k] * suf
+                    suf *= x[idx[k]]
+            return [v % ring.p for v in out]
         if self.kind == "sum":
             for c, idx in self.body:
                 pre = [ring.lift(c)]

@@ -79,20 +79,6 @@ class MatrixShape:
     def ambient_dim(self) -> int:
         return self.num_vars - 1
 
-    def var_index(self, i: int, j: int) -> int:
-        """Flat coordinate index of entry (i, j); canonical upper half for
-        symmetric/skew."""
-        n = self.nrows
-        if self.kind == "generic":
-            return i * self.ncols + j
-        if self.kind == "symmetric":
-            if i > j:
-                i, j = j, i
-            return i * n - i * (i - 1) // 2 + (j - i)
-        if i > j:
-            i, j = j, i
-        return i * n - i * (i + 1) // 2 + (j - i - 1)
-
     def matrix(self, x):
         """The nrows×ncols matrix of the coordinates x, the inverse of
         ``from_matrix``: row by row, each row's upper half is a run of x,

@@ -17,6 +17,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from shapes import var_index
 
 import gaussfocal
 from gaussfocal.cli import (
@@ -553,7 +554,7 @@ def test_witness_battery_flags_a_sampler_off_a_batched_rank_locus():
         if len(draws) < 3:
             return sample_rank_point(shape, 1, rng, fp)
         x = [0] * shape.num_vars
-        x[shape.var_index(1, 1)] = x[shape.var_index(2, 2)] = 1
+        x[var_index(shape, 1, 1)] = x[var_index(shape, 2, 2)] = 1
         return WitnessPoint(x)
 
     spec.sampler = sampler

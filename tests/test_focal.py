@@ -1,11 +1,12 @@
 """Characteristic matrices of first-order fibre families, focal divisors,
 multiplicity profiles, reduced-form extraction and the bound battery."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 from types import SimpleNamespace
 
 import pytest
+from shapes import var_index
 
 from gaussfocal import gaussmap
 from gaussfocal.cli import parse_expression
@@ -85,6 +86,7 @@ from gaussfocal.varieties import (
     WitnessPoint,
     fiber_codim_data,
     hyperband_family,
+    hypersurface_spec,
     rank_locus_spec,
 )
 
@@ -244,15 +246,31 @@ def _outcome(fn, *args):
         return DegeneratePivot
 
 
+def det4_spec():
+    """The 4×4 determinantal hypersurface as one explicit quartic: a sum
+    program, not a det node."""
+    terms = {}
+    for perm in permutations(range(4)):
+        exps = [0] * 16
+        for i, j in enumerate(perm):
+            exps[4 * i + j] = 1
+        terms[tuple(exps)] = (-1) ** sum(a > b for a, b in
+                                         combinations(perm, 2))
+    return hypersurface_spec("det4", SparsePoly(16, terms).compile())
+
+
 @pytest.mark.parametrize("p", [P, 101])
-@pytest.mark.parametrize("shape,rb,dim", [
-    (MatrixShape.symmetric(3), 2, 4),
-    (MatrixShape.skew(8), 6, 26),     # Pfaffian nodes
-    (MatrixShape.generic(3, 4), 2, 9),  # det nodes
-])
-def test_first_order_fiber_matches_dual_rref_oracle(shape, rb, dim, p):
+@pytest.mark.parametrize("make_spec,dim", [
+    (lambda: rank_locus_spec(MatrixShape.symmetric(3), 2), 4),
+    (lambda: rank_locus_spec(MatrixShape.skew(8), 6), 26),  # Pfaffian nodes
+    (lambda: rank_locus_spec(MatrixShape.generic(3, 4), 2), 9),  # det nodes
+    (det4_spec, 14),  # one sum program
+], ids=["sym3", "skew8", "gen34", "det4"])
+def test_first_order_fiber_matches_dual_rref_oracle(make_spec, dim, p):
+    # each direction's B against the oracle, alone and in one chart call,
+    # which raises when any of its directions has no lift
     fp, dring = Fp(p), DualFp(p)
-    spec = rank_locus_spec(shape, rb)
+    spec = make_spec()
     compared = 0
     for seed in range(6):
         rng = Rng(seed)
@@ -263,14 +281,19 @@ def test_first_order_fiber_matches_dual_rref_oracle(shape, rb, dim, p):
         except (RankDeficientSample, SingularSamplePoint,
                 FiberVerificationFailed):
             continue
-        for _ in range(3):
-            w = random_combination(frame.tangent, fp, rng)
+        dirs = [random_combination(frame.tangent, fp, rng) for _ in range(3)]
+        wants = []
+        for w in dirs:
             x_eps, tangent_eps = _dual_tangent(fib, w, dring)
             sys_rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
             want = _outcome(_first_order_by_dual_rref, fib, tangent_eps,
                             sys_rows, dring)
-            assert _outcome(first_order_fiber, fib, w, fp) == want
+            assert _outcome(first_order_fiber, fib, [w], fp) == (
+                want if want is DegeneratePivot else [want])
+            wants.append(want)
             compared += want is not DegeneratePivot
+        assert _outcome(first_order_fiber, fib, dirs, fp) == (
+            DegeneratePivot if DegeneratePivot in wants else wants)
     assert compared >= 9
 
 
@@ -279,10 +302,10 @@ def test_first_order_tangent_off_the_center_pivots_is_rejected():
     # are the center's; a frame that records others is refused
     pt, frame, fib, rng = _sym3_fiber(141)
     w = random_combination(frame.tangent, FP, rng)
-    assert len(first_order_fiber(fib, w, FP)) == fib.k + 1
+    assert len(first_order_fiber(fib, [w], FP)[0]) == fib.k + 1
     frame.tan_pivots = frame.tan_pivots[:-1] + [frame.tan_pivots[-1] + 1]
     with pytest.raises(DegeneratePivot, match="tangent pivots"):
-        first_order_fiber(fib, w, FP)
+        first_order_fiber(fib, [w], FP)
 
 
 def _times_kernel(rows, fiber, dring, fp):
@@ -302,14 +325,15 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
     # the columns first_order_fiber reads, packed over the center kernel
     # vectors, are the dense dual system times each of them, and each
     # generator's Hessian sweep carries the k+1 fibre basis rows, not the
-    # n+1 tangent vectors
+    # n+1 tangent vectors; past the first direction of a chart the unit
+    # parts S₀·k₀ are not formed again, and they read 0
     fp, dring = Fp(p), DualFp(p)
     spec = rank_locus_spec(shape, rb)
     real_rows, real_hess = gaussmap.hessian_rows, PolyProgram.hess_vec
     seen, widths = [], []
 
-    def recorded_cols(*args):
-        packed = real_rows(*args)
+    def recorded_cols(*args, **kwargs):
+        packed = real_rows(*args, **kwargs)
         seen.append(_columns(packed, len(args[4]), p))
         return packed
 
@@ -327,28 +351,32 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
         except (RankDeficientSample, SingularSamplePoint,
                 FiberVerificationFailed):
             continue
-        for _ in range(2):
-            w = random_combination(frame.tangent, fp, rng)
-            seen.clear()
-            widths.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr("gaussfocal.gaussmap.hessian_rows", recorded_cols)
-                mp.setattr(PolyProgram, "hess_vec", recorded_hess)
-                _outcome(first_order_fiber, fib, w, fp)
-            assert widths == [fib.k + 1] * len(frame.gens)
+        dirs = [random_combination(frame.tangent, fp, rng) for _ in range(2)]
+        seen.clear()
+        widths.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr("gaussfocal.gaussmap.hessian_rows", recorded_cols)
+            mp.setattr(PolyProgram, "hess_vec", recorded_hess)
+            got = _outcome(first_order_fiber, fib, dirs, fp)
+        assert widths == [fib.k + 1] * len(frame.gens) * len(seen)
+        assert got is DegeneratePivot or len(seen) == len(dirs)
+        # k₀·T(ε) is the fibre basis row itself: k₀·T₁ = 0
+        kernel = coeff_kernel(fib, fp)
+        assert [vecmat(k0, frame.tangent, fp) for k0 in kernel] == fib.basis
+        for call, (w, cols) in enumerate(zip(dirs, seen)):
             x_eps, tangent_eps = _dual_tangent(fib, w, dring)
-            # k₀·T(ε) is the fibre basis row itself: k₀·T₁ = 0
-            kernel = coeff_kernel(fib, fp)
-            assert [vecmat(k0, frame.tangent, fp) for k0 in kernel] == \
-                fib.basis
             for k0, row in zip(kernel, fib.basis):
                 assert vecmat([dring.lift(c) for c in k0], tangent_eps,
                               dring) == [dring.lift(u) for u in row]
-            rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
-            assert seen == [_times_kernel(rows, fib, dring, fp)]
-            assert all(u == 0 for col in seen[0] for u, _ in col)
+            want = _times_kernel(_dense_system(frame.gens, x_eps,
+                                               tangent_eps, dring),
+                                 fib, dring, fp)
+            assert all(u == 0 for col in want for u, _ in col)
+            if call:
+                want = [[(0, s) for _, s in col] for col in want]
+            assert cols == want
             compared += 1
-    assert compared >= 4
+    assert compared >= 6
 
 
 def _kernel_column(fib, f):
@@ -364,14 +392,15 @@ def _bump(col, i, part):
 
 
 def _scripted_columns(monkeypatch, edit):
-    """Pass every S(ε)·k₀ column set that ``first_order_fiber`` computes
-    through ``edit(cols, call)``, call counting from 1, decoded from the
-    packed rows and encoded back; returns the list of calls."""
+    """Pass every S(ε)·k₀ column set that ``first_order_fiber`` computes,
+    one per direction, through ``edit(cols, call)``, call counting from 1,
+    decoded from the packed rows and encoded back; returns the list of
+    calls."""
     real = gaussmap.hessian_rows
     calls = []
 
-    def scripted(*args):
-        packed = real(*args)
+    def scripted(*args, **kwargs):
+        packed = real(*args, **kwargs)
         count, p = len(args[4]), args[5].p
         cols = _columns(packed, count, p)
         calls.append(len(calls) + 1)
@@ -395,7 +424,7 @@ def test_first_order_unit_part_off_the_center_system_is_rejected(monkeypatch):
     _scripted_columns(monkeypatch, lambda cols, call: _bump(cols[-1], -1,
                                                             "unit"))
     with pytest.raises(DegeneratePivot, match="drifted"):
-        first_order_fiber(fib, w, FP)
+        first_order_fiber(fib, [w], FP)
 
 
 def _non_flat_bump(fib, inside_q):
@@ -437,11 +466,32 @@ def test_non_flat_first_order_system_is_rejected(monkeypatch):
         with monkeypatch.context() as mp:
             _scripted_columns(mp, bump_slope)
             with pytest.raises(DegeneratePivot, match="not flat"):
-                first_order_fiber(fib, w, FP)
+                first_order_fiber(fib, [w], FP)
         # the column bump is the dense bump at (i, f) times the kernel
         assert seen == [_times_kernel(rows, fib, dring, FP)]
     # unbumped, the same direction lifts
-    assert len(first_order_fiber(fib, w, FP)) == fib.k + 1
+    assert len(first_order_fiber(fib, [w], FP)[0]) == fib.k + 1
+
+
+def test_lift_reduces_the_slopes_of_rows_past_the_solve_bound(monkeypatch):
+    # the rows' bound decides whether the slopes of the rows Q are reduced
+    # before the solve: with a multiple of p near a quarter of the slot
+    # range added to every slope slot, and to the bound, unreduced slopes
+    # would carry across slots in the solve; the B matrices stay the same
+    pt, frame, fib, rng = _sym3_fiber(143)
+    dirs = [random_combination(frame.tangent, FP, rng) for _ in range(2)]
+    want = first_order_fiber(fib, dirs, FP)
+    ring2 = Dual2Fp(P, fib.k + 1)
+    pad = ring2._limit // 4 // P * P
+    ones = sum(1 << s for s in ring2._shifts)
+    real = gaussmap.hessian_rows
+
+    def padded(*args, **kwargs):
+        return [(a0, a1, c, t + pad * ones, b + pad)
+                for a0, a1, c, t, b in real(*args, **kwargs)]
+
+    monkeypatch.setattr("gaussfocal.gaussmap.hessian_rows", padded)
+    assert first_order_fiber(fib, dirs, FP) == want
 
 
 @pytest.mark.parametrize("defect", ["unit", "slope"])
@@ -465,6 +515,50 @@ def test_chart_redraws_after_a_degenerate_first_order_fibre(monkeypatch,
         rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
         assert bmat == _first_order_by_dual_rref(fib, tangent_eps, rows,
                                                  dring)
+
+
+@pytest.mark.parametrize("at, redrawn", [(1, True), (2, False)])
+def test_chart_checks_the_unit_parts_at_its_first_direction(monkeypatch, at,
+                                                           redrawn):
+    # S₀·k₀ is the same at every direction, so a chart forms and checks it
+    # at its first direction only: a unit defect there redraws the chart,
+    # and one at a later direction is never read
+    pt, frame, fib, rng = _sym3_fiber(145)
+
+    def unit_defect(cols, call):
+        if call == at:
+            _bump(cols[0], 0, "unit")
+
+    calls = _scripted_columns(monkeypatch, unit_defect)
+    chart = fiber_family_chart(fib, FP, rng)
+    assert len(calls) == redrawn + fib.r
+    dring = DualFp(P)
+    for w, bmat in zip(chart.dirs, chart.bmats):
+        x_eps, tangent_eps = _dual_tangent(fib, w, dring)
+        rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
+        assert bmat == _first_order_by_dual_rref(fib, tangent_eps, rows,
+                                                 dring)
+
+
+def test_chart_runs_no_dual_kernel_basis(monkeypatch):
+    # T₁ comes from one back-substitution over F_p; kernel_basis runs over
+    # F_p only, for the tangent frame and the center fibre
+    rings = []
+    real = gaussmap.kernel_basis
+
+    def recorded(rows, pivots, ncols, ring):
+        rings.append(type(ring))
+        return real(rows, pivots, ncols, ring)
+
+    monkeypatch.setattr("gaussfocal.gaussmap.kernel_basis", recorded)
+    monkeypatch.setattr("gaussfocal.fieldcore.kernel_basis", recorded)
+    for shape, rb, dim in ((MatrixShape.symmetric(3), 2, 4),
+                           (MatrixShape.skew(8), 6, 26)):
+        pt, frame, fib, rng = pipeline(rank_locus_spec(shape, rb), dim, 145)
+        before = len(rings)
+        chart = fiber_family_chart(fib, FP, rng)
+        assert chart.r == fib.r and len(rings) == before
+    assert rings and set(rings) == {Fp}
 
 
 def test_char_matrix_is_linear_in_fibre_coords():
@@ -1122,7 +1216,7 @@ def test_containment_rejects_a_zero_off_a_batched_singular_stratum():
     spec = rank_locus_spec(shape, 2)
     assert spec.singular.locus is not None
     span = [[0] * 9, [0] * 9]
-    span[0][shape.var_index(0, 0)] = span[1][shape.var_index(1, 1)] = 1
+    span[0][var_index(shape, 0, 0)] = span[1][var_index(shape, 1, 1)] = 1
     fib = SimpleNamespace(basis=span)
     axes = ReducedForm(SparsePoly(2, {(1, 1): 1}))
     got = sing_containment(spec, fib, axes, FP, Rng(119))

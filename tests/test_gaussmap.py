@@ -5,6 +5,7 @@ from operator import add, mul
 from unittest.mock import patch
 
 import pytest
+from shapes import var_index
 
 from gaussfocal.fieldcore import (
     Dual2Fp,
@@ -94,7 +95,7 @@ def unit_matrix(shape, *cells):
     """Coordinates of the sum of the unit matrices E_ij at ``cells``."""
     x = [0] * shape.num_vars
     for i, j in cells:
-        x[shape.var_index(i, j)] = 1
+        x[var_index(shape, i, j)] = 1
     return x
 
 
@@ -231,6 +232,15 @@ def _unpacked(packed, count, ring):
     return [list(zip(cs, ts)) for cs, ts in rows]
 
 
+def _on_pivots(tangent, pivots, ring):
+    """Each tangent vector on the pivot columns, as ``hessian_rows`` takes
+    it: its unit parts and its d-parts over F_p[d], () over F_p."""
+    on_p = [[t[c] for c in pivots] for t in tangent]
+    if isinstance(ring, Fp):
+        return [(tp, ()) for tp in on_p]
+    return [tuple(map(list, zip(*tp))) for tp in on_p]
+
+
 def test_fiber_system_over_dual_ring_matches_per_vector_images():
     # the dual-ring fibre system is only ever read through the chart's
     # S(ε)·k₀ columns: each image H(x)·β for β over F_p on its own, the
@@ -264,7 +274,8 @@ def test_fiber_system_over_dual_ring_matches_per_vector_images():
         return out
 
     betas = [[rng.field(P) for _ in range(arity)] for _ in range(3)]
-    assert _unpacked(hessian_rows(gens, x, tangent, piv, betas, ring), 3,
+    assert _unpacked(hessian_rows(gens, x, _on_pivots(tangent, piv, ring),
+                                  piv, betas, ring), 3,
                      ring) == per_vector(x, tangent, betas, ring)
     x0, t0 = [u for u, _ in x], [[u for u, _ in t] for t in tangent]
     assert fiber_system(gens, x0, t0, piv, FP) == \
@@ -320,7 +331,8 @@ def test_hessian_rows_match_the_per_row_bound_combination(shape, rb, dim,
     # one bound per sweep, from Dual2Fp.fit, against a bound per row: the
     # same slots mod p, over F_p and over F_p[d], also when every image
     # is padded by a multiple of p past the sweep's threshold, so that
-    # the images are reduced once; the returned bound covers every slot
+    # the images are reduced once; the returned bound covers every slot.
+    # Without the unit slots the d-slopes are the same and C is 0.
     from test_fieldcore import _dominated
 
     fp = Fp(p)
@@ -359,16 +371,21 @@ def test_hessian_rows_match_the_per_row_bound_combination(shape, rb, dim,
         return real_reduced(ring2, a)
 
     args = (frame.gens, x, tangent, frame.tan_pivots, vecs, ring)
+    on_p = _on_pivots(tangent, frame.tan_pivots, ring)
     with patch.object(PolyProgram, "hess_vec", padded):
         want = _hessian_rows_by_combine(*args)
         with patch.object(Dual2Fp, "_reduced", counted):
-            got = hessian_rows(*args)
+            got = hessian_rows(*args[:2], on_p, *args[3:])
+        slopes = hessian_rows(*args[:2], on_p, *args[3:], units=False)
     # padded, each image of each sweep is reduced once
     assert sum(reduced) == wide * len(frame.gens) * len(x)
     assert [ring2.decode(row) for row in got] == \
         [ring2.decode(row) for row in want]
     assert all(row[4] < ring2._limit and _dominated(ring2, row)
                for row in got)
+    assert [row[2] for row in slopes] == [0] * len(got)
+    assert [ring2.slots(row[3]) for row in slopes] == \
+        [ring2.slots(row[3]) for row in got]
 
 
 def _dense_block_dots(gens, x, tangent, vecs, ring):
@@ -411,7 +428,8 @@ def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
     tangent[0][pc] = dring.zero
     tangent[1][pc] = (0, tangent[1][pc][1] or 1)
     betas = [[rng.field(P) for _ in frame.x] for _ in range(3)]
-    assert _unpacked(hessian_rows(frame.gens, x_eps, tangent,
+    on_p = _on_pivots(tangent, frame.tan_pivots, dring)
+    assert _unpacked(hessian_rows(frame.gens, x_eps, on_p,
                                   frame.tan_pivots, betas, dring), 3,
                      dring) == \
         _dense_block_dots(frame.gens, x_eps, tangent, betas, dring)
@@ -425,7 +443,8 @@ def test_solver_matrix_inverts_the_center_system_and_lifts_the_fibre(
         shape, rb, dim):
     # sys_solver's first ρ rows are S₀[Q, P]⁻¹ and its other rows R, with
     # R·S₀[Q, P] = S₀[out, P], against the fibre system built densely; the
-    # one packed solve by it gives the B matrix of the dual-rref oracle
+    # packed solve by it gives each direction's B matrix of the dual-rref
+    # oracle
     from test_focal import (_dense_system, _dual_tangent,
                             _first_order_by_dual_rref)
 
@@ -454,9 +473,10 @@ def test_solver_matrix_inverts_the_center_system_and_lifts_the_fibre(
     assert times(square, inverse) == identity
     assert times(relation, square) == on_p(fib.sys_outside)
     dring = DualFp(P)
-    for _ in range(3):
-        w = random_combination(frame.tangent, FP, rng)
+    dirs = [random_combination(frame.tangent, FP, rng) for _ in range(3)]
+    want = []
+    for w in dirs:
         x_eps, tangent_eps = _dual_tangent(fib, w, dring)
         rows = _dense_system(frame.gens, x_eps, tangent_eps, dring)
-        assert first_order_fiber(fib, w, FP) == \
-            _first_order_by_dual_rref(fib, tangent_eps, rows, dring)
+        want.append(_first_order_by_dual_rref(fib, tangent_eps, rows, dring))
+    assert first_order_fiber(fib, dirs, FP) == want

@@ -2,9 +2,11 @@
 univariate helpers."""
 
 from itertools import permutations
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
+from shapes import var_index
 
 from gaussfocal.cli import derive_primes
 from gaussfocal.fieldcore import (Dual2Fp, DualFp, Fp, Rng, _fp_sweep,
@@ -410,6 +412,34 @@ def test_grad_matches_forward_dual_on_random_programs():
         assert prog.grad(x, fp) == _grad_forward(prog, x, fp)
 
 
+@pytest.mark.parametrize("p", [101, (1 << 62) - 57])
+def test_sum_programs_over_fp_match_the_generic_ring_loop(p):
+    # over F_p a sum's value and gradient are plain integer products,
+    # reduced once; the ring loop over the same field, reached through a
+    # ring that is not an Fp, is the reference.  The draws include
+    # negative coefficients, constant terms and powers, and the zero
+    # program is one of the programs
+    fp = Fp(p)
+    ring = SimpleNamespace(p=p, zero=0, one=1, lift=fp.lift, add=fp.add,
+                           mul=fp.mul)
+    rng = Rng(p)
+    progs = [SparsePoly(3, terms).compile()
+             for terms in ({}, {(0, 0, 0): -5, (3, 0, 1): -1})]
+    for _ in range(40):
+        nv = 1 + rng.below(4)
+        terms = {tuple(rng.below(4) for _ in range(nv)):
+                 rng.below(2 * p) - p for _ in range(1 + rng.below(6))}
+        terms[(0,) * nv] = rng.below(3) - 1
+        progs.append(SparsePoly(nv, terms).compile())
+    for prog in progs:
+        for _ in range(3):
+            x = [p - 1] + [rng.field(p) for _ in range(prog.arity - 1)]
+            assert prog.eval(x, fp) == prog.eval(x, ring)
+            assert prog.grad(x, fp) == prog.grad(x, ring)
+    x = [rng.field(p) for _ in range(3)]
+    assert progs[0].eval(x, fp) == 0 and progs[0].grad(x, fp) == [0] * 3
+
+
 def test_grad_matches_forward_dual_on_det_pf():
     fp = Fp(1000003)
     rng = Rng(61)
@@ -641,7 +671,7 @@ def _expanded_pf(nv, upper):
 
 def _sym_grid(n):
     shape = MatrixShape.symmetric(n)
-    return [[shape.var_index(i, j) for j in range(n)] for i in range(n)]
+    return [[var_index(shape, i, j) for j in range(n)] for i in range(n)]
 
 
 _SHAPES = {

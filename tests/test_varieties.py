@@ -2,6 +2,7 @@
 27-coordinate cubic."""
 
 import pytest
+from shapes import var_index
 from test_cli import _RANK_LOCI
 
 from gaussfocal.fieldcore import DualFp, Fp, Rng, mat_rank
@@ -36,10 +37,10 @@ def to_matrix(shape, coords, p):
             if shape.kind == "skew":
                 if i == j:
                     continue
-                v = coords[shape.var_index(i, j)]
+                v = coords[var_index(shape, i, j)]
                 out[i][j] = v if i < j else -v % p
             else:
-                out[i][j] = coords[shape.var_index(i, j)]
+                out[i][j] = coords[var_index(shape, i, j)]
     return out
 
 
