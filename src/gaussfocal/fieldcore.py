@@ -14,22 +14,21 @@ vectors and matrices stay ordinary lists and the hot loops avoid
 per-element object overhead.  ``dual_partials``, the one dual-number
 Jacobian, runs a function once per coordinate over F_p[eps].
 
-Each ring also carries its own vector kernels, ``dot(u, v)`` and, on
-F_p and F_p[eps], ``axpy(a, x, y)`` (a·x + y); they accumulate unreduced
-Python integers and reduce once per output component (the delayed
-reduction of FFLAS-FFPACK; Dumas, Giorgi and Pernet, ACM TOMS 2008).
-Dot products, vector-matrix products and the row updates of ``rref``
-over F_p[eps] go through them.  Over F_p a row is one packed integer
-(``pack_row``), reduced only as a pivot row or when read out: that one
-elimination (``_fp_sweep``) serves ``rref``, ``mat_rank``,
-``solve_affine`` and ``mpoly.det_ring``.
+Each ring also carries its own vector kernel ``dot(u, v)``, which
+accumulates unreduced Python integers and reduces once per output
+component (the delayed reduction of FFLAS-FFPACK; Dumas, Giorgi and
+Pernet, ACM TOMS 2008); dot and vector-matrix products go through it.
+Over F_p a row is one packed integer (``pack_row``), reduced only as a
+pivot row or when read out: that one elimination (``_fp_sweep``) serves
+``rref``, ``mat_rank``, ``solve_affine`` and ``mpoly.det_ring``.  Over
+F_p[eps] ``rref`` eliminates lists of (unit, slope) pairs directly.
 
 Matrix routines eliminate with unit pivots: a forward sweep that updates
-only the trailing columns of each row, then, for the reduced row echelon
+only the trailing columns of each row, and, for the reduced row echelon
 form only, clearing above the pivots, which ``mat_rank`` and
 ``kernel_basis`` do without.  The characteristic polynomial goes through
 Hessenberg form instead.  Over a field every nonzero entry is a unit;
-over a dual ring a pivot must have a nonzero unit part, and inputs whose
+over F_p[eps] a pivot must have a nonzero unit part, and inputs whose
 rank drops on the unit parts raise ``DegeneratePivot`` so callers can
 resample.
 
@@ -59,11 +58,11 @@ class Violation(Exception):
 
 
 class ZeroInverse(Degeneracy):
-    """Inversion of zero (or of a non-unit dual number)."""
+    """Inversion of zero in F_p."""
 
 
 class DegeneratePivot(Degeneracy):
-    """Row reduction over a non-field ring hit a column with no unit pivot."""
+    """Row reduction over F_p[eps] left a nonzero row with no unit pivot."""
 
 
 class Infeasible(Violation):
@@ -185,15 +184,8 @@ class Fp:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def is_unit(self, a) -> bool:
-        return a != 0
-
     def dot(self, u, v):
         return sum(map(_mul, u, v)) % self.p
-
-    def axpy(self, a, x, y):
-        p = self.p
-        return [(a * s + t) % p for s, t in zip(x, y)]
 
 
 class DualFp:
@@ -224,18 +216,8 @@ class DualFp:
         p = self.p
         return (-a[0] % p, -a[1] % p)
 
-    def inv(self, a):
-        if a[0] == 0:
-            raise ZeroInverse("non-unit dual number")
-        p = self.p
-        i = pow(a[0], -1, p)
-        return (i, -(i * i % p) * a[1] % p)
-
     def is_zero(self, a) -> bool:
         return a == (0, 0)
-
-    def is_unit(self, a) -> bool:
-        return a[0] != 0
 
     def dot(self, u, v):
         s0 = s1 = 0
@@ -244,12 +226,6 @@ class DualFp:
             s1 += a0 * b1 + a1 * b0
         p = self.p
         return (s0 % p, s1 % p)
-
-    def axpy(self, a, x, y):
-        p = self.p
-        a0, a1 = a
-        return [((a0 * s0 + t0) % p, (a0 * s1 + a1 * s0 + t1) % p)
-                for (s0, s1), (t0, t1) in zip(x, y)]
 
 
 class Dual2Fp:
@@ -270,7 +246,7 @@ class Dual2Fp:
     n < 2^(2·bits(p)+5).  An exact zero keeps bound 0: it stays ``zero``.
     A sweep over this ring carries m first-order deformations of an F_p[d]
     computation at once: its gradient gives m Hessian-vector products,
-    which is all it is for (no inverse, no ``axpy``).  ``encode`` and
+    which is all it is for (no inverse).  ``encode`` and
     ``decode`` convert from and to residues; m = 1 is F_p[d, e]/(d^2, e^2).
     """
 
@@ -394,58 +370,52 @@ def rref(mat, ring, reduced=True):
     """Reduced row echelon form with unit pivots.
 
     Returns ``(rows, pivots)``.  Over F_p this is ``_fp_sweep``.  Over
-    F_p[ε] a forward sweep clears each pivot column below its pivot, then
-    back-substitution clears it above, last pivot first; a row update
-    covers only the lead row's columns from its first nonzero entry on,
-    and the unit parts are eliminated exactly as the unit-part matrix is
-    over F_p, so the pivots are the unit part's.  ``reduced=False`` stops
-    before clearing above the pivots, with rows in echelon form: enough
-    for the rank, the pivots and ``kernel_basis``.  Raises
-    ``DegeneratePivot`` when a non-field ring leaves a nonzero row that no
-    unit pivot can clear.
+    F_p[ε] the rows are lists of (unit, slope) pairs: the pivot of column
+    c is the first remaining row with a nonzero unit there, swapped into
+    place and scaled by (a + εb)⁻¹ = a⁻¹ − ε·a⁻²·b, and it clears column
+    c in the rows below it, or with ``reduced`` in every other row (one
+    Gauss–Jordan pass).  A row update (u, s) − (f₀ + εf₁)·(lu, ls) covers
+    the lead row's columns from its first nonzero pair on, which may lie
+    left of c on a column whose unit parts vanished.  The unit parts are
+    eliminated exactly as the unit-part matrix is over F_p, so the pivots
+    are the unit part's.  ``reduced=False`` leaves the rows in echelon
+    form: enough for the rank, the pivots and ``kernel_basis``.  Raises
+    ``DegeneratePivot`` when a nonzero row is left that no unit pivot can
+    clear.
     """
     if isinstance(ring, Fp):
         rows, pivots, _ = _fp_sweep(mat, ring.p, reduced, True)
         return [[0] * c + row for row, c in zip(rows, pivots)], pivots
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    is_unit, is_zero = ring.is_unit, ring.is_zero
-    mul, neg, inv, axpy = ring.mul, ring.neg, ring.inv, ring.axpy
+    p = ring.p
+    rows = [list(row) for row in mat]
 
-    def clear(c, lead, below):
-        lo = next(j for j, v in enumerate(lead) if not is_zero(v))
+    def clear(c, lead, others):
+        lo = next(j for j, (u, s) in enumerate(lead) if u or s)
         tail = lead[lo:]
-        for row in below:
-            f = row[c]
-            if not is_zero(f):
-                row[lo:] = axpy(neg(f), tail, row[lo:])
+        for row in others:
+            f0, f1 = row[c]
+            if f0 or f1:  # (u, s) − (f0 + εf1)·(lu, ls)
+                row[lo:] = [((u - f0 * lu) % p, (s - f0 * ls - f1 * lu) % p)
+                            for (u, s), (lu, ls) in zip(row[lo:], tail)]
 
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
             break
-        pr = None
-        for i in range(r, nrows):
-            if is_unit(rows[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, len(rows)) if rows[i][c][0]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = inv(rows[r][c])
-        rows[r] = [mul(piv, v) for v in rows[r]]
-        clear(c, rows[r], rows[r + 1:])
+        a, b = rows[r][c]
+        i = pow(a, -1, p)  # (a + εb)⁻¹ = a⁻¹ − ε·a⁻²·b
+        j = -i * i * b
+        rows[r] = [(i * u % p, (i * s + j * u) % p) for u, s in rows[r]]
+        clear(c, rows[r], rows[:r] + rows[r + 1:] if reduced else rows[r + 1:])
         pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if any(not is_zero(v) for v in rows[i]):
-            raise DegeneratePivot("nonzero residual row without unit pivot")
-    if reduced:
-        for i in range(r - 1, 0, -1):
-            clear(pivots[i], rows[i], rows[:i])
-    return rows[:r], pivots
+    if any(u or s for row in rows[len(pivots):] for u, s in row):
+        raise DegeneratePivot("nonzero residual row without unit pivot")
+    return rows[:len(pivots)], pivots
 
 
 def pack_row(values, p, w):
@@ -570,11 +540,9 @@ def solve_affine(mat, b, ring):
 
 
 def random_combination(rows, fp, rng):
-    """A random F_p-linear combination of ``rows``, one draw per row."""
-    y = [0] * len(rows[0])
-    for row in rows:
-        y = fp.axpy(rng.field(fp.p), row, y)
-    return y
+    """A random F_p-linear combination of ``rows``: one draw per row, in
+    row order."""
+    return vecmat([rng.field(fp.p) for _ in rows], rows, fp)
 
 
 def charpoly(mat, fp):

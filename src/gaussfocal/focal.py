@@ -151,22 +151,6 @@ def hyperband_chart(fam, fp) -> FamilyChart:
 # --- characteristic matrices --------------------------------------------------
 
 
-def _pack_layers(layers, p):
-    """Equal-shape matrices as integers, entries mod p in w-bit slots row
-    by row (``pack_row``): w = 2·bits(p) + bits(len(layers)) holds any
-    combination of them all by residues (``_combination``)."""
-    w = 2 * p.bit_length() + len(layers).bit_length()
-    return w, [pack_row([v for row in m for v in row], p, w) for m in layers]
-
-
-def _combination(packed, y, r, p):
-    """Σ_i y_i·layers[i] for ``_pack_layers`` r×r layers, as residue
-    rows."""
-    w, ints = packed
-    vals = unpack_row(sum(map(_mul, map(p.__rmod__, y), ints)), r * r, p, w)
-    return [vals[i:i + r] for i in range(0, r * r, r)]
-
-
 class CharMatrix:
     """Square matrix of homogeneous linear forms on Λ.
 
@@ -185,11 +169,16 @@ class CharMatrix:
         self._layers = None
 
     def value(self, t, fp):
-        if self._layers is None or self._layers[0] != fp.p:
-            self._layers = fp.p, _pack_layers(
-                [[[e[i] for e in row] for row in self.entries]
-                 for i in range(self.k + 1)], fp.p)
-        return _combination(self._layers[1], t, self.r, fp.p)
+        p, r = fp.p, self.r
+        if self._layers is None or self._layers[0] != p:
+            w = 2 * p.bit_length() + (self.k + 1).bit_length()
+            self._layers = p, w, [
+                pack_row([e[i] for row in self.entries for e in row], p, w)
+                for i in range(self.k + 1)]
+        _, w, layers = self._layers
+        vals = unpack_row(sum(map(_mul, map(p.__rmod__, t), layers)), r * r,
+                          p, w)
+        return [vals[i:i + r] for i in range(0, r * r, r)]
 
     def det_at(self, t, fp):
         return det_ring(self.value(t, fp), fp)
@@ -336,7 +325,7 @@ class PencilForm(ReducedForm):
 
     With S_i = M(t*)⁻¹M(e_i), a point t = y_0·t* + Σ y_i·e_i, that is
     y_0 = t_0/t*_0 and y_i = t_i − y_0·t*_i, gives K = Σ y_i·S_i (the
-    slices packed once, by ``_pack_layers``), and
+    ``value`` of a ``CharMatrix`` whose layers are the slices), and
     det(I + s·K) = (q(t* + s·v)/q(t*))^μ on the line through
     v = Σ y_i·e_i.  Its μ-th root g (``_series_root``) must stop at
     degree d, or det M is not a μ-th power on that line
@@ -352,18 +341,19 @@ class PencilForm(ReducedForm):
         self.nvars = len(basis)
         self.mu, self.d = mu, d
         self._t0inv = pow(basis[0][0], -1, fp.p)
-        self._slices = _pack_layers(slices, fp.p)
+        self._slices = CharMatrix([list(zip(*rows)) for rows in zip(*slices)],
+                                  len(slices) - 1)
         self._inv = [0] + [pow(n, -1, fp.p) for n in range(1, mu * d + 1)]
 
     def degree(self) -> int:
         return self.d
 
     def value(self, t, fp):
-        p, d, r = fp.p, self.d, self.mu * self.d
+        p, d = fp.p, self.d
         y0 = t[0] * self._t0inv % p
         y = [(ti - y0 * si) % p for ti, si in zip(t[1:], self.basis[0][1:])]
-        kmat = _combination(self._slices, y, r, p)
-        g = _series_root(_pencil_line(kmat, fp), self.mu, self._inv, fp)
+        g = _series_root(_pencil_line(self._slices.value(y, fp), fp),
+                         self.mu, self._inv, fp)
         if any(g[d + 1:]):
             raise ExtractionFailed(f"det M is not a {self.mu}-th power "
                                    f"on a line")

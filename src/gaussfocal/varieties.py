@@ -11,7 +11,9 @@ A point is on a variety when ``VarietySpec.vanishes``, and every gradient
 there comes from ``.jacobian``: for a rank locus with more than one
 generator, one rank of its matrix and one Pfaffian memo of it; otherwise
 the programs one by one (explicit specs, the Albert cubic and a locus of
-one full det or Pf, whose elimination (O(n³)) beats the memo (O(2ⁿ))).
+one full det or Pf).  A det program's value over F_p comes from
+elimination, or from a closed form up to 3×3; a Pf program's value and
+every det or Pf gradient come from the bitmask memo.
 """
 
 from __future__ import annotations

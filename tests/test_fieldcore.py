@@ -25,6 +25,7 @@ from gaussfocal.fieldcore import (
     newton_divided,
     newton_to_power,
     pack_row,
+    random_combination,
     random_prime,
     rref,
     solve_affine,
@@ -149,6 +150,28 @@ def test_solve_affine_random_consistency():
 
 # --- elimination against the Gauss–Jordan oracle ------------------------------
 
+# The oracles' scalar steps over F_p and F_p[ε], local to the tests so
+# that no oracle shares code with the elimination it checks.
+
+
+def _unit(ring, a):
+    """Whether a is a unit of F_p or of F_p[ε]."""
+    return (a[0] if isinstance(ring, DualFp) else a) != 0
+
+
+def _inverse(ring, a):
+    """a⁻¹ in F_p; in F_p[ε], (a0 + εa1)⁻¹ = a0⁻¹ − ε·a0⁻²·a1."""
+    p = ring.p
+    if isinstance(ring, DualFp):
+        i = pow(a[0], -1, p)
+        return (i, -i * i * a[1] % p)
+    return pow(a, -1, p)
+
+
+def _axpy(ring, a, x, y):
+    """a·x + y, entry by entry."""
+    return [ring.add(ring.mul(a, s), t) for s, t in zip(x, y)]
+
 
 def _gauss_jordan(mat, ring):
     """Textbook Gauss–Jordan with unit pivots: every pivot clears its
@@ -162,16 +185,16 @@ def _gauss_jordan(mat, ring):
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if ring.is_unit(rows[i][c])),
+        pr = next((i for i in range(r, nrows) if _unit(ring, rows[i][c])),
                   None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = ring.inv(rows[r][c])
+        piv = _inverse(ring, rows[r][c])
         rows[r] = [ring.mul(piv, v) for v in rows[r]]
         for i in range(nrows):
             if i != r and not ring.is_zero(rows[i][c]):
-                rows[i] = ring.axpy(ring.neg(rows[i][c]), rows[r], rows[i])
+                rows[i] = _axpy(ring, ring.neg(rows[i][c]), rows[r], rows[i])
         pivots.append(c)
         r += 1
     for i in range(r, nrows):
@@ -244,6 +267,55 @@ def test_elimination_matches_gauss_jordan(p, data):
         assert _outcome(solve_affine, mat, b, fp) == want
 
 
+@st.composite
+def _dual_matrices(draw, p):
+    """Matrices over F_p[ε] as rows of (unit, slope) pairs, with unit
+    parts from ``_matrices``, and three shapes mixed in:
+
+    - ghost columns, with zero unit parts and nonzero slopes: a pivot row
+      then carries (0, s) left of its pivot, and its row updates must
+      start there.  Under the slopes S·U + U·T of (I + εS)·U·(I + εT),
+      which has the rank of U, a ghost column's slopes are U·T's and
+      every residual row cancels;
+    - zero rows;
+    - residual rows that repeat another row's unit part: (a + εb) times
+      that row cancels, while fresh slopes leave a nonzero row that
+      raises ``DegeneratePivot``.
+    """
+    units = draw(_matrices(p), "units")
+    n, m = len(units), len(units[0])
+    slope = st.one_of(st.just(0), st.integers(0, p - 1))
+    ghosts = draw(st.sets(st.integers(0, m - 1), max_size=2), "ghost cols")
+    for row in units:
+        for c in ghosts:
+            row[c] = 0
+    if draw(st.booleans(), "equivalent"):
+        square = lambda k: st.lists(st.lists(st.integers(0, p - 1),
+                                             min_size=k, max_size=k),
+                                    min_size=k, max_size=k)
+        s, t = draw(square(n), "S"), draw(square(m), "T")
+        slopes = [[(sum(a * b for a, b in zip(srow, col)) +
+                    sum(a * b for a, b in zip(urow, tcol))) % p
+                   for col, tcol in zip(zip(*units), zip(*t))]
+                  for srow, urow in zip(s, units)]
+    else:
+        slopes = [[draw(st.integers(1, p - 1), "ghost slope") if c in ghosts
+                   else draw(slope, "slope") for c in range(m)]
+                  for _ in range(n)]
+    mat = [list(zip(*pair)) for pair in zip(units, slopes)]
+    for _ in range(draw(st.integers(0, 2), "zero rows")):
+        mat.insert(draw(st.integers(0, len(mat)), "at"), [(0, 0)] * m)
+    for _ in range(draw(st.integers(0, 2), "residual rows")):
+        row = mat[draw(st.integers(0, len(mat) - 1), "of row")]
+        if draw(st.booleans(), "cancels"):
+            a = (draw(st.integers(1, p - 1), "a"), draw(slope, "b"))
+            new = [DualFp(p).mul(a, v) for v in row]
+        else:
+            new = [(u, draw(slope, "fresh slope")) for u, _ in row]
+        mat.insert(draw(st.integers(0, len(mat)), "at"), new)
+    return mat
+
+
 @pytest.mark.parametrize("p", [101, (1 << 61) - 1])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -251,22 +323,9 @@ def test_dual_elimination_matches_gauss_jordan(p, data):
     """Over F_p[ε] the same rows and kernels come out, or
     ``DegeneratePivot`` on both sides; the pivots are the unit part's."""
     fp, ring = Fp(p), DualFp(p)
-    units = data.draw(_matrices(p), "units")
-    nrows, ncols = len(units), len(units[0])
-    square = lambda n: st.lists(st.lists(st.integers(0, p - 1), min_size=n,
-                                         max_size=n), min_size=n, max_size=n)
-    if data.draw(st.booleans(), "equivalent"):
-        # (I + εS)·U·(I + εT) has the rank of U over F_p[ε]
-        s, t = data.draw(square(nrows), "S"), data.draw(square(ncols), "T")
-        slopes = [[(sum(a * b for a, b in zip(srow, col)) +
-                    sum(a * b for a, b in zip(urow, tcol))) % p
-                   for col, tcol in zip(zip(*units), zip(*t))]
-                  for srow, urow in zip(s, units)]
-    else:
-        slopes = data.draw(st.lists(st.lists(
-            st.one_of(st.just(0), st.integers(0, p - 1)), min_size=ncols,
-            max_size=ncols), min_size=nrows, max_size=nrows), "slopes")
-    mat = [list(zip(*pair)) for pair in zip(units, slopes)]
+    mat = data.draw(_dual_matrices(p), "mat")
+    units = [[u for u, _ in row] for row in mat]
+    ncols = len(mat[0])
     want = _outcome(_gauss_jordan, mat, ring)
     assert _outcome(rref, mat, ring) == want
     echelon = _outcome(rref, mat, ring, reduced=False)
@@ -287,33 +346,38 @@ def test_dual_elimination_matches_gauss_jordan(p, data):
 SWEEP_PRIMES = [2, 3, 101, 4294967311, (1 << 61) - 1, (1 << 64) - 59]
 
 
-def _list_rref(mat, fp, reduced=True):
-    """The list-row F_p elimination that the packed sweep replaced: a
-    forward sweep on trailing columns, then back-substitution, last pivot
-    first, each row update an ``axpy`` on residue lists."""
-    rows = [[v % fp.p for v in row] for row in mat]
+def _list_rref(mat, ring, reduced=True):
+    """The list-row elimination that the packed F_p sweep and the F_p[ε]
+    pair elimination replaced, for any ring with unit pivots: a forward
+    sweep on trailing columns, then back-substitution, last pivot first,
+    each row update an axpy from the lead row's first nonzero entry on;
+    ``DegeneratePivot`` on a nonzero row that no unit pivot clears."""
+    rows = [list(r) for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
 
     def clear(c, lead, below):
-        lo = next(j for j, v in enumerate(lead) if v)
+        lo = next(j for j, v in enumerate(lead) if not ring.is_zero(v))
         for row in below:
-            if row[c]:
-                row[lo:] = fp.axpy(fp.neg(row[c]), lead[lo:], row[lo:])
+            if not ring.is_zero(row[c]):
+                row[lo:] = _axpy(ring, ring.neg(row[c]), lead[lo:], row[lo:])
 
     pivots, r = [], 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        pr = next((i for i in range(r, nrows) if _unit(ring, rows[i][c])),
+                  None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = fp.inv(rows[r][c])
-        rows[r] = [fp.mul(piv, v) for v in rows[r]]
+        piv = _inverse(ring, rows[r][c])
+        rows[r] = [ring.mul(piv, v) for v in rows[r]]
         clear(c, rows[r], rows[r + 1:])
         pivots.append(c)
         r += 1
+    if any(not ring.is_zero(v) for row in rows[r:] for v in row):
+        raise DegeneratePivot("nonzero residual row without unit pivot")
     if reduced:
         for i in range(r - 1, 0, -1):
             clear(pivots[i], rows[i], rows[:i])
@@ -376,8 +440,9 @@ def test_packed_sweep_matches_the_list_path(p, data):
     determinant, sign included, are those of the list-row elimination."""
     fp = Fp(p)
     mat = data.draw(_raw_matrices(p), "mat")
+    residues = [[v % p for v in row] for row in mat]
     for reduced in (True, False):
-        assert rref(mat, fp, reduced) == _list_rref(mat, fp, reduced)
+        assert rref(mat, fp, reduced) == _list_rref(residues, fp, reduced)
     n = min(len(mat), len(mat[0]))
     square = [row[:n] for row in mat[:n]]
     det = det_ring(square, fp)
@@ -424,6 +489,22 @@ def test_packed_sweep_of_empty_matrices():
     assert rref([[0, 0], [0, 0]], fp) == ([], []) and mat_rank([[0]], fp) == 0
 
 
+# --- the F_p[ε] pair elimination against the list path ------------------------
+
+
+@pytest.mark.parametrize("p", [7, 101, (1 << 61) - 1])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dual_elimination_matches_the_list_path(p, data):
+    """Over F_p[ε] ``rref`` gives the rows and pivots of the list-row
+    elimination, reduced or not, or ``DegeneratePivot`` on both sides."""
+    ring = DualFp(p)
+    mat = data.draw(_dual_matrices(p), "mat")
+    for reduced in (True, False):
+        assert _outcome(rref, mat, ring, reduced) == \
+            _outcome(_list_rref, mat, ring, reduced)
+
+
 # --- dual numbers ----------------------------------------------------------
 
 
@@ -441,13 +522,19 @@ def test_dual_ring_laws_randomized():
     assert ring.mul((0, 1), (0, 1)) == ring.zero
 
 
-def test_dual_inverse():
+def test_dual_pivot_scaling():
+    """``rref`` scales the row [a + εb, 1] to [1, (a + εb)⁻¹], where
+    (a + εb)⁻¹ = a⁻¹ − ε·a⁻²·b, and a row whose only nonzero entry (0, b)
+    has no unit part raises ``DegeneratePivot``."""
     ring = DualFp(101)
     a = (3, 5)
-    ai = ring.inv(a)
-    assert ring.mul(a, ai) == ring.one
-    with pytest.raises(ZeroInverse):
-        ring.inv((0, 4))
+    rows, pivots = rref([[a, ring.one]], ring)
+    assert pivots == [0] and rows[0][0] == ring.one
+    assert rows[0][1] == (34, -34 * 34 * 5 % 101)  # 3·34 = 102 = 1 mod 101
+    assert ring.mul(a, rows[0][1]) == ring.one
+    for reduced in (True, False):
+        with pytest.raises(DegeneratePivot):
+            rref([[(0, 4), ring.zero]], ring, reduced)
 
 
 def test_dual_kernel_full_rank():
@@ -551,20 +638,13 @@ def _top(ring):
 def test_ring_kernels_match_elementwise_fold(ring, data):
     n = data.draw(st.integers(0, 8), label="n")
     vec = st.lists(_ring_elements(ring), min_size=n, max_size=n)
-    u, v, w = data.draw(vec, "u"), data.draw(vec, "v"), data.draw(vec, "w")
-    a = data.draw(_ring_elements(ring), "a")
+    u, v = data.draw(vec, "u"), data.draw(vec, "v")
     top = _top(ring)
     for x, y in ((u, v), ([top] * n, [top] * n)):
         acc = ring.zero
         for s, t in zip(x, y):
             acc = ring.add(acc, ring.mul(s, t))
         assert _value(ring, ring.dot(x, y)) == _value(ring, acc)
-    if isinstance(ring, Dual2Fp):
-        return  # no elimination runs over it, so it has no axpy
-    assert ring.axpy(a, u, w) == [ring.add(ring.mul(a, s), t)
-                                  for s, t in zip(u, w)]
-    assert ring.axpy(top, [top] * n, [top] * n) == \
-        [ring.add(ring.mul(top, top), top)] * n
 
 
 def _slope(x, j):
@@ -972,6 +1052,28 @@ def test_rng_below_bounds():
     for n in (0, -3, (1 << 64) + 1, (1 << 89) - 1):
         with pytest.raises(ValueError):
             rng.below(n)
+
+
+@pytest.mark.parametrize("p", [2, 101, (1 << 61) - 1, (1 << 64) - 59])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_combination_is_the_axpy_fold(p, data):
+    """One draw per row, in row order, and Σ draw·row mod p: the result
+    of the axpy fold y ← draw·row + y from y = 0, with the same draws, and
+    the generator left where the fold leaves it."""
+    fp = Fp(p)
+    n = data.draw(st.integers(1, 6), "cols")
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                       max_size=n), min_size=1, max_size=6),
+                     "rows")
+    seed = data.draw(st.integers(0, (1 << 64) - 1), "seed")
+    got_rng, want_rng = Rng(seed), Rng(seed)
+    want = [0] * n
+    for row in rows:
+        a = want_rng.field(p)
+        want = [(a * s + t) % p for s, t in zip(row, want)]
+    assert random_combination(rows, fp, got_rng) == want
+    assert got_rng.u64() == want_rng.u64()
 
 
 def test_prime_generation():
