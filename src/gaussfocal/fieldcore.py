@@ -21,7 +21,8 @@ Pernet, ACM TOMS 2008); dot and vector-matrix products go through it.
 Over F_p a row is one packed integer (``pack_row``), reduced only as a
 pivot row or when read out: that one elimination (``_fp_sweep``) serves
 ``rref``, ``mat_rank``, ``solve_affine`` and ``mpoly.det_ring``.  Over
-F_p[eps] ``rref`` eliminates lists of (unit, slope) pairs directly.
+F_p[eps] ``rref`` eliminates lists of (unit, slope) pairs directly, to
+echelon form only.
 
 Matrix routines eliminate with unit pivots: a forward sweep that updates
 only the trailing columns of each row, and, for the reduced row echelon
@@ -367,37 +368,29 @@ def vecmat(v, mat, ring):
 
 
 def rref(mat, ring, reduced=True):
-    """Reduced row echelon form with unit pivots.
+    """Row echelon form with unit pivots, reduced with ``reduced``.
 
     Returns ``(rows, pivots)``.  Over F_p this is ``_fp_sweep``.  Over
-    F_p[ε] the rows are lists of (unit, slope) pairs: the pivot of column
-    c is the first remaining row with a nonzero unit there, swapped into
-    place and scaled by (a + εb)⁻¹ = a⁻¹ − ε·a⁻²·b, and it clears column
-    c in the rows below it, or with ``reduced`` in every other row (one
-    Gauss–Jordan pass).  A row update (u, s) − (f₀ + εf₁)·(lu, ls) covers
-    the lead row's columns from its first nonzero pair on, which may lie
-    left of c on a column whose unit parts vanished.  The unit parts are
+    F_p[ε] the rows are lists of (unit, slope) pairs, and only the echelon
+    form is made (``reduced`` must be False; it is enough for the rank,
+    the pivots and ``kernel_basis``): the pivot of column c is the first
+    remaining row with a nonzero unit there, swapped into place and
+    scaled by (a + εb)⁻¹ = a⁻¹ − ε·a⁻²·b, and it clears column c in the
+    rows below it.  A row update (u, s) − (f₀ + εf₁)·(lu, ls) covers the
+    lead row's columns from its first nonzero pair on, which may lie left
+    of c on a column whose unit parts vanished.  The unit parts are
     eliminated exactly as the unit-part matrix is over F_p, so the pivots
-    are the unit part's.  ``reduced=False`` leaves the rows in echelon
-    form: enough for the rank, the pivots and ``kernel_basis``.  Raises
-    ``DegeneratePivot`` when a nonzero row is left that no unit pivot can
-    clear.
+    are the unit part's.  Raises ``DegeneratePivot`` when a nonzero row is
+    left that no unit pivot can clear.
     """
     if isinstance(ring, Fp):
         rows, pivots, _ = _fp_sweep(mat, ring.p, reduced, True)
         return [[0] * c + row for row, c in zip(rows, pivots)], pivots
+    if reduced:
+        raise ValueError("rref over F_p[eps] makes the echelon form only: "
+                         "pass reduced=False")
     p = ring.p
     rows = [list(row) for row in mat]
-
-    def clear(c, lead, others):
-        lo = next(j for j, (u, s) in enumerate(lead) if u or s)
-        tail = lead[lo:]
-        for row in others:
-            f0, f1 = row[c]
-            if f0 or f1:  # (u, s) − (f0 + εf1)·(lu, ls)
-                row[lo:] = [((u - f0 * lu) % p, (s - f0 * ls - f1 * lu) % p)
-                            for (u, s), (lu, ls) in zip(row[lo:], tail)]
-
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -410,8 +403,15 @@ def rref(mat, ring, reduced=True):
         a, b = rows[r][c]
         i = pow(a, -1, p)  # (a + εb)⁻¹ = a⁻¹ − ε·a⁻²·b
         j = -i * i * b
-        rows[r] = [(i * u % p, (i * s + j * u) % p) for u, s in rows[r]]
-        clear(c, rows[r], rows[:r] + rows[r + 1:] if reduced else rows[r + 1:])
+        lead = rows[r] = [(i * u % p, (i * s + j * u) % p)
+                          for u, s in rows[r]]
+        lo = next(col for col, (u, s) in enumerate(lead) if u or s)
+        tail = lead[lo:]
+        for row in rows[r + 1:]:
+            f0, f1 = row[c]
+            if f0 or f1:  # (u, s) − (f0 + εf1)·(lu, ls)
+                row[lo:] = [((u - f0 * lu) % p, (s - f0 * ls - f1 * lu) % p)
+                            for (u, s), (lu, ls) in zip(row[lo:], tail)]
         pivots.append(c)
     if any(u or s for row in rows[len(pivots):] for u, s in row):
         raise DegeneratePivot("nonzero residual row without unit pivot")

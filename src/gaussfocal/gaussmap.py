@@ -9,9 +9,12 @@ its correctness is then re-checked against the full generator list, read
 at each point by ``VarietySpec.vanishes`` (one matrix rank on a rank
 locus of more than one generator, the programs one by one otherwise).
 The first-order fibres of a focal chart, its B matrices, are solved here
-in one call per chart with the center fibre's solver matrix: S₀·k₀ = 0
-once per chart, T₁ by one F_p back-substitution, and only each
-direction's Jacobian and its elimination still over F_p[ε].
+in one call per chart with the center fibre's solver matrix.  Only each
+direction's Jacobian and its elimination are over F_p[ε], and its T₁ is
+one F_p back-substitution.  As D³g is symmetric, the chart then takes
+one Hessian sweep per fibre vector and generator, packed over all its
+directions: the check S₀·k₀ = 0, the solve and the flatness check run
+once per fibre vector on rows packed over the directions.
 """
 
 from __future__ import annotations
@@ -123,26 +126,34 @@ class GaussFiber:
 
 
 def hessian_rows(gens, x, on_pivots, pivots, vecs, ring, units=True):
-    """Rows t_a·(H_g(x)·v) per (generator g, tangent vector t_a), over F_p
-    or F_p[d], packed over the F_p vectors v_j in ``vecs`` as slopes j of
-    ``Dual2Fp(p, len(vecs))``, as one Hessian sweep per g gives the images
-    u = H_g(x)·v.  A canonical kernel vector t_a is 1 at its free column f
-    and otherwise on the ``pivots`` P, so t_a·u = u[f] + t_a[P]·u[P]:
-    packed sums of products under one ``Dual2Fp.fit`` bound per sweep, from
-    ``on_pivots``, each t_a[P] as its unit parts and its d-parts (() over
-    F_p).  Without ``units`` only the d-slopes T are formed; C is then 0."""
-    ring2 = Dual2Fp(ring.p, len(vecs))
+    """Rows t_a·u per (generator g, tangent vector t_a), u the gradient of
+    g at x + Σ_j v_j·e_j over ``Dual2Fp(p, len(vecs))``, for x over F_p
+    or over F_p[d]: one Hessian sweep per g (``hess_vec``) over the F_p
+    vectors v_j in ``vecs``, slope j of u being H_g·v_j.  A canonical
+    kernel vector t_a is 1 at its free column f and otherwise on the
+    ``pivots`` P, where ``on_pivots`` gives it as t0 + Σ_j s_j·e_j: its
+    residues t0 and its e-slopes S, packed over j (() for none).  So
+    t_a·u = u[f] + t_a[P]·u[P], and a row is that product but for its
+    unit part ∇g·t_a, left 0: its d-part a1[f] + t0·a1[P], reduced, its
+    d-slopes T = T[f] + t0·T[P] + a1[P]·S and, with ``units``, its unit
+    slopes C = C[f] + t0·C[P] + a0[P]·S (else 0), packed sums of products
+    under one ``Dual2Fp.fit`` bound per sweep."""
+    p = ring.p
+    ring2 = Dual2Fp(p, len(vecs))
     free = sorted(set(range(len(x))) - set(pivots))
-    weight = 2 * ring.p * len(pivots) + 1
+    weight = 2 * p * len(pivots) + 1
     rows = []
     for g in gens:
         images, bound = ring2.fit(g.hess_vec(x, vecs, ring), weight)
-        cs, ts = ([images[c][k] for c in pivots] for k in (2, 3))
-        for f, (t0, t1) in zip(free, on_pivots):
-            a0, a1, c, t, _ = images[f]
-            t += sum(map(mul, t0, ts)) + sum(map(mul, t1, cs))
-            c = c + sum(map(mul, t0, cs)) if units else 0
-            rows.append((a0, a1, c, t, bound))
+        bound = max(bound, p * weight)  # S's slots are residues, < p
+        a0s, a1s, cs, ts = ([images[c][k] for c in pivots] for k in range(4))
+        for f, (t0, s) in zip(free, on_pivots):
+            _, a1, c, t, _ = images[f]
+            a1 = (a1 + sum(map(mul, t0, a1s))) % p
+            t += sum(map(mul, t0, ts)) + sum(map(mul, a1s, s))
+            c = (c + sum(map(mul, t0, cs)) + sum(map(mul, a0s, s))
+                 if units else 0)
+            rows.append((0, a1, c, t, bound))
     return rows
 
 
@@ -213,32 +224,35 @@ def first_order_fiber(fiber, dirs, fp):
     """B matrices of the fibre at x + εw, one per w in ``dirs``, aligned
     with the center fibre; ``DegeneratePivot`` when a w has none.
 
-    Only the Jacobian at x + εw and its elimination are over F_p[ε]; the
+    Only each Jacobian at x + εw and its elimination are over F_p[ε]; the
     elimination runs the center's on the unit parts, so its pivots P must
     be the center's, with echelon rows U₀ + ε·U₁.  The tangent basis
     T₀ + ε·T₁ has T₁ zero off P and, last pivot first, T₁[P_i] =
     −U₁[i]·T₀ − Σ_{j>i} U₀[i][P_j]·T₁[P_j]: one F_p back-substitution on
     T₀'s columns, packed once per chart.  The fibre row k₀·T₀ keeps its
     coordinates k₀ in T(ε), as J(ε)·(k₀·T₀) = ε·(w·H·k₀·T₀) = 0, so of
-    S₀ + ε·S₁ only S(ε)·k₀ is read, packed over the k+1 center kernel
-    vectors k₀ by ``hessian_rows``.  Its unit parts S₀·k₀ are the same at
-    every w and must vanish: they are formed and checked at the first w
-    only.  k₀ lifts to k₀ + ε·c₁ with S₀·c₁ = −S₁·k₀: ``sys_solver``
-    times the d-slopes of the rows Q, the only parts read and reduced,
-    gives −c₁ and what the other rows' slopes must be, or the system is
-    not flat.  The B row, the ε part of (k₀ + ε·c₁)·(T₀ + ε·T₁), is c₁·T₀
-    on rows of T₀ packed once per chart.
+    the fibre system S₀ + ε·S₁ at w only S(ε)·k₀ is read, for the k+1
+    center kernel vectors k₀ with fibre rows k = k₀·T₀.  Its slope at row
+    (g, a) is t_a·D³g(x)[w, k] + T₁[a]·H_g(x)·k, and D³g is symmetric: so
+    each k takes one Hessian sweep per generator at x + d·k over all the
+    directions at once, packed over them as e-slopes, and ``hessian_rows``
+    contracts it with each t_a + Σ_w T₁(w)[a]·e_w.  A row's d-part is
+    t_a·H_g(x)·k, the unit part S₀·k₀, which must vanish.  k₀ lifts to
+    k₀ + ε·c₁ with S₀·c₁ = −S₁·k₀: ``sys_solver`` times the d-slopes of
+    the rows Q, the only parts read and reduced, gives −c₁ at every w and
+    what the other rows' slopes must be, or the system is not flat.  The
+    B row, the ε part of (k₀ + ε·c₁)·(T₀ + ε·T₁), is c₁·T₀ on rows of T₀
+    packed once per chart.
     """
     frame = fiber.frame
     p, x, tan, pivots = fp.p, frame.x, frame.tangent, frame.tan_pivots
-    dring, ring2 = DualFp(p), Dual2Fp(p, len(fiber.basis))
+    dring, ring2 = DualFp(p), Dual2Fp(p, len(dirs))
     rho = len(fiber.sys_pivots)
     # T₀'s columns and rows; a slot sums under N + 1 + |P| terms < p²
     width = 2 * p.bit_length() + (len(x) + len(pivots)).bit_length()
     columns = [pack_row(col, p, width) for col in zip(*tan)]
-    t0 = [[t[c] for c in pivots] for t in tan]
     tan_rows = [pack_row(tan[c], p, width) for c in fiber.sys_pivots]
-    bmats = []
+    t1s = []
     for w in dirs:
         x_eps = [dring.make(xi, wi) for xi, wi in zip(x, w)]
         rows, piv = rref([g.grad(x_eps, dring) for g in frame.gens], dring,
@@ -252,10 +266,17 @@ def first_order_fiber(fiber, dirs, fp):
                      zip(pivots[i + 1:], t1_packed[i + 1:]))
             t1[i] = unpack_row(v, len(tan), p, width, p - 1)
             t1_packed[i] = pack_row(t1[i], p, width)
-        first = not bmats
-        packed = hessian_rows(frame.gens, x_eps, list(zip(t0, zip(*t1))),
-                              pivots, fiber.basis, dring, units=first)
-        if first and any(any(ring2.slots(row[2])) for row in packed):
+        t1s.append(t1)
+    # each t_a on P: its residues, and T₁[a][P] packed over the directions
+    slopes = [[ring2.pack(s) for s in zip(*at_pi)] for at_pi in zip(*t1s)]
+    on_pivots = [([t[c] for c in pivots], s)
+                 for t, s in zip(tan, zip(*slopes))]
+    brows = []
+    for k in fiber.basis:
+        x_k = [dring.make(xi, ki) for xi, ki in zip(x, k)]
+        packed = hessian_rows(frame.gens, x_k, on_pivots, pivots, dirs,
+                              dring, units=False)
+        if any(row[1] for row in packed):
             raise DegeneratePivot("first-order fibre system drifted off "
                                   "its center")
         # T_i − R_i·T[Q] for i outside Q: each term within half the range
@@ -268,6 +289,6 @@ def first_order_fiber(fiber, dirs, fp):
                 raise DegeneratePivot("first-order fibre system is not "
                                       "flat: no lift of a kernel vector")
         c1 = zip(*(ring2.slots(-y) for y in solved[:rho]))
-        bmats.append([unpack_row(sum(map(mul, c, tan_rows)), len(x), p,
+        brows.append([unpack_row(sum(map(mul, c, tan_rows)), len(x), p,
                                  width) for c in c1])
-    return bmats
+    return [list(bmat) for bmat in zip(*brows)]

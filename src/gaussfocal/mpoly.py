@@ -269,10 +269,24 @@ def add_cofactors(out, pf, sub, coord, rows, ring):
     (``_det_block``), the first ``rows`` indices of ``sub`` are its rows
     and the rest its columns: only a row pairs with a column, and
     flip = rows·(rows-1)/2 is the sign between det and Pf.  For a
-    sub-Pfaffian ``rows`` is 0.  Zero cofactors are skipped."""
-    add, neg, is_zero = ring.add, ring.neg, ring.is_zero
+    sub-Pfaffian ``rows`` is 0.  Over F_p a cofactor is added on plain
+    integers and reduced at once: outside a symmetric shape each
+    coordinate takes one cofactor per index set, so that is one reduction
+    per touched coordinate.  Over other rings zero cofactors are
+    skipped."""
     full = sum(1 << i for i in sub)
     flip, size = rows * (rows - 1) // 2, len(sub)
+    if isinstance(ring, Fp):
+        p = ring.p
+        for a in range(rows or size - 1):
+            i = sub[a]
+            at, rest = coord[i], full ^ 1 << i
+            for c in range(max(a + 1, rows), size):
+                j = sub[c]
+                cof, t = pf(rest ^ 1 << j), at[j]
+                out[t] = (out[t] + (cof if (a + c + flip) % 2 else -cof)) % p
+        return out
+    add, neg, is_zero = ring.add, ring.neg, ring.is_zero
     for a in range(rows or size - 1):
         i = sub[a]
         at, rest = coord[i], full ^ 1 << i

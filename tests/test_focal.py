@@ -184,25 +184,18 @@ def _dual_tangent(fiber, w, dring):
     frame = fiber.frame
     x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
     jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring)
+    rows, piv = rref(jac, dring, reduced=False)
     assert piv == frame.tan_pivots
     return x_eps, kernel_basis(rows, piv, len(frame.x), dring)
 
 
 def _columns(packed, count, p):
-    """The per-vector columns of rows packed over ``count`` vectors (as
-    ``hessian_rows`` and ``hess_vec`` give them): entry i of column j is
-    slope j of row i, a DualFp pair."""
+    """The per-vector columns of a gradient packed over ``count`` vectors
+    (as ``hess_vec`` gives it): entry i of column j is slope j of entry
+    i, a DualFp pair."""
     ring2 = Dual2Fp(p, count)
     rows = [ring2.decode(row) for row in packed]
     return [[(cs[j], ts[j]) for _, cs, ts in rows] for j in range(count)]
-
-
-def _packed(cols, units, p):
-    """``_columns``' inverse, with the rows' unit parts ``units``."""
-    ring2 = Dual2Fp(p, len(cols))
-    return [ring2.encode(unit, [c for c, _ in row], [t for _, t in row])
-            for unit, row in zip(units, zip(*cols))]
 
 
 def _dense_system(gens, x_eps, tangent_eps, dring):
@@ -225,10 +218,10 @@ def _dense_system(gens, x_eps, tangent_eps, dring):
 
 
 def _first_order_by_dual_rref(fiber, tangent_eps, sys_rows, dring):
-    """Oracle: the whole fibre system reduced over the dual ring, on the
-    center's pivot columns, its canonical kernel, and the slopes of the
-    kernel vectors in the dual tangent basis."""
-    srows, spiv = rref(sys_rows, dring)
+    """Oracle: the whole fibre system brought to echelon form over the
+    dual ring, on the center's pivot columns, its canonical kernel, and
+    the slopes of the kernel vectors in the dual tangent basis."""
+    srows, spiv = rref(sys_rows, dring, reduced=False)
     assert spiv == fiber.sys_pivots
     ckernel = kernel_basis(srows, spiv, len(tangent_eps), dring)
     bmat = []
@@ -314,6 +307,21 @@ def _times_kernel(rows, fiber, dring, fp):
             for k0 in coeff_kernel(fiber, fp)]
 
 
+def _lift_rows(packed, count, p):
+    """The rows of one fibre vector k's lift sweep, as ``hessian_rows``
+    gives them to ``first_order_fiber`` packed over ``count`` directions,
+    as [d-part, T's slots]: row i of S(ε)·k₀ at direction j is the DualFp
+    pair (d-part, slot j)."""
+    ring2 = Dual2Fp(p, count)
+    return [[row[1], ring2.slots(row[3])] for row in packed]
+
+
+def _lift_columns(rows):
+    """Per direction j, the column S(ε)·k₀ that ``_lift_rows`` carry."""
+    count = len(rows[0][1]) if rows else 0
+    return [[(u, ts[j]) for u, ts in rows] for j in range(count)]
+
+
 @pytest.mark.parametrize("p", [P, 101])
 @pytest.mark.parametrize("shape,rb,dim", [
     (MatrixShape.symmetric(3), 2, 4),
@@ -322,26 +330,26 @@ def _times_kernel(rows, fiber, dring, fp):
 ])
 def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
                                                        rb, dim, p):
-    # the columns first_order_fiber reads, packed over the center kernel
-    # vectors, are the dense dual system times each of them, and each
-    # generator's Hessian sweep carries the k+1 fibre basis rows, not the
-    # n+1 tangent vectors; past the first direction of a chart the unit
-    # parts S₀·k₀ are not formed again, and they read 0
+    # the columns first_order_fiber reads, one sweep per fibre vector k
+    # packed over the chart's directions, are the dense dual system at
+    # each direction times the center kernel vector k₀ of k; each
+    # generator's Hessian sweep carries the r directions, and its unit
+    # parts S₀·k₀, formed in every sweep, read 0
     fp, dring = Fp(p), DualFp(p)
     spec = rank_locus_spec(shape, rb)
     real_rows, real_hess = gaussmap.hessian_rows, PolyProgram.hess_vec
     seen, widths = [], []
 
-    def recorded_cols(*args, **kwargs):
+    def recorded_rows(*args, **kwargs):
         packed = real_rows(*args, **kwargs)
-        seen.append(_columns(packed, len(args[4]), p))
+        seen.append(_lift_rows(packed, len(args[4]), p))
         return packed
 
     def recorded_hess(self, x, vs, ring):
         widths.append(len(vs))
         return real_hess(self, x, vs, ring)
 
-    compared = 0
+    charts = 0
     for seed in range(4):
         rng = Rng(seed)
         try:
@@ -355,15 +363,15 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
         seen.clear()
         widths.clear()
         with monkeypatch.context() as mp:
-            mp.setattr("gaussfocal.gaussmap.hessian_rows", recorded_cols)
+            mp.setattr("gaussfocal.gaussmap.hessian_rows", recorded_rows)
             mp.setattr(PolyProgram, "hess_vec", recorded_hess)
             got = _outcome(first_order_fiber, fib, dirs, fp)
-        assert widths == [fib.k + 1] * len(frame.gens) * len(seen)
-        assert got is DegeneratePivot or len(seen) == len(dirs)
+        assert widths == [len(dirs)] * len(frame.gens) * len(seen)
+        assert got is DegeneratePivot or len(seen) == fib.k + 1
         # k₀·T(ε) is the fibre basis row itself: k₀·T₁ = 0
         kernel = coeff_kernel(fib, fp)
         assert [vecmat(k0, frame.tangent, fp) for k0 in kernel] == fib.basis
-        for call, (w, cols) in enumerate(zip(dirs, seen)):
+        for j, w in enumerate(dirs):
             x_eps, tangent_eps = _dual_tangent(fib, w, dring)
             for k0, row in zip(kernel, fib.basis):
                 assert vecmat([dring.lift(c) for c in k0], tangent_eps,
@@ -372,11 +380,10 @@ def test_fiber_columns_match_dense_system_times_kernel(monkeypatch, shape,
                                                tangent_eps, dring),
                                  fib, dring, fp)
             assert all(u == 0 for col in want for u, _ in col)
-            if call:
-                want = [[(0, s) for _, s in col] for col in want]
-            assert cols == want
-            compared += 1
-    assert compared >= 6
+            assert [_lift_columns(rows)[j] for rows in seen] == \
+                want[:len(seen)]
+        charts += got is not DegeneratePivot
+    assert charts >= 3
 
 
 def _kernel_column(fib, f):
@@ -391,21 +398,30 @@ def _bump(col, i, part):
     col[i] = ((u + 1) % P, s) if part == "unit" else (u, (s + 1) % P)
 
 
-def _scripted_columns(monkeypatch, edit):
-    """Pass every S(ε)·k₀ column set that ``first_order_fiber`` computes,
-    one per direction, through ``edit(cols, call)``, call counting from 1,
-    decoded from the packed rows and encoded back; returns the list of
-    calls."""
+def _bump_lift(rows, i, part, j=0):
+    """Add 1 to the d-part of lift row i, S₀·k₀, or to its slope at
+    direction j."""
+    if part == "unit":
+        rows[i][0] = (rows[i][0] + 1) % P
+    else:
+        rows[i][1][j] = (rows[i][1][j] + 1) % P
+
+
+def _scripted_rows(monkeypatch, edit):
+    """Pass the rows of every fibre vector's lift sweep that
+    ``first_order_fiber`` makes through ``edit(rows, call)``, call
+    counting from 1 over the fibre vectors of each chart in turn, decoded
+    by ``_lift_rows`` and encoded back; returns the list of calls."""
     real = gaussmap.hessian_rows
     calls = []
 
     def scripted(*args, **kwargs):
-        packed = real(*args, **kwargs)
         count, p = len(args[4]), args[5].p
-        cols = _columns(packed, count, p)
+        rows = _lift_rows(real(*args, **kwargs), count, p)
         calls.append(len(calls) + 1)
-        edit(cols, calls[-1])
-        return _packed(cols, [row[:2] for row in packed], p)
+        edit(rows, calls[-1])
+        ring2 = Dual2Fp(p, count)
+        return [ring2.encode((0, u), (), ts) for u, ts in rows]
 
     monkeypatch.setattr("gaussfocal.gaussmap.hessian_rows", scripted)
     return calls
@@ -421,8 +437,8 @@ def test_first_order_unit_part_off_the_center_system_is_rejected(monkeypatch):
     # the first-order system drifted off its center
     pt, frame, fib, rng = _sym3_fiber(141)
     w = random_combination(frame.tangent, FP, rng)
-    _scripted_columns(monkeypatch, lambda cols, call: _bump(cols[-1], -1,
-                                                            "unit"))
+    _scripted_rows(monkeypatch, lambda rows, call: _bump_lift(rows, -1,
+                                                              "unit"))
     with pytest.raises(DegeneratePivot, match="drifted"):
         first_order_fiber(fib, [w], FP)
 
@@ -443,7 +459,9 @@ def _non_flat_bump(fib, inside_q):
 
 def test_non_flat_first_order_system_is_rejected(monkeypatch):
     # the flatness check reads only the rows outside Q, which c₁ does not
-    # solve by construction; a bump inside Q moves c₁ and must show there
+    # solve by construction; a bump inside Q moves c₁ and must show there.
+    # The bump at (i, f) of S(ε) moves only the sweep of the fibre vector
+    # whose k₀ is 1 at f, and the lift stops there
     pt, frame, fib, rng = _sym3_fiber(143)
     dring = DualFp(P)
     w = random_combination(frame.tangent, FP, rng)
@@ -459,16 +477,17 @@ def test_non_flat_first_order_system_is_rejected(monkeypatch):
             _first_order_by_dual_rref(fib, tangent_eps, rows, dring)
         seen = []
 
-        def bump_slope(cols, call):
-            _bump(cols[j], i, "slope")
-            seen.append(cols)
+        def bump_slope(lift, call):
+            if call == j + 1:
+                _bump_lift(lift, i, "slope")
+            seen.append(_lift_columns(lift)[0])
 
         with monkeypatch.context() as mp:
-            _scripted_columns(mp, bump_slope)
+            _scripted_rows(mp, bump_slope)
             with pytest.raises(DegeneratePivot, match="not flat"):
                 first_order_fiber(fib, [w], FP)
         # the column bump is the dense bump at (i, f) times the kernel
-        assert seen == [_times_kernel(rows, fib, dring, FP)]
+        assert seen == _times_kernel(rows, fib, dring, FP)[:j + 1]
     # unbumped, the same direction lifts
     assert len(first_order_fiber(fib, [w], FP)[0]) == fib.k + 1
 
@@ -481,17 +500,20 @@ def test_lift_reduces_the_slopes_of_rows_past_the_solve_bound(monkeypatch):
     pt, frame, fib, rng = _sym3_fiber(143)
     dirs = [random_combination(frame.tangent, FP, rng) for _ in range(2)]
     want = first_order_fiber(fib, dirs, FP)
-    ring2 = Dual2Fp(P, fib.k + 1)
+    ring2 = Dual2Fp(P, len(dirs))
     pad = ring2._limit // 4 // P * P
     ones = sum(1 << s for s in ring2._shifts)
     real = gaussmap.hessian_rows
+    calls = []
 
     def padded(*args, **kwargs):
+        calls.append(len(args[4]))
         return [(a0, a1, c, t + pad * ones, b + pad)
                 for a0, a1, c, t, b in real(*args, **kwargs)]
 
     monkeypatch.setattr("gaussfocal.gaussmap.hessian_rows", padded)
     assert first_order_fiber(fib, dirs, FP) == want
+    assert calls == [len(dirs)] * (fib.k + 1)
 
 
 @pytest.mark.parametrize("defect", ["unit", "slope"])
@@ -501,14 +523,15 @@ def test_chart_redraws_after_a_degenerate_first_order_fibre(monkeypatch,
     i, f = _non_flat_bump(fib, True)
     j = _kernel_column(fib, f)
 
-    def first_call_broken(cols, call):
-        if call == 1:
-            _bump(cols[j], i, defect)
+    def first_chart_broken(rows, call):
+        if call == j + 1:
+            _bump_lift(rows, i, defect)
 
-    calls = _scripted_columns(monkeypatch, first_call_broken)
+    calls = _scripted_rows(monkeypatch, first_chart_broken)
     chart = fiber_family_chart(fib, FP, rng)
-    # the first draw failed at its first direction; the second kept all r
-    assert len(calls) == 1 + fib.r
+    # the first draw failed at the sweep of its fibre vector j; the second
+    # swept all k+1
+    assert len(calls) == j + 1 + fib.k + 1
     dring = DualFp(P)
     for w, bmat in zip(chart.dirs, chart.bmats):
         x_eps, tangent_eps = _dual_tangent(fib, w, dring)
@@ -517,21 +540,21 @@ def test_chart_redraws_after_a_degenerate_first_order_fibre(monkeypatch,
                                                  dring)
 
 
-@pytest.mark.parametrize("at, redrawn", [(1, True), (2, False)])
-def test_chart_checks_the_unit_parts_at_its_first_direction(monkeypatch, at,
-                                                           redrawn):
-    # S₀·k₀ is the same at every direction, so a chart forms and checks it
-    # at its first direction only: a unit defect there redraws the chart,
-    # and one at a later direction is never read
+@pytest.mark.parametrize("at", [1, 2, 3])
+def test_chart_redraws_after_a_unit_defect_in_any_fibre_vector_sweep(
+        monkeypatch, at):
+    # S₀·k₀ = 0 is checked in the sweep of every fibre vector k: a unit
+    # defect in any of them redraws the chart, and the next draw lifts
     pt, frame, fib, rng = _sym3_fiber(145)
+    assert fib.k + 1 == 3
 
-    def unit_defect(cols, call):
+    def unit_defect(rows, call):
         if call == at:
-            _bump(cols[0], 0, "unit")
+            _bump_lift(rows, 0, "unit")
 
-    calls = _scripted_columns(monkeypatch, unit_defect)
+    calls = _scripted_rows(monkeypatch, unit_defect)
     chart = fiber_family_chart(fib, FP, rng)
-    assert len(calls) == redrawn + fib.r
+    assert len(calls) == at + fib.k + 1
     dring = DualFp(P)
     for w, bmat in zip(chart.dirs, chart.bmats):
         x_eps, tangent_eps = _dual_tangent(fib, w, dring)

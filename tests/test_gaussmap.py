@@ -1,7 +1,6 @@
 """Tangent frames and the linear fibres along which the tangent space is
 constant."""
 
-from operator import add, mul
 from unittest.mock import patch
 
 import pytest
@@ -23,7 +22,6 @@ from gaussfocal.gaussmap import (
     NoCodimension,
     PointOffVariety,
     SingularSamplePoint,
-    TangentFrame,
     _verify_fiber,
     fiber_system,
     first_order_fiber,
@@ -221,9 +219,9 @@ def test_fiber_reproducible_across_points_and_primes():
 
 
 def _unpacked(packed, count, ring):
-    """Rows packed over ``count`` vectors (``hessian_rows``, and the
-    gradient of ``hess_vec``) as plain rows: entry j of a row is its
-    slope j, over F_p its unit part (the d-parts are then 0)."""
+    """A gradient packed over ``count`` vectors (``hess_vec``) as plain
+    rows: entry j of a row is its slope j, over F_p its unit part (the
+    d-parts are then 0)."""
     ring2 = Dual2Fp(ring.p, count)
     rows = [ring2.decode(row)[1:] for row in packed]
     if isinstance(ring, Fp):
@@ -232,91 +230,89 @@ def _unpacked(packed, count, ring):
     return [list(zip(cs, ts)) for cs, ts in rows]
 
 
-def _on_pivots(tangent, pivots, ring):
-    """Each tangent vector on the pivot columns, as ``hessian_rows`` takes
-    it: its unit parts and its d-parts over F_p[d], () over F_p."""
-    on_p = [[t[c] for c in pivots] for t in tangent]
-    if isinstance(ring, Fp):
-        return [(tp, ()) for tp in on_p]
-    return [tuple(map(list, zip(*tp))) for tp in on_p]
+def _random_slopes(tangent, pivots, count, p, rng):
+    """``count`` e-slope vectors per tangent vector, slopes[j][a], random
+    on the pivot columns and zero off them, as T₁ is."""
+    return [[[rng.field(p) if c in pivots else 0 for c in range(len(t))]
+             for t in tangent] for _ in range(count)]
+
+
+def _on_pivots(tangent, pivots, slopes, p):
+    """Each tangent vector t_a + Σ_j slopes[j][a]·e_j on the pivot
+    columns, as ``hessian_rows`` takes it: its residues, and its e-slopes
+    packed over j (() for none)."""
+    ring2 = Dual2Fp(p, len(slopes))
+    return [([t[c] for c in pivots],
+             [ring2.pack([s[a][c] for s in slopes]) for c in pivots]
+             if slopes else ()) for a, t in enumerate(tangent)]
+
+
+def _decoded(rows, count, p):
+    """Rows of ``hessian_rows`` as (d-part, C's slots, T's slots)."""
+    ring2 = Dual2Fp(p, count)
+    return [(row[1], ring2.slots(row[2]), ring2.slots(row[3]))
+            for row in rows]
+
+
+def _dense_products(gens, x, tangent, slopes, vecs, ring):
+    """Oracle for ``hessian_rows``: per (g, t_a), the ring product of
+    t_a + Σ_j slopes[j][a]·e_j with g's gradient at x + Σ_j v_j·e_j, one
+    ``Dual2Fp.dot`` over every coordinate, as (d-part, C's slots, T's
+    slots)."""
+    ring2 = Dual2Fp(ring.p, len(vecs))
+    rows = []
+    for g in gens:
+        images = g.hess_vec(x, vecs, ring)
+        for a, t in enumerate(tangent):
+            ta = [ring2.encode((tc, 0), [s[a][c] for s in slopes])
+                  for c, tc in enumerate(t)]
+            (_, a1), cs, ts = ring2.decode(ring2.dot(ta, images))
+            rows.append((a1, cs, ts))
+    return rows
 
 
 def test_fiber_system_over_dual_ring_matches_per_vector_images():
-    # the dual-ring fibre system is only ever read through the chart's
-    # S(ε)·k₀ columns: each image H(x)·β for β over F_p on its own, the
-    # gradient over F_p[d, e] at x_i + β_i·e, read off its e-slope; then
-    # every entry t_a·H·β as a plain dot over a canonical dual tangent
-    # basis.  Its unit parts over F_p are the center fibre system.
+    # each image H(x)·v for v over F_p on its own, the gradient over
+    # F_p[d, e] at x_i + v_i·e, contracted with t_a + s·e for that v's
+    # e-slopes s of t_a by a product over F_p[d, e]: the d-part and the
+    # slopes e of the products are those that hessian_rows packs over the
+    # vectors.  Its unit slopes over F_p are the center fibre system.
     ring, flat = DualFp(P), Dual2Fp(P, 1)
     rng = Rng(97)
     gens = (rank_locus_spec(MatrixShape.skew(8), 6).generators[:2]
             + rank_locus_spec(MatrixShape.skew(8), 4).generators[:1])
     arity = gens[0].arity
-    elem = lambda: (rng.field(P), rng.field(P))
-    x = [elem() for _ in range(arity)]
-    rows, piv = rref([[elem() for _ in range(arity)] for _ in range(3)], ring)
-    tangent = kernel_basis(rows, piv, arity, ring)
-    frame = TangentFrame(x, gens, piv, tangent, arity - 4, 3)
+    x = [(rng.field(P), rng.field(P)) for _ in range(arity)]
+    rows, piv = rref([[rng.field(P) for _ in range(arity)]
+                      for _ in range(3)], FP, reduced=False)
+    tangent = kernel_basis(rows, piv, arity, FP)
 
-    def per_vector(x, tangent, vecs, ring):
-        over_fp = ring is FP
-        lift = (lambda a: (a, 0)) if over_fp else tuple
+    def per_vector(x, tangent, slopes, vecs, ring):
+        lift = (lambda a: (a, 0)) if ring is FP else tuple
         out = []
         for g in gens:
-            images = []
-            for v in vecs:
+            per_v = []
+            for j, v in enumerate(vecs):
                 grad = g.grad([flat.encode(lift(xi), [vi])
                                for xi, vi in zip(x, v)], flat)
-                slopes = [flat.decode(gi)[1:] for gi in grad]
-                images.append([cs[0] if over_fp else (cs[0], ts[0])
-                               for cs, ts in slopes])
-            out += [[ring.dot(ta, img) for img in images] for ta in tangent]
+                ta = [[flat.encode((tc, 0), [slopes[j][a][c]] if slopes
+                                   else []) for c, tc in enumerate(t)]
+                      for a, t in enumerate(tangent)]
+                per_v.append([flat.decode(flat.dot(t, grad)) for t in ta])
+            for prods in zip(*per_v):
+                assert len({unit for unit, _, _ in prods}) == 1
+                out.append((prods[0][0][1], [cs[0] for _, cs, _ in prods],
+                            [ts[0] for _, _, ts in prods]))
         return out
 
     betas = [[rng.field(P) for _ in range(arity)] for _ in range(3)]
-    assert _unpacked(hessian_rows(gens, x, _on_pivots(tangent, piv, ring),
-                                  piv, betas, ring), 3,
-                     ring) == per_vector(x, tangent, betas, ring)
-    x0, t0 = [u for u, _ in x], [[u for u, _ in t] for t in tangent]
-    assert fiber_system(gens, x0, t0, piv, FP) == \
-        per_vector(x0, t0, t0, FP)
-
-
-def _combine(ring2, elems, coefs):
-    """Σ_i a_i·elems[i] per coefficient pair (t0, t1), a_i = t0[i] +
-    t1[i]·d, or t0[i] in F_p when t1 is None, unit part 0: one bound sum
-    per pair, and every element reduced once when a pair's bound leaves
-    the slot range."""
-    out = []
-    _, _, cs, ts, bs = zip(*elems)
-    for t0, t1 in coefs:
-        scale = t0 if t1 is None else list(map(add, t0, t1))
-        bound = sum(map(mul, scale, bs))
-        if bound >= ring2._limit:
-            elems = list(map(ring2._reduced, elems))
-            _, _, cs, ts, bs = zip(*elems)
-            bound = sum(map(mul, scale, bs))
-        c, t = sum(map(mul, t0, cs)), sum(map(mul, t0, ts))
-        if t1 is not None:
-            t += sum(map(mul, t1, cs))
-        out.append((0, 0, c, t, bound))
-    return out
-
-
-def _hessian_rows_by_combine(gens, x, tangent, pivots, vecs, ring):
-    """Oracle for ``hessian_rows``: each row u[f] + t_a[P]·u[P] as a ring
-    sum of u[f] and a combination with a bound of its own."""
-    ring2 = Dual2Fp(ring.p, len(vecs))
-    free = sorted(set(range(len(x))) - set(pivots))
-    coefs = [[t[c] for c in pivots] for t in tangent]
-    coefs = [(tp, None) if isinstance(ring, Fp) else tuple(zip(*tp))
-             for tp in coefs]
-    rows = []
-    for g in gens:
-        images = g.hess_vec(x, vecs, ring)
-        rows += map(ring2.add, [images[f] for f in free],
-                    _combine(ring2, [images[c] for c in pivots], coefs))
-    return rows
+    slopes = _random_slopes(tangent, piv, 3, P, rng)
+    on_p = _on_pivots(tangent, piv, slopes, P)
+    assert _decoded(hessian_rows(gens, x, on_p, piv, betas, ring), 3, P) \
+        == per_vector(x, tangent, slopes, betas, ring)
+    x0 = [u for u, _ in x]
+    assert fiber_system(gens, x0, tangent, piv, FP) == \
+        [cs for _, cs, _ in per_vector(x0, tangent, [], tangent, FP)]
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["swept", "wide"])
@@ -328,28 +324,30 @@ def _hessian_rows_by_combine(gens, x, tangent, pivots, vecs, ring):
 ])
 def test_hessian_rows_match_the_per_row_bound_combination(shape, rb, dim,
                                                           p, over, wide):
-    # one bound per sweep, from Dual2Fp.fit, against a bound per row: the
-    # same slots mod p, over F_p and over F_p[d], also when every image
-    # is padded by a multiple of p past the sweep's threshold, so that
-    # the images are reduced once; the returned bound covers every slot.
-    # Without the unit slots the d-slopes are the same and C is 0.
+    # one bound per sweep, from Dual2Fp.fit, against exact products over
+    # F_p[d][e_1..e_m] on every coordinate: the same slots
+    # mod p, at x over F_p with no e-slopes (the fibre system) and at
+    # x + d·k with e-slopes (a chart's lift), also when every image is
+    # padded by a multiple of p past the sweep's threshold, so that the
+    # images are reduced once; the returned bound covers every slot.
+    # Without the unit slots the d-part and the d-slopes are the same and
+    # C is 0.
     from test_fieldcore import _dominated
 
     fp = Fp(p)
     spec = rank_locus_spec(shape, rb)
     rng = Rng(37)
     frame = tangent_space(spec, spec.sampler(rng, fp).coords, fp, dim)
-    x, tangent, ring = frame.x, frame.tangent, fp
+    x, tangent, pivots, ring = frame.x, frame.tangent, frame.tan_pivots, fp
+    vecs = [[rng.field(p) for _ in x] for _ in range(3)]
+    slopes = []
     if over == "Fp[d]":
         ring = DualFp(p)
-        w = random_combination(frame.tangent, fp, rng)
-        x = [ring.make(xi, wi) for xi, wi in zip(frame.x, w)]
-        rows, piv = rref([g.grad(x, ring) for g in frame.gens], ring)
-        assert piv == frame.tan_pivots
-        tangent = kernel_basis(rows, piv, len(x), ring)
-    vecs = [[rng.field(p) for _ in x] for _ in range(3)]
+        k = random_combination(frame.tangent, fp, rng)
+        x = [ring.make(xi, ki) for xi, ki in zip(frame.x, k)]
+        slopes = _random_slopes(tangent, pivots, len(vecs), p, rng)
     ring2 = Dual2Fp(p, len(vecs))
-    weight = 2 * p * len(frame.tan_pivots) + 1
+    weight = 2 * p * len(pivots) + 1
     # (q·p) in every slot of C, −(q·p) in every slot of T
     pad = (ring2._limit // weight // p + 1) * p
     ones = sum(1 << s for s in ring2._shifts)
@@ -370,22 +368,21 @@ def test_hessian_rows_match_the_per_row_bound_combination(shape, rb, dim,
         reduced.append(a in padded_images)
         return real_reduced(ring2, a)
 
-    args = (frame.gens, x, tangent, frame.tan_pivots, vecs, ring)
-    on_p = _on_pivots(tangent, frame.tan_pivots, ring)
+    on_p = _on_pivots(tangent, pivots, slopes, p)
     with patch.object(PolyProgram, "hess_vec", padded):
-        want = _hessian_rows_by_combine(*args)
+        want = _dense_products(frame.gens, x, tangent, slopes, vecs, ring)
         with patch.object(Dual2Fp, "_reduced", counted):
-            got = hessian_rows(*args[:2], on_p, *args[3:])
-        slopes = hessian_rows(*args[:2], on_p, *args[3:], units=False)
+            got = hessian_rows(frame.gens, x, on_p, pivots, vecs, ring)
+        slopes_only = hessian_rows(frame.gens, x, on_p, pivots, vecs, ring,
+                                   units=False)
     # padded, each image of each sweep is reduced once
     assert sum(reduced) == wide * len(frame.gens) * len(x)
-    assert [ring2.decode(row) for row in got] == \
-        [ring2.decode(row) for row in want]
+    assert _decoded(got, len(vecs), p) == want
     assert all(row[4] < ring2._limit and _dominated(ring2, row)
                for row in got)
-    assert [row[2] for row in slopes] == [0] * len(got)
-    assert [ring2.slots(row[3]) for row in slopes] == \
-        [ring2.slots(row[3]) for row in got]
+    assert [row[2] for row in slopes_only] == [0] * len(got)
+    assert [(a1, ts) for a1, _, ts in _decoded(slopes_only, len(vecs), p)] \
+        == [(a1, ts) for a1, _, ts in want]
 
 
 def _dense_block_dots(gens, x, tangent, vecs, ring):
@@ -405,34 +402,79 @@ def _dense_block_dots(gens, x, tangent, vecs, ring):
 def test_fiber_system_on_kernel_basis_tangents_matches_dense_dots(shape, rb,
                                                                   dim):
     # canonical kernel-basis tangents are 1 at their free column and
-    # otherwise supported on the pivot columns; the pivot-gather dots must
-    # equal full dots, also when a pivot entry is zero (over F_p[d], in
-    # the chart's S(ε)·k₀ columns: when its unit part or all of it is zero)
+    # otherwise supported on the pivot columns; the pivot-gather products
+    # must equal products over all coordinates, also when a pivot entry
+    # is zero (in a chart's lift, at x + d·k: when its residue, its
+    # e-slopes or all of it is zero)
     spec = rank_locus_spec(shape, rb)
     rng = Rng(29)
     pt = spec.sampler(rng, FP)
     frame = tangent_space(spec, pt.coords, FP, expected_dim=dim)
-    pc = frame.tan_pivots[0]
+    pc, pivots = frame.tan_pivots[0], frame.tan_pivots
     tangent = [list(t) for t in frame.tangent]
     tangent[0][pc] = 0
-    assert fiber_system(frame.gens, frame.x, tangent, frame.tan_pivots,
-                        FP) == \
+    assert fiber_system(frame.gens, frame.x, tangent, pivots, FP) == \
         _dense_block_dots(frame.gens, frame.x, tangent, tangent, FP)
     dring = DualFp(P)
-    w = random_combination(frame.tangent, FP, rng)
-    x_eps = [dring.make(xi, wi) for xi, wi in zip(frame.x, w)]
-    jac = [g.grad(x_eps, dring) for g in frame.gens]
-    rows, piv = rref(jac, dring)
-    assert piv == frame.tan_pivots
-    tangent = kernel_basis(rows, piv, len(frame.x), dring)
-    tangent[0][pc] = dring.zero
-    tangent[1][pc] = (0, tangent[1][pc][1] or 1)
-    betas = [[rng.field(P) for _ in frame.x] for _ in range(3)]
-    on_p = _on_pivots(tangent, frame.tan_pivots, dring)
-    assert _unpacked(hessian_rows(frame.gens, x_eps, on_p,
-                                  frame.tan_pivots, betas, dring), 3,
-                     dring) == \
-        _dense_block_dots(frame.gens, x_eps, tangent, betas, dring)
+    k = random_combination(frame.tangent, FP, rng)
+    x_k = [dring.make(xi, ki) for xi, ki in zip(frame.x, k)]
+    dirs = [random_combination(frame.tangent, FP, rng) for _ in range(3)]
+    slopes = _random_slopes(tangent, pivots, len(dirs), P, rng)
+    tangent[1][pc] = 0
+    for s in slopes:
+        s[1][pc] = s[2][pc] = 0
+    on_p = _on_pivots(tangent, pivots, slopes, P)
+    assert _decoded(hessian_rows(frame.gens, x_k, on_p, pivots, dirs,
+                                 dring), len(dirs), P) == \
+        _dense_products(frame.gens, x_k, tangent, slopes, dirs, dring)
+
+
+def _det4_program():
+    from test_focal import det4_spec
+    return det4_spec().generators[0]
+
+
+@pytest.mark.parametrize("p", [101, P, (1 << 64) - 59])
+@pytest.mark.parametrize("make_prog,kind", [
+    (_det4_program, "sum"),
+    (lambda: rank_locus_spec(MatrixShape.generic(3, 4), 2).generators[0],
+     "det"),
+    (lambda: rank_locus_spec(MatrixShape.skew(8), 6).generators[0], "pf"),
+], ids=["det4", "gen34", "skew8"])
+def test_lift_sweep_swaps_the_roles_of_its_two_nilpotents(make_prog, kind,
+                                                          p):
+    # first_order_fiber sweeps at x + d·k over the directions w_j, where
+    # the fibre system at x + ε·w_j sweeps over the fibre vectors k: as
+    # D³g is symmetric, d-slope j of the one is d-slope k of the other,
+    # D³g(x)[k, w_j, ·].  The sweep's d-part is H(x)·k and its unit
+    # slope j H(x)·w_j, each against the F_p[ε] gradient at x + ε·v
+    dring = DualFp(p)
+    g = make_prog()
+    assert g.kind == kind
+    rng = Rng(p % 1009)
+    x = [rng.field(p) for _ in range(g.arity)]
+    dirs = [[rng.field(p) for _ in x] for _ in range(3)]
+    fibre = [[rng.field(p) for _ in x] for _ in range(2)]
+
+    def at(v):
+        return [dring.make(xi, vi) for xi, vi in zip(x, v)]
+
+    def sweep(v, vecs):
+        ring2 = Dual2Fp(p, len(vecs))
+        return [ring2.decode(u) for u in g.hess_vec(at(v), vecs, dring)]
+
+    def hess(v):
+        return [s for _, s in g.grad(at(v), dring)]
+
+    by_direction = [sweep(w, fibre) for w in dirs]
+    for b, k in enumerate(fibre):
+        swept = sweep(k, dirs)
+        assert [a1 for (_, a1), _, _ in swept] == hess(k)
+        for j, w in enumerate(dirs):
+            assert [cs[j] for _, cs, _ in swept] == hess(w)
+            assert [ts[j] for _, _, ts in swept] == \
+                [ts[b] for _, _, ts in by_direction[j]]
+    assert any(ts[0] for _, _, ts in swept)
 
 
 @pytest.mark.parametrize("shape,rb,dim", [
