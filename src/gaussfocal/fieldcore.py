@@ -33,12 +33,9 @@ over F_p[eps] a pivot must have a nonzero unit part, and inputs whose
 rank drops on the unit parts raise ``DegeneratePivot`` so callers can
 resample.
 
-Interpolation runs only on the integer nodes 0, 1, 2, …, as two
-triangular maps on a line: values to Newton coefficients
-(``newton_divided``) and Newton to power coefficients
-(``newton_to_power``).  ``lagrange_interpolate`` composes them on one
-line; the focal extraction expands a small reduced form by running them
-axis by axis on a simplex grid.
+Interpolation runs only on one line, at the integer nodes 0, 1, 2, …:
+``lagrange_interpolate`` takes values to Newton coefficients, checks
+that those past the degree bound vanish, and takes the rest to powers.
 
 Every library error derives from one of two bases, which decide the
 command line's exit code: ``Degeneracy`` (3), a random draw that no
@@ -600,44 +597,28 @@ def charpoly(mat, fp):
     return polys[n]
 
 
-def newton_divided(values, fp):
-    """Newton coefficients of the values at s = 0, 1, 2, …: divided
-    differences, where nodes j apart differ by j, so level j takes one
-    inverse.  Coefficient j reads only the values at 0..j."""
-    p = fp.p
-    coef = list(values)
-    for j in range(1, len(coef)):
-        inv = fp.inv(j)
-        for i in range(len(coef) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * inv % p
-    return coef
-
-
-def newton_to_power(coef, fp):
-    """Power coefficients, ascending, of Σ_j c_j·s(s − 1)…(s − j + 1), by
-    nested multiplication with (s − j).  Power coefficient i reads only
-    the Newton coefficients from i on."""
-    p = fp.p
-    poly = []
-    for j in range(len(coef) - 1, -1, -1):
-        poly = [(a - j * b) % p for a, b in zip([0] + poly, poly + [0])]
-        poly[0] = (poly[0] + coef[j]) % p
-    return poly
-
-
 def lagrange_interpolate(values, degree_bound, fp):
     """Coefficients (ascending, trimmed) of the unique poly of degree <=
     bound through the values at s = 0, 1, 2, ….
 
-    Newton interpolation through every value: the Newton coefficients
-    past the bound must vanish, which checks the surplus values exactly.
+    Divided differences through every value (level j takes one inverse,
+    of j) give the Newton coefficients; those past the bound must vanish,
+    which checks the surplus values exactly.  Nested multiplication by
+    (s − j) takes Σ_j c_j·s(s − 1)…(s − j + 1) to powers.
     """
     if len(values) < degree_bound + 1:
         raise ValueError("need at least degree_bound + 1 values")
-    coef = newton_divided(values, fp)
+    p, coef = fp.p, list(values)
+    for j in range(1, len(coef)):
+        inv = fp.inv(j)
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv % p
     if any(coef[degree_bound + 1:]):
         raise ValueError("surplus value off the interpolated polynomial")
-    poly = newton_to_power(coef[:degree_bound + 1], fp)
+    poly = []
+    for j in range(degree_bound, -1, -1):
+        poly = [(a - j * b) % p for a, b in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + coef[j]) % p
     while poly and poly[-1] == 0:
         poly.pop()
     return poly

@@ -19,12 +19,11 @@ lines.  det M on a line is always read as a matrix pencil:
 det(M(t) + s·M(v)) is det M(t) times det(I + s·M(t)⁻¹M(v)), so one
 elimination and one characteristic polynomial give the line polynomial
 up to the constant det M(t), which is never needed.  The reduced form q
-of det M = c·q^μ comes from that pencil too: on the line
-t* + s·v the pencil polynomial is (q(t* + s·v)/q(t*))^μ, so its μ-th
-root as a power series (Miller's recurrence) gives q on any line, and a
-root that does not stop at degree d rejects the form.  A q with few
-coefficients is then expanded from its values on a simplex grid; a q
-with many stays implicit.  Matrices read many times are packed once
+of det M = c·q^μ comes from that pencil too: on the line t* + s·v the
+pencil polynomial is (q(t* + s·v)/q(t*))^μ.  A q with few coefficients
+is built from the power sums tr Kⁿ, n ≤ d, of the slices K; a q with
+many stays implicit, each value the μ-th root of a pencil polynomial
+as a power series.  Matrices read many times are packed once
 (``fieldcore.pack_row``): M(t)'s k+1 coefficient layers, the pencil
 slices of K, and Λ's echelon rows that reduce the B rows.  A focal
 report holds only what the divisor gives (profile, q, its quadric rank,
@@ -35,7 +34,7 @@ reads them.
 from __future__ import annotations
 
 from math import comb
-from operator import mul as _mul
+from operator import getitem, mul as _mul
 
 from .fieldcore import (
     Degeneracy,
@@ -45,8 +44,6 @@ from .fieldcore import (
     charpoly,
     dual_partials,
     mat_rank,
-    newton_divided,
-    newton_to_power,
     pack_row,
     random_combination,
     rref,
@@ -58,6 +55,7 @@ from .gaussmap import first_order_fiber
 from .mpoly import (
     CharTooSmall,
     SparsePoly,
+    convolve,
     det_ring,
     line_zeros,
     on_line,
@@ -281,8 +279,8 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int):
 
 
 class ReducedForm:
-    """An explicit form on Λ: ``poly`` in native fibre coordinates,
-    evaluated by its compiled program.
+    """An explicit form on Λ: ``poly`` in native fibre coordinates, built
+    from power sums (``_power_sum_form``), evaluated by its program.
 
     Every reduced form offers ``nvars``, ``degree()`` and ``value(t, fp)``
     on native fibre coordinates, and ``basis``: None here, the private
@@ -401,38 +399,52 @@ def _pencil_form(charm, mu, d, fp, rng):
     raise ExtractionFailed("no t* with a nonsingular M(t*) in 8 draws")
 
 
-def _simplex_nodes(k, d):
-    if k == 0:
-        return [()]
-    out = []
-    for head in range(d + 1):
-        for rest in _simplex_nodes(k - 1, d - head):
-            out.append((head,) + rest)
-    return out
+def _power_sum_form(form, fp):
+    """The explicit ``ReducedForm`` of a ``PencilForm``, by Newton's
+    identities on the power sums of its slices.
 
-
-def _expand(form, fp):
-    """The explicit ``ReducedForm`` of an implicit one, from its values
-    at the native simplex nodes t = (1, e), |e| ≤ d: ``newton_divided``
-    along every axis line of the grid, then ``newton_to_power`` along
-    every axis line.  Both maps are triangular on a line, so the lines
-    inside the simplex suffice as long as every axis is differenced
-    before any goes back to powers; both fix a line of one node.  The
-    result at e is the coefficient of t₀^(d−|e|)·tᵉ."""
-    d, nv = form.d, form.nvars
-    nodes = _simplex_nodes(nv - 1, d)
-    grid = {e: form.value([1, *e], fp) for e in nodes}
-    starts = [e for e in nodes if sum(e) < d]
-    for step in (newton_divided, newton_to_power):
-        for i in range(nv - 1):
-            for node in starts:
-                if node[i]:
-                    continue
-                line = [node[:i] + (j,) + node[i + 1:]
-                        for j in range(d - sum(node) + 1)]
-                grid.update(zip(line, step([grid[e] for e in line], fp)))
-    return ReducedForm(SparsePoly(nv, {(d - sum(e),) + e: c
-                                       for e, c in grid.items() if c}))
+    With y_0 = a·t_0, a = t*_0⁻¹, L = −K is Σ_i t_i·T_i in native
+    coordinates: T_i = −S_i and the shear T_0 = −a·Σ t*_i·T_i.  The
+    coefficient C_β of tᵝ in L^|β| is Σ_{β_i > 0} C_{β−e_i}·T_i, formed up
+    to level h = ⌈d/2⌉; p_n = tr Lⁿ sums tr C_β, or for n > h tr(C_β·C_γ)
+    over |β| = h, |γ| = n − h, on rows packed with 2·bits(p) + bits(nv·r²)
+    bits a slot.  log det(I + s·K) = −Σ p_n·sⁿ/n = μ·log Σ g_n·sⁿ gives
+    g_0 = 1, −n·μ·g_n = Σ_{j=1..n} p_j·g_{n−j} (n·μ ≤ r < p) and q(t)/q(t*)
+    = Σ_n g_n·y_0^(d−n).  Only ``_verify_power`` rejects a non-power."""
+    p, d, nv, r = fp.p, form.d, form.nvars, form._slices.r
+    a, ents, h = form._t0inv, form._slices.entries, (d + 1) // 2
+    mats = [[-e[i] % p for row in ents for e in row] for i in range(nv - 1)]
+    mats.insert(0, [-a * sum(map(_mul, form.basis[0][1:], col)) % p
+                    for col in zip(*mats)])
+    w = 2 * p.bit_length() + (nv * r * r).bit_length()
+    rows = [[pack_row(m[x:x + r], p, w) for x in range(0, r * r, r)]
+            for m in mats] if h > 1 else []
+    units = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
+    levels = [None, dict(zip(units, mats))]
+    for _ in range(2, h + 1):  # row x/r of C·T_i fills slots x..x+r−1
+        levels.append({e: unpack_row(v, r * r, p, w) for e, v in convolve(
+            {}, levels[-1], dict(zip(units, rows)), lambda c, t: sum(
+                sum(map(_mul, c[x:x + r], t)) << x * w
+                for x in range(0, r * r, r))).items()})
+    sums = [{e: sum(m[::r + 1]) for e, m in lev.items()} if lev else None
+            for lev in levels]
+    for n in range(h + 1, d + 1):  # cols[x], slot j: entry x of C_γjᵀ
+        low = levels[n - h]
+        cols = [pack_row([m[b * r + c] for m in low.values()], p, w)
+                for c in range(r) for b in range(r)]
+        sums.append(convolve({}, {e: unpack_row(sum(map(_mul, c, cols)),
+                                                len(low), p, w)
+                                  for e, c in levels[h].items()},
+                             dict(zip(low, range(len(low)))), getitem))
+    g, q = [{(0,) * nv: 1}], {}
+    for n in range(1, d + 1):
+        acc, inv = {}, pow(-n * form.mu, -1, p)
+        for j in range(1, n + 1):
+            convolve(acc, sums[j], g[n - j])
+        g.append({e: c * inv % p for e, c in acc.items()})
+    for n, gn in enumerate(g):
+        convolve(q, {(d - n,) + (0,) * (nv - 1): pow(a, d - n, p)}, gn)
+    return ReducedForm(SparsePoly(nv, {e: c % p for e, c in q.items()}))
 
 
 def _proportional(f, g, nv, fp, rng, points):
@@ -473,11 +485,10 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
     """The form q with det M = c·q^μ, verified at 10 fresh points.
 
     q comes from the pencil: a ``PencilForm`` keeps the slices at a
-    random basis of Λ and evaluates q(t)/q(t*) as the μ-th root of one
-    characteristic polynomial, checking at every point that the root
-    stops at degree d.  Up to ``MAX_EXPLICIT_COEFFS`` coefficients that
-    form is expanded into an explicit ``ReducedForm`` from its values on
-    the simplex grid (``_expand``); with more, q stays implicit.
+    random basis of Λ.  Up to ``MAX_EXPLICIT_COEFFS`` coefficients, the
+    explicit ``ReducedForm`` is built from their power sums; with more,
+    q stays implicit, each value the μ-th root of one characteristic
+    polynomial.  Only the power check rejects a non-power.
     """
     if mu * reduced_degree != charm.r:
         raise ExtractionFailed("multiplicity times reduced degree "
@@ -486,7 +497,7 @@ def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
         raise CharTooSmall("field too small for the focal degree")
     form = _pencil_form(charm, mu, reduced_degree, fp, rng)
     if comb(charm.k + reduced_degree, reduced_degree) <= MAX_EXPLICIT_COEFFS:
-        form = _expand(form, fp)
+        form = _power_sum_form(form, fp)
     _verify_power(charm, form, mu, fp, rng)
     return form
 

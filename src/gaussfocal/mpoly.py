@@ -35,6 +35,8 @@ x + a a shift by one slot plus a scalar multiple.
 
 from __future__ import annotations
 
+from operator import add as _add, mul as _mul
+
 from .fieldcore import (Degeneracy, Dual2Fp, Fp, _fp_sweep,
                         lagrange_interpolate, pack_row)
 
@@ -302,6 +304,16 @@ def add_cofactors(out, pf, sub, coord, rows, ring):
 # --- sparse multivariate polynomials ------------------------------------------
 
 
+def convolve(acc, f, g, op=_mul):
+    """Adds op(f_β, g_γ) to acc[β + γ] for every term of f and of g, dicts
+    keyed by exponent tuples: the product f·g when op multiplies."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(_add, e1, e2))
+            acc[e] = acc.get(e, 0) + op(c1, c2)
+    return acc
+
+
 class SparsePoly:
     """Explicit multivariate polynomial: exponent tuple -> integer
     coefficient.  It is only built; ``compile`` gives the program that
@@ -333,12 +345,7 @@ class SparsePoly:
         return self + -other
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return SparsePoly(self.nvars, out)
+        return SparsePoly(self.nvars, convolve({}, self.terms, other.terms))
 
     def compile(self) -> PolyProgram:
         """The sum-shaped program of this form: its terms in sorted

@@ -22,8 +22,6 @@ from gaussfocal.fieldcore import (
     kernel_basis,
     lagrange_interpolate,
     mat_rank,
-    newton_divided,
-    newton_to_power,
     pack_row,
     random_combination,
     random_prime,
@@ -32,7 +30,7 @@ from gaussfocal.fieldcore import (
     unpack_row,
 )
 
-from gaussfocal.mpoly import _pf_solver, det_ring
+from gaussfocal.mpoly import _pf_solver, det_ring, up_trim
 
 F7 = Fp(7)
 F101 = Fp(101)
@@ -980,25 +978,28 @@ def test_lagrange_roundtrip_randomized():
 
 @pytest.mark.parametrize("p", [(1 << 61) - 1, 101])
 def test_newton_maps_round_trip(p):
-    """Values at 0..n−1 → Newton coefficients is checked against the
-    Newton form evaluated directly, and Newton → power by the round trip
-    from power coefficients through their values."""
+    """Values at 0..n−1 of a Newton form Σ_j c_j·s(s − 1)…(s − j + 1),
+    evaluated directly, interpolate to that form's power coefficients,
+    expanded here; and power coefficients come back from their values."""
     fp = Fp(p)
     rng = Rng(0x4E57)
     for n in range(1, 22):
         for _ in range(3):
             newton = [rng.field(p) for _ in range(n)]
-            values = []
-            for s in range(n):
-                acc, falling = 0, 1
-                for j, c in enumerate(newton):
-                    acc += c * falling
-                    falling = falling * (s - j) % p
-                values.append(acc % p)
-            assert newton_divided(values, fp) == newton
+            values, want, falling = [0] * n, [0] * n, [1]
+            for j, c in enumerate(newton):
+                for s in range(n):
+                    values[s] += c * _horner(falling, s, p)
+                for i, f in enumerate(falling):
+                    want[i] = (want[i] + c * f) % p
+                falling = [(a - j * b) % p
+                           for a, b in zip([0] + falling, falling + [0])]
+            values = [v % p for v in values]
+            assert lagrange_interpolate(values, n - 1, fp) == up_trim(want)
             coeffs = [rng.field(p) for _ in range(n)]
             values = [_horner(coeffs, s, p) for s in range(n)]
-            assert newton_to_power(newton_divided(values, fp), fp) == coeffs
+            assert lagrange_interpolate(values, n - 1, fp) == \
+                up_trim(coeffs)
 
 
 # --- characteristic polynomials ---------------------------------------------

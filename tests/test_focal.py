@@ -41,10 +41,10 @@ from gaussfocal.focal import (
     _pencil_form,
     _pencil_line,
     _pencil_slices,
+    _power_sum_form,
     _proportional,
     _reduce_by,
     _series_root,
-    _simplex_nodes,
     _verify_power,
     char_kernel_at_point,
     characteristic_matrix,
@@ -701,6 +701,14 @@ def test_expanded_form_matches_implicit_form():
         assert v1 * base[1] % P == v2 * base[0] % P
 
 
+def _simplex_nodes(k, d):
+    """Exponent tuples of length k with sum at most d."""
+    if k == 0:
+        return [()]
+    return [(head,) + rest for head in range(d + 1)
+            for rest in _simplex_nodes(k - 1, d - head)]
+
+
 def _root_values_by_determinants(charm, basis, d, fp):
     """The simplex root data from r+2 determinants and an interpolation
     per line: the oracle for the pencil + charpoly evaluation."""
@@ -749,6 +757,107 @@ def test_implicit_form_matches_root_values_by_determinants():
         assert form.value(t, FP) == value
 
 
+def _newton_divided(values, p):
+    coef = list(values)
+    for j in range(1, len(coef)):
+        inv = pow(j, -1, p)
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv % p
+    return coef
+
+
+def _newton_to_power(coef, p):
+    poly = []
+    for j in range(len(coef) - 1, -1, -1):
+        poly = [(a - j * b) % p for a, b in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + coef[j]) % p
+    return poly
+
+
+def _expand_on_grid(form, fp):
+    """The oracle for ``_power_sum_form``: q from its values at the
+    native simplex nodes t = (1, e), |e| ≤ d, by divided differences
+    along every axis line of the grid, then back to powers along every
+    axis line; the result at e is the coefficient of t₀^(d−|e|)·tᵉ."""
+    d, nv, p = form.d, form.nvars, fp.p
+    nodes = _simplex_nodes(nv - 1, d)
+    grid = {e: form.value([1, *e], fp) for e in nodes}
+    starts = [e for e in nodes if sum(e) < d]
+    for step in (_newton_divided, _newton_to_power):
+        for i in range(nv - 1):
+            for node in starts:
+                if node[i]:
+                    continue
+                line = [node[:i] + (j,) + node[i + 1:]
+                        for j in range(d - sum(node) + 1)]
+                grid.update(zip(line, step([grid[e] for e in line], p)))
+    return {(d - sum(e),) + e: c for e, c in grid.items() if c}
+
+
+def _locus_charm(shape, rb, dim, seed):
+    def build(fp):
+        rng, spec = Rng(seed), rank_locus_spec(shape, rb)
+        pt = spec.sampler(rng, fp)
+        frame = tangent_space(spec, pt.coords, fp, expected_dim=dim)
+        fib = gauss_fiber(spec, frame, fp, rng)
+        return characteristic_matrix(fiber_family_chart(fib, fp, rng), fp)
+    return build
+
+
+def _random_product_charm(nv, r, seed):
+    """U·diag(L_1, …, L_r)·V for random linear forms L_m and random U and
+    V: det M = c·L_1·…·L_r, with dense slices."""
+    def build(fp):
+        rng, p = Rng(seed), fp.p
+        forms = [[rng.field(p) for _ in range(nv)] for _ in range(r)]
+        u, v = ([[rng.field(p) for _ in range(r)] for _ in range(r)]
+                for _ in range(2))
+        return CharMatrix([[[sum(u[j][m] * v[m][l] * f[i]
+                                 for m, f in enumerate(forms)) % p
+                             for i in range(nv)] for l in range(r)]
+                           for j in range(r)], nv - 1)
+    return build
+
+
+POWER_SUM_CASES = {
+    "sym4-rank2": (_locus_charm(MatrixShape.symmetric(4), 2, 6, 113), 2, 2),
+    "severi-8": (_locus_charm(MatrixShape.skew(6), 4, 13, 119), 4, 2),
+    "det4": (_locus_charm(MatrixShape.generic(4, 4), 3, 14, 139), 2, 3),
+    "cubic-k9": (_random_product_charm(10, 3, 0xC9), 1, 3),
+    "binary-octic": (_random_product_charm(2, 8, 0xB8), 1, 8),
+}
+EDGE_PRIMES = [P, 4294967311, (1 << 64) - 59]
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+@pytest.mark.parametrize("name", sorted(POWER_SUM_CASES))
+def test_power_sum_form_matches_the_grid_expansion(name, p):
+    """The form built from tr Kⁿ equals, term for term, the one expanded
+    from its values on the simplex grid; cubic-k9 has the 220
+    coefficients of MAX_EXPLICIT_COEFFS."""
+    build, mu, d = POWER_SUM_CASES[name]
+    fp = Fp(p)
+    charm = build(fp)
+    assert charm.r == mu * d
+    assert comb(charm.k + d, d) <= MAX_EXPLICIT_COEFFS
+    rng = Rng(0x7A + d)
+    form = _pencil_form(charm, mu, d, fp, rng)
+    got = _power_sum_form(form, fp)
+    assert got.basis is None and got.degree() == d
+    assert got.poly.terms == _expand_on_grid(form, fp)
+    _verify_power(charm, got, mu, fp, rng)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_power_sum_form_of_a_non_power_fails_extraction(p):
+    # det M = t0·t1·(t0 + t1)·(t0 − t1) read as the square of a quadric:
+    # the trace form is some quadric, and the power check rejects it
+    charm = _product_charm([[1, 0], [0, 1], [1, 1], [1, p - 1]])
+    with pytest.raises(ExtractionFailed,
+                       match="power identity failed at a fresh point"):
+        extract_reduced_power(charm, 2, 2, Fp(p), Rng(151))
+
+
 def up_mul(f, g, fp):
     """Schoolbook product of ascending coefficient lists, trimmed."""
     out = [0] * (len(f) + len(g) - 1) if f and g else []
@@ -789,9 +898,10 @@ def test_non_power_leaves_a_tail_and_fails_extraction():
         form.value([2, 5], FP)
     with pytest.raises(ExtractionFailed):
         _verify_power(_diagonal_charm(), form, mu, FP, Rng(145))
-    # with 2 coefficients it takes the explicit path, whose node values
-    # reject it before any expansion
-    with pytest.raises(ExtractionFailed, match="power on a line"):
+    # with 2 coefficients it takes the explicit path, which reads no value
+    # of the root: the check that rejects it is _verify_power's
+    with pytest.raises(ExtractionFailed,
+                       match="power identity failed at a fresh point"):
         extract_reduced_power(_diagonal_charm(), mu, d, FP, Rng(149))
 
 
