@@ -641,7 +641,7 @@ class _HyperbandFamily:
         fp, rng = self.fp, self.rng
         fam2 = hyperband_family(rng, fp)
         charm2 = characteristic_matrix(hyperband_chart(fam2, fp), fp)
-        profile2, _ = focal_profile(charm2, fp, rng, lines)
+        profile2, _, _ = focal_profile(charm2, fp, rng, lines)
         if profile2 == rep.profile:
             return []
         return [f"a second random family gave profile {profile2} "

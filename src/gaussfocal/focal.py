@@ -18,14 +18,23 @@ numbers, multiplicities from univariate squarefree decomposition along
 lines.  det M on a line is always read as a matrix pencil:
 det(M(t) + s·M(v)) is det M(t) times det(I + s·M(t)⁻¹M(v)), so one
 elimination and one characteristic polynomial give the line polynomial
-up to the constant det M(t), which is never needed.  The reduced form q
-of det M = c·q^μ comes from that pencil too: on the line t* + s·v the
+up to the constant det M(t), which is never needed.  A report
+normalizes M once, at the first profile line's base b: M(b)⁻¹ and k+1
+packed products give the slices N_i = M(b)⁻¹M_i, and N(t) = Σ t_i·N_i
+is block diagonal on the connected components of their union zero
+pattern (Dulmage–Mendelsohn), read exactly, with no random draw.  The
+secants of the Severi and Scorza varieties split so.  Every later
+profile line, the pencil at t* and the power sums then run block by
+block, and det(I + s·K) is the product of the blocks' polynomials; the
+independent checks (``_verify_power``, ``chart_independence``, the
+kernel at a focus) read the dense M.  The reduced form q of
+det M = c·q^μ comes from the pencil too: on the line t* + s·v the
 pencil polynomial is (q(t* + s·v)/q(t*))^μ.  A q with few coefficients
 is built from the power sums tr Kⁿ, n ≤ d, of the slices K; a q with
 many stays implicit, each value the μ-th root of a pencil polynomial
 as a power series.  Matrices read many times are packed once
-(``fieldcore.pack_row``): M(t)'s k+1 coefficient layers, the pencil
-slices of K, and Λ's echelon rows that reduce the B rows.  A focal
+(``fieldcore.pack_row``): M(t)'s k+1 coefficient layers, the blocks'
+slices, and Λ's echelon rows that reduce the B rows.  A focal
 report holds only what the divisor gives (profile, q, its quadric rank,
 a focal point); containment and the bounds are judged by the trial that
 reads them.
@@ -152,28 +161,25 @@ def hyperband_chart(fam, fp) -> FamilyChart:
 class CharMatrix:
     """Square matrix of homogeneous linear forms on Λ.
 
-    ``entries[j][l]`` is the coefficient vector (length k+1) of the form
-    in row j, column l; ``value`` instantiates the matrix at a point t as
-    Σ_i t_i·M_i, from the k+1 coefficient layers M_i, packed on the first
-    read under each prime.
+    ``layers[i]`` is the r×r coefficient matrix M_i of t_i, flat in row
+    order, so M(t) = Σ_i t_i·M_i; ``value`` instantiates it at a point t
+    from the k+1 layers, packed on the first read under each prime.
     """
 
-    __slots__ = ("entries", "r", "k", "_layers")
+    __slots__ = ("layers", "r", "k", "_packed")
 
-    def __init__(self, entries, k):
-        self.entries = entries
-        self.r = len(entries)
-        self.k = k
-        self._layers = None
+    def __init__(self, layers, r):
+        self.layers = layers
+        self.r = r
+        self.k = len(layers) - 1
+        self._packed = None
 
     def value(self, t, fp):
         p, r = fp.p, self.r
-        if self._layers is None or self._layers[0] != p:
+        if self._packed is None or self._packed[0] != p:
             w = 2 * p.bit_length() + (self.k + 1).bit_length()
-            self._layers = p, w, [
-                pack_row([e[i] for row in self.entries for e in row], p, w)
-                for i in range(self.k + 1)]
-        _, w, layers = self._layers
+            self._packed = p, w, [pack_row(m, p, w) for m in self.layers]
+        _, w, layers = self._packed
         vals = unpack_row(sum(map(_mul, map(p.__rmod__, t), layers)), r * r,
                           p, w)
         return [vals[i:i + r] for i in range(0, r * r, r)]
@@ -234,9 +240,103 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
         raise DeformationSpanMismatch(
             f"the deformations span {len(cols)} normal directions, "
             f"not r = {r}")
-    entries = [[[flat[j * k1 + i][l] for i in range(k1)] for l in cols]
-               for j in range(r)]
-    return CharMatrix(entries, chart.k)
+    return CharMatrix([[flat[j * k1 + i][l] for j in range(r) for l in cols]
+                       for i in range(k1)], r)
+
+
+# --- the normalized pencil ----------------------------------------------------
+
+
+def _pencil_slices(charm, base, layers, fp):
+    """The flat matrices M(base)⁻¹·L for the flat r×r matrices L of
+    ``layers``; None when M(base) is singular.  M(base)⁻¹ comes from one
+    reduced elimination of [M(base) | I], and each row of the products is
+    one sum of r rows [L_1 | L_2 | …][c], packed once, times the entries
+    of the inverse's row, with 2·bits(p) + bits(r) bits a slot."""
+    p, r = fp.p, charm.r
+    rows, pivots = rref([m + [int(a == c) for c in range(r)]
+                         for a, m in enumerate(charm.value(base, fp))], fp)
+    if pivots[:r] != list(range(r)):
+        return None
+    w, n = 2 * p.bit_length() + r.bit_length(), r * len(layers)
+    packed = [pack_row([x for lay in layers for x in lay[c * r:c * r + r]],
+                       p, w) for c in range(r)]
+    prods = [unpack_row(sum(map(_mul, row[r:], packed)), n, p, w)
+             for row in rows]
+    return [[x for row in prods for x in row[s:s + r]]
+            for s in range(0, n, r)]
+
+
+def _pencil_line(kmats, fp):
+    """All coefficients, ascending, of det(I + s·K) for K block diagonal
+    with the blocks ``kmats``, which is det(M(base) + s·M(v)) / det M(base)
+    for K = M(base)⁻¹·M(v): with χ(x) = det(x·I − K_b) the s^m coefficient
+    of a block's factor is (−1)^m·χ_{r_b−m}, one characteristic polynomial
+    per block instead of r+1 determinants, and the factors multiply."""
+    p, line = fp.p, [1]
+    for kmat in kmats:
+        r = len(kmat)
+        chi = charpoly(kmat, fp)
+        acc = [0] * (len(line) + r)
+        for m in range(r + 1):
+            c = -chi[r - m] if m % 2 else chi[r - m]
+            for i, u in enumerate(line, m):
+                acc[i] += u * c
+        line = [c % p for c in acc]
+    return line
+
+
+class Pencil:
+    """M normalized at a base point b, N(t) = M(b)⁻¹M(t), split into the
+    blocks on which N is block diagonal.
+
+    ``slices`` are the flat N_i = M(b)⁻¹M_i.  ``parts`` are the connected
+    components of the graph on 0..r−1 with i ~ j when some N_i has a
+    nonzero (i, j) or (j, i) entry, found exactly from that zero pattern,
+    and ``blocks`` the CharMatrix of N(t) on each part.  ``charm`` is M
+    itself, for the checks that stay dense.
+    """
+
+    __slots__ = ("charm", "parts", "blocks")
+
+    def __init__(self, charm, slices):
+        r = charm.r
+        label = list(range(r))  # each index's part, named by its least index
+        for x, hit in enumerate(map(any, zip(*slices))):
+            lo, hi = sorted((label[x // r], label[x % r]))
+            if hit and lo != hi:
+                label = [lo if v == hi else v for v in label]
+        parts = {}
+        for a, v in enumerate(label):
+            parts.setdefault(v, []).append(a)
+        self.charm = charm
+        self.parts = list(parts.values())
+        self.blocks = [CharMatrix([[s[a * r + c] for a in part for c in part]
+                                   for s in slices], len(part))
+                       for part in self.parts]
+
+    def line(self, a, d, fp):
+        """``_pencil_line`` of M(d)⁻¹M(a), from one elimination of
+        [N_b(d) | N_b(a)] per block, or none at the base (d None), where
+        N(b) = I; None when M(d) is singular."""
+        kmats = []
+        for blk in self.blocks:
+            kmat, r = blk.value(a, fp), blk.r
+            if d is not None:
+                rows, pivots = rref([m + v for m, v in
+                                     zip(blk.value(d, fp), kmat)], fp)
+                if pivots[:r] != list(range(r)):
+                    return None
+                kmat = [row[r:] for row in rows]
+            kmats.append(kmat)
+        return _pencil_line(kmats, fp)
+
+
+def normalized_pencil(charm: CharMatrix, base, fp):
+    """The ``Pencil`` of M at ``base``, from the slices M(base)⁻¹M_i of
+    all k+1 layers (``_pencil_slices``); None when M(base) is singular."""
+    slices = _pencil_slices(charm, base, charm.layers, fp)
+    return None if slices is None else Pencil(charm, slices)
 
 
 # --- focal profiles -----------------------------------------------------------
@@ -245,24 +345,29 @@ def characteristic_matrix(chart: FamilyChart, fp) -> CharMatrix:
 def focal_profile(charm: CharMatrix, fp, rng, lines: int):
     """Consensus multiplicity profile over random lines in Λ.
 
-    Returns (profile, total degree) where the profile is a tuple of
-    (multiplicity, class degree) pairs.  Degree-dropped lines are thrown
-    away and redrawn; surviving lines must agree exactly.  Each line
-    a + s·d is read off the pencil through d: det M(a + s·d) is det M(d)
-    times the reversal of det(I + s·M(d)⁻¹M(a)), which is monic of
-    degree r, so a singular M(d) is the degree drop.
+    Returns (profile, total degree, pencil) where the profile is a tuple
+    of (multiplicity, class degree) pairs.  Degree-dropped lines are
+    thrown away and redrawn; surviving lines must agree exactly.  Each
+    line a + s·d is read off the pencil through d: det M(a + s·d) is
+    det M(d) times the reversal of det(I + s·M(d)⁻¹M(a)), which is monic
+    of degree r, so a singular M(d) is the degree drop.  The first line's
+    d normalizes M (``normalized_pencil``), and every line is read block
+    by block off that pencil.
     """
-    consensus, total = None, None
+    consensus, total, pencil = None, None, None
     for _ in range(lines):
         prof = None
         for _attempt in range(16):
             a = [rng.field(fp.p) for _ in range(charm.k + 1)]
             d = [rng.field(fp.p) for _ in range(charm.k + 1)]
-            slices = _pencil_slices(charm, d, [a], fp)
-            if slices is None:
+            if pencil is None:
+                pencil = normalized_pencil(charm, d, fp)
+                line = pencil and pencil.line(a, None, fp)
+            else:
+                line = pencil.line(a, d, fp)
+            if line is None:
                 continue
-            prof = tuple(squarefree_profile(
-                _pencil_line(slices[0], fp)[::-1], fp))
+            prof = tuple(squarefree_profile(line[::-1], fp))
             break
         if prof is None:
             raise DegenerateLines("the focal form kept dropping degree")
@@ -272,7 +377,7 @@ def focal_profile(charm: CharMatrix, fp, rng, lines: int):
         elif prof != consensus:
             raise ProfileDisagreement(f"line profiles differ: "
                                       f"{consensus} vs {prof}")
-    return consensus, total
+    return consensus, total, pencil
 
 
 # --- reduced-form extraction ---------------------------------------------------
@@ -322,25 +427,25 @@ class PencilForm(ReducedForm):
     basis [t*, e_1..e_k] of Λ (t*_0 ≠ 0).
 
     With S_i = M(t*)⁻¹M(e_i), a point t = y_0·t* + Σ y_i·e_i, that is
-    y_0 = t_0/t*_0 and y_i = t_i − y_0·t*_i, gives K = Σ y_i·S_i (the
-    ``value`` of a ``CharMatrix`` whose layers are the slices), and
-    det(I + s·K) = (q(t* + s·v)/q(t*))^μ on the line through
-    v = Σ y_i·e_i.  Its μ-th root g (``_series_root``) must stop at
-    degree d, or det M is not a μ-th power on that line
+    y_0 = t_0/t*_0 and y_i = t_i − y_0·t*_i, gives K = Σ y_i·S_i, block
+    diagonal on the pencil's parts: ``blocks`` are CharMatrix whose layers
+    are each block's S_i, flat as ``_pencil_slices`` returned them, so their
+    ``value`` at y is K's blocks.  det(I + s·K) = (q(t* + s·v)/q(t*))^μ on
+    the line through v = Σ y_i·e_i.  Its μ-th root g (``_series_root``)
+    must stop at degree d, or det M is not a μ-th power on that line
     (``ExtractionFailed``); then q(t)/q(t*) = y_0^d·g(1/y_0) =
     Σ_n g_n·y_0^(d−n).
     """
 
-    __slots__ = ("mu", "d", "_t0inv", "_slices", "_inv")
+    __slots__ = ("mu", "d", "_t0inv", "_blocks", "_inv")
 
-    def __init__(self, basis, slices, mu, d, fp):
+    def __init__(self, basis, blocks, mu, d, fp):
         self.poly = None
         self.basis = basis
         self.nvars = len(basis)
         self.mu, self.d = mu, d
         self._t0inv = pow(basis[0][0], -1, fp.p)
-        self._slices = CharMatrix([list(zip(*rows)) for rows in zip(*slices)],
-                                  len(slices) - 1)
+        self._blocks = blocks
         self._inv = [0] + [pow(n, -1, fp.p) for n in range(1, mu * d + 1)]
 
     def degree(self) -> int:
@@ -350,8 +455,8 @@ class PencilForm(ReducedForm):
         p, d = fp.p, self.d
         y0 = t[0] * self._t0inv % p
         y = [(ti - y0 * si) % p for ti, si in zip(t[1:], self.basis[0][1:])]
-        g = _series_root(_pencil_line(self._slices.value(y, fp), fp),
-                         self.mu, self._inv, fp)
+        g = _series_root(_pencil_line([b.value(y, fp) for b in self._blocks],
+                                      fp), self.mu, self._inv, fp)
         if any(g[d + 1:]):
             raise ExtractionFailed(f"det M is not a {self.mu}-th power "
                                    f"on a line")
@@ -359,43 +464,24 @@ class PencilForm(ReducedForm):
                    for n, gn in enumerate(g[:d + 1])) % p
 
 
-def _pencil_slices(charm, base, dirs, fp):
-    """The matrices M(base)⁻¹·M(v) for v in dirs, from one elimination of
-    [M(base) | M(v_1) | … | M(v_k)]; None when M(base) is singular."""
-    r = charm.r
-    blocks = [charm.value(v, fp) for v in dirs]
-    rows, pivots = rref([m + [v for blk in blocks for v in blk[a]]
-                         for a, m in enumerate(charm.value(base, fp))], fp)
-    if pivots[:r] != list(range(r)):
-        return None
-    return [[row[(i + 1) * r:(i + 2) * r] for row in rows]
-            for i in range(len(blocks))]
-
-
-def _pencil_line(kmat, fp):
-    """All r+1 coefficients, ascending, of det(I + s·K), which is
-    det(M(base) + s·M(v)) / det M(base) for K = M(base)⁻¹·M(v): with
-    χ(x) = det(x·I − K) the s^m coefficient is (−1)^m·χ_{r−m}, one
-    characteristic polynomial instead of r+1 determinants."""
-    r = len(kmat)
-    chi = charpoly(kmat, fp)
-    return [(-chi[r - m] if m % 2 else chi[r - m]) % fp.p
-            for m in range(r + 1)]
-
-
-def _pencil_form(charm, mu, d, fp, rng):
+def _pencil_form(pencil, mu, d, fp, rng):
     """The implicit form of q at a random t* with t*_0 ≠ 0 and M(t*)
-    nonsingular: the pencil slices M(t*)⁻¹M(e_i) (``PencilForm``)."""
-    nv = charm.k + 1
+    nonsingular (``PencilForm``): each block's slices N_b(t*)⁻¹N_i, i ≥ 1,
+    by ``_pencil_slices`` on the block."""
+    nv = pencil.charm.k + 1
     units = [[int(i == j) for j in range(nv)] for i in range(1, nv)]
     for _ in range(8):
         tstar = [rng.field(fp.p) for _ in range(nv)]
         if tstar[0] == 0:
             continue
-        slices = _pencil_slices(charm, tstar, units, fp)
-        if slices is None:
-            continue
-        return PencilForm([tstar] + units, slices, mu, d, fp)
+        blocks = []
+        for blk in pencil.blocks:
+            slices = _pencil_slices(blk, tstar, blk.layers[1:], fp)
+            if slices is None:
+                break
+            blocks.append(CharMatrix(slices, blk.r))
+        else:
+            return PencilForm([tstar] + units, blocks, mu, d, fp)
     raise ExtractionFailed("no t* with a nonsingular M(t*) in 8 draws")
 
 
@@ -404,38 +490,44 @@ def _power_sum_form(form, fp):
     identities on the power sums of its slices.
 
     With y_0 = a·t_0, a = t*_0⁻¹, L = −K is Σ_i t_i·T_i in native
-    coordinates: T_i = −S_i and the shear T_0 = −a·Σ t*_i·T_i.  The
-    coefficient C_β of tᵝ in L^|β| is Σ_{β_i > 0} C_{β−e_i}·T_i, formed up
-    to level h = ⌈d/2⌉; p_n = tr Lⁿ sums tr C_β, or for n > h tr(C_β·C_γ)
-    over |β| = h, |γ| = n − h, on rows packed with 2·bits(p) + bits(nv·r²)
-    bits a slot.  log det(I + s·K) = −Σ p_n·sⁿ/n = μ·log Σ g_n·sⁿ gives
-    g_0 = 1, −n·μ·g_n = Σ_{j=1..n} p_j·g_{n−j} (n·μ ≤ r < p) and q(t)/q(t*)
-    = Σ_n g_n·y_0^(d−n).  Only ``_verify_power`` rejects a non-power."""
-    p, d, nv, r = fp.p, form.d, form.nvars, form._slices.r
-    a, ents, h = form._t0inv, form._slices.entries, (d + 1) // 2
-    mats = [[-e[i] % p for row in ents for e in row] for i in range(nv - 1)]
-    mats.insert(0, [-a * sum(map(_mul, form.basis[0][1:], col)) % p
-                    for col in zip(*mats)])
-    w = 2 * p.bit_length() + (nv * r * r).bit_length()
-    rows = [[pack_row(m[x:x + r], p, w) for x in range(0, r * r, r)]
-            for m in mats] if h > 1 else []
+    coordinates: T_i = −S_i and the shear T_0 = −a·Σ t*_i·T_i.  L is block
+    diagonal, so p_n = tr Lⁿ is the sum of its blocks' tr L_bⁿ.  On a block
+    the coefficient C_β of tᵝ in L_b^|β| is Σ_{β_i > 0} C_{β−e_i}·T_i,
+    formed up to level h = ⌈d/2⌉; tr L_bⁿ sums tr C_β, or for n > h
+    tr(C_β·C_γ) over |β| = h, |γ| = n − h, on rows packed with
+    2·bits(p) + bits(nv·r_b²) bits a slot.  log det(I + s·K) = −Σ p_n·sⁿ/n
+    = μ·log Σ g_n·sⁿ gives g_0 = 1, −n·μ·g_n = Σ_{j=1..n} p_j·g_{n−j}
+    (n·μ ≤ r < p) and q(t)/q(t*) = Σ_n g_n·y_0^(d−n).  Only
+    ``_verify_power`` rejects a non-power."""
+    p, d, nv = fp.p, form.d, form.nvars
+    a, h = form._t0inv, (d + 1) // 2
     units = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
-    levels = [None, dict(zip(units, mats))]
-    for _ in range(2, h + 1):  # row x/r of C·T_i fills slots x..x+r−1
-        levels.append({e: unpack_row(v, r * r, p, w) for e, v in convolve(
-            {}, levels[-1], dict(zip(units, rows)), lambda c, t: sum(
-                sum(map(_mul, c[x:x + r], t)) << x * w
-                for x in range(0, r * r, r))).items()})
-    sums = [{e: sum(m[::r + 1]) for e, m in lev.items()} if lev else None
-            for lev in levels]
-    for n in range(h + 1, d + 1):  # cols[x], slot j: entry x of C_γjᵀ
-        low = levels[n - h]
-        cols = [pack_row([m[b * r + c] for m in low.values()], p, w)
-                for c in range(r) for b in range(r)]
-        sums.append(convolve({}, {e: unpack_row(sum(map(_mul, c, cols)),
-                                                len(low), p, w)
-                                  for e, c in levels[h].items()},
-                             dict(zip(low, range(len(low)))), getitem))
+    sums = [{} for _ in range(d + 1)]
+    for blk in form._blocks:
+        r = blk.r
+        mats = [[-x % p for x in s] for s in blk.layers]
+        mats.insert(0, [-a * sum(map(_mul, form.basis[0][1:], col)) % p
+                        for col in zip(*mats)])
+        w = 2 * p.bit_length() + (nv * r * r).bit_length()
+        rows = [[pack_row(m[x:x + r], p, w) for x in range(0, r * r, r)]
+                for m in mats] if h > 1 else []
+        levels = [None, dict(zip(units, mats))]
+        for _ in range(2, h + 1):  # row x/r of C·T_i fills slots x..x+r−1
+            levels.append({e: unpack_row(v, r * r, p, w) for e, v in convolve(
+                {}, levels[-1], dict(zip(units, rows)), lambda c, t: sum(
+                    sum(map(_mul, c[x:x + r], t)) << x * w
+                    for x in range(0, r * r, r))).items()})
+        for acc, lev in zip(sums[1:], levels[1:]):
+            for e, m in lev.items():
+                acc[e] = acc.get(e, 0) + sum(m[::r + 1])
+        for n in range(h + 1, d + 1):  # cols[x], slot j: entry x of C_γjᵀ
+            low = levels[n - h]
+            cols = [pack_row([m[b * r + c] for m in low.values()], p, w)
+                    for c in range(r) for b in range(r)]
+            convolve(sums[n], {e: unpack_row(sum(map(_mul, c, cols)),
+                                             len(low), p, w)
+                               for e, c in levels[h].items()},
+                     dict(zip(low, range(len(low)))), getitem)
     g, q = [{(0,) * nv: 1}], {}
     for n in range(1, d + 1):
         acc, inv = {}, pow(-n * form.mu, -1, p)
@@ -480,22 +572,24 @@ def _verify_power(charm, form, mu, fp, rng):
 MAX_EXPLICIT_COEFFS = 220
 
 
-def extract_reduced_power(charm: CharMatrix, mu: int, reduced_degree: int,
+def extract_reduced_power(pencil: Pencil, mu: int, reduced_degree: int,
                           fp, rng) -> ReducedForm:
     """The form q with det M = c·q^μ, verified at 10 fresh points.
 
-    q comes from the pencil: a ``PencilForm`` keeps the slices at a
-    random basis of Λ.  Up to ``MAX_EXPLICIT_COEFFS`` coefficients, the
-    explicit ``ReducedForm`` is built from their power sums; with more,
-    q stays implicit, each value the μ-th root of one characteristic
-    polynomial.  Only the power check rejects a non-power.
+    q comes from the normalized pencil of M: a ``PencilForm`` keeps each
+    block's slices at a random basis of Λ.  Up to ``MAX_EXPLICIT_COEFFS``
+    coefficients, the explicit ``ReducedForm`` is built from their power
+    sums; with more, q stays implicit, each value the μ-th root of the
+    blocks' characteristic polynomials.  Only the power check, on the
+    dense M, rejects a non-power.
     """
+    charm = pencil.charm
     if mu * reduced_degree != charm.r:
         raise ExtractionFailed("multiplicity times reduced degree "
                                "must equal the focal degree")
     if fp.p <= charm.r:
         raise CharTooSmall("field too small for the focal degree")
-    form = _pencil_form(charm, mu, reduced_degree, fp, rng)
+    form = _pencil_form(pencil, mu, reduced_degree, fp, rng)
     if comb(charm.k + reduced_degree, reduced_degree) <= MAX_EXPLICIT_COEFFS:
         form = _power_sum_form(form, fp)
     _verify_power(charm, form, mu, fp, rng)
@@ -646,13 +740,13 @@ def focal_report(charm: CharMatrix, fp, rng, lines: int) -> FocalReport:
     """Profile over ``lines`` random lines, extraction, quadric rank and a
     focal point (``focus``, in fibre coordinates) for one characteristic
     matrix, rolled into a report."""
-    profile, degree = focal_profile(charm, fp, rng, lines)
+    profile, degree, pencil = focal_profile(charm, fp, rng, lines)
     rep = FocalReport(r=charm.r, degree=degree, profile=profile)
     if len(profile) == 1:
         rep.mu, rep.reduced_degree = profile[0]
         try:
             rep.reduced_form = extract_reduced_power(
-                charm, rep.mu, rep.reduced_degree, fp, rng)
+                pencil, rep.mu, rep.reduced_degree, fp, rng)
         except ExtractionFailed as exc:
             rep.extraction_error = str(exc)
     form = rep.reduced_form

@@ -21,6 +21,7 @@ from gaussfocal.focal import (
     characteristic_matrix,
     extract_reduced_power,
     fiber_family_chart,
+    focal_profile,
     sing_containment,
 )
 from gaussfocal.gaussmap import gauss_fiber, tangent_space
@@ -186,7 +187,8 @@ def test_false_witness_is_rejected():
     fib = gauss_fiber(spec, frame, fp, rng)
     chart = fiber_family_chart(fib, fp, rng)
     charm = characteristic_matrix(chart, fp)
-    form = extract_reduced_power(charm, 1, 2, fp, rng)
+    _, _, pencil = focal_profile(charm, fp, rng, 8)
+    form = extract_reduced_power(pencil, 1, 2, fp, rng)
     outsider = [rng.field(fp.p) for _ in range(spec.ambient_dim + 1)]
     with pytest.raises(ContainmentFailed):
         sing_containment(spec, fib, form, fp, rng, witnesses=[outsider])

@@ -56,6 +56,7 @@ from gaussfocal.focal import (
     focal_report,
     form_zero_point,
     hyperband_chart,
+    normalized_pencil,
     quadric_rank,
     sing_containment,
 )
@@ -92,6 +93,33 @@ from gaussfocal.varieties import (
 
 P = (1 << 61) - 1
 FP = Fp(P)
+
+
+def charm_of(entries, k):
+    """The CharMatrix whose form in row j, column l has the coefficient
+    vector ``entries[j][l]`` (length k+1)."""
+    return CharMatrix([[e[i] for row in entries for e in row]
+                       for i in range(k + 1)], len(entries))
+
+
+def entries_of(charm):
+    """``charm``'s coefficient vectors, one per (row, column)."""
+    r = charm.r
+    return [[[lay[j * r + l] for lay in charm.layers] for l in range(r)]
+            for j in range(r)]
+
+
+def pencil_of(charm, fp=FP, seed=0xBA5E):
+    """``charm`` normalized at a base drawn from a stream of its own, so
+    the caller's draws are not moved; the slices M(t*)⁻¹M(e_i) of every
+    form read off it do not depend on the base."""
+    rng = Rng(seed)
+    for _ in range(16):
+        pencil = normalized_pencil(
+            charm, [rng.field(fp.p) for _ in range(charm.k + 1)], fp)
+        if pencil is not None:
+            return pencil
+    raise AssertionError("M(t) was singular at 16 drawn bases")
 
 
 def pipeline(spec, dim, seed):
@@ -589,7 +617,8 @@ def test_char_matrix_is_linear_in_fibre_coords():
     pt, frame, fib, rng = pipeline(spec, 4, 103)
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
-    assert charm.r == 2 and all(len(row) == 2 for row in charm.entries)
+    assert charm.r == 2 and len(charm.layers) == 3
+    assert all(len(lay) == 4 for lay in charm.layers)
     t1 = [rng.field(P) for _ in range(3)]
     t2 = [rng.field(P) for _ in range(3)]
     c = rng.field(P)
@@ -667,9 +696,9 @@ def test_cone_focus_is_the_vertex():
     assert (fib.k, fib.r) == (1, 1)
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
-    profile, degree = focal_profile(charm, FP, rng, 8)
+    profile, degree, pencil = focal_profile(charm, FP, rng, 8)
     assert profile == ((1, 1),) and degree == 1
-    rf = extract_reduced_power(charm, 1, 1, FP, rng)
+    rf = extract_reduced_power(pencil, 1, 1, FP, rng)
     t0 = form_zero_point(rf, FP, rng)
     focus = vecmat(t0, chart.basis, FP)
     assert mat_rank([focus, [0, 0, 0, 1]], FP) == 1
@@ -686,8 +715,9 @@ def test_expanded_form_matches_implicit_form():
     pt, frame, fib, rng = pipeline(spec, 6, 113)
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
-    rf1 = extract_reduced_power(charm, 2, 2, FP, rng)
-    rf2 = _pencil_form(charm, 2, 2, FP, rng)
+    pencil = pencil_of(charm)
+    rf1 = extract_reduced_power(pencil, 2, 2, FP, rng)
+    rf2 = _pencil_form(pencil, 2, 2, FP, rng)
     assert rf1.basis is None and rf2.basis is not None
     _verify_power(charm, rf2, 2, FP, rng)
     base = None
@@ -742,7 +772,7 @@ def test_implicit_form_matches_root_values_by_determinants():
     pt, frame, fib, rng = pipeline(spec, 13, 119)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     nv, d = charm.k + 1, 2  # severi-8: det M = c·q^4 with q a quadric
-    form = _pencil_form(charm, 4, d, FP, rng)
+    form = _pencil_form(pencil_of(charm), 4, d, FP, rng)
     # nodes along random directions from t*: the unit vectors of the
     # form's basis can be focal points, where the oracle's lines drop
     # degree
@@ -812,10 +842,10 @@ def _random_product_charm(nv, r, seed):
         forms = [[rng.field(p) for _ in range(nv)] for _ in range(r)]
         u, v = ([[rng.field(p) for _ in range(r)] for _ in range(r)]
                 for _ in range(2))
-        return CharMatrix([[[sum(u[j][m] * v[m][l] * f[i]
-                                 for m, f in enumerate(forms)) % p
-                             for i in range(nv)] for l in range(r)]
-                           for j in range(r)], nv - 1)
+        return charm_of([[[sum(u[j][m] * v[m][l] * f[i]
+                               for m, f in enumerate(forms)) % p
+                           for i in range(nv)] for l in range(r)]
+                         for j in range(r)], nv - 1)
     return build
 
 
@@ -841,7 +871,7 @@ def test_power_sum_form_matches_the_grid_expansion(name, p):
     assert charm.r == mu * d
     assert comb(charm.k + d, d) <= MAX_EXPLICIT_COEFFS
     rng = Rng(0x7A + d)
-    form = _pencil_form(charm, mu, d, fp, rng)
+    form = _pencil_form(pencil_of(charm, fp), mu, d, fp, rng)
     got = _power_sum_form(form, fp)
     assert got.basis is None and got.degree() == d
     assert got.poly.terms == _expand_on_grid(form, fp)
@@ -855,7 +885,7 @@ def test_power_sum_form_of_a_non_power_fails_extraction(p):
     charm = _product_charm([[1, 0], [0, 1], [1, 1], [1, p - 1]])
     with pytest.raises(ExtractionFailed,
                        match="power identity failed at a fresh point"):
-        extract_reduced_power(charm, 2, 2, Fp(p), Rng(151))
+        extract_reduced_power(pencil_of(charm, Fp(p)), 2, 2, Fp(p), Rng(151))
 
 
 def up_mul(f, g, fp):
@@ -893,7 +923,7 @@ def test_non_power_leaves_a_tail_and_fails_extraction():
         f = up_mul(f, [1, a], FP)
     assert any(_series_root(f, mu, inv, FP)[d + 1:])
     # det M = t0·t1·(t0 + t1) read as a cube of a linear form
-    form = _pencil_form(_diagonal_charm(), mu, d, FP, Rng(143))
+    form = _pencil_form(pencil_of(_diagonal_charm()), mu, d, FP, Rng(143))
     with pytest.raises(ExtractionFailed):
         form.value([2, 5], FP)
     with pytest.raises(ExtractionFailed):
@@ -902,15 +932,17 @@ def test_non_power_leaves_a_tail_and_fails_extraction():
     # of the root: the check that rejects it is _verify_power's
     with pytest.raises(ExtractionFailed,
                        match="power identity failed at a fresh point"):
-        extract_reduced_power(_diagonal_charm(), mu, d, FP, Rng(149))
+        extract_reduced_power(pencil_of(_diagonal_charm()), mu, d, FP,
+                              Rng(149))
 
 
 def test_quadric_rank_of_an_implicit_form():
     spec = rank_locus_spec(MatrixShape.skew(6), 4)  # severi-8
     pt, frame, fib, rng = pipeline(spec, 13, 147)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
-    explicit = extract_reduced_power(charm, 4, 2, FP, rng)
-    implicit = _pencil_form(charm, 4, 2, FP, rng)
+    pencil = pencil_of(charm)
+    explicit = extract_reduced_power(pencil, 4, 2, FP, rng)
+    implicit = _pencil_form(pencil, 4, 2, FP, rng)
     assert explicit.basis is None and implicit.basis is not None
     assert quadric_rank(implicit, FP) == quadric_rank(explicit, FP) == 6
 
@@ -929,8 +961,8 @@ def _diagonal_charm():
     """M(t) = diag(t0, t1, t0 + t1): det M = t0·t1·(t0 + t1)."""
     zero = [0, 0]
     forms = [[1, 0], [0, 1], [1, 1]]
-    return CharMatrix([[forms[j] if l == j else zero for l in range(3)]
-                       for j in range(3)], 1)
+    return charm_of([[forms[j] if l == j else zero for l in range(3)]
+                     for j in range(3)], 1)
 
 
 def _recording_profile(monkeypatch):
@@ -966,7 +998,9 @@ def test_profile_skips_a_direction_with_singular_matrix(monkeypatch):
     seen = _recording_profile(monkeypatch)
     # M(1, 0) = diag(1, 0, 1) is singular: that line drops to degree 2
     rng = _ScriptedRng([2, 3, 1, 0, 2, 3, 5, 7])
-    assert focal_profile(charm, FP, rng, lines=1) == (((1, 3),), 3)
+    profile, degree, pencil = focal_profile(charm, FP, rng, lines=1)
+    assert (profile, degree) == (((1, 3),), 3)
+    assert pencil.parts == [[0], [1], [2]]
     scale = charm.det_at([5, 7], FP)
     assert [[c * scale % P for c in poly] for poly in seen] == \
         [on_line(charm.det_at, 3, [2, 3], [5, 7], FP)]
@@ -974,23 +1008,133 @@ def test_profile_skips_a_direction_with_singular_matrix(monkeypatch):
         focal_profile(charm, FP, _ScriptedRng([2, 3, 0, 1] * 16), lines=1)
 
 
+def _flat(mat):
+    return [x for row in mat for x in row]
+
+
 def test_pencil_slices_are_none_exactly_at_a_singular_base():
     dirs = [[2, 3], [5, 7], [0, 1]]
     diagonal = _diagonal_charm()
     for base in ([1, 0], [0, 4], [3, P - 3]):  # a zero on the diagonal
-        assert _pencil_slices(diagonal, base, dirs, FP) is None
+        layers = [_flat(diagonal.value(v, FP)) for v in dirs]
+        assert _pencil_slices(diagonal, base, layers, FP) is None
+        assert normalized_pencil(diagonal, base, FP) is None
     rng = Rng(151)
-    generic = CharMatrix([[[rng.field(P) for _ in range(2)] for _ in range(4)]
-                          for _ in range(4)], 1)
+    generic = charm_of([[[rng.field(P) for _ in range(2)] for _ in range(4)]
+                        for _ in range(4)], 1)
     for charm, base in [(diagonal, [2, 5]), (generic, [3, 11])]:
         mbase = charm.value(base, FP)
         assert charm.det_at(base, FP)
-        slices = _pencil_slices(charm, base, dirs, FP)
+        slices = _pencil_slices(
+            charm, base, [_flat(charm.value(v, FP)) for v in dirs], FP)
         assert len(slices) == len(dirs)
+        r = charm.r
         for v, sl in zip(dirs, slices):
-            assert [vecmat(row, sl, FP) for row in mbase] == \
+            rows = [sl[i:i + r] for i in range(0, r * r, r)]
+            assert [vecmat(row, rows, FP) for row in mbase] == \
                 charm.value(v, FP)
         assert _pencil_slices(charm, base, [], FP) == []  # k = 0: no slices
+        # the layers M_i are the values M(e_i)
+        assert _pencil_slices(charm, base, charm.layers, FP) == \
+            _pencil_slices(charm, base, [_flat(charm.value(u, FP))
+                                         for u in ([1, 0], [0, 1])], FP)
+        assert normalized_pencil(charm, base, FP) is not None
+
+
+def test_a_singular_first_base_is_redrawn_with_the_same_draws(monkeypatch):
+    """The first d with M(d) nonsingular normalizes M.  The stream is read
+    as the dense pencil read it: a, then d, for every line attempt, then
+    t* for every basis attempt, and no other draw."""
+    charm = _diagonal_charm()
+    seen = _recording_profile(monkeypatch)
+    # M(1, 0) and M(3, −3) are singular: both attempts are redrawn
+    lines = [[2, 3, 1, 0], [2, 3, 5, 7], [4, 1, 3, P - 3], [4, 1, 6, 1]]
+    # t*_0 = 0 is skipped, and M(1, −1) is singular
+    tstars = [[0, 9], [1, P - 1], [2, 9]]
+    rng = _ScriptedRng([x for draw in lines + tstars for x in draw])
+    profile, degree, pencil = focal_profile(charm, FP, rng, lines=2)
+    assert (profile, degree) == (((1, 3),), 3)
+    assert pencil.parts == [[0], [1], [2]]
+    want = []
+    for a, d in ([2, 3], [5, 7]), ([4, 1], [6, 1]):
+        scale = FP.inv(charm.det_at(d, FP))
+        want.append([c * scale % P
+                     for c in on_line(charm.det_at, 3, a, d, FP)])
+    assert seen == want
+    form = _pencil_form(pencil, 1, 3, FP, rng)
+    assert form.basis[0] == [2, 9]
+    assert next(rng.values, None) is None  # every scripted draw was read
+
+
+def _planted_blocks(sizes, nv, fp, seed):
+    """U·diag(B_0(t), …)·Π for dense random blocks B_m(t) of the given
+    sizes, a random invertible row transform U and a column permutation
+    Π, with the blocks' index sets after Π: M(b)⁻¹M(t) is
+    Π⁻¹·diag(B_m(b)⁻¹B_m(t))·Π.  Each B_m, m ≥ 1, leaves out t_(m mod nv),
+    so with three or more blocks no single slice shows every block."""
+    rng, p, r = Rng(seed), fp.p, sum(sizes)
+    diag = [[[0] * nv for _ in range(r)] for _ in range(r)]
+    parts, at = [], 0
+    for m, size in enumerate(sizes):
+        part = range(at, at + size)
+        for j, l in product(part, part):
+            diag[j][l] = [rng.field(p) if m == 0 or i != m % nv else 0
+                          for i in range(nv)]
+        parts.append(part)
+        at += size
+    while True:
+        u = [[rng.field(p) for _ in range(r)] for _ in range(r)]
+        if mat_rank(u, fp) == r:
+            break
+    perm = list(range(r))
+    for i in range(r - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    entries = [[None] * r for _ in range(r)]
+    for j, c in product(range(r), range(r)):
+        entries[j][perm[c]] = [sum(u[j][m] * diag[m][c][i]
+                                   for m in range(r)) % p for i in range(nv)]
+    return charm_of(entries, nv - 1), sorted(sorted(perm[c] for c in part)
+                                              for part in parts)
+
+
+@pytest.mark.parametrize("p", [4294967311, P, (1 << 64) - 59])
+@pytest.mark.parametrize("sizes", [(1, 2, 3, 5), (5, 3, 2, 1), (6,)])
+def test_block_pencil_matches_the_dense_pencil(sizes, p):
+    """Planted blocks are recovered exactly, and every line polynomial,
+    pencil form value and explicit form equals the dense one's; (6,) is
+    a dense one-block chart."""
+    fp, nv, r = Fp(p), 3, sum(sizes)
+    charm, parts = _planted_blocks(sizes, nv, fp, 0xB10C + len(sizes))
+    rng = Rng(0xB10D + p % 89)
+    base = [rng.field(p) for _ in range(nv)]
+    pencil = normalized_pencil(charm, base, fp)
+    assert pencil.parts == parts
+    assert [blk.r for blk in pencil.blocks] == [len(part) for part in parts]
+
+    def dense_line(a, d):
+        rows, pivots = rref([m + v for m, v in zip(charm.value(d, fp),
+                                                     charm.value(a, fp))], fp)
+        assert pivots[:r] == list(range(r))
+        return _pencil_line([[row[r:] for row in rows]], fp)
+
+    a = [rng.field(p) for _ in range(nv)]
+    assert pencil.line(a, None, fp) == dense_line(a, base)
+    for _ in range(3):
+        a, d = ([rng.field(p) for _ in range(nv)] for _ in range(2))
+        line = pencil.line(a, d, fp)
+        assert len(line) == r + 1 and line == dense_line(a, d)
+    # one block over all of 0..r−1 is a dense pencil of the same M
+    dense = SimpleNamespace(charm=charm, blocks=[CharMatrix(
+        _pencil_slices(charm, base, charm.layers, fp), r)])
+    forms = [_pencil_form(pen, 1, r, fp, Rng(0xF0)) for pen in (pencil, dense)]
+    assert forms[0].basis == forms[1].basis
+    for _ in range(4):
+        t = [rng.field(p) for _ in range(nv)]
+        assert forms[0].value(t, fp) == forms[1].value(t, fp)
+    explicit = [_power_sum_form(form, fp) for form in forms]
+    assert explicit[0].poly.terms == explicit[1].poly.terms
+    _verify_power(charm, explicit[0], 1, fp, rng)
 
 
 def _severi2_charm():
@@ -1003,13 +1147,14 @@ def test_pencil_form_redraws_past_a_singular_basis():
     charm, rng = _severi2_charm()
     nv = charm.k + 1
     # a focal point: M(t*) is singular there, so that t* is skipped
-    focal_pt = form_zero_point(extract_reduced_power(charm, 1, 2, FP, rng),
+    pencil = pencil_of(charm)
+    focal_pt = form_zero_point(extract_reduced_power(pencil, 1, 2, FP, rng),
                                FP, rng)
     assert focal_pt[0] and charm.det_at(focal_pt, FP) == 0
     second = [rng.field(P) for _ in range(nv)]
-    form = _pencil_form(charm, 1, 2, FP, _ScriptedRng(focal_pt + second))
+    form = _pencil_form(pencil, 1, 2, FP, _ScriptedRng(focal_pt + second))
     assert form.basis[0] == second
-    drawn = _pencil_form(charm, 1, 2, FP, Rng(153))
+    drawn = _pencil_form(pencil, 1, 2, FP, Rng(153))
     assert _proportional(form.value, drawn.value, nv, FP, Rng(155), 5)
 
 
@@ -1020,12 +1165,13 @@ def test_pencil_form_skips_a_tstar_with_zero_first_coordinate():
     off = [0] + [rng.field(P) for _ in range(nv - 1)]
     assert charm.det_at(off, FP)
     tstar = [rng.field(P) for _ in range(nv)]
-    form = _pencil_form(charm, 1, 2, FP, _ScriptedRng(off + tstar))
+    pencil = pencil_of(charm)
+    form = _pencil_form(pencil, 1, 2, FP, _ScriptedRng(off + tstar))
     units = [[int(i == j) for j in range(nv)] for i in range(1, nv)]
     assert form.basis == [tstar] + units
     assert form.value(tstar, FP) == 1
     # every value is q(t)/q(t*): the expanded form agrees with that scale
-    explicit = extract_reduced_power(charm, 1, 2, FP, rng)
+    explicit = extract_reduced_power(pencil, 1, 2, FP, rng)
     at_tstar = explicit.value(tstar, FP)
     for t in [off] + [[rng.field(P) for _ in range(nv)] for _ in range(5)]:
         assert form.value(t, FP) * at_tstar % P == explicit.value(t, FP)
@@ -1055,7 +1201,7 @@ def _reduced_by_rref(chart, fp):
 def test_char_matrix_entries_match_reduced_rref_oracle(shape, rb, dim, seed):
     pt, frame, fib, rng = pipeline(rank_locus_spec(shape, rb), dim, seed)
     chart = fiber_family_chart(fib, FP, rng)
-    assert characteristic_matrix(chart, FP).entries == \
+    assert entries_of(characteristic_matrix(chart, FP)) == \
         _reduced_by_rref(chart, FP)
 
 
@@ -1125,7 +1271,7 @@ def test_linear_system_matches_all_rows_oracle(shape, rb, dim, mu, d):
     pt, frame, fib, rng = pipeline(spec, dim, 139)
     charm = characteristic_matrix(fiber_family_chart(fib, FP, rng), FP)
     assert mu * d == charm.r
-    form = extract_reduced_power(charm, mu, d, FP, Rng(141))
+    form = extract_reduced_power(pencil_of(charm), mu, d, FP, Rng(141))
     assert form.basis is None
     got = form.poly.terms
     want = _extract_with_all_rows(charm, mu, d, Rng(141))
@@ -1136,18 +1282,23 @@ def test_linear_system_matches_all_rows_oracle(shape, rb, dim, mu, d):
 
 
 def test_vanishing_focal_form_fails_extraction():
-    # det M ≡ 0: no basis has a nonsingular M(t*)
-    charm = CharMatrix([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], 1)
+    # det M ≡ 0: no line and no base has a nonsingular M
+    charm = charm_of([[[1, 0], [0, 1]], [[0, 0], [0, 0]]], 1)
+    with pytest.raises(DegenerateLines):
+        focal_profile(charm, FP, Rng(139), lines=1)
+    assert normalized_pencil(charm, [3, 5], FP) is None
+    # a pencil whose 8 draws of t* all have t*_0 = 0
+    pencil = pencil_of(_diagonal_charm())
     with pytest.raises(ExtractionFailed, match="nonsingular M"):
-        extract_reduced_power(charm, 1, 2, FP, Rng(139))
+        extract_reduced_power(pencil, 1, 3, FP, _ScriptedRng([0, 1] * 8))
 
 
 def _product_charm(forms):
     """M(t) = diag(L_1(t), …, L_r(t)): det M = L_1·…·L_r."""
     zero = [0] * len(forms[0])
-    return CharMatrix([[forms[j] if l == j else zero
-                        for l in range(len(forms))]
-                       for j in range(len(forms))], len(forms[0]) - 1)
+    return charm_of([[forms[j] if l == j else zero
+                      for l in range(len(forms))]
+                     for j in range(len(forms))], len(forms[0]) - 1)
 
 
 @pytest.mark.parametrize("k, explicit", [(9, True), (10, False)])
@@ -1157,7 +1308,8 @@ def test_explicit_form_up_to_the_coefficient_bound(k, explicit):
     assert (comb(k + 3, 3) <= MAX_EXPLICIT_COEFFS) == explicit
     rng = Rng(0xB0 + k)
     forms = [[rng.field(P) for _ in range(k + 1)] for _ in range(3)]
-    form = extract_reduced_power(_product_charm(forms), 1, 3, FP, rng)
+    form = extract_reduced_power(pencil_of(_product_charm(forms)), 1, 3, FP,
+                                 rng)
     assert (form.basis is None) == explicit
     assert form.degree() == 3
 
@@ -1208,35 +1360,40 @@ def test_char_matrix_value_matches_dots_and_follows_the_prime():
     it: entries drawn mod 2^61 − 1 are reduced again under F_101."""
     rng = Rng(0x9AC)
     r, k = 5, 3
-    charm = CharMatrix([[[rng.field(P) for _ in range(k + 1)]
-                         for _ in range(r)] for _ in range(r)], k)
+    charm = charm_of([[[rng.field(P) for _ in range(k + 1)]
+                       for _ in range(r)] for _ in range(r)], k)
     for fp in (Fp(101), Fp(P), Fp(101)):
         for _ in range(4):
             t = [rng.below(4 * fp.p) - 2 * fp.p for _ in range(k + 1)]
-            want = [[fp.dot(e, t) for e in row] for row in charm.entries]
+            want = [[fp.dot(e, t) for e in row] for row in entries_of(charm)]
             assert charm.value(t, fp) == want
             assert charm.det_at(t, fp) == _leibniz_det(want, fp.p)
 
 
 def test_pencil_form_value_matches_dots():
-    """K = Σ y_i·S_i, packed, gives the value that K taken entry by entry
-    by dots gives, at points with coordinates outside [0, p)."""
+    """K = Σ y_i·S_i, packed per block, gives the value that the dense K
+    taken entry by entry by dots gives, at points with coordinates outside
+    [0, p)."""
     rng = Rng(0x9AD)
     k = 3
     lin = [[rng.field(P) for _ in range(k + 1)] for _ in range(2)]
     charm = _product_charm([lin[0], lin[0], lin[1], lin[1]])  # (L_0·L_1)^2
     units = [[int(i == j) for j in range(k + 1)] for i in range(1, k + 1)]
     tstar = [1 + rng.field(P - 1) for _ in range(k + 1)]
-    slices = _pencil_slices(charm, tstar, units, FP)
-    form = PencilForm([tstar] + units, slices, 2, 2, FP)
+    pencil = pencil_of(charm)
+    assert pencil.parts == [[0], [1], [2], [3]]
+    form = PencilForm([tstar] + units, [
+        CharMatrix(_pencil_slices(blk, tstar, blk.layers[1:], FP), blk.r)
+        for blk in pencil.blocks], 2, 2, FP)
+    slices = _pencil_slices(charm, tstar, charm.layers[1:], FP)  # dense
     inv = [0] + [pow(n, -1, P) for n in range(1, 5)]
     for _ in range(6):
         t = [rng.below(4 * P) - 2 * P for _ in range(k + 1)]
         y0 = t[0] * pow(tstar[0], -1, P) % P
         y = [(ti - y0 * si) % P for ti, si in zip(t[1:], tstar[1:])]
-        kmat = [[FP.dot(y, [sl[a][b] for sl in slices]) for b in range(4)]
+        kmat = [[FP.dot(y, [sl[a * 4 + b] for sl in slices]) for b in range(4)]
                 for a in range(4)]
-        g = _series_root(_pencil_line(kmat, FP), 2, inv, FP)
+        g = _series_root(_pencil_line([kmat], FP), 2, inv, FP)
         assert not any(g[3:])
         want = sum(gn * pow(y0, 2 - n, P) for n, gn in enumerate(g[:3])) % P
         assert form.value(t, FP) == want
@@ -1278,7 +1435,7 @@ def _char_matrix_framed(chart, fp):
             coeffs = solve_affine(stacked_t, row, fp)
             for l in range(r):
                 entries[j][l][i] = coeffs[k1 + l]
-    return CharMatrix(entries, chart.k)
+    return charm_of(entries, chart.k)
 
 
 @pytest.mark.parametrize("shape,rb,dim,seed", [
@@ -1332,7 +1489,7 @@ def test_perturbed_form_fails_containment():
     pt, frame, fib, rng = pipeline(spec, 4, 115)
     chart = fiber_family_chart(fib, FP, rng)
     charm = characteristic_matrix(chart, FP)
-    rf = extract_reduced_power(charm, 1, 2, FP, rng)
+    rf = extract_reduced_power(pencil_of(charm), 1, 2, FP, rng)
     bad = dict(rf.poly.terms)
     bad[(2, 0, 0)] = (bad.get((2, 0, 0), 0) + 1) % P
     with pytest.raises(ContainmentFailed):
@@ -1430,10 +1587,11 @@ def test_hyperband_general_chart():
     assert (chart.k, chart.r) == (1, 4)
     charm = characteristic_matrix(chart, FP)
     # the image span collapsed from 5 columns to r = 4
-    assert charm.r == 4 and all(len(row) == 4 for row in charm.entries)
-    profile, degree = focal_profile(charm, FP, rng, 8)
+    assert charm.r == 4 and len(charm.layers) == 2
+    assert all(len(lay) == 16 for lay in charm.layers)
+    profile, degree, pencil = focal_profile(charm, FP, rng, 8)
     assert profile == ((4, 1),) and degree == 4
-    rf = extract_reduced_power(charm, 4, 1, FP, rng)
+    rf = extract_reduced_power(pencil, 4, 1, FP, rng)
     t0 = form_zero_point(rf, FP, rng)
     assert char_kernel_at_point(charm, t0, FP) == 2
     focus = vecmat(t0, chart.basis, FP)
